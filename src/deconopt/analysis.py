@@ -17,11 +17,13 @@ import numpy as np
 
 from . import denselin, objective
 from .errors import (
+    AllZero,
     CertificateUnavailable,
     ContractionViolated,
     DimensionMismatch,
     EtaOutOfRange,
     GammaOutOfRange,
+    IndefiniteInput,
 )
 from .netgraph import NetworkGraph, incidence_operators
 from .tolerances import DEFAULT, Tolerances
@@ -94,7 +96,7 @@ def reference_solution(graph: NetworkGraph, components, eta: float,
     x_star = np.tile(xbar, graph.n)
     e_o = incidence_operators(graph)[0]
     alpha_star = denselin.min_norm_solve(
-        e_o.materialize(), -objective.sum_gradient(components, x_star), tolerances
+        e_o.base, -objective.sum_gradient(components, x_star), tolerances, graph.p
     )
     return ReferenceSolution(
         xbar=xbar,
@@ -149,7 +151,7 @@ def mu_g(profile: objective.SumProfile, graph: NetworkGraph, rho: float,
 @dataclass(frozen=True)
 class RateCertificate:
     """Contraction certificate: constants, optimizing scalars, and the
-    (semi-)norm matrices the statement is made in."""
+    lifted M matrix of the (semi-)norm the statement is made in."""
 
     rho: float
     eta: float
@@ -163,8 +165,6 @@ class RateCertificate:
     lam_max_m: float | None = None
     lam_max_eu: float | None = None
     m_matrix: np.ndarray | None = field(default=None, repr=False)
-    h_matrix: np.ndarray | None = field(default=None, repr=False)
-    g_matrix: np.ndarray | None = field(default=None, repr=False)
     graph: NetworkGraph | None = field(default=None, repr=False)
 
     def contraction_factor(self) -> float:
@@ -234,7 +234,7 @@ def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
 
     `params` carries rho, eta and the proximal weights. Requires eta in (0,1);
     the spectral quantities are computed at graph level (the identity lift
-    preserves them) and the certificate materializes the lifted norm matrices.
+    preserves them) and the certificate materializes the lifted M matrix.
     """
     rho, eta = params.rho, params.eta
     if not 0 < eta < 1:
@@ -245,32 +245,24 @@ def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
     try:
         lam_min = denselin.smallest_nonzero_eig(denselin.SymMatrix(lap.base),
                                                 tolerances=tolerances)
-        m_base = 0.5 * rho * (2.0 * deg.base + (2.0 / rho) * np.diag(pi) - lap.base)
-        eigvals_m, _ = denselin.sym_eigen(denselin.SymMatrix(m_base), tolerances)
-        lam_max_m = float(eigvals_m[-1])
-        eig_lap, _ = denselin.sym_eigen(denselin.SymMatrix(lap.base), tolerances)
-        lip_g = profile.lipschitz + (1.0 - eta) * 0.5 * rho * float(eig_lap[-1])
         mu, gamma_star = mu_g(profile, graph, rho, eta, "optimize", tolerances)
-    except (EtaOutOfRange, GammaOutOfRange):
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise CertificateUnavailable(str(exc)) from exc
+    except (IndefiniteInput, AllZero) as exc:
+        raise CertificateUnavailable(f"Laplacian spectrum unusable: {exc}") from exc
+    m_base = 0.5 * rho * (2.0 * deg.base + (2.0 / rho) * np.diag(pi) - lap.base)
+    eigvals_m, _ = denselin.sym_eigen(denselin.SymMatrix(m_base), tolerances)
+    lam_max_m = float(eigvals_m[-1])
+    eig_lap, _ = denselin.sym_eigen(denselin.SymMatrix(lap.base), tolerances)
+    lip_g = profile.lipschitz + (1.0 - eta) * 0.5 * rho * float(eig_lap[-1])
     if mu <= 0:
         raise CertificateUnavailable(f"restricted strong convexity bound {mu:.3e} <= 0")
 
     delta, tau_star = delta_bound(rho, eta, mu, lip_g, lam_min, lam_max_m,
                                   tolerances.search)
-    m_lift = np.kron(m_base, np.eye(graph.p))
-    mp = graph.m * graph.p
-    npx = graph.n * graph.p
-    h = np.zeros((mp + npx, mp + npx))
-    h[:mp, :mp] = (2.0 / (rho * eta)) * np.eye(mp)
-    h[mp:, mp:] = m_lift
     return RateCertificate(
         rho=rho, eta=eta, mu_g=mu, lipschitz_g=lip_g,
         lam_min_nonzero=lam_min, tau_star=tau_star, gamma_star=gamma_star,
         delta=delta, lam_max_m=lam_max_m,
-        m_matrix=m_lift, h_matrix=h, graph=graph,
+        m_matrix=np.kron(m_base, np.eye(graph.p)), graph=graph,
     )
 
 
@@ -294,15 +286,10 @@ def rate_certificate_admm(graph: NetworkGraph, profile: objective.SumProfile,
         raise CertificateUnavailable(f"restricted strong convexity bound {mu:.3e} <= 0")
     delta, tau_star = delta_bound_admm(rho, eta, mu, lip_g, lam_min, lam_max_eu,
                                        tolerances.search)
-    mp = graph.m * graph.p
-    g_mat = np.zeros((2 * mp, 2 * mp))
-    g_mat[:mp, :mp] = (1.0 / (rho * eta)) * np.eye(mp)
-    g_mat[mp:, mp:] = rho * np.eye(mp)
     return RateCertificate(
         rho=rho, eta=eta, mu_g=mu, lipschitz_g=lip_g,
         lam_min_nonzero=lam_min, tau_star=tau_star, gamma_star=gamma_star,
-        delta_admm=delta, lam_max_eu=lam_max_eu,
-        g_matrix=g_mat, graph=graph,
+        delta_admm=delta, lam_max_eu=lam_max_eu, graph=graph,
     )
 
 
@@ -363,7 +350,7 @@ def verify_contraction(trace, ref: ReferenceSolution, cert: RateCertificate,
         if src is None:
             raise ValueError("dual='phi' needs the graph to reconstruct alpha")
         e_o = incidence_operators(src)[0]
-        solver = denselin.MinNormTransposeSolver(e_o.materialize())
+        solver = denselin.MinNormTransposeSolver(e_o.base, p=src.p)
         pairs = [(x, solver(phi)) for x, phi in trace]
     else:
         pairs = [(x, a) for x, a in trace]

@@ -302,10 +302,11 @@ def _resolve_params(config: ExperimentConfig, graph, tol) -> solvers.AdmmParams:
 
 
 def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
-                   params: solvers.AdmmParams, tol):
+                   params: solvers.AdmmParams, tol, keep_phi: bool):
     """Run one algorithm for the configured rounds.
 
-    Returns a list of (k, x, phi, messages) snapshots including k = 0.
+    Returns a list of (k, x, phi, messages) snapshots including k = 0; phi is
+    None unless `keep_phi` (only the verification reads it).
     """
     rows = []
 
@@ -327,7 +328,8 @@ def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
             )
         harness.run_rounds(
             agents, graph, config.rounds,
-            observer=lambda k, x, phi, log: rows.append((k, x, phi, log.messages)),
+            observer=lambda k, x, phi, log: rows.append(
+                (k, x, phi if keep_phi else None, log.messages)),
         )
         return rows
 
@@ -345,11 +347,11 @@ def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
 
     state = engine.init()
     row = engine.snapshot(state)
-    rows.append((0, row.x, row.phi, 0))
+    rows.append((0, row.x, row.phi if keep_phi else None, 0))
     for k in range(1, config.rounds + 1):
         state = engine.step(state)
         row = engine.snapshot(state)
-        rows.append((k, row.x, row.phi, 0))
+        rows.append((k, row.x, row.phi if keep_phi else None, 0))
     return rows
 
 
@@ -385,7 +387,8 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
     params = _resolve_params(config, graph, tol)
     ref = analysis.reference_solution(graph, components, params.eta, tol)
 
-    trace = _run_algorithm(config.algorithm, config, graph, components, params, tol)
+    trace = _run_algorithm(config.algorithm, config, graph, components, params, tol,
+                           keep_phi=config.verify)
 
     cert = None
     report = None
@@ -427,9 +430,10 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
             fh.write("\n".join(analysis.certificate_csv_rows(cert)) + "\n")
 
     if config.compare is not None:
-        other = _run_algorithm(config.compare, config, graph, components, params, tol)
+        other = [x for _, x, _, _ in _run_algorithm(
+            config.compare, config, graph, components, params, tol, keep_phi=False)]
         lines = ["k,max_abs_dx"]
-        for (k, x, _, _), (_, x2, _, _) in zip(trace, other):
+        for (k, x, _, _), x2 in zip(trace, other):
             gap = float(np.max(np.abs(x - x2)))
             lines.append(f"{k},{gap:.17g}")
         with open(os.path.join(config.out_dir, "compare.csv"), "w", newline="") as fh:

@@ -1,10 +1,10 @@
-"""Small dense symmetric linear algebra.
+"""Small dense symmetric linear algebra on top of numpy.linalg (LAPACK).
 
-Everything the other modules need at desk scale: a cyclic Jacobi eigensolver,
-an unblocked Cholesky factorization, and minimum-norm solutions of transpose
-systems B^T a = c via eigendecomposition of B^T B. Jacobi over QR iteration
-for implementation simplicity and unconditional symmetry handling; large-scale
-performance is a non-goal.
+Everything the other modules need: symmetric eigendecompositions, Cholesky
+factorizations and solves, and minimum-norm solutions of transpose systems
+B^T a = c via eigendecomposition of the graph-level Gram matrix B^T B. Inputs
+are validated here and LAPACK failures are mapped to the package errors, so no
+bare numpy exception escapes.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     AllZero,
+    DeconoptError,
     DimensionMismatch,
     Inconsistent,
     IndefiniteInput,
@@ -22,8 +23,6 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .tolerances import DEFAULT, Tolerances
-
-_MAX_JACOBI_SWEEPS = 100
 
 
 class SymMatrix:
@@ -53,68 +52,22 @@ class SymMatrix:
         return self.entries.shape[0]
 
 
-def _as_sym_array(a) -> np.ndarray:
+def _as_sym_array(a, tolerances: Tolerances = DEFAULT) -> np.ndarray:
     if isinstance(a, SymMatrix):
         return a.entries
-    return SymMatrix(a).entries
+    return SymMatrix(a, tolerances).entries
 
 
 def sym_eigen(a, tolerances: Tolerances = DEFAULT):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK via numpy.linalg.eigh).
 
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    `jacobi_sweep * ||A||_F`. Returns (eigenvalues ascending, orthonormal
-    eigenvectors as columns, in matching order).
+    Returns (eigenvalues ascending, orthonormal eigenvectors as columns, in
+    matching order). A raw array is validated as a SymMatrix first.
     """
-    work = np.array(_as_sym_array(a))
-    n = work.shape[0]
-    vecs = np.eye(n)
-    if n == 1:
-        return work.ravel().copy(), vecs
-
-    frob = math.sqrt(float(np.sum(work * work)))
-    target = tolerances.jacobi_sweep * frob
-
-    def offdiag_norm(m):
-        off = m - np.diag(np.diag(m))
-        return math.sqrt(float(np.sum(off * off)))
-
-    sweeps = 0
-    while offdiag_norm(work) > target:
-        sweeps += 1
-        if sweeps > _MAX_JACOBI_SWEEPS:
-            raise AssertionError("Jacobi sweeps failed to converge")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if apq == 0.0:
-                    continue
-                app, aqq = work[p, p], work[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(1.0 + theta * theta)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * row_q
-                work[q, :] = s * row_p + c * row_q
-                work[p, p] = app - t * apq
-                work[q, q] = aqq + t * apq
-                work[p, q] = work[q, p] = 0.0
-                vp = vecs[:, p].copy()
-                vq = vecs[:, q].copy()
-                vecs[:, p] = c * vp - s * vq
-                vecs[:, q] = s * vp + c * vq
-
-    eigvals = np.diag(work).copy()
-    order = np.argsort(eigvals, kind="stable")
-    return eigvals[order], vecs[:, order]
+    try:
+        return np.linalg.eigh(_as_sym_array(a, tolerances))
+    except np.linalg.LinAlgError as exc:
+        raise DeconoptError(f"symmetric eigensolver failed: {exc}") from exc
 
 
 def smallest_nonzero_eig(a, zero_tol: float | None = None,
@@ -140,18 +93,11 @@ def smallest_nonzero_eig(a, zero_tol: float | None = None,
 
 
 def spd_factor(a) -> np.ndarray:
-    """Lower Cholesky factor; raises NotPositiveDefinite on a pivot <= 0."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    low = np.zeros((n, n))
-    for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if d <= 0.0:
-            raise NotPositiveDefinite(f"nonpositive pivot {d:.3e} at column {j}")
-        low[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low
+    """Lower Cholesky factor; raises NotPositiveDefinite when one does not exist."""
+    try:
+        return np.linalg.cholesky(np.asarray(a, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
 
 
 def spd_solve_factored(low: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,29 +123,29 @@ def solve_spd(a, b) -> np.ndarray:
 
 
 def spd_inverse(a) -> np.ndarray:
-    """Explicit inverse via one factorization; for constant-system caching."""
+    """Explicit inverse (L L^T)^-1 = L^-T L^-1 from one Cholesky factor; for
+    constant-system caching."""
     arr = a.entries if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
     low = spd_factor(arr)
-    n = arr.shape[0]
-    inv = np.empty((n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        inv[:, j] = spd_solve_factored(low, eye[:, j])
+    low_inv = np.linalg.solve(low, np.eye(arr.shape[0]))
+    inv = low_inv.T @ low_inv
     return 0.5 * (inv + inv.T)
 
 
 class MinNormTransposeSolver:
-    """Reusable minimum-norm solver for B^T a = c.
+    """Reusable minimum-norm solver for B^T a = c, with B = b (x) I_p.
 
     The returned solution is a = B (B^T B)^+ c, the unique solution lying in
-    the column space of B. Precomputes the pseudo-inverse once so per-round
-    reconstructions are a pair of matmuls.
+    the column space of B. The pseudo-inverse is computed once from the
+    Gram matrix b^T b of the unlifted b, since (B^T B)^+ = (b^T b)^+ (x) I_p;
+    each reconstruction is then a pair of matmuls on c reshaped to blocks.
     """
 
-    def __init__(self, b_matrix, tolerances: Tolerances = DEFAULT):
+    def __init__(self, b_matrix, tolerances: Tolerances = DEFAULT, p: int = 1):
         self.b = np.array(b_matrix, dtype=float)
         if not np.all(np.isfinite(self.b)):
             raise NonFinite("matrix contains non-finite entries")
+        self.p = int(p)
         self.tolerances = tolerances
         gram = SymMatrix(self.b.T @ self.b, tolerances)
         eigvals, eigvecs = sym_eigen(gram, tolerances)
@@ -211,21 +157,25 @@ class MinNormTransposeSolver:
 
     def __call__(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=float)
-        if c.shape != (self.b.shape[1],):
+        cols = self.b.shape[1]
+        if c.shape != (cols * self.p,):
             raise DimensionMismatch(
-                f"rhs length {c.shape} does not match {self.b.shape[1]}"
+                f"rhs length {c.shape} does not match {cols * self.p}"
             )
-        alpha = self.b @ (self.gram_pinv @ c)
-        resid = np.linalg.norm(self.b.T @ alpha - c)
-        # absolute floor: a rhs at roundoff scale is "in range" by convention
-        floor = 1e-12 * max(1.0, float(np.linalg.norm(self.b)))
+        blocks = c.reshape(cols, self.p)
+        alpha = self.b @ (self.gram_pinv @ blocks)
+        resid = np.linalg.norm(self.b.T @ alpha - blocks)
+        # absolute floor: a rhs at roundoff scale is "in range" by convention;
+        # sqrt(p) ||b||_F is the Frobenius norm of the lifted matrix
+        floor = 1e-12 * max(1.0, math.sqrt(self.p) * float(np.linalg.norm(self.b)))
         if resid > self.tolerances.minnorm_consistency * np.linalg.norm(c) + floor:
             raise Inconsistent(
                 f"rhs is not in the range of the transpose (residual {resid:.3e})"
             )
-        return alpha
+        return alpha.ravel()
 
 
-def min_norm_solve(b_matrix, c, tolerances: Tolerances = DEFAULT) -> np.ndarray:
-    """One-shot minimum-norm solution of B^T a = c."""
-    return MinNormTransposeSolver(b_matrix, tolerances)(c)
+def min_norm_solve(b_matrix, c, tolerances: Tolerances = DEFAULT,
+                   p: int = 1) -> np.ndarray:
+    """One-shot minimum-norm solution of (b (x) I_p)^T a = c."""
+    return MinNormTransposeSolver(b_matrix, tolerances, p)(c)

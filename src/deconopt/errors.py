@@ -19,6 +19,10 @@ class DuplicateEdge(DeconoptError):
     pass
 
 
+class MalformedGraph(DeconoptError):
+    """Arc labels that do not give a diagonal extended degree matrix."""
+
+
 class Disconnected(DeconoptError):
     pass
 

@@ -26,6 +26,7 @@ from .errors import (
     Disconnected,
     DuplicateEdge,
     EmptyGraph,
+    MalformedGraph,
     SelfLoop,
 )
 
@@ -196,7 +197,7 @@ def incidence_operators(
     deg = 0.5 * (lap + e_u.T @ e_u)
     off = deg - np.diag(np.diag(deg))
     if np.any(off != 0.0):
-        raise AssertionError("extended degree matrix is not diagonal")
+        raise MalformedGraph("extended degree matrix is not diagonal")
     return (
         BlockOperator(e_o, g.p),
         BlockOperator(e_u, g.p),

@@ -278,7 +278,7 @@ def dadmm_init(graph: NetworkGraph, components, params: AdmmParams,
     elif alpha0_mode == "random-in-colspace":
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal(graph.m * graph.p)
-        alpha = denselin.min_norm_solve(e_o.materialize(), e_o.apply_transpose(raw))
+        alpha = denselin.min_norm_solve(e_o.base, e_o.apply_transpose(raw), p=graph.p)
     else:
         raise ValueError(f"unknown alpha0_mode {alpha0_mode!r}")
     return AdmmState(x=x, phi=e_o.apply_transpose(alpha), k=0, alpha=alpha)

@@ -16,9 +16,6 @@ from .errors import ConfigError
 
 @dataclasses.dataclass(frozen=True)
 class Tolerances:
-    # eigensolver: stop when the off-diagonal Frobenius norm falls below
-    # jacobi_sweep * ||A||_F
-    jacobi_sweep: float = 1e-12
     # relative cutoff separating "zero" eigenvalues from the rest
     spectrum_zero: float = 1e-9
     # relative consistency requirement for min-norm transpose solves

@@ -4,9 +4,12 @@ from numpy.testing import assert_allclose
 
 from deconopt import analysis, denselin, harness, netgraph, objective, solvers
 from deconopt.errors import (
+    AllZero,
+    CertificateUnavailable,
     DimensionMismatch,
     EtaOutOfRange,
     GammaOutOfRange,
+    IndefiniteInput,
 )
 from deconopt.objective import AffineQuadratic, RankOneLeastSquares
 from deconopt.solvers import AdmmParams
@@ -58,6 +61,18 @@ class TestReferenceSolution:
         # minimum norm: orthogonal to null(E_o^T)
         solver = denselin.MinNormTransposeSolver(e_o.materialize())
         assert np.linalg.norm(solver(e_o.apply_transpose(ref.alpha_star)) - ref.alpha_star) <= 1e-10
+
+
+    def test_multiplier_matches_lifted_min_norm_solve(self):
+        # oracle: the minimum-norm solve on the materialized lift E_o (x) I_p
+        for p in (1, 3):
+            graph, comps = ls_preset(seed=6, n=7, p=p)
+            ref = analysis.reference_solution(graph, comps, eta=0.5)
+            e_o = netgraph.incidence_operators(graph)[0]
+            lifted = denselin.min_norm_solve(
+                e_o.materialize(), -objective.sum_gradient(comps, ref.x_star)
+            )
+            assert np.max(np.abs(ref.alpha_star - lifted)) <= 1e-12
 
 
 class TestMuG:
@@ -125,6 +140,19 @@ class TestRateCertificate:
         # M is PSD by construction
         eigvals, _ = denselin.sym_eigen(denselin.SymMatrix(cert.m_matrix))
         assert eigvals[0] >= -1e-9
+
+    @pytest.mark.parametrize("error", [IndefiniteInput, AllZero])
+    def test_unusable_spectrum_is_chained(self, monkeypatch, error):
+        graph, comps = ls_preset(seed=5)
+        profile = objective.sum_profile(comps, graph)
+
+        def fail(*args, **kwargs):
+            raise error("spectrum")
+
+        monkeypatch.setattr(denselin, "smallest_nonzero_eig", fail)
+        with pytest.raises(CertificateUnavailable) as info:
+            analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, 0.1))
+        assert isinstance(info.value.__cause__, error)
 
     def test_tau_search_matches_grid(self):
         graph, comps = ls_preset(seed=6)

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deconopt import denselin
+from deconopt import denselin, harness, netgraph
 from deconopt.denselin import SymMatrix
 from deconopt.errors import (
     AllZero,
+    DeconoptError,
     DimensionMismatch,
     Inconsistent,
     IndefiniteInput,
@@ -14,6 +17,53 @@ from deconopt.errors import (
 )
 
 PATH3_L = np.array([[2, -2, 0], [-2, 4, -2], [0, -2, 2]], dtype=float)
+
+
+def jacobi_eigenvalues(a, sweep_tol=1e-14, max_sweeps=100):
+    """Reference eigenvalues (ascending) by cyclic Jacobi rotations.
+
+    Sweeps until the off-diagonal Frobenius norm drops below
+    sweep_tol * ||A||_F; every rotation zeroes one off-diagonal pair exactly.
+    """
+    work = np.array(a, dtype=float)
+    n = work.shape[0]
+    target = sweep_tol * math.sqrt(float(np.sum(work * work)))
+
+    def offdiag_norm(m):
+        off = m - np.diag(np.diag(m))
+        return math.sqrt(float(np.sum(off * off)))
+
+    for _ in range(max_sweeps):
+        if offdiag_norm(work) <= target:
+            return np.sort(np.diag(work))
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = work[p, q]
+                if apq == 0.0:
+                    continue
+                app, aqq = work[p, p], work[q, q]
+                theta = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                col_p, col_q = work[:, p].copy(), work[:, q].copy()
+                work[:, p] = c * col_p - s * col_q
+                work[:, q] = s * col_p + c * col_q
+                row_p, row_q = work[p, :].copy(), work[q, :].copy()
+                work[p, :] = c * row_p - s * row_q
+                work[q, :] = s * row_p + c * row_q
+                work[p, p] = app - t * apq
+                work[q, q] = aqq + t * apq
+                work[p, q] = work[q, p] = 0.0
+    raise RuntimeError("reference Jacobi did not converge")
+
+
+def ring_chord_bases(n, seed):
+    """Laplacian and M base (rho = 1, pi = 0.1) of a ring-plus-chords graph."""
+    graph, _ = harness.scenario_least_squares(n, 1, seed)
+    _, _, deg, lap = netgraph.incidence_operators(graph)
+    m_base = 0.5 * (2.0 * deg.base + 2.0 * 0.1 * np.eye(n) - lap.base)
+    return lap.base, m_base
 
 
 def _cubic_roots_by_bisection(coeffs, lo=-100.0, hi=100.0):
@@ -70,9 +120,38 @@ class TestSymEigen:
             assert_allclose(v.T @ v, np.eye(order), atol=1e-9)
             assert np.all(np.diff(w) >= -1e-12)
 
+    @pytest.mark.parametrize("n,seed", [(5, 1), (12, 2), (30, 3)])
+    def test_graph_matrices_match_jacobi_reference(self, n, seed):
+        for base in ring_chord_bases(n, seed):
+            w, v = denselin.sym_eigen(SymMatrix(base))
+            tol = 1e-12 * np.linalg.norm(base)
+            assert np.max(np.abs(w - jacobi_eigenvalues(base))) <= tol
+            assert np.linalg.norm((v * w) @ v.T - base) <= tol
+
+    def test_random_matrices_match_jacobi_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            order = int(rng.integers(1, 13))
+            a = rng.standard_normal((order, order))
+            a = 0.5 * (a + a.T)
+            w, _ = denselin.sym_eigen(SymMatrix(a))
+            ref = jacobi_eigenvalues(a)
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.linalg.norm(a)
+
+    def test_lapack_failure_maps_to_package_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(DeconoptError) as info:
+            denselin.sym_eigen(SymMatrix(np.eye(2)))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFinite):
             SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(NonFinite):
+            denselin.sym_eigen([[np.inf, 0.0], [0.0, 1.0]])
 
     def test_asymmetry_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -131,6 +210,13 @@ class TestSolveSpd:
         with pytest.raises(NotPositiveDefinite):
             denselin.solve_spd(SymMatrix(np.diag([1.0, -3.0])), [1.0, 1.0])
 
+    def test_indefinite_factor_and_inverse(self):
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        for fn in (denselin.spd_factor, denselin.spd_inverse):
+            with pytest.raises(NotPositiveDefinite) as info:
+                fn(indefinite)
+            assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
     def test_spd_inverse(self):
         rng = np.random.default_rng(12)
         a = rng.standard_normal((6, 6))
@@ -170,3 +256,26 @@ class TestMinNormSolve:
         a2 = solver(np.array([-2.0, 2.0]))
         assert_allclose(a1, [0.5, -0.5], atol=1e-12)
         assert_allclose(a2, [-1.0, 1.0], atol=1e-12)
+
+    def test_nonfinite_matrix_rejected(self):
+        with pytest.raises(NonFinite):
+            denselin.MinNormTransposeSolver([[1.0, np.nan], [-1.0, 1.0]])
+
+    @pytest.mark.parametrize("n,seed", [(6, 4), (15, 5)])
+    def test_graph_level_solve_equals_kronecker_lift(self, n, seed):
+        graph, _ = harness.scenario_least_squares(n, 1, seed)
+        base = netgraph.incidence_operators(graph)[0].base
+        lift = np.kron(base, np.eye(3))
+        graph_level = denselin.MinNormTransposeSolver(base, p=3)
+        lifted = denselin.MinNormTransposeSolver(lift)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            c = lift.T @ rng.standard_normal(graph.m * 3)
+            assert np.max(np.abs(graph_level(c) - lifted(c))) <= 1e-12
+        # a consensual rhs is orthogonal to range(E_o^T)
+        for solver in (graph_level, lifted):
+            with pytest.raises(Inconsistent):
+                solver(np.ones(n * 3))
+        with pytest.raises(DimensionMismatch):
+            graph_level(np.ones(n))
+

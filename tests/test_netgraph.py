@@ -8,6 +8,7 @@ from deconopt.errors import (
     Disconnected,
     DuplicateEdge,
     EmptyGraph,
+    MalformedGraph,
     SelfLoop,
 )
 
@@ -141,6 +142,18 @@ class TestIncidenceOperators:
                         xj = x[(j - 1) * p: j * p]
                         rhs += float(np.linalg.norm(xj - xi) ** 2)
                 assert abs(lhs - rhs) <= 1e-12 * max(rhs, 1.0)
+
+
+    def test_shared_arc_label_is_a_package_error(self):
+        # two arcs under one label put two sources in one row of A_s, so the
+        # extended degree matrix gets an off-diagonal entry
+        g = netgraph.NetworkGraph(
+            n=2, p=1, edges=((1, 2),),
+            arcs=(netgraph.Arc(1, 1, 2), netgraph.Arc(1, 2, 1)),
+            neighbors=((2,), (1,)),
+        )
+        with pytest.raises(MalformedGraph):
+            netgraph.incidence_operators(g)
 
 
 class TestBlockOperator:
