@@ -150,8 +150,8 @@ def mu_g(profile: objective.SumProfile, graph: NetworkGraph, rho: float,
 
 @dataclass(frozen=True)
 class RateCertificate:
-    """Contraction certificate: constants, optimizing scalars, and the
-    lifted M matrix of the (semi-)norm the statement is made in."""
+    """Contraction certificate: constants, optimizing scalars, and the n x n
+    base of M = m_base (x) I_p, the (semi-)norm the statement is made in."""
 
     rho: float
     eta: float
@@ -164,7 +164,7 @@ class RateCertificate:
     delta_admm: float | None = None
     lam_max_m: float | None = None
     lam_max_eu: float | None = None
-    m_matrix: np.ndarray | None = field(default=None, repr=False)
+    m_base: np.ndarray | None = field(default=None, repr=False)
     graph: NetworkGraph | None = field(default=None, repr=False)
 
     def contraction_factor(self) -> float:
@@ -174,11 +174,12 @@ class RateCertificate:
     def u_distance_sq(self, alpha: np.ndarray, x: np.ndarray,
                       ref: ReferenceSolution) -> float:
         """Squared primal-dual distance in the block norm carried by delta."""
-        if self.m_matrix is None:
+        if self.m_base is None:
             raise CertificateUnavailable("certificate carries no M matrix")
         da = alpha - ref.alpha_star
-        dx = x - ref.x_star
-        val = (2.0 / (self.rho * self.eta)) * float(da @ da) + float(dx @ (self.m_matrix @ dx))
+        dx = (x - ref.x_star).reshape(self.m_base.shape[0], -1)
+        val = ((2.0 / (self.rho * self.eta)) * float(da @ da)
+               + float(np.sum(dx * (self.m_base @ dx))))
         return max(val, 0.0)
 
     def v_distance_sq(self, alpha: np.ndarray, x: np.ndarray,
@@ -234,7 +235,7 @@ def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
 
     `params` carries rho, eta and the proximal weights. Requires eta in (0,1);
     the spectral quantities are computed at graph level (the identity lift
-    preserves them) and the certificate materializes the lifted M matrix.
+    preserves them) and the certificate keeps M at graph level too.
     """
     rho, eta = params.rho, params.eta
     if not 0 < eta < 1:
@@ -262,7 +263,7 @@ def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
         rho=rho, eta=eta, mu_g=mu, lipschitz_g=lip_g,
         lam_min_nonzero=lam_min, tau_star=tau_star, gamma_star=gamma_star,
         delta=delta, lam_max_m=lam_max_m,
-        m_matrix=np.kron(m_base, np.eye(graph.p)), graph=graph,
+        m_base=m_base, graph=graph,
     )
 
 

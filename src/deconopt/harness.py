@@ -3,29 +3,34 @@
 Agents are structurally local: an agent object holds only its own component,
 its own iterate blocks, and an inbox of the latest neighbor broadcasts. It
 has no reference to other agents or to any global vector; `run_rounds` is the
-transport that moves copies along arcs. Each round is three phases separated
-by barriers: every agent solves its local subproblem from the previous
-round's state, the new iterates are broadcast along all m arcs, then every
-agent performs its dual / running-sum update from the fresh inbox.
+transport that moves copies along arcs. Each round (`one_round`) is three
+phases separated by barriers: every agent solves its local subproblem from
+the previous round's state, the new iterates are broadcast along all m arcs,
+then every agent performs its dual / running-sum update from the fresh inbox.
 
 Inboxes are seeded with the neighbors' initial iterates at construction; the
 round-0 observer snapshot therefore reports zero messages and every executed
 round reports exactly m. Neighbor sums accumulate in ascending agent id so
-runs are reproducible and the per-agent engine trajectories are matched
-bit for bit.
+runs are reproducible. `solvers.DadmmEngine` and `solvers.PextraEngine` step
+these same agents, the only implementation of the per-agent rules, so engine
+and network agree bit for bit.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import denselin, objective
+from . import analysis, denselin, objective
+from .errors import ConditionViolation
 from .netgraph import NetworkGraph, build_graph
-from .solvers import AdmmParams, PextraParams
 from .tolerances import DEFAULT
+
+if TYPE_CHECKING:
+    from .solvers import AdmmParams, PextraParams
 
 
 @dataclass(frozen=True)
@@ -166,13 +171,39 @@ def _blocks(stacked: np.ndarray, n: int, p: int) -> list[np.ndarray]:
     return [stacked[i * p:(i + 1) * p] for i in range(n)]
 
 
-def _seed_inboxes(agents, graph: NetworkGraph):
+def _broadcast(agents, graph: NetworkGraph):
     for arc in graph.arcs:
         agents[arc.dest - 1].inbox[arc.source] = agents[arc.source - 1].x.copy()
 
 
+def load_blocks(agents, graph: NetworkGraph, **stacked) -> None:
+    """Copy stacked `x` / `phi` / `running_sum` into the agents; reseed inboxes."""
+    for name, vec in stacked.items():
+        for agent, block in zip(agents, _blocks(vec, graph.n, graph.p)):
+            setattr(agent, name, block.copy())
+    _broadcast(agents, graph)
+
+
+def _check_components(graph: NetworkGraph, components) -> None:
+    if len(components) != graph.n:
+        raise ValueError(f"one component per agent required, got {len(components)}")
+
+
+def _check_mixing_support(mat: np.ndarray, graph: NetworkGraph) -> None:
+    """Reject a mixing matrix that is not n x n or couples non-neighbours."""
+    if mat.shape != (graph.n, graph.n):
+        raise ValueError("mixing matrices must be n x n at graph level")
+    reach = np.eye(graph.n, dtype=bool)
+    src, dst = np.array([(a.source - 1, a.dest - 1) for a in graph.arcs]).T
+    reach[src, dst] = True
+    bad = np.argwhere((mat != 0.0) & ~reach) + 1
+    if bad.size:
+        raise ValueError(f"mixing entry ({bad[0, 0]},{bad[0, 1]}) nonzero without an arc")
+
+
 def dadmm_agents(graph: NetworkGraph, components, params: AdmmParams,
                  x0=None, phi0=None) -> list[DadmmAgent]:
+    _check_components(graph, components)
     pi = params.pi_vector(graph.n)
     xb = _blocks(x0, graph.n, graph.p)
     pb = _blocks(phi0, graph.n, graph.p)
@@ -184,12 +215,15 @@ def dadmm_agents(graph: NetworkGraph, components, params: AdmmParams,
         )
         for i in range(1, graph.n + 1)
     ]
-    _seed_inboxes(agents, graph)
+    _broadcast(agents, graph)
     return agents
 
 
 def pextra_agents(graph: NetworkGraph, components, pextra: PextraParams,
                   x0=None, subproblem_tol: float = DEFAULT.subproblem) -> list[PextraAgent]:
+    _check_components(graph, components)
+    _check_mixing_support(pextra.w, graph)
+    _check_mixing_support(pextra.w_tilde, graph)
     xb = _blocks(x0, graph.n, graph.p)
     agents = []
     for i in range(1, graph.n + 1):
@@ -202,7 +236,7 @@ def pextra_agents(graph: NetworkGraph, components, pextra: PextraParams,
             {j: float(pextra.w_tilde[i - 1, j - 1]) for j in nbrs},
             subproblem_tol,
         ))
-    _seed_inboxes(agents, graph)
+    _broadcast(agents, graph)
     for agent in agents:
         agent.seed_running_sum()
     return agents
@@ -210,6 +244,10 @@ def pextra_agents(graph: NetworkGraph, components, pextra: PextraParams,
 
 def general_uv_agents(graph: NetworkGraph, u, v, dbar, components,
                       params: AdmmParams, x0=None, phi0=None) -> list[GeneralUVAgent]:
+    _check_components(graph, components)
+    report = analysis.check_uv_conditions(u, v, dbar, graph)
+    if not report.all_pass:
+        raise ConditionViolation(f"U/V conditions failed: {report.failures()}")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     dbar_diag = np.diag(np.asarray(dbar, dtype=float))
@@ -226,7 +264,7 @@ def general_uv_agents(graph: NetworkGraph, u, v, dbar, components,
             float(dbar_diag[i - 1]), float(pi[i - 1]), params.rho, params.eta,
             params.subproblem_tol,
         ))
-    _seed_inboxes(agents, graph)
+    _broadcast(agents, graph)
     return agents
 
 
@@ -236,6 +274,17 @@ def stacked_x(agents) -> np.ndarray:
 
 def stacked_phi(agents) -> np.ndarray:
     return np.concatenate([agent.phi_view() for agent in agents])
+
+
+def one_round(agents, graph: NetworkGraph) -> tuple[int, ...]:
+    """One synchronous round; returns each agent's subproblem iteration count."""
+    results = [agent.compute() for agent in agents]   # phase 1 (parallel-safe)
+    for agent, (x_new, _) in zip(agents, results):
+        agent.x = x_new
+    _broadcast(agents, graph)                         # phase 2: broadcast
+    for agent in agents:                              # phase 3: dual updates
+        agent.dual_update()
+    return tuple(iters for _, iters in results)
 
 
 def run_rounds(agents, graph: NetworkGraph, rounds: int, observer=None):
@@ -250,17 +299,10 @@ def run_rounds(agents, graph: NetworkGraph, rounds: int, observer=None):
                  RoundLog(k=0, messages=0, payload_scalars=0, subproblem_iters=()))
     for k in range(1, rounds + 1):
         start = time.perf_counter()
-        results = [agent.compute() for agent in agents]   # phase 1 (parallel-safe)
-        for agent, (x_new, _) in zip(agents, results):
-            agent.x = x_new
-        for arc in graph.arcs:                             # phase 2: broadcast
-            agents[arc.dest - 1].inbox[arc.source] = agents[arc.source - 1].x.copy()
-        for agent in agents:                               # phase 3: dual updates
-            agent.dual_update()
+        iters = one_round(agents, graph)
         log = RoundLog(
             k=k, messages=graph.m, payload_scalars=graph.m * graph.p,
-            subproblem_iters=tuple(iters for _, iters in results),
-            wall_time=time.perf_counter() - start,
+            subproblem_iters=iters, wall_time=time.perf_counter() - start,
         )
         logs.append(log)
         if observer is not None:

@@ -152,10 +152,6 @@ class SumProfile:
     p: int
 
 
-def grad(comp: ObjectiveComponent, x) -> np.ndarray:
-    return comp.grad(x)
-
-
 def _newton_minimize(value_fn, grad_fn, hess_fn, x0, tol,
                      tolerances: Tolerances = DEFAULT) -> tuple[np.ndarray, int]:
     """Damped Newton with Armijo backtracking; returns (minimizer, iterations)."""
@@ -231,11 +227,6 @@ def local_subproblem_ex(comp: ObjectiveComponent, c, a: float, pi: float,
         return comp.hess(x) + (a + pi) * np.eye(comp.p)
 
     return _newton_minimize(value_fn, grad_fn, hess_fn, x_prev, tol)
-
-
-def local_subproblem(comp: ObjectiveComponent, c, a: float, pi: float,
-                     x_prev, tol: float = DEFAULT.subproblem) -> np.ndarray:
-    return local_subproblem_ex(comp, c, a, pi, x_prev, tol)[0]
 
 
 # -- stacked helpers -----------------------------------------------------------

@@ -16,6 +16,9 @@ All engines drive the same primal-dual mathematics from different angles:
 * ``GeneralUVEngine`` -- the general two-matrix form that subsumes the
   classical incidence assignment.
 
+``DadmmEngine`` and ``PextraEngine`` step the simulated network's agents, the
+only implementation of those two local rules, so they match it bit for bit.
+
 Proximal perturbations are restricted to P = diag(pi) (x) I_p with pi >= 0,
 which is what decoupling and the contraction certificate cover; indefinite
 perturbations are rejected.
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis as _analysis
-from . import denselin, objective
+from . import denselin, harness, objective
 from .errors import ConditionViolation, GammaTooSmall, OmegaOutOfRange
 from .netgraph import NetworkGraph, arc_matrices, incidence_operators
 from .tolerances import DEFAULT
@@ -171,49 +174,23 @@ class _StationarySolver:
 
 class DadmmEngine:
     """Per-agent D-ADMM: local proximal solves plus neighbor-difference dual
-    steps. Neighbor sums always accumulate in ascending agent id so that runs
-    are reproducible and bit-compatible with the simulated network."""
+    steps, run by the simulated network's `harness.DadmmAgent`s."""
 
-    def __init__(self, graph: NetworkGraph, components, params: AdmmParams,
-                 agent_order=None):
-        if len(components) != graph.n:
-            raise ValueError("one component per agent required")
+    def __init__(self, graph: NetworkGraph, components, params: AdmmParams):
         self.graph = graph
         self.components = list(components)
         self.params = params
-        self.pi = params.pi_vector(graph.n)
-        self.degrees = np.array([graph.degree(i) for i in range(1, graph.n + 1)], dtype=float)
-        self.order = tuple(agent_order) if agent_order is not None else tuple(range(1, graph.n + 1))
-        if sorted(self.order) != list(range(1, graph.n + 1)):
-            raise ValueError("agent_order must be a permutation of 1..n")
+        self.agents = harness.dadmm_agents(graph, self.components, params)
 
     def init(self, x0=None, alpha0_mode: str = "zero", seed=None, alpha0=None) -> AdmmState:
         return dadmm_init(self.graph, self.components, self.params,
                           x0=x0, alpha0_mode=alpha0_mode, seed=seed, alpha0=alpha0)
 
     def step(self, state: AdmmState) -> AdmmState:
-        g, p = self.graph, self.graph.p
-        rho, eta = self.params.rho, self.params.eta
-        x, phi = state.x, state.phi
-        new_x = np.empty_like(x)
-        for i in self.order:
-            sl = slice((i - 1) * p, i * p)
-            acc = np.zeros(p)
-            for j in g.neighbor_ids(i):
-                acc = acc + (x[sl] + x[(j - 1) * p: j * p])
-            c = phi[sl] - rho * acc
-            new_x[sl] = objective.local_subproblem(
-                self.components[i - 1], c, rho * self.degrees[i - 1],
-                self.pi[i - 1], x[sl], self.params.subproblem_tol,
-            )
-        new_phi = np.array(phi)
-        for i in self.order:
-            sl = slice((i - 1) * p, i * p)
-            acc = np.zeros(p)
-            for j in g.neighbor_ids(i):
-                acc = acc + (new_x[sl] - new_x[(j - 1) * p: j * p])
-            new_phi[sl] = phi[sl] + eta * rho * acc
-        return AdmmState(x=new_x, phi=new_phi, k=state.k + 1)
+        harness.load_blocks(self.agents, self.graph, x=state.x, phi=state.phi)
+        harness.one_round(self.agents, self.graph)
+        return AdmmState(x=harness.stacked_x(self.agents),
+                         phi=harness.stacked_phi(self.agents), k=state.k + 1)
 
     def snapshot(self, state: AdmmState) -> TraceRow:
         return TraceRow(state.k, state.x, state.phi)
@@ -284,16 +261,6 @@ def dadmm_init(graph: NetworkGraph, components, params: AdmmParams,
     return AdmmState(x=x, phi=e_o.apply_transpose(alpha), k=0, alpha=alpha)
 
 
-def dadmm_step(state: AdmmState, graph: NetworkGraph, components,
-               params: AdmmParams) -> AdmmState:
-    return DadmmEngine(graph, components, params).step(state)
-
-
-def dadmm_matrix_step(state: AdmmState, graph: NetworkGraph, components,
-                      params: AdmmParams) -> AdmmState:
-    return DadmmMatrixEngine(graph, components, params).step(state)
-
-
 # -- full three-block generalized ADMM -------------------------------------------
 
 class FullAdmmEngine:
@@ -340,11 +307,6 @@ class FullAdmmEngine:
 
     def snapshot(self, state: FullAdmmState) -> TraceRow:
         return TraceRow(state.k, state.x, self.e_o.apply_transpose(state.alpha))
-
-
-def full_admm_step(state: FullAdmmState, graph: NetworkGraph, components,
-                   params: AdmmParams) -> FullAdmmState:
-    return FullAdmmEngine(graph, components, params).step(state)
 
 
 # -- method of multipliers: exact and approximated ---------------------------------
@@ -440,16 +402,6 @@ class ApproxMMEngine:
         return TraceRow(state.k, state.x, self.e_o.apply_transpose(scaled))
 
 
-def mm_exact_step(state: MMState, graph: NetworkGraph, components,
-                  params: AdmmParams) -> MMState:
-    return ExactMMEngine(graph, components, params).step(state)
-
-
-def mm_approx_step(state: MMState, graph: NetworkGraph, components,
-                   params: AdmmParams, epsilon: float) -> MMState:
-    return ApproxMMEngine(graph, components, params, epsilon).step(state)
-
-
 # -- P-EXTRA -----------------------------------------------------------------------
 
 def pextra_mixing(graph: NetworkGraph, xi: float, rho: float, eta: float):
@@ -494,44 +446,31 @@ def theorem2_pi(graph: NetworkGraph, xi: float, rho: float) -> tuple[float, ...]
 
 class PextraEngine:
     """Mixing-matrix iterates; the history sum is kept as a running sum
-    (identical mathematics, O(1) memory)."""
+    (identical mathematics, O(1) memory). Run by `harness.PextraAgent`s."""
 
     def __init__(self, graph: NetworkGraph, components, pextra: PextraParams,
                  subproblem_tol: float = DEFAULT.subproblem):
         self.graph = graph
-        self.components = list(components)
         self.pextra = pextra
-        if pextra.w.shape != (graph.n, graph.n) or pextra.w_tilde.shape != (graph.n, graph.n):
-            raise ValueError("mixing matrices must be n x n at graph level")
-        for mat in (pextra.w, pextra.w_tilde):
-            for i in range(1, graph.n + 1):
-                for j in range(1, graph.n + 1):
-                    if i != j and j not in graph.neighbor_ids(i) and mat[i - 1, j - 1] != 0.0:
-                        raise ValueError(
-                            f"mixing entry ({i},{j}) nonzero without an arc"
-                        )
-        self.diff = pextra.w - pextra.w_tilde
-        self.tol = subproblem_tol
+        self.agents = harness.pextra_agents(graph, components, pextra,
+                                            subproblem_tol=subproblem_tol)
 
     def init(self, x0=None) -> PextraState:
-        npx = self.graph.n * self.graph.p
-        x = np.zeros(npx) if x0 is None else np.array(x0, dtype=float)
-        running = _lift_apply(self.diff, x, self.graph.p)
-        return PextraState(x=x, running_sum=running, k=0)
+        x = np.zeros(self.graph.n * self.graph.p) if x0 is None else np.array(x0, dtype=float)
+        harness.load_blocks(self.agents, self.graph, x=x)
+        for agent in self.agents:
+            agent.seed_running_sum()
+        return PextraState(x=x, running_sum=self._running_sum(), k=0)
 
     def step(self, state: PextraState) -> PextraState:
-        p = self.graph.p
-        xi = self.pextra.xi
-        target = _lift_apply(self.pextra.w, state.x, p) + state.running_sum
-        new_x = np.empty_like(state.x)
-        for i in range(1, self.graph.n + 1):
-            sl = slice((i - 1) * p, i * p)
-            new_x[sl] = objective.local_subproblem(
-                self.components[i - 1], -target[sl] / xi, 1.0 / xi, 0.0,
-                state.x[sl], self.tol,
-            )
-        new_running = state.running_sum + _lift_apply(self.diff, new_x, p)
-        return PextraState(x=new_x, running_sum=new_running, k=state.k + 1)
+        harness.load_blocks(self.agents, self.graph, x=state.x,
+                            running_sum=state.running_sum)
+        harness.one_round(self.agents, self.graph)
+        return PextraState(x=harness.stacked_x(self.agents),
+                           running_sum=self._running_sum(), k=state.k + 1)
+
+    def _running_sum(self) -> np.ndarray:
+        return np.concatenate([agent.running_sum for agent in self.agents])
 
     def phi_view(self, state: PextraState) -> np.ndarray:
         """The D-ADMM dual aggregate implied by the running sum."""
@@ -539,11 +478,6 @@ class PextraEngine:
 
     def snapshot(self, state: PextraState) -> TraceRow:
         return TraceRow(state.k, state.x, self.phi_view(state))
-
-
-def pextra_step(state: PextraState, graph: NetworkGraph, components,
-                pextra: PextraParams) -> PextraState:
-    return PextraEngine(graph, components, pextra).step(state)
 
 
 # -- general two-matrix formulation ---------------------------------------------------
@@ -593,8 +527,3 @@ class GeneralUVEngine:
 
     def snapshot(self, state: AdmmState) -> TraceRow:
         return TraceRow(state.k, state.x, state.phi)
-
-
-def general_dadmm_step(state: AdmmState, u, v, dbar, graph: NetworkGraph,
-                       components, params: AdmmParams) -> AdmmState:
-    return GeneralUVEngine(graph, u, v, dbar, components, params).step(state)

@@ -138,7 +138,8 @@ class TestRateCertificate:
         assert cert.mu_g > 0
         assert cert.lipschitz_g >= profile.lipschitz
         # M is PSD by construction
-        eigvals, _ = denselin.sym_eigen(denselin.SymMatrix(cert.m_matrix))
+        m_lifted = np.kron(cert.m_base, np.eye(graph.p))
+        eigvals, _ = denselin.sym_eigen(denselin.SymMatrix(m_lifted))
         assert eigvals[0] >= -1e-9
 
     @pytest.mark.parametrize("error", [IndefiniteInput, AllZero])
@@ -196,7 +197,8 @@ class TestRateCertificate:
             e_o = netgraph.incidence_operators(graph)[0]
             lifted_gram = denselin.SymMatrix(e_o.materialize().T @ e_o.materialize())
             lam_min_lif = denselin.smallest_nonzero_eig(lifted_gram)
-            eig_m, _ = denselin.sym_eigen(denselin.SymMatrix(cert.m_matrix))
+            eig_m, _ = denselin.sym_eigen(
+                denselin.SymMatrix(np.kron(cert.m_base, np.eye(p))))
             delta_lifted, _ = analysis.delta_bound(
                 params.rho, params.eta, cert.mu_g, cert.lipschitz_g,
                 lam_min_lif, float(eig_m[-1]),

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from deconopt import denselin, harness, netgraph, objective, solvers
+from deconopt.errors import ConditionViolation
 from deconopt.solvers import AdmmParams, PextraParams
 
 
@@ -56,8 +57,8 @@ class TestRunRounds:
         for k, x, phi, _ in collect(agents, graph, 40):
             if k > 0:
                 state = engine.step(state)
-            assert np.max(np.abs(x - state.x)) <= 1e-12
-            assert np.max(np.abs(phi - engine.phi_view(state))) <= 1e-12
+            assert np.array_equal(x, state.x)
+            assert np.array_equal(phi, engine.phi_view(state))
 
     def test_general_uv_agents_match_engine(self):
         graph, comps = harness.scenario_least_squares(5, 2, seed=9)
@@ -72,6 +73,48 @@ class TestRunRounds:
                 state = engine.step(state)
             assert np.max(np.abs(x - state.x)) <= 1e-12
             assert np.max(np.abs(phi - state.phi)) <= 1e-12
+
+
+class TestAgentFactories:
+    """The factories validate their inputs; the engines that drive these
+    agents rely on it."""
+
+    @staticmethod
+    def ring5():
+        graph, comps = harness.scenario_least_squares(5, 2, seed=8)
+        return netgraph.build_graph(5, harness.ring_edges(5), 2), comps
+
+    @pytest.mark.parametrize("which", ["w", "w_tilde"])
+    def test_pextra_rejects_mixing_between_non_neighbours(self, which):
+        graph, comps = self.ring5()
+        assert 3 not in graph.neighbor_ids(1)
+        w, wt = solvers.pextra_mixing(graph, 0.1, 1.0, 0.5)
+        mats = {"w": w, "w_tilde": wt}
+        mats[which][0, 2] = mats[which][2, 0] = 0.1
+        pp = PextraParams(xi=0.1, **mats)
+        with pytest.raises(ValueError, match=r"\(1,3\)"):
+            harness.pextra_agents(graph, comps, pp)
+
+    def test_general_uv_checks_conditions(self):
+        graph, comps = self.ring5()
+        _, e_u, deg, _ = netgraph.incidence_operators(graph)
+        with pytest.raises(ConditionViolation):
+            harness.general_uv_agents(graph, e_u.gram_base(), np.zeros((5, 5)),
+                                      deg.base, comps, AdmmParams(1.0, 0.5))
+
+    def test_component_count_checked(self):
+        graph, comps = self.ring5()
+        params = AdmmParams(1.0, 0.5)
+        _, e_u, deg, lap = netgraph.incidence_operators(graph)
+        w, wt = solvers.pextra_mixing(graph, 0.1, 1.0, 0.5)
+        short = comps[:-1]
+        with pytest.raises(ValueError, match="one component per agent"):
+            harness.dadmm_agents(graph, short, params)
+        with pytest.raises(ValueError, match="one component per agent"):
+            harness.pextra_agents(graph, short, PextraParams(xi=0.1, w=w, w_tilde=wt))
+        with pytest.raises(ValueError, match="one component per agent"):
+            harness.general_uv_agents(graph, e_u.gram_base(), lap.base, deg.base,
+                                      short, params)
 
 
 class TestInformationLocality:

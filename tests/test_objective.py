@@ -8,7 +8,7 @@ from deconopt.objective import (
     AffineQuadratic,
     RankOneLeastSquares,
     SmoothCallback,
-    local_subproblem,
+    local_subproblem_ex,
     zero_component,
 )
 
@@ -92,24 +92,24 @@ class TestGrad:
 class TestLocalSubproblem:
     def test_rank_one_scalar(self):
         comp = RankOneLeastSquares([1.0], 2.0)
-        x = local_subproblem(comp, np.zeros(1), 1.0, 0.0, np.zeros(1))
+        x = local_subproblem_ex(comp, np.zeros(1), 1.0, 0.0, np.zeros(1))[0]
         assert_allclose(x, [1.0])  # (h^2 + a) x = h y
 
     def test_pure_proximal_identity(self):
         comp = zero_component(3)
         v = np.array([0.2, -0.4, 1.0])
-        x = local_subproblem(comp, np.zeros(3), 0.0, 1.0, v)
+        x = local_subproblem_ex(comp, np.zeros(3), 0.0, 1.0, v)[0]
         assert_allclose(x, v)
 
     def test_quadratic_stationarity(self):
         comp = zero_component(2)
         w = np.array([1.5, -2.5])
-        x = local_subproblem(comp, -w, 1.0, 0.0, np.zeros(2))
+        x = local_subproblem_ex(comp, -w, 1.0, 0.0, np.zeros(2))[0]
         assert_allclose(x, w)
 
     def test_no_unique_minimizer(self):
         with pytest.raises(NoUniqueMinimizer):
-            local_subproblem(zero_component(2), np.zeros(2), 0.0, 0.0, np.zeros(2))
+            local_subproblem_ex(zero_component(2), np.zeros(2), 0.0, 0.0, np.zeros(2))
 
     def test_stationarity_for_every_call(self):
         rng = np.random.default_rng(5)
@@ -125,7 +125,7 @@ class TestLocalSubproblem:
                 a = float(rng.uniform(0.1, 3.0))
                 pi = float(rng.uniform(0.0, 2.0))
                 x_prev = rng.standard_normal(2)
-                x = local_subproblem(comp, c, a, pi, x_prev, tol)
+                x = local_subproblem_ex(comp, c, a, pi, x_prev, tol)[0]
                 assert _subproblem_residual(comp, x, c, a, pi, x_prev) <= tol * 10
 
     def test_newton_matches_closed_form(self):
@@ -143,8 +143,8 @@ class TestLocalSubproblem:
         )
         c = rng.standard_normal(3)
         x_prev = rng.standard_normal(3)
-        xe = local_subproblem(exact, c, 0.7, 0.3, x_prev)
-        xn = local_subproblem(wrapped, c, 0.7, 0.3, x_prev, tol=1e-12)
+        xe = local_subproblem_ex(exact, c, 0.7, 0.3, x_prev)[0]
+        xn = local_subproblem_ex(wrapped, c, 0.7, 0.3, x_prev, tol=1e-12)[0]
         assert_allclose(xn, xe, atol=1e-9)
 
 

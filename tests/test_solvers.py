@@ -89,17 +89,17 @@ class TestDadmmStep:
         assert np.max(np.abs(nxt.x - st.x)) <= 1e-9
         assert np.max(np.abs(nxt.phi - st.phi)) <= 1e-9
 
-    def test_agent_processing_order_irrelevant(self):
+    def test_step_is_pure(self):
+        # the engine reloads its agents from the given state on every step:
+        # stepping one state twice repeats the result, and the input survives
         graph, comps = random_instance(5)
-        params = AdmmParams(rho=0.7, eta=0.9)
-        fwd = solvers.DadmmEngine(graph, comps, params)
-        rev = solvers.DadmmEngine(graph, comps, params,
-                                  agent_order=range(graph.n, 0, -1))
-        sf, sr = fwd.init(), rev.init()
-        for _ in range(20):
-            sf, sr = fwd.step(sf), rev.step(sr)
-        assert np.array_equal(sf.x, sr.x)
-        assert np.array_equal(sf.phi, sr.phi)
+        engine = solvers.DadmmEngine(graph, comps, AdmmParams(rho=0.7, eta=0.9, pi=0.1))
+        st = engine.step(engine.step(engine.init()))
+        x_in, phi_in = st.x.copy(), st.phi.copy()
+        a, b = engine.step(st), engine.step(st)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.phi, b.phi)
+        assert np.array_equal(st.x, x_in) and np.array_equal(st.phi, phi_in)
+        assert not np.array_equal(a.x, st.x)
 
     def test_dual_blocks_sum_to_zero(self):
         graph, comps = random_instance(6)
@@ -377,6 +377,19 @@ class TestPextraStep:
             explicit = sum(diff @ xt for xt in history)
             assert np.max(np.abs(st.running_sum - explicit)) <= 1e-12
 
+    def test_step_is_pure(self):
+        graph, comps = random_instance(24)
+        xi = 0.8 * max_theorem2_xi(graph, 1.0)
+        w, wt = solvers.pextra_mixing(graph, xi, 1.0, 0.5)
+        pe = solvers.PextraEngine(graph, comps, PextraParams(xi=xi, w=w, w_tilde=wt))
+        st = pe.step(pe.step(pe.init(x0=np.ones(graph.n * graph.p))))
+        x_in, sum_in = st.x.copy(), st.running_sum.copy()
+        a, b = pe.step(st), pe.step(st)
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.running_sum, b.running_sum)
+        assert np.array_equal(st.x, x_in) and np.array_equal(st.running_sum, sum_in)
+        assert not np.array_equal(a.x, st.x)
+
 
 class TestGeneralUV:
     def classical(self, graph):
@@ -544,46 +557,6 @@ class TestCallbackComponents:
 
 
 class TestModuleLevelSteps:
-    def test_one_shot_wrappers_match_engines(self):
-        graph, comps = random_instance(70)
-        params = AdmmParams(rho=1.0, eta=0.5, pi=0.1)
-        engine = solvers.DadmmEngine(graph, comps, params)
-        st = engine.init()
-        assert np.array_equal(solvers.dadmm_step(st, graph, comps, params).x,
-                              engine.step(st).x)
-        mx = solvers.DadmmMatrixEngine(graph, comps, params)
-        sm = mx.init()
-        assert np.array_equal(solvers.dadmm_matrix_step(sm, graph, comps, params).x,
-                              mx.step(sm).x)
-        fa = solvers.FullAdmmEngine(graph, comps, params)
-        sf = fa.init()
-        assert np.array_equal(solvers.full_admm_step(sf, graph, comps, params).x,
-                              fa.step(sf).x)
-        mm = solvers.ExactMMEngine(graph, comps, params)
-        s0 = mm.init()
-        assert np.array_equal(solvers.mm_exact_step(s0, graph, comps, params).x,
-                              mm.step(s0).x)
-        am = solvers.ApproxMMEngine(graph, comps, params, 1.0)
-        s1 = am.init()
-        assert np.array_equal(solvers.mm_approx_step(s1, graph, comps, params, 1.0).x,
-                              am.step(s1).x)
-        dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
-        xi = 0.8 / (params.rho * dmax)
-        w, wt = solvers.pextra_mixing(graph, xi, params.rho, params.eta)
-        pp = solvers.PextraParams(xi=xi, w=w, w_tilde=wt)
-        pe = solvers.PextraEngine(graph, comps, pp)
-        s2 = pe.init()
-        assert np.array_equal(solvers.pextra_step(s2, graph, comps, pp).x,
-                              pe.step(s2).x)
-        _, e_u, deg, lap = netgraph.incidence_operators(graph)
-        ge = solvers.GeneralUVEngine(graph, e_u.gram_base(), lap.base, deg.base,
-                                     comps, params)
-        s3 = ge.init()
-        assert np.array_equal(
-            solvers.general_dadmm_step(s3, e_u.gram_base(), lap.base, deg.base,
-                                       graph, comps, params).x,
-            ge.step(s3).x)
-
     def test_matrix_engine_without_tracked_alpha(self):
         # the Laplacian-based dual route must match the tracked-alpha route
         graph, comps = random_instance(71)
