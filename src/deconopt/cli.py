@@ -305,10 +305,21 @@ def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
                    params: solvers.AdmmParams, tol, keep_phi: bool):
     """Run one algorithm for the configured rounds.
 
-    Returns a list of (k, x, phi, messages) snapshots including k = 0; phi is
-    None unless `keep_phi` (only the verification reads it).
+    Returns (xs, phis, messages). Row k of the preallocated (rounds+1, n*p)
+    array `xs` holds a copy of the iterate after round k, row 0 the initial
+    state. `phis` holds the dual iterates the same way, or is None unless
+    `keep_phi` (only the verification reads it). `messages[k]` is round k's
+    message count.
     """
-    rows = []
+    xs = np.empty((config.rounds + 1, graph.n * graph.p))
+    phis = np.empty_like(xs) if keep_phi else None
+    messages = [0] * len(xs)
+
+    def record(k, x, phi, count):
+        xs[k] = x
+        if phis is not None:
+            phis[k] = phi
+        messages[k] = count
 
     if name in ("dadmm", "pextra", "general-uv"):
         if name == "dadmm":
@@ -328,10 +339,9 @@ def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
             )
         harness.run_rounds(
             agents, graph, config.rounds,
-            observer=lambda k, x, phi, log: rows.append(
-                (k, x, phi if keep_phi else None, log.messages)),
+            observer=lambda k, x, phi, log: record(k, x, phi, log.messages),
         )
-        return rows
+        return xs, phis, messages
 
     if name == "dadmm-matrix":
         engine = solvers.DadmmMatrixEngine(graph, components, params)
@@ -347,12 +357,12 @@ def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
 
     state = engine.init()
     row = engine.snapshot(state)
-    rows.append((0, row.x, row.phi if keep_phi else None, 0))
+    record(0, row.x, row.phi, 0)
     for k in range(1, config.rounds + 1):
         state = engine.step(state)
         row = engine.snapshot(state)
-        rows.append((k, row.x, row.phi if keep_phi else None, 0))
-    return rows
+        record(k, row.x, row.phi, 0)
+    return xs, phis, messages
 
 
 def emit_trace(rows, path) -> None:
@@ -387,8 +397,8 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
     params = _resolve_params(config, graph, tol)
     ref = analysis.reference_solution(graph, components, params.eta, tol)
 
-    trace = _run_algorithm(config.algorithm, config, graph, components, params, tol,
-                           keep_phi=config.verify)
+    xs, phis, messages = _run_algorithm(config.algorithm, config, graph, components,
+                                        params, tol, keep_phi=config.verify)
 
     cert = None
     report = None
@@ -398,7 +408,7 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
         cert_params = replace(params, eta=eff_eta)
         cert = analysis.rate_certificate(graph, profile, cert_params, tol)
         report = analysis.verify_contraction(
-            [(x, phi) for _, x, phi, _ in trace], ref, cert,
+            zip(xs, phis), ref, cert,
             dual="phi", graph=graph, slack_scale=tol.contraction_slack,
         )
 
@@ -407,16 +417,16 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
     udists = None
     if cert is not None:
         udists = report.distances
+    obj_errs = objective.sum_value(components, xs) - ref.objective_value
     csv_rows = []
-    for idx, (k, x, phi, messages) in enumerate(trace):
-        obj_err = objective.sum_value(components, x) - ref.objective_value
+    for k, x in enumerate(xs):
         resid = netgraph.consensuality_residual(graph, x)
-        udist = None if udists is None else float(udists[idx])
+        udist = None if udists is None else float(udists[k])
         ratio = None
-        if udists is not None and idx > 0 and udists[idx - 1] > 0:
-            ratio = float(udists[idx] / udists[idx - 1])
+        if udists is not None and k > 0 and udists[k - 1] > 0:
+            ratio = float(udists[k] / udists[k - 1])
         delta = None if cert is None else cert.delta
-        csv_rows.append((k, obj_err, resid, udist, ratio, delta, messages))
+        csv_rows.append((k, float(obj_errs[k]), resid, udist, ratio, delta, messages[k]))
     emit_trace(csv_rows, os.path.join(config.out_dir, "trace.csv"))
 
     if cert is not None:
@@ -430,10 +440,10 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
             fh.write("\n".join(analysis.certificate_csv_rows(cert)) + "\n")
 
     if config.compare is not None:
-        other = [x for _, x, _, _ in _run_algorithm(
-            config.compare, config, graph, components, params, tol, keep_phi=False)]
+        other = _run_algorithm(
+            config.compare, config, graph, components, params, tol, keep_phi=False)[0]
         lines = ["k,max_abs_dx"]
-        for (k, x, _, _), x2 in zip(trace, other):
+        for k, (x, x2) in enumerate(zip(xs, other)):
             gap = float(np.max(np.abs(x - x2)))
             lines.append(f"{k},{gap:.17g}")
         with open(os.path.join(config.out_dir, "compare.csv"), "w", newline="") as fh:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analysis, denselin, objective
 from .errors import ConditionViolation
-from .netgraph import NetworkGraph, build_graph
+from .netgraph import NetworkGraph, arc_indices, build_graph
 from .tolerances import DEFAULT
 
 if TYPE_CHECKING:
@@ -194,8 +194,7 @@ def _check_mixing_support(mat: np.ndarray, graph: NetworkGraph) -> None:
     if mat.shape != (graph.n, graph.n):
         raise ValueError("mixing matrices must be n x n at graph level")
     reach = np.eye(graph.n, dtype=bool)
-    src, dst = np.array([(a.source - 1, a.dest - 1) for a in graph.arcs]).T
-    reach[src, dst] = True
+    reach[arc_indices(graph)] = True
     bad = np.argwhere((mat != 0.0) & ~reach) + 1
     if bad.size:
         raise ValueError(f"mixing entry ({bad[0, 0]},{bad[0, 1]}) nonzero without an arc")

@@ -46,6 +46,14 @@ class NetworkGraph:
     arcs: tuple[Arc, ...]
     neighbors: tuple[tuple[int, ...], ...]  # neighbors[i-1], ascending ids
 
+    def __hash__(self) -> int:
+        # the per-graph caches below key on the graph once per row of a
+        # trace; hash the m arcs on the first lookup only
+        if "_hash" not in self.__dict__:
+            fields = (self.n, self.p, self.edges, self.arcs, self.neighbors)
+            object.__setattr__(self, "_hash", hash(fields))
+        return self.__dict__["_hash"]
+
     @property
     def m(self) -> int:
         return len(self.arcs)
@@ -170,14 +178,30 @@ def build_graph(n: int, edges, p: int = 1) -> NetworkGraph:
 
 
 @functools.lru_cache(maxsize=None)
+def arc_indices(g: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
+    """0-based source and destination vertex of each arc, in label order.
+
+    Raises MalformedGraph unless the arcs carry the labels 1..m in order.
+    """
+    if any(arc.label != k for k, arc in enumerate(g.arcs, start=1)):
+        raise MalformedGraph("arc labels must run 1..m in arc order")
+    src = np.array([arc.source - 1 for arc in g.arcs])
+    dst = np.array([arc.dest - 1 for arc in g.arcs])
+    src.setflags(write=False)
+    dst.setflags(write=False)
+    return src, dst
+
+
+@functools.lru_cache(maxsize=None)
 def arc_matrices(g: NetworkGraph) -> tuple[BlockOperator, BlockOperator]:
     """Block arc source and destination operators (m x n blocks)."""
-    src = np.zeros((g.m, g.n))
-    dst = np.zeros((g.m, g.n))
-    for arc in g.arcs:
-        src[arc.label - 1, arc.source - 1] = 1.0
-        dst[arc.label - 1, arc.dest - 1] = 1.0
-    return BlockOperator(src, g.p), BlockOperator(dst, g.p)
+    src, dst = arc_indices(g)
+    labels = np.arange(g.m)
+    a_src = np.zeros((g.m, g.n))
+    a_dst = np.zeros((g.m, g.n))
+    a_src[labels, src] = 1.0
+    a_dst[labels, dst] = 1.0
+    return BlockOperator(a_src, g.p), BlockOperator(a_dst, g.p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -187,17 +211,15 @@ def incidence_operators(
     """Oriented/unoriented incidence, extended degree and Laplacian operators.
 
     Returns (E_o, E_u, D, L) with E_o = A_s - A_d, E_u = A_s + A_d,
-    D = (E_o^T E_o + E_u^T E_u)/2 (diagonal) and L = E_o^T E_o at graph level.
-    All arithmetic is exact: entries are small integers.
+    D = (E_o^T E_o + E_u^T E_u)/2 (diagonal, since each arc row of A_s and A_d
+    holds one entry) and L = E_o^T E_o at graph level. All arithmetic is exact:
+    entries are small integers.
     """
     a_src, a_dst = arc_matrices(g)
     e_o = a_src.base - a_dst.base
     e_u = a_src.base + a_dst.base
     lap = e_o.T @ e_o
     deg = 0.5 * (lap + e_u.T @ e_u)
-    off = deg - np.diag(np.diag(deg))
-    if np.any(off != 0.0):
-        raise MalformedGraph("extended degree matrix is not diagonal")
     return (
         BlockOperator(e_o, g.p),
         BlockOperator(e_u, g.p),
@@ -207,9 +229,18 @@ def incidence_operators(
 
 
 def consensuality_residual(g: NetworkGraph, x) -> float:
-    """Euclidean norm of E_o x; zero exactly on consensual vectors."""
-    e_o = incidence_operators(g)[0]
-    return float(np.linalg.norm(e_o.apply(np.asarray(x, dtype=float))))
+    """Euclidean norm of E_o x; zero exactly on consensual vectors.
+
+    Block r of E_o x is x_src(r) - x_dst(r), formed from the arc index arrays;
+    each row of E_o has one +1 and one -1, so this equals the dense product
+    bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (g.n * g.p,):
+        raise DimensionMismatch(f"expected vector of length {g.n * g.p}, got {x.shape}")
+    src, dst = arc_indices(g)
+    blocks = x.reshape(g.n, g.p)
+    return float(np.linalg.norm((blocks[src] - blocks[dst]).ravel()))
 
 
 def operator_csv_rows(op: BlockOperator) -> list[str]:

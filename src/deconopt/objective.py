@@ -7,8 +7,14 @@ user-supplied gradient Lipschitz modulus. The local subproblem
     argmin_x  f_i(x) + c'x + (a/2)||x||^2 + (pi/2)||x - x_prev||^2
 
 is solved in closed form for the quadratic kinds and by damped Newton with
-Armijo backtracking for callbacks. Stacked variants of the same minimization
-serve the centralized engines.
+Armijo backtracking for callbacks. A quadratic component keeps the Cholesky
+factor of Q + sI for each shift s = a + pi it has been solved with, so an
+agent whose weights stay fixed factors its system once. Stacked variants of
+the same minimization serve the centralized engines.
+
+`sum_value` evaluates the separable sum at one stacked point or at every row
+of a (rows, n*p) array in one pass; each component's `values` gives the same
+bits as its `value`, row by row.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ class ObjectiveComponent:
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        """`value` of each row of a (rows, p) array, as a (rows,) array."""
+        return np.array([self.value(x) for x in xs], dtype=float)
+
     def grad(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -49,6 +59,20 @@ class ObjectiveComponent:
         """(Q, b) when the component is exactly 0.5 x'Qx + b'x + const, else None."""
         return None
 
+    def shifted_factor(self, shift: float) -> np.ndarray:
+        """Cholesky factor of Q + shift*I for a component with quadratic_terms.
+
+        Computed on the first request for each shift and kept with the
+        component; a failed factorization is not kept, so it raises
+        NotPositiveDefinite on every request.
+        """
+        factors = vars(self).setdefault("_factors", {})
+        if shift not in factors:
+            factor = denselin.spd_factor(self.quadratic_terms()[0] + shift * np.eye(self.p))
+            factor.setflags(write=False)
+            factors[shift] = factor
+        return factors[shift]
+
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.p,):
@@ -56,6 +80,14 @@ class ObjectiveComponent:
         if not np.all(np.isfinite(x)):
             raise NonFinite("evaluation point contains non-finite entries")
         return x
+
+    def _check_rows(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.p:
+            raise DimensionMismatch(f"expected rows of points in R^{self.p}, got shape {xs.shape}")
+        if not np.all(np.isfinite(xs)):
+            raise NonFinite("evaluation point contains non-finite entries")
+        return xs
 
 
 class AffineQuadratic(ObjectiveComponent):
@@ -75,6 +107,12 @@ class AffineQuadratic(ObjectiveComponent):
     def value(self, x):
         x = self._check_point(x)
         return float(0.5 * x @ (self.q @ x) + self.b @ x)
+
+    def values(self, xs):
+        # stacked matmul and vecdot accumulate like the BLAS products in value
+        xs = self._check_rows(xs)
+        qx = np.matmul(self.q, xs[:, :, None])[:, :, 0]
+        return np.vecdot(0.5 * xs, qx) + np.vecdot(xs, self.b)
 
     def grad(self, x):
         x = self._check_point(x)
@@ -103,11 +141,16 @@ class RankOneLeastSquares(ObjectiveComponent):
         self.y = float(y)
         self.p = h.shape[0]
         self.lipschitz = float(h @ h)
+        self._terms = (np.outer(h, h), -self.y * h)
 
     def value(self, x):
         x = self._check_point(x)
         r = self.h @ x - self.y
         return float(0.5 * r * r)
+
+    def values(self, xs):
+        r = np.vecdot(self._check_rows(xs), self.h) - self.y
+        return 0.5 * r * r
 
     def grad(self, x):
         x = self._check_point(x)
@@ -117,7 +160,7 @@ class RankOneLeastSquares(ObjectiveComponent):
         return np.outer(self.h, self.h)
 
     def quadratic_terms(self):
-        return np.outer(self.h, self.h), -self.y * self.h
+        return self._terms
 
 
 class SmoothCallback(ObjectiveComponent):
@@ -206,11 +249,9 @@ def local_subproblem_ex(comp: ObjectiveComponent, c, a: float, pi: float,
 
     terms = comp.quadratic_terms()
     if terms is not None:
-        q, b = terms
-        k = q + (a + pi) * np.eye(comp.p)
-        rhs = pi * x_prev - b - c
+        rhs = pi * x_prev - terms[1] - c
         try:
-            return denselin.spd_solve_factored(denselin.spd_factor(k), rhs), 1
+            return denselin.spd_solve_factored(comp.shifted_factor(a + pi), rhs), 1
         except NotPositiveDefinite as exc:
             raise NoUniqueMinimizer(
                 "subproblem is not strongly convex (a + pi = 0 and singular Q)"
@@ -241,10 +282,25 @@ def _check_stacked(components, x) -> np.ndarray:
     return x
 
 
-def sum_value(components, x) -> float:
-    x = _check_stacked(components, x)
+def sum_value(components, x):
+    """sum_i f_i(x_i) at a stacked point, or at each row of a (rows, n*p) array.
+
+    A 1-D `x` gives a float, a 2-D one a (rows,) array. Agents are added in
+    order, as the builtin sum adds them (np.sum would pair them up), so every
+    row carries the bits of the per-point evaluation.
+    """
+    x = np.asarray(x, dtype=float)
+    width = len(components) * components[0].p
+    if x.ndim not in (1, 2) or x.shape[-1] != width:
+        raise DimensionMismatch(
+            f"expected stacked vectors of length {width}, got shape {x.shape}"
+        )
+    xs = x.reshape(-1, width)
     p = components[0].p
-    return float(sum(comp.value(x[i * p:(i + 1) * p]) for i, comp in enumerate(components)))
+    total = np.zeros(len(xs))
+    for i, comp in enumerate(components):
+        total += comp.values(xs[:, i * p:(i + 1) * p])
+    return float(total[0]) if x.ndim == 1 else total
 
 
 def sum_gradient(components, x) -> np.ndarray:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from deconopt import cli
+from deconopt import analysis, cli, netgraph
 from deconopt.cli import ExperimentConfig, parse_config, serialize_config
 from deconopt.errors import ConfigError
 
@@ -231,6 +231,42 @@ class TestTraceFile:
         a = (tmp_path / "A" / "trace.csv").read_bytes()
         b = (tmp_path / "B" / "trace.csv").read_bytes()
         assert a != b
+
+
+class TestBatchedTraceColumns:
+    """obj_err and consensus_resid, computed for all rows at once, equal the
+    per-row formulas applied to the iterates the run produced."""
+
+    @pytest.mark.parametrize("flags", [["--verify"], ["--compare", "full-admm,mm-approx"]])
+    def test_rows_equal_per_row_reference(self, flags, tmp_path, monkeypatch):
+        iterates = []
+        run_algorithm = cli._run_algorithm
+
+        def keep_iterates(*args, **kwargs):
+            result = run_algorithm(*args, **kwargs)
+            iterates.append(result[0].copy())
+            return result
+
+        monkeypatch.setattr(cli, "_run_algorithm", keep_iterates)
+        out = str(tmp_path / "t")
+        text = BASE_INI.format(out=out)
+        assert cli.main(["run", write(tmp_path, text)] + flags) == 0
+
+        config = parse_config(text)
+        graph, comps = cli.build_scenario(config)
+        p = config.p
+
+        def f(x):
+            return sum(c.value(x[i * p:(i + 1) * p]) for i, c in enumerate(comps))
+
+        f_star = f(analysis.reference_solution(graph, comps, config.eta).x_star)
+        e_o = netgraph.incidence_operators(graph)[0]
+        with open(os.path.join(out, "trace.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(iterates[0]) == config.rounds + 1
+        for row, x in zip(rows, iterates[0]):
+            assert float(row["obj_err"]) == f(x) - f_star
+            assert float(row["consensus_resid"]) == float(np.linalg.norm(e_o.apply(x)))
 
 
 class TestVerifiedRuns:

@@ -75,6 +75,28 @@ class TestRunRounds:
             assert np.max(np.abs(phi - state.phi)) <= 1e-12
 
 
+class TestLocalFactorCache:
+    def test_each_agent_factors_once(self, monkeypatch):
+        graph, comps = harness.scenario_least_squares(5, 2, seed=8)
+        params = AdmmParams(rho=1.0, eta=0.5, pi=0.1)
+        calls = []
+        real = denselin.spd_factor
+        monkeypatch.setattr(denselin, "spd_factor", lambda a: calls.append(1) or real(a))
+        snaps = collect(harness.dadmm_agents(graph, comps, params), graph, 50)
+        assert len(calls) == graph.n
+
+        # reference: every round solves with freshly built, uncached components
+        fresh = harness.dadmm_agents(graph, comps, params)
+        for k, x, phi, _ in snaps:
+            if k > 0:
+                for agent in fresh:
+                    agent.comp = objective.RankOneLeastSquares(agent.comp.h, agent.comp.y)
+                harness.one_round(fresh, graph)
+            assert np.array_equal(x, harness.stacked_x(fresh))
+            assert np.array_equal(phi, harness.stacked_phi(fresh))
+        assert len(calls) == graph.n * 51
+
+
 class TestAgentFactories:
     """The factories validate their inputs; the engines that drive these
     agents rely on it."""

@@ -207,6 +207,31 @@ class TestConsensualityResidual:
         with pytest.raises(DimensionMismatch):
             netgraph.consensuality_residual(path3(), [1.0, 2.0])
 
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_equals_dense_incidence_product(self, p):
+        rng = np.random.default_rng(90 + p)
+        for n in (2, 5, 9):
+            g = netgraph.build_graph(n, _random_connected(n, rng), p)
+            e_o = netgraph.incidence_operators(g)[0]
+            for _ in range(5):
+                x = 10.0 * rng.standard_normal(n * p)
+                want = float(np.linalg.norm(e_o.apply(x)))
+                assert netgraph.consensuality_residual(g, x) == want
+
+
+class TestArcIndices:
+    def test_path3_tables(self):
+        src, dst = netgraph.arc_indices(path3())
+        assert np.array_equal(src, PATH3_AS.argmax(axis=1))
+        assert np.array_equal(dst, PATH3_AD.argmax(axis=1))
+
+    def test_cached_and_read_only(self):
+        g = path3()
+        src, _ = netgraph.arc_indices(g)
+        assert netgraph.arc_indices(netgraph.build_graph(3, PATH3_EDGES))[0] is src
+        with pytest.raises(ValueError):
+            src[0] = 2
+
 
 def test_vertex_relabeling_preserves_structure():
     # permuting vertex ids permutes the operators consistently

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deconopt import netgraph, objective
-from deconopt.errors import DimensionMismatch, NotStronglyConvex, NoUniqueMinimizer
+from deconopt import denselin, netgraph, objective
+from deconopt.errors import (
+    DimensionMismatch,
+    NonFinite,
+    NotStronglyConvex,
+    NoUniqueMinimizer,
+)
 from deconopt.objective import (
     AffineQuadratic,
     RankOneLeastSquares,
@@ -235,3 +240,98 @@ def test_minimize_composite_newton_path():
 def _random_psd(rng, order):
     a = rng.standard_normal((order, order))
     return a @ a.T / order
+
+
+def _builtin_sum_value(components, x):
+    """The per-point form of sum_value: the builtin sum over agents."""
+    p = components[0].p
+    return sum(comp.value(x[i * p:(i + 1) * p]) for i, comp in enumerate(components))
+
+
+def _mixed_components(rng, n, p):
+    comps = []
+    for i in range(n):
+        if i % 3 == 0:
+            comps.append(RankOneLeastSquares(rng.standard_normal(p), rng.standard_normal()))
+        elif i % 3 == 1:
+            comps.append(AffineQuadratic(_random_psd(rng, p), rng.standard_normal(p)))
+        else:
+            comps.append(logcosh_component(rng.standard_normal(p), rng.standard_normal()))
+    return comps
+
+
+class TestBatchedValues:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_values_match_value_on_strided_views(self, p):
+        rng = np.random.default_rng(40 + p)
+        # column blocks of a wide array are strided views, as in a trace
+        wide = 3.0 * rng.standard_normal((37, 4 * p))
+        for comp in (RankOneLeastSquares(rng.standard_normal(p), rng.standard_normal()),
+                     AffineQuadratic(_random_psd(rng, p), rng.standard_normal(p))):
+            for i in range(4):
+                xs = wide[:, i * p:(i + 1) * p]
+                assert np.array_equal(comp.values(xs), [comp.value(x) for x in xs])
+
+    def test_callback_values_loop_over_value(self):
+        comp = logcosh_component([1.0, -2.0], 0.5)
+        xs = np.random.default_rng(7).standard_normal((5, 2))
+        assert np.array_equal(comp.values(xs), [comp.value(x) for x in xs])
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_sum_value_rows_match_builtin_sum(self, p):
+        rng = np.random.default_rng(50 + p)
+        comps = _mixed_components(rng, 7, p)
+        xs = rng.standard_normal((25, 7 * p))
+        got = objective.sum_value(comps, xs)
+        assert got.shape == (25,)
+        assert np.array_equal(got, [_builtin_sum_value(comps, x) for x in xs])
+        one = objective.sum_value(comps, xs[3])
+        assert isinstance(one, float)
+        assert one == got[3]
+
+    def test_sum_value_errors(self):
+        comps = [RankOneLeastSquares([1.0, 2.0], 0.5) for _ in range(3)]
+        for shape in ((5,), (4, 5), (2, 2, 6)):
+            with pytest.raises(DimensionMismatch):
+                objective.sum_value(comps, np.zeros(shape))
+        callbacks = [logcosh_component([1.0, 2.0], 0.0)] * 3
+        for bad in (np.nan, np.inf):
+            xs = np.zeros((4, 6))
+            xs[2, 4] = bad
+            for kinds in (comps, callbacks):
+                with pytest.raises(NonFinite):
+                    objective.sum_value(kinds, xs)
+
+
+class TestShiftedFactor:
+    def count_factors(self, monkeypatch):
+        calls = []
+        real = denselin.spd_factor
+        monkeypatch.setattr(denselin, "spd_factor", lambda a: calls.append(1) or real(a))
+        return calls
+
+    def test_one_factorization_per_shift(self, monkeypatch):
+        calls = self.count_factors(monkeypatch)
+        rng = np.random.default_rng(61)
+        for comp in (RankOneLeastSquares([1.0, -0.5, 2.0], 0.3),
+                     AffineQuadratic(_random_psd(rng, 3), rng.standard_normal(3))):
+            calls.clear()
+            for a, pi in ((2.0, 0.5), (1.0, 0.0), (2.0, 0.5), (1.0, 0.0), (2.5, 0.0)):
+                c = rng.standard_normal(3)
+                x_prev = rng.standard_normal(3)
+                got, _ = local_subproblem_ex(comp, c, a, pi, x_prev)
+                # the same factor and solve as factoring afresh
+                q, b = comp.quadratic_terms()
+                low = np.linalg.cholesky(q + (a + pi) * np.eye(3))
+                want = denselin.spd_solve_factored(low, pi * x_prev - b - c)
+                assert np.array_equal(got, want)
+            # a + pi takes the two values 2.5 and 1.0
+            assert len(calls) == 2
+
+    def test_singular_shift_fails_on_every_call(self, monkeypatch):
+        calls = self.count_factors(monkeypatch)
+        comp = RankOneLeastSquares([1.0, 0.0], 0.0)
+        for _ in range(2):
+            with pytest.raises(NoUniqueMinimizer):
+                local_subproblem_ex(comp, np.zeros(2), 0.0, 0.0, np.zeros(2))
+        assert len(calls) == 2
