@@ -25,7 +25,7 @@ from .errors import (
     GammaOutOfRange,
     IndefiniteInput,
 )
-from .netgraph import NetworkGraph, incidence_operators
+from .netgraph import NetworkGraph, incidence_operators, support_mask
 from .tolerances import DEFAULT, Tolerances
 
 _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -90,7 +90,7 @@ def reference_solution(graph: NetworkGraph, components, eta: float,
     """
     if eta <= 0:
         raise EtaOutOfRange(f"eta must be positive, got {eta}")
-    if objective.stacked_quadratic_terms(components) is not None:
+    if all(comp.quadratic_terms() is not None for comp in components):
         objective.sum_profile(components, graph)  # raises NotStronglyConvex early
     xbar = objective.minimize_sum(components, tolerances.central_solve)
     x_star = np.tile(xbar, graph.n)
@@ -421,13 +421,7 @@ class MixingReport:
 
 
 def _respects_graph(mat: np.ndarray, graph: NetworkGraph, tol: float) -> bool:
-    for i in range(1, graph.n + 1):
-        for j in range(1, graph.n + 1):
-            if i == j or j in graph.neighbor_ids(i):
-                continue
-            if abs(mat[i - 1, j - 1]) > tol:
-                return False
-    return True
+    return not np.any((np.abs(mat) > tol) & ~support_mask(graph))
 
 
 def _nullspace_is_consensus(mat: np.ndarray, tol: float) -> bool:

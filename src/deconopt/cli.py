@@ -89,6 +89,13 @@ class ExperimentConfig:
     out_dir: str = "out"
     tolerance_overrides: tuple[tuple[str, float], ...] = ()
 
+    def certified_eta(self) -> float:
+        """The relaxation the verified run iterates with: a pextra run's
+        overshoot omega when set, eta otherwise."""
+        if self.algorithm == "pextra" and self.omega is not None:
+            return self.omega
+        return self.eta
+
     def validate(self) -> None:
         if self.preset not in ("ls-ring", "explicit"):
             raise ConfigError(f"unknown preset {self.preset!r}")
@@ -110,13 +117,15 @@ class ExperimentConfig:
             raise ConfigError(f"pi must be a number or 'theorem2', got {self.pi!r}")
         if self.pi == "theorem2" and self.xi is None:
             raise ConfigError("pi = theorem2 requires xi")
-        needs_xi = self.algorithm == "pextra" or self.compare == "pextra"
-        if needs_xi and self.xi is None:
+        runs_pextra = self.algorithm == "pextra" or self.compare == "pextra"
+        if runs_pextra and self.xi is None:
             raise ConfigError("pextra requires xi")
         if self.omega is not None and not 0.5 <= self.omega < 1.0:
             raise ConfigError(f"omega must lie in [0.5, 1), got {self.omega}")
+        if self.omega is not None and not runs_pextra:
+            raise ConfigError("omega applies to pextra only; no pextra run is configured")
         if self.verify:
-            eff = self.omega if self.omega is not None else self.eta
+            eff = self.certified_eta()
             if not 0 < eff < 1:
                 raise ConfigError(
                     f"verification certifies eta in (0,1) only, got {eff}"
@@ -404,8 +413,7 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
     report = None
     if config.verify:
         profile = objective.sum_profile(components, graph)
-        eff_eta = config.omega if config.omega is not None else config.eta
-        cert_params = replace(params, eta=eff_eta)
+        cert_params = replace(params, eta=config.certified_eta())
         cert = analysis.rate_certificate(graph, profile, cert_params, tol)
         report = analysis.verify_contraction(
             zip(xs, phis), ref, cert,

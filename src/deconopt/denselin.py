@@ -1,10 +1,11 @@
 """Small dense symmetric linear algebra on top of numpy.linalg (LAPACK).
 
 Everything the other modules need: symmetric eigendecompositions, Cholesky
-factorizations and solves, and minimum-norm solutions of transpose systems
-B^T a = c via eigendecomposition of the graph-level Gram matrix B^T B. Inputs
-are validated here and LAPACK failures are mapped to the package errors, so no
-bare numpy exception escapes.
+factorizations, positive definite inverses (every SPD system in the package is
+solved by `spd_inverse` and a matmul), and minimum-norm solutions of
+transpose systems B^T a = c via eigendecomposition of the graph-level Gram
+matrix B^T B. Inputs are validated here and LAPACK failures are mapped to the
+package errors, so no bare numpy exception escapes.
 """
 
 from __future__ import annotations
@@ -100,36 +101,25 @@ def spd_factor(a) -> np.ndarray:
         raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
 
 
-def spd_solve_factored(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = low.shape[0]
-    y = np.array(b, dtype=float)
-    if y.shape != (n,):
-        raise DimensionMismatch(f"rhs length {y.shape} does not match order {n}")
-    for j in range(n):
-        y[j] /= low[j, j]
-        if j + 1 < n:
-            y[j + 1:] -= y[j] * low[j + 1:, j]
-    for j in range(n - 1, -1, -1):
-        y[j] /= low[j, j]
-        if j > 0:
-            y[:j] -= y[j] * low[j, :j]
-    return y
-
-
-def solve_spd(a, b) -> np.ndarray:
-    """Cholesky solve of a positive definite system."""
-    arr = a.entries if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
-    return spd_solve_factored(spd_factor(arr), b)
-
-
 def spd_inverse(a) -> np.ndarray:
-    """Explicit inverse (L L^T)^-1 = L^-T L^-1 from one Cholesky factor; for
-    constant-system caching."""
+    """Explicit inverse (L L^T)^-1 = L^-T L^-1 from one Cholesky factor.
+
+    A constant system is inverted once and each solve with it is a matmul.
+    """
     arr = a.entries if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
     low = spd_factor(arr)
     low_inv = np.linalg.solve(low, np.eye(arr.shape[0]))
     inv = low_inv.T @ low_inv
     return 0.5 * (inv + inv.T)
+
+
+def solve_spd(a, b) -> np.ndarray:
+    """Solve a positive definite system through `spd_inverse`."""
+    inv = spd_inverse(a)
+    b = np.asarray(b, dtype=float)
+    if b.shape != (inv.shape[0],):
+        raise DimensionMismatch(f"rhs length {b.shape} does not match order {inv.shape[0]}")
+    return inv @ b
 
 
 class MinNormTransposeSolver:

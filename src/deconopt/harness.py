@@ -11,9 +11,9 @@ then every agent performs its dual / running-sum update from the fresh inbox.
 Inboxes are seeded with the neighbors' initial iterates at construction; the
 round-0 observer snapshot therefore reports zero messages and every executed
 round reports exactly m. Neighbor sums accumulate in ascending agent id so
-runs are reproducible. `solvers.DadmmEngine` and `solvers.PextraEngine` step
-these same agents, the only implementation of the per-agent rules, so engine
-and network agree bit for bit.
+runs are reproducible. `solvers.DadmmEngine`, `solvers.PextraEngine` and
+`solvers.GeneralUVEngine` step these same agents, the only implementation of
+the per-agent rules, so engine and network agree bit for bit.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import analysis, denselin, objective
-from .errors import ConditionViolation
-from .netgraph import NetworkGraph, arc_indices, build_graph
+from .errors import ConditionViolation, DimensionMismatch
+from .netgraph import NetworkGraph, build_graph, support_mask
 from .tolerances import DEFAULT
 
 if TYPE_CHECKING:
@@ -168,6 +168,8 @@ class GeneralUVAgent(AgentBox):
 
 def _blocks(stacked: np.ndarray, n: int, p: int) -> list[np.ndarray]:
     stacked = np.zeros(n * p) if stacked is None else np.asarray(stacked, dtype=float)
+    if stacked.shape != (n * p,):
+        raise DimensionMismatch(f"expected stacked vector of length {n * p}, got {stacked.shape}")
     return [stacked[i * p:(i + 1) * p] for i in range(n)]
 
 
@@ -193,9 +195,7 @@ def _check_mixing_support(mat: np.ndarray, graph: NetworkGraph) -> None:
     """Reject a mixing matrix that is not n x n or couples non-neighbours."""
     if mat.shape != (graph.n, graph.n):
         raise ValueError("mixing matrices must be n x n at graph level")
-    reach = np.eye(graph.n, dtype=bool)
-    reach[arc_indices(graph)] = True
-    bad = np.argwhere((mat != 0.0) & ~reach) + 1
+    bad = np.argwhere((mat != 0.0) & ~support_mask(graph)) + 1
     if bad.size:
         raise ValueError(f"mixing entry ({bad[0, 0]},{bad[0, 1]}) nonzero without an arc")
 

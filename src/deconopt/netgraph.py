@@ -193,6 +193,16 @@ def arc_indices(g: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
+def support_mask(g: NetworkGraph) -> np.ndarray:
+    """n x n boolean mask (read-only): True on the diagonal and wherever an
+    arc joins i to j, the entries a graph-local matrix may fill."""
+    mask = np.eye(g.n, dtype=bool)
+    mask[arc_indices(g)] = True
+    mask.setflags(write=False)
+    return mask
+
+
+@functools.lru_cache(maxsize=None)
 def arc_matrices(g: NetworkGraph) -> tuple[BlockOperator, BlockOperator]:
     """Block arc source and destination operators (m x n blocks)."""
     src, dst = arc_indices(g)

@@ -7,10 +7,11 @@ user-supplied gradient Lipschitz modulus. The local subproblem
     argmin_x  f_i(x) + c'x + (a/2)||x||^2 + (pi/2)||x - x_prev||^2
 
 is solved in closed form for the quadratic kinds and by damped Newton with
-Armijo backtracking for callbacks. A quadratic component keeps the Cholesky
-factor of Q + sI for each shift s = a + pi it has been solved with, so an
-agent whose weights stay fixed factors its system once. Stacked variants of
-the same minimization serve the centralized engines.
+Armijo backtracking for callbacks. A quadratic component keeps the inverse of
+Q + sI (`denselin.spd_inverse`) for each shift s = a + pi it has been solved
+with, so an agent whose weights stay fixed inverts its system once and each
+local solve is one matmul. Stacked variants of the same minimization serve
+the centralized engines.
 
 `sum_value` evaluates the separable sum at one stacked point or at every row
 of a (rows, n*p) array in one pass; each component's `values` gives the same
@@ -59,19 +60,19 @@ class ObjectiveComponent:
         """(Q, b) when the component is exactly 0.5 x'Qx + b'x + const, else None."""
         return None
 
-    def shifted_factor(self, shift: float) -> np.ndarray:
-        """Cholesky factor of Q + shift*I for a component with quadratic_terms.
+    def shifted_inverse(self, shift: float) -> np.ndarray:
+        """Inverse of Q + shift*I for a component with quadratic_terms.
 
-        Computed on the first request for each shift and kept with the
-        component; a failed factorization is not kept, so it raises
-        NotPositiveDefinite on every request.
+        Computed by `denselin.spd_inverse` on the first request for each
+        shift and kept with the component; a failed factorization is not
+        kept, so it raises NotPositiveDefinite on every request.
         """
-        factors = vars(self).setdefault("_factors", {})
-        if shift not in factors:
-            factor = denselin.spd_factor(self.quadratic_terms()[0] + shift * np.eye(self.p))
-            factor.setflags(write=False)
-            factors[shift] = factor
-        return factors[shift]
+        inverses = vars(self).setdefault("_inverses", {})
+        if shift not in inverses:
+            inv = denselin.spd_inverse(self.quadratic_terms()[0] + shift * np.eye(self.p))
+            inv.setflags(write=False)
+            inverses[shift] = inv
+        return inverses[shift]
 
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -238,7 +239,8 @@ def local_subproblem_ex(comp: ObjectiveComponent, c, a: float, pi: float,
     """Solve the local proximal subproblem; also reports iteration count.
 
     Minimizes f_i(x) + c'x + (a/2)||x||^2 + (pi/2)||x - x_prev||^2. Closed
-    form (one SPD solve) for quadratic kinds, damped Newton otherwise.
+    form (the cached inverse of Q + (a+pi)I times the rhs) for quadratic
+    kinds, damped Newton otherwise.
     """
     c = np.asarray(c, dtype=float)
     x_prev = np.asarray(x_prev, dtype=float)
@@ -251,7 +253,7 @@ def local_subproblem_ex(comp: ObjectiveComponent, c, a: float, pi: float,
     if terms is not None:
         rhs = pi * x_prev - terms[1] - c
         try:
-            return denselin.spd_solve_factored(comp.shifted_factor(a + pi), rhs), 1
+            return comp.shifted_inverse(a + pi) @ rhs, 1
         except NotPositiveDefinite as exc:
             raise NoUniqueMinimizer(
                 "subproblem is not strongly convex (a + pi = 0 and singular Q)"

@@ -16,8 +16,10 @@ All engines drive the same primal-dual mathematics from different angles:
 * ``GeneralUVEngine`` -- the general two-matrix form that subsumes the
   classical incidence assignment.
 
-``DadmmEngine`` and ``PextraEngine`` step the simulated network's agents, the
-only implementation of those two local rules, so they match it bit for bit.
+``DadmmEngine``, ``PextraEngine`` and ``GeneralUVEngine`` step the simulated
+network's agents, the only implementation of those three local rules, so they
+match it bit for bit. The central engines solve their constant systems through
+`_StationarySolver`, which caches one `denselin.spd_inverse`.
 
 Proximal perturbations are restricted to P = diag(pi) (x) I_p with pi >= 0,
 which is what decoupling and the contraction certificate cover; indefinite
@@ -31,9 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis as _analysis
 from . import denselin, harness, objective
-from .errors import ConditionViolation, GammaTooSmall, OmegaOutOfRange
+from .errors import GammaTooSmall, OmegaOutOfRange
 from .netgraph import NetworkGraph, arc_matrices, incidence_operators
 from .tolerances import DEFAULT
 
@@ -133,10 +134,6 @@ class TraceRow:
     phi: np.ndarray
 
 
-def _lift_apply(base: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
-    return (base @ x.reshape(-1, p)).ravel()
-
-
 def _repeat_diag(values: np.ndarray, p: int) -> np.ndarray:
     return np.repeat(np.asarray(values, dtype=float), p)
 
@@ -170,6 +167,14 @@ class _StationarySolver:
         )
 
 
+def _agent_round(agents, graph: NetworkGraph, state: AdmmState) -> AdmmState:
+    """One round of D-ADMM-type agents started from `state`; `state` is untouched."""
+    harness.load_blocks(agents, graph, x=state.x, phi=state.phi)
+    harness.one_round(agents, graph)
+    return AdmmState(x=harness.stacked_x(agents), phi=harness.stacked_phi(agents),
+                     k=state.k + 1)
+
+
 # -- decoupled per-agent generalized D-ADMM -------------------------------------
 
 class DadmmEngine:
@@ -187,10 +192,7 @@ class DadmmEngine:
                           x0=x0, alpha0_mode=alpha0_mode, seed=seed, alpha0=alpha0)
 
     def step(self, state: AdmmState) -> AdmmState:
-        harness.load_blocks(self.agents, self.graph, x=state.x, phi=state.phi)
-        harness.one_round(self.agents, self.graph)
-        return AdmmState(x=harness.stacked_x(self.agents),
-                         phi=harness.stacked_phi(self.agents), k=state.k + 1)
+        return _agent_round(self.agents, self.graph, state)
 
     def snapshot(self, state: AdmmState) -> TraceRow:
         return TraceRow(state.k, state.x, state.phi)
@@ -483,29 +485,20 @@ class PextraEngine:
 # -- general two-matrix formulation ---------------------------------------------------
 
 class GeneralUVEngine:
-    """D-ADMM driven by a general (U, V, Dbar) triple at graph level.
+    """D-ADMM driven by a general (U, V, Dbar) triple at graph level, run by
+    `harness.GeneralUVAgent`s.
 
     The triple must satisfy the nullspace/complementarity/distributable
-    conditions; they are checked once at construction.
+    conditions; `harness.general_uv_agents` checks them once at construction
+    and raises ConditionViolation.
     """
 
     def __init__(self, graph: NetworkGraph, u: np.ndarray, v: np.ndarray,
                  dbar: np.ndarray, components, params: AdmmParams):
-        report = _analysis.check_uv_conditions(u, v, dbar, graph)
-        if not report.all_pass:
-            raise ConditionViolation(f"U/V conditions failed: {report.failures()}")
         self.graph = graph
         self.components = list(components)
         self.params = params
-        self.u = np.asarray(u, dtype=float)
-        self.v = np.asarray(v, dtype=float)
-        dbar_diag = np.diag(np.asarray(dbar, dtype=float))
-        pi = params.pi_vector(graph.n)
-        self.p_diag = _repeat_diag(pi, graph.p)
-        quad_diag = _repeat_diag(params.rho * dbar_diag + pi, graph.p)
-        self._solver = _StationarySolver(
-            self.components, np.diag(quad_diag), params.subproblem_tol
-        )
+        self.agents = harness.general_uv_agents(graph, u, v, dbar, self.components, params)
 
     def init(self, x0=None, phi0=None) -> AdmmState:
         npx = self.graph.n * self.graph.p
@@ -514,16 +507,7 @@ class GeneralUVEngine:
         return AdmmState(x=x, phi=phi, k=0)
 
     def step(self, state: AdmmState) -> AdmmState:
-        rho, eta = self.params.rho, self.params.eta
-        p = self.graph.p
-        linear = (
-            state.phi
-            - 0.5 * rho * _lift_apply(self.u, state.x, p)
-            - self.p_diag * state.x
-        )
-        new_x = self._solver.solve(linear, state.x)
-        new_phi = state.phi + 0.5 * eta * rho * _lift_apply(self.v, new_x, p)
-        return AdmmState(x=new_x, phi=new_phi, k=state.k + 1)
+        return _agent_round(self.agents, self.graph, state)
 
     def snapshot(self, state: AdmmState) -> TraceRow:
         return TraceRow(state.k, state.x, state.phi)

@@ -10,6 +10,7 @@ from deconopt.errors import (
     EtaOutOfRange,
     GammaOutOfRange,
     IndefiniteInput,
+    NotStronglyConvex,
 )
 from deconopt.objective import AffineQuadratic, RankOneLeastSquares
 from deconopt.solvers import AdmmParams
@@ -36,6 +37,19 @@ class TestReferenceSolution:
         rows = np.array([c.h for c in comps])
         ys = np.array([c.y for c in comps])
         assert_allclose(rows.T @ rows @ ref.xbar, rows.T @ ys, atol=1e-10)
+
+    def test_singular_quadratic_sum_raises_without_stacking(self, monkeypatch):
+        # the early strong-convexity check reads each component's terms and
+        # forms no (np x np) block-diagonal matrix
+        def stacked(_):
+            raise AssertionError("stacked_quadratic_terms called")
+
+        monkeypatch.setattr(objective, "stacked_quadratic_terms", stacked)
+        g = netgraph.build_graph(2, [(1, 2)], 2)
+        comps = [RankOneLeastSquares([1.0, 0.0], 0.0),
+                 RankOneLeastSquares([1.0, 0.0], 1.0)]
+        with pytest.raises(NotStronglyConvex):
+            analysis.reference_solution(g, comps, eta=0.5)
 
     def test_two_agent_hand_value(self):
         g = netgraph.build_graph(2, [(1, 2)], 1)

@@ -296,6 +296,33 @@ class TestVerifiedRuns:
         path = write(tmp_path, text)
         assert cli.main(["run", path, "--verify"]) == 0
 
+    def test_omega_without_pextra_is_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="omega"):
+            ExperimentConfig(omega=0.9).validate()
+        text = BASE_INI.format(out=tmp_path / "om")
+        text = text.replace("[algorithm]", "[algorithm]\nomega = 0.9")
+        path = write(tmp_path, text)
+        assert cli.main(["run", path, "--verify"]) == 1
+        assert not (tmp_path / "om").exists()
+
+    @pytest.mark.parametrize("algorithm,compare,want", [
+        ("pextra", None, "0.75"),
+        ("dadmm", "pextra", "0.5"),
+    ])
+    def test_certificate_eta_from_omega_only_for_pextra(self, tmp_path, algorithm,
+                                                         compare, want):
+        out = tmp_path / "ce"
+        text = BASE_INI.format(out=out).replace("name = dadmm", f"name = {algorithm}")
+        text = text.replace("pi = 0", "pi = theorem2")
+        text = text.replace("[algorithm]", "[algorithm]\nxi = 0.04\nomega = 0.75")
+        path = write(tmp_path, text)
+        argv = ["run", path, "--verify"]
+        if compare is not None:
+            argv += ["--compare", f"{algorithm},{compare}"]
+        assert cli.main(argv) == 0
+        lines = (out / "certificate.txt").read_text().splitlines()
+        assert f"eta = {want}" in lines
+
     def test_contraction_violation_exit_code(self, tmp_path, monkeypatch):
         # wire check: a violating report must surface as exit code 2
         real = cli.analysis.verify_contraction

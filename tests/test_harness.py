@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from deconopt import denselin, harness, netgraph, objective, solvers
-from deconopt.errors import ConditionViolation
+from deconopt.errors import ConditionViolation, DimensionMismatch
 from deconopt.solvers import AdmmParams, PextraParams
 
 
@@ -71,8 +71,8 @@ class TestRunRounds:
         for k, x, phi, _ in collect(agents, graph, 40):
             if k > 0:
                 state = engine.step(state)
-            assert np.max(np.abs(x - state.x)) <= 1e-12
-            assert np.max(np.abs(phi - state.phi)) <= 1e-12
+            assert np.array_equal(x, state.x)
+            assert np.array_equal(phi, state.phi)
 
 
 class TestLocalFactorCache:
@@ -137,6 +137,30 @@ class TestAgentFactories:
         with pytest.raises(ValueError, match="one component per agent"):
             harness.general_uv_agents(graph, e_u.gram_base(), lap.base, deg.base,
                                       short, params)
+
+
+    @pytest.mark.parametrize("shape", [(13,), (9,), (5, 2)])
+    def test_stacked_length_checked(self, shape):
+        graph, comps = self.ring5()
+        assert graph.n * graph.p == 10
+        bad = np.ones(shape)
+        params = AdmmParams(1.0, 0.5)
+        _, e_u, deg, lap = netgraph.incidence_operators(graph)
+        w, wt = solvers.pextra_mixing(graph, 0.1, 1.0, 0.5)
+        pp = PextraParams(xi=0.1, w=w, w_tilde=wt)
+        uv = (e_u.gram_base(), lap.base, deg.base)
+        calls = [
+            lambda: harness.dadmm_agents(graph, comps, params, x0=bad),
+            lambda: harness.dadmm_agents(graph, comps, params, phi0=bad),
+            lambda: harness.pextra_agents(graph, comps, pp, x0=bad),
+            lambda: harness.general_uv_agents(graph, *uv, comps, params, x0=bad),
+            lambda: harness.general_uv_agents(graph, *uv, comps, params, phi0=bad),
+            lambda: harness.load_blocks(harness.dadmm_agents(graph, comps, params),
+                                        graph, x=bad),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionMismatch):
+                call()
 
 
 class TestInformationLocality:

@@ -232,6 +232,15 @@ class TestArcIndices:
         with pytest.raises(ValueError):
             src[0] = 2
 
+    def test_support_mask_is_self_or_neighbour(self):
+        g = netgraph.build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 4)])
+        mask = netgraph.support_mask(g)
+        want = [[i == j or j in g.neighbor_ids(i) for j in range(1, 6)]
+                for i in range(1, 6)]
+        assert np.array_equal(mask, want)
+        with pytest.raises(ValueError):
+            mask[0, 2] = True
+
 
 def test_vertex_relabeling_preserves_structure():
     # permuting vertex ids permutes the operators consistently

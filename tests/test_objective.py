@@ -303,7 +303,7 @@ class TestBatchedValues:
                     objective.sum_value(kinds, xs)
 
 
-class TestShiftedFactor:
+class TestShiftedInverse:
     def count_factors(self, monkeypatch):
         calls = []
         real = denselin.spd_factor
@@ -315,18 +315,19 @@ class TestShiftedFactor:
         rng = np.random.default_rng(61)
         for comp in (RankOneLeastSquares([1.0, -0.5, 2.0], 0.3),
                      AffineQuadratic(_random_psd(rng, 3), rng.standard_normal(3))):
-            calls.clear()
+            solve_factors = 0
             for a, pi in ((2.0, 0.5), (1.0, 0.0), (2.0, 0.5), (1.0, 0.0), (2.5, 0.0)):
                 c = rng.standard_normal(3)
                 x_prev = rng.standard_normal(3)
+                before = len(calls)
                 got, _ = local_subproblem_ex(comp, c, a, pi, x_prev)
-                # the same factor and solve as factoring afresh
+                solve_factors += len(calls) - before
+                # the same inverse and matmul as inverting afresh
                 q, b = comp.quadratic_terms()
-                low = np.linalg.cholesky(q + (a + pi) * np.eye(3))
-                want = denselin.spd_solve_factored(low, pi * x_prev - b - c)
-                assert np.array_equal(got, want)
+                inv = denselin.spd_inverse(q + (a + pi) * np.eye(3))
+                assert np.array_equal(got, inv @ (pi * x_prev - b - c))
             # a + pi takes the two values 2.5 and 1.0
-            assert len(calls) == 2
+            assert solve_factors == 2
 
     def test_singular_shift_fails_on_every_call(self, monkeypatch):
         calls = self.count_factors(monkeypatch)

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from deconopt import analysis, denselin, harness, netgraph, solvers
-from deconopt.errors import ConditionViolation, OmegaOutOfRange
+from deconopt.errors import ConditionViolation, DimensionMismatch, OmegaOutOfRange
 from deconopt.objective import AffineQuadratic, zero_component
 from deconopt.solvers import AdmmParams, PextraParams
 
@@ -419,12 +419,44 @@ class TestGeneralUV:
         x = rng.standard_normal(graph.n * p)
         assert np.linalg.norm(lifted @ x) > 1e-6
 
+    def test_step_is_pure(self):
+        graph, comps = random_instance(24)
+        ge = solvers.GeneralUVEngine(graph, *self.classical(graph), comps,
+                                     AdmmParams(rho=0.7, eta=0.9, pi=0.1))
+        st = ge.step(ge.step(ge.init(x0=np.ones(graph.n * graph.p))))
+        x_in, phi_in = st.x.copy(), st.phi.copy()
+        a, b = ge.step(st), ge.step(st)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.phi, b.phi)
+        assert np.array_equal(st.x, x_in) and np.array_equal(st.phi, phi_in)
+        assert not np.array_equal(a.x, st.x)
+
     def test_complementarity_enforced(self):
         graph, comps = random_instance(26)
         u, v, dbar = self.classical(graph)
         with pytest.raises(ConditionViolation):
             solvers.GeneralUVEngine(graph, u, v, 2.0 * dbar, comps,
                                     AdmmParams(1.0, 0.5))
+
+
+class TestStackedLengthChecked:
+    def test_agent_engines_reject_long_vectors(self):
+        graph, comps = random_instance(27)
+        long = np.ones(graph.n * graph.p + 3)
+        params = AdmmParams(1.0, 0.5, 0.1)
+        dadmm = solvers.DadmmEngine(graph, comps, params)
+        with pytest.raises(DimensionMismatch):
+            dadmm.step(dadmm.init(x0=long))
+        xi = 0.8 * max_theorem2_xi(graph, 1.0)
+        w, wt = solvers.pextra_mixing(graph, xi, 1.0, 0.5)
+        pextra = solvers.PextraEngine(graph, comps, PextraParams(xi=xi, w=w, w_tilde=wt))
+        with pytest.raises(DimensionMismatch):
+            pextra.init(x0=long)
+        _, e_u, deg, lap = netgraph.incidence_operators(graph)
+        uv = solvers.GeneralUVEngine(graph, e_u.gram_base(), lap.base, deg.base,
+                                     comps, params)
+        for state in (uv.init(x0=long), uv.init(phi0=long)):
+            with pytest.raises(DimensionMismatch):
+                uv.step(state)
 
 
 class TestSnapshots:
