@@ -437,12 +437,25 @@ def _nullspace_is_consensus(mat: np.ndarray, tol: float) -> bool:
     return abs(abs(float(np.sum(v))) / math.sqrt(n) - 1.0) <= 1e-8
 
 
+def _graph_matrices(graph: NetworkGraph, **mats) -> list[np.ndarray]:
+    """The named matrices as float arrays; DimensionMismatch unless n x n."""
+    out = []
+    for name, mat in mats.items():
+        mat = np.asarray(mat, dtype=float)
+        if mat.shape != (graph.n, graph.n):
+            raise DimensionMismatch(
+                f"{name} must be {graph.n} x {graph.n} at graph level, got shape {mat.shape}"
+            )
+        out.append(mat)
+    return out
+
+
 def check_mixing(w: np.ndarray, w_tilde: np.ndarray, graph: NetworkGraph,
                  tol: float = DEFAULT.mixing_eigen) -> MixingReport:
     """Evaluate the decentralization, symmetry, nullspace and spectral
-    requirements on a mixing pair; failures are reported, never raised."""
-    w = np.asarray(w, dtype=float)
-    wt = np.asarray(w_tilde, dtype=float)
+    requirements on a mixing pair; failures are reported, never raised.
+    Matrices that are not n x n raise DimensionMismatch."""
+    w, wt = _graph_matrices(graph, W=w, W_tilde=w_tilde)
     n = graph.n
     decentralized = _respects_graph(w, graph, tol) and _respects_graph(wt, graph, tol)
     symmetric = (float(np.max(np.abs(w - w.T))) <= tol
@@ -501,9 +514,9 @@ class UVReport:
 def check_uv_conditions(u: np.ndarray, v: np.ndarray, dbar: np.ndarray,
                         graph: NetworkGraph,
                         tol: float = DEFAULT.mixing_eigen) -> UVReport:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    dbar = np.asarray(dbar, dtype=float)
+    """Evaluate the U/V conditions; failures are reported, never raised.
+    Matrices that are not n x n raise DimensionMismatch."""
+    u, v, dbar = _graph_matrices(graph, U=u, V=v, Dbar=dbar)
     nullspace = _nullspace_is_consensus(v, tol)
     off = dbar - np.diag(np.diag(dbar))
     gap = float(np.max(np.abs(v + u - 2.0 * dbar)))

@@ -2,7 +2,8 @@
 
 Everything the other modules need: symmetric eigendecompositions, Cholesky
 factorizations, positive definite inverses (every SPD system in the package is
-solved by `spd_inverse` and a matmul), and minimum-norm solutions of
+solved by `spd_inverse` and a matmul; a stack of blocks is inverted in one
+call), and minimum-norm solutions of
 transpose systems B^T a = c via eigendecomposition of the graph-level Gram
 matrix B^T B. Inputs are validated here and LAPACK failures are mapped to the
 package errors, so no bare numpy exception escapes.
@@ -105,12 +106,15 @@ def spd_inverse(a) -> np.ndarray:
     """Explicit inverse (L L^T)^-1 = L^-T L^-1 from one Cholesky factor.
 
     A constant system is inverted once and each solve with it is a matmul.
+    A (k, p, p) stack is inverted block by block in one batched call, each
+    block to the same bits as its own 2-D inverse; one block without a
+    Cholesky factor raises NotPositiveDefinite for the stack.
     """
     arr = a.entries if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
     low = spd_factor(arr)
-    low_inv = np.linalg.solve(low, np.eye(arr.shape[0]))
-    inv = low_inv.T @ low_inv
-    return 0.5 * (inv + inv.T)
+    low_inv = np.linalg.solve(low, np.eye(arr.shape[-1]))
+    inv = low_inv.mT @ low_inv
+    return 0.5 * (inv + inv.mT)
 
 
 def solve_spd(a, b) -> np.ndarray:

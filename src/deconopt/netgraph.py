@@ -8,6 +8,15 @@ From the arc lists we derive the block arc source/destination matrices, the
 oriented and unoriented incidence operators, the extended degree matrix and
 the (doubled) graph Laplacian.
 
+Every operator keeps its graph-level matrix as ``base`` and acts on stacked
+vectors of n (or m) blocks of length p without forming the Kronecker lift
+``base (x) I_p``. The four arc operators A_s, A_d, E_o and E_u form their
+products by index arithmetic on the cached arc indices: ``apply`` gathers
+the source and destination blocks of each arc (E_o x is x_src - x_dst, E_u x
+is x_src + x_dst) and ``apply_transpose`` sums the arc blocks into their
+vertices with one ``np.bincount``. The degree and Laplacian operators
+multiply by their n x n base.
+
 Convention note: with two arcs per edge the extended degree matrix
 D = (E_o^T E_o + E_u^T E_u)/2 carries twice the neighbor count on its
 diagonal. That doubled value is what the per-agent iterates require, so it is
@@ -99,7 +108,7 @@ class BlockOperator:
             raise DimensionMismatch(
                 f"expected vector of length {self.cols * self.p}, got {x.shape}"
             )
-        return (self.base @ x.reshape(self.cols, self.p)).ravel()
+        return self._product(x)
 
     def apply_transpose(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -107,6 +116,12 @@ class BlockOperator:
             raise DimensionMismatch(
                 f"expected vector of length {self.rows * self.p}, got {y.shape}"
             )
+        return self._transpose_product(y)
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        return (self.base @ x.reshape(self.cols, self.p)).ravel()
+
+    def _transpose_product(self, y: np.ndarray) -> np.ndarray:
         return (self.base.T @ y.reshape(self.rows, self.p)).ravel()
 
     def gram_base(self) -> np.ndarray:
@@ -115,6 +130,42 @@ class BlockOperator:
 
     def materialize(self) -> np.ndarray:
         return np.kron(self.base, np.eye(self.p))
+
+
+class ArcOperator(BlockOperator):
+    """An m x n arc operator: row r holds `src_sign` in the column of arc r's
+    source and `dst_sign` in that of its destination (signs in {-1, 0, 1}).
+
+    Both products index the stacked vectors directly, through the flattened
+    (endpoint, column) index of every (arc, column) entry. `apply` gathers
+    the endpoint entries; with at most two entries of magnitude one per row
+    this equals base @ x bit for bit. `apply_transpose` adds each arc's
+    signed entries into its endpoints with one `np.bincount`.
+    """
+
+    def __init__(self, g: NetworkGraph, src_sign: int, dst_sign: int):
+        src, dst = arc_indices(g)
+        ends = [(index, sign) for index, sign in ((src, src_sign), (dst, dst_sign)) if sign]
+        base = np.zeros((g.m, g.n))
+        for index, sign in ends:
+            base[np.arange(g.m), index] = sign
+        super().__init__(base, g.p)
+        self._ends = tuple(
+            ((index[:, None] * g.p + np.arange(g.p)).ravel(), sign) for index, sign in ends
+        )
+        self._scatter = np.concatenate([flat for flat, _ in self._ends])
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        (index, sign), *rest = self._ends
+        out = x[index] if sign > 0 else -x[index]
+        for index, sign in rest:
+            out = out + x[index] if sign > 0 else out - x[index]
+        return out
+
+    def _transpose_product(self, y: np.ndarray) -> np.ndarray:
+        signed = [y if sign > 0 else -y for _, sign in self._ends]
+        weights = signed[0] if len(signed) == 1 else np.concatenate(signed)
+        return np.bincount(self._scatter, weights, self.cols * self.p)
 
 
 def build_graph(n: int, edges, p: int = 1) -> NetworkGraph:
@@ -203,21 +254,15 @@ def support_mask(g: NetworkGraph) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def arc_matrices(g: NetworkGraph) -> tuple[BlockOperator, BlockOperator]:
+def arc_matrices(g: NetworkGraph) -> tuple[ArcOperator, ArcOperator]:
     """Block arc source and destination operators (m x n blocks)."""
-    src, dst = arc_indices(g)
-    labels = np.arange(g.m)
-    a_src = np.zeros((g.m, g.n))
-    a_dst = np.zeros((g.m, g.n))
-    a_src[labels, src] = 1.0
-    a_dst[labels, dst] = 1.0
-    return BlockOperator(a_src, g.p), BlockOperator(a_dst, g.p)
+    return ArcOperator(g, 1, 0), ArcOperator(g, 0, 1)
 
 
 @functools.lru_cache(maxsize=None)
 def incidence_operators(
     g: NetworkGraph,
-) -> tuple[BlockOperator, BlockOperator, BlockOperator, BlockOperator]:
+) -> tuple[ArcOperator, ArcOperator, BlockOperator, BlockOperator]:
     """Oriented/unoriented incidence, extended degree and Laplacian operators.
 
     Returns (E_o, E_u, D, L) with E_o = A_s - A_d, E_u = A_s + A_d,
@@ -225,32 +270,16 @@ def incidence_operators(
     holds one entry) and L = E_o^T E_o at graph level. All arithmetic is exact:
     entries are small integers.
     """
-    a_src, a_dst = arc_matrices(g)
-    e_o = a_src.base - a_dst.base
-    e_u = a_src.base + a_dst.base
-    lap = e_o.T @ e_o
-    deg = 0.5 * (lap + e_u.T @ e_u)
-    return (
-        BlockOperator(e_o, g.p),
-        BlockOperator(e_u, g.p),
-        BlockOperator(deg, g.p),
-        BlockOperator(lap, g.p),
-    )
+    e_o = ArcOperator(g, 1, -1)
+    e_u = ArcOperator(g, 1, 1)
+    lap = e_o.gram_base()
+    deg = 0.5 * (lap + e_u.gram_base())
+    return e_o, e_u, BlockOperator(deg, g.p), BlockOperator(lap, g.p)
 
 
 def consensuality_residual(g: NetworkGraph, x) -> float:
-    """Euclidean norm of E_o x; zero exactly on consensual vectors.
-
-    Block r of E_o x is x_src(r) - x_dst(r), formed from the arc index arrays;
-    each row of E_o has one +1 and one -1, so this equals the dense product
-    bit for bit.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.n * g.p,):
-        raise DimensionMismatch(f"expected vector of length {g.n * g.p}, got {x.shape}")
-    src, dst = arc_indices(g)
-    blocks = x.reshape(g.n, g.p)
-    return float(np.linalg.norm((blocks[src] - blocks[dst]).ravel()))
+    """Euclidean norm of E_o x; zero exactly on consensual vectors."""
+    return float(np.linalg.norm(incidence_operators(g)[0].apply(x)))
 
 
 def operator_csv_rows(op: BlockOperator) -> list[str]:

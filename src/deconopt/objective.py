@@ -10,8 +10,9 @@ is solved in closed form for the quadratic kinds and by damped Newton with
 Armijo backtracking for callbacks. A quadratic component keeps the inverse of
 Q + sI (`denselin.spd_inverse`) for each shift s = a + pi it has been solved
 with, so an agent whose weights stay fixed inverts its system once and each
-local solve is one matmul. Stacked variants of the same minimization serve
-the centralized engines.
+local solve is one matmul. `quadratic_stack` gives the central engines every
+agent's (Q, b) as one (n, p, p) stack, and `minimize_composite` is their
+Newton path for the other kinds.
 
 `sum_value` evaluates the separable sum at one stacked point or at every row
 of a (rows, n*p) array in one pass; each component's `values` gives the same
@@ -314,35 +315,24 @@ def sum_gradient(components, x) -> np.ndarray:
     return out
 
 
-def stacked_quadratic_terms(components):
-    """(block-diag Q, stacked b) when every component is quadratic, else None."""
-    qs, bs = [], []
-    for comp in components:
-        terms = comp.quadratic_terms()
-        if terms is None:
-            return None
-        qs.append(terms[0])
-        bs.append(terms[1])
-    p = components[0].p
-    n = len(components)
-    big_q = np.zeros((n * p, n * p))
-    for i, q in enumerate(qs):
-        big_q[i * p:(i + 1) * p, i * p:(i + 1) * p] = q
-    return big_q, np.concatenate(bs)
+def quadratic_stack(components):
+    """(Q, b) of every component stacked as (n, p, p) and (n, p) arrays when
+    every component is quadratic, else None."""
+    terms = [comp.quadratic_terms() for comp in components]
+    if any(t is None for t in terms):
+        return None
+    return np.array([t[0] for t in terms]), np.array([t[1] for t in terms])
 
 
 def minimize_composite(components, linear, quad, x0, tol: float = DEFAULT.central_solve):
     """argmin over stacked x of sum_i f_i(x_i) + linear'x + 0.5 x'(quad)x.
 
-    `quad` is a dense PSD matrix on the stacked space. Closed form when all
-    components are quadratic; damped Newton otherwise.
+    `quad` is a dense PSD matrix on the stacked space. Solved by damped
+    Newton from x0; the central engines invert the constant system of an
+    all-quadratic instance themselves.
     """
     linear = np.asarray(linear, dtype=float)
     quad = np.asarray(quad, dtype=float)
-    terms = stacked_quadratic_terms(components)
-    if terms is not None:
-        big_q, big_b = terms
-        return denselin.solve_spd(denselin.SymMatrix(big_q + quad), -(big_b + linear))
 
     def value_fn(x):
         return sum_value(components, x) + linear @ x + 0.5 * x @ (quad @ x)

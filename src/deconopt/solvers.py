@@ -18,8 +18,17 @@ All engines drive the same primal-dual mathematics from different angles:
 
 ``DadmmEngine``, ``PextraEngine`` and ``GeneralUVEngine`` step the simulated
 network's agents, the only implementation of those three local rules, so they
-match it bit for bit. The central engines solve their constant systems through
-`_StationarySolver`, which caches one `denselin.spd_inverse`.
+match it bit for bit. The central engines work at arc-index level: every
+incidence product is a gather or a `np.bincount` on the arc indices
+(`netgraph.ArcOperator`), and L x is formed as E_o^T (E_o x). Their constant
+systems go through `_StationarySolver`: the engines whose agents decouple
+keep one (n, p, p) stack of inverses of Q_i + q_i I from a single
+`denselin.spd_inverse` call; only ``ExactMMEngine``, which couples agents
+through L (x) I_p, inverts a dense (np) x (np) system, and it refuses
+instances with n p above `EXACT_MM_MAX_ORDER`.
+
+Every `init` raises DimensionMismatch for an initial vector of the wrong
+length.
 
 Proximal perturbations are restricted to P = diag(pi) (x) I_p with pi >= 0,
 which is what decoupling and the contraction certificate cover; indefinite
@@ -34,11 +43,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import denselin, harness, objective
-from .errors import GammaTooSmall, OmegaOutOfRange
+from .errors import DeconoptError, DimensionMismatch, GammaTooSmall, OmegaOutOfRange
 from .netgraph import NetworkGraph, arc_matrices, incidence_operators
 from .tolerances import DEFAULT
 
 ETA_SUP = 0.5 * (1.0 + math.sqrt(5.0))
+
+# largest n*p for which ExactMMEngine forms its dense (np) x (np) system: at
+# the cap each dense copy takes 32 MB and the inversion a few seconds
+EXACT_MM_MAX_ORDER = 2000
 
 
 @dataclass(frozen=True)
@@ -138,33 +151,56 @@ def _repeat_diag(values: np.ndarray, p: int) -> np.ndarray:
     return np.repeat(np.asarray(values, dtype=float), p)
 
 
+def _initial(vector, length: int, name: str) -> np.ndarray:
+    """A float copy of an initial vector, zeros when None; raises
+    DimensionMismatch unless it has `length` entries."""
+    if vector is None:
+        return np.zeros(length)
+    out = np.array(vector, dtype=float)
+    if out.shape != (length,):
+        raise DimensionMismatch(f"{name} must have length {length}, got shape {out.shape}")
+    return out
+
+
 class _StationarySolver:
     """argmin f(x) + linear'x + 0.5 x'Kx for a fixed K.
 
-    When every component is quadratic the overall Hessian is constant, so its
-    inverse is computed once (through the package Cholesky) and each solve is
-    a single matmul; otherwise each solve runs damped Newton.
+    `quad` is K's diagonal as a vector when the agents decouple, or K as a
+    dense matrix. When every component is quadratic the Hessian is constant
+    and its inverse is computed once by `denselin.spd_inverse`: for diagonal
+    K one (n, p, p) stack of inverses of Q_i + K_i, applied by one stacked
+    matmul; for dense K the (np) x (np) system with the Q_i added on its
+    diagonal blocks. Otherwise each solve runs damped Newton.
     """
 
     def __init__(self, components, quad: np.ndarray, tol: float):
         self.components = components
-        self.quad = quad
         self.tol = tol
-        terms = objective.stacked_quadratic_terms(components)
-        if terms is not None:
-            big_q, big_b = terms
-            self._inverse = denselin.spd_inverse(denselin.SymMatrix(big_q + quad))
-            self._b = big_b
+        self._inverse = None
+        stack = objective.quadratic_stack(components)
+        if stack is None:
+            # damped Newton works with the dense Hessian
+            self.quad = np.diag(quad) if quad.ndim == 1 else quad
+            return
+        q, self._b = stack
+        n, p = self._b.shape
+        if quad.ndim == 1:
+            system = q + quad.reshape(n, p)[:, :, None] * np.eye(p)
         else:
-            self._inverse = None
-            self._b = None
+            system = np.array(quad)
+            agents = np.arange(n)
+            system.reshape(n, p, n, p)[agents, :, agents, :] += q
+        self._inverse = denselin.spd_inverse(system)
 
     def solve(self, linear: np.ndarray, x_start: np.ndarray) -> np.ndarray:
-        if self._inverse is not None:
-            return self._inverse @ (-(self._b + linear))
-        return objective.minimize_composite(
-            self.components, linear, self.quad, x_start, self.tol
-        )
+        if self._inverse is None:
+            return objective.minimize_composite(
+                self.components, linear, self.quad, x_start, self.tol
+            )
+        rhs = -(self._b + linear.reshape(self._b.shape))
+        if self._inverse.ndim == 3:
+            return np.matmul(self._inverse, rhs[:, :, None]).ravel()
+        return self._inverse @ rhs.ravel()
 
 
 def _agent_round(agents, graph: NetworkGraph, state: AdmmState) -> AdmmState:
@@ -205,14 +241,14 @@ class DadmmMatrixEngine:
         self.graph = graph
         self.components = list(components)
         self.params = params
-        self.e_o, self.e_u, self.deg, self.lap = incidence_operators(graph)
+        self.e_o, self.e_u, self.deg, _ = incidence_operators(graph)
         pi = params.pi_vector(graph.n)
         self.quad_diag = _repeat_diag(
             params.rho * np.diag(self.deg.base) + pi, graph.p
         )
         self.p_diag = _repeat_diag(pi, graph.p)
         self._solver = _StationarySolver(
-            self.components, np.diag(self.quad_diag), params.subproblem_tol
+            self.components, self.quad_diag, params.subproblem_tol
         )
 
     def init(self, x0=None, alpha0_mode: str = "zero", seed=None, alpha0=None) -> AdmmState:
@@ -229,7 +265,8 @@ class DadmmMatrixEngine:
         )
         new_x = self._solver.solve(linear, x)
         if state.alpha is None:
-            new_phi = state.phi + 0.5 * eta * rho * self.lap.apply(new_x)
+            lap_x = self.e_o.apply_transpose(self.e_o.apply(new_x))
+            new_phi = state.phi + 0.5 * eta * rho * lap_x
             return AdmmState(x=new_x, phi=new_phi, k=state.k + 1)
         new_alpha = state.alpha + 0.5 * eta * rho * self.e_o.apply(new_x)
         new_phi = self.e_o.apply_transpose(new_alpha)
@@ -248,10 +285,9 @@ def dadmm_init(graph: NetworkGraph, components, params: AdmmParams,
     reproducible). An explicit alpha0 takes precedence over the mode.
     """
     e_o = incidence_operators(graph)[0]
-    npx = graph.n * graph.p
-    x = np.zeros(npx) if x0 is None else np.array(x0, dtype=float)
+    x = _initial(x0, graph.n * graph.p, "x0")
     if alpha0 is not None:
-        alpha = np.array(alpha0, dtype=float)
+        alpha = _initial(alpha0, graph.m * graph.p, "alpha0")
     elif alpha0_mode == "zero":
         alpha = np.zeros(graph.m * graph.p)
     elif alpha0_mode == "random-in-colspace":
@@ -278,15 +314,11 @@ class FullAdmmEngine:
         pi = params.pi_vector(graph.n)
         self.p_diag = _repeat_diag(pi, graph.p)
         quad_diag = _repeat_diag(params.rho * np.diag(self.deg.base) + pi, graph.p)
-        self._solver = _StationarySolver(
-            self.components, np.diag(quad_diag), params.subproblem_tol
-        )
+        self._solver = _StationarySolver(self.components, quad_diag, params.subproblem_tol)
 
     def init(self, x0=None, alpha0=None) -> FullAdmmState:
-        npx = self.graph.n * self.graph.p
-        mpx = self.graph.m * self.graph.p
-        x = np.zeros(npx) if x0 is None else np.array(x0, dtype=float)
-        alpha = np.zeros(mpx) if alpha0 is None else np.array(alpha0, dtype=float)
+        x = _initial(x0, self.graph.n * self.graph.p, "x0")
+        alpha = _initial(alpha0, self.graph.m * self.graph.p, "alpha0")
         z = 0.5 * self.e_u.apply(x)
         return FullAdmmState(x=x, z=z, lam=np.concatenate([alpha, -alpha]), k=0)
 
@@ -313,28 +345,46 @@ class FullAdmmEngine:
 
 # -- method of multipliers: exact and approximated ---------------------------------
 
-class ExactMMEngine:
+class _MultiplierEngine:
+    """`init` and `snapshot` of the two method-of-multipliers engines, which
+    set `graph`, `params` and `e_o`."""
+
+    def init(self, x0=None, nu0=None) -> MMState:
+        x = _initial(x0, self.graph.n * self.graph.p, "x0")
+        nu = _initial(nu0, self.graph.m * self.graph.p, "nu0")
+        return MMState(x=x, nu=nu, k=0)
+
+    def snapshot(self, state: MMState) -> TraceRow:
+        scaled = math.sqrt(self.params.eta) * state.nu
+        return TraceRow(state.k, state.x, self.e_o.apply_transpose(scaled))
+
+
+class ExactMMEngine(_MultiplierEngine):
     """Exact method of multipliers on the penalized reformulation. The primal
     minimization couples all agents through the incidence Gram matrix, so this
-    engine is a centralized reference only."""
+    engine is a centralized reference only.
+
+    It is the one engine that forms and inverts a dense (np) x (np) system,
+    (rho/2) L (x) I_p plus the blocks Q_i. Instances with n*p above
+    `EXACT_MM_MAX_ORDER` are refused with a DeconoptError before anything
+    dense is allocated.
+    """
 
     def __init__(self, graph: NetworkGraph, components, params: AdmmParams,
                  solve_tol: float = DEFAULT.central_solve):
+        if graph.n * graph.p > EXACT_MM_MAX_ORDER:
+            raise DeconoptError(
+                f"mm-exact inverts a dense system of order n*p = {graph.n * graph.p}, "
+                f"above its cap of {EXACT_MM_MAX_ORDER}"
+            )
         if not 0 < params.eta < 1:
             raise ValueError("exact method of multipliers requires eta in (0,1)")
         self.graph = graph
         self.components = list(components)
         self.params = params
-        self.e_o, _, _, self.lap = incidence_operators(graph)
-        quad = 0.5 * params.rho * self.lap.materialize()
+        self.e_o, _, _, lap = incidence_operators(graph)
+        quad = 0.5 * params.rho * lap.materialize()
         self._solver = _StationarySolver(self.components, quad, solve_tol)
-
-    def init(self, x0=None, nu0=None) -> MMState:
-        npx = self.graph.n * self.graph.p
-        mpx = self.graph.m * self.graph.p
-        x = np.zeros(npx) if x0 is None else np.array(x0, dtype=float)
-        nu = np.zeros(mpx) if nu0 is None else np.array(nu0, dtype=float)
-        return MMState(x=x, nu=nu, k=0)
 
     def step(self, state: MMState) -> MMState:
         rho, eta = self.params.rho, self.params.eta
@@ -344,12 +394,8 @@ class ExactMMEngine:
         new_nu = state.nu + root_eta * 0.5 * rho * self.e_o.apply(new_x)
         return MMState(x=new_x, nu=new_nu, k=state.k + 1)
 
-    def snapshot(self, state: MMState) -> TraceRow:
-        scaled = math.sqrt(self.params.eta) * state.nu
-        return TraceRow(state.k, state.x, self.e_o.apply_transpose(scaled))
 
-
-class ApproxMMEngine:
+class ApproxMMEngine(_MultiplierEngine):
     """Method of multipliers with the coupling term majorized by a diagonal.
 
     With epsilon = 1/rho the x-iterates coincide with generalized D-ADMM. The
@@ -364,10 +410,10 @@ class ApproxMMEngine:
         self.components = list(components)
         self.params = params
         self.epsilon = float(epsilon)
-        self.e_o, _, self.deg, self.lap = incidence_operators(graph)
+        self.e_o, _, self.deg, lap = incidence_operators(graph)
         pi = params.pi_vector(graph.n)
         gamma_base = 2.0 * self.deg.base + 2.0 * self.epsilon * np.diag(pi)
-        eigvals, _ = denselin.sym_eigen(gamma_base - self.lap.base)
+        eigvals, _ = denselin.sym_eigen(gamma_base - lap.base)
         if eigvals[0] < -1e-9:
             raise GammaTooSmall(
                 f"majorization fails: min eig(Gamma - E_o'E_o) = {eigvals[0]:.3e}"
@@ -376,32 +422,21 @@ class ApproxMMEngine:
             params.rho * (np.diag(self.deg.base) + self.epsilon * pi), graph.p
         )
         self._solver = _StationarySolver(
-            self.components, np.diag(self.majorizer_diag), params.subproblem_tol
+            self.components, self.majorizer_diag, params.subproblem_tol
         )
-
-    def init(self, x0=None, nu0=None) -> MMState:
-        npx = self.graph.n * self.graph.p
-        mpx = self.graph.m * self.graph.p
-        x = np.zeros(npx) if x0 is None else np.array(x0, dtype=float)
-        nu = np.zeros(mpx) if nu0 is None else np.array(nu0, dtype=float)
-        return MMState(x=x, nu=nu, k=0)
 
     def step(self, state: MMState) -> MMState:
         rho, eta = self.params.rho, self.params.eta
         root_eta = math.sqrt(eta)
         x = state.x
+        # E_o^T (sqrt(eta) nu) + (rho/2) L x in one transpose product
         linear = (
-            self.e_o.apply_transpose(root_eta * state.nu)
-            + 0.5 * rho * self.lap.apply(x)
+            self.e_o.apply_transpose(root_eta * state.nu + 0.5 * rho * self.e_o.apply(x))
             - self.majorizer_diag * x
         )
         new_x = self._solver.solve(linear, x)
         new_nu = state.nu + root_eta * 0.5 * rho * self.e_o.apply(new_x)
         return MMState(x=new_x, nu=new_nu, k=state.k + 1)
-
-    def snapshot(self, state: MMState) -> TraceRow:
-        scaled = math.sqrt(self.params.eta) * state.nu
-        return TraceRow(state.k, state.x, self.e_o.apply_transpose(scaled))
 
 
 # -- P-EXTRA -----------------------------------------------------------------------
@@ -502,9 +537,7 @@ class GeneralUVEngine:
 
     def init(self, x0=None, phi0=None) -> AdmmState:
         npx = self.graph.n * self.graph.p
-        x = np.zeros(npx) if x0 is None else np.array(x0, dtype=float)
-        phi = np.zeros(npx) if phi0 is None else np.array(phi0, dtype=float)
-        return AdmmState(x=x, phi=phi, k=0)
+        return AdmmState(x=_initial(x0, npx, "x0"), phi=_initial(phi0, npx, "phi0"), k=0)
 
     def step(self, state: AdmmState) -> AdmmState:
         return _agent_round(self.agents, self.graph, state)

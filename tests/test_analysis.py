@@ -40,11 +40,11 @@ class TestReferenceSolution:
 
     def test_singular_quadratic_sum_raises_without_stacking(self, monkeypatch):
         # the early strong-convexity check reads each component's terms and
-        # forms no (np x np) block-diagonal matrix
+        # forms no stacked system of all agents
         def stacked(_):
-            raise AssertionError("stacked_quadratic_terms called")
+            raise AssertionError("quadratic_stack called")
 
-        monkeypatch.setattr(objective, "stacked_quadratic_terms", stacked)
+        monkeypatch.setattr(objective, "quadratic_stack", stacked)
         g = netgraph.build_graph(2, [(1, 2)], 2)
         comps = [RankOneLeastSquares([1.0, 0.0], 0.0),
                  RankOneLeastSquares([1.0, 0.0], 1.0)]
@@ -396,6 +396,13 @@ class TestCheckMixing:
         report = analysis.check_mixing(w, w, self.graph)
         assert not report.decentralized
 
+    def test_matrices_must_be_n_by_n(self):
+        ring4 = netgraph.build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], 1)
+        w, wt = solvers.pextra_mixing(ring4, 0.1, 1.0, 0.5)
+        for pair in ((np.eye(3), wt), (w, np.eye(3)), (np.eye(5), np.eye(5))):
+            with pytest.raises(DimensionMismatch):
+                analysis.check_mixing(*pair, ring4)
+
 
 class TestCheckUV:
     def test_classical_assignment_passes(self):
@@ -420,6 +427,16 @@ class TestCheckUV:
         u = 2.0 * dbar - lap.base
         report = analysis.check_uv_conditions(u, lap.base, dbar, graph)
         assert not report.complementarity
+
+    def test_matrices_must_be_n_by_n(self):
+        ring4 = netgraph.build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], 1)
+        _, e_u, deg, lap = netgraph.incidence_operators(ring4)
+        good = [e_u.gram_base(), lap.base, deg.base]
+        for k in range(3):
+            mats = list(good)
+            mats[k] = np.eye(5)
+            with pytest.raises(DimensionMismatch):
+                analysis.check_uv_conditions(*mats, ring4)
 
 
 def test_certificate_serialization_roundtrip_values():

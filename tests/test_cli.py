@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from deconopt import analysis, cli, netgraph
+from deconopt import analysis, cli, netgraph, solvers
 from deconopt.cli import ExperimentConfig, parse_config, serialize_config
 from deconopt.errors import ConfigError
 
@@ -180,6 +180,27 @@ dir = {out}
         assert cli.main(["run", path, "--dump-operators"]) == 0
         lap = np.loadtxt(out / "laplacian.csv", delimiter=",")
         np.testing.assert_allclose(lap, [[2, -2, 0], [-2, 4, -2], [0, -2, 2]])
+        # arc rows: +1 at the source, -1 (E_o) or +1 (E_u) at the destination
+        e_o = np.loadtxt(out / "e_o.csv", delimiter=",")
+        e_u = np.loadtxt(out / "e_u.csv", delimiter=",")
+        graph = netgraph.build_graph(3, [(1, 2), (2, 3)], 1)
+        assert e_o.shape == e_u.shape == (graph.m, graph.n)
+        for arc in graph.arcs:
+            want_o = np.zeros(graph.n)
+            want_o[[arc.source - 1, arc.dest - 1]] = [1.0, -1.0]
+            assert np.array_equal(e_o[arc.label - 1], want_o)
+            assert np.array_equal(e_u[arc.label - 1], np.abs(want_o))
+
+    def test_exact_mm_over_size_cap_is_setup_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solvers, "EXACT_MM_MAX_ORDER", 5)
+        out = tmp_path / "cap"
+        path = write(tmp_path, EXPLICIT_INI.format(out=out).replace(
+            "name = dadmm", "name = mm-exact"))
+        assert cli.main(["run", path]) == 0  # n*p = 3 is within the cap
+        path = write(tmp_path, BASE_INI.format(out=out).replace(
+            "name = dadmm", "name = mm-exact"), name="big.ini")
+        assert cli.main(["run", path]) == 1
+        assert "cap of 5" in capsys.readouterr().err
 
 
 class TestTraceFile:

@@ -224,6 +224,21 @@ class TestSolveSpd:
         inv = denselin.spd_inverse(SymMatrix(a))
         assert_allclose(inv @ a, np.eye(6), atol=1e-10)
 
+    @pytest.mark.parametrize("order", [1, 3, 10])
+    def test_spd_inverse_stack_matches_each_block(self, order):
+        rng = np.random.default_rng(14 + order)
+        a = rng.standard_normal((20, order, order))
+        stack = a @ a.mT + 0.5 * np.eye(order)
+        inv = denselin.spd_inverse(stack)
+        assert inv.shape == stack.shape
+        for block, block_inv in zip(stack, inv):
+            assert np.array_equal(block_inv, denselin.spd_inverse(block))
+
+    def test_spd_inverse_stack_with_singular_block(self):
+        stack = np.array([np.eye(2), np.diag([1.0, 0.0]), 2.0 * np.eye(2)])
+        with pytest.raises(NotPositiveDefinite):
+            denselin.spd_inverse(stack)
+
 
 class TestMinNormSolve:
     # oriented incidence of the single-edge two-agent graph

@@ -181,6 +181,30 @@ class TestBlockOperator:
             a_s.base[0, 0] = 7.0
 
 
+class TestArcOperator:
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_apply_equals_dense_product(self, p):
+        # each arc row holds at most two unit entries, so the gather forms
+        # the same single rounding as the dense product
+        rng = np.random.default_rng(31 + p)
+        for n in (2, 5, 9):
+            g = netgraph.build_graph(n, _random_connected(n, rng), p)
+            ops = netgraph.arc_matrices(g) + netgraph.incidence_operators(g)[:2]
+            for op in ops:
+                x = rng.standard_normal(g.n * p)
+                assert np.array_equal(op.apply(x), op.materialize() @ x)
+                y = rng.standard_normal(g.m * p)
+                assert_allclose(op.apply_transpose(y), op.materialize().T @ y,
+                                rtol=0, atol=1e-13)
+
+    def test_transpose_dimension_mismatch(self):
+        for op in netgraph.arc_matrices(path3(p=2)) + netgraph.incidence_operators(path3(p=2))[:2]:
+            with pytest.raises(DimensionMismatch):
+                op.apply_transpose(np.zeros(7))
+            with pytest.raises(DimensionMismatch):
+                op.apply(np.zeros(7))
+
+
 class TestConsensualityResidual:
     def test_consensual_is_zero(self):
         g = path3(p=2)

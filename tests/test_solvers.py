@@ -3,8 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from deconopt import analysis, denselin, harness, netgraph, solvers
-from deconopt.errors import ConditionViolation, DimensionMismatch, OmegaOutOfRange
-from deconopt.objective import AffineQuadratic, zero_component
+from deconopt.errors import (
+    ConditionViolation,
+    DeconoptError,
+    DimensionMismatch,
+    NotPositiveDefinite,
+    OmegaOutOfRange,
+)
+from deconopt.objective import AffineQuadratic, RankOneLeastSquares, zero_component
 from deconopt.solvers import AdmmParams, PextraParams
 
 
@@ -454,9 +460,82 @@ class TestStackedLengthChecked:
         _, e_u, deg, lap = netgraph.incidence_operators(graph)
         uv = solvers.GeneralUVEngine(graph, e_u.gram_base(), lap.base, deg.base,
                                      comps, params)
-        for state in (uv.init(x0=long), uv.init(phi0=long)):
+        for kwargs in ({"x0": long}, {"phi0": long}):
             with pytest.raises(DimensionMismatch):
-                uv.step(state)
+                uv.init(**kwargs)
+
+    @pytest.mark.parametrize("extra", [-1, 3])
+    def test_inits_reject_wrong_lengths(self, extra):
+        graph, comps = random_instance(28)
+        params = AdmmParams(1.0, 0.5, 0.1)
+        bad_x = np.ones(graph.n * graph.p + extra)
+        bad_arc = np.ones(graph.m * graph.p + extra)
+        full = solvers.FullAdmmEngine(graph, comps, params)
+        exact = solvers.ExactMMEngine(graph, comps, params)
+        approx = solvers.ApproxMMEngine(graph, comps, params, 1.0)
+        _, e_u, deg, lap = netgraph.incidence_operators(graph)
+        uv = solvers.GeneralUVEngine(graph, e_u.gram_base(), lap.base, deg.base,
+                                     comps, params)
+        calls = [
+            lambda: solvers.dadmm_init(graph, comps, params, x0=bad_x),
+            lambda: solvers.dadmm_init(graph, comps, params, alpha0=bad_arc),
+            lambda: full.init(x0=bad_x),
+            lambda: full.init(alpha0=bad_arc),
+            lambda: exact.init(x0=bad_x),
+            lambda: exact.init(nu0=bad_arc),
+            lambda: approx.init(x0=bad_x),
+            lambda: approx.init(nu0=bad_arc),
+            lambda: uv.init(x0=bad_x),
+            lambda: uv.init(phi0=bad_x),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionMismatch):
+                call()
+
+
+class TestBlockDiagonalSolves:
+    @staticmethod
+    def decoupled_engines(graph, comps, params):
+        return [
+            lambda: solvers.DadmmMatrixEngine(graph, comps, params),
+            lambda: solvers.FullAdmmEngine(graph, comps, params),
+            lambda: solvers.ApproxMMEngine(graph, comps, params, 1.0 / params.rho),
+        ]
+
+    def test_no_inverse_larger_than_the_agent_stack(self, monkeypatch):
+        graph, comps = random_instance(61, n=7, p=3)
+        params = AdmmParams(1.0, 0.5, 0.1)
+        seen = []
+        real = denselin.spd_inverse
+
+        def spy(a):
+            seen.append(np.shape(a.entries if isinstance(a, denselin.SymMatrix) else a))
+            return real(a)
+
+        monkeypatch.setattr(denselin, "spd_inverse", spy)
+        for make in self.decoupled_engines(graph, comps, params):
+            engine = make()
+            state = engine.init()
+            for _ in range(3):
+                state = engine.step(state)
+        assert seen.count((graph.n, graph.p, graph.p)) == 3
+        assert all(np.prod(shape) <= graph.n * graph.p ** 2 for shape in seen)
+
+    def test_indefinite_block_raises_not_positive_definite(self):
+        graph, comps = random_instance(62, n=5, p=2)
+        comps = list(comps)
+        comps[2] = AffineQuadratic(-100.0 * np.eye(2), np.zeros(2))
+        params = AdmmParams(1.0, 0.5, 0.1)
+        for make in self.decoupled_engines(graph, comps, params):
+            with pytest.raises(NotPositiveDefinite):
+                make()
+
+    def test_exact_mm_size_cap(self):
+        p = solvers.EXACT_MM_MAX_ORDER // 2 + 1
+        graph = netgraph.build_graph(2, [(1, 2)], p)
+        comps = [RankOneLeastSquares(np.ones(p), 0.0), RankOneLeastSquares(np.ones(p), 1.0)]
+        with pytest.raises(DeconoptError, match="cap"):
+            solvers.ExactMMEngine(graph, comps, AdmmParams(1.0, 0.5))
 
 
 class TestSnapshots:
