@@ -124,8 +124,20 @@ def mu_g(profile: objective.SumProfile, graph: NetworkGraph, rho: float,
         raise EtaOutOfRange(f"eta must lie in (0,1), got {eta}")
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
+    lam_min = _laplacian_spectrum(graph, tolerances)[0]
+    return _mu_g(profile, lam_min, rho, eta, gamma, tolerances)
+
+
+def _laplacian_spectrum(graph: NetworkGraph, tolerances: Tolerances) -> tuple[float, float]:
+    """lam_min_nonzero and lam_max of L, from one eigendecomposition."""
     lap = incidence_operators(graph)[3]
-    lam_min = denselin.smallest_nonzero_eig(denselin.SymMatrix(lap.base), tolerances=tolerances)
+    eigvals, _ = denselin.sym_eigen(denselin.SymMatrix(lap.base), tolerances)
+    return denselin.smallest_nonzero(eigvals, tolerances=tolerances), float(eigvals[-1])
+
+
+def _mu_g(profile: objective.SumProfile, lam_min: float, rho: float, eta: float,
+          gamma, tolerances: Tolerances) -> tuple[float, float]:
+    """`mu_g` for a given lam_min_nonzero of L."""
     hi = (profile.mu_sum / profile.n) / (2.0 * profile.lipschitz)
 
     def branches(g: float) -> float:
@@ -244,16 +256,14 @@ def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
     _, _, deg, lap = incidence_operators(graph)
 
     try:
-        lam_min = denselin.smallest_nonzero_eig(denselin.SymMatrix(lap.base),
-                                                tolerances=tolerances)
-        mu, gamma_star = mu_g(profile, graph, rho, eta, "optimize", tolerances)
+        lam_min, lam_max_lap = _laplacian_spectrum(graph, tolerances)
     except (IndefiniteInput, AllZero) as exc:
         raise CertificateUnavailable(f"Laplacian spectrum unusable: {exc}") from exc
+    mu, gamma_star = _mu_g(profile, lam_min, rho, eta, "optimize", tolerances)
     m_base = 0.5 * rho * (2.0 * deg.base + (2.0 / rho) * np.diag(pi) - lap.base)
     eigvals_m, _ = denselin.sym_eigen(denselin.SymMatrix(m_base), tolerances)
     lam_max_m = float(eigvals_m[-1])
-    eig_lap, _ = denselin.sym_eigen(denselin.SymMatrix(lap.base), tolerances)
-    lip_g = profile.lipschitz + (1.0 - eta) * 0.5 * rho * float(eig_lap[-1])
+    lip_g = profile.lipschitz + (1.0 - eta) * 0.5 * rho * lam_max_lap
     if mu <= 0:
         raise CertificateUnavailable(f"restricted strong convexity bound {mu:.3e} <= 0")
 
@@ -275,14 +285,12 @@ def rate_certificate_admm(graph: NetworkGraph, profile: objective.SumProfile,
         raise EtaOutOfRange(f"certificate requires eta in (0,1), got {eta}")
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    _, e_u, _, lap = incidence_operators(graph)
-    lam_min = denselin.smallest_nonzero_eig(denselin.SymMatrix(lap.base),
-                                            tolerances=tolerances)
+    e_u = incidence_operators(graph)[1]
+    lam_min, lam_max_lap = _laplacian_spectrum(graph, tolerances)
     eig_eu, _ = denselin.sym_eigen(denselin.SymMatrix(e_u.gram_base()), tolerances)
     lam_max_eu = float(eig_eu[-1])
-    eig_lap, _ = denselin.sym_eigen(denselin.SymMatrix(lap.base), tolerances)
-    lip_g = profile.lipschitz + (1.0 - eta) * 0.5 * rho * float(eig_lap[-1])
-    mu, gamma_star = mu_g(profile, graph, rho, eta, "optimize", tolerances)
+    lip_g = profile.lipschitz + (1.0 - eta) * 0.5 * rho * lam_max_lap
+    mu, gamma_star = _mu_g(profile, lam_min, rho, eta, "optimize", tolerances)
     if mu <= 0:
         raise CertificateUnavailable(f"restricted strong convexity bound {mu:.3e} <= 0")
     delta, tau_star = delta_bound_admm(rho, eta, mu, lip_g, lam_min, lam_max_eu,
@@ -292,17 +300,6 @@ def rate_certificate_admm(graph: NetworkGraph, profile: objective.SumProfile,
         lam_min_nonzero=lam_min, tau_star=tau_star, gamma_star=gamma_star,
         delta_admm=delta, lam_max_eu=lam_max_eu, graph=graph,
     )
-
-
-def seminorm(u, mat) -> float:
-    """u' Mat u clamped at zero (Mat may be singular PSD)."""
-    u = np.asarray(u, dtype=float)
-    arr = mat.entries if isinstance(mat, denselin.SymMatrix) else np.asarray(mat, dtype=float)
-    if arr.shape != (u.shape[0], u.shape[0]):
-        raise DimensionMismatch(
-            f"matrix of order {arr.shape} does not match vector of length {u.shape[0]}"
-        )
-    return max(float(u @ (arr @ u)), 0.0)
 
 
 # -- contraction verification -----------------------------------------------------

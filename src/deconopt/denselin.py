@@ -74,13 +74,20 @@ def sym_eigen(a, tolerances: Tolerances = DEFAULT):
 
 def smallest_nonzero_eig(a, zero_tol: float | None = None,
                          tolerances: Tolerances = DEFAULT) -> float:
-    """Smallest eigenvalue strictly above the zero cutoff of a PSD matrix.
+    """Smallest eigenvalue strictly above the zero cutoff of a PSD matrix;
+    see `smallest_nonzero`."""
+    return smallest_nonzero(sym_eigen(a, tolerances)[0], zero_tol, tolerances)
+
+
+def smallest_nonzero(eigvals: np.ndarray, zero_tol: float | None = None,
+                     tolerances: Tolerances = DEFAULT) -> float:
+    """Smallest eigenvalue strictly above the zero cutoff, from the ascending
+    eigenvalues of a PSD matrix.
 
     The cutoff defaults to `spectrum_zero * lambda_max`. Raises IndefiniteInput
     when the matrix has an eigenvalue below -cutoff, AllZero when nothing
     exceeds the cutoff.
     """
-    eigvals, _ = sym_eigen(a, tolerances)
     lam_max = float(eigvals[-1])
     if zero_tol is None:
         zero_tol = tolerances.spectrum_zero * max(lam_max, 0.0)

@@ -1,19 +1,35 @@
-"""Synchronous simulated network with explicit message exchange.
+"""Synchronous simulated network: agents are rows of shared arrays.
 
-Agents are structurally local: an agent object holds only its own component,
-its own iterate blocks, and an inbox of the latest neighbor broadcasts. It
-has no reference to other agents or to any global vector; `run_rounds` is the
-transport that moves copies along arcs. Each round (`one_round`) is three
-phases separated by barriers: every agent solves its local subproblem from
-the previous round's state, the new iterates are broadcast along all m arcs,
-then every agent performs its dual / running-sum update from the fresh inbox.
+Agent i owns row i - 1 of the (n, p) iterate `x` and of the (n, p) `dual`,
+its local component, its scalars a_i and pi_i, and its row of a graph-local
+weight pair (U, V): a self weight and the weight of each arc into i. With a
+dual scale s, one round (`network_round`) is
 
-Inboxes are seeded with the neighbors' initial iterates at construction; the
-round-0 observer snapshot therefore reports zero messages and every executed
-round reports exactly m. Neighbor sums accumulate in ascending agent id so
-runs are reproducible. `solvers.DadmmEngine`, `solvers.PextraEngine` and
-`solvers.GeneralUVEngine` step these same agents, the only implementation of
-the per-agent rules, so engine and network agree bit for bit.
+    c = s dual + U x
+    x_i <- argmin f_i(x) + c_i'x + (a_i/2)|x|^2 + (pi_i/2)|x - x_i|^2
+    dual <- dual + V x
+
+U x and V x are one gather of the source rows x[src] along the m arcs (the
+broadcast) and one scatter-add of the weighted rows into the destinations.
+Row i of c reads only the x rows of agent i and its neighbours, and row i of
+the dual step only their new x rows: locality is a property of that
+arithmetic. A test perturbs one agent's rows and checks that one round later
+every x row two or more hops away, and every dual row three or more hops
+away, is bit-identical. Each local solve is one `objective.local_subproblem_ex`
+call. Arc contributions add up in arc label order, so runs are reproducible.
+
+The three factories only pick the weights:
+
+* `dadmm_agents`: (U, V) = (-rho/2 E_u'E_u, eta rho/2 L), a_i = rho d_i,
+  s = 1, and the dual is phi.
+* `general_uv_agents`: (-rho/2 U, eta rho/2 V), a_i = rho Dbar_ii, s = 1.
+* `pextra_agents`: (-W/xi, W - W~), s = -1/xi, a_i = 1/xi, pi = 0. The dual
+  is the running sum, seeded with (W - W~) x0, and phi = s dual.
+
+Every executed round reports m messages of p scalars; the round-0 observer
+snapshot reports none. `solvers.DadmmEngine`, `solvers.PextraEngine` and
+`solvers.GeneralUVEngine` load their state into the same object and run the
+same round, so engine and network agree bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +42,7 @@ import numpy as np
 
 from . import analysis, denselin, objective
 from .errors import ConditionViolation, DimensionMismatch
-from .netgraph import NetworkGraph, build_graph, support_mask
+from .netgraph import NetworkGraph, arc_indices, build_graph, incidence_operators, support_mask
 from .tolerances import DEFAULT
 
 if TYPE_CHECKING:
@@ -42,153 +58,69 @@ class RoundLog:
     wall_time: float = field(default=0.0, compare=False)
 
 
-class AgentBox:
-    """Common agent plumbing: identity, local component, iterate, inbox."""
-
-    def __init__(self, aid: int, comp, x0_block: np.ndarray, neighbor_ids):
-        self.aid = aid
-        self.comp = comp
-        self.x = np.array(x0_block, dtype=float)
-        self.neighbor_ids = tuple(sorted(neighbor_ids))
-        self.inbox: dict[int, np.ndarray] = {}
-
-    def phi_view(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def compute(self) -> tuple[np.ndarray, int]:
-        raise NotImplementedError
-
-    def dual_update(self) -> None:
-        raise NotImplementedError
-
-
-class DadmmAgent(AgentBox):
-    def __init__(self, aid, comp, x0_block, phi0_block, neighbor_ids,
-                 degree: float, pi: float, rho: float, eta: float, tol: float):
-        super().__init__(aid, comp, x0_block, neighbor_ids)
-        self.phi = np.array(phi0_block, dtype=float)
-        self.a_weight = rho * degree
-        self.pi = pi
-        self.rho = rho
-        self.eta = eta
-        self.tol = tol
-
-    def phi_view(self):
-        return self.phi
-
-    def compute(self):
-        acc = np.zeros_like(self.x)
-        for j in self.neighbor_ids:
-            acc = acc + (self.x + self.inbox[j])
-        c = self.phi - self.rho * acc
-        return objective.local_subproblem_ex(
-            self.comp, c, self.a_weight, self.pi, self.x, self.tol
+def rows(stacked, graph: NetworkGraph) -> np.ndarray:
+    """A copy of a stacked vector of n blocks as an (n, p) array, zeros when
+    None; raises DimensionMismatch unless it has n p entries."""
+    if stacked is None:
+        return np.zeros((graph.n, graph.p))
+    out = np.array(stacked, dtype=float)
+    if out.shape != (graph.n * graph.p,):
+        raise DimensionMismatch(
+            f"expected stacked vector of length {graph.n * graph.p}, got {out.shape}"
         )
-
-    def dual_update(self):
-        acc = np.zeros_like(self.x)
-        for j in self.neighbor_ids:
-            acc = acc + (self.x - self.inbox[j])
-        self.phi = self.phi + self.eta * self.rho * acc
+    return out.reshape(graph.n, graph.p)
 
 
-class PextraAgent(AgentBox):
-    def __init__(self, aid, comp, x0_block, neighbor_ids, xi: float,
-                 w_self: float, w_nbr: dict[int, float],
-                 wt_self: float, wt_nbr: dict[int, float], tol: float):
-        super().__init__(aid, comp, x0_block, neighbor_ids)
-        self.xi = xi
-        self.w_self = w_self
-        self.w_nbr = w_nbr
-        self.diff_self = w_self - wt_self
-        self.diff_nbr = {j: w_nbr[j] - wt_nbr[j] for j in self.neighbor_ids}
+class Network:
+    """Every agent's state and weights, agent i in row i - 1.
+
+    `u` and `v` are n x n graph-local matrices, kept as (self weights, arc
+    weights) pairs: their diagonals and their entries (dst, src) on the arcs.
+    A round replaces `x` and `dual` with new arrays and never writes into
+    them, so arrays handed out stay valid.
+    """
+
+    def __init__(self, graph: NetworkGraph, components, u, v, a, pi, *,
+                 scale: float, tol: float, x: np.ndarray, dual: np.ndarray):
+        if len(components) != graph.n:
+            raise ValueError(f"one component per agent required, got {len(components)}")
+        src, dst = arc_indices(graph)
+        self.components = list(components)
+        self.x = x
+        self.dual = dual
+        self.u = (np.diag(u).copy(), u[dst, src])
+        self.v = (np.diag(v).copy(), v[dst, src])
+        self.a = np.asarray(a, dtype=float)
+        self.pi = np.asarray(pi, dtype=float)
+        self.scale = float(scale)
         self.tol = tol
-        self.running_sum = np.zeros_like(self.x)
+        self._src = src
+        self._scatter = (dst[:, None] * graph.p + np.arange(graph.p)).ravel()
 
-    def seed_running_sum(self):
-        # running sum starts at (W - W~) x0; requires the seeded inbox
-        acc = self.diff_self * self.x
-        for j in self.neighbor_ids:
-            acc = acc + self.diff_nbr[j] * self.inbox[j]
-        self.running_sum = acc
+    @property
+    def phi(self) -> np.ndarray:
+        """The D-ADMM dual aggregate, s dual."""
+        return self.scale * self.dual
 
-    def phi_view(self):
-        return -self.running_sum / self.xi
-
-    def compute(self):
-        target = self.w_self * self.x + self.running_sum
-        for j in self.neighbor_ids:
-            target = target + self.w_nbr[j] * self.inbox[j]
-        return objective.local_subproblem_ex(
-            self.comp, -target / self.xi, 1.0 / self.xi, 0.0, self.x, self.tol
-        )
-
-    def dual_update(self):
-        acc = self.diff_self * self.x
-        for j in self.neighbor_ids:
-            acc = acc + self.diff_nbr[j] * self.inbox[j]
-        self.running_sum = self.running_sum + acc
+    def mix(self, weights, x: np.ndarray) -> np.ndarray:
+        """W x for W = `self.u` or `self.v` and (n, p) rows x: a gather of
+        x[src] and one scatter-add of the weighted rows on the destinations."""
+        w_self, w_arc = weights
+        sent = (w_arc[:, None] * x[self._src]).ravel()
+        return w_self[:, None] * x + np.bincount(self._scatter, sent, x.size).reshape(x.shape)
 
 
-class GeneralUVAgent(AgentBox):
-    def __init__(self, aid, comp, x0_block, phi0_block, neighbor_ids,
-                 u_self: float, u_nbr: dict[int, float],
-                 v_self: float, v_nbr: dict[int, float],
-                 dbar: float, pi: float, rho: float, eta: float, tol: float):
-        super().__init__(aid, comp, x0_block, neighbor_ids)
-        self.phi = np.array(phi0_block, dtype=float)
-        self.u_self = u_self
-        self.u_nbr = u_nbr
-        self.v_self = v_self
-        self.v_nbr = v_nbr
-        self.a_weight = rho * dbar
-        self.pi = pi
-        self.rho = rho
-        self.eta = eta
-        self.tol = tol
-
-    def phi_view(self):
-        return self.phi
-
-    def compute(self):
-        acc = self.u_self * self.x
-        for j in self.neighbor_ids:
-            acc = acc + self.u_nbr[j] * self.inbox[j]
-        c = self.phi - 0.5 * self.rho * acc
-        return objective.local_subproblem_ex(
-            self.comp, c, self.a_weight, self.pi, self.x, self.tol
-        )
-
-    def dual_update(self):
-        acc = self.v_self * self.x
-        for j in self.neighbor_ids:
-            acc = acc + self.v_nbr[j] * self.inbox[j]
-        self.phi = self.phi + 0.5 * self.eta * self.rho * acc
-
-
-def _blocks(stacked: np.ndarray, n: int, p: int) -> list[np.ndarray]:
-    stacked = np.zeros(n * p) if stacked is None else np.asarray(stacked, dtype=float)
-    if stacked.shape != (n * p,):
-        raise DimensionMismatch(f"expected stacked vector of length {n * p}, got {stacked.shape}")
-    return [stacked[i * p:(i + 1) * p] for i in range(n)]
-
-
-def _broadcast(agents, graph: NetworkGraph):
-    for arc in graph.arcs:
-        agents[arc.dest - 1].inbox[arc.source] = agents[arc.source - 1].x.copy()
-
-
-def load_blocks(agents, graph: NetworkGraph, **stacked) -> None:
-    """Copy stacked `x` / `phi` / `running_sum` into the agents; reseed inboxes."""
-    for name, vec in stacked.items():
-        for agent, block in zip(agents, _blocks(vec, graph.n, graph.p)):
-            setattr(agent, name, block.copy())
-    _broadcast(agents, graph)
-
-
-def _check_components(graph: NetworkGraph, components) -> None:
-    if len(components) != graph.n:
-        raise ValueError(f"one component per agent required, got {len(components)}")
+def network_round(net: Network) -> tuple[int, ...]:
+    """One synchronous round; returns each agent's subproblem iteration count."""
+    c = net.scale * net.dual + net.mix(net.u, net.x)
+    results = [
+        objective.local_subproblem_ex(comp, c_i, a_i, pi_i, x_i, net.tol)
+        for comp, c_i, a_i, pi_i, x_i in zip(
+            net.components, c, net.a.tolist(), net.pi.tolist(), net.x)
+    ]
+    net.x = np.array([x_new for x_new, _ in results])
+    net.dual = net.dual + net.mix(net.v, net.x)
+    return tuple(iters for _, iters in results)
 
 
 def _check_mixing_support(mat: np.ndarray, graph: NetworkGraph) -> None:
@@ -200,113 +132,71 @@ def _check_mixing_support(mat: np.ndarray, graph: NetworkGraph) -> None:
         raise ValueError(f"mixing entry ({bad[0, 0]},{bad[0, 1]}) nonzero without an arc")
 
 
+def _uv_network(graph: NetworkGraph, components, u, v, dbar_diag,
+                params: AdmmParams, x0, phi0) -> Network:
+    """The D-ADMM round for the triple (U, V, Dbar) at graph level."""
+    rho = params.rho
+    return Network(
+        graph, components, -0.5 * rho * u, 0.5 * params.eta * rho * v,
+        rho * dbar_diag, params.pi_vector(graph.n), scale=1.0,
+        tol=params.subproblem_tol, x=rows(x0, graph), dual=rows(phi0, graph),
+    )
+
+
 def dadmm_agents(graph: NetworkGraph, components, params: AdmmParams,
-                 x0=None, phi0=None) -> list[DadmmAgent]:
-    _check_components(graph, components)
-    pi = params.pi_vector(graph.n)
-    xb = _blocks(x0, graph.n, graph.p)
-    pb = _blocks(phi0, graph.n, graph.p)
-    agents = [
-        DadmmAgent(
-            i, components[i - 1], xb[i - 1], pb[i - 1], graph.neighbor_ids(i),
-            float(graph.degree(i)), float(pi[i - 1]), params.rho, params.eta,
-            params.subproblem_tol,
-        )
-        for i in range(1, graph.n + 1)
-    ]
-    _broadcast(agents, graph)
-    return agents
+                 x0=None, phi0=None) -> Network:
+    _, _, deg, lap = incidence_operators(graph)
+    # E_u'E_u = 2 D - L, exactly (small integers), without an m x n product
+    return _uv_network(graph, components, 2.0 * deg.base - lap.base, lap.base,
+                       np.diag(deg.base), params, x0, phi0)
 
 
 def pextra_agents(graph: NetworkGraph, components, pextra: PextraParams,
-                  x0=None, subproblem_tol: float = DEFAULT.subproblem) -> list[PextraAgent]:
-    _check_components(graph, components)
+                  x0=None, subproblem_tol: float = DEFAULT.subproblem) -> Network:
     _check_mixing_support(pextra.w, graph)
     _check_mixing_support(pextra.w_tilde, graph)
-    xb = _blocks(x0, graph.n, graph.p)
-    agents = []
-    for i in range(1, graph.n + 1):
-        nbrs = graph.neighbor_ids(i)
-        agents.append(PextraAgent(
-            i, components[i - 1], xb[i - 1], nbrs, pextra.xi,
-            float(pextra.w[i - 1, i - 1]),
-            {j: float(pextra.w[i - 1, j - 1]) for j in nbrs},
-            float(pextra.w_tilde[i - 1, i - 1]),
-            {j: float(pextra.w_tilde[i - 1, j - 1]) for j in nbrs},
-            subproblem_tol,
-        ))
-    _broadcast(agents, graph)
-    for agent in agents:
-        agent.seed_running_sum()
-    return agents
+    x = rows(x0, graph)
+    inv_xi = 1.0 / pextra.xi
+    net = Network(
+        graph, components, -pextra.w / pextra.xi, pextra.w - pextra.w_tilde,
+        np.full(graph.n, inv_xi), np.zeros(graph.n), scale=-inv_xi,
+        tol=subproblem_tol, x=x, dual=np.zeros_like(x),
+    )
+    net.dual = net.mix(net.v, x)   # the running sum starts at (W - W~) x0
+    return net
 
 
 def general_uv_agents(graph: NetworkGraph, u, v, dbar, components,
-                      params: AdmmParams, x0=None, phi0=None) -> list[GeneralUVAgent]:
-    _check_components(graph, components)
+                      params: AdmmParams, x0=None, phi0=None) -> Network:
     report = analysis.check_uv_conditions(u, v, dbar, graph)
     if not report.all_pass:
         raise ConditionViolation(f"U/V conditions failed: {report.failures()}")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    dbar_diag = np.diag(np.asarray(dbar, dtype=float))
-    pi = params.pi_vector(graph.n)
-    xb = _blocks(x0, graph.n, graph.p)
-    pb = _blocks(phi0, graph.n, graph.p)
-    agents = []
-    for i in range(1, graph.n + 1):
-        nbrs = graph.neighbor_ids(i)
-        agents.append(GeneralUVAgent(
-            i, components[i - 1], xb[i - 1], pb[i - 1], nbrs,
-            float(u[i - 1, i - 1]), {j: float(u[i - 1, j - 1]) for j in nbrs},
-            float(v[i - 1, i - 1]), {j: float(v[i - 1, j - 1]) for j in nbrs},
-            float(dbar_diag[i - 1]), float(pi[i - 1]), params.rho, params.eta,
-            params.subproblem_tol,
-        ))
-    _broadcast(agents, graph)
-    return agents
+    return _uv_network(graph, components, np.asarray(u, dtype=float),
+                       np.asarray(v, dtype=float),
+                       np.diag(np.asarray(dbar, dtype=float)), params, x0, phi0)
 
 
-def stacked_x(agents) -> np.ndarray:
-    return np.concatenate([agent.x for agent in agents])
-
-
-def stacked_phi(agents) -> np.ndarray:
-    return np.concatenate([agent.phi_view() for agent in agents])
-
-
-def one_round(agents, graph: NetworkGraph) -> tuple[int, ...]:
-    """One synchronous round; returns each agent's subproblem iteration count."""
-    results = [agent.compute() for agent in agents]   # phase 1 (parallel-safe)
-    for agent, (x_new, _) in zip(agents, results):
-        agent.x = x_new
-    _broadcast(agents, graph)                         # phase 2: broadcast
-    for agent in agents:                              # phase 3: dual updates
-        agent.dual_update()
-    return tuple(iters for _, iters in results)
-
-
-def run_rounds(agents, graph: NetworkGraph, rounds: int, observer=None):
-    """Execute synchronous rounds; returns (agents, [RoundLog per round]).
+def run_rounds(net: Network, graph: NetworkGraph, rounds: int, observer=None):
+    """Execute synchronous rounds; returns (net, [RoundLog per round]).
 
     The observer, when given, receives (k, stacked x, stacked phi, RoundLog)
     once for the initial state (k = 0, zero messages) and once per round.
     """
     logs = []
     if observer is not None:
-        observer(0, stacked_x(agents), stacked_phi(agents),
+        observer(0, net.x.ravel(), net.phi.ravel(),
                  RoundLog(k=0, messages=0, payload_scalars=0, subproblem_iters=()))
     for k in range(1, rounds + 1):
         start = time.perf_counter()
-        iters = one_round(agents, graph)
+        iters = network_round(net)
         log = RoundLog(
             k=k, messages=graph.m, payload_scalars=graph.m * graph.p,
             subproblem_iters=iters, wall_time=time.perf_counter() - start,
         )
         logs.append(log)
         if observer is not None:
-            observer(k, stacked_x(agents), stacked_phi(agents), log)
-    return agents, logs
+            observer(k, net.x.ravel(), net.phi.ravel(), log)
+    return net, logs
 
 
 # -- scenario presets -----------------------------------------------------------

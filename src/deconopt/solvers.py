@@ -16,16 +16,19 @@ All engines drive the same primal-dual mathematics from different angles:
 * ``GeneralUVEngine`` -- the general two-matrix form that subsumes the
   classical incidence assignment.
 
-``DadmmEngine``, ``PextraEngine`` and ``GeneralUVEngine`` step the simulated
-network's agents, the only implementation of those three local rules, so they
-match it bit for bit. The central engines work at arc-index level: every
-incidence product is a gather or a `np.bincount` on the arc indices
-(`netgraph.ArcOperator`), and L x is formed as E_o^T (E_o x). Their constant
-systems go through `_StationarySolver`: the engines whose agents decouple
-keep one (n, p, p) stack of inverses of Q_i + q_i I from a single
-`denselin.spd_inverse` call; only ``ExactMMEngine``, which couples agents
-through L (x) I_p, inverts a dense (np) x (np) system, and it refuses
-instances with n p above `EXACT_MM_MAX_ORDER`.
+``DadmmEngine``, ``PextraEngine`` and ``GeneralUVEngine`` load their state
+into the rows of a `harness.Network` and run `harness.network_round`, the one
+implementation of those three local rules, so they match the simulated
+network bit for bit; the rules differ only in the network's weights.
+
+The central engines work at arc-index level: every incidence product is a
+gather or a `np.bincount` on the arc indices (`netgraph.ArcOperator`), and
+L x is formed as E_o^T (E_o x). Their constant systems go through
+`_StationarySolver`: the engines whose agents decouple keep one (n, p, p)
+stack of inverses of Q_i + q_i I from a single `denselin.spd_inverse` call;
+only ``ExactMMEngine``, which couples agents through L (x) I_p, inverts a
+dense (np) x (np) system, and it refuses instances with n p above
+`EXACT_MM_MAX_ORDER`.
 
 Every `init` raises DimensionMismatch for an initial vector of the wrong
 length.
@@ -203,32 +206,33 @@ class _StationarySolver:
         return self._inverse @ rhs.ravel()
 
 
-def _agent_round(agents, graph: NetworkGraph, state: AdmmState) -> AdmmState:
-    """One round of D-ADMM-type agents started from `state`; `state` is untouched."""
-    harness.load_blocks(agents, graph, x=state.x, phi=state.phi)
-    harness.one_round(agents, graph)
-    return AdmmState(x=harness.stacked_x(agents), phi=harness.stacked_phi(agents),
-                     k=state.k + 1)
+def _agent_round(net: harness.Network, graph: NetworkGraph, x, dual):
+    """One network round from the stacked (x, dual); returns the new stacked
+    pair. The inputs are copied in, so they stay untouched."""
+    net.x, net.dual = harness.rows(x, graph), harness.rows(dual, graph)
+    harness.network_round(net)
+    return net.x.ravel(), net.dual.ravel()
 
 
 # -- decoupled per-agent generalized D-ADMM -------------------------------------
 
 class DadmmEngine:
     """Per-agent D-ADMM: local proximal solves plus neighbor-difference dual
-    steps, run by the simulated network's `harness.DadmmAgent`s."""
+    steps, run by the simulated network's round (`harness.dadmm_agents`)."""
 
     def __init__(self, graph: NetworkGraph, components, params: AdmmParams):
         self.graph = graph
         self.components = list(components)
         self.params = params
-        self.agents = harness.dadmm_agents(graph, self.components, params)
+        self.net = harness.dadmm_agents(graph, self.components, params)
 
     def init(self, x0=None, alpha0_mode: str = "zero", seed=None, alpha0=None) -> AdmmState:
         return dadmm_init(self.graph, self.components, self.params,
                           x0=x0, alpha0_mode=alpha0_mode, seed=seed, alpha0=alpha0)
 
     def step(self, state: AdmmState) -> AdmmState:
-        return _agent_round(self.agents, self.graph, state)
+        x, phi = _agent_round(self.net, self.graph, state.x, state.phi)
+        return AdmmState(x=x, phi=phi, k=state.k + 1)
 
     def snapshot(self, state: AdmmState) -> TraceRow:
         return TraceRow(state.k, state.x, state.phi)
@@ -483,35 +487,29 @@ def theorem2_pi(graph: NetworkGraph, xi: float, rho: float) -> tuple[float, ...]
 
 class PextraEngine:
     """Mixing-matrix iterates; the history sum is kept as a running sum
-    (identical mathematics, O(1) memory). Run by `harness.PextraAgent`s."""
+    (identical mathematics, O(1) memory). Run by the simulated network's
+    round (`harness.pextra_agents`), whose dual is the running sum."""
 
     def __init__(self, graph: NetworkGraph, components, pextra: PextraParams,
                  subproblem_tol: float = DEFAULT.subproblem):
         self.graph = graph
-        self.pextra = pextra
-        self.agents = harness.pextra_agents(graph, components, pextra,
-                                            subproblem_tol=subproblem_tol)
+        self.net = harness.pextra_agents(graph, components, pextra,
+                                         subproblem_tol=subproblem_tol)
 
     def init(self, x0=None) -> PextraState:
-        x = np.zeros(self.graph.n * self.graph.p) if x0 is None else np.array(x0, dtype=float)
-        harness.load_blocks(self.agents, self.graph, x=x)
-        for agent in self.agents:
-            agent.seed_running_sum()
-        return PextraState(x=x, running_sum=self._running_sum(), k=0)
+        x = harness.rows(x0, self.graph)
+        # the running sum starts at (W - W~) x0
+        running_sum = self.net.mix(self.net.v, x)
+        return PextraState(x=x.ravel(), running_sum=running_sum.ravel(), k=0)
 
     def step(self, state: PextraState) -> PextraState:
-        harness.load_blocks(self.agents, self.graph, x=state.x,
-                            running_sum=state.running_sum)
-        harness.one_round(self.agents, self.graph)
-        return PextraState(x=harness.stacked_x(self.agents),
-                           running_sum=self._running_sum(), k=state.k + 1)
-
-    def _running_sum(self) -> np.ndarray:
-        return np.concatenate([agent.running_sum for agent in self.agents])
+        x, running_sum = _agent_round(self.net, self.graph, state.x, state.running_sum)
+        return PextraState(x=x, running_sum=running_sum, k=state.k + 1)
 
     def phi_view(self, state: PextraState) -> np.ndarray:
-        """The D-ADMM dual aggregate implied by the running sum."""
-        return -state.running_sum / self.pextra.xi
+        """The D-ADMM dual aggregate implied by the running sum, s times it
+        with s = -1/xi, as the network forms it."""
+        return self.net.scale * state.running_sum
 
     def snapshot(self, state: PextraState) -> TraceRow:
         return TraceRow(state.k, state.x, self.phi_view(state))
@@ -521,7 +519,7 @@ class PextraEngine:
 
 class GeneralUVEngine:
     """D-ADMM driven by a general (U, V, Dbar) triple at graph level, run by
-    `harness.GeneralUVAgent`s.
+    the simulated network's round (`harness.general_uv_agents`).
 
     The triple must satisfy the nullspace/complementarity/distributable
     conditions; `harness.general_uv_agents` checks them once at construction
@@ -533,14 +531,15 @@ class GeneralUVEngine:
         self.graph = graph
         self.components = list(components)
         self.params = params
-        self.agents = harness.general_uv_agents(graph, u, v, dbar, self.components, params)
+        self.net = harness.general_uv_agents(graph, u, v, dbar, self.components, params)
 
     def init(self, x0=None, phi0=None) -> AdmmState:
         npx = self.graph.n * self.graph.p
         return AdmmState(x=_initial(x0, npx, "x0"), phi=_initial(phi0, npx, "phi0"), k=0)
 
     def step(self, state: AdmmState) -> AdmmState:
-        return _agent_round(self.agents, self.graph, state)
+        x, phi = _agent_round(self.net, self.graph, state.x, state.phi)
+        return AdmmState(x=x, phi=phi, k=state.k + 1)
 
     def snapshot(self, state: AdmmState) -> TraceRow:
         return TraceRow(state.k, state.x, state.phi)

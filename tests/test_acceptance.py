@@ -398,28 +398,36 @@ dir = {out}
     assert (tmp_path / "A" / "trace.csv").read_bytes() == \
         (tmp_path / "B" / "trace.csv").read_bytes()
 
-    # information locality: corrupting a non-neighbor between rounds leaves
-    # every agent at graph distance >= 2 bit-identical after the next round
+    # information locality: perturb the x and dual rows of one agent between
+    # rounds. A round's local solve reads the x rows of an agent and its
+    # neighbours and its dual step the neighbours' new x rows, so after the
+    # next round every x row at graph distance >= 2 and every dual row at
+    # distance >= 3 is bit-identical, while the perturbed agent's update differs
     graph, components = harness.scenario_least_squares(7, 2, seed=5)
     params = AdmmParams(1.0, 0.5, 0.1)
 
     def fresh():
-        agents = harness.dadmm_agents(graph, components, params)
-        harness.run_rounds(agents, graph, 3)
-        return agents
+        net = harness.dadmm_agents(graph, components, params)
+        harness.run_rounds(net, graph, 3)
+        return net
 
     target = 1
     near = set(graph.neighbor_ids(target)) | {target}
     far = [i for i in range(1, graph.n + 1) if i not in near]
-    assert far
+    farther = [i for i in far if not near & set(graph.neighbor_ids(i))]
+    assert farther
 
     clean = fresh()
     harness.run_rounds(clean, graph, 1)
     corrupted = fresh()
-    victim = corrupted[target - 1]
-    victim.x = victim.x + 100.0
-    victim.phi = victim.phi - 50.0
+    x, dual = corrupted.x.copy(), corrupted.dual.copy()
+    x[target - 1] += 100.0
+    dual[target - 1] -= 50.0
+    corrupted.x, corrupted.dual = x, dual
     harness.run_rounds(corrupted, graph, 1)
     for i in far:
-        assert np.array_equal(clean[i - 1].x, corrupted[i - 1].x)
-        assert np.array_equal(clean[i - 1].phi, corrupted[i - 1].phi)
+        assert np.array_equal(clean.x[i - 1], corrupted.x[i - 1])
+    for i in farther:
+        assert np.array_equal(clean.dual[i - 1], corrupted.dual[i - 1])
+    assert not np.array_equal(clean.x[target - 1], corrupted.x[target - 1])
+    assert not np.array_equal(clean.dual[target - 1], corrupted.dual[target - 1])

@@ -164,7 +164,7 @@ class TestRateCertificate:
         def fail(*args, **kwargs):
             raise error("spectrum")
 
-        monkeypatch.setattr(denselin, "smallest_nonzero_eig", fail)
+        monkeypatch.setattr(denselin, "smallest_nonzero", fail)
         with pytest.raises(CertificateUnavailable) as info:
             analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, 0.1))
         assert isinstance(info.value.__cause__, error)
@@ -200,6 +200,33 @@ class TestRateCertificate:
         profile = objective.sum_profile(comps, graph)
         with pytest.raises(EtaOutOfRange):
             analysis.rate_certificate(graph, profile, AdmmParams(1.0, 1.0))
+
+    def test_one_laplacian_decomposition_per_certificate(self, monkeypatch):
+        # each certificate decomposes L once (lam_min_nonzero and lam_max(L)
+        # come from the same spectrum) plus its norm matrix, M or E_u'E_u;
+        # the constants equal those of separate decompositions
+        graph, comps = ls_preset(seed=8)
+        profile = objective.sum_profile(comps, graph)
+        params = AdmmParams(1.0, 0.5, 0.1)
+        lap = netgraph.incidence_operators(graph)[3].base
+        lam_min = denselin.smallest_nonzero_eig(denselin.SymMatrix(lap))
+        lam_max = float(denselin.sym_eigen(denselin.SymMatrix(lap))[0][-1])
+        orders = []
+        real = denselin.sym_eigen
+
+        def counted(a, *args, **kwargs):
+            orders.append(np.shape(getattr(a, "entries", a))[0])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(denselin, "sym_eigen", counted)
+        cert = analysis.rate_certificate(graph, profile, params)
+        assert orders == [graph.n, graph.n]
+        orders.clear()
+        cert_admm = analysis.rate_certificate_admm(graph, profile, 1.0, 0.5)
+        assert orders == [graph.n, graph.n]
+        for c in (cert, cert_admm):
+            assert c.lam_min_nonzero == lam_min
+            assert c.lipschitz_g == profile.lipschitz + 0.25 * lam_max
 
     def test_delta_invariant_under_block_lift(self):
         # spectra computed at graph level equal those of the lifted operators
@@ -243,26 +270,6 @@ class TestRateCertificateAdmm:
             b1 = cert.eta * cert.lam_min_nonzero / ((1.0 + 1.0 / tau) * cert.lam_max_eu)
             assert b1 == pytest.approx(limit, rel=1e-5)
         assert cert.delta_admm <= limit + 1e-12
-
-
-class TestSeminorm:
-    def test_zero_vector(self):
-        assert analysis.seminorm(np.zeros(3), np.eye(3)) == 0.0
-
-    def test_identity_is_euclidean(self):
-        u = np.array([1.0, -2.0, 2.0])
-        assert analysis.seminorm(u, np.eye(3)) == pytest.approx(9.0)
-
-    def test_null_vector_clamps_to_zero(self):
-        mat = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        eigvals, eigvecs = denselin.sym_eigen(denselin.SymMatrix(mat))
-        null_vec = eigvecs[:, 0]
-        assert abs(eigvals[0]) <= 1e-12
-        assert analysis.seminorm(3.0 * null_vec, mat) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            analysis.seminorm(np.zeros(2), np.eye(3))
 
 
 class TestVerifyContraction:

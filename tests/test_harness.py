@@ -14,6 +14,21 @@ def collect(agents, graph, rounds):
     return snaps
 
 
+def hops_from(graph, source):
+    """Graph distance from agent `source` to agents 1..n, breadth first."""
+    hops = {source: 0}
+    frontier = [source]
+    while frontier:
+        reached = []
+        for i in frontier:
+            for j in graph.neighbor_ids(i):
+                if j not in hops:
+                    hops[j] = hops[i] + 1
+                    reached.append(j)
+        frontier = reached
+    return [hops[i] for i in range(1, graph.n + 1)]
+
+
 class TestRunRounds:
     def test_dadmm_trajectory_bit_exact_vs_engine(self):
         graph, comps = harness.scenario_least_squares(6, 2, seed=3)
@@ -39,10 +54,10 @@ class TestRunRounds:
     def test_zero_rounds_returns_initial_state(self):
         graph, comps = harness.scenario_least_squares(4, 2, seed=1)
         x0 = np.arange(8, dtype=float)
-        agents = harness.dadmm_agents(graph, comps, AdmmParams(1.0, 0.5), x0=x0)
-        agents, logs = harness.run_rounds(agents, graph, 0)
+        net = harness.dadmm_agents(graph, comps, AdmmParams(1.0, 0.5), x0=x0)
+        net, logs = harness.run_rounds(net, graph, 0)
         assert logs == []
-        assert_allclose(harness.stacked_x(agents), x0)
+        assert_allclose(net.x.ravel(), x0)
 
     def test_pextra_agents_match_engine(self):
         graph, comps = harness.scenario_least_squares(5, 2, seed=8)
@@ -74,6 +89,21 @@ class TestRunRounds:
             assert np.array_equal(x, state.x)
             assert np.array_equal(phi, state.phi)
 
+    def test_dadmm_and_general_uv_agents_share_one_kernel(self):
+        # D-ADMM is the U/V round at (E_u'E_u, L, D); one kernel serves both,
+        # so the trajectories agree bit for bit
+        graph, comps = harness.scenario_least_squares(6, 2, seed=12)
+        params = AdmmParams(rho=1.3, eta=0.6, pi=0.2)
+        _, e_u, deg, lap = netgraph.incidence_operators(graph)
+        x0 = np.random.default_rng(4).standard_normal(graph.n * graph.p)
+        dadmm = collect(harness.dadmm_agents(graph, comps, params, x0=x0), graph, 50)
+        uv = collect(harness.general_uv_agents(graph, e_u.gram_base(), lap.base, deg.base,
+                                               comps, params, x0=x0), graph, 50)
+        assert len(dadmm) == len(uv) == 51
+        for (_, x1, phi1, _), (_, x2, phi2, _) in zip(dadmm, uv):
+            assert np.array_equal(x1, x2)
+            assert np.array_equal(phi1, phi2)
+
 
 class TestLocalFactorCache:
     def test_each_agent_factors_once(self, monkeypatch):
@@ -89,11 +119,11 @@ class TestLocalFactorCache:
         fresh = harness.dadmm_agents(graph, comps, params)
         for k, x, phi, _ in snaps:
             if k > 0:
-                for agent in fresh:
-                    agent.comp = objective.RankOneLeastSquares(agent.comp.h, agent.comp.y)
-                harness.one_round(fresh, graph)
-            assert np.array_equal(x, harness.stacked_x(fresh))
-            assert np.array_equal(phi, harness.stacked_phi(fresh))
+                fresh.components = [objective.RankOneLeastSquares(comp.h, comp.y)
+                                    for comp in fresh.components]
+                harness.network_round(fresh)
+            assert np.array_equal(x, fresh.x.ravel())
+            assert np.array_equal(phi, fresh.phi.ravel())
         assert len(calls) == graph.n * 51
 
 
@@ -155,8 +185,11 @@ class TestAgentFactories:
             lambda: harness.pextra_agents(graph, comps, pp, x0=bad),
             lambda: harness.general_uv_agents(graph, *uv, comps, params, x0=bad),
             lambda: harness.general_uv_agents(graph, *uv, comps, params, phi0=bad),
-            lambda: harness.load_blocks(harness.dadmm_agents(graph, comps, params),
-                                        graph, x=bad),
+            # an engine loads its state into the network's rows every step
+            lambda: solvers.DadmmEngine(graph, comps, params).step(
+                solvers.AdmmState(x=bad, phi=np.zeros(10))),
+            lambda: solvers.PextraEngine(graph, comps, pp).step(
+                solvers.PextraState(x=np.zeros(10), running_sum=bad)),
         ]
         for call in calls:
             with pytest.raises(DimensionMismatch):
@@ -165,45 +198,71 @@ class TestAgentFactories:
 
 class TestInformationLocality:
     def test_agents_hold_no_global_references(self):
+        # the network keeps rows per agent and weights per arc; no n x n
+        # mixing matrix, which could couple non-neighbours, survives the factory
         graph, comps = harness.scenario_least_squares(4, 2, seed=2)
-        agents = harness.dadmm_agents(graph, comps, AdmmParams(1.0, 0.5))
-        for agent in agents:
-            assert set(agent.inbox) == set(agent.neighbor_ids)
-            assert not hasattr(agent, "graph")
-            assert not hasattr(agent, "agents")
+        net = harness.dadmm_agents(graph, comps, AdmmParams(1.0, 0.5))
+        assert net.x.shape == net.dual.shape == (graph.n, graph.p)
+        for w_self, w_arc in (net.u, net.v):
+            assert w_self.shape == (graph.n,)
+            assert w_arc.shape == (graph.m,)
+        arrays = [value for value in vars(net).values() if isinstance(value, np.ndarray)]
+        arrays += [w for pair in (net.u, net.v) for w in pair]
+        assert all(arr.shape != (graph.n, graph.n) for arr in arrays)
+        assert not hasattr(net, "graph")
 
     def test_corrupting_non_neighbor_leaves_update_unchanged(self):
-        # one round after corrupting agent j, every agent at graph distance
-        # >= 2 from j must produce a bit-identical update
+        # perturb the rows of agent `target` between rounds. A round's local
+        # solve reads the x rows of an agent and its neighbours, and its dual
+        # step reads the neighbours' new x rows, so after one round every x
+        # row at graph distance >= 2 and every dual row at distance >= 3 is
+        # bit-identical. A perturbed dual row alone is read only by its owner's
+        # solve, so then every row at distance >= 2 is bit-identical. Checked
+        # under each of the three rules.
         graph, comps = harness.scenario_least_squares(7, 2, seed=5)
         params = AdmmParams(rho=1.0, eta=0.5, pi=0.1)
-
-        def fresh():
-            agents = harness.dadmm_agents(graph, comps, params)
-            harness.run_rounds(agents, graph, 3)
-            return agents
+        _, e_u, deg, lap = netgraph.incidence_operators(graph)
+        dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
+        xi = 0.9 / dmax
+        w, wt = solvers.pextra_mixing(graph, xi, 1.0, 0.5)
+        factories = [
+            lambda: harness.dadmm_agents(graph, comps, params),
+            lambda: harness.pextra_agents(graph, comps, PextraParams(xi=xi, w=w, w_tilde=wt)),
+            lambda: harness.general_uv_agents(graph, e_u.gram_base(), lap.base, deg.base,
+                                              comps, params),
+        ]
 
         target = 1
-        immediate = set(graph.neighbor_ids(target)) | {target}
-        far_agents = [i for i in range(1, graph.n + 1) if i not in immediate]
-        assert far_agents, "test graph too dense to contain a distance-2 pair"
+        hops = hops_from(graph, target)
+        assert max(hops) >= 3, "test graph too dense to contain a distance-3 pair"
 
-        clean = fresh()
-        harness.run_rounds(clean, graph, 1)
+        for factory in factories:
+            def fresh():
+                net = factory()
+                harness.run_rounds(net, graph, 3)
+                return net
 
-        corrupted = fresh()
-        victim = corrupted[target - 1]
-        victim.x = victim.x + 100.0
-        victim.phi = victim.phi - 50.0
-        for j in victim.inbox:
-            victim.inbox[j] = victim.inbox[j] * -3.0
-        harness.run_rounds(corrupted, graph, 1)
+            clean = fresh()
+            harness.run_rounds(clean, graph, 1)
 
-        for i in far_agents:
-            assert np.array_equal(clean[i - 1].x, corrupted[i - 1].x)
-            assert np.array_equal(clean[i - 1].phi, corrupted[i - 1].phi)
-        # the corrupted agent itself must differ (sanity of the mutation)
-        assert not np.array_equal(clean[target - 1].x, corrupted[target - 1].x)
+            for perturb_x, x_reach, dual_reach in ((True, 1, 2), (False, 1, 1)):
+                corrupted = fresh()
+                x, dual = corrupted.x.copy(), corrupted.dual.copy()
+                if perturb_x:
+                    x[target - 1] += 100.0
+                dual[target - 1] -= 50.0
+                corrupted.x, corrupted.dual = x, dual
+                harness.run_rounds(corrupted, graph, 1)
+
+                for i, hop in enumerate(hops):
+                    if hop > x_reach:
+                        assert np.array_equal(clean.x[i], corrupted.x[i])
+                    if hop > dual_reach:
+                        assert np.array_equal(clean.dual[i], corrupted.dual[i])
+                # the perturbed agent itself must differ (sanity of the mutation)
+                assert not np.array_equal(clean.x[target - 1], corrupted.x[target - 1])
+                assert not np.array_equal(clean.dual[target - 1],
+                                          corrupted.dual[target - 1])
 
 
 class TestDeterminism:
