@@ -426,16 +426,15 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
     if cert is not None:
         udists = report.distances
     obj_errs = objective.sum_value(components, xs) - ref.objective_value
-    resids = netgraph.consensuality_residual(graph, xs)
     csv_rows = []
-    for k in range(len(xs)):
+    for k, x in enumerate(xs):
+        resid = netgraph.consensuality_residual(graph, x)
         udist = None if udists is None else float(udists[k])
         ratio = None
         if udists is not None and k > 0 and udists[k - 1] > 0:
             ratio = float(udists[k] / udists[k - 1])
         delta = None if cert is None else cert.delta
-        csv_rows.append((k, float(obj_errs[k]), float(resids[k]), udist, ratio, delta,
-                         messages[k]))
+        csv_rows.append((k, float(obj_errs[k]), resid, udist, ratio, delta, messages[k]))
     emit_trace(csv_rows, os.path.join(config.out_dir, "trace.csv"))
 
     if cert is not None:

@@ -72,13 +72,6 @@ def sym_eigen(a, tolerances: Tolerances = DEFAULT):
         raise DeconoptError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def smallest_nonzero_eig(a, zero_tol: float | None = None,
-                         tolerances: Tolerances = DEFAULT) -> float:
-    """Smallest eigenvalue strictly above the zero cutoff of a PSD matrix;
-    see `smallest_nonzero`."""
-    return smallest_nonzero(sym_eigen(a, tolerances)[0], zero_tol, tolerances)
-
-
 def smallest_nonzero(eigvals: np.ndarray, zero_tol: float | None = None,
                      tolerances: Tolerances = DEFAULT) -> float:
     """Smallest eigenvalue strictly above the zero cutoff, from the ascending

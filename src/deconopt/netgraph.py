@@ -150,12 +150,10 @@ class ArcOperator(BlockOperator):
         self._scatter = np.concatenate([flat for flat, _ in self._ends])
 
     def _product(self, x: np.ndarray) -> np.ndarray:
-        # gathers along the last axis, so a (rows, cols * p) x gives each
-        # row's product bit for bit, in C order
         (index, sign), *rest = self._ends
-        out = x.take(index, axis=-1) if sign > 0 else -x.take(index, axis=-1)
+        out = x[index] if sign > 0 else -x[index]
         for index, sign in rest:
-            out = out + x.take(index, axis=-1) if sign > 0 else out - x.take(index, axis=-1)
+            out = out + x[index] if sign > 0 else out - x[index]
         return out
 
     def _transpose_product(self, y: np.ndarray) -> np.ndarray:
@@ -273,30 +271,9 @@ def incidence_operators(
     return e_o, e_u, BlockOperator(deg, g.p), BlockOperator(lap, g.p)
 
 
-# rows of E_o x formed at a time by `consensuality_residual`, which bounds its
-# temporaries to a few MB however long the trace
-_RESIDUAL_ROWS = 256
-
-
-def consensuality_residual(g: NetworkGraph, x):
-    """Euclidean norm of E_o x; zero exactly on consensual vectors.
-
-    A 1-D `x` gives a float, a (rows, n*p) array a (rows,) array with the
-    norm of each row. Each norm is sqrt(np.vecdot) of the gathered arc
-    differences, which carries the bits of `np.linalg.norm`.
-    """
-    x = np.asarray(x, dtype=float)
-    width = g.n * g.p
-    if x.ndim not in (1, 2) or x.shape[-1] != width:
-        raise DimensionMismatch(f"expected stacked vectors of length {width}, got {x.shape}")
-    e_o = incidence_operators(g)[0]
-    xs = x.reshape(-1, width)
-    out = np.empty(len(xs))
-    for start in range(0, len(xs), _RESIDUAL_ROWS):
-        block = xs[start:start + _RESIDUAL_ROWS]
-        diff = e_o._product(block)
-        out[start:start + len(block)] = np.sqrt(np.vecdot(diff, diff))
-    return float(out[0]) if x.ndim == 1 else out
+def consensuality_residual(g: NetworkGraph, x) -> float:
+    """Euclidean norm of E_o x; zero exactly on consensual vectors."""
+    return float(np.linalg.norm(incidence_operators(g)[0].apply(x)))
 
 
 def operator_csv_rows(op: BlockOperator) -> list[str]:

@@ -116,7 +116,7 @@ class TestMuG:
         # two branches meet, so the bound comes within 2Lg of mu_sum / n
         profile, g = self.two_agent_profile()
         lap = netgraph.incidence_operators(g)[3].base
-        lam_min = denselin.smallest_nonzero_eig(denselin.SymMatrix(lap))
+        lam_min = denselin.smallest_nonzero(denselin.sym_eigen(denselin.SymMatrix(lap))[0])
         gamma = 1e-6
         target = profile.mu_sum / profile.n - 2 * profile.lipschitz * gamma
         eta = 0.5
@@ -209,7 +209,7 @@ class TestRateCertificate:
         profile = objective.sum_profile(comps, graph)
         params = AdmmParams(1.0, 0.5, 0.1)
         lap = netgraph.incidence_operators(graph)[3].base
-        lam_min = denselin.smallest_nonzero_eig(denselin.SymMatrix(lap))
+        lam_min = denselin.smallest_nonzero(denselin.sym_eigen(denselin.SymMatrix(lap))[0])
         lam_max = float(denselin.sym_eigen(denselin.SymMatrix(lap))[0][-1])
         orders = []
         real = denselin.sym_eigen
@@ -237,7 +237,7 @@ class TestRateCertificate:
             cert = analysis.rate_certificate(graph, profile, params)
             e_o = netgraph.incidence_operators(graph)[0]
             lifted_gram = denselin.SymMatrix(e_o.materialize().T @ e_o.materialize())
-            lam_min_lif = denselin.smallest_nonzero_eig(lifted_gram)
+            lam_min_lif = denselin.smallest_nonzero(denselin.sym_eigen(lifted_gram)[0])
             eig_m, _ = denselin.sym_eigen(
                 denselin.SymMatrix(np.kron(cert.m_base, np.eye(p))))
             delta_lifted, _ = analysis.delta_bound(

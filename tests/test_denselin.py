@@ -158,20 +158,24 @@ class TestSymEigen:
             SymMatrix([[1.0, 2.0], [0.0, 1.0]])
 
 
+def smallest_nonzero_of(a):
+    return denselin.smallest_nonzero(denselin.sym_eigen(SymMatrix(a))[0])
+
+
 class TestSmallestNonzero:
     def test_path3(self):
-        assert_allclose(denselin.smallest_nonzero_eig(SymMatrix(PATH3_L)), 2.0)
+        assert_allclose(smallest_nonzero_of(PATH3_L), 2.0)
 
     def test_identity(self):
-        assert denselin.smallest_nonzero_eig(SymMatrix(np.eye(3))) == pytest.approx(1.0)
+        assert smallest_nonzero_of(np.eye(3)) == pytest.approx(1.0)
 
     def test_zero_matrix(self):
         with pytest.raises(AllZero):
-            denselin.smallest_nonzero_eig(SymMatrix(np.zeros((2, 2))))
+            smallest_nonzero_of(np.zeros((2, 2)))
 
     def test_indefinite(self):
         with pytest.raises(IndefiniteInput):
-            denselin.smallest_nonzero_eig(SymMatrix(np.diag([-1.0, 2.0])))
+            smallest_nonzero_of(np.diag([-1.0, 2.0]))
 
 
 class TestSolveSpd:
