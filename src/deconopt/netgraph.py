@@ -15,7 +15,18 @@ products by index arithmetic on the cached arc indices: ``apply`` gathers
 the source and destination blocks of each arc (E_o x is x_src - x_dst, E_u x
 is x_src + x_dst) and ``apply_transpose`` sums the arc blocks into their
 vertices with one ``np.bincount``. The degree and Laplacian operators
-multiply by their n x n base.
+multiply by their n x n base, which is built from the arc indices in O(m).
+
+The stacked arc operator S = [A_s; A_d] (`ArcStack`, the one operator with
+no ``base``) carries all four in one index: S x is one gather and S^T y one ``np.bincount``, with E_u x the sum and
+E_o x the difference of the two halves of S x, and E_u^T z = S^T [z; z],
+E_o^T a = S^T [a; -a]. The central engines form each operator pass of a
+step this way.
+
+The derived values of a graph (`arc_indices`, `support_mask`, `arc_stack`,
+`arc_matrices`, `incidence_operators`) are cached in the graph instance, so
+they live as long as the graph and an equal graph built separately computes
+its own.
 
 Convention note: with two arcs per edge the extended degree matrix
 D = (E_o^T E_o + E_u^T E_u)/2 carries twice the neighbor count on its
@@ -26,6 +37,7 @@ the value exposed as ``degree``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +68,7 @@ class NetworkGraph:
     neighbors: tuple[tuple[int, ...], ...]  # neighbors[i-1], ascending ids
 
     def __hash__(self) -> int:
-        # the per-graph caches below key on the graph once per row of a
-        # trace; hash the m arcs on the first lookup only
+        # hash the m arcs on the first call only
         if "_hash" not in self.__dict__:
             fields = (self.n, self.p, self.edges, self.arcs, self.neighbors)
             object.__setattr__(self, "_hash", hash(fields))
@@ -73,6 +84,30 @@ class NetworkGraph:
     def degree(self, i: int) -> int:
         """Diagonal of the extended degree matrix: twice the neighbor count."""
         return 2 * len(self.neighbors[i - 1])
+
+
+def _per_graph(fn):
+    """Cache fn(g) in the graph instance's __dict__, the frozen dataclass's
+    own storage outside its fields, so equality and repr ignore it."""
+    key = f"_{fn.__name__}"
+
+    @functools.wraps(fn)
+    def cached(g: NetworkGraph):
+        try:
+            return vars(g)[key]
+        except KeyError:
+            value = vars(g)[key] = fn(g)
+            return value
+
+    return cached
+
+
+def _checked(v, length: int) -> np.ndarray:
+    """v as a float vector; raises DimensionMismatch unless it has `length` entries."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (length,):
+        raise DimensionMismatch(f"expected vector of length {length}, got {v.shape}")
+    return v
 
 
 class BlockOperator:
@@ -97,20 +132,10 @@ class BlockOperator:
         return self.base.shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.cols * self.p,):
-            raise DimensionMismatch(
-                f"expected vector of length {self.cols * self.p}, got {x.shape}"
-            )
-        return self._product(x)
+        return self._product(_checked(x, self.cols * self.p))
 
     def apply_transpose(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.rows * self.p,):
-            raise DimensionMismatch(
-                f"expected vector of length {self.rows * self.p}, got {y.shape}"
-            )
-        return self._transpose_product(y)
+        return self._transpose_product(_checked(y, self.rows * self.p))
 
     def _product(self, x: np.ndarray) -> np.ndarray:
         return (self.base @ x.reshape(self.cols, self.p)).ravel()
@@ -130,23 +155,22 @@ class ArcOperator(BlockOperator):
     """An m x n arc operator: row r holds `src_sign` in the column of arc r's
     source and `dst_sign` in that of its destination (signs in {-1, 0, 1}).
 
-    Both products index the stacked vectors directly, through the flattened
-    (endpoint, column) index of every (arc, column) entry. `apply` gathers
-    the endpoint entries; with at most two entries of magnitude one per row
-    this equals base @ x bit for bit. `apply_transpose` adds each arc's
-    signed entries into its endpoints with one `np.bincount`.
+    Both products index the stacked vectors directly, through the rows of
+    the graph's `ArcStack` index, the flattened (endpoint, column) index of
+    every (arc, column) entry. `apply` gathers the endpoint entries; with at
+    most two entries of magnitude one per row this equals base @ x bit for
+    bit. `apply_transpose` adds each arc's signed entries into its endpoints
+    with one `np.bincount`.
     """
 
     def __init__(self, g: NetworkGraph, src_sign: int, dst_sign: int):
-        src, dst = arc_indices(g)
-        ends = [(index, sign) for index, sign in ((src, src_sign), (dst, dst_sign)) if sign]
+        ends = [(vertex, flat, sign) for vertex, flat, sign
+                in zip(arc_indices(g), arc_stack(g).index, (src_sign, dst_sign)) if sign]
         base = np.zeros((g.m, g.n))
-        for index, sign in ends:
-            base[np.arange(g.m), index] = sign
+        for vertex, _, sign in ends:
+            base[np.arange(g.m), vertex] = sign
         super().__init__(base, g.p)
-        self._ends = tuple(
-            ((index[:, None] * g.p + np.arange(g.p)).ravel(), sign) for index, sign in ends
-        )
+        self._ends = tuple((flat, sign) for _, flat, sign in ends)
         self._scatter = np.concatenate([flat for flat, _ in self._ends])
 
     def _product(self, x: np.ndarray) -> np.ndarray:
@@ -160,6 +184,33 @@ class ArcOperator(BlockOperator):
         signed = [y if sign > 0 else -y for _, sign in self._ends]
         weights = signed[0] if len(signed) == 1 else np.concatenate(signed)
         return np.bincount(self._scatter, weights, self.cols * self.p)
+
+
+class ArcStack:
+    """The stacked arc operator S = [A_s; A_d] (2m x n blocks of length p).
+
+    `index` is the (2, mp) array of the flattened (endpoint, column) index of
+    every entry of S x: row 0 for the arc sources, row 1 for the arc
+    destinations. So S x = x[index], one gather, and S^T y is one
+    `np.bincount`; no base matrix is formed. The products check no lengths:
+    the central engines check their state once per step and then call them.
+    """
+
+    def __init__(self, g: NetworkGraph):
+        ends = np.stack(arc_indices(g))
+        index = (ends[:, :, None] * g.p + np.arange(g.p)).reshape(2, -1)
+        index.setflags(write=False)
+        self.index = index
+        self._flat = index.ravel()
+        self._size = g.n * g.p
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """S x as a (2, mp) array: row 0 is A_s x, row 1 is A_d x."""
+        return x[self.index]
+
+    def apply_transpose(self, y: np.ndarray) -> np.ndarray:
+        """S^T y for y of 2mp entries in the layout of `apply`, flat or (2, mp)."""
+        return np.bincount(self._flat, y.ravel(), self._size)
 
 
 def build_graph(n: int, edges, p: int = 1) -> NetworkGraph:
@@ -222,7 +273,7 @@ def build_graph(n: int, edges, p: int = 1) -> NetworkGraph:
     )
 
 
-@functools.lru_cache(maxsize=None)
+@_per_graph
 def arc_indices(g: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
     """0-based source and destination vertex of each arc, in label order.
 
@@ -237,7 +288,7 @@ def arc_indices(g: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
     return src, dst
 
 
-@functools.lru_cache(maxsize=None)
+@_per_graph
 def support_mask(g: NetworkGraph) -> np.ndarray:
     """n x n boolean mask (read-only): True on the diagonal and wherever an
     arc joins i to j, the entries a graph-local matrix may fill."""
@@ -247,33 +298,49 @@ def support_mask(g: NetworkGraph) -> np.ndarray:
     return mask
 
 
-@functools.lru_cache(maxsize=None)
+@_per_graph
+def arc_stack(g: NetworkGraph) -> ArcStack:
+    """The stacked arc operator S = [A_s; A_d]."""
+    return ArcStack(g)
+
+
+@_per_graph
 def arc_matrices(g: NetworkGraph) -> tuple[ArcOperator, ArcOperator]:
     """Block arc source and destination operators (m x n blocks)."""
     return ArcOperator(g, 1, 0), ArcOperator(g, 0, 1)
 
 
-@functools.lru_cache(maxsize=None)
+@_per_graph
 def incidence_operators(
     g: NetworkGraph,
 ) -> tuple[ArcOperator, ArcOperator, BlockOperator, BlockOperator]:
     """Oriented/unoriented incidence, extended degree and Laplacian operators.
 
     Returns (E_o, E_u, D, L) with E_o = A_s - A_d, E_u = A_s + A_d,
-    D = (E_o^T E_o + E_u^T E_u)/2 (diagonal, since each arc row of A_s and A_d
-    holds one entry) and L = E_o^T E_o at graph level. All arithmetic is exact:
+    D = (E_o^T E_o + E_u^T E_u)/2 and L = E_o^T E_o at graph level. Both are
+    counted from the arcs in O(m): arc (s, d) adds 1 to D_ss and D_dd (the
+    cross terms of the two Gram matrices cancel, so D is diagonal) and
+    e_s e_s' + e_d e_d' - e_s e_d' - e_d e_s' to L. All arithmetic is exact:
     entries are small integers.
     """
-    e_o = ArcOperator(g, 1, -1)
-    e_u = ArcOperator(g, 1, 1)
-    lap = e_o.gram_base()
-    deg = 0.5 * (lap + e_u.gram_base())
-    return e_o, e_u, BlockOperator(deg, g.p), BlockOperator(lap, g.p)
+    src, dst = arc_indices(g)
+    counts = np.bincount(src, minlength=g.n) + np.bincount(dst, minlength=g.n)
+    deg = np.diag(counts.astype(float))
+    lap = deg.copy()
+    np.subtract.at(lap, (np.concatenate((src, dst)), np.concatenate((dst, src))), 1.0)
+    return (ArcOperator(g, 1, -1), ArcOperator(g, 1, 1),
+            BlockOperator(deg, g.p), BlockOperator(lap, g.p))
 
 
 def consensuality_residual(g: NetworkGraph, x) -> float:
-    """Euclidean norm of E_o x; zero exactly on consensual vectors."""
-    return float(np.linalg.norm(incidence_operators(g)[0].apply(x)))
+    """Euclidean norm of E_o x; zero exactly on consensual vectors.
+
+    E_o x is the difference of the halves of one gather S x, and its norm is
+    sqrt(d @ d), which is what np.linalg.norm computes for a real vector.
+    """
+    ends = arc_stack(g).apply(_checked(x, g.n * g.p))
+    d = ends[0] - ends[1]
+    return math.sqrt(d.dot(d))
 
 
 def operator_csv_rows(op: BlockOperator) -> list[str]:

@@ -21,17 +21,22 @@ into the rows of a `harness.Network` and run `harness.network_round`, the one
 implementation of those three local rules, so they match the simulated
 network bit for bit; the rules differ only in the network's weights.
 
-The central engines work at arc-index level: every incidence product is a
-gather or a `np.bincount` on the arc indices (`netgraph.ArcOperator`), and
-L x is formed as E_o^T (E_o x). Their constant systems go through
-`_StationarySolver`: the engines whose agents decouple keep one (n, p, p)
-stack of inverses of Q_i + q_i I from a single `denselin.spd_inverse` call;
-only ``ExactMMEngine``, which couples agents through L (x) I_p, inverts a
-dense (np) x (np) system, and it refuses instances with n p above
+The central engines work at arc-index level through the stacked arc
+operator S = [A_s; A_d] (`netgraph.ArcStack`): each operator pass of a step
+is one gather S x, whose halves give A_s x and A_d x (E_o x is their
+difference, E_u x their sum), or one `np.bincount` S^T y on a stacked arc
+vector (E_o^T a = S^T [a; -a], E_u^T z = S^T [z; z]). L x is formed as
+E_o^T (E_o x). Their constant systems go through `_StationarySolver`: the
+engines whose agents decouple keep one (n, p, p) stack of inverses of
+Q_i + q_i I from a single `denselin.spd_inverse` call, stored negated with the
+solution of the linear-free system, so a solve is one stacked matmul and one
+add; only ``ExactMMEngine``, which couples agents through L (x) I_p, inverts
+a dense (np) x (np) system, and it refuses instances with n p above
 `EXACT_MM_MAX_ORDER`.
 
 Every `init` raises DimensionMismatch for an initial vector of the wrong
-length.
+length, and every central `step` for a state vector of the wrong length; no
+step writes to the state it is given.
 
 Proximal perturbations are restricted to P = diag(pi) (x) I_p with pi >= 0,
 which is what decoupling and the contraction certificate cover; indefinite
@@ -47,10 +52,15 @@ import numpy as np
 
 from . import denselin, harness, objective
 from .errors import DeconoptError, DimensionMismatch, GammaTooSmall, OmegaOutOfRange
-from .netgraph import NetworkGraph, arc_matrices, incidence_operators
+from .netgraph import NetworkGraph, arc_stack, incidence_operators
 from .tolerances import DEFAULT
 
 ETA_SUP = 0.5 * (1.0 + math.sqrt(5.0))
+
+# an arc vector a times these is [a; -a] or [a; a] in the (2, mp) layout of
+# `netgraph.ArcStack`, so S^T of it is E_o^T a or E_u^T a
+_E_O_SIGNS = np.array([[1.0], [-1.0]])
+_E_U_SIGNS = np.array([[1.0], [1.0]])
 
 # largest n*p for which ExactMMEngine forms its dense (np) x (np) system: at
 # the cap each dense copy takes 32 MB and the inversion a few seconds
@@ -154,6 +164,28 @@ def _repeat_diag(values: np.ndarray, p: int) -> np.ndarray:
     return np.repeat(np.asarray(values, dtype=float), p)
 
 
+def _e_o(stack, x: np.ndarray) -> np.ndarray:
+    """E_o x, the difference of the halves of one gather S x."""
+    ends = stack.apply(x)
+    return ends[0] - ends[1]
+
+
+def _e_o_transpose(stack, a: np.ndarray) -> np.ndarray:
+    """E_o^T a = S^T [a; -a], one scatter."""
+    return stack.apply_transpose(_E_O_SIGNS * a)
+
+
+def _check_state(state, lengths: dict[str, int]) -> None:
+    """Raise DimensionMismatch unless each named state vector is a numpy
+    vector of the given length, as `init` makes them."""
+    for name, length in lengths.items():
+        shape = getattr(getattr(state, name), "shape", None)
+        if shape != (length,):
+            raise DimensionMismatch(
+                f"{name} must be a vector of length {length}, got shape {shape}"
+            )
+
+
 def _initial(vector, length: int, name: str) -> np.ndarray:
     """A float copy of an initial vector, zeros when None; raises
     DimensionMismatch unless it has `length` entries."""
@@ -169,41 +201,48 @@ class _StationarySolver:
     """argmin f(x) + linear'x + 0.5 x'Kx for a fixed K.
 
     `quad` is K's diagonal as a vector when the agents decouple, or K as a
-    dense matrix. When every component is quadratic the Hessian is constant
-    and its inverse is computed once by `denselin.spd_inverse`: for diagonal
-    K one (n, p, p) stack of inverses of Q_i + K_i, applied by one stacked
-    matmul; for dense K the (np) x (np) system with the Q_i added on its
-    diagonal blocks. Otherwise each solve runs damped Newton.
+    dense matrix. When every component is quadratic, f(x) = 0.5 x'Qx + b'x,
+    the minimizer is affine in `linear`: x = x_b - H^-1 linear with
+    H = Q + K and x_b = -H^-1 b. H^-1 is computed once by
+    `denselin.spd_inverse` and kept negated next to x_b, so a solve is one
+    matmul and one add: for diagonal K, H^-1 is the (n, p, p) stack of
+    inverses of Q_i + K_i, applied by one stacked matmul; for dense K, the
+    (np) x (np) system with the Q_i added on its diagonal blocks. Otherwise
+    each solve runs damped Newton.
     """
 
     def __init__(self, components, quad: np.ndarray, tol: float):
         self.components = components
         self.tol = tol
-        self._inverse = None
+        self._neg_inverse = None
         stack = objective.quadratic_stack(components)
         if stack is None:
             # damped Newton works with the dense Hessian
             self.quad = np.diag(quad) if quad.ndim == 1 else quad
             return
-        q, self._b = stack
-        n, p = self._b.shape
+        q, b = stack
+        n, p = b.shape
         if quad.ndim == 1:
             system = q + quad.reshape(n, p)[:, :, None] * np.eye(p)
         else:
             system = np.array(quad)
             agents = np.arange(n)
             system.reshape(n, p, n, p)[agents, :, agents, :] += q
-        self._inverse = denselin.spd_inverse(system)
+        self._neg_inverse = -denselin.spd_inverse(system)
+        self._x_b = self._apply_neg_inverse(b.ravel())
+
+    def _apply_neg_inverse(self, v: np.ndarray) -> np.ndarray:
+        inv = self._neg_inverse
+        if inv.ndim == 3:
+            return np.matmul(inv, v.reshape(inv.shape[0], -1, 1)).ravel()
+        return inv @ v
 
     def solve(self, linear: np.ndarray, x_start: np.ndarray) -> np.ndarray:
-        if self._inverse is None:
+        if self._neg_inverse is None:
             return objective.minimize_composite(
                 self.components, linear, self.quad, x_start, self.tol
             )
-        rhs = -(self._b + linear.reshape(self._b.shape))
-        if self._inverse.ndim == 3:
-            return np.matmul(self._inverse, rhs[:, :, None]).ravel()
-        return self._inverse @ rhs.ravel()
+        return self._apply_neg_inverse(linear) + self._x_b
 
 
 def _agent_round(net: harness.Network, graph: NetworkGraph, x, dual):
@@ -245,35 +284,40 @@ class DadmmMatrixEngine:
         self.graph = graph
         self.components = list(components)
         self.params = params
-        self.e_o, self.e_u, self.deg, _ = incidence_operators(graph)
+        self.stack = arc_stack(graph)
+        deg = incidence_operators(graph)[2]
         pi = params.pi_vector(graph.n)
-        self.quad_diag = _repeat_diag(
-            params.rho * np.diag(self.deg.base) + pi, graph.p
-        )
+        self.quad_diag = _repeat_diag(params.rho * np.diag(deg.base) + pi, graph.p)
         self.p_diag = _repeat_diag(pi, graph.p)
         self._solver = _StationarySolver(
             self.components, self.quad_diag, params.subproblem_tol
         )
+        self._lengths = {"x": graph.n * graph.p, "phi": graph.n * graph.p}
+        self._alpha_length = {"alpha": graph.m * graph.p}
 
     def init(self, x0=None, alpha0_mode: str = "zero", seed=None, alpha0=None) -> AdmmState:
         return dadmm_init(self.graph, self.components, self.params,
                           x0=x0, alpha0_mode=alpha0_mode, seed=seed, alpha0=alpha0)
 
     def step(self, state: AdmmState) -> AdmmState:
+        _check_state(state, self._lengths)
+        if state.alpha is not None:
+            _check_state(state, self._alpha_length)
         rho, eta = self.params.rho, self.params.eta
-        x = state.x
+        x, s = state.x, self.stack
+        ends = s.apply(x)
         linear = (
             state.phi
-            - 0.5 * rho * self.e_u.apply_transpose(self.e_u.apply(x))
+            - 0.5 * rho * s.apply_transpose(_E_U_SIGNS * (ends[0] + ends[1]))
             - self.p_diag * x
         )
         new_x = self._solver.solve(linear, x)
+        diffs = _e_o(s, new_x)
         if state.alpha is None:
-            lap_x = self.e_o.apply_transpose(self.e_o.apply(new_x))
-            new_phi = state.phi + 0.5 * eta * rho * lap_x
+            new_phi = state.phi + 0.5 * eta * rho * _e_o_transpose(s, diffs)
             return AdmmState(x=new_x, phi=new_phi, k=state.k + 1)
-        new_alpha = state.alpha + 0.5 * eta * rho * self.e_o.apply(new_x)
-        new_phi = self.e_o.apply_transpose(new_alpha)
+        new_alpha = state.alpha + 0.5 * eta * rho * diffs
+        new_phi = _e_o_transpose(s, new_alpha)
         return AdmmState(x=new_x, phi=new_phi, k=state.k + 1, alpha=new_alpha)
 
     def snapshot(self, state: AdmmState) -> TraceRow:
@@ -313,45 +357,53 @@ class FullAdmmEngine:
         self.graph = graph
         self.components = list(components)
         self.params = params
-        self.a_src, self.a_dst = arc_matrices(graph)
-        self.e_o, self.e_u, self.deg, _ = incidence_operators(graph)
+        self.stack = arc_stack(graph)
+        deg = incidence_operators(graph)[2]
         pi = params.pi_vector(graph.n)
         self.p_diag = _repeat_diag(pi, graph.p)
-        quad_diag = _repeat_diag(params.rho * np.diag(self.deg.base) + pi, graph.p)
+        quad_diag = _repeat_diag(params.rho * np.diag(deg.base) + pi, graph.p)
         self._solver = _StationarySolver(self.components, quad_diag, params.subproblem_tol)
+        mp = graph.m * graph.p
+        self._lengths = {"x": graph.n * graph.p, "z": mp, "lam": 2 * mp}
 
     def init(self, x0=None, alpha0=None) -> FullAdmmState:
         x = _initial(x0, self.graph.n * self.graph.p, "x0")
         alpha = _initial(alpha0, self.graph.m * self.graph.p, "alpha0")
-        z = 0.5 * self.e_u.apply(x)
+        ends = self.stack.apply(x)
+        z = 0.5 * (ends[0] + ends[1])
         return FullAdmmState(x=x, z=z, lam=np.concatenate([alpha, -alpha]), k=0)
 
     def step(self, state: FullAdmmState) -> FullAdmmState:
+        _check_state(state, self._lengths)
         rho, eta = self.params.rho, self.params.eta
-        alpha, beta = state.alpha, state.beta
-        linear = (
-            self.a_src.apply_transpose(alpha)
-            + self.a_dst.apply_transpose(beta)
-            - rho * self.e_u.apply_transpose(state.z)
-            - self.p_diag * state.x
-        )
+        # lam = [alpha; beta] pairs with S = [A_s; A_d]: A_s^T alpha + A_d^T beta
+        # - rho E_u^T z is S^T (lam - rho [z; z]), one scatter
+        lam = state.lam.reshape(2, -1)
+        linear = self.stack.apply_transpose(lam - rho * state.z) - self.p_diag * state.x
         new_x = self._solver.solve(linear, state.x)
-        new_z = (alpha + beta) / (2.0 * rho) + 0.5 * self.e_u.apply(new_x)
-        new_alpha = alpha + eta * rho * (self.a_src.apply(new_x) - new_z)
-        new_beta = beta + eta * rho * (self.a_dst.apply(new_x) - new_z)
-        return FullAdmmState(
-            x=new_x, z=new_z, lam=np.concatenate([new_alpha, new_beta]), k=state.k + 1
-        )
+        ends = self.stack.apply(new_x)  # A_s x, A_d x
+        # z = (alpha + beta) / (2 rho) + (A_s x + A_d x) / 2
+        halves = lam + rho * ends
+        new_z = (halves[0] + halves[1]) / (2.0 * rho)
+        new_lam = lam + eta * rho * (ends - new_z)
+        return FullAdmmState(x=new_x, z=new_z, lam=new_lam.ravel(), k=state.k + 1)
 
     def snapshot(self, state: FullAdmmState) -> TraceRow:
-        return TraceRow(state.k, state.x, self.e_o.apply_transpose(state.alpha))
+        return TraceRow(state.k, state.x, _e_o_transpose(self.stack, state.alpha))
 
 
 # -- method of multipliers: exact and approximated ---------------------------------
 
 class _MultiplierEngine:
-    """`init` and `snapshot` of the two method-of-multipliers engines, which
-    set `graph`, `params` and `e_o`."""
+    """The graph-side set-up, `init`, `snapshot` and state check of the two
+    method-of-multipliers engines."""
+
+    def __init__(self, graph: NetworkGraph, components, params: AdmmParams):
+        self.graph = graph
+        self.components = list(components)
+        self.params = params
+        self.stack = arc_stack(graph)
+        self._lengths = {"x": graph.n * graph.p, "nu": graph.m * graph.p}
 
     def init(self, x0=None, nu0=None) -> MMState:
         x = _initial(x0, self.graph.n * self.graph.p, "x0")
@@ -360,7 +412,8 @@ class _MultiplierEngine:
 
     def snapshot(self, state: MMState) -> TraceRow:
         scaled = math.sqrt(self.params.eta) * state.nu
-        return TraceRow(state.k, state.x, self.e_o.apply_transpose(scaled))
+        return TraceRow(state.k, state.x, _e_o_transpose(self.stack, scaled))
+
 
 
 class ExactMMEngine(_MultiplierEngine):
@@ -383,19 +436,18 @@ class ExactMMEngine(_MultiplierEngine):
             )
         if not 0 < params.eta < 1:
             raise ValueError("exact method of multipliers requires eta in (0,1)")
-        self.graph = graph
-        self.components = list(components)
-        self.params = params
-        self.e_o, _, _, lap = incidence_operators(graph)
+        super().__init__(graph, components, params)
+        lap = incidence_operators(graph)[3]
         quad = 0.5 * params.rho * lap.materialize()
         self._solver = _StationarySolver(self.components, quad, solve_tol)
 
     def step(self, state: MMState) -> MMState:
+        _check_state(state, self._lengths)
         rho, eta = self.params.rho, self.params.eta
         root_eta = math.sqrt(eta)
-        linear = self.e_o.apply_transpose(root_eta * state.nu)
+        linear = _e_o_transpose(self.stack, root_eta * state.nu)
         new_x = self._solver.solve(linear, state.x)
-        new_nu = state.nu + root_eta * 0.5 * rho * self.e_o.apply(new_x)
+        new_nu = state.nu + root_eta * 0.5 * rho * _e_o(self.stack, new_x)
         return MMState(x=new_x, nu=new_nu, k=state.k + 1)
 
 
@@ -410,36 +462,35 @@ class ApproxMMEngine(_MultiplierEngine):
                  epsilon: float):
         if epsilon < 0:
             raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-        self.graph = graph
-        self.components = list(components)
-        self.params = params
+        super().__init__(graph, components, params)
         self.epsilon = float(epsilon)
-        self.e_o, _, self.deg, lap = incidence_operators(graph)
+        _, _, deg, lap = incidence_operators(graph)
         pi = params.pi_vector(graph.n)
-        gamma_base = 2.0 * self.deg.base + 2.0 * self.epsilon * np.diag(pi)
+        gamma_base = 2.0 * deg.base + 2.0 * self.epsilon * np.diag(pi)
         eigvals, _ = denselin.sym_eigen(gamma_base - lap.base)
         if eigvals[0] < -1e-9:
             raise GammaTooSmall(
                 f"majorization fails: min eig(Gamma - E_o'E_o) = {eigvals[0]:.3e}"
             )
         self.majorizer_diag = _repeat_diag(
-            params.rho * (np.diag(self.deg.base) + self.epsilon * pi), graph.p
+            params.rho * (np.diag(deg.base) + self.epsilon * pi), graph.p
         )
         self._solver = _StationarySolver(
             self.components, self.majorizer_diag, params.subproblem_tol
         )
 
     def step(self, state: MMState) -> MMState:
+        _check_state(state, self._lengths)
         rho, eta = self.params.rho, self.params.eta
         root_eta = math.sqrt(eta)
         x = state.x
         # E_o^T (sqrt(eta) nu) + (rho/2) L x in one transpose product
         linear = (
-            self.e_o.apply_transpose(root_eta * state.nu + 0.5 * rho * self.e_o.apply(x))
+            _e_o_transpose(self.stack, root_eta * state.nu + 0.5 * rho * _e_o(self.stack, x))
             - self.majorizer_diag * x
         )
         new_x = self._solver.solve(linear, x)
-        new_nu = state.nu + root_eta * 0.5 * rho * self.e_o.apply(new_x)
+        new_nu = state.nu + root_eta * 0.5 * rho * _e_o(self.stack, new_x)
         return MMState(x=new_x, nu=new_nu, k=state.k + 1)
 
 

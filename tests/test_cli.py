@@ -244,6 +244,18 @@ class TestTraceFile:
         b = (tmp_path / "B" / "trace.csv").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("flags,files", [
+        (["--compare", "full-admm,mm-approx"], ("trace.csv", "compare.csv")),
+        (["--verify"], ("trace.csv", "certificate.txt")),
+    ])
+    def test_central_engine_reruns_byte_identical(self, tmp_path, flags, files):
+        text = BASE_INI.replace("name = dadmm", "name = dadmm-matrix")
+        for run in ("A", "B"):
+            path = write(tmp_path, text.format(out=tmp_path / run), name=f"{run}.ini")
+            assert cli.main(["run", path] + flags) == 0
+        for name in files:
+            assert (tmp_path / "A" / name).read_bytes() == (tmp_path / "B" / name).read_bytes()
+
     def test_seed_flag_changes_instance(self, tmp_path):
         path = write(tmp_path, BASE_INI.format(out=tmp_path / "A"))
         cli.main(["run", path])

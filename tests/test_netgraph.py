@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -144,6 +147,20 @@ class TestIncidenceOperators:
                         rhs += float(np.linalg.norm(xj - xi) ** 2)
                 assert abs(lhs - rhs) <= 1e-12 * max(rhs, 1.0)
 
+    @pytest.mark.parametrize("kind", ["ring", "path", "random"])
+    def test_degree_and_laplacian_equal_dense_products(self, kind):
+        # counted from the arcs; the dense Gram products are the definition
+        rng = np.random.default_rng(17)
+        for n in (2, 5, 12):
+            if kind == "ring":
+                edges = [(i, i % n + 1) for i in range(1, n + 1)] if n > 2 else [(1, 2)]
+            elif kind == "path":
+                edges = [(i, i + 1) for i in range(1, n)]
+            else:
+                edges = _random_connected(n, rng)
+            e_o, e_u, deg, lap = netgraph.incidence_operators(netgraph.build_graph(n, edges))
+            assert np.array_equal(lap.base, e_o.base.T @ e_o.base)
+            assert np.array_equal(deg.base, 0.5 * (e_o.gram_base() + e_u.gram_base()))
 
     def test_shared_arc_label_is_a_package_error(self):
         # two arcs under one label put two sources in one row of A_s, so the
@@ -206,6 +223,77 @@ class TestArcOperator:
                 op.apply(np.zeros(7))
 
 
+class TestArcStack:
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_products_equal_stacked_bases(self, p):
+        # one unit entry per row of [A_s; A_d]: the gather is exact, and
+        # integer-valued arc vectors make every order of the sums exact too
+        rng = np.random.default_rng(41 + p)
+        for n in (2, 5, 9):
+            g = netgraph.build_graph(n, _random_connected(n, rng), p)
+            a_s, a_d = netgraph.arc_matrices(g)
+            dense = np.kron(np.vstack((a_s.base, a_d.base)), np.eye(p))
+            s = netgraph.arc_stack(g)
+            x = rng.standard_normal(n * p)
+            assert s.apply(x).shape == (2, g.m * p)
+            assert np.array_equal(s.apply(x).ravel(), dense @ x)
+            y = rng.integers(-9, 10, 2 * g.m * p).astype(float)
+            assert np.array_equal(s.apply_transpose(y), dense.T @ y)
+            assert np.array_equal(s.apply_transpose(y.reshape(2, -1)), dense.T @ y)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_incidence_products_from_halves(self, p):
+        rng = np.random.default_rng(51 + p)
+        g = netgraph.build_graph(7, _random_connected(7, rng), p)
+        e_o, e_u, _, _ = netgraph.incidence_operators(g)
+        s = netgraph.arc_stack(g)
+        x = rng.standard_normal(g.n * p)
+        z = rng.standard_normal(g.m * p)
+        ends = s.apply(x)
+        assert np.array_equal(ends[0] + ends[1], e_u.apply(x))
+        assert np.array_equal(ends[0] - ends[1], e_o.apply(x))
+        assert np.array_equal(s.apply_transpose(np.concatenate((z, z))), e_u.apply_transpose(z))
+        assert np.array_equal(s.apply_transpose(np.concatenate((z, -z))), e_o.apply_transpose(z))
+
+
+class TestGraphCaches:
+    CACHED = (netgraph.arc_indices, netgraph.support_mask, netgraph.arc_stack,
+              netgraph.arc_matrices, netgraph.incidence_operators)
+
+    def test_equal_graph_lookups_compare_no_arcs(self, monkeypatch):
+        edges = _random_connected(40, np.random.default_rng(61))
+        first = netgraph.build_graph(40, edges, 2)
+        for fn in self.CACHED:
+            fn(first)
+        second = netgraph.build_graph(40, edges, 2)
+        assert second == first
+        calls = []
+        arc_eq = netgraph.Arc.__eq__
+        monkeypatch.setattr(netgraph.Arc, "__eq__",
+                            lambda a, b: calls.append(1) or arc_eq(a, b))
+        for _ in range(3):
+            for fn in self.CACHED:
+                fn(second)
+            netgraph.consensuality_residual(second, np.zeros(80))
+        assert calls == []
+
+    def test_cached_values_belong_to_their_graph(self):
+        g = path3()
+        for fn in self.CACHED:
+            assert fn(g) is fn(g)
+            assert fn(path3()) is not fn(g)
+
+    def test_unreferenced_graph_is_collected(self):
+        g = netgraph.build_graph(6, _random_connected(6, np.random.default_rng(62)), 2)
+        for fn in self.CACHED:
+            fn(g)
+        netgraph.consensuality_residual(g, np.zeros(12))
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+
+
 class TestConsensualityResidual:
     def test_consensual_is_zero(self):
         g = path3(p=2)
@@ -253,7 +341,7 @@ class TestArcIndices:
     def test_cached_and_read_only(self):
         g = path3()
         src, _ = netgraph.arc_indices(g)
-        assert netgraph.arc_indices(netgraph.build_graph(3, PATH3_EDGES))[0] is src
+        assert netgraph.arc_indices(g)[0] is src
         with pytest.raises(ValueError):
             src[0] = 2
 

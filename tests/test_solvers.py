@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deconopt import analysis, denselin, harness, netgraph, solvers
+from deconopt import analysis, denselin, harness, netgraph, objective, solvers
 from deconopt.errors import (
     ConditionViolation,
     DeconoptError,
@@ -536,6 +536,95 @@ class TestBlockDiagonalSolves:
         comps = [RankOneLeastSquares(np.ones(p), 0.0), RankOneLeastSquares(np.ones(p), 1.0)]
         with pytest.raises(DeconoptError, match="cap"):
             solvers.ExactMMEngine(graph, comps, AdmmParams(1.0, 0.5))
+
+
+class TestAffineSolve:
+    """The all-quadratic stationary solve x = x_b - H^-1 linear, with x_b and
+    -H^-1 formed at set-up, against the inverse applied to -(b + linear)."""
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_matches_inverse_times_rhs(self, p):
+        graph, comps = random_instance(81, n=6, p=p)
+        n = graph.n
+        q, b = objective.quadratic_stack(comps)
+        rng = np.random.default_rng(82)
+        quad = rng.uniform(1.0, 3.0, n * p)
+        solver = solvers._StationarySolver(comps, quad, 1e-12)
+        for _ in range(5):
+            linear = rng.standard_normal(n * p)
+            got = solver.solve(linear, np.zeros(n * p))
+            rhs = -(b + linear.reshape(n, p))
+            for i in range(n):
+                system = q[i] + np.diag(quad[i * p:(i + 1) * p])
+                want = denselin.spd_inverse(system) @ rhs[i]
+                block = got[i * p:(i + 1) * p]
+                assert np.linalg.norm(block - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_dense_system_matches_inverse_times_rhs(self):
+        graph, comps = random_instance(83, n=5, p=2)
+        n, p = graph.n, graph.p
+        lap = netgraph.incidence_operators(graph)[3]
+        quad = 0.5 * lap.materialize()
+        solver = solvers._StationarySolver(comps, quad, 1e-12)
+        q, b = objective.quadratic_stack(comps)
+        system = quad.copy()
+        for i in range(n):
+            system[i * p:(i + 1) * p, i * p:(i + 1) * p] += q[i]
+        linear = np.random.default_rng(84).standard_normal(n * p)
+        want = denselin.spd_inverse(system) @ -(b.ravel() + linear)
+        got = solver.solve(linear, np.zeros(n * p))
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_indefinite_block_raises(self):
+        graph, comps = random_instance(85, n=4, p=2)
+        quad = np.full(graph.n * graph.p, 1.0)
+        quad[:graph.p] = -1e3
+        with pytest.raises(NotPositiveDefinite):
+            solvers._StationarySolver(comps, quad, 1e-12)
+
+
+class TestStepContract:
+    """Every central step checks its state's lengths on entry and writes
+    nothing into the state it is given."""
+
+    @staticmethod
+    def engines(graph, comps):
+        params = AdmmParams(1.0, 0.5, 0.1)
+        return [
+            solvers.DadmmMatrixEngine(graph, comps, params),
+            solvers.FullAdmmEngine(graph, comps, params),
+            solvers.ApproxMMEngine(graph, comps, params, 1.0),
+            solvers.ExactMMEngine(graph, comps, params),
+        ]
+
+    @staticmethod
+    def vectors(state):
+        return {name: value for name, value in vars(state).items()
+                if isinstance(value, np.ndarray)}
+
+    def test_wrong_length_raises(self):
+        graph, comps = random_instance(91, n=5, p=2)
+        seen = set()
+        for engine in self.engines(graph, comps):
+            state = engine.step(engine.init())
+            for name, value in self.vectors(state).items():
+                seen.add(name)
+                for bad in (value[:-1], np.append(value, 0.0), value.reshape(-1, 1)):
+                    broken = type(state)(**{**vars(state), name: bad})
+                    with pytest.raises(DimensionMismatch):
+                        engine.step(broken)
+        assert seen == {"x", "z", "lam", "nu", "phi", "alpha"}
+
+    def test_steps_are_pure(self):
+        graph, comps = random_instance(93, n=6, p=2)
+        for engine in self.engines(graph, comps):
+            state = engine.step(engine.init(x0=np.arange(graph.n * graph.p, dtype=float)))
+            before = {name: value.copy() for name, value in self.vectors(state).items()}
+            first, second = engine.step(state), engine.step(state)
+            for name, value in self.vectors(state).items():
+                assert np.array_equal(value, before[name]), (type(engine).__name__, name)
+                assert np.array_equal(getattr(first, name), getattr(second, name))
+            assert first.k == second.k == state.k + 1
 
 
 class TestSnapshots:
