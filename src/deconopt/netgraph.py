@@ -10,18 +10,15 @@ the (doubled) graph Laplacian.
 
 Every operator keeps its graph-level matrix as ``base`` and acts on stacked
 vectors of n (or m) blocks of length p without forming the Kronecker lift
-``base (x) I_p``. The four arc operators A_s, A_d, E_o and E_u form their
-products by index arithmetic on the cached arc indices: ``apply`` gathers
-the source and destination blocks of each arc (E_o x is x_src - x_dst, E_u x
-is x_src + x_dst) and ``apply_transpose`` sums the arc blocks into their
-vertices with one ``np.bincount``. The degree and Laplacian operators
-multiply by their n x n base, which is built from the arc indices in O(m).
-
-The stacked arc operator S = [A_s; A_d] (`ArcStack`, the one operator with
-no ``base``) carries all four in one index: S x is one gather and S^T y one ``np.bincount``, with E_u x the sum and
-E_o x the difference of the two halves of S x, and E_u^T z = S^T [z; z],
-E_o^T a = S^T [a; -a]. The central engines form each operator pass of a
-step this way.
+``base (x) I_p``. All arc products go through one index, the stacked arc
+operator S = [A_s; A_d] (`ArcStack`, the one operator with no ``base``):
+S x is one gather and S^T y one ``np.bincount``. E_o x and E_u x are the
+difference and the sum of the halves of S x, E_o^T a = S^T [a; -a] and
+E_u^T z = S^T [z; z]; the four arc operators A_s, A_d, E_o and E_u
+(`ArcOperator`) combine the halves by their signs the same way. The central
+engines call the `ArcStack` products directly. The degree and Laplacian
+operators multiply by their n x n base, which is built from the arc indices
+in O(m).
 
 The derived values of a graph (`arc_indices`, `support_mask`, `arc_stack`,
 `arc_matrices`, `incidence_operators`) are cached in the graph instance, so
@@ -66,13 +63,6 @@ class NetworkGraph:
     edges: tuple[tuple[int, int], ...]
     arcs: tuple[Arc, ...]
     neighbors: tuple[tuple[int, ...], ...]  # neighbors[i-1], ascending ids
-
-    def __hash__(self) -> int:
-        # hash the m arcs on the first call only
-        if "_hash" not in self.__dict__:
-            fields = (self.n, self.p, self.edges, self.arcs, self.neighbors)
-            object.__setattr__(self, "_hash", hash(fields))
-        return self.__dict__["_hash"]
 
     @property
     def m(self) -> int:
@@ -151,49 +141,16 @@ class BlockOperator:
         return np.kron(self.base, np.eye(self.p))
 
 
-class ArcOperator(BlockOperator):
-    """An m x n arc operator: row r holds `src_sign` in the column of arc r's
-    source and `dst_sign` in that of its destination (signs in {-1, 0, 1}).
-
-    Both products index the stacked vectors directly, through the rows of
-    the graph's `ArcStack` index, the flattened (endpoint, column) index of
-    every (arc, column) entry. `apply` gathers the endpoint entries; with at
-    most two entries of magnitude one per row this equals base @ x bit for
-    bit. `apply_transpose` adds each arc's signed entries into its endpoints
-    with one `np.bincount`.
-    """
-
-    def __init__(self, g: NetworkGraph, src_sign: int, dst_sign: int):
-        ends = [(vertex, flat, sign) for vertex, flat, sign
-                in zip(arc_indices(g), arc_stack(g).index, (src_sign, dst_sign)) if sign]
-        base = np.zeros((g.m, g.n))
-        for vertex, _, sign in ends:
-            base[np.arange(g.m), vertex] = sign
-        super().__init__(base, g.p)
-        self._ends = tuple((flat, sign) for _, flat, sign in ends)
-        self._scatter = np.concatenate([flat for flat, _ in self._ends])
-
-    def _product(self, x: np.ndarray) -> np.ndarray:
-        (index, sign), *rest = self._ends
-        out = x[index] if sign > 0 else -x[index]
-        for index, sign in rest:
-            out = out + x[index] if sign > 0 else out - x[index]
-        return out
-
-    def _transpose_product(self, y: np.ndarray) -> np.ndarray:
-        signed = [y if sign > 0 else -y for _, sign in self._ends]
-        weights = signed[0] if len(signed) == 1 else np.concatenate(signed)
-        return np.bincount(self._scatter, weights, self.cols * self.p)
-
-
 class ArcStack:
     """The stacked arc operator S = [A_s; A_d] (2m x n blocks of length p).
 
     `index` is the (2, mp) array of the flattened (endpoint, column) index of
     every entry of S x: row 0 for the arc sources, row 1 for the arc
     destinations. So S x = x[index], one gather, and S^T y is one
-    `np.bincount`; no base matrix is formed. The products check no lengths:
-    the central engines check their state once per step and then call them.
+    `np.bincount`; no base matrix is formed. E_o and E_u come from the same
+    two passes: E_o x and E_u x are the difference and the sum of the halves
+    of S x, E_o^T a = S^T [a; -a] and E_u^T z = S^T [z; z]. The products
+    check no lengths: callers check their inputs once and then call them.
     """
 
     def __init__(self, g: NetworkGraph):
@@ -211,6 +168,52 @@ class ArcStack:
     def apply_transpose(self, y: np.ndarray) -> np.ndarray:
         """S^T y for y of 2mp entries in the layout of `apply`, flat or (2, mp)."""
         return np.bincount(self._flat, y.ravel(), self._size)
+
+    def e_o(self, x: np.ndarray) -> np.ndarray:
+        src, dst = self.apply(x)
+        return src - dst
+
+    def e_u(self, x: np.ndarray) -> np.ndarray:
+        src, dst = self.apply(x)
+        return src + dst
+
+    def e_o_transpose(self, a: np.ndarray) -> np.ndarray:
+        return self.apply_transpose(_E_O_SIGNS * a)
+
+    def e_u_transpose(self, z: np.ndarray) -> np.ndarray:
+        return self.apply_transpose(np.concatenate((z, z)))
+
+
+# an arc vector a times this is [a; -a] in the (2, mp) layout of ArcStack
+_E_O_SIGNS = np.array([[1.0], [-1.0]])
+
+
+class ArcOperator(BlockOperator):
+    """An m x n arc operator: row r holds `src_sign` in the column of arc r's
+    source and `dst_sign` in that of its destination (signs in {-1, 0, 1}).
+
+    Both products go through the graph's `ArcStack`: `apply` adds the halves
+    of S x times the signs, and `apply_transpose` is S^T of the signed stack
+    [src_sign y; dst_sign y]. A row holds at most two entries of magnitude
+    one, so `apply` rounds once per entry, as base @ x does.
+    """
+
+    def __init__(self, g: NetworkGraph, src_sign: int, dst_sign: int):
+        src, dst = arc_indices(g)
+        base = np.zeros((g.m, g.n))
+        rows = np.arange(g.m)
+        base[rows, src] = src_sign
+        base[rows, dst] = dst_sign
+        super().__init__(base, g.p)
+        self._stack = arc_stack(g)
+        self._signs = np.array([[src_sign], [dst_sign]], dtype=float)
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        src, dst = self._signs * self._stack.apply(x)
+        return src + dst
+
+    def _transpose_product(self, y: np.ndarray) -> np.ndarray:
+        return self._stack.apply_transpose(self._signs * y)
 
 
 def build_graph(n: int, edges, p: int = 1) -> NetworkGraph:
@@ -335,11 +338,10 @@ def incidence_operators(
 def consensuality_residual(g: NetworkGraph, x) -> float:
     """Euclidean norm of E_o x; zero exactly on consensual vectors.
 
-    E_o x is the difference of the halves of one gather S x, and its norm is
-    sqrt(d @ d), which is what np.linalg.norm computes for a real vector.
+    E_o x comes from one gather, and its norm is sqrt(d @ d), which is what
+    np.linalg.norm computes for a real vector.
     """
-    ends = arc_stack(g).apply(_checked(x, g.n * g.p))
-    d = ends[0] - ends[1]
+    d = arc_stack(g).e_o(_checked(x, g.n * g.p))
     return math.sqrt(d.dot(d))
 
 

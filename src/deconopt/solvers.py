@@ -25,8 +25,9 @@ The central engines work at arc-index level through the stacked arc
 operator S = [A_s; A_d] (`netgraph.ArcStack`): each operator pass of a step
 is one gather S x, whose halves give A_s x and A_d x (E_o x is their
 difference, E_u x their sum), or one `np.bincount` S^T y on a stacked arc
-vector (E_o^T a = S^T [a; -a], E_u^T z = S^T [z; z]). L x is formed as
-E_o^T (E_o x). Their constant systems go through `_StationarySolver`: the
+vector (E_o^T a = S^T [a; -a], E_u^T z = S^T [z; z]), through the
+`ArcStack` methods `apply`, `e_o`, `e_u` and their transposes. L x is formed
+as E_o^T (E_o x). Their constant systems go through `_StationarySolver`: the
 engines whose agents decouple keep one (n, p, p) stack of inverses of
 Q_i + q_i I from a single `denselin.spd_inverse` call, stored negated with the
 solution of the linear-free system, so a solve is one stacked matmul and one
@@ -56,11 +57,6 @@ from .netgraph import NetworkGraph, arc_stack, incidence_operators
 from .tolerances import DEFAULT
 
 ETA_SUP = 0.5 * (1.0 + math.sqrt(5.0))
-
-# an arc vector a times these is [a; -a] or [a; a] in the (2, mp) layout of
-# `netgraph.ArcStack`, so S^T of it is E_o^T a or E_u^T a
-_E_O_SIGNS = np.array([[1.0], [-1.0]])
-_E_U_SIGNS = np.array([[1.0], [1.0]])
 
 # largest n*p for which ExactMMEngine forms its dense (np) x (np) system: at
 # the cap each dense copy takes 32 MB and the inversion a few seconds
@@ -162,17 +158,6 @@ class TraceRow:
 
 def _repeat_diag(values: np.ndarray, p: int) -> np.ndarray:
     return np.repeat(np.asarray(values, dtype=float), p)
-
-
-def _e_o(stack, x: np.ndarray) -> np.ndarray:
-    """E_o x, the difference of the halves of one gather S x."""
-    ends = stack.apply(x)
-    return ends[0] - ends[1]
-
-
-def _e_o_transpose(stack, a: np.ndarray) -> np.ndarray:
-    """E_o^T a = S^T [a; -a], one scatter."""
-    return stack.apply_transpose(_E_O_SIGNS * a)
 
 
 def _check_state(state, lengths: dict[str, int]) -> None:
@@ -305,19 +290,14 @@ class DadmmMatrixEngine:
             _check_state(state, self._alpha_length)
         rho, eta = self.params.rho, self.params.eta
         x, s = state.x, self.stack
-        ends = s.apply(x)
-        linear = (
-            state.phi
-            - 0.5 * rho * s.apply_transpose(_E_U_SIGNS * (ends[0] + ends[1]))
-            - self.p_diag * x
-        )
+        linear = state.phi - 0.5 * rho * s.e_u_transpose(s.e_u(x)) - self.p_diag * x
         new_x = self._solver.solve(linear, x)
-        diffs = _e_o(s, new_x)
+        diffs = s.e_o(new_x)
         if state.alpha is None:
-            new_phi = state.phi + 0.5 * eta * rho * _e_o_transpose(s, diffs)
+            new_phi = state.phi + 0.5 * eta * rho * s.e_o_transpose(diffs)
             return AdmmState(x=new_x, phi=new_phi, k=state.k + 1)
         new_alpha = state.alpha + 0.5 * eta * rho * diffs
-        new_phi = _e_o_transpose(s, new_alpha)
+        new_phi = s.e_o_transpose(new_alpha)
         return AdmmState(x=new_x, phi=new_phi, k=state.k + 1, alpha=new_alpha)
 
     def snapshot(self, state: AdmmState) -> TraceRow:
@@ -369,8 +349,7 @@ class FullAdmmEngine:
     def init(self, x0=None, alpha0=None) -> FullAdmmState:
         x = _initial(x0, self.graph.n * self.graph.p, "x0")
         alpha = _initial(alpha0, self.graph.m * self.graph.p, "alpha0")
-        ends = self.stack.apply(x)
-        z = 0.5 * (ends[0] + ends[1])
+        z = 0.5 * self.stack.e_u(x)
         return FullAdmmState(x=x, z=z, lam=np.concatenate([alpha, -alpha]), k=0)
 
     def step(self, state: FullAdmmState) -> FullAdmmState:
@@ -389,7 +368,7 @@ class FullAdmmEngine:
         return FullAdmmState(x=new_x, z=new_z, lam=new_lam.ravel(), k=state.k + 1)
 
     def snapshot(self, state: FullAdmmState) -> TraceRow:
-        return TraceRow(state.k, state.x, _e_o_transpose(self.stack, state.alpha))
+        return TraceRow(state.k, state.x, self.stack.e_o_transpose(state.alpha))
 
 
 # -- method of multipliers: exact and approximated ---------------------------------
@@ -412,7 +391,7 @@ class _MultiplierEngine:
 
     def snapshot(self, state: MMState) -> TraceRow:
         scaled = math.sqrt(self.params.eta) * state.nu
-        return TraceRow(state.k, state.x, _e_o_transpose(self.stack, scaled))
+        return TraceRow(state.k, state.x, self.stack.e_o_transpose(scaled))
 
 
 
@@ -445,9 +424,9 @@ class ExactMMEngine(_MultiplierEngine):
         _check_state(state, self._lengths)
         rho, eta = self.params.rho, self.params.eta
         root_eta = math.sqrt(eta)
-        linear = _e_o_transpose(self.stack, root_eta * state.nu)
+        linear = self.stack.e_o_transpose(root_eta * state.nu)
         new_x = self._solver.solve(linear, state.x)
-        new_nu = state.nu + root_eta * 0.5 * rho * _e_o(self.stack, new_x)
+        new_nu = state.nu + root_eta * 0.5 * rho * self.stack.e_o(new_x)
         return MMState(x=new_x, nu=new_nu, k=state.k + 1)
 
 
@@ -486,11 +465,11 @@ class ApproxMMEngine(_MultiplierEngine):
         x = state.x
         # E_o^T (sqrt(eta) nu) + (rho/2) L x in one transpose product
         linear = (
-            _e_o_transpose(self.stack, root_eta * state.nu + 0.5 * rho * _e_o(self.stack, x))
+            self.stack.e_o_transpose(root_eta * state.nu + 0.5 * rho * self.stack.e_o(x))
             - self.majorizer_diag * x
         )
         new_x = self._solver.solve(linear, x)
-        new_nu = state.nu + root_eta * 0.5 * rho * _e_o(self.stack, new_x)
+        new_nu = state.nu + root_eta * 0.5 * rho * self.stack.e_o(new_x)
         return MMState(x=new_x, nu=new_nu, k=state.k + 1)
 
 

@@ -242,18 +242,22 @@ class TestArcStack:
             assert np.array_equal(s.apply_transpose(y.reshape(2, -1)), dense.T @ y)
 
     @pytest.mark.parametrize("p", [1, 3])
-    def test_incidence_products_from_halves(self, p):
+    def test_incidence_products_equal_dense(self, p):
+        # E_o x and E_u x are one rounding per arc, as in the dense product;
+        # integer-valued arc vectors make the transposes exact too
         rng = np.random.default_rng(51 + p)
         g = netgraph.build_graph(7, _random_connected(7, rng), p)
         e_o, e_u, _, _ = netgraph.incidence_operators(g)
         s = netgraph.arc_stack(g)
         x = rng.standard_normal(g.n * p)
-        z = rng.standard_normal(g.m * p)
-        ends = s.apply(x)
-        assert np.array_equal(ends[0] + ends[1], e_u.apply(x))
-        assert np.array_equal(ends[0] - ends[1], e_o.apply(x))
-        assert np.array_equal(s.apply_transpose(np.concatenate((z, z))), e_u.apply_transpose(z))
-        assert np.array_equal(s.apply_transpose(np.concatenate((z, -z))), e_o.apply_transpose(z))
+        z = rng.integers(-9, 10, g.m * p).astype(float)
+        for product, transpose, op in ((s.e_o, s.e_o_transpose, e_o),
+                                       (s.e_u, s.e_u_transpose, e_u)):
+            dense = op.materialize()
+            assert np.array_equal(product(x), dense @ x)
+            assert np.array_equal(transpose(z), dense.T @ z)
+            assert np.array_equal(op.apply(x), product(x))
+            assert np.array_equal(op.apply_transpose(z), transpose(z))
 
 
 class TestGraphCaches:
@@ -267,6 +271,7 @@ class TestGraphCaches:
             fn(first)
         second = netgraph.build_graph(40, edges, 2)
         assert second == first
+        assert hash(second) == hash(first)
         calls = []
         arc_eq = netgraph.Arc.__eq__
         monkeypatch.setattr(netgraph.Arc, "__eq__",
