@@ -1,10 +1,10 @@
 """Decentralized consensus optimization toolkit.
 
-Builds communication graphs with their incidence operators, runs generalized
-distributed ADMM and its relatives (three-block ADMM, exact/approximated
-method of multipliers, P-EXTRA, the general two-matrix form) on simulated
-synchronous networks, and verifies per-round Q-linear contraction against
-computed rate certificates.
+Builds communication graphs with their arc operator and graph matrices, runs
+generalized distributed ADMM and its relatives (three-block ADMM,
+exact/approximated method of multipliers, P-EXTRA, the general two-matrix
+form) on simulated synchronous networks, and verifies per-round Q-linear
+contraction against computed rate certificates.
 """
 
 from . import analysis, cli, denselin, harness, netgraph, objective, solvers, tolerances

@@ -25,7 +25,16 @@ from .errors import (
     GammaOutOfRange,
     IndefiniteInput,
 )
-from .netgraph import NetworkGraph, incidence_operators, support_mask
+from .netgraph import (
+    NetworkGraph,
+    arc_stack,
+    degrees,
+    e_o_min_norm_solver,
+    laplacian,
+    laplacian_eigen,
+    support_mask,
+    unoriented_gram,
+)
 from .tolerances import DEFAULT, Tolerances
 
 _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -94,9 +103,8 @@ def reference_solution(graph: NetworkGraph, components, eta: float,
         objective.sum_profile(components, graph)  # raises NotStronglyConvex early
     xbar = objective.minimize_sum(components, tolerances.central_solve)
     x_star = np.tile(xbar, graph.n)
-    e_o = incidence_operators(graph)[0]
-    alpha_star = denselin.min_norm_solve(
-        e_o.base, -objective.sum_gradient(components, x_star), tolerances, graph.p
+    alpha_star = e_o_min_norm_solver(graph, tolerances)(
+        -objective.sum_gradient(components, x_star)
     )
     return ReferenceSolution(
         xbar=xbar,
@@ -129,9 +137,8 @@ def mu_g(profile: objective.SumProfile, graph: NetworkGraph, rho: float,
 
 
 def _laplacian_spectrum(graph: NetworkGraph, tolerances: Tolerances) -> tuple[float, float]:
-    """lam_min_nonzero and lam_max of L, from one eigendecomposition."""
-    lap = incidence_operators(graph)[3]
-    eigvals, _ = denselin.sym_eigen(denselin.SymMatrix(lap.base), tolerances)
+    """lam_min_nonzero and lam_max of L, from its per-graph eigendecomposition."""
+    eigvals = laplacian_eigen(graph)[0]
     return denselin.smallest_nonzero(eigvals, tolerances=tolerances), float(eigvals[-1])
 
 
@@ -199,9 +206,8 @@ class RateCertificate:
         """Squared distance of (alpha, edge variable) in the P=0 norm."""
         if self.graph is None:
             raise CertificateUnavailable("certificate carries no graph")
-        e_u = incidence_operators(self.graph)[1]
         da = alpha - ref.alpha_star
-        dz = 0.5 * e_u.apply(x - ref.x_star)
+        dz = 0.5 * arc_stack(self.graph).e_u(x - ref.x_star)
         return (1.0 / (self.rho * self.eta)) * float(da @ da) + self.rho * float(dz @ dz)
 
 
@@ -253,14 +259,14 @@ def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
     if not 0 < eta < 1:
         raise EtaOutOfRange(f"certificate requires eta in (0,1), got {eta}")
     pi = params.pi_vector(graph.n)
-    _, _, deg, lap = incidence_operators(graph)
 
     try:
         lam_min, lam_max_lap = _laplacian_spectrum(graph, tolerances)
     except (IndefiniteInput, AllZero) as exc:
         raise CertificateUnavailable(f"Laplacian spectrum unusable: {exc}") from exc
     mu, gamma_star = _mu_g(profile, lam_min, rho, eta, "optimize", tolerances)
-    m_base = 0.5 * rho * (2.0 * deg.base + (2.0 / rho) * np.diag(pi) - lap.base)
+    m_base = 0.5 * rho * (2.0 * np.diag(degrees(graph)) + (2.0 / rho) * np.diag(pi)
+                          - laplacian(graph))
     eigvals_m, _ = denselin.sym_eigen(denselin.SymMatrix(m_base), tolerances)
     lam_max_m = float(eigvals_m[-1])
     lip_g = profile.lipschitz + (1.0 - eta) * 0.5 * rho * lam_max_lap
@@ -285,9 +291,8 @@ def rate_certificate_admm(graph: NetworkGraph, profile: objective.SumProfile,
         raise EtaOutOfRange(f"certificate requires eta in (0,1), got {eta}")
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    e_u = incidence_operators(graph)[1]
     lam_min, lam_max_lap = _laplacian_spectrum(graph, tolerances)
-    eig_eu, _ = denselin.sym_eigen(denselin.SymMatrix(e_u.gram_base()), tolerances)
+    eig_eu, _ = denselin.sym_eigen(denselin.SymMatrix(unoriented_gram(graph)), tolerances)
     lam_max_eu = float(eig_eu[-1])
     lip_g = profile.lipschitz + (1.0 - eta) * 0.5 * rho * lam_max_lap
     mu, gamma_star = _mu_g(profile, lam_min, rho, eta, "optimize", tolerances)
@@ -347,8 +352,7 @@ def verify_contraction(trace, ref: ReferenceSolution, cert: RateCertificate,
         src = graph or cert.graph
         if src is None:
             raise ValueError("dual='phi' needs the graph to reconstruct alpha")
-        e_o = incidence_operators(src)[0]
-        solver = denselin.MinNormTransposeSolver(e_o.base, p=src.p)
+        solver = e_o_min_norm_solver(src)
         pairs = [(x, solver(phi)) for x, phi in trace]
     else:
         pairs = [(x, a) for x, a in trace]

@@ -342,9 +342,9 @@ def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
                 subproblem_tol=tol.subproblem,
             )
         else:
-            _, e_u, deg, lap = netgraph.incidence_operators(graph)
             agents = harness.general_uv_agents(
-                graph, e_u.gram_base(), lap.base, deg.base, components, params
+                graph, netgraph.unoriented_gram(graph), netgraph.laplacian(graph),
+                np.diag(netgraph.degrees(graph)), components, params
             )
         harness.run_rounds(
             agents, graph, config.rounds,
@@ -463,14 +463,22 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
 
 
 def _dump_operators(config: ExperimentConfig, out_dir: str) -> None:
+    """Write the dense arc matrices A_s, A_d, E_o, E_u (m x n) and the graph
+    matrices D and L (n x n) as CSV files, for inspection; the arc matrices
+    are formed here only, from the arc indices."""
     graph, _ = build_scenario(config)
-    a_src, a_dst = netgraph.arc_matrices(graph)
-    e_o, e_u, deg, lap = netgraph.incidence_operators(graph)
+    src, dst = netgraph.arc_indices(graph)
+    arcs = np.arange(graph.m)
+    a_src = np.zeros((graph.m, graph.n))
+    a_src[arcs, src] = 1.0
+    a_dst = np.zeros((graph.m, graph.n))
+    a_dst[arcs, dst] = 1.0
     os.makedirs(out_dir, exist_ok=True)
-    for name, op in (("a_src", a_src), ("a_dst", a_dst), ("e_o", e_o),
-                     ("e_u", e_u), ("degree", deg), ("laplacian", lap)):
+    for name, matrix in (("a_src", a_src), ("a_dst", a_dst), ("e_o", a_src - a_dst),
+                         ("e_u", a_src + a_dst), ("degree", np.diag(netgraph.degrees(graph))),
+                         ("laplacian", netgraph.laplacian(graph))):
         with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
-            fh.write("\n".join(netgraph.operator_csv_rows(op)) + "\n")
+            fh.write("\n".join(netgraph.operator_csv_rows(matrix)) + "\n")
 
 
 def main(argv=None) -> int:
@@ -488,7 +496,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--seed", type=int, help="override the scenario seed")
     run_p.add_argument("--out", help="override the output directory")
     run_p.add_argument("--dump-operators", action="store_true",
-                       help="also export the graph operator bases as CSV")
+                       help="also export the arc and graph matrices as CSV")
 
     args = parser.parse_args(argv)
     try:

@@ -3,10 +3,11 @@
 Everything the other modules need: symmetric eigendecompositions, Cholesky
 factorizations, positive definite inverses (every SPD system in the package is
 solved by `spd_inverse` and a matmul; a stack of blocks is inverted in one
-call), and minimum-norm solutions of
-transpose systems B^T a = c via eigendecomposition of the graph-level Gram
-matrix B^T B. Inputs are validated here and LAPACK failures are mapped to the
-package errors, so no bare numpy exception escapes.
+call), and minimum-norm solutions of transpose systems B^T a = c with
+B = b (x) I_p, from the graph-level Gram matrix b^T b, its eigendecomposition
+and the products of B and B^T, which the caller supplies: no b is formed
+here. Inputs are validated here and LAPACK failures are mapped
+to the package errors, so no bare numpy exception escapes.
 """
 
 from __future__ import annotations
@@ -129,47 +130,46 @@ def solve_spd(a, b) -> np.ndarray:
 class MinNormTransposeSolver:
     """Reusable minimum-norm solver for B^T a = c, with B = b (x) I_p.
 
-    The returned solution is a = B (B^T B)^+ c, the unique solution lying in
-    the column space of B. The pseudo-inverse is computed once from the
-    Gram matrix b^T b of the unlifted b, since (B^T B)^+ = (b^T b)^+ (x) I_p;
-    each reconstruction is then a pair of matmuls on c reshaped to blocks.
+    b is never formed: the solver takes its graph-level Gram matrix b^T b,
+    the eigendecomposition of b^T b as `sym_eigen` returns it, and the two
+    products `apply` (y -> B y) and `apply_transpose` (a -> B^T a) on flat
+    stacked vectors. The returned solution is a = B (B^T B)^+ c, the unique
+    solution lying in the column space of B. The pseudo-inverse is formed
+    once from the decomposition, since (B^T B)^+ = (b^T b)^+ (x) I_p; each
+    reconstruction is then one matmul on c reshaped to blocks and one
+    `apply`.
     """
 
-    def __init__(self, b_matrix, tolerances: Tolerances = DEFAULT, p: int = 1):
-        self.b = np.array(b_matrix, dtype=float)
-        if not np.all(np.isfinite(self.b)):
-            raise NonFinite("matrix contains non-finite entries")
+    def __init__(self, gram, eigen, apply, apply_transpose, p: int = 1,
+                 tolerances: Tolerances = DEFAULT):
+        gram = np.asarray(gram, dtype=float)
+        if not np.all(np.isfinite(gram)):
+            raise NonFinite("Gram matrix contains non-finite entries")
+        eigvals, eigvecs = eigen
         self.p = int(p)
         self.tolerances = tolerances
-        gram = SymMatrix(self.b.T @ self.b, tolerances)
-        eigvals, eigvecs = sym_eigen(gram, tolerances)
+        self._apply = apply
+        self._apply_transpose = apply_transpose
+        self._cols = gram.shape[0]
         cutoff = tolerances.spectrum_zero * max(float(eigvals[-1]), 0.0)
         inv = np.zeros_like(eigvals)
         keep = eigvals > cutoff
         inv[keep] = 1.0 / eigvals[keep]
         self.gram_pinv = (eigvecs * inv) @ eigvecs.T
+        # absolute floor: a rhs at roundoff scale is "in range" by convention;
+        # sqrt(p trace(b^T b)) is the Frobenius norm of the lifted matrix
+        self._floor = 1e-12 * max(1.0, math.sqrt(self.p) * math.sqrt(float(np.trace(gram))))
 
     def __call__(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=float)
-        cols = self.b.shape[1]
-        if c.shape != (cols * self.p,):
+        if c.shape != (self._cols * self.p,):
             raise DimensionMismatch(
-                f"rhs length {c.shape} does not match {cols * self.p}"
+                f"rhs length {c.shape} does not match {self._cols * self.p}"
             )
-        blocks = c.reshape(cols, self.p)
-        alpha = self.b @ (self.gram_pinv @ blocks)
-        resid = np.linalg.norm(self.b.T @ alpha - blocks)
-        # absolute floor: a rhs at roundoff scale is "in range" by convention;
-        # sqrt(p) ||b||_F is the Frobenius norm of the lifted matrix
-        floor = 1e-12 * max(1.0, math.sqrt(self.p) * float(np.linalg.norm(self.b)))
-        if resid > self.tolerances.minnorm_consistency * np.linalg.norm(c) + floor:
+        alpha = self._apply((self.gram_pinv @ c.reshape(self._cols, self.p)).ravel())
+        resid = np.linalg.norm(self._apply_transpose(alpha) - c)
+        if resid > self.tolerances.minnorm_consistency * np.linalg.norm(c) + self._floor:
             raise Inconsistent(
                 f"rhs is not in the range of the transpose (residual {resid:.3e})"
             )
-        return alpha.ravel()
-
-
-def min_norm_solve(b_matrix, c, tolerances: Tolerances = DEFAULT,
-                   p: int = 1) -> np.ndarray:
-    """One-shot minimum-norm solution of (b (x) I_p)^T a = c."""
-    return MinNormTransposeSolver(b_matrix, tolerances, p)(c)
+        return alpha

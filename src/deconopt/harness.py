@@ -42,7 +42,15 @@ import numpy as np
 
 from . import analysis, denselin, objective
 from .errors import ConditionViolation, DimensionMismatch
-from .netgraph import NetworkGraph, arc_indices, build_graph, incidence_operators, support_mask
+from .netgraph import (
+    NetworkGraph,
+    arc_indices,
+    build_graph,
+    degrees,
+    laplacian,
+    support_mask,
+    unoriented_gram,
+)
 from .tolerances import DEFAULT
 
 if TYPE_CHECKING:
@@ -145,10 +153,8 @@ def _uv_network(graph: NetworkGraph, components, u, v, dbar_diag,
 
 def dadmm_agents(graph: NetworkGraph, components, params: AdmmParams,
                  x0=None, phi0=None) -> Network:
-    _, _, deg, lap = incidence_operators(graph)
-    # E_u'E_u = 2 D - L, exactly (small integers), without an m x n product
-    return _uv_network(graph, components, 2.0 * deg.base - lap.base, lap.base,
-                       np.diag(deg.base), params, x0, phi0)
+    return _uv_network(graph, components, unoriented_gram(graph), laplacian(graph),
+                       degrees(graph), params, x0, phi0)
 
 
 def pextra_agents(graph: NetworkGraph, components, pextra: PextraParams,

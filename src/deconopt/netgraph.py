@@ -1,34 +1,33 @@
-"""Communication graph and its derived block matrix operators.
+"""Communication graph and its derived arc operator and graph matrices.
 
 A connected undirected network on vertices 1..n is stored with both directed
 arcs per edge (communication is bidirectional). Arc labels are assigned
 deterministically: edges sorted by (min endpoint, max endpoint), the forward
 arc (low -> high) labeled before the reverse arc, labels 1..m in that order.
-From the arc lists we derive the block arc source/destination matrices, the
-oriented and unoriented incidence operators, the extended degree matrix and
-the (doubled) graph Laplacian.
 
-Every operator keeps its graph-level matrix as ``base`` and acts on stacked
-vectors of n (or m) blocks of length p without forming the Kronecker lift
-``base (x) I_p``. All arc products go through one index, the stacked arc
-operator S = [A_s; A_d] (`ArcStack`, the one operator with no ``base``):
-S x is one gather and S^T y one ``np.bincount``. E_o x and E_u x are the
-difference and the sum of the halves of S x, E_o^T a = S^T [a; -a] and
-E_u^T z = S^T [z; z]; the four arc operators A_s, A_d, E_o and E_u
-(`ArcOperator`) combine the halves by their signs the same way. The central
-engines call the `ArcStack` products directly. The degree and Laplacian
-operators multiply by their n x n base, which is built from the arc indices
-in O(m).
+Two representations are derived from the arc lists, and nothing else:
+
+* The stacked arc operator S = [A_s; A_d] (`ArcStack`), the one arc
+  operator. It acts on stacked vectors of n blocks of length p without
+  forming any m x n matrix or Kronecker lift: S x is one gather on the arc
+  indices and S^T y one ``np.bincount``. E_o x and E_u x are the difference
+  and the sum of the halves of S x, E_o^T a = S^T [a; -a] and
+  E_u^T z = S^T [z; z].
+* The graph-level n x n matrices, counted from the arcs in O(m): the
+  (doubled) degree vector (`degrees`), the Laplacian L = E_o^T E_o
+  (`laplacian`) with its eigendecomposition (`laplacian_eigen`), and
+  E_u^T E_u = 2D - L (`unoriented_gram`). A lifted product (M (x) I_p) x is
+  M times x reshaped to (n, p).
 
 The derived values of a graph (`arc_indices`, `support_mask`, `arc_stack`,
-`arc_matrices`, `incidence_operators`) are cached in the graph instance, so
-they live as long as the graph and an equal graph built separately computes
-its own.
+`degrees`, `laplacian`, `laplacian_eigen`) are cached read-only in the graph
+instance, so they live as long as the graph and an equal graph built
+separately computes its own.
 
 Convention note: with two arcs per edge the extended degree matrix
 D = (E_o^T E_o + E_u^T E_u)/2 carries twice the neighbor count on its
 diagonal. That doubled value is what the per-agent iterates require, so it is
-the value exposed as ``degree``.
+the value `degrees` holds.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import denselin
 from .errors import (
     DimensionMismatch,
     Disconnected,
@@ -47,6 +47,7 @@ from .errors import (
     MalformedGraph,
     SelfLoop,
 )
+from .tolerances import DEFAULT, Tolerances
 
 
 @dataclass(frozen=True)
@@ -100,47 +101,6 @@ def _checked(v, length: int) -> np.ndarray:
     return v
 
 
-class BlockOperator:
-    """A graph-level matrix lifted implicitly by an identity Kronecker factor.
-
-    The base matrix acts on stacked vectors of `cols` blocks of length `p`;
-    the lift base (x) I_p is never materialized unless `materialize` is called.
-    """
-
-    def __init__(self, base, p: int):
-        base = np.array(base, dtype=float)
-        base.setflags(write=False)
-        self.base = base
-        self.p = int(p)
-
-    @property
-    def rows(self) -> int:
-        return self.base.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.base.shape[1]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._product(_checked(x, self.cols * self.p))
-
-    def apply_transpose(self, y: np.ndarray) -> np.ndarray:
-        return self._transpose_product(_checked(y, self.rows * self.p))
-
-    def _product(self, x: np.ndarray) -> np.ndarray:
-        return (self.base @ x.reshape(self.cols, self.p)).ravel()
-
-    def _transpose_product(self, y: np.ndarray) -> np.ndarray:
-        return (self.base.T @ y.reshape(self.rows, self.p)).ravel()
-
-    def gram_base(self) -> np.ndarray:
-        """base^T base at graph level."""
-        return self.base.T @ self.base
-
-    def materialize(self) -> np.ndarray:
-        return np.kron(self.base, np.eye(self.p))
-
-
 class ArcStack:
     """The stacked arc operator S = [A_s; A_d] (2m x n blocks of length p).
 
@@ -186,34 +146,6 @@ class ArcStack:
 
 # an arc vector a times this is [a; -a] in the (2, mp) layout of ArcStack
 _E_O_SIGNS = np.array([[1.0], [-1.0]])
-
-
-class ArcOperator(BlockOperator):
-    """An m x n arc operator: row r holds `src_sign` in the column of arc r's
-    source and `dst_sign` in that of its destination (signs in {-1, 0, 1}).
-
-    Both products go through the graph's `ArcStack`: `apply` adds the halves
-    of S x times the signs, and `apply_transpose` is S^T of the signed stack
-    [src_sign y; dst_sign y]. A row holds at most two entries of magnitude
-    one, so `apply` rounds once per entry, as base @ x does.
-    """
-
-    def __init__(self, g: NetworkGraph, src_sign: int, dst_sign: int):
-        src, dst = arc_indices(g)
-        base = np.zeros((g.m, g.n))
-        rows = np.arange(g.m)
-        base[rows, src] = src_sign
-        base[rows, dst] = dst_sign
-        super().__init__(base, g.p)
-        self._stack = arc_stack(g)
-        self._signs = np.array([[src_sign], [dst_sign]], dtype=float)
-
-    def _product(self, x: np.ndarray) -> np.ndarray:
-        src, dst = self._signs * self._stack.apply(x)
-        return src + dst
-
-    def _transpose_product(self, y: np.ndarray) -> np.ndarray:
-        return self._stack.apply_transpose(self._signs * y)
 
 
 def build_graph(n: int, edges, p: int = 1) -> NetworkGraph:
@@ -308,31 +240,54 @@ def arc_stack(g: NetworkGraph) -> ArcStack:
 
 
 @_per_graph
-def arc_matrices(g: NetworkGraph) -> tuple[ArcOperator, ArcOperator]:
-    """Block arc source and destination operators (m x n blocks)."""
-    return ArcOperator(g, 1, 0), ArcOperator(g, 0, 1)
+def degrees(g: NetworkGraph) -> np.ndarray:
+    """Diagonal of the extended degree matrix D = (E_o^T E_o + E_u^T E_u)/2,
+    as an (n,) read-only vector: arc (s, d) adds 1 to D_ss and D_dd (the
+    cross terms of the two Gram matrices cancel, so D is diagonal)."""
+    src, dst = arc_indices(g)
+    deg = (np.bincount(src, minlength=g.n) + np.bincount(dst, minlength=g.n)).astype(float)
+    deg.setflags(write=False)
+    return deg
 
 
 @_per_graph
-def incidence_operators(
-    g: NetworkGraph,
-) -> tuple[ArcOperator, ArcOperator, BlockOperator, BlockOperator]:
-    """Oriented/unoriented incidence, extended degree and Laplacian operators.
-
-    Returns (E_o, E_u, D, L) with E_o = A_s - A_d, E_u = A_s + A_d,
-    D = (E_o^T E_o + E_u^T E_u)/2 and L = E_o^T E_o at graph level. Both are
-    counted from the arcs in O(m): arc (s, d) adds 1 to D_ss and D_dd (the
-    cross terms of the two Gram matrices cancel, so D is diagonal) and
-    e_s e_s' + e_d e_d' - e_s e_d' - e_d e_s' to L. All arithmetic is exact:
-    entries are small integers.
-    """
+def laplacian(g: NetworkGraph) -> np.ndarray:
+    """The n x n Laplacian L = E_o^T E_o (read-only), counted from the arcs in
+    O(m): arc (s, d) adds e_s e_s' + e_d e_d' - e_s e_d' - e_d e_s'. All
+    arithmetic is exact: entries are small integers."""
     src, dst = arc_indices(g)
-    counts = np.bincount(src, minlength=g.n) + np.bincount(dst, minlength=g.n)
-    deg = np.diag(counts.astype(float))
-    lap = deg.copy()
+    lap = np.diag(degrees(g))
     np.subtract.at(lap, (np.concatenate((src, dst)), np.concatenate((dst, src))), 1.0)
-    return (ArcOperator(g, 1, -1), ArcOperator(g, 1, 1),
-            BlockOperator(deg, g.p), BlockOperator(lap, g.p))
+    lap.setflags(write=False)
+    return lap
+
+
+@_per_graph
+def laplacian_eigen(g: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The eigendecomposition of L (eigenvalues ascending, eigenvectors as
+    columns, both read-only), computed once per graph for every spectral
+    constant and minimum-norm solve that needs it."""
+    eigvals, eigvecs = denselin.sym_eigen(denselin.SymMatrix(laplacian(g)))
+    eigvals.setflags(write=False)
+    eigvecs.setflags(write=False)
+    return eigvals, eigvecs
+
+
+def unoriented_gram(g: NetworkGraph) -> np.ndarray:
+    """E_u^T E_u = 2D - L at graph level, exactly (small integers), without
+    an m x n product."""
+    return 2.0 * np.diag(degrees(g)) - laplacian(g)
+
+
+def e_o_min_norm_solver(g: NetworkGraph,
+                        tolerances: Tolerances = DEFAULT) -> denselin.MinNormTransposeSolver:
+    """The minimum-norm solver of (E_o (x) I_p)^T a = c: the Gram matrix is L,
+    taken with its cached eigendecomposition, and E_o and E_o^T act through
+    the graph's `ArcStack`."""
+    s = arc_stack(g)
+    return denselin.MinNormTransposeSolver(
+        laplacian(g), laplacian_eigen(g), s.e_o, s.e_o_transpose, g.p, tolerances
+    )
 
 
 def consensuality_residual(g: NetworkGraph, x) -> float:
@@ -345,6 +300,6 @@ def consensuality_residual(g: NetworkGraph, x) -> float:
     return math.sqrt(d.dot(d))
 
 
-def operator_csv_rows(op: BlockOperator) -> list[str]:
-    """Base matrix as CSV lines (one row per line), for inspection exports."""
-    return [",".join(f"{v:.17g}" for v in row) for row in op.base]
+def operator_csv_rows(matrix: np.ndarray) -> list[str]:
+    """A matrix as CSV lines (one row per line), for inspection exports."""
+    return [",".join(f"{v:.17g}" for v in row) for row in matrix]

@@ -34,7 +34,7 @@ from .errors import (
     NotStronglyConvex,
     NoUniqueMinimizer,
 )
-from .netgraph import NetworkGraph, incidence_operators
+from .netgraph import NetworkGraph, arc_stack, laplacian
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -375,22 +375,31 @@ def minimize_sum(components, tol: float = DEFAULT.central_solve) -> np.ndarray:
 
 # -- the regularized objective g ------------------------------------------------
 
+def _check_on_graph(components, graph: NetworkGraph, x) -> np.ndarray:
+    """`_check_stacked`, and DimensionMismatch unless there is one component
+    per agent of the graph."""
+    if len(components) != graph.n:
+        raise DimensionMismatch(
+            f"{len(components)} components for a graph with {graph.n} agents"
+        )
+    return _check_stacked(components, x)
+
+
 def eval_g(components, graph: NetworkGraph, rho: float, eta: float, x) -> float:
     """f(x) plus the consensus penalty rho(1-eta)/4 ||E_o x||^2."""
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not 0 < eta < 1:
         raise ValueError(f"eta must lie in (0,1), got {eta}")
-    x = _check_stacked(components, x)
-    e_o = incidence_operators(graph)[0]
-    penalty = float(np.linalg.norm(e_o.apply(x)) ** 2)
+    x = _check_on_graph(components, graph, x)
+    penalty = float(np.linalg.norm(arc_stack(graph).e_o(x)) ** 2)
     return sum_value(components, x) + 0.25 * rho * (1.0 - eta) * penalty
 
 
 def grad_g(components, graph: NetworkGraph, rho: float, eta: float, x) -> np.ndarray:
-    x = _check_stacked(components, x)
-    lap = incidence_operators(graph)[3]
-    return sum_gradient(components, x) + 0.5 * rho * (1.0 - eta) * lap.apply(x)
+    x = _check_on_graph(components, graph, x)
+    lap_x = (laplacian(graph) @ x.reshape(graph.n, -1)).ravel()
+    return sum_gradient(components, x) + 0.5 * rho * (1.0 - eta) * lap_x
 
 
 def sum_profile(components, graph: NetworkGraph,

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import denselin, harness, objective
 from .errors import DeconoptError, DimensionMismatch, GammaTooSmall, OmegaOutOfRange
-from .netgraph import NetworkGraph, arc_stack, incidence_operators
+from .netgraph import NetworkGraph, arc_stack, degrees, e_o_min_norm_solver, laplacian
 from .tolerances import DEFAULT
 
 ETA_SUP = 0.5 * (1.0 + math.sqrt(5.0))
@@ -270,9 +270,8 @@ class DadmmMatrixEngine:
         self.components = list(components)
         self.params = params
         self.stack = arc_stack(graph)
-        deg = incidence_operators(graph)[2]
         pi = params.pi_vector(graph.n)
-        self.quad_diag = _repeat_diag(params.rho * np.diag(deg.base) + pi, graph.p)
+        self.quad_diag = _repeat_diag(params.rho * degrees(graph) + pi, graph.p)
         self.p_diag = _repeat_diag(pi, graph.p)
         self._solver = _StationarySolver(
             self.components, self.quad_diag, params.subproblem_tol
@@ -312,7 +311,7 @@ def dadmm_init(graph: NetworkGraph, components, params: AdmmParams,
     standard-normal arc vector and projects it onto range(E_o) (seeded, hence
     reproducible). An explicit alpha0 takes precedence over the mode.
     """
-    e_o = incidence_operators(graph)[0]
+    s = arc_stack(graph)
     x = _initial(x0, graph.n * graph.p, "x0")
     if alpha0 is not None:
         alpha = _initial(alpha0, graph.m * graph.p, "alpha0")
@@ -321,10 +320,10 @@ def dadmm_init(graph: NetworkGraph, components, params: AdmmParams,
     elif alpha0_mode == "random-in-colspace":
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal(graph.m * graph.p)
-        alpha = denselin.min_norm_solve(e_o.base, e_o.apply_transpose(raw), p=graph.p)
+        alpha = e_o_min_norm_solver(graph)(s.e_o_transpose(raw))
     else:
         raise ValueError(f"unknown alpha0_mode {alpha0_mode!r}")
-    return AdmmState(x=x, phi=e_o.apply_transpose(alpha), k=0, alpha=alpha)
+    return AdmmState(x=x, phi=s.e_o_transpose(alpha), k=0, alpha=alpha)
 
 
 # -- full three-block generalized ADMM -------------------------------------------
@@ -338,10 +337,9 @@ class FullAdmmEngine:
         self.components = list(components)
         self.params = params
         self.stack = arc_stack(graph)
-        deg = incidence_operators(graph)[2]
         pi = params.pi_vector(graph.n)
         self.p_diag = _repeat_diag(pi, graph.p)
-        quad_diag = _repeat_diag(params.rho * np.diag(deg.base) + pi, graph.p)
+        quad_diag = _repeat_diag(params.rho * degrees(graph) + pi, graph.p)
         self._solver = _StationarySolver(self.components, quad_diag, params.subproblem_tol)
         mp = graph.m * graph.p
         self._lengths = {"x": graph.n * graph.p, "z": mp, "lam": 2 * mp}
@@ -416,8 +414,7 @@ class ExactMMEngine(_MultiplierEngine):
         if not 0 < params.eta < 1:
             raise ValueError("exact method of multipliers requires eta in (0,1)")
         super().__init__(graph, components, params)
-        lap = incidence_operators(graph)[3]
-        quad = 0.5 * params.rho * lap.materialize()
+        quad = 0.5 * params.rho * np.kron(laplacian(graph), np.eye(graph.p))
         self._solver = _StationarySolver(self.components, quad, solve_tol)
 
     def step(self, state: MMState) -> MMState:
@@ -443,16 +440,16 @@ class ApproxMMEngine(_MultiplierEngine):
             raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
         super().__init__(graph, components, params)
         self.epsilon = float(epsilon)
-        _, _, deg, lap = incidence_operators(graph)
+        deg = degrees(graph)
         pi = params.pi_vector(graph.n)
-        gamma_base = 2.0 * deg.base + 2.0 * self.epsilon * np.diag(pi)
-        eigvals, _ = denselin.sym_eigen(gamma_base - lap.base)
+        gamma_base = 2.0 * np.diag(deg) + 2.0 * self.epsilon * np.diag(pi)
+        eigvals, _ = denselin.sym_eigen(gamma_base - laplacian(graph))
         if eigvals[0] < -1e-9:
             raise GammaTooSmall(
                 f"majorization fails: min eig(Gamma - E_o'E_o) = {eigvals[0]:.3e}"
             )
         self.majorizer_diag = _repeat_diag(
-            params.rho * (np.diag(deg.base) + self.epsilon * pi), graph.p
+            params.rho * (deg + self.epsilon * pi), graph.p
         )
         self._solver = _StationarySolver(
             self.components, self.majorizer_diag, params.subproblem_tol
@@ -479,7 +476,7 @@ def pextra_mixing(graph: NetworkGraph, xi: float, rho: float, eta: float):
     """Mixing pair W = I - (xi rho / 2) L, W~ = I - (xi rho / 2)(1 - eta) L."""
     if xi <= 0 or rho <= 0:
         raise ValueError("xi and rho must be positive")
-    lap = incidence_operators(graph)[3].base
+    lap = laplacian(graph)
     eye = np.eye(graph.n)
     w = eye - 0.5 * xi * rho * lap
     w_tilde = eye - 0.5 * xi * rho * (1.0 - eta) * lap

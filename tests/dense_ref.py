@@ -1,0 +1,61 @@
+"""Dense reference matrices for the tests, built from the arc indices.
+
+The package forms no m x n arc matrix and no Kronecker lift: `ArcStack`
+gathers and scatters on the arc indices, and the graph matrices D and L are
+n x n. The tests check those products against the textbook definitions,
+which this module builds densely in one place: A_s and A_d hold a one in
+the column of each arc's source and destination, E_o = A_s - A_d,
+E_u = A_s + A_d, and `lift(base, p)` is base (x) I_p.
+"""
+
+import numpy as np
+
+from deconopt import denselin, netgraph
+from deconopt.tolerances import DEFAULT
+
+
+def arc_bases(g):
+    """(A_s, A_d), each m x n."""
+    src, dst = netgraph.arc_indices(g)
+    arcs = np.arange(g.m)
+    a_s = np.zeros((g.m, g.n))
+    a_s[arcs, src] = 1.0
+    a_d = np.zeros((g.m, g.n))
+    a_d[arcs, dst] = 1.0
+    return a_s, a_d
+
+
+def incidence_bases(g):
+    """(E_o, E_u), each m x n."""
+    a_s, a_d = arc_bases(g)
+    return a_s - a_d, a_s + a_d
+
+
+def lift(base, p):
+    """base (x) I_p."""
+    return np.kron(base, np.eye(p))
+
+
+def lifted_incidence(g):
+    """(E_o (x) I_p, E_u (x) I_p) for the graph's block dimension."""
+    return tuple(lift(base, g.p) for base in incidence_bases(g))
+
+
+def incidence_uv(g):
+    """The classical incidence triple (U, V, Dbar) = (E_u'E_u, E_o'E_o, D),
+    from the dense products."""
+    e_o, e_u = incidence_bases(g)
+    gram_o, gram_u = e_o.T @ e_o, e_u.T @ e_u
+    return gram_u, gram_o, 0.5 * (gram_o + gram_u)
+
+
+def min_norm_solver(b, tolerances=DEFAULT):
+    """`denselin.MinNormTransposeSolver` for a dense matrix b at p = 1: its
+    Gram matrix b'b with that matrix's decomposition, and the products b y
+    and b'a."""
+    b = np.asarray(b, dtype=float)
+    gram = b.T @ b
+    eigen = denselin.sym_eigen(denselin.SymMatrix(gram, tolerances), tolerances)
+    return denselin.MinNormTransposeSolver(
+        gram, eigen, lambda y: b @ y, lambda a: b.T @ a, tolerances=tolerances
+    )

@@ -11,6 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
+import dense_ref
 from deconopt import analysis, cli, denselin, harness, netgraph, objective, solvers
 from deconopt.solvers import AdmmParams, PextraParams
 
@@ -156,7 +157,6 @@ def test_criterion_3_equivalence_web():
         params_t2 = AdmmParams(rho, eta, solvers.theorem2_pi(graph, xi, rho))
         w, wt = solvers.pextra_mixing(graph, xi, rho, eta)
 
-        _, e_u, deg, lap = netgraph.incidence_operators(graph)
         engines = {
             "dadmm": solvers.DadmmEngine(graph, components, params),
             "matrix": solvers.DadmmMatrixEngine(graph, components, params),
@@ -166,7 +166,7 @@ def test_criterion_3_equivalence_web():
             "pextra": solvers.PextraEngine(
                 graph, components, PextraParams(xi=xi, w=w, w_tilde=wt)),
             "uv": solvers.GeneralUVEngine(
-                graph, e_u.gram_base(), lap.base, deg.base, components, params),
+                graph, *dense_ref.incidence_uv(graph), components, params),
         }
         states = {name: eng.init() for name, eng in engines.items()}
         for _ in range(100):
@@ -186,7 +186,7 @@ def test_criterion_3_equivalence_web():
 def test_criterion_4_edge_variable_identity():
     for seed in range(5):
         graph, components = build_instance("random", 5 + seed % 3, 2, 3000 + seed)
-        e_u = netgraph.incidence_operators(graph)[1]
+        e_u = dense_ref.lifted_incidence(graph)[1]
         rng = np.random.default_rng(seed)
         engine = solvers.FullAdmmEngine(
             graph, components,
@@ -195,7 +195,7 @@ def test_criterion_4_edge_variable_identity():
         st = engine.init(x0=rng.standard_normal(graph.n * graph.p))
         for _ in range(100):
             st = engine.step(st)
-            assert np.linalg.norm(st.z - 0.5 * e_u.apply(st.x)) <= 1e-10
+            assert np.linalg.norm(st.z - 0.5 * e_u @ st.x) <= 1e-10
 
 
 @criterion(5, "optimum is a fixed point everywhere; exact MM converges to it")
@@ -204,12 +204,11 @@ def test_criterion_5_fixed_points_and_mm():
     rho, eta = 1.0, 0.5
     params = AdmmParams(rho, eta, 0.1)
     ref = analysis.reference_solution(graph, components, eta)
-    phi_star = netgraph.incidence_operators(graph)[0].apply_transpose(ref.alpha_star)
+    phi_star = dense_ref.lifted_incidence(graph)[0].T @ ref.alpha_star
 
     dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
     xi = 0.8 / (rho * dmax)
     w, wt = solvers.pextra_mixing(graph, xi, rho, eta)
-    _, e_u, deg, lap = netgraph.incidence_operators(graph)
 
     fixed_points = []
     eng = solvers.DadmmEngine(graph, components, params)
@@ -228,7 +227,7 @@ def test_criterion_5_fixed_points_and_mm():
     st = eng.init(x0=ref.x_star, nu0=ref.nu_star)
     fixed_points.append(("mm-approx", eng, st, lambda s: (s.x, s.nu)))
     eng = solvers.GeneralUVEngine(
-        graph, e_u.gram_base(), lap.base, deg.base, components, params)
+        graph, *dense_ref.incidence_uv(graph), components, params)
     st = eng.init(x0=ref.x_star, phi0=phi_star)
     fixed_points.append(("uv", eng, st, lambda s: (s.x, s.phi)))
     # P-EXTRA holds the optimum once the running sum carries the dual price:
@@ -265,8 +264,7 @@ def test_criterion_6_overshooting():
     rho = 1.0
     dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
     xi = 0.9 / (rho * dmax)
-    e_o = netgraph.incidence_operators(graph)[0]
-    reconstruct = denselin.MinNormTransposeSolver(e_o.materialize())
+    reconstruct = dense_ref.min_norm_solver(dense_ref.lifted_incidence(graph)[0])
 
     for omega in (0.6, 0.75, 0.9):
         w, wt = solvers.pextra_overshoot_mixing(graph, xi, rho, omega)
@@ -324,8 +322,8 @@ def test_criterion_8_certificate_internals():
     # the oracle resolves the kink beyond the comparison tolerance)
     rho, eta = 1.0, 0.5
     mu_opt, _ = analysis.mu_g(profile, graph, rho, eta, "optimize")
-    lap = netgraph.incidence_operators(graph)[3]
-    lam_min = denselin.smallest_nonzero(denselin.sym_eigen(denselin.SymMatrix(lap.base))[0])
+    lap = netgraph.laplacian(graph)
+    lam_min = denselin.smallest_nonzero(denselin.sym_eigen(denselin.SymMatrix(lap))[0])
     hi = (profile.mu_sum / profile.n) / (2.0 * profile.lipschitz)
 
     def branch_min(gammas):
@@ -365,9 +363,7 @@ def test_criterion_9_condition_checkers():
     assert np.max(np.abs(0.5 * (np.eye(graph.n) + w) - wt)) <= 1e-12
 
     # classical two-matrix assignment passes
-    _, e_u, deg, lap = netgraph.incidence_operators(graph)
-    assert analysis.check_uv_conditions(
-        e_u.gram_base(), lap.base, deg.base, graph).all_pass
+    assert analysis.check_uv_conditions(*dense_ref.incidence_uv(graph), graph).all_pass
 
 
 @criterion(10, "byte-identical traces and information locality")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dense_ref
 from deconopt import analysis, denselin, harness, netgraph, objective, solvers
 from deconopt.errors import (
     AllZero,
@@ -68,24 +69,22 @@ class TestReferenceSolution:
     def test_invariants(self):
         graph, comps = ls_preset(seed=9)
         ref = analysis.reference_solution(graph, comps, eta=0.7)
-        e_o = netgraph.incidence_operators(graph)[0]
+        e_o = dense_ref.lifted_incidence(graph)[0]
         assert netgraph.consensuality_residual(graph, ref.x_star) <= 1e-9
-        resid = e_o.apply_transpose(ref.alpha_star) + objective.sum_gradient(comps, ref.x_star)
+        resid = e_o.T @ ref.alpha_star + objective.sum_gradient(comps, ref.x_star)
         assert np.linalg.norm(resid) <= 1e-8
         # minimum norm: orthogonal to null(E_o^T)
-        solver = denselin.MinNormTransposeSolver(e_o.materialize())
-        assert np.linalg.norm(solver(e_o.apply_transpose(ref.alpha_star)) - ref.alpha_star) <= 1e-10
+        solver = dense_ref.min_norm_solver(e_o)
+        assert np.linalg.norm(solver(e_o.T @ ref.alpha_star) - ref.alpha_star) <= 1e-10
 
 
     def test_multiplier_matches_lifted_min_norm_solve(self):
-        # oracle: the minimum-norm solve on the materialized lift E_o (x) I_p
+        # oracle: the minimum-norm solve on the dense lift E_o (x) I_p
         for p in (1, 3):
             graph, comps = ls_preset(seed=6, n=7, p=p)
             ref = analysis.reference_solution(graph, comps, eta=0.5)
-            e_o = netgraph.incidence_operators(graph)[0]
-            lifted = denselin.min_norm_solve(
-                e_o.materialize(), -objective.sum_gradient(comps, ref.x_star)
-            )
+            e_o = dense_ref.lifted_incidence(graph)[0]
+            lifted = dense_ref.min_norm_solver(e_o)(-objective.sum_gradient(comps, ref.x_star))
             assert np.max(np.abs(ref.alpha_star - lifted)) <= 1e-12
 
 
@@ -115,7 +114,7 @@ class TestMuG:
         # selecting rho(1-eta) = 2(g^2+1)(mu/n - 2Lg) / (g^2 lam_min) makes the
         # two branches meet, so the bound comes within 2Lg of mu_sum / n
         profile, g = self.two_agent_profile()
-        lap = netgraph.incidence_operators(g)[3].base
+        lap = netgraph.laplacian(g)
         lam_min = denselin.smallest_nonzero(denselin.sym_eigen(denselin.SymMatrix(lap))[0])
         gamma = 1e-6
         target = profile.mu_sum / profile.n - 2 * profile.lipschitz * gamma
@@ -202,13 +201,14 @@ class TestRateCertificate:
             analysis.rate_certificate(graph, profile, AdmmParams(1.0, 1.0))
 
     def test_one_laplacian_decomposition_per_certificate(self, monkeypatch):
-        # each certificate decomposes L once (lam_min_nonzero and lam_max(L)
-        # come from the same spectrum) plus its norm matrix, M or E_u'E_u;
+        # L is decomposed once per graph (lam_min_nonzero and lam_max(L)
+        # come from that one spectrum): the first certificate decomposes L
+        # and its norm matrix M, the second only its norm matrix E_u'E_u;
         # the constants equal those of separate decompositions
         graph, comps = ls_preset(seed=8)
         profile = objective.sum_profile(comps, graph)
         params = AdmmParams(1.0, 0.5, 0.1)
-        lap = netgraph.incidence_operators(graph)[3].base
+        lap = netgraph.laplacian(graph)
         lam_min = denselin.smallest_nonzero(denselin.sym_eigen(denselin.SymMatrix(lap))[0])
         lam_max = float(denselin.sym_eigen(denselin.SymMatrix(lap))[0][-1])
         orders = []
@@ -223,7 +223,7 @@ class TestRateCertificate:
         assert orders == [graph.n, graph.n]
         orders.clear()
         cert_admm = analysis.rate_certificate_admm(graph, profile, 1.0, 0.5)
-        assert orders == [graph.n, graph.n]
+        assert orders == [graph.n]
         for c in (cert, cert_admm):
             assert c.lam_min_nonzero == lam_min
             assert c.lipschitz_g == profile.lipschitz + 0.25 * lam_max
@@ -235,8 +235,8 @@ class TestRateCertificate:
             profile = objective.sum_profile(comps, graph)
             params = AdmmParams(1.0, 0.5, 0.2)
             cert = analysis.rate_certificate(graph, profile, params)
-            e_o = netgraph.incidence_operators(graph)[0]
-            lifted_gram = denselin.SymMatrix(e_o.materialize().T @ e_o.materialize())
+            e_o = dense_ref.lifted_incidence(graph)[0]
+            lifted_gram = denselin.SymMatrix(e_o.T @ e_o)
             lam_min_lif = denselin.smallest_nonzero(denselin.sym_eigen(lifted_gram)[0])
             eig_m, _ = denselin.sym_eigen(
                 denselin.SymMatrix(np.kron(cert.m_base, np.eye(p))))
@@ -250,8 +250,9 @@ class TestRateCertificate:
 class TestRateCertificateAdmm:
     def test_path3_unoriented_gram_spectrum(self):
         g = netgraph.build_graph(3, [(1, 2), (2, 3)], 1)
-        e_u = netgraph.incidence_operators(g)[1]
-        eigvals, _ = denselin.sym_eigen(denselin.SymMatrix(e_u.gram_base()))
+        e_u = dense_ref.incidence_bases(g)[1]
+        assert np.array_equal(netgraph.unoriented_gram(g), e_u.T @ e_u)
+        eigvals, _ = denselin.sym_eigen(denselin.SymMatrix(netgraph.unoriented_gram(g)))
         assert_allclose(eigvals, [0.0, 2.0, 6.0], atol=1e-10)
 
     def test_positive_delta(self):
@@ -372,7 +373,7 @@ class TestRestrictedStrongConvexity:
 class TestCheckMixing:
     def setup_method(self):
         self.graph, _ = ls_preset(seed=30, n=6, p=1)
-        self.lap = netgraph.incidence_operators(self.graph)[3].base
+        self.lap = netgraph.laplacian(self.graph)
         self.dmax = max(self.graph.degree(i) for i in range(1, self.graph.n + 1))
 
     def test_safe_parameters_pass(self):
@@ -414,31 +415,29 @@ class TestCheckMixing:
 class TestCheckUV:
     def test_classical_assignment_passes(self):
         graph, _ = ls_preset(seed=31)
-        _, e_u, deg, lap = netgraph.incidence_operators(graph)
-        report = analysis.check_uv_conditions(e_u.gram_base(), lap.base, deg.base, graph)
+        report = analysis.check_uv_conditions(*dense_ref.incidence_uv(graph), graph)
         assert report.all_pass
 
     def test_zero_v_fails_nullspace(self):
         graph, _ = ls_preset(seed=32)
-        _, _, deg, _ = netgraph.incidence_operators(graph)
+        deg = np.diag(netgraph.degrees(graph))
         report = analysis.check_uv_conditions(
-            2.0 * deg.base, np.zeros((graph.n, graph.n)), deg.base, graph
+            2.0 * deg, np.zeros((graph.n, graph.n)), deg, graph
         )
         assert not report.nullspace
 
     def test_zero_diagonal_dbar_fails_complementarity(self):
         graph, _ = ls_preset(seed=33)
-        _, e_u, deg, lap = netgraph.incidence_operators(graph)
-        dbar = np.array(deg.base)
+        lap = netgraph.laplacian(graph)
+        dbar = np.diag(netgraph.degrees(graph))
         dbar[0, 0] = 0.0
-        u = 2.0 * dbar - lap.base
-        report = analysis.check_uv_conditions(u, lap.base, dbar, graph)
+        u = 2.0 * dbar - lap
+        report = analysis.check_uv_conditions(u, lap, dbar, graph)
         assert not report.complementarity
 
     def test_matrices_must_be_n_by_n(self):
         ring4 = netgraph.build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], 1)
-        _, e_u, deg, lap = netgraph.incidence_operators(ring4)
-        good = [e_u.gram_base(), lap.base, deg.base]
+        good = list(dense_ref.incidence_uv(ring4))
         for k in range(3):
             mats = list(good)
             mats[k] = np.eye(5)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import dense_ref
 from deconopt import analysis, cli, netgraph, solvers
 from deconopt.cli import ExperimentConfig, parse_config, serialize_config
 from deconopt.errors import ConfigError
@@ -180,16 +181,27 @@ dir = {out}
         assert cli.main(["run", path, "--dump-operators"]) == 0
         lap = np.loadtxt(out / "laplacian.csv", delimiter=",")
         np.testing.assert_allclose(lap, [[2, -2, 0], [-2, 4, -2], [0, -2, 2]])
-        # arc rows: +1 at the source, -1 (E_o) or +1 (E_u) at the destination
-        e_o = np.loadtxt(out / "e_o.csv", delimiter=",")
-        e_u = np.loadtxt(out / "e_u.csv", delimiter=",")
+        # the doubled degree: twice the neighbour count on the diagonal
+        deg = np.loadtxt(out / "degree.csv", delimiter=",")
+        assert np.array_equal(deg, np.diag([2.0, 4.0, 2.0]))
+        # arc rows: one 1 at the source (A_s) or the destination (A_d);
+        # +1 at the source, -1 (E_o) or +1 (E_u) at the destination
+        arc_files = {name: np.loadtxt(out / f"{name}.csv", delimiter=",")
+                     for name in ("a_src", "a_dst", "e_o", "e_u")}
         graph = netgraph.build_graph(3, [(1, 2), (2, 3)], 1)
-        assert e_o.shape == e_u.shape == (graph.m, graph.n)
+        assert all(mat.shape == (graph.m, graph.n) for mat in arc_files.values())
         for arc in graph.arcs:
-            want_o = np.zeros(graph.n)
-            want_o[[arc.source - 1, arc.dest - 1]] = [1.0, -1.0]
-            assert np.array_equal(e_o[arc.label - 1], want_o)
-            assert np.array_equal(e_u[arc.label - 1], np.abs(want_o))
+            want_s, want_d = np.zeros(graph.n), np.zeros(graph.n)
+            want_s[arc.source - 1] = want_d[arc.dest - 1] = 1.0
+            row = arc.label - 1
+            assert np.array_equal(arc_files["a_src"][row], want_s)
+            assert np.array_equal(arc_files["a_dst"][row], want_d)
+            assert np.array_equal(arc_files["e_o"][row], want_s - want_d)
+            assert np.array_equal(arc_files["e_u"][row], want_s + want_d)
+        # the exports are the dense reference matrices, written exactly
+        e_o, e_u = dense_ref.incidence_bases(graph)
+        assert np.array_equal(arc_files["e_o"].T @ arc_files["e_o"], lap)
+        assert np.array_equal(0.5 * (e_o.T @ e_o + e_u.T @ e_u), deg)
 
     def test_exact_mm_over_size_cap_is_setup_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solvers, "EXACT_MM_MAX_ORDER", 5)
@@ -293,13 +305,13 @@ class TestBatchedTraceColumns:
             return sum(c.value(x[i * p:(i + 1) * p]) for i, c in enumerate(comps))
 
         f_star = f(analysis.reference_solution(graph, comps, config.eta).x_star)
-        e_o = netgraph.incidence_operators(graph)[0]
+        e_o = dense_ref.lifted_incidence(graph)[0]
         with open(os.path.join(out, "trace.csv")) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(iterates[0]) == config.rounds + 1
         for row, x in zip(rows, iterates[0]):
             assert float(row["obj_err"]) == f(x) - f_star
-            assert float(row["consensus_resid"]) == float(np.linalg.norm(e_o.apply(x)))
+            assert float(row["consensus_resid"]) == float(np.linalg.norm(e_o @ x))
 
 
 class TestVerifiedRuns:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dense_ref
 from deconopt import denselin, harness, netgraph
 from deconopt.denselin import SymMatrix
 from deconopt.errors import (
@@ -61,9 +62,9 @@ def jacobi_eigenvalues(a, sweep_tol=1e-14, max_sweeps=100):
 def ring_chord_bases(n, seed):
     """Laplacian and M base (rho = 1, pi = 0.1) of a ring-plus-chords graph."""
     graph, _ = harness.scenario_least_squares(n, 1, seed)
-    _, _, deg, lap = netgraph.incidence_operators(graph)
-    m_base = 0.5 * (2.0 * deg.base + 2.0 * 0.1 * np.eye(n) - lap.base)
-    return lap.base, m_base
+    lap = netgraph.laplacian(graph)
+    m_base = 0.5 * (2.0 * np.diag(netgraph.degrees(graph)) + 2.0 * 0.1 * np.eye(n) - lap)
+    return lap, m_base
 
 
 def _cubic_roots_by_bisection(coeffs, lo=-100.0, hi=100.0):
@@ -248,17 +249,24 @@ class TestMinNormSolve:
     # oriented incidence of the single-edge two-agent graph
     E_O = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
+    def solve(self, c):
+        return dense_ref.min_norm_solver(self.E_O)(c)
+
     def test_zero_rhs(self):
-        assert_allclose(denselin.min_norm_solve(self.E_O, np.zeros(2)), np.zeros(2))
+        assert_allclose(self.solve(np.zeros(2)), np.zeros(2))
 
     def test_single_edge_min_norm(self):
         # minimize ||a|| s.t. a1 - a2 = 1: the answer is (1/2, -1/2)
-        alpha = denselin.min_norm_solve(self.E_O, np.array([1.0, -1.0]))
+        alpha = self.solve(np.array([1.0, -1.0]))
         assert_allclose(alpha, [0.5, -0.5], atol=1e-12)
 
     def test_consensual_rhs_inconsistent(self):
         with pytest.raises(Inconsistent):
-            denselin.min_norm_solve(self.E_O, np.ones(2))
+            self.solve(np.ones(2))
+        # the graph-level solver of the same graph refuses it too
+        graph = netgraph.build_graph(2, [(1, 2)], 3)
+        with pytest.raises(Inconsistent):
+            netgraph.e_o_min_norm_solver(graph)(np.ones(6))
 
     def test_orthogonal_to_transpose_nullspace(self):
         # null(B^T) for B = E_O is spanned by (1, 1)
@@ -266,11 +274,11 @@ class TestMinNormSolve:
         for _ in range(20):
             w = rng.standard_normal(2)
             c = self.E_O.T @ w
-            alpha = denselin.min_norm_solve(self.E_O, c)
+            alpha = self.solve(c)
             assert abs(alpha @ np.ones(2)) <= 1e-10
 
     def test_reusable_solver(self):
-        solver = denselin.MinNormTransposeSolver(self.E_O)
+        solver = dense_ref.min_norm_solver(self.E_O)
         a1 = solver(np.array([1.0, -1.0]))
         a2 = solver(np.array([-2.0, 2.0]))
         assert_allclose(a1, [0.5, -0.5], atol=1e-12)
@@ -278,23 +286,34 @@ class TestMinNormSolve:
 
     def test_nonfinite_matrix_rejected(self):
         with pytest.raises(NonFinite):
-            denselin.MinNormTransposeSolver([[1.0, np.nan], [-1.0, 1.0]])
+            dense_ref.min_norm_solver([[1.0, np.nan], [-1.0, 1.0]])
+        # a non-finite Gram matrix is refused even with its decomposition given
+        gram = np.array([[1.0, np.inf], [np.inf, 1.0]])
+        eigen = (np.array([0.0, 1.0]), np.eye(2))
+        with pytest.raises(NonFinite):
+            denselin.MinNormTransposeSolver(gram, eigen, lambda y: y, lambda a: a)
 
     @pytest.mark.parametrize("n,seed", [(6, 4), (15, 5)])
     def test_graph_level_solve_equals_kronecker_lift(self, n, seed):
         graph, _ = harness.scenario_least_squares(n, 1, seed)
-        base = netgraph.incidence_operators(graph)[0].base
-        lift = np.kron(base, np.eye(3))
-        graph_level = denselin.MinNormTransposeSolver(base, p=3)
-        lifted = denselin.MinNormTransposeSolver(lift)
+        graph = netgraph.build_graph(n, graph.edges, 3)
+        base = dense_ref.incidence_bases(graph)[0]
+        lift = dense_ref.lift(base, 3)
+        graph_level = netgraph.e_o_min_norm_solver(graph)
+        lifted = dense_ref.min_norm_solver(lift)
+        pinv = np.linalg.pinv(lift)
         rng = np.random.default_rng(seed)
         for _ in range(5):
             c = lift.T @ rng.standard_normal(graph.m * 3)
-            assert np.max(np.abs(graph_level(c) - lifted(c))) <= 1e-12
+            alpha = graph_level(c)
+            assert np.max(np.abs(alpha - lifted(c))) <= 1e-12
+            assert np.max(np.abs(alpha - pinv.T @ c)) <= 1e-12
+            # the gather forms E_o y with the rounding of the dense product
+            want = (base @ (graph_level.gram_pinv @ c.reshape(n, 3))).ravel()
+            assert np.array_equal(alpha, want)
         # a consensual rhs is orthogonal to range(E_o^T)
         for solver in (graph_level, lifted):
             with pytest.raises(Inconsistent):
                 solver(np.ones(n * 3))
         with pytest.raises(DimensionMismatch):
             graph_level(np.ones(n))
-

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dense_ref
 from deconopt import denselin, harness, netgraph, objective, solvers
 from deconopt.errors import ConditionViolation, DimensionMismatch
 from deconopt.solvers import AdmmParams, PextraParams
@@ -78,8 +79,7 @@ class TestRunRounds:
     def test_general_uv_agents_match_engine(self):
         graph, comps = harness.scenario_least_squares(5, 2, seed=9)
         params = AdmmParams(rho=1.0, eta=0.5, pi=0.1)
-        _, e_u, deg, lap = netgraph.incidence_operators(graph)
-        u, v, dbar = e_u.gram_base(), lap.base, deg.base
+        u, v, dbar = dense_ref.incidence_uv(graph)
         engine = solvers.GeneralUVEngine(graph, u, v, dbar, comps, params)
         agents = harness.general_uv_agents(graph, u, v, dbar, comps, params)
         state = engine.init()
@@ -94,10 +94,9 @@ class TestRunRounds:
         # so the trajectories agree bit for bit
         graph, comps = harness.scenario_least_squares(6, 2, seed=12)
         params = AdmmParams(rho=1.3, eta=0.6, pi=0.2)
-        _, e_u, deg, lap = netgraph.incidence_operators(graph)
         x0 = np.random.default_rng(4).standard_normal(graph.n * graph.p)
         dadmm = collect(harness.dadmm_agents(graph, comps, params, x0=x0), graph, 50)
-        uv = collect(harness.general_uv_agents(graph, e_u.gram_base(), lap.base, deg.base,
+        uv = collect(harness.general_uv_agents(graph, *dense_ref.incidence_uv(graph),
                                                comps, params, x0=x0), graph, 50)
         assert len(dadmm) == len(uv) == 51
         for (_, x1, phi1, _), (_, x2, phi2, _) in zip(dadmm, uv):
@@ -149,15 +148,14 @@ class TestAgentFactories:
 
     def test_general_uv_checks_conditions(self):
         graph, comps = self.ring5()
-        _, e_u, deg, _ = netgraph.incidence_operators(graph)
+        u, _, dbar = dense_ref.incidence_uv(graph)
         with pytest.raises(ConditionViolation):
-            harness.general_uv_agents(graph, e_u.gram_base(), np.zeros((5, 5)),
-                                      deg.base, comps, AdmmParams(1.0, 0.5))
+            harness.general_uv_agents(graph, u, np.zeros((5, 5)),
+                                      dbar, comps, AdmmParams(1.0, 0.5))
 
     def test_component_count_checked(self):
         graph, comps = self.ring5()
         params = AdmmParams(1.0, 0.5)
-        _, e_u, deg, lap = netgraph.incidence_operators(graph)
         w, wt = solvers.pextra_mixing(graph, 0.1, 1.0, 0.5)
         short = comps[:-1]
         with pytest.raises(ValueError, match="one component per agent"):
@@ -165,7 +163,7 @@ class TestAgentFactories:
         with pytest.raises(ValueError, match="one component per agent"):
             harness.pextra_agents(graph, short, PextraParams(xi=0.1, w=w, w_tilde=wt))
         with pytest.raises(ValueError, match="one component per agent"):
-            harness.general_uv_agents(graph, e_u.gram_base(), lap.base, deg.base,
+            harness.general_uv_agents(graph, *dense_ref.incidence_uv(graph),
                                       short, params)
 
 
@@ -175,10 +173,9 @@ class TestAgentFactories:
         assert graph.n * graph.p == 10
         bad = np.ones(shape)
         params = AdmmParams(1.0, 0.5)
-        _, e_u, deg, lap = netgraph.incidence_operators(graph)
         w, wt = solvers.pextra_mixing(graph, 0.1, 1.0, 0.5)
         pp = PextraParams(xi=0.1, w=w, w_tilde=wt)
-        uv = (e_u.gram_base(), lap.base, deg.base)
+        uv = dense_ref.incidence_uv(graph)
         calls = [
             lambda: harness.dadmm_agents(graph, comps, params, x0=bad),
             lambda: harness.dadmm_agents(graph, comps, params, phi0=bad),
@@ -221,14 +218,13 @@ class TestInformationLocality:
         # under each of the three rules.
         graph, comps = harness.scenario_least_squares(7, 2, seed=5)
         params = AdmmParams(rho=1.0, eta=0.5, pi=0.1)
-        _, e_u, deg, lap = netgraph.incidence_operators(graph)
         dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
         xi = 0.9 / dmax
         w, wt = solvers.pextra_mixing(graph, xi, 1.0, 0.5)
         factories = [
             lambda: harness.dadmm_agents(graph, comps, params),
             lambda: harness.pextra_agents(graph, comps, PextraParams(xi=xi, w=w, w_tilde=wt)),
-            lambda: harness.general_uv_agents(graph, e_u.gram_base(), lap.base, deg.base,
+            lambda: harness.general_uv_agents(graph, *dense_ref.incidence_uv(graph),
                                               comps, params),
         ]
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deconopt import denselin, netgraph
+import dense_ref
+from deconopt import denselin, netgraph, objective, solvers
 from deconopt.errors import (
     DimensionMismatch,
     Disconnected,
@@ -14,6 +15,7 @@ from deconopt.errors import (
     MalformedGraph,
     SelfLoop,
 )
+from deconopt.solvers import AdmmParams
 
 # three-agent path 1-2-3, the worked example used throughout
 PATH3_EDGES = [(1, 2), (2, 3)]
@@ -67,15 +69,16 @@ class TestBuildGraph:
 
 
 class TestArcMatrices:
+    # the dense reference A_s, A_d built from the arc indices
     def test_path3_tables(self):
-        a_s, a_d = netgraph.arc_matrices(path3())
-        assert_allclose(a_s.base, PATH3_AS)
-        assert_allclose(a_d.base, PATH3_AD)
+        a_s, a_d = dense_ref.arc_bases(path3())
+        assert_allclose(a_s, PATH3_AS)
+        assert_allclose(a_d, PATH3_AD)
 
     def test_single_edge(self):
-        a_s, a_d = netgraph.arc_matrices(netgraph.build_graph(2, [(1, 2)], 1))
-        assert_allclose(a_s.base, [[1, 0], [0, 1]])
-        assert_allclose(a_d.base, [[0, 1], [1, 0]])
+        a_s, a_d = dense_ref.arc_bases(netgraph.build_graph(2, [(1, 2)], 1))
+        assert_allclose(a_s, [[1, 0], [0, 1]])
+        assert_allclose(a_d, [[0, 1], [1, 0]])
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
@@ -83,9 +86,9 @@ class TestArcMatrices:
             g = netgraph.build_graph(
                 n, _random_connected(n, rng), 1
             )
-            a_s, a_d = netgraph.arc_matrices(g)
-            assert_allclose(a_s.base.sum(axis=1), 1.0)
-            assert_allclose(a_d.base.sum(axis=1), 1.0)
+            a_s, a_d = dense_ref.arc_bases(g)
+            assert_allclose(a_s.sum(axis=1), 1.0)
+            assert_allclose(a_d.sum(axis=1), 1.0)
 
 
 class TestIncidenceOperators:
@@ -98,35 +101,39 @@ class TestIncidenceOperators:
         assert_allclose(np.diag(d_oracle), [2, 4, 2])
         assert_allclose(l_oracle, [[2, -2, 0], [-2, 4, -2], [0, -2, 2]])
 
-        _, _, deg, lap = netgraph.incidence_operators(path3())
-        assert_allclose(deg.base, d_oracle)
-        assert_allclose(lap.base, l_oracle)
+        assert_allclose(np.diag(netgraph.degrees(path3())), d_oracle)
+        assert_allclose(netgraph.laplacian(path3()), l_oracle)
 
     def test_incidence_identity_exact(self):
-        # E_o'E_o + E_u'E_u = 2D holds in exact integer arithmetic
+        # E_o'E_o + E_u'E_u = 2D holds in exact integer arithmetic, and the
+        # package's E_u'E_u = 2D - L is that product
         rng = np.random.default_rng(11)
         for n in (3, 4, 6, 9):
             g = netgraph.build_graph(n, _random_connected(n, rng), 1)
-            e_o, e_u, deg, _ = netgraph.incidence_operators(g)
-            assert np.array_equal(e_o.gram_base() + e_u.gram_base(), 2 * deg.base)
+            e_o, e_u = dense_ref.incidence_bases(g)
+            two_d = 2 * np.diag(netgraph.degrees(g))
+            assert np.array_equal(e_o.T @ e_o + e_u.T @ e_u, two_d)
+            assert np.array_equal(netgraph.unoriented_gram(g), e_u.T @ e_u)
 
     def test_laplacian_annihilates_ones(self):
         rng = np.random.default_rng(2)
         for n in (2, 5, 7):
             g = netgraph.build_graph(n, _random_connected(n, rng), 1)
-            lap = netgraph.incidence_operators(g)[3]
-            assert_allclose(lap.base @ np.ones(n), 0.0, atol=1e-14)
+            assert_allclose(netgraph.laplacian(g) @ np.ones(n), 0.0, atol=1e-14)
 
     def test_laplacian_rank_and_null_eigvec(self):
         rng = np.random.default_rng(3)
         for n in (3, 6, 10):
             g = netgraph.build_graph(n, _random_connected(n, rng), 1)
-            lap = netgraph.incidence_operators(g)[3]
-            eigvals, eigvecs = denselin.sym_eigen(denselin.SymMatrix(lap.base))
+            eigvals, eigvecs = netgraph.laplacian_eigen(g)
             assert abs(eigvals[0]) <= 1e-10
             assert eigvals[1] > 1e-10  # rank n-1
             v = eigvecs[:, 0]
             assert_allclose(np.abs(v), np.full(n, 1.0 / np.sqrt(n)), atol=1e-10)
+            # the cached decomposition is the one sym_eigen gives for L
+            want = denselin.sym_eigen(denselin.SymMatrix(netgraph.laplacian(g)))
+            assert np.array_equal(eigvals, want[0])
+            assert np.array_equal(eigvecs, want[1])
 
     def test_incidence_norm_is_neighbor_differences(self):
         # ||E_o x||^2 = sum_i sum_{j in N_i} ||x_j - x_i||^2
@@ -135,10 +142,10 @@ class TestIncidenceOperators:
             n = int(rng.integers(3, 8))
             p = int(rng.integers(1, 4))
             g = netgraph.build_graph(n, _random_connected(n, rng), p)
-            e_o = netgraph.incidence_operators(g)[0]
+            s = netgraph.arc_stack(g)
             for _ in range(25):
                 x = rng.standard_normal(n * p)
-                lhs = float(np.linalg.norm(e_o.apply(x)) ** 2)
+                lhs = float(np.linalg.norm(s.e_o(x)) ** 2)
                 rhs = 0.0
                 for i in range(1, n + 1):
                     xi = x[(i - 1) * p: i * p]
@@ -158,9 +165,15 @@ class TestIncidenceOperators:
                 edges = [(i, i + 1) for i in range(1, n)]
             else:
                 edges = _random_connected(n, rng)
-            e_o, e_u, deg, lap = netgraph.incidence_operators(netgraph.build_graph(n, edges))
-            assert np.array_equal(lap.base, e_o.base.T @ e_o.base)
-            assert np.array_equal(deg.base, 0.5 * (e_o.gram_base() + e_u.gram_base()))
+            g = netgraph.build_graph(n, edges)
+            e_o, e_u = dense_ref.incidence_bases(g)
+            lap, deg = netgraph.laplacian(g), netgraph.degrees(g)
+            assert np.array_equal(lap, e_o.T @ e_o)
+            assert np.array_equal(2 * np.diag(deg), e_o.T @ e_o + e_u.T @ e_u)
+            assert deg.shape == (n,) and lap.shape == (n, n)
+            for arr in (lap, deg):
+                with pytest.raises(ValueError):
+                    arr[0] = 7.0
 
     def test_shared_arc_label_is_a_package_error(self):
         # two arcs under one label put two sources in one row of A_s, so the
@@ -170,57 +183,88 @@ class TestIncidenceOperators:
             arcs=(netgraph.Arc(1, 1, 2), netgraph.Arc(1, 2, 1)),
             neighbors=((2,), (1,)),
         )
-        with pytest.raises(MalformedGraph):
-            netgraph.incidence_operators(g)
+        for fn in (netgraph.degrees, netgraph.laplacian, netgraph.arc_stack):
+            with pytest.raises(MalformedGraph):
+                fn(g)
 
 
 class TestBlockOperator:
+    """The products on stacked vectors of n blocks (`ArcStack`, and L at graph
+    level) against the dense lift base (x) I_p."""
+
     def test_apply_matches_kron(self):
         rng = np.random.default_rng(13)
         for n in (2, 3, 5):
             for p in (1, 2, 3):
                 g = netgraph.build_graph(n, _random_connected(n, rng), p)
-                for op in netgraph.incidence_operators(g):
-                    x = rng.standard_normal(op.cols * p)
-                    assert_allclose(op.apply(x), op.materialize() @ x, atol=1e-13)
-                    y = rng.standard_normal(op.rows * p)
-                    assert_allclose(
-                        op.apply_transpose(y), op.materialize().T @ y, atol=1e-13
-                    )
+                s = netgraph.arc_stack(g)
+                e_o, e_u = dense_ref.lifted_incidence(g)
+                x = rng.standard_normal(n * p)
+                y = rng.standard_normal(g.m * p)
+                for product, transpose, dense in ((s.e_o, s.e_o_transpose, e_o),
+                                                  (s.e_u, s.e_u_transpose, e_u)):
+                    assert_allclose(product(x), dense @ x, atol=1e-13)
+                    assert_allclose(transpose(y), dense.T @ y, atol=1e-13)
+                lap_x = netgraph.laplacian(g) @ x.reshape(n, p)
+                assert_allclose(lap_x.ravel(), dense_ref.lift(netgraph.laplacian(g), p) @ x,
+                                atol=1e-13)
 
     def test_dimension_mismatch(self):
-        e_o = netgraph.incidence_operators(path3(p=2))[0]
+        # the ArcStack products check no lengths; the entry points that take
+        # a stacked vector from outside do
+        g = path3(p=2)
         with pytest.raises(DimensionMismatch):
-            e_o.apply(np.zeros(5))
+            netgraph.consensuality_residual(g, np.zeros(5))
+        with pytest.raises(DimensionMismatch):
+            netgraph.e_o_min_norm_solver(g)(np.zeros(5))
 
     def test_base_read_only(self):
-        a_s, _ = netgraph.arc_matrices(path3())
-        with pytest.raises(ValueError):
-            a_s.base[0, 0] = 7.0
+        g = path3()
+        for arr in (netgraph.degrees(g), netgraph.laplacian(g), netgraph.arc_stack(g).index,
+                    *netgraph.laplacian_eigen(g)):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 7.0
 
 
 class TestArcOperator:
+    """`ArcStack`, the one arc operator, bit for bit against the dense lift."""
+
     @pytest.mark.parametrize("p", [1, 3])
     def test_apply_equals_dense_product(self, p):
         # each arc row holds at most two unit entries, so the gather forms
-        # the same single rounding as the dense product
+        # the same single rounding as the dense product; integer-valued arc
+        # vectors make every order of the transposes' sums exact too
         rng = np.random.default_rng(31 + p)
         for n in (2, 5, 9):
             g = netgraph.build_graph(n, _random_connected(n, rng), p)
-            ops = netgraph.arc_matrices(g) + netgraph.incidence_operators(g)[:2]
-            for op in ops:
-                x = rng.standard_normal(g.n * p)
-                assert np.array_equal(op.apply(x), op.materialize() @ x)
-                y = rng.standard_normal(g.m * p)
-                assert_allclose(op.apply_transpose(y), op.materialize().T @ y,
-                                rtol=0, atol=1e-13)
+            s = netgraph.arc_stack(g)
+            a_s, a_d = (dense_ref.lift(base, p) for base in dense_ref.arc_bases(g))
+            e_o, e_u = dense_ref.lifted_incidence(g)
+            x = rng.standard_normal(g.n * p)
+            z = rng.integers(-9, 10, g.m * p).astype(float)
+            src, dst = s.apply(x)
+            assert np.array_equal(src, a_s @ x)
+            assert np.array_equal(dst, a_d @ x)
+            assert np.array_equal(s.e_o(x), e_o @ x)
+            assert np.array_equal(s.e_u(x), e_u @ x)
+            assert np.array_equal(s.e_o_transpose(z), e_o.T @ z)
+            assert np.array_equal(s.e_u_transpose(z), e_u.T @ z)
+            y = rng.standard_normal(g.m * p)
+            assert_allclose(s.e_o_transpose(y), e_o.T @ y, rtol=0, atol=1e-13)
+            assert_allclose(s.e_u_transpose(y), e_u.T @ y, rtol=0, atol=1e-13)
 
     def test_transpose_dimension_mismatch(self):
-        for op in netgraph.arc_matrices(path3(p=2)) + netgraph.incidence_operators(path3(p=2))[:2]:
-            with pytest.raises(DimensionMismatch):
-                op.apply_transpose(np.zeros(7))
-            with pytest.raises(DimensionMismatch):
-                op.apply(np.zeros(7))
+        # the callers that form transposes from an arc vector check its length
+        g = path3(p=2)
+        comps = [objective.AffineQuadratic(np.eye(2), np.zeros(2)) for _ in range(3)]
+        params = AdmmParams(rho=1.0, eta=0.5)
+        with pytest.raises(DimensionMismatch):
+            solvers.dadmm_init(g, comps, params, alpha0=np.zeros(7))
+        engine = solvers.FullAdmmEngine(g, comps, params)
+        state = engine.init()
+        state.lam = np.zeros(7)
+        with pytest.raises(DimensionMismatch):
+            engine.step(state)
 
 
 class TestArcStack:
@@ -231,8 +275,7 @@ class TestArcStack:
         rng = np.random.default_rng(41 + p)
         for n in (2, 5, 9):
             g = netgraph.build_graph(n, _random_connected(n, rng), p)
-            a_s, a_d = netgraph.arc_matrices(g)
-            dense = np.kron(np.vstack((a_s.base, a_d.base)), np.eye(p))
+            dense = dense_ref.lift(np.vstack(dense_ref.arc_bases(g)), p)
             s = netgraph.arc_stack(g)
             x = rng.standard_normal(n * p)
             assert s.apply(x).shape == (2, g.m * p)
@@ -247,22 +290,22 @@ class TestArcStack:
         # integer-valued arc vectors make the transposes exact too
         rng = np.random.default_rng(51 + p)
         g = netgraph.build_graph(7, _random_connected(7, rng), p)
-        e_o, e_u, _, _ = netgraph.incidence_operators(g)
+        e_o, e_u = dense_ref.lifted_incidence(g)
         s = netgraph.arc_stack(g)
         x = rng.standard_normal(g.n * p)
         z = rng.integers(-9, 10, g.m * p).astype(float)
-        for product, transpose, op in ((s.e_o, s.e_o_transpose, e_o),
-                                       (s.e_u, s.e_u_transpose, e_u)):
-            dense = op.materialize()
+        for product, transpose, dense in ((s.e_o, s.e_o_transpose, e_o),
+                                          (s.e_u, s.e_u_transpose, e_u)):
             assert np.array_equal(product(x), dense @ x)
             assert np.array_equal(transpose(z), dense.T @ z)
-            assert np.array_equal(op.apply(x), product(x))
-            assert np.array_equal(op.apply_transpose(z), transpose(z))
+        # L x = E_o^T E_o x, the graph matrix against the two arc passes
+        lap_x = (netgraph.laplacian(g) @ x.reshape(g.n, p)).ravel()
+        assert_allclose(lap_x, s.e_o_transpose(s.e_o(x)), rtol=0, atol=1e-12)
 
 
 class TestGraphCaches:
     CACHED = (netgraph.arc_indices, netgraph.support_mask, netgraph.arc_stack,
-              netgraph.arc_matrices, netgraph.incidence_operators)
+              netgraph.degrees, netgraph.laplacian, netgraph.laplacian_eigen)
 
     def test_equal_graph_lookups_compare_no_arcs(self, monkeypatch):
         edges = _random_connected(40, np.random.default_rng(61))
@@ -330,10 +373,10 @@ class TestConsensualityResidual:
         rng = np.random.default_rng(90 + p)
         for n in (2, 5, 9):
             g = netgraph.build_graph(n, _random_connected(n, rng), p)
-            e_o = netgraph.incidence_operators(g)[0]
+            e_o = dense_ref.lifted_incidence(g)[0]
             for _ in range(5):
                 x = 10.0 * rng.standard_normal(n * p)
-                want = float(np.linalg.norm(e_o.apply(x)))
+                want = float(np.linalg.norm(e_o @ x))
                 assert netgraph.consensuality_residual(g, x) == want
 
 
@@ -368,8 +411,8 @@ def test_vertex_relabeling_preserves_structure():
     perm = [3, 1, 4, 2]  # old id -> new id
     relabeled = [(perm[u - 1], perm[v - 1]) for u, v in edges]
     g2 = netgraph.build_graph(4, relabeled, 1)
-    lap1 = netgraph.incidence_operators(g)[3].base
-    lap2 = netgraph.incidence_operators(g2)[3].base
+    lap1 = netgraph.laplacian(g)
+    lap2 = netgraph.laplacian(g2)
     pmat = np.zeros((4, 4))
     for old, new in enumerate(perm, start=1):
         pmat[new - 1, old - 1] = 1.0

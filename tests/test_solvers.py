@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dense_ref
 from deconopt import analysis, denselin, harness, netgraph, objective, solvers
 from deconopt.errors import (
     ConditionViolation,
@@ -150,21 +151,21 @@ class TestDadmmMatrixStep:
     def test_phi_equals_lifted_alpha(self):
         graph, comps = random_instance(8)
         engine = solvers.DadmmMatrixEngine(graph, comps, AdmmParams(1.0, 0.5))
-        e_o = netgraph.incidence_operators(graph)[0]
+        e_o = dense_ref.lifted_incidence(graph)[0]
         st = engine.init()
         for _ in range(25):
             st = engine.step(st)
-            assert_allclose(st.phi, e_o.apply_transpose(st.alpha), atol=1e-12)
+            assert_allclose(st.phi, e_o.T @ st.alpha, atol=1e-12)
 
     def test_dual_confinement_min_norm_projection(self):
         graph, comps = random_instance(9)
         engine = solvers.DadmmMatrixEngine(graph, comps, AdmmParams(1.0, 0.5))
-        e_o = netgraph.incidence_operators(graph)[0]
-        solver = denselin.MinNormTransposeSolver(e_o.materialize())
+        e_o = dense_ref.lifted_incidence(graph)[0]
+        solver = dense_ref.min_norm_solver(e_o)
         st = engine.init()
         for _ in range(30):
             st = engine.step(st)
-            projected = solver(e_o.apply_transpose(st.alpha))
+            projected = solver(e_o.T @ st.alpha)
             assert np.linalg.norm(projected - st.alpha) <= 1e-9
 
 
@@ -182,11 +183,11 @@ class TestFullAdmm:
     def test_edge_variable_identity(self):
         graph, comps = random_instance(10)
         fa = solvers.FullAdmmEngine(graph, comps, AdmmParams(1.0, 0.9))
-        e_u = netgraph.incidence_operators(graph)[1]
+        e_u = dense_ref.lifted_incidence(graph)[1]
         st = fa.init(x0=np.arange(graph.n * graph.p, dtype=float))
         for _ in range(40):
             st = fa.step(st)
-            assert np.max(np.abs(st.z - 0.5 * e_u.apply(st.x))) <= 1e-10
+            assert np.max(np.abs(st.z - 0.5 * e_u @ st.x)) <= 1e-10
 
     def test_multiplier_antisymmetry(self):
         graph, comps = random_instance(11)
@@ -199,12 +200,12 @@ class TestFullAdmm:
     def test_tracked_dual_confined_to_column_space(self):
         graph, comps = random_instance(30)
         fa = solvers.FullAdmmEngine(graph, comps, AdmmParams(1.0, 0.5))
-        e_o = netgraph.incidence_operators(graph)[0]
-        solver = denselin.MinNormTransposeSolver(e_o.materialize())
+        e_o = dense_ref.lifted_incidence(graph)[0]
+        solver = dense_ref.min_norm_solver(e_o)
         st = fa.init()
         for _ in range(40):
             st = fa.step(st)
-            projected = solver(e_o.apply_transpose(st.alpha))
+            projected = solver(e_o.T @ st.alpha)
             assert np.linalg.norm(projected - st.alpha) <= 1e-9
 
 
@@ -235,13 +236,13 @@ class TestExactMM:
     def test_dual_stays_in_column_space(self):
         graph, comps = random_instance(14)
         mm = solvers.ExactMMEngine(graph, comps, AdmmParams(1.0, 0.5))
-        e_o = netgraph.incidence_operators(graph)[0]
-        solver = denselin.MinNormTransposeSolver(e_o.materialize())
+        e_o = dense_ref.lifted_incidence(graph)[0]
+        solver = dense_ref.min_norm_solver(e_o)
         st = mm.init()
         for _ in range(20):
             st = mm.step(st)
             scaled = np.sqrt(0.5) * st.nu
-            assert np.linalg.norm(solver(e_o.apply_transpose(scaled)) - scaled) <= 1e-9
+            assert np.linalg.norm(solver(e_o.T @ scaled) - scaled) <= 1e-9
 
 
 class TestApproxMM:
@@ -259,13 +260,13 @@ class TestApproxMM:
         graph, comps = random_instance(16)
         params = AdmmParams(rho=1.0, eta=0.5, pi=0.2)
         eps = 1.0 / params.rho
-        e_o, _, deg, _ = netgraph.incidence_operators(graph)
+        e_o = dense_ref.lifted_incidence(graph)[0]
         pi = params.pi_vector(graph.n)
-        gamma_diag = np.repeat(2.0 * np.diag(deg.base) + 2.0 * eps * pi, graph.p)
+        gamma_diag = np.repeat(2.0 * netgraph.degrees(graph) + 2.0 * eps * pi, graph.p)
         rng = np.random.default_rng(16)
         for _ in range(1000):
             d = rng.standard_normal(graph.n * graph.p)
-            lhs = float(np.linalg.norm(e_o.apply(d)) ** 2)
+            lhs = float(np.linalg.norm(e_o @ d) ** 2)
             rhs = float(d @ (gamma_diag * d))
             assert lhs <= rhs * (1 + 1e-12) + 1e-12
 
@@ -288,7 +289,7 @@ class TestApproxMM:
 class TestPextraMixing:
     def test_path3_values(self):
         g = netgraph.build_graph(3, [(1, 2), (2, 3)], 1)
-        lap = netgraph.incidence_operators(g)[3].base
+        lap = netgraph.laplacian(g)
         w, wt = solvers.pextra_mixing(g, xi=0.25, rho=1.0, eta=0.5)
         assert_allclose(w, np.eye(3) - lap / 8.0)
         assert_allclose(wt, np.eye(3) - lap / 16.0)
@@ -300,7 +301,7 @@ class TestPextraMixing:
 
     def test_difference_identity(self):
         graph, _ = random_instance(18)
-        lap = netgraph.incidence_operators(graph)[3].base
+        lap = netgraph.laplacian(graph)
         xi, rho, eta = 0.05, 1.4, 0.7
         w, wt = solvers.pextra_mixing(graph, xi, rho, eta)
         assert_allclose(w - wt, -0.5 * xi * rho * eta * lap, atol=1e-14)
@@ -399,8 +400,7 @@ class TestPextraStep:
 
 class TestGeneralUV:
     def classical(self, graph):
-        _, e_u, deg, lap = netgraph.incidence_operators(graph)
-        return e_u.gram_base(), lap.base, deg.base
+        return dense_ref.incidence_uv(graph)
 
     def test_classical_assignment_matches_matrix_engine(self):
         graph, comps = random_instance(24)
@@ -457,9 +457,7 @@ class TestStackedLengthChecked:
         pextra = solvers.PextraEngine(graph, comps, PextraParams(xi=xi, w=w, w_tilde=wt))
         with pytest.raises(DimensionMismatch):
             pextra.init(x0=long)
-        _, e_u, deg, lap = netgraph.incidence_operators(graph)
-        uv = solvers.GeneralUVEngine(graph, e_u.gram_base(), lap.base, deg.base,
-                                     comps, params)
+        uv = solvers.GeneralUVEngine(graph, *dense_ref.incidence_uv(graph), comps, params)
         for kwargs in ({"x0": long}, {"phi0": long}):
             with pytest.raises(DimensionMismatch):
                 uv.init(**kwargs)
@@ -473,9 +471,7 @@ class TestStackedLengthChecked:
         full = solvers.FullAdmmEngine(graph, comps, params)
         exact = solvers.ExactMMEngine(graph, comps, params)
         approx = solvers.ApproxMMEngine(graph, comps, params, 1.0)
-        _, e_u, deg, lap = netgraph.incidence_operators(graph)
-        uv = solvers.GeneralUVEngine(graph, e_u.gram_base(), lap.base, deg.base,
-                                     comps, params)
+        uv = solvers.GeneralUVEngine(graph, *dense_ref.incidence_uv(graph), comps, params)
         calls = [
             lambda: solvers.dadmm_init(graph, comps, params, x0=bad_x),
             lambda: solvers.dadmm_init(graph, comps, params, alpha0=bad_arc),
@@ -563,8 +559,7 @@ class TestAffineSolve:
     def test_dense_system_matches_inverse_times_rhs(self):
         graph, comps = random_instance(83, n=5, p=2)
         n, p = graph.n, graph.p
-        lap = netgraph.incidence_operators(graph)[3]
-        quad = 0.5 * lap.materialize()
+        quad = 0.5 * dense_ref.lift(netgraph.laplacian(graph), p)
         solver = solvers._StationarySolver(comps, quad, 1e-12)
         q, b = objective.quadratic_stack(comps)
         system = quad.copy()
@@ -631,11 +626,9 @@ class TestSnapshots:
     def test_every_engine_exposes_consistent_rows(self):
         graph, comps = random_instance(50)
         params = AdmmParams(rho=1.0, eta=0.5, pi=0.1)
-        e_o = netgraph.incidence_operators(graph)[0]
         dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
         xi = 0.8 / (params.rho * dmax)
         w, wt = solvers.pextra_mixing(graph, xi, params.rho, params.eta)
-        _, e_u, deg, lap = netgraph.incidence_operators(graph)
         engines = [
             solvers.DadmmEngine(graph, comps, params),
             solvers.DadmmMatrixEngine(graph, comps, params),
@@ -643,8 +636,7 @@ class TestSnapshots:
             solvers.ExactMMEngine(graph, comps, params),
             solvers.ApproxMMEngine(graph, comps, params, 1.0),
             solvers.PextraEngine(graph, comps, solvers.PextraParams(xi=xi, w=w, w_tilde=wt)),
-            solvers.GeneralUVEngine(graph, e_u.gram_base(), lap.base, deg.base,
-                                    comps, params),
+            solvers.GeneralUVEngine(graph, *dense_ref.incidence_uv(graph), comps, params),
         ]
         for engine in engines:
             state = engine.step(engine.init())
@@ -723,8 +715,8 @@ class TestCallbackComponents:
         ref = analysis.reference_solution(graph, comps, eta=0.5)
         grad = sum(comp.grad(ref.xbar) for comp in comps)
         assert np.linalg.norm(grad) <= 1e-11
-        e_o = netgraph.incidence_operators(graph)[0]
-        resid = e_o.apply_transpose(ref.alpha_star) + objective.sum_gradient(comps, ref.x_star)
+        e_o = dense_ref.lifted_incidence(graph)[0]
+        resid = e_o.T @ ref.alpha_star + objective.sum_gradient(comps, ref.x_star)
         assert np.linalg.norm(resid) <= 1e-8
 
     def test_contraction_holds_with_supplied_mu(self):
