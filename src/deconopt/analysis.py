@@ -5,7 +5,9 @@ of the penalized objective, the Lipschitz modulus of its gradient, and the
 strictly positive contraction parameter bounding the per-round decrease of
 the primal-dual distance in the associated (semi-)norm. Verification replays
 an iterate trace against that bound with an explicit slack budget, since the
-iterates themselves are only solved to the subproblem tolerance.
+iterates themselves are only solved to the subproblem tolerance. A trace of
+dual aggregates phi = E_o^T alpha is verified in phi-space, with no per-round
+reconstruction of alpha and no n x n L^+.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from . import denselin, objective
 from .errors import (
     AllZero,
     CertificateUnavailable,
-    ContractionViolated,
     DimensionMismatch,
     EtaOutOfRange,
     GammaOutOfRange,
+    Inconsistent,
     IndefiniteInput,
 )
 from .netgraph import (
@@ -38,6 +40,8 @@ from .netgraph import (
 from .tolerances import DEFAULT, Tolerances
 
 _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+
+_ROW_BLOCK = 128  # trace rows per pass of `distances_sq`; bounds its temporaries
 
 
 # -- scalar searches -------------------------------------------------------------
@@ -169,8 +173,11 @@ def _mu_g(profile: objective.SumProfile, lam_min: float, rho: float, eta: float,
 
 @dataclass(frozen=True)
 class RateCertificate:
-    """Contraction certificate: constants, optimizing scalars, and the n x n
-    base of M = m_base (x) I_p, the (semi-)norm the statement is made in."""
+    """Contraction certificate: constants, optimizing scalars, and the norm
+    dual_weight |alpha - alpha*|^2 + (x - x*)^T (x_block (x) I_p) (x - x*)
+    the statement is made in: 2/(rho eta) and M's base for `delta`, or
+    1/(rho eta) and (rho/4) E_u^T E_u (rho |z - z*|^2 for z = E_u x / 2)
+    for the P = 0 corollary's `delta_admm`. It carries one of the two."""
 
     rho: float
     eta: float
@@ -179,36 +186,66 @@ class RateCertificate:
     lam_min_nonzero: float
     tau_star: float
     gamma_star: float
+    dual_weight: float
+    # equality skips the array, which has no boolean `==`; what it is built
+    # from (rho, the graph, lam_max_m or lam_max_eu) takes part
+    x_block: np.ndarray = field(repr=False, compare=False)
+    graph: NetworkGraph = field(repr=False)
     delta: float | None = None
     delta_admm: float | None = None
     lam_max_m: float | None = None
     lam_max_eu: float | None = None
-    m_base: np.ndarray | None = field(default=None, repr=False)
-    graph: NetworkGraph | None = field(default=None, repr=False)
 
     def contraction_factor(self) -> float:
         d = self.delta if self.delta is not None else self.delta_admm
         return 1.0 / (1.0 + d)
 
-    def u_distance_sq(self, alpha: np.ndarray, x: np.ndarray,
-                      ref: ReferenceSolution) -> float:
-        """Squared primal-dual distance in the block norm carried by delta."""
-        if self.m_base is None:
-            raise CertificateUnavailable("certificate carries no M matrix")
-        da = alpha - ref.alpha_star
-        dx = (x - ref.x_star).reshape(self.m_base.shape[0], -1)
-        val = ((2.0 / (self.rho * self.eta)) * float(da @ da)
-               + float(np.sum(dx * (self.m_base @ dx))))
-        return max(val, 0.0)
+    def distances_sq(self, xs, duals, ref: ReferenceSolution, dual: str = "alpha",
+                     tolerances: Tolerances = DEFAULT) -> np.ndarray:
+        """Squared distance of every row (xs[k], duals[k]), in row blocks.
 
-    def v_distance_sq(self, alpha: np.ndarray, x: np.ndarray,
-                      ref: ReferenceSolution) -> float:
-        """Squared distance of (alpha, edge variable) in the P=0 norm."""
-        if self.graph is None:
-            raise CertificateUnavailable("certificate carries no graph")
-        da = alpha - ref.alpha_star
-        dz = 0.5 * arc_stack(self.graph).e_u(x - ref.x_star)
-        return (1.0 / (self.rho * self.eta)) * float(da @ da) + self.rho * float(dz @ dz)
+        The duals are arc multipliers alpha (dual="alpha") or their aggregates
+        phi = E_o^T alpha (dual="phi"), where alpha in range(E_o) gives
+        |alpha - alpha*|^2 = sum_k inv_k |(V^T dphi)_k|^2 over the eigenpairs
+        of L (inv = `pinv_spectrum`). Inconsistent is raised for a phi row off
+        range(E_o^T) = 1^perp: |sum_i phi_i|/sqrt(n), the min-norm solve's
+        residual, above that solve's tolerance."""
+        g = self.graph
+        n, p = g.n, g.p
+        xs = np.asarray(xs, dtype=float)
+        duals = np.asarray(duals, dtype=float)
+        if dual == "phi":
+            eigvals, eigvecs = laplacian_eigen(g)
+            inv = denselin.pinv_spectrum(eigvals, tolerances)
+            dual_star = arc_stack(g).e_o_transpose(ref.alpha_star)
+            floor = denselin.range_floor(float(np.trace(laplacian(g))), p)
+        elif dual == "alpha":
+            dual_star = ref.alpha_star
+        else:
+            raise ValueError(f"unknown dual {dual!r}")
+        if xs.shape[1:] != (n * p,) or duals.shape != (len(xs), len(dual_star)) or not len(xs):
+            raise DimensionMismatch(f"expected (rows, {n * p}) and (rows, {len(dual_star)}) "
+                                    f"arrays, got {xs.shape} and {duals.shape}")
+        out = np.empty(len(xs))
+        for start in range(0, len(xs), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            dd = duals[rows] - dual_star
+            if dual == "phi":
+                phi = duals[rows]
+                resid = np.linalg.norm(phi.reshape(-1, n, p).sum(axis=1), axis=1) / math.sqrt(n)
+                bad = np.flatnonzero(
+                    resid > tolerances.minnorm_consistency * np.linalg.norm(phi, axis=1) + floor)
+                if bad.size:
+                    raise Inconsistent(f"phi row {start + bad[0]} is not in the range of the "
+                                       f"transpose (residual {resid[bad[0]]:.3e})")
+                coef = eigvecs.T @ dd.reshape(-1, n, p)
+                dual_sq = np.square(coef).sum(axis=2) @ inv
+            else:
+                dual_sq = np.vecdot(dd, dd)
+            dx = xs[rows] - ref.x_star
+            x_sq = np.vecdot(dx, (self.x_block @ dx.reshape(-1, n, p)).reshape(dx.shape))
+            out[rows] = np.maximum(self.dual_weight * dual_sq + x_sq, 0.0)
+        return out
 
 
 def delta_bound(rho: float, eta: float, mu: float, lip_g: float,
@@ -278,8 +315,8 @@ def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
     return RateCertificate(
         rho=rho, eta=eta, mu_g=mu, lipschitz_g=lip_g,
         lam_min_nonzero=lam_min, tau_star=tau_star, gamma_star=gamma_star,
+        dual_weight=2.0 / (rho * eta), x_block=m_base, graph=graph,
         delta=delta, lam_max_m=lam_max_m,
-        m_base=m_base, graph=graph,
     )
 
 
@@ -292,7 +329,8 @@ def rate_certificate_admm(graph: NetworkGraph, profile: objective.SumProfile,
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     lam_min, lam_max_lap = _laplacian_spectrum(graph, tolerances)
-    eig_eu, _ = denselin.sym_eigen(denselin.SymMatrix(unoriented_gram(graph)), tolerances)
+    gram_u = unoriented_gram(graph)
+    eig_eu, _ = denselin.sym_eigen(denselin.SymMatrix(gram_u), tolerances)
     lam_max_eu = float(eig_eu[-1])
     lip_g = profile.lipschitz + (1.0 - eta) * 0.5 * rho * lam_max_lap
     mu, gamma_star = _mu_g(profile, lam_min, rho, eta, "optimize", tolerances)
@@ -303,7 +341,8 @@ def rate_certificate_admm(graph: NetworkGraph, profile: objective.SumProfile,
     return RateCertificate(
         rho=rho, eta=eta, mu_g=mu, lipschitz_g=lip_g,
         lam_min_nonzero=lam_min, tau_star=tau_star, gamma_star=gamma_star,
-        delta_admm=delta, lam_max_eu=lam_max_eu, graph=graph,
+        dual_weight=1.0 / (rho * eta), x_block=0.25 * rho * gram_u, graph=graph,
+        delta_admm=delta, lam_max_eu=lam_max_eu,
     )
 
 
@@ -322,65 +361,30 @@ class ContractionReport:
         return not self.violations
 
 
-def verify_contraction(trace, ref: ReferenceSolution, cert: RateCertificate,
-                       dual: str = "alpha", graph: NetworkGraph | None = None,
-                       slack: float | None = None, slack_scale: float | None = None,
-                       norm: str = "u",
-                       raise_on_violation: bool = False) -> ContractionReport:
+def verify_contraction(xs, duals, ref: ReferenceSolution, cert: RateCertificate,
+                       dual: str = "alpha",
+                       tolerances: Tolerances = DEFAULT) -> ContractionReport:
     """Check the per-round contraction of a primal-dual trace.
 
-    `trace` is a sequence of (x_k, dual_k) pairs ordered by round. With
-    dual="phi" the arc-space multiplier is reconstructed by the minimum-norm
-    transpose solve (unique because the iterates stay in the column space of
-    E_o); dual="alpha" uses the pairs directly. norm="u" checks the proximal
-    certificate distance, norm="v" the P=0 edge-variable distance. The slack
-    defaults to slack_scale * (1 + initial distance), budgeting the
-    subproblem tolerance.
+    Row k of xs and of duals is the iterate after round k; duals holds arc
+    multipliers (dual="alpha") or their aggregates phi (dual="phi"), see
+    `RateCertificate.distances_sq`. The norm is the certificate's. Round k
+    violates the bound when d_k > bound d_{k-1} + slack, with the slack
+    `contraction_slack` (1 + d_0) budgeting the subproblem tolerance.
+    `worst_ratio` is the largest d_k / d_{k-1} over rows with d_{k-1} > 0.
     """
-    if norm == "u":
-        dist = lambda a, x: cert.u_distance_sq(a, x, ref)
-        if cert.delta is None:
-            raise CertificateUnavailable("certificate carries no delta for the u-norm")
-    elif norm == "v":
-        dist = lambda a, x: cert.v_distance_sq(a, x, ref)
-        if cert.delta_admm is None:
-            raise CertificateUnavailable("certificate carries no delta for the v-norm")
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
-
-    if dual == "phi":
-        src = graph or cert.graph
-        if src is None:
-            raise ValueError("dual='phi' needs the graph to reconstruct alpha")
-        solver = e_o_min_norm_solver(src)
-        pairs = [(x, solver(phi)) for x, phi in trace]
-    else:
-        pairs = [(x, a) for x, a in trace]
-
-    distances = np.array([dist(a, x) for x, a in pairs])
+    distances = cert.distances_sq(xs, duals, ref, dual, tolerances)
     bound = cert.contraction_factor()
-    if slack is None:
-        if slack_scale is None:
-            slack_scale = DEFAULT.contraction_slack
-        slack = slack_scale * (1.0 + distances[0])
-
-    violations = []
-    worst = None
-    for k in range(len(distances) - 1):
-        allowed = bound * distances[k] + slack
-        if distances[k + 1] > allowed:
-            violations.append((k + 1, float(distances[k + 1]), float(allowed)))
-        if distances[k] > 0:
-            ratio = distances[k + 1] / distances[k]
-            worst = ratio if worst is None else max(worst, ratio)
-    report = ContractionReport(
+    slack = tolerances.contraction_slack * (1.0 + distances[0])
+    prev, nxt = distances[:-1], distances[1:]
+    allowed = bound * prev + slack
+    late = np.flatnonzero(nxt > allowed)
+    live = prev > 0
+    return ContractionReport(
         distances=distances, bound=bound, slack=float(slack),
-        violations=tuple(violations), worst_ratio=worst,
+        violations=tuple((int(k) + 1, float(nxt[k]), float(allowed[k])) for k in late),
+        worst_ratio=float(np.max(nxt[live] / prev[live])) if live.any() else None,
     )
-    if raise_on_violation and violations:
-        k, lhs, allowed = violations[0]
-        raise ContractionViolated(k, lhs / max(distances[k - 1], 1e-300), bound)
-    return report
 
 
 # -- mixing-matrix and U/V condition checks ------------------------------------------

@@ -415,16 +415,12 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
         profile = objective.sum_profile(components, graph)
         cert_params = replace(params, eta=config.certified_eta())
         cert = analysis.rate_certificate(graph, profile, cert_params, tol)
-        report = analysis.verify_contraction(
-            zip(xs, phis), ref, cert,
-            dual="phi", graph=graph, slack_scale=tol.contraction_slack,
-        )
+        report = analysis.verify_contraction(xs, phis, ref, cert, dual="phi",
+                                             tolerances=tol)
 
     os.makedirs(config.out_dir, exist_ok=True)
 
-    udists = None
-    if cert is not None:
-        udists = report.distances
+    udists = None if report is None else report.distances
     obj_errs = objective.sum_value(components, xs) - ref.objective_value
     csv_rows = []
     for k, x in enumerate(xs):

@@ -127,6 +127,22 @@ def solve_spd(a, b) -> np.ndarray:
     return inv @ b
 
 
+def pinv_spectrum(eigvals: np.ndarray, tolerances: Tolerances = DEFAULT) -> np.ndarray:
+    """The pseudo-inverse's eigenvalues from a PSD matrix's ascending ones:
+    reciprocals above the cutoff `spectrum_zero * lambda_max`, zero below."""
+    cutoff = tolerances.spectrum_zero * max(float(eigvals[-1]), 0.0)
+    inv = np.zeros_like(eigvals)
+    keep = eigvals > cutoff
+    inv[keep] = 1.0 / eigvals[keep]
+    return inv
+
+
+def range_floor(gram_trace: float, p: int) -> float:
+    """Absolute floor of the range test of B^T a = c, 1e-12 |B|_F or 1e-12:
+    a rhs at roundoff scale is "in range" by convention."""
+    return 1e-12 * max(1.0, math.sqrt(p) * math.sqrt(gram_trace))
+
+
 class MinNormTransposeSolver:
     """Reusable minimum-norm solver for B^T a = c, with B = b (x) I_p.
 
@@ -151,14 +167,8 @@ class MinNormTransposeSolver:
         self._apply = apply
         self._apply_transpose = apply_transpose
         self._cols = gram.shape[0]
-        cutoff = tolerances.spectrum_zero * max(float(eigvals[-1]), 0.0)
-        inv = np.zeros_like(eigvals)
-        keep = eigvals > cutoff
-        inv[keep] = 1.0 / eigvals[keep]
-        self.gram_pinv = (eigvecs * inv) @ eigvecs.T
-        # absolute floor: a rhs at roundoff scale is "in range" by convention;
-        # sqrt(p trace(b^T b)) is the Frobenius norm of the lifted matrix
-        self._floor = 1e-12 * max(1.0, math.sqrt(self.p) * math.sqrt(float(np.trace(gram))))
+        self.gram_pinv = (eigvecs * pinv_spectrum(eigvals, tolerances)) @ eigvecs.T
+        self._floor = range_floor(float(np.trace(gram)), self.p)
 
     def __call__(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=float)

@@ -95,16 +95,6 @@ class CertificateUnavailable(DeconoptError):
     pass
 
 
-class ContractionViolated(DeconoptError):
-    def __init__(self, k, ratio, bound):
-        super().__init__(
-            f"contraction violated at round {k}: ratio {ratio:.6e} exceeds bound {bound:.6e}"
-        )
-        self.k = k
-        self.ratio = ratio
-        self.bound = bound
-
-
 # -- cli -----------------------------------------------------------------------------
 
 class ConfigError(DeconoptError):

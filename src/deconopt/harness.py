@@ -34,8 +34,7 @@ same round, so engine and network agree bit for bit.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,7 +62,6 @@ class RoundLog:
     messages: int
     payload_scalars: int
     subproblem_iters: tuple[int, ...]
-    wall_time: float = field(default=0.0, compare=False)
 
 
 def rows(stacked, graph: NetworkGraph) -> np.ndarray:
@@ -193,12 +191,8 @@ def run_rounds(net: Network, graph: NetworkGraph, rounds: int, observer=None):
         observer(0, net.x.ravel(), net.phi.ravel(),
                  RoundLog(k=0, messages=0, payload_scalars=0, subproblem_iters=()))
     for k in range(1, rounds + 1):
-        start = time.perf_counter()
-        iters = network_round(net)
-        log = RoundLog(
-            k=k, messages=graph.m, payload_scalars=graph.m * graph.p,
-            subproblem_iters=iters, wall_time=time.perf_counter() - start,
-        )
+        log = RoundLog(k=k, messages=graph.m, payload_scalars=graph.m * graph.p,
+                       subproblem_iters=network_round(net))
         logs.append(log)
         if observer is not None:
             observer(k, net.x.ravel(), net.phi.ravel(), log)

@@ -62,13 +62,15 @@ def cached_instance(kind, n, p):
 
 
 def matrix_trace(graph, components, params, rounds):
+    """(xs, alphas): row k of each is the tracked iterate after round k."""
     engine = solvers.DadmmMatrixEngine(graph, components, params)
     st = engine.init()
-    trace = [(st.x, st.alpha)]
+    xs, alphas = [st.x], [st.alpha]
     for _ in range(rounds):
         st = engine.step(st)
-        trace.append((st.x, st.alpha))
-    return trace
+        xs.append(st.x)
+        alphas.append(st.alpha)
+    return np.array(xs), np.array(alphas)
 
 
 @criterion(1, "Q-linear contraction over the full instance matrix")
@@ -84,20 +86,18 @@ def test_criterion_1_q_linear_contraction():
                             params = AdmmParams(rho, eta, pi)
                             cert = analysis.rate_certificate(graph, profile, params)
                             assert cert.delta > 0, (kind, n, p, eta, rho, pi)
-                            trace = matrix_trace(graph, components, params, ROUNDS)
-                            report = analysis.verify_contraction(
-                                trace, ref, cert,
-                                slack=SLACK_SCALE * (1 + cert.u_distance_sq(
-                                    trace[0][1], trace[0][0], ref)),
-                            )
+                            xs, alphas = matrix_trace(graph, components, params, ROUNDS)
+                            report = analysis.verify_contraction(xs, alphas, ref, cert,
+                                                                 dual="alpha")
+                            assert report.slack == SLACK_SCALE * (1 + report.distances[0])
                             assert report.ok, (kind, n, p, eta, rho, pi,
                                                report.violations[:3])
                             checked += 1
     assert checked == 486
 
     # the same bound also holds on the distributed execution: replay a
-    # diagonal of cells through the simulated network, reconstructing the
-    # arc dual from the broadcast aggregate
+    # diagonal of cells through the simulated network, measuring the arc
+    # dual through the broadcast aggregate phi
     for kind, n, p, eta, rho, pi in (
         ("ring", 5, 2, 0.5, 1.0, 0.1),
         ("path", 10, 1, 0.9, 0.5, 0.0),
@@ -110,8 +110,8 @@ def test_criterion_1_q_linear_contraction():
         snaps = []
         harness.run_rounds(agents, graph, ROUNDS,
                            observer=lambda k, x, phi, log: snaps.append((x, phi)))
-        report = analysis.verify_contraction(snaps, ref, cert, dual="phi",
-                                             graph=graph)
+        xs, phis = (np.array(col) for col in zip(*snaps))
+        report = analysis.verify_contraction(xs, phis, ref, cert, dual="phi")
         assert report.ok, (kind, n, p, report.violations[:3])
 
 
@@ -127,12 +127,10 @@ def test_criterion_2_corollary_norm():
                         params = AdmmParams(rho, eta, 0.0)
                         cert = analysis.rate_certificate_admm(graph, profile, rho, eta)
                         assert cert.delta_admm > 0
-                        trace = matrix_trace(graph, components, params, ROUNDS)
-                        report = analysis.verify_contraction(
-                            trace, ref, cert, norm="v",
-                            slack=SLACK_SCALE * (1 + cert.v_distance_sq(
-                                trace[0][1], trace[0][0], ref)),
-                        )
+                        xs, alphas = matrix_trace(graph, components, params, ROUNDS)
+                        report = analysis.verify_contraction(xs, alphas, ref, cert,
+                                                             dual="alpha")
+                        assert report.slack == SLACK_SCALE * (1 + report.distances[0])
                         assert report.ok, (kind, n, p, eta, rho,
                                            report.violations[:3])
                         checked += 1
@@ -281,11 +279,13 @@ def test_criterion_6_overshooting():
         engine = solvers.PextraEngine(graph, components,
                                       PextraParams(xi=xi, w=w, w_tilde=wt))
         st = engine.init()
-        trace = [(st.x, reconstruct(engine.phi_view(st)))]
+        xs, alphas = [st.x], [reconstruct(engine.phi_view(st))]
         for _ in range(ROUNDS):
             st = engine.step(st)
-            trace.append((st.x, reconstruct(engine.phi_view(st))))
-        report = analysis.verify_contraction(trace, ref, cert)
+            xs.append(st.x)
+            alphas.append(reconstruct(engine.phi_view(st)))
+        report = analysis.verify_contraction(np.array(xs), np.array(alphas), ref, cert,
+                                             dual="alpha")
         assert report.ok, (omega, report.violations[:3])
 
 

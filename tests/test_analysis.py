@@ -10,25 +10,28 @@ from deconopt.errors import (
     DimensionMismatch,
     EtaOutOfRange,
     GammaOutOfRange,
+    Inconsistent,
     IndefiniteInput,
     NotStronglyConvex,
 )
 from deconopt.objective import AffineQuadratic, RankOneLeastSquares
 from deconopt.solvers import AdmmParams
+from deconopt.tolerances import DEFAULT
 
 
 def ls_preset(seed=0, n=5, p=2):
     return harness.scenario_least_squares(n, p, seed)
 
 
-def run_matrix_trace(graph, comps, params, rounds):
+def run_matrix_trace(graph, comps, params, rounds, **init):
+    """(xs, alphas, phis): row k of each is the iterate after round k."""
     engine = solvers.DadmmMatrixEngine(graph, comps, params)
-    st = engine.init()
-    trace = [(st.x, st.alpha)]
+    st = engine.init(**init)
+    rows = [(st.x, st.alpha, st.phi)]
     for _ in range(rounds):
         st = engine.step(st)
-        trace.append((st.x, st.alpha))
-    return trace
+        rows.append((st.x, st.alpha, st.phi))
+    return tuple(np.array(col) for col in zip(*rows))
 
 
 class TestReferenceSolution:
@@ -151,7 +154,7 @@ class TestRateCertificate:
         assert cert.mu_g > 0
         assert cert.lipschitz_g >= profile.lipschitz
         # M is PSD by construction
-        m_lifted = np.kron(cert.m_base, np.eye(graph.p))
+        m_lifted = np.kron(cert.x_block, np.eye(graph.p))
         eigvals, _ = denselin.sym_eigen(denselin.SymMatrix(m_lifted))
         assert eigvals[0] >= -1e-9
 
@@ -239,7 +242,7 @@ class TestRateCertificate:
             lifted_gram = denselin.SymMatrix(e_o.T @ e_o)
             lam_min_lif = denselin.smallest_nonzero(denselin.sym_eigen(lifted_gram)[0])
             eig_m, _ = denselin.sym_eigen(
-                denselin.SymMatrix(np.kron(cert.m_base, np.eye(p))))
+                denselin.SymMatrix(np.kron(cert.x_block, np.eye(p))))
             delta_lifted, _ = analysis.delta_bound(
                 params.rho, params.eta, cert.mu_g, cert.lipschitz_g,
                 lam_min_lif, float(eig_m[-1]),
@@ -280,8 +283,8 @@ class TestVerifyContraction:
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, params)
         ref = analysis.reference_solution(graph, comps, params.eta)
-        trace = run_matrix_trace(graph, comps, params, 300)
-        report = analysis.verify_contraction(trace, ref, cert)
+        xs, alphas, _ = run_matrix_trace(graph, comps, params, 300)
+        report = analysis.verify_contraction(xs, alphas, ref, cert)
         assert report.ok
         assert report.worst_ratio < report.bound
 
@@ -291,17 +294,13 @@ class TestVerifyContraction:
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, params)
         ref = analysis.reference_solution(graph, comps, params.eta)
-        engine = solvers.DadmmMatrixEngine(graph, comps, params)
-        st = engine.init(x0=ref.x_star, alpha0=ref.alpha_star)
-        trace = [(st.x, st.alpha)]
-        for _ in range(20):
-            st = engine.step(st)
-            trace.append((st.x, st.alpha))
-        report = analysis.verify_contraction(trace, ref, cert)
+        xs, alphas, _ = run_matrix_trace(graph, comps, params, 20,
+                                         x0=ref.x_star, alpha0=ref.alpha_star)
+        report = analysis.verify_contraction(xs, alphas, ref, cert)
         assert report.ok
         assert np.all(report.distances <= report.slack)
 
-    def test_phi_reconstruction_path(self):
+    def test_phi_space_path(self):
         graph, comps = ls_preset(seed=4)
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
@@ -309,12 +308,25 @@ class TestVerifyContraction:
         ref = analysis.reference_solution(graph, comps, params.eta)
         engine = solvers.DadmmEngine(graph, comps, params)
         st = engine.init()
-        trace = [(st.x, st.phi)]
+        xs, phis = [st.x], [st.phi]
         for _ in range(100):
             st = engine.step(st)
-            trace.append((st.x, st.phi))
-        report = analysis.verify_contraction(trace, ref, cert, dual="phi", graph=graph)
+            xs.append(st.x)
+            phis.append(st.phi)
+        report = analysis.verify_contraction(np.array(xs), np.array(phis), ref, cert,
+                                             dual="phi")
         assert report.ok
+
+    def test_certificates_compare_by_value(self):
+        graph, comps = ls_preset(seed=5)
+        profile = objective.sum_profile(comps, graph)
+        params = AdmmParams(1.0, 0.5, 0.1)
+        assert (analysis.rate_certificate(graph, profile, params)
+                == analysis.rate_certificate(graph, profile, params))
+        assert (analysis.rate_certificate_admm(graph, profile, 1.0, 0.5)
+                == analysis.rate_certificate_admm(graph, profile, 1.0, 0.5))
+        assert (analysis.rate_certificate(graph, profile, params)
+                != analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, 0.2)))
 
     def test_violation_detected_on_fake_trace(self):
         graph, comps = ls_preset(seed=5)
@@ -323,12 +335,35 @@ class TestVerifyContraction:
         cert = analysis.rate_certificate(graph, profile, params)
         ref = analysis.reference_solution(graph, comps, params.eta)
         far = ref.x_star + 10.0
-        trace = [(ref.x_star.copy(), ref.alpha_star.copy()), (far, ref.alpha_star.copy())]
-        report = analysis.verify_contraction(trace, ref, cert)
+        xs = np.array([ref.x_star, far])
+        alphas = np.array([ref.alpha_star, ref.alpha_star])
+        report = analysis.verify_contraction(xs, alphas, ref, cert)
         assert not report.ok
-        from deconopt.errors import ContractionViolated
-        with pytest.raises(ContractionViolated):
-            analysis.verify_contraction(trace, ref, cert, raise_on_violation=True)
+
+    def test_violations_and_worst_ratio_are_exact(self):
+        # distances 0, d, d/2, 3d/2: round 1 violates (from zero, beyond the
+        # slack), round 2 contracts, round 3 violates; the ratio skips row 0
+        graph, comps = ls_preset(seed=5)
+        params = AdmmParams(1.0, 0.5, 0.0)
+        profile = objective.sum_profile(comps, graph)
+        cert = analysis.rate_certificate(graph, profile, params)
+        ref = analysis.reference_solution(graph, comps, params.eta)
+        unit = np.zeros_like(ref.alpha_star)
+        unit[0] = 1.0
+        scales = np.sqrt([0.0, 4.0, 2.0, 6.0])
+        xs = np.tile(ref.x_star, (4, 1))
+        alphas = ref.alpha_star + scales[:, None] * unit
+        report = analysis.verify_contraction(xs, alphas, ref, cert)
+        d = report.distances
+        assert d[0] == 0.0
+        assert_allclose(d[1:], cert.dual_weight * np.array([4.0, 2.0, 6.0]), rtol=1e-14)
+        bound, slack = report.bound, report.slack
+        assert slack == DEFAULT.contraction_slack
+        assert report.violations == (
+            (1, float(d[1]), bound * 0.0 + slack),
+            (3, float(d[3]), float(bound * d[2] + slack)),
+        )
+        assert report.worst_ratio == max(d[2] / d[1], d[3] / d[2])
 
     def test_corollary_norm_contracts_for_zero_proximal(self):
         graph, comps = ls_preset(seed=6)
@@ -336,9 +371,97 @@ class TestVerifyContraction:
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate_admm(graph, profile, params.rho, params.eta)
         ref = analysis.reference_solution(graph, comps, params.eta)
-        trace = run_matrix_trace(graph, comps, params, 300)
-        report = analysis.verify_contraction(trace, ref, cert, norm="v")
+        xs, alphas, _ = run_matrix_trace(graph, comps, params, 300)
+        report = analysis.verify_contraction(xs, alphas, ref, cert)
         assert report.ok
+
+    @pytest.mark.parametrize("norm", ["u", "v"])
+    def test_distances_match_per_row_dense_formulas(self, norm):
+        # u: 2/(rho eta)|da|^2 + dx'M dx with M = (rho/2) E_u'E_u + pi I (the
+        # lifted 0.5 rho (2D + (2/rho) P - L)); v: 1/(rho eta)|da|^2 + rho|E_u dx / 2|^2
+        graph, comps = ls_preset(seed=8, n=7, p=3)
+        pi = 0.1 if norm == "u" else 0.0
+        params = AdmmParams(0.7, 0.4, pi)
+        profile = objective.sum_profile(comps, graph)
+        ref = analysis.reference_solution(graph, comps, params.eta)
+        xs, alphas, _ = run_matrix_trace(graph, comps, params, 150)
+        rho, eta = params.rho, params.eta
+        e_u = dense_ref.lifted_incidence(graph)[1]
+        if norm == "u":
+            cert = analysis.rate_certificate(graph, profile, params)
+            weight, m_lift = 2.0 / (rho * eta), 0.5 * rho * e_u.T @ e_u + pi * np.eye(len(xs[0]))
+        else:
+            cert = analysis.rate_certificate_admm(graph, profile, rho, eta)
+            weight, m_lift = 1.0 / (rho * eta), 0.25 * rho * e_u.T @ e_u
+        want = [weight * float((a - ref.alpha_star) @ (a - ref.alpha_star))
+                + float((x - ref.x_star) @ m_lift @ (x - ref.x_star))
+                for x, a in zip(xs, alphas)]
+        assert_allclose(cert.distances_sq(xs, alphas, ref), want, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_phi_space_matches_alpha_space(self, n):
+        # the tracked alpha lies in range(E_o), so |alpha - alpha*| is fixed
+        # by phi = E_o^T alpha; both norms, rows above the roundoff floor
+        graph, comps = ls_preset(seed=7, n=n, p=2)
+        params = AdmmParams(1.0, 0.5, 0.1)
+        profile = objective.sum_profile(comps, graph)
+        ref = analysis.reference_solution(graph, comps, params.eta)
+        xs, alphas, phis = run_matrix_trace(graph, comps, params, 300)
+        for cert in (analysis.rate_certificate(graph, profile, params),
+                     analysis.rate_certificate_admm(graph, profile, params.rho,
+                                                    params.eta)):
+            via_alpha = cert.distances_sq(xs, alphas, ref, "alpha")
+            via_phi = cert.distances_sq(xs, phis, ref, "phi")
+            above = via_alpha > 1e-10 * via_alpha[0]
+            assert above.sum() > 50
+            assert_allclose(via_phi[above], via_alpha[above], rtol=1e-9)
+
+    def test_phi_row_off_range_is_inconsistent(self):
+        graph, comps = ls_preset(seed=4)
+        params = AdmmParams(1.0, 0.5, 0.0)
+        profile = objective.sum_profile(comps, graph)
+        cert = analysis.rate_certificate(graph, profile, params)
+        ref = analysis.reference_solution(graph, comps, params.eta)
+        phi_star = netgraph.arc_stack(graph).e_o_transpose(ref.alpha_star)
+        xs = np.tile(ref.x_star, (3, 1))
+        phis = np.tile(phi_star, (3, 1))
+        phis[2] += 1e-3    # a consensus component in every block
+        with pytest.raises(Inconsistent, match="row 2"):
+            analysis.verify_contraction(xs, phis, ref, cert, dual="phi")
+
+    def test_phi_range_check_uses_the_given_tolerances(self):
+        # a consensus component above the absolute floor but below
+        # minnorm_consistency |phi| passes at DEFAULT only
+        graph, comps = ls_preset(seed=4)
+        params = AdmmParams(1.0, 0.5, 0.0)
+        profile = objective.sum_profile(comps, graph)
+        cert = analysis.rate_certificate(graph, profile, params)
+        ref = analysis.reference_solution(graph, comps, params.eta)
+        phi = netgraph.arc_stack(graph).e_o_transpose(ref.alpha_star)
+        scale = float(np.linalg.norm(phi))
+        floor = denselin.range_floor(float(np.trace(netgraph.laplacian(graph))), graph.p)
+        # the same shift on every entry: |sum_i phi_i|/sqrt(n) = 1e-9 |phi| sqrt(n)
+        phis = np.array([phi, phi + 1e-9 * scale / np.sqrt(graph.p)])
+        assert floor < 1e-9 * scale * np.sqrt(graph.n) < 1e-8 * scale
+        xs = np.tile(ref.x_star, (2, 1))
+        analysis.verify_contraction(xs, phis, ref, cert, dual="phi")
+        tight = DEFAULT.replace(minnorm_consistency=1e-11)
+        with pytest.raises(Inconsistent):
+            analysis.verify_contraction(xs, phis, ref, cert, dual="phi", tolerances=tight)
+
+    def test_shape_and_dual_checked(self):
+        graph, comps = ls_preset(seed=4)
+        params = AdmmParams(1.0, 0.5, 0.0)
+        profile = objective.sum_profile(comps, graph)
+        cert = analysis.rate_certificate(graph, profile, params)
+        ref = analysis.reference_solution(graph, comps, params.eta)
+        xs = ref.x_star[None, :]
+        with pytest.raises(DimensionMismatch):
+            analysis.verify_contraction(xs, xs, ref, cert, dual="alpha")
+        with pytest.raises(DimensionMismatch):
+            analysis.verify_contraction(xs[:0], xs[:0], ref, cert, dual="phi")
+        with pytest.raises(ValueError):
+            analysis.verify_contraction(xs, xs, ref, cert, dual="nu")
 
 
 class TestRestrictedStrongConvexity:

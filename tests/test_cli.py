@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dense_ref
-from deconopt import analysis, cli, netgraph, solvers
+from deconopt import analysis, cli, denselin, netgraph, solvers
 from deconopt.cli import ExperimentConfig, parse_config, serialize_config
 from deconopt.errors import ConfigError
 
@@ -383,6 +383,38 @@ class TestVerifiedRuns:
         monkeypatch.setattr(cli.analysis, "verify_contraction", fake)
         path = write(tmp_path, BASE_INI.format(out=tmp_path / "v"))
         assert cli.main(["run", path, "--verify"]) == 2
+
+    @pytest.mark.parametrize("algorithm", ["dadmm", "dadmm-matrix"])
+    def test_one_min_norm_solve_per_verified_run(self, tmp_path, monkeypatch, algorithm):
+        # the reference multiplier is the only reconstruction: the verify
+        # measures the dual in phi-space, with no per-round solve
+        solver = denselin.MinNormTransposeSolver
+        real = solver.__call__
+        calls = []
+
+        def counted(self, c):
+            calls.append(1)
+            return real(self, c)
+
+        monkeypatch.setattr(solver, "__call__", counted)
+        text = BASE_INI.format(out=tmp_path / "v").replace("name = dadmm",
+                                                           f"name = {algorithm}")
+        assert cli.main(["run", write(tmp_path, text), "--verify"]) == 0
+        assert len(calls) == 1
+
+    def test_verify_uses_the_run_tolerances(self, tmp_path, monkeypatch):
+        real = cli.analysis.verify_contraction
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["tolerances"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.analysis, "verify_contraction", spy)
+        text = BASE_INI.format(out=tmp_path / "v") + (
+            "\n[tolerances]\nspectrum_zero = 1e-10\nminnorm_consistency = 1e-9\n")
+        assert cli.main(["run", write(tmp_path, text), "--verify"]) == 0
+        assert [(t.spectrum_zero, t.minnorm_consistency) for t in seen] == [(1e-10, 1e-9)]
 
 
 class TestCentralAlgorithms:

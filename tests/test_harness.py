@@ -277,7 +277,7 @@ class TestDeterminism:
 
         s1, l1 = run()
         s2, l2 = run()
-        assert l1 == l2  # RoundLog equality ignores wall time
+        assert l1 == l2
         for (k1, x1, p1), (k2, x2, p2) in zip(s1, s2):
             assert k1 == k2
             assert np.array_equal(x1, x2)

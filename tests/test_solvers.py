@@ -729,11 +729,12 @@ class TestCallbackComponents:
         ref = analysis.reference_solution(graph, comps, params.eta)
         engine = solvers.DadmmMatrixEngine(graph, comps, params)
         st = engine.init()
-        trace = [(st.x, st.alpha)]
+        xs, alphas = [st.x], [st.alpha]
         for _ in range(200):
             st = engine.step(st)
-            trace.append((st.x, st.alpha))
-        report = analysis.verify_contraction(trace, ref, cert)
+            xs.append(st.x)
+            alphas.append(st.alpha)
+        report = analysis.verify_contraction(np.array(xs), np.array(alphas), ref, cert)
         assert report.ok, report.violations[:3]
 
     def test_exact_mm_newton_path_converges(self):
