@@ -15,8 +15,9 @@ Row i of c reads only the x rows of agent i and its neighbours, and row i of
 the dual step only their new x rows: locality is a property of that
 arithmetic. A test perturbs one agent's rows and checks that one round later
 every x row two or more hops away, and every dual row three or more hops
-away, is bit-identical. Each local solve is one `objective.local_subproblem_ex`
-call. Arc contributions add up in arc label order, so runs are reproducible.
+away, is bit-identical. All local solves of a round are one stacked
+`objective.local_subproblem_ex` call, row i reading rows i of c and x only.
+Arc contributions add up in arc label order, so runs are reproducible.
 
 The three factories only pick the weights:
 
@@ -80,6 +81,7 @@ def rows(stacked, graph: NetworkGraph) -> np.ndarray:
 class Network:
     """Every agent's state and weights, agent i in row i - 1.
 
+    `local` holds the components and a_i, pi_i (`objective.ProximalRows`).
     `u` and `v` are n x n graph-local matrices, kept as (self weights, arc
     weights) pairs: their diagonals and their entries (dst, src) on the arcs.
     A round replaces `x` and `dual` with new arrays and never writes into
@@ -88,18 +90,13 @@ class Network:
 
     def __init__(self, graph: NetworkGraph, components, u, v, a, pi, *,
                  scale: float, tol: float, x: np.ndarray, dual: np.ndarray):
-        if len(components) != graph.n:
-            raise ValueError(f"one component per agent required, got {len(components)}")
         src, dst = arc_indices(graph)
-        self.components = list(components)
+        self.local = objective.ProximalRows(components, a, pi, tol)
         self.x = x
         self.dual = dual
         self.u = (np.diag(u).copy(), u[dst, src])
         self.v = (np.diag(v).copy(), v[dst, src])
-        self.a = np.asarray(a, dtype=float)
-        self.pi = np.asarray(pi, dtype=float)
         self.scale = float(scale)
-        self.tol = tol
         self._src = src
         self._scatter = (dst[:, None] * graph.p + np.arange(graph.p)).ravel()
 
@@ -119,14 +116,9 @@ class Network:
 def network_round(net: Network) -> tuple[int, ...]:
     """One synchronous round; returns each agent's subproblem iteration count."""
     c = net.scale * net.dual + net.mix(net.u, net.x)
-    results = [
-        objective.local_subproblem_ex(comp, c_i, a_i, pi_i, x_i, net.tol)
-        for comp, c_i, a_i, pi_i, x_i in zip(
-            net.components, c, net.a.tolist(), net.pi.tolist(), net.x)
-    ]
-    net.x = np.array([x_new for x_new, _ in results])
+    net.x, iters = objective.local_subproblem_ex(net.local, c, net.x)
     net.dual = net.dual + net.mix(net.v, net.x)
-    return tuple(iters for _, iters in results)
+    return iters
 
 
 def _check_mixing_support(mat: np.ndarray, graph: NetworkGraph) -> None:

@@ -2,17 +2,17 @@
 
 Three component kinds are supported: affine-quadratic (0.5 x'Qx + b'x),
 rank-one least squares (0.5 (h'x - y)^2), and a smooth convex callback with a
-user-supplied gradient Lipschitz modulus. The local subproblem
+user-supplied gradient Lipschitz modulus. Every agent's local subproblem
 
-    argmin_x  f_i(x) + c'x + (a/2)||x||^2 + (pi/2)||x - x_prev||^2
+    argmin_x  f_i(x) + c_i'x + (a_i/2)||x||^2 + (pi_i/2)||x - x_prev_i||^2
 
-is solved in closed form for the quadratic kinds and by damped Newton with
-Armijo backtracking for callbacks. A quadratic component keeps the inverse of
-Q + sI (`denselin.spd_inverse`) for each shift s = a + pi it has been solved
-with, so an agent whose weights stay fixed inverts its system once and each
-local solve is one matmul. `quadratic_stack` gives the central engines every
-agent's (Q, b) as one (n, p, p) stack, and `minimize_composite` is their
-Newton path for the other kinds.
+is solved for all agents of a round by one `local_subproblem_ex` call on
+(n, p) rows. A `ProximalRows` fixes the weights and inverts the quadratic
+rows' systems Q_i + (a_i + pi_i) I once, as one stack (`proximal_inverse`), so
+those rows take one stacked matmul (`apply_rows`) per round; callback rows run
+damped Newton with Armijo backtracking. The central engines take every (Q, b)
+from `quadratic_stack` and their decoupled inverses from `proximal_inverse`;
+`minimize_composite` is their Newton path for the other kinds.
 
 `sum_value` evaluates the separable sum at one stacked point or at every row
 of a (rows, n*p) array in one pass; each component's `values` gives the same
@@ -61,35 +61,13 @@ class ObjectiveComponent:
         """(Q, b) when the component is exactly 0.5 x'Qx + b'x + const, else None."""
         return None
 
-    def shifted_inverse(self, shift: float) -> np.ndarray:
-        """Inverse of Q + shift*I for a component with quadratic_terms.
-
-        Computed by `denselin.spd_inverse` on the first request for each
-        shift and kept with the component; a failed factorization is not
-        kept, so it raises NotPositiveDefinite on every request.
-        """
-        inverses = vars(self).setdefault("_inverses", {})
-        if shift not in inverses:
-            inv = denselin.spd_inverse(self.quadratic_terms()[0] + shift * np.eye(self.p))
-            inv.setflags(write=False)
-            inverses[shift] = inv
-        return inverses[shift]
-
-    def _check_point(self, x) -> np.ndarray:
+    def _check(self, x, ndim: int = 1) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.p,):
-            raise DimensionMismatch(f"expected point in R^{self.p}, got shape {x.shape}")
+        if x.ndim != ndim or x.shape[-1] != self.p:
+            raise DimensionMismatch(f"expected points in R^{self.p}, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise NonFinite("evaluation point contains non-finite entries")
         return x
-
-    def _check_rows(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.p:
-            raise DimensionMismatch(f"expected rows of points in R^{self.p}, got shape {xs.shape}")
-        if not np.all(np.isfinite(xs)):
-            raise NonFinite("evaluation point contains non-finite entries")
-        return xs
 
 
 class AffineQuadratic(ObjectiveComponent):
@@ -107,17 +85,17 @@ class AffineQuadratic(ObjectiveComponent):
         self.lipschitz = float(max(eigvals[-1], 0.0))
 
     def value(self, x):
-        x = self._check_point(x)
+        x = self._check(x)
         return float(0.5 * x @ (self.q @ x) + self.b @ x)
 
     def values(self, xs):
         # stacked matmul and vecdot accumulate like the BLAS products in value
-        xs = self._check_rows(xs)
+        xs = self._check(xs, 2)
         qx = np.matmul(self.q, xs[:, :, None])[:, :, 0]
         return np.vecdot(0.5 * xs, qx) + np.vecdot(xs, self.b)
 
     def grad(self, x):
-        x = self._check_point(x)
+        x = self._check(x)
         return self.q @ x + self.b
 
     def hess(self, x):
@@ -146,16 +124,16 @@ class RankOneLeastSquares(ObjectiveComponent):
         self._terms = (np.outer(h, h), -self.y * h)
 
     def value(self, x):
-        x = self._check_point(x)
+        x = self._check(x)
         r = self.h @ x - self.y
         return float(0.5 * r * r)
 
     def values(self, xs):
-        r = np.vecdot(self._check_rows(xs), self.h) - self.y
+        r = np.vecdot(self._check(xs, 2), self.h) - self.y
         return 0.5 * r * r
 
     def grad(self, x):
-        x = self._check_point(x)
+        x = self._check(x)
         return (self.h @ x - self.y) * self.h
 
     def hess(self, x):
@@ -176,13 +154,13 @@ class SmoothCallback(ObjectiveComponent):
         self.lipschitz = float(lipschitz)
 
     def value(self, x):
-        return float(self._value(self._check_point(x)))
+        return float(self._value(self._check(x)))
 
     def grad(self, x):
-        return np.asarray(self._grad(self._check_point(x)), dtype=float)
+        return np.asarray(self._grad(self._check(x)), dtype=float)
 
     def hess(self, x):
-        return np.asarray(self._hess(self._check_point(x)), dtype=float)
+        return np.asarray(self._hess(self._check(x)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -235,52 +213,94 @@ def _newton_minimize(value_fn, grad_fn, hess_fn, x0, tol,
     )
 
 
-def local_subproblem_ex(comp: ObjectiveComponent, c, a: float, pi: float,
-                        x_prev, tol: float = DEFAULT.subproblem) -> tuple[np.ndarray, int]:
-    """Solve the local proximal subproblem; also reports iteration count.
+def proximal_inverse(q: np.ndarray, shift) -> np.ndarray:
+    """Inverses of Q_i + diag(shift_i), shift broadcast to (n, p), for an
+    (n, p, p) stack of Q_i: one `denselin.spd_inverse` call, so one singular
+    system raises NotPositiveDefinite. For p = 1 the (n, 1) column of them."""
+    n, p = q.shape[:2]
+    inverse = denselin.spd_inverse(q + np.broadcast_to(shift, (n, p))[:, :, None] * np.eye(p))
+    return inverse[:, :, 0] if p == 1 else inverse
 
-    Minimizes f_i(x) + c'x + (a/2)||x||^2 + (pi/2)||x - x_prev||^2. Closed
-    form (the cached inverse of Q + (a+pi)I times the rhs) for quadratic
-    kinds, damped Newton otherwise.
-    """
-    c = np.asarray(c, dtype=float)
-    x_prev = np.asarray(x_prev, dtype=float)
-    if c.shape != (comp.p,) or x_prev.shape != (comp.p,):
-        raise DimensionMismatch("c and x_prev must live in R^p")
-    if a < 0 or pi < 0:
-        raise ValueError("quadratic weights a and pi must be nonnegative")
 
-    terms = comp.quadratic_terms()
-    if terms is not None:
-        rhs = pi * x_prev - terms[1] - c
-        try:
-            return comp.shifted_inverse(a + pi) @ rhs, 1
-        except NotPositiveDefinite as exc:
-            raise NoUniqueMinimizer(
-                "subproblem is not strongly convex (a + pi = 0 and singular Q)"
-            ) from exc
+def apply_rows(inverse: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """inverse_i @ rows_i for each of (n, p) rows; for p = 1 a product (same bits)."""
+    if inverse.ndim == 2:
+        return inverse * rows
+    return np.matmul(inverse, rows[:, :, None])[:, :, 0]
 
-    def value_fn(x):
-        d = x - x_prev
-        return comp.value(x) + c @ x + 0.5 * a * (x @ x) + 0.5 * pi * (d @ d)
 
-    def grad_fn(x):
-        return comp.grad(x) + c + a * x + pi * (x - x_prev)
+class ProximalRows:
+    """n agents' local subproblems with fixed weights a_i, pi_i >= 0 (else
+    ValueError) and Newton tolerance, agent i in row i - 1. The quadratic
+    rows' systems Q_i + (a_i + pi_i) I are inverted here, in one
+    `proximal_inverse` call; a singular one raises NoUniqueMinimizer."""
 
-    def hess_fn(x):
-        return comp.hess(x) + (a + pi) * np.eye(comp.p)
+    def __init__(self, components, a, pi, tol: float = DEFAULT.subproblem):
+        self.components = list(components)
+        self.a, self.pi = np.asarray(a, dtype=float), np.asarray(pi, dtype=float)
+        self.tol = tol
+        if self.a.shape != (len(self.components),) or self.pi.shape != self.a.shape:
+            raise ValueError(f"one component per agent required, got {len(self.components)}")
+        if np.any(self.a < 0) or np.any(self.pi < 0):
+            raise ValueError("quadratic weights a and pi must be nonnegative")
+        terms = [comp.quadratic_terms() for comp in self.components]
+        quadratic = [i for i, t in enumerate(terms) if t is not None]
+        self.callbacks = [i for i, t in enumerate(terms) if t is None]
+        # a slice keeps an all-quadratic round free of fancy-index copies
+        self.quadratic = quadratic if self.callbacks else slice(None)
+        self.inverse = None
+        if quadratic:
+            self.b = np.array([terms[i][1] for i in quadratic])
+            self.pi_rows = self.pi[self.quadratic][:, None]
+            shift = (self.a + self.pi)[self.quadratic][:, None]
+            try:
+                self.inverse = proximal_inverse(np.array([terms[i][0] for i in quadratic]), shift)
+            except NotPositiveDefinite as exc:
+                raise NoUniqueMinimizer(
+                    "subproblem is not strongly convex (a + pi = 0 and singular Q)"
+                ) from exc
 
-    return _newton_minimize(value_fn, grad_fn, hess_fn, x_prev, tol)
+
+def local_subproblem_ex(rows: ProximalRows, c, x_prev) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Every agent's local subproblem of one round, and each row's iteration
+    count. Row i of the (n, p) result minimizes f_i(x) + c_i'x +
+    (a_i/2)||x||^2 + (pi_i/2)||x - x_prev_i||^2: the quadratic rows in one pass
+    of the kept inverses on pi_i x_prev_i - b_i - c_i, callbacks by Newton."""
+    c, x_prev = np.asarray(c, dtype=float), np.asarray(x_prev, dtype=float)
+    shape = (len(rows.components), rows.components[0].p)
+    if c.shape != shape or x_prev.shape != shape:
+        raise DimensionMismatch(f"c and x_prev must be {shape} rows")
+    out = np.empty(shape)
+    iters = [1] * shape[0]
+    if rows.inverse is not None:
+        q = rows.quadratic
+        out[q] = apply_rows(rows.inverse, rows.pi_rows * x_prev[q] - rows.b - c[q])
+    for i in rows.callbacks:
+        comp, c_i, x_i, a, pi = rows.components[i], c[i], x_prev[i], rows.a[i], rows.pi[i]
+
+        def value_fn(x):
+            d = x - x_i
+            return comp.value(x) + c_i @ x + 0.5 * a * (x @ x) + 0.5 * pi * (d @ d)
+
+        def grad_fn(x):
+            return comp.grad(x) + c_i + a * x + pi * (x - x_i)
+
+        def hess_fn(x):
+            return comp.hess(x) + (a + pi) * np.eye(comp.p)
+
+        out[i], iters[i] = _newton_minimize(value_fn, grad_fn, hess_fn, x_i, rows.tol)
+    return out, tuple(iters)
 
 
 # -- stacked helpers -----------------------------------------------------------
 
-def _check_stacked(components, x) -> np.ndarray:
+def _check_stacked(components, x, ndims=(1,)) -> np.ndarray:
+    """x as floats, of a dimension in `ndims`, with rows of n p entries."""
     x = np.asarray(x, dtype=float)
-    p = components[0].p
-    if x.shape != (len(components) * p,):
+    width = len(components) * components[0].p
+    if x.ndim not in ndims or x.shape[-1] != width:
         raise DimensionMismatch(
-            f"expected stacked vector of length {len(components) * p}, got {x.shape}"
+            f"expected stacked vectors of length {width}, got shape {x.shape}"
         )
     return x
 
@@ -292,14 +312,9 @@ def sum_value(components, x):
     order, as the builtin sum adds them (np.sum would pair them up), so every
     row carries the bits of the per-point evaluation.
     """
-    x = np.asarray(x, dtype=float)
-    width = len(components) * components[0].p
-    if x.ndim not in (1, 2) or x.shape[-1] != width:
-        raise DimensionMismatch(
-            f"expected stacked vectors of length {width}, got shape {x.shape}"
-        )
-    xs = x.reshape(-1, width)
+    x = _check_stacked(components, x, (1, 2))
     p = components[0].p
+    xs = x.reshape(-1, len(components) * p)
     total = np.zeros(len(xs))
     for i, comp in enumerate(components):
         total += comp.values(xs[:, i * p:(i + 1) * p])
@@ -307,12 +322,8 @@ def sum_value(components, x):
 
 
 def sum_gradient(components, x) -> np.ndarray:
-    x = _check_stacked(components, x)
-    p = components[0].p
-    out = np.empty_like(x)
-    for i, comp in enumerate(components):
-        out[i * p:(i + 1) * p] = comp.grad(x[i * p:(i + 1) * p])
-    return out
+    blocks = _check_stacked(components, x).reshape(len(components), -1)
+    return np.concatenate([comp.grad(x_i) for comp, x_i in zip(components, blocks)])
 
 
 def quadratic_stack(components):
@@ -375,14 +386,14 @@ def minimize_sum(components, tol: float = DEFAULT.central_solve) -> np.ndarray:
 
 # -- the regularized objective g ------------------------------------------------
 
-def _check_on_graph(components, graph: NetworkGraph, x) -> np.ndarray:
-    """`_check_stacked`, and DimensionMismatch unless there is one component
-    per agent of the graph."""
+def _check_on_graph(components, graph: NetworkGraph, x=None):
+    """DimensionMismatch unless there is one component per agent of the
+    graph; then `_check_stacked` on x, when given."""
     if len(components) != graph.n:
         raise DimensionMismatch(
             f"{len(components)} components for a graph with {graph.n} agents"
         )
-    return _check_stacked(components, x)
+    return None if x is None else _check_stacked(components, x)
 
 
 def eval_g(components, graph: NetworkGraph, rho: float, eta: float, x) -> float:
@@ -410,11 +421,8 @@ def sum_profile(components, graph: NetworkGraph,
     quadratic kinds and must be supplied for callback components. Raises
     NotStronglyConvex when the sum fails Assumption-level strong convexity.
     """
+    _check_on_graph(components, graph)
     p = components[0].p
-    if len(components) != graph.n:
-        raise DimensionMismatch(
-            f"{len(components)} components for a graph with {graph.n} agents"
-        )
     if any(comp.p != p for comp in components):
         raise DimensionMismatch("components disagree on block dimension")
     if mu_sum is None:

@@ -28,11 +28,11 @@ difference, E_u x their sum), or one `np.bincount` S^T y on a stacked arc
 vector (E_o^T a = S^T [a; -a], E_u^T z = S^T [z; z]), through the
 `ArcStack` methods `apply`, `e_o`, `e_u` and their transposes. L x is formed
 as E_o^T (E_o x). Their constant systems go through `_StationarySolver`: the
-engines whose agents decouple keep one (n, p, p) stack of inverses of
-Q_i + q_i I from a single `denselin.spd_inverse` call, stored negated with the
-solution of the linear-free system, so a solve is one stacked matmul and one
-add; only ``ExactMMEngine``, which couples agents through L (x) I_p, inverts
-a dense (np) x (np) system, and it refuses instances with n p above
+engines whose agents decouple keep one `objective.proximal_inverse` stack of
+inverses of Q_i + q_i I, stored negated with the solution of the linear-free
+system, so a solve is one stacked matmul (a product for p = 1) and one add;
+only ``ExactMMEngine``, which couples agents through L (x) I_p, inverts a
+dense (np) x (np) system, and it refuses instances with n p above
 `EXACT_MM_MAX_ORDER`.
 
 Every `init` raises DimensionMismatch for an initial vector of the wrong
@@ -190,8 +190,8 @@ class _StationarySolver:
     the minimizer is affine in `linear`: x = x_b - H^-1 linear with
     H = Q + K and x_b = -H^-1 b. H^-1 is computed once by
     `denselin.spd_inverse` and kept negated next to x_b, so a solve is one
-    matmul and one add: for diagonal K, H^-1 is the (n, p, p) stack of
-    inverses of Q_i + K_i, applied by one stacked matmul; for dense K, the
+    matmul and one add: for diagonal K, H^-1 is the `objective.proximal_inverse`
+    stack of inverses of Q_i + K_i, applied row-wise; for dense K, the
     (np) x (np) system with the Q_i added on its diagonal blocks. Otherwise
     each solve runs damped Newton.
     """
@@ -207,20 +207,20 @@ class _StationarySolver:
             return
         q, b = stack
         n, p = b.shape
+        self._rows = (n, p) if quad.ndim == 1 else None
         if quad.ndim == 1:
-            system = q + quad.reshape(n, p)[:, :, None] * np.eye(p)
+            self._neg_inverse = -objective.proximal_inverse(q, quad.reshape(n, p))
         else:
             system = np.array(quad)
             agents = np.arange(n)
             system.reshape(n, p, n, p)[agents, :, agents, :] += q
-        self._neg_inverse = -denselin.spd_inverse(system)
+            self._neg_inverse = -denselin.spd_inverse(system)
         self._x_b = self._apply_neg_inverse(b.ravel())
 
     def _apply_neg_inverse(self, v: np.ndarray) -> np.ndarray:
-        inv = self._neg_inverse
-        if inv.ndim == 3:
-            return np.matmul(inv, v.reshape(inv.shape[0], -1, 1)).ravel()
-        return inv @ v
+        if self._rows is None:
+            return self._neg_inverse @ v
+        return objective.apply_rows(self._neg_inverse, v.reshape(self._rows)).ravel()
 
     def solve(self, linear: np.ndarray, x_start: np.ndarray) -> np.ndarray:
         if self._neg_inverse is None:

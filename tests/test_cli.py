@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dense_ref
-from deconopt import analysis, cli, denselin, netgraph, solvers
+from deconopt import analysis, cli, denselin, netgraph, objective, solvers
 from deconopt.cli import ExperimentConfig, parse_config, serialize_config
 from deconopt.errors import ConfigError
 
@@ -401,6 +401,28 @@ class TestVerifiedRuns:
                                                            f"name = {algorithm}")
         assert cli.main(["run", write(tmp_path, text), "--verify"]) == 0
         assert len(calls) == 1
+
+    def test_one_local_solve_per_round(self, tmp_path, monkeypatch):
+        # all agents' subproblems of a round are one call, applying one
+        # stack of inverses formed when the network is set up
+        solves, stacks = [], []
+        real_solve, real_inverse = objective.local_subproblem_ex, denselin.spd_inverse
+
+        def counted_solve(*args, **kwargs):
+            solves.append(1)
+            return real_solve(*args, **kwargs)
+
+        def counted_inverse(a):
+            if np.ndim(a) == 3:
+                stacks.append(np.shape(a))
+            return real_inverse(a)
+
+        monkeypatch.setattr(objective, "local_subproblem_ex", counted_solve)
+        monkeypatch.setattr(denselin, "spd_inverse", counted_inverse)
+        path = write(tmp_path, BASE_INI.format(out=tmp_path / "v"))
+        assert cli.main(["run", path, "--verify"]) == 0
+        assert len(solves) == 40
+        assert stacks == [(5, 2, 2)]
 
     def test_verify_uses_the_run_tolerances(self, tmp_path, monkeypatch):
         real = cli.analysis.verify_contraction

@@ -104,26 +104,53 @@ class TestRunRounds:
             assert np.array_equal(phi1, phi2)
 
 
-class TestLocalFactorCache:
-    def test_each_agent_factors_once(self, monkeypatch):
-        graph, comps = harness.scenario_least_squares(5, 2, seed=8)
-        params = AdmmParams(rho=1.0, eta=0.5, pi=0.1)
-        calls = []
-        real = denselin.spd_factor
-        monkeypatch.setattr(denselin, "spd_factor", lambda a: calls.append(1) or real(a))
-        snaps = collect(harness.dadmm_agents(graph, comps, params), graph, 50)
-        assert len(calls) == graph.n
+class TestStackedLocalSolve:
+    """A network inverts its agents' systems once, at set-up, and each round
+    applies that stack to every row."""
 
-        # reference: every round solves with freshly built, uncached components
-        fresh = harness.dadmm_agents(graph, comps, params)
+    def count_inverses(self, monkeypatch):
+        calls = []
+        real = denselin.spd_inverse
+        monkeypatch.setattr(denselin, "spd_inverse", lambda a: calls.append(1) or real(a))
+        return calls
+
+    def test_one_inverse_at_set_up(self, monkeypatch):
+        graph, comps = harness.scenario_least_squares(5, 2, seed=8)
+        calls = self.count_inverses(monkeypatch)
+        net = harness.dadmm_agents(graph, comps, AdmmParams(rho=1.0, eta=0.5, pi=0.1))
+        assert len(calls) == 1
+        harness.run_rounds(net, graph, 20)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_rounds_match_fresh_per_agent_inverses(self, p):
+        graph, comps = harness.scenario_least_squares(5, p, seed=8)
+        params = AdmmParams(rho=1.0, eta=0.5, pi=0.1)
+        snaps = collect(harness.dadmm_agents(graph, comps, params), graph, 50)
+
+        # reference: every round inverts each agent's system afresh
+        ref = harness.dadmm_agents(graph, comps, params)
+        shift = ref.local.a + ref.local.pi
         for k, x, phi, _ in snaps:
             if k > 0:
-                fresh.components = [objective.RankOneLeastSquares(comp.h, comp.y)
-                                    for comp in fresh.components]
-                harness.network_round(fresh)
-            assert np.array_equal(x, fresh.x.ravel())
-            assert np.array_equal(phi, fresh.phi.ravel())
-        assert len(calls) == graph.n * 51
+                c = ref.scale * ref.dual + ref.mix(ref.u, ref.x)
+                new_x = np.empty_like(ref.x)
+                for i, comp in enumerate(comps):
+                    q, b = comp.quadratic_terms()
+                    inv = denselin.spd_inverse(q + shift[i] * np.eye(p))
+                    new_x[i] = inv @ (ref.local.pi[i] * ref.x[i] - b - c[i])
+                ref.x = new_x
+                ref.dual = ref.dual + ref.mix(ref.v, new_x)
+            assert np.array_equal(x, ref.x.ravel())
+            assert np.array_equal(phi, ref.phi.ravel())
+
+    def test_negative_weights_rejected_at_set_up(self):
+        graph, comps = harness.scenario_least_squares(4, 2, seed=1)
+        lap = netgraph.laplacian(graph)
+        for a, pi in ((-np.ones(4), np.zeros(4)), (np.ones(4), np.full(4, -0.1))):
+            with pytest.raises(ValueError, match="nonnegative"):
+                harness.Network(graph, comps, lap, lap, a, pi, scale=1.0, tol=1e-10,
+                                x=np.zeros((4, 2)), dual=np.zeros((4, 2)))
 
 
 class TestAgentFactories:

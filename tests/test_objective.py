@@ -11,11 +11,13 @@ from deconopt.errors import (
 )
 from deconopt.objective import (
     AffineQuadratic,
+    ProximalRows,
     RankOneLeastSquares,
     SmoothCallback,
     local_subproblem_ex,
     zero_component,
 )
+from deconopt.tolerances import DEFAULT
 
 
 def logcosh_component(a, b):
@@ -32,6 +34,13 @@ def logcosh_component(a, b):
 
 def _subproblem_residual(comp, x, c, a, pi, x_prev):
     return np.linalg.norm(comp.grad(x) + c + a * x + pi * (x - x_prev))
+
+
+def solve_one(comp, c, a, pi, x_prev, tol=DEFAULT.subproblem):
+    """One agent's subproblem as a one-row stack: (minimizer, iterations)."""
+    x, iters = local_subproblem_ex(ProximalRows([comp], [a], [pi], tol),
+                                   np.asarray(c)[None], np.asarray(x_prev)[None])
+    return x[0], iters[0]
 
 
 class TestGrad:
@@ -97,24 +106,24 @@ class TestGrad:
 class TestLocalSubproblem:
     def test_rank_one_scalar(self):
         comp = RankOneLeastSquares([1.0], 2.0)
-        x = local_subproblem_ex(comp, np.zeros(1), 1.0, 0.0, np.zeros(1))[0]
+        x = solve_one(comp, np.zeros(1), 1.0, 0.0, np.zeros(1))[0]
         assert_allclose(x, [1.0])  # (h^2 + a) x = h y
 
     def test_pure_proximal_identity(self):
         comp = zero_component(3)
         v = np.array([0.2, -0.4, 1.0])
-        x = local_subproblem_ex(comp, np.zeros(3), 0.0, 1.0, v)[0]
+        x = solve_one(comp, np.zeros(3), 0.0, 1.0, v)[0]
         assert_allclose(x, v)
 
     def test_quadratic_stationarity(self):
         comp = zero_component(2)
         w = np.array([1.5, -2.5])
-        x = local_subproblem_ex(comp, -w, 1.0, 0.0, np.zeros(2))[0]
+        x = solve_one(comp, -w, 1.0, 0.0, np.zeros(2))[0]
         assert_allclose(x, w)
 
     def test_no_unique_minimizer(self):
         with pytest.raises(NoUniqueMinimizer):
-            local_subproblem_ex(zero_component(2), np.zeros(2), 0.0, 0.0, np.zeros(2))
+            solve_one(zero_component(2), np.zeros(2), 0.0, 0.0, np.zeros(2))
 
     def test_stationarity_for_every_call(self):
         rng = np.random.default_rng(5)
@@ -130,7 +139,7 @@ class TestLocalSubproblem:
                 a = float(rng.uniform(0.1, 3.0))
                 pi = float(rng.uniform(0.0, 2.0))
                 x_prev = rng.standard_normal(2)
-                x = local_subproblem_ex(comp, c, a, pi, x_prev, tol)[0]
+                x = solve_one(comp, c, a, pi, x_prev, tol)[0]
                 assert _subproblem_residual(comp, x, c, a, pi, x_prev) <= tol * 10
 
     def test_newton_matches_closed_form(self):
@@ -148,9 +157,48 @@ class TestLocalSubproblem:
         )
         c = rng.standard_normal(3)
         x_prev = rng.standard_normal(3)
-        xe = local_subproblem_ex(exact, c, 0.7, 0.3, x_prev)[0]
-        xn = local_subproblem_ex(wrapped, c, 0.7, 0.3, x_prev, tol=1e-12)[0]
+        xe = solve_one(exact, c, 0.7, 0.3, x_prev)[0]
+        xn = solve_one(wrapped, c, 0.7, 0.3, x_prev, tol=1e-12)[0]
         assert_allclose(xn, xe, atol=1e-9)
+
+    def test_mixed_rows(self):
+        # quadratic rows are the per-row closed form bit for bit, one
+        # iteration each; callback rows run Newton to the tolerance
+        rng = np.random.default_rng(9)
+        comps = [
+            RankOneLeastSquares(rng.standard_normal(2), 0.4),
+            logcosh_component(rng.standard_normal(2), 0.3),
+            AffineQuadratic(_random_psd(rng, 2), rng.standard_normal(2)),
+            logcosh_component(rng.standard_normal(2), -0.5),
+        ]
+        a = rng.uniform(0.1, 3.0, 4)
+        pi = rng.uniform(0.0, 2.0, 4)
+        tol = 1e-11
+        rows = ProximalRows(comps, a, pi, tol)
+        for _ in range(10):
+            c = rng.standard_normal((4, 2))
+            x_prev = rng.standard_normal((4, 2))
+            x, iters = local_subproblem_ex(rows, c, x_prev)
+            for i, comp in enumerate(comps):
+                terms = comp.quadratic_terms()
+                if terms is None:
+                    assert _subproblem_residual(comp, x[i], c[i], a[i], pi[i],
+                                                x_prev[i]) <= tol
+                    continue
+                inv = denselin.spd_inverse(terms[0] + (a[i] + pi[i]) * np.eye(2))
+                assert np.array_equal(x[i], inv @ (pi[i] * x_prev[i] - terms[1] - c[i]))
+                assert iters[i] == 1
+            assert all(isinstance(it, int) for it in iters)
+
+    def test_row_shapes_checked(self):
+        rows = ProximalRows([zero_component(2)] * 3, np.ones(3), np.zeros(3))
+        for c, x_prev in ((np.zeros((3, 3)), np.zeros((3, 2))),
+                          (np.zeros((3, 2)), np.zeros(6)),
+                          (np.zeros((2, 2)), np.zeros((2, 2)))):
+            with pytest.raises(DimensionMismatch):
+                local_subproblem_ex(rows, c, x_prev)
+        with pytest.raises(ValueError, match="one component per agent"):
+            ProximalRows([zero_component(2)] * 3, np.ones(2), np.zeros(2))
 
 
 class TestEvalG:
@@ -303,36 +351,73 @@ class TestBatchedValues:
                     objective.sum_value(kinds, xs)
 
 
-class TestShiftedInverse:
-    def count_factors(self, monkeypatch):
+class TestProximalRows:
+    """Set-up inverts every quadratic row's system in one stacked call; the
+    solves then apply the kept stack."""
+
+    def count_inverses(self, monkeypatch):
         calls = []
-        real = denselin.spd_factor
-        monkeypatch.setattr(denselin, "spd_factor", lambda a: calls.append(1) or real(a))
+        real = denselin.spd_inverse
+        monkeypatch.setattr(denselin, "spd_inverse", lambda a: calls.append(1) or real(a))
         return calls
 
-    def test_one_factorization_per_shift(self, monkeypatch):
-        calls = self.count_factors(monkeypatch)
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_one_inverse_matches_fresh_per_row(self, monkeypatch, p):
+        fresh = denselin.spd_inverse
+        calls = self.count_inverses(monkeypatch)
         rng = np.random.default_rng(61)
-        for comp in (RankOneLeastSquares([1.0, -0.5, 2.0], 0.3),
-                     AffineQuadratic(_random_psd(rng, 3), rng.standard_normal(3))):
-            solve_factors = 0
-            for a, pi in ((2.0, 0.5), (1.0, 0.0), (2.0, 0.5), (1.0, 0.0), (2.5, 0.0)):
-                c = rng.standard_normal(3)
-                x_prev = rng.standard_normal(3)
-                before = len(calls)
-                got, _ = local_subproblem_ex(comp, c, a, pi, x_prev)
-                solve_factors += len(calls) - before
-                # the same inverse and matmul as inverting afresh
+        comps = [RankOneLeastSquares(rng.standard_normal(p), 0.3),
+                 AffineQuadratic(_random_psd(rng, p), rng.standard_normal(p))] * 3
+        # rows share shifts, and each still gets its own block of the stack
+        a = np.array([2.0, 1.0, 2.0, 1.0, 2.5, 0.5])
+        pi = np.array([0.5, 0.0, 0.5, 0.0, 0.0, 0.5])
+        rows = ProximalRows(comps, a, pi)
+        assert len(calls) == 1
+        for _ in range(5):
+            c = rng.standard_normal((6, p))
+            x_prev = rng.standard_normal((6, p))
+            got, iters = local_subproblem_ex(rows, c, x_prev)
+            assert iters == (1,) * 6
+            for i, comp in enumerate(comps):
                 q, b = comp.quadratic_terms()
-                inv = denselin.spd_inverse(q + (a + pi) * np.eye(3))
-                assert np.array_equal(got, inv @ (pi * x_prev - b - c))
-            # a + pi takes the two values 2.5 and 1.0
-            assert solve_factors == 2
+                inv = fresh(q + (a[i] + pi[i]) * np.eye(p))
+                assert np.array_equal(got[i], inv @ (pi[i] * x_prev[i] - b - c[i]))
+        assert len(calls) == 1
 
-    def test_singular_shift_fails_on_every_call(self, monkeypatch):
-        calls = self.count_factors(monkeypatch)
+    def test_singular_shift_raises_every_time(self, monkeypatch):
         comp = RankOneLeastSquares([1.0, 0.0], 0.0)
+        before = dict(vars(comp))
+        calls = self.count_inverses(monkeypatch)
         for _ in range(2):
             with pytest.raises(NoUniqueMinimizer):
-                local_subproblem_ex(comp, np.zeros(2), 0.0, 0.0, np.zeros(2))
+                ProximalRows([zero_component(2), comp], [1.0, 0.0], [0.0, 0.0])
         assert len(calls) == 2
+        assert vars(comp) == before
+
+    def test_negative_weights_rejected(self):
+        comps = [zero_component(2), logcosh_component([1.0, 2.0], 0.0)]
+        for a, pi in (([1.0, -0.1], [0.0, 0.0]), ([1.0, 1.0], [-1e-3, 0.0])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ProximalRows(comps, a, pi)
+
+    def test_callback_rows_only(self, monkeypatch):
+        calls = self.count_inverses(monkeypatch)
+        comp = logcosh_component([1.0, -2.0], 0.1)
+        rows = ProximalRows([comp, comp], [1.0, 0.5], [0.1, 0.0], 1e-11)
+        assert rows.inverse is None and not calls
+        x, iters = local_subproblem_ex(rows, np.ones((2, 2)), np.zeros((2, 2)))
+        for i in range(2):
+            assert _subproblem_residual(comp, x[i], np.ones(2), rows.a[i], rows.pi[i],
+                                        np.zeros(2)) <= 1e-11
+            assert iters[i] >= 1
+
+    def test_p1_product_matches_stacked_matmul(self):
+        rng = np.random.default_rng(63)
+        q = rng.uniform(0.0, 2.0, (50, 1, 1))
+        shift = rng.uniform(0.1, 1.0, (50, 1))
+        inverse = objective.proximal_inverse(q, shift)
+        assert inverse.shape == (50, 1)
+        rows = rng.standard_normal((50, 1))
+        stacked = np.matmul(denselin.spd_inverse(q + shift[:, :, None]), rows[:, :, None])
+        assert np.array_equal(objective.apply_rows(inverse, rows), stacked[:, :, 0])
+
