@@ -19,10 +19,6 @@ class DuplicateEdge(DeconoptError):
     pass
 
 
-class MalformedGraph(DeconoptError):
-    """Arc labels that do not give a diagonal extended degree matrix."""
-
-
 class Disconnected(DeconoptError):
     pass
 

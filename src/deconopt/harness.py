@@ -45,6 +45,7 @@ from .errors import ConditionViolation, DimensionMismatch
 from .netgraph import (
     NetworkGraph,
     arc_indices,
+    arc_stack,
     build_graph,
     degrees,
     laplacian,
@@ -98,7 +99,7 @@ class Network:
         self.v = (np.diag(v).copy(), v[dst, src])
         self.scale = float(scale)
         self._src = src
-        self._scatter = (dst[:, None] * graph.p + np.arange(graph.p)).ravel()
+        self._scatter = arc_stack(graph).index[1]
 
     @property
     def phi(self) -> np.ndarray:
@@ -204,18 +205,26 @@ def path_edges(n: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(1, n)]
 
 
+def _add_chords(edges: set[tuple[int, int]], n: int, count: int,
+                rng: np.random.Generator) -> None:
+    """Add min(count, #free pairs) distinct pairs i < j not yet in `edges`,
+    drawn by one `rng.choice` over the free pairs in lexicographic order (no
+    draw when none is added)."""
+    chords = [
+        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+        if (i, j) not in edges
+    ]
+    take = min(count, len(chords))
+    if take > 0:
+        for idx in rng.choice(len(chords), size=take, replace=False):
+            edges.add(chords[int(idx)])
+
+
 def random_connected_edges(n: int, rng: np.random.Generator,
                            extra_edges: int = 2) -> list[tuple[int, int]]:
     """A random tree plus a few extra edges; connected by construction."""
     edges = {(int(rng.integers(1, v)), v) for v in range(2, n + 1)}
-    candidates = [
-        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-        if (i, j) not in edges
-    ]
-    if candidates and extra_edges > 0:
-        take = min(extra_edges, len(candidates))
-        for idx in rng.choice(len(candidates), size=take, replace=False):
-            edges.add(candidates[int(idx)])
+    _add_chords(edges, n, extra_edges, rng)
     return sorted(edges)
 
 
@@ -246,13 +255,6 @@ def scenario_least_squares(n: int, p: int, seed: int):
     """
     rng = np.random.default_rng(seed)
     edges = set(ring_edges(n))
-    chords = [
-        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-        if (i, j) not in edges
-    ]
-    extra = min(n // 3, len(chords))
-    if extra > 0:
-        for idx in rng.choice(len(chords), size=extra, replace=False):
-            edges.add(chords[int(idx)])
+    _add_chords(edges, n, n // 3, rng)
     graph = build_graph(n, sorted(edges), p)
     return graph, random_rank_one_components(n, p, rng)

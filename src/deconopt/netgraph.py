@@ -1,11 +1,14 @@
 """Communication graph and its derived arc operator and graph matrices.
 
-A connected undirected network on vertices 1..n is stored with both directed
-arcs per edge (communication is bidirectional). Arc labels are assigned
-deterministically: edges sorted by (min endpoint, max endpoint), the forward
-arc (low -> high) labeled before the reverse arc, labels 1..m in that order.
+A connected undirected network on vertices 1..n is its sorted edge list:
+`NetworkGraph` holds n, the block length p and the edges, each as
+(min endpoint, max endpoint) in ascending order. Communication is
+bidirectional, so every edge carries two directed arcs, m = 2 |edges| in all.
+The arcs are derived from the edges in one step (`arc_indices`), labeled
+deterministically: in edge order, the forward arc (low -> high) before the
+reverse arc, labels 1..m in that order.
 
-Two representations are derived from the arc lists, and nothing else:
+Two representations are derived from the arc indices, and nothing else:
 
 * The stacked arc operator S = [A_s; A_d] (`ArcStack`), the one arc
   operator. It acts on stacked vectors of n blocks of length p without
@@ -44,37 +47,21 @@ from .errors import (
     Disconnected,
     DuplicateEdge,
     EmptyGraph,
-    MalformedGraph,
     SelfLoop,
 )
 from .tolerances import DEFAULT, Tolerances
 
 
 @dataclass(frozen=True)
-class Arc:
-    label: int   # 1..m
-    source: int  # vertex ids are 1..n
-    dest: int
-
-
-@dataclass(frozen=True)
 class NetworkGraph:
     n: int
     p: int
-    edges: tuple[tuple[int, int], ...]
-    arcs: tuple[Arc, ...]
-    neighbors: tuple[tuple[int, ...], ...]  # neighbors[i-1], ascending ids
+    edges: tuple[tuple[int, int], ...]  # sorted (low, high) vertex pairs, ids 1..n
 
     @property
     def m(self) -> int:
-        return len(self.arcs)
-
-    def neighbor_ids(self, i: int) -> tuple[int, ...]:
-        return self.neighbors[i - 1]
-
-    def degree(self, i: int) -> int:
-        """Diagonal of the extended degree matrix: twice the neighbor count."""
-        return 2 * len(self.neighbors[i - 1])
+        """The number of arcs, two per edge."""
+        return 2 * len(self.edges)
 
 
 def _per_graph(fn):
@@ -149,7 +136,7 @@ _E_O_SIGNS = np.array([[1.0], [-1.0]])
 
 
 def build_graph(n: int, edges, p: int = 1) -> NetworkGraph:
-    """Validate an edge list and return the labeled bidirectional graph.
+    """Validate an edge list and return the graph of its sorted edges.
 
     Vertices are 1..n. Each undirected edge contributes the arc pair
     (u,v), (v,u). Raises EmptyGraph / SelfLoop / DuplicateEdge / Disconnected.
@@ -196,28 +183,16 @@ def build_graph(n: int, edges, p: int = 1) -> NetworkGraph:
     if len(visited) != n:
         missing = sorted(set(range(1, n + 1)) - visited)
         raise Disconnected(f"vertices unreachable from 1: {missing}")
-
-    arcs = []
-    for u, v in canonical:
-        arcs.append(Arc(label=len(arcs) + 1, source=u, dest=v))
-        arcs.append(Arc(label=len(arcs) + 1, source=v, dest=u))
-
-    neighbors = tuple(tuple(sorted(adjacency[i])) for i in range(n))
-    return NetworkGraph(
-        n=n, p=p, edges=tuple(canonical), arcs=tuple(arcs), neighbors=neighbors
-    )
+    return NetworkGraph(n=n, p=p, edges=tuple(canonical))
 
 
 @_per_graph
 def arc_indices(g: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
-    """0-based source and destination vertex of each arc, in label order.
-
-    Raises MalformedGraph unless the arcs carry the labels 1..m in order.
-    """
-    if any(arc.label != k for k, arc in enumerate(g.arcs, start=1)):
-        raise MalformedGraph("arc labels must run 1..m in arc order")
-    src = np.array([arc.source - 1 for arc in g.arcs])
-    dst = np.array([arc.dest - 1 for arc in g.arcs])
+    """0-based source and destination vertex of each arc, in label order:
+    edge k gives arc 2k + 1 = (low, high) and arc 2k + 2 = (high, low)."""
+    ends = np.array(g.edges) - 1
+    src = ends.ravel()
+    dst = ends[:, ::-1].ravel()
     src.setflags(write=False)
     dst.setflags(write=False)
     return src, dst

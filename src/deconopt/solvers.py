@@ -502,11 +502,11 @@ def theorem2_pi(graph: NetworkGraph, xi: float, rho: float) -> tuple[float, ...]
     """
     if xi <= 0 or rho <= 0:
         raise ValueError("xi and rho must be positive")
-    pi = tuple(1.0 / xi - rho * graph.degree(i) for i in range(1, graph.n + 1))
+    deg = degrees(graph)
+    pi = tuple((1.0 / xi - rho * deg).tolist())
     if min(pi) < 0:
-        dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
         raise ValueError(
-            f"xi*rho = {xi * rho:.6g} exceeds 1/max_i d_i = {1.0 / dmax:.6g}; "
+            f"xi*rho = {xi * rho:.6g} exceeds 1/max_i d_i = {1.0 / deg.max():.6g}; "
             "proximal weights would be negative"
         )
     return pi

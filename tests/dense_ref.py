@@ -1,4 +1,4 @@
-"""Dense reference matrices for the tests, built from the arc indices.
+"""Dense reference matrices and graph lookups for the tests.
 
 The package forms no m x n arc matrix and no Kronecker lift: `ArcStack`
 gathers and scatters on the arc indices, and the graph matrices D and L are
@@ -6,12 +6,32 @@ n x n. The tests check those products against the textbook definitions,
 which this module builds densely in one place: A_s and A_d hold a one in
 the column of each arc's source and destination, E_o = A_s - A_d,
 E_u = A_s + A_d, and `lift(base, p)` is base (x) I_p.
+
+The package derives its arc indices from the sorted edges in one vectorized
+step. `reference_arcs` labels the arcs edge by edge instead, and
+`neighbor_ids` reads a vertex's neighbours off the edges, so tests can check
+the package's arc arrays and masks against an independent construction.
 """
 
 import numpy as np
 
 from deconopt import denselin, netgraph
 from deconopt.tolerances import DEFAULT
+
+
+def reference_arcs(g):
+    """(label, source, dest) of every arc, 1-based, labeled edge by edge: the
+    forward arc (low -> high) of each sorted edge, then its reverse arc."""
+    arcs = []
+    for u, v in g.edges:
+        arcs.append((len(arcs) + 1, u, v))
+        arcs.append((len(arcs) + 1, v, u))
+    return arcs
+
+
+def neighbor_ids(g, i):
+    """The ids of the vertices joined to vertex i by an edge, ascending."""
+    return tuple(sorted(v if u == i else u for u, v in g.edges if i in (u, v)))
 
 
 def arc_bases(g):

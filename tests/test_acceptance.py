@@ -150,7 +150,7 @@ def test_criterion_3_equivalence_web():
         eta = float(rng.uniform(0.2, 0.95))
         params = AdmmParams(rho, eta, float(rng.uniform(0.0, 0.4)))
 
-        dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
+        dmax = float(netgraph.degrees(graph).max())
         xi = float(rng.uniform(0.5, 0.95)) / (rho * dmax)
         params_t2 = AdmmParams(rho, eta, solvers.theorem2_pi(graph, xi, rho))
         w, wt = solvers.pextra_mixing(graph, xi, rho, eta)
@@ -204,7 +204,7 @@ def test_criterion_5_fixed_points_and_mm():
     ref = analysis.reference_solution(graph, components, eta)
     phi_star = dense_ref.lifted_incidence(graph)[0].T @ ref.alpha_star
 
-    dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
+    dmax = float(netgraph.degrees(graph).max())
     xi = 0.8 / (rho * dmax)
     w, wt = solvers.pextra_mixing(graph, xi, rho, eta)
 
@@ -260,7 +260,7 @@ def test_criterion_6_overshooting():
     profile = objective.sum_profile(components, graph)
     ref = analysis.reference_solution(graph, components, eta=0.5)
     rho = 1.0
-    dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
+    dmax = float(netgraph.degrees(graph).max())
     xi = 0.9 / (rho * dmax)
     reconstruct = dense_ref.min_norm_solver(dense_ref.lifted_incidence(graph)[0])
 
@@ -350,7 +350,7 @@ def test_criterion_8_certificate_internals():
 @criterion(9, "mixing-matrix and two-matrix condition checkers")
 def test_criterion_9_condition_checkers():
     graph, _ = build_instance("ring", 6, 1, seed=8)
-    dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
+    dmax = float(netgraph.degrees(graph).max())
 
     # safe parameter ranges pass all four conditions
     for eta in (0.1, 0.3, 0.5):
@@ -410,9 +410,9 @@ dir = {out}
         return net
 
     target = 1
-    near = set(graph.neighbor_ids(target)) | {target}
+    near = set(dense_ref.neighbor_ids(graph, target)) | {target}
     far = [i for i in range(1, graph.n + 1) if i not in near]
-    farther = [i for i in far if not near & set(graph.neighbor_ids(i))]
+    farther = [i for i in far if not near & set(dense_ref.neighbor_ids(graph, i))]
     assert farther
 
     clean = fresh()

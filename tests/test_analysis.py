@@ -497,7 +497,7 @@ class TestCheckMixing:
     def setup_method(self):
         self.graph, _ = ls_preset(seed=30, n=6, p=1)
         self.lap = netgraph.laplacian(self.graph)
-        self.dmax = max(self.graph.degree(i) for i in range(1, self.graph.n + 1))
+        self.dmax = float(netgraph.degrees(self.graph).max())
 
     def test_safe_parameters_pass(self):
         eta = 0.4

@@ -190,10 +190,10 @@ dir = {out}
                      for name in ("a_src", "a_dst", "e_o", "e_u")}
         graph = netgraph.build_graph(3, [(1, 2), (2, 3)], 1)
         assert all(mat.shape == (graph.m, graph.n) for mat in arc_files.values())
-        for arc in graph.arcs:
+        for label, source, dest in dense_ref.reference_arcs(graph):
             want_s, want_d = np.zeros(graph.n), np.zeros(graph.n)
-            want_s[arc.source - 1] = want_d[arc.dest - 1] = 1.0
-            row = arc.label - 1
+            want_s[source - 1] = want_d[dest - 1] = 1.0
+            row = label - 1
             assert np.array_equal(arc_files["a_src"][row], want_s)
             assert np.array_equal(arc_files["a_dst"][row], want_d)
             assert np.array_equal(arc_files["e_o"][row], want_s - want_d)
@@ -321,6 +321,13 @@ class TestVerifiedRuns:
         text = text.replace("[algorithm]", "[algorithm]\nxi = 0.04")
         path = write(tmp_path, text)
         assert cli.main(["run", path, "--verify"]) == 1  # pi is not theorem2
+
+    def test_theorem2_step_beyond_the_bound_exits_1(self, tmp_path, capsys):
+        text = BASE_INI.format(out=tmp_path / "o").replace("pi = 0", "pi = theorem2")
+        text = text.replace("[algorithm]", "[algorithm]\nxi = 1.0")
+        path = write(tmp_path, text)
+        assert cli.main(["run", path]) == 1
+        assert "1/max_i d_i" in capsys.readouterr().err
 
     def test_pextra_verify_with_theorem2_passes(self, tmp_path):
         out = tmp_path / "p"

@@ -22,7 +22,7 @@ def hops_from(graph, source):
     while frontier:
         reached = []
         for i in frontier:
-            for j in graph.neighbor_ids(i):
+            for j in dense_ref.neighbor_ids(graph, i):
                 if j not in hops:
                     hops[j] = hops[i] + 1
                     reached.append(j)
@@ -63,7 +63,7 @@ class TestRunRounds:
     def test_pextra_agents_match_engine(self):
         graph, comps = harness.scenario_least_squares(5, 2, seed=8)
         rho, eta = 1.0, 0.5
-        dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
+        dmax = float(netgraph.degrees(graph).max())
         xi = 0.9 / (rho * dmax)
         w, wt = solvers.pextra_mixing(graph, xi, rho, eta)
         pp = PextraParams(xi=xi, w=w, w_tilde=wt)
@@ -165,7 +165,7 @@ class TestAgentFactories:
     @pytest.mark.parametrize("which", ["w", "w_tilde"])
     def test_pextra_rejects_mixing_between_non_neighbours(self, which):
         graph, comps = self.ring5()
-        assert 3 not in graph.neighbor_ids(1)
+        assert not netgraph.support_mask(graph)[0, 2]
         w, wt = solvers.pextra_mixing(graph, 0.1, 1.0, 0.5)
         mats = {"w": w, "w_tilde": wt}
         mats[which][0, 2] = mats[which][2, 0] = 0.1
@@ -245,7 +245,7 @@ class TestInformationLocality:
         # under each of the three rules.
         graph, comps = harness.scenario_least_squares(7, 2, seed=5)
         params = AdmmParams(rho=1.0, eta=0.5, pi=0.1)
-        dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
+        dmax = float(netgraph.degrees(graph).max())
         xi = 0.9 / dmax
         w, wt = solvers.pextra_mixing(graph, xi, 1.0, 0.5)
         factories = [
@@ -345,3 +345,40 @@ class TestScenario:
         for n in (3, 6, 10):
             edges = harness.random_connected_edges(n, rng)
             netgraph.build_graph(n, edges, 1)  # connected by construction
+
+    # Preset instances, pinned: the edge lists and the last drawn row of the
+    # ls-ring preset and one random graph. Both presets sample their chords
+    # with one shared helper; these values fix how it consumes the rng.
+    LS_RING = {
+        (12, 5): (
+            ((1, 2), (1, 4), (1, 12), (2, 3), (3, 4), (4, 5), (5, 6), (5, 8),
+             (6, 7), (6, 10), (6, 12), (7, 8), (8, 9), (9, 10), (10, 11),
+             (11, 12)),
+            (-1.643023371405677, -0.256730126365494), -1.109349937891366,
+        ),
+        (30, 21): (
+            ((1, 2), (1, 30), (2, 3), (2, 12), (3, 4), (4, 5), (5, 6), (5, 20),
+             (5, 21), (6, 7), (6, 17), (7, 8), (7, 10), (8, 9), (8, 22),
+             (9, 10), (10, 11), (11, 12), (11, 20), (12, 13), (12, 17),
+             (13, 14), (13, 30), (14, 15), (15, 16), (15, 27), (16, 17),
+             (17, 18), (18, 19), (19, 20), (20, 21), (21, 22), (22, 23),
+             (23, 24), (24, 25), (25, 26), (26, 27), (27, 28), (28, 29),
+             (29, 30)),
+            (-0.019598117164741715, -0.4544882932751738), 0.9926118054712234,
+        ),
+    }
+
+    @pytest.mark.parametrize("n, seed", sorted(LS_RING))
+    def test_ls_ring_instance_is_pinned(self, n, seed):
+        edges, h_last, y_last = self.LS_RING[n, seed]
+        graph, comps = harness.scenario_least_squares(n, 2, seed)
+        assert graph.edges == edges
+        assert len(edges) == n + n // 3
+        assert tuple(comps[-1].h.tolist()) == h_last
+        assert comps[-1].y == y_last
+
+    def test_random_connected_edges_is_pinned(self):
+        assert harness.random_connected_edges(10, np.random.default_rng(3)) == [
+            (1, 2), (1, 4), (1, 5), (1, 6), (1, 8), (2, 3), (2, 6), (2, 7),
+            (6, 8), (6, 10), (7, 9),
+        ]

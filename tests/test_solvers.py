@@ -31,7 +31,7 @@ def random_instance(seed, n=None, p=None):
 
 
 def max_theorem2_xi(graph, rho):
-    dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
+    dmax = float(netgraph.degrees(graph).max())
     return 1.0 / (rho * dmax)
 
 
@@ -343,6 +343,27 @@ class TestPextraOvershoot:
             assert np.max(np.abs(sp.x - sd.x)) <= 1e-9
 
 
+class TestTheorem2Pi:
+    def test_weights_are_inverse_step_minus_rho_degree(self):
+        rng = np.random.default_rng(24)
+        n = 15
+        edges = harness.random_connected_edges(n, rng, extra_edges=6)
+        graph = netgraph.build_graph(n, edges, 2)
+        # d_i of the extended degree matrix: twice vertex i's edge count
+        d = [2 * sum(i in edge for edge in edges) for i in range(1, n + 1)]
+        rho = 0.7
+        xi = 0.9 / (rho * max(d))
+        pi = solvers.theorem2_pi(graph, xi, rho)
+        assert type(pi) is tuple and all(type(v) is float for v in pi)
+        assert pi == tuple(1.0 / xi - rho * d_i for d_i in d)
+
+    def test_too_large_step_names_the_bound(self):
+        graph = netgraph.build_graph(5, harness.ring_edges(5), 1)  # every d_i = 4
+        assert solvers.theorem2_pi(graph, 0.25, 1.0) == (0.0,) * 5
+        with pytest.raises(ValueError, match=r"exceeds 1/max_i d_i = 0\.25;"):
+            solvers.theorem2_pi(graph, 0.3, 1.0)
+
+
 class TestPextraStep:
     def test_theorem2_equivalence(self):
         graph, comps = random_instance(22)
@@ -626,7 +647,7 @@ class TestSnapshots:
     def test_every_engine_exposes_consistent_rows(self):
         graph, comps = random_instance(50)
         params = AdmmParams(rho=1.0, eta=0.5, pi=0.1)
-        dmax = max(graph.degree(i) for i in range(1, graph.n + 1))
+        dmax = float(netgraph.degrees(graph).max())
         xi = 0.8 / (params.rho * dmax)
         w, wt = solvers.pextra_mixing(graph, xi, params.rho, params.eta)
         engines = [
@@ -654,9 +675,9 @@ class TestSnapshots:
         w = np.eye(graph.n)
         w_bad = w.copy()
         # pick a non-adjacent pair and couple it
+        mask = netgraph.support_mask(graph)
         for i in range(1, graph.n + 1):
-            missing = [j for j in range(1, graph.n + 1)
-                       if j != i and j not in graph.neighbor_ids(i)]
+            missing = [j for j in range(1, graph.n + 1) if not mask[i - 1, j - 1]]
             if missing:
                 w_bad[i - 1, missing[0] - 1] = w_bad[missing[0] - 1, i - 1] = 0.1
                 break
