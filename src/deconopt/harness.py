@@ -9,8 +9,9 @@ dual scale s, one round (`network_round`) is
     x_i <- argmin f_i(x) + c_i'x + (a_i/2)|x|^2 + (pi_i/2)|x - x_i|^2
     dual <- dual + V x
 
-U x and V x are one gather of the source rows x[src] along the m arcs (the
-broadcast) and one scatter-add of the weighted rows into the destinations.
+Each agent broadcasts its new x row once per round. That one exchange feeds
+both V x (this round's dual step) and U x (the next round's c), which
+`Network.mixes` forms together in one gather and one scatter-add.
 Row i of c reads only the x rows of agent i and its neighbours, and row i of
 the dual step only their new x rows: locality is a property of that
 arithmetic. A test perturbs one agent's rows and checks that one round later
@@ -83,42 +84,54 @@ class Network:
     """Every agent's state and weights, agent i in row i - 1.
 
     `local` holds the components and a_i, pi_i (`objective.ProximalRows`).
-    `u` and `v` are n x n graph-local matrices, kept as (self weights, arc
-    weights) pairs: their diagonals and their entries (dst, src) on the arcs.
-    A round replaces `x` and `dual` with new arrays and never writes into
-    them, so arrays handed out stay valid.
+    `weights` stacks the n x n graph-local U and V as (2, m + n, p): each
+    one's entries (dst, src) on the arcs in label order, then its diagonal,
+    repeated along the p columns (a broadcast multiply is slower).
+    Assigning `x` sets `mixed` to `mixes(x)`. A round replaces `x` and `dual`
+    with new arrays and never writes into them, so arrays handed out and
+    `mixed` stay valid.
     """
 
     def __init__(self, graph: NetworkGraph, components, u, v, a, pi, *,
                  scale: float, tol: float, x: np.ndarray, dual: np.ndarray):
         src, dst = arc_indices(graph)
         self.local = objective.ProximalRows(components, a, pi, tol)
+        self.weights = np.stack([np.concatenate((w[dst, src], np.diag(w)))
+                                 for w in (u, v)])[:, :, None].repeat(graph.p, axis=2)
+        self.scale = float(scale)
+        self._gather = np.concatenate((src, np.arange(graph.n)))
+        size = graph.n * graph.p
+        bins = np.concatenate((arc_stack(graph).index[1], np.arange(size)))
+        self._scatter = np.concatenate((bins, bins + size))
         self.x = x
         self.dual = dual
-        self.u = (np.diag(u).copy(), u[dst, src])
-        self.v = (np.diag(v).copy(), v[dst, src])
-        self.scale = float(scale)
-        self._src = src
-        self._scatter = arc_stack(graph).index[1]
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._x
+
+    @x.setter
+    def x(self, x: np.ndarray) -> None:
+        self._x = x
+        self.mixed = self.mixes(x)
 
     @property
     def phi(self) -> np.ndarray:
         """The D-ADMM dual aggregate, s dual."""
         return self.scale * self.dual
 
-    def mix(self, weights, x: np.ndarray) -> np.ndarray:
-        """W x for W = `self.u` or `self.v` and (n, p) rows x: a gather of
-        x[src] and one scatter-add of the weighted rows on the destinations."""
-        w_self, w_arc = weights
-        sent = (w_arc[:, None] * x[self._src]).ravel()
-        return w_self[:, None] * x + np.bincount(self._scatter, sent, x.size).reshape(x.shape)
+    def mixes(self, x: np.ndarray) -> np.ndarray:
+        """[U x; V x] as (2, n, p) for (n, p) rows x; each bin adds its arcs
+        in label order from 0.0, then its self term."""
+        sent = (self.weights * x.take(self._gather, axis=0)).ravel()
+        return np.bincount(self._scatter, sent, 2 * x.size).reshape(2, *x.shape)
 
 
 def network_round(net: Network) -> tuple[int, ...]:
     """One synchronous round; returns each agent's subproblem iteration count."""
-    c = net.scale * net.dual + net.mix(net.u, net.x)
+    c = net.scale * net.dual + net.mixed[0]
     net.x, iters = objective.local_subproblem_ex(net.local, c, net.x)
-    net.dual = net.dual + net.mix(net.v, net.x)
+    net.dual = net.dual + net.mixed[1]
     return iters
 
 
@@ -159,7 +172,7 @@ def pextra_agents(graph: NetworkGraph, components, pextra: PextraParams,
         np.full(graph.n, inv_xi), np.zeros(graph.n), scale=-inv_xi,
         tol=subproblem_tol, x=x, dual=np.zeros_like(x),
     )
-    net.dual = net.mix(net.v, x)   # the running sum starts at (W - W~) x0
+    net.dual = net.mixed[1]   # the running sum starts at (W - W~) x0
     return net
 
 

@@ -8,11 +8,12 @@ user-supplied gradient Lipschitz modulus. Every agent's local subproblem
 
 is solved for all agents of a round by one `local_subproblem_ex` call on
 (n, p) rows. A `ProximalRows` fixes the weights and inverts the quadratic
-rows' systems Q_i + (a_i + pi_i) I once, as one stack (`proximal_inverse`), so
-those rows take one stacked matmul (`apply_rows`) per round; callback rows run
-damped Newton with Armijo backtracking. The central engines take every (Q, b)
-from `quadratic_stack` and their decoupled inverses from `proximal_inverse`;
-`minimize_composite` is their Newton path for the other kinds.
+rows' systems Q_i + (a_i + pi_i) I once into one stack over all rows, zero
+for callbacks, so a round is one stacked matmul (`apply_rows`); damped Newton
+with Armijo backtracking then overwrites the callback rows. The central
+engines take every (Q, b) from `quadratic_stack` and their decoupled inverses
+from `proximal_inverse`; `minimize_composite` is their Newton path for the
+other kinds.
 
 `sum_value` evaluates the separable sum at one stacked point or at every row
 of a (rows, n*p) array in one pass; each component's `values` gives the same
@@ -231,9 +232,10 @@ def apply_rows(inverse: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 class ProximalRows:
     """n agents' local subproblems with fixed weights a_i, pi_i >= 0 (else
-    ValueError) and Newton tolerance, agent i in row i - 1. The quadratic
-    rows' systems Q_i + (a_i + pi_i) I are inverted here, in one
-    `proximal_inverse` call; a singular one raises NoUniqueMinimizer."""
+    ValueError) and Newton tolerance, agent i in row i - 1. `inverse` stacks
+    every row: the quadratic rows' (Q_i + (a_i + pi_i) I)^-1 from one
+    `proximal_inverse` call (a singular one raises NoUniqueMinimizer), zero
+    blocks and zero `b` rows for the callbacks."""
 
     def __init__(self, components, a, pi, tol: float = DEFAULT.subproblem):
         self.components = list(components)
@@ -243,18 +245,19 @@ class ProximalRows:
             raise ValueError(f"one component per agent required, got {len(self.components)}")
         if np.any(self.a < 0) or np.any(self.pi < 0):
             raise ValueError("quadratic weights a and pi must be nonnegative")
+        n, p = len(self.components), self.components[0].p
         terms = [comp.quadratic_terms() for comp in self.components]
         quadratic = [i for i, t in enumerate(terms) if t is not None]
         self.callbacks = [i for i, t in enumerate(terms) if t is None]
-        # a slice keeps an all-quadratic round free of fancy-index copies
-        self.quadratic = quadratic if self.callbacks else slice(None)
-        self.inverse = None
+        self.pi_rows = self.pi[:, None]
+        self.b = np.zeros((n, p))
+        self.inverse = np.zeros((n, 1) if p == 1 else (n, p, p))
         if quadratic:
-            self.b = np.array([terms[i][1] for i in quadratic])
-            self.pi_rows = self.pi[self.quadratic][:, None]
-            shift = (self.a + self.pi)[self.quadratic][:, None]
+            self.b[quadratic] = [terms[i][1] for i in quadratic]
+            shift = (self.a + self.pi)[quadratic][:, None]
             try:
-                self.inverse = proximal_inverse(np.array([terms[i][0] for i in quadratic]), shift)
+                self.inverse[quadratic] = proximal_inverse(
+                    np.array([terms[i][0] for i in quadratic]), shift)
             except NotPositiveDefinite as exc:
                 raise NoUniqueMinimizer(
                     "subproblem is not strongly convex (a + pi = 0 and singular Q)"
@@ -264,17 +267,15 @@ class ProximalRows:
 def local_subproblem_ex(rows: ProximalRows, c, x_prev) -> tuple[np.ndarray, tuple[int, ...]]:
     """Every agent's local subproblem of one round, and each row's iteration
     count. Row i of the (n, p) result minimizes f_i(x) + c_i'x +
-    (a_i/2)||x||^2 + (pi_i/2)||x - x_prev_i||^2: the quadratic rows in one pass
-    of the kept inverses on pi_i x_prev_i - b_i - c_i, callbacks by Newton."""
+    (a_i/2)||x||^2 + (pi_i/2)||x - x_prev_i||^2: every row in one pass of the
+    kept inverse stack on pi_i x_prev_i - b_i - c_i, then the callback rows
+    overwritten by Newton."""
     c, x_prev = np.asarray(c, dtype=float), np.asarray(x_prev, dtype=float)
     shape = (len(rows.components), rows.components[0].p)
     if c.shape != shape or x_prev.shape != shape:
         raise DimensionMismatch(f"c and x_prev must be {shape} rows")
-    out = np.empty(shape)
+    out = apply_rows(rows.inverse, rows.pi_rows * x_prev - rows.b - c)
     iters = [1] * shape[0]
-    if rows.inverse is not None:
-        q = rows.quadratic
-        out[q] = apply_rows(rows.inverse, rows.pi_rows * x_prev[q] - rows.b - c[q])
     for i in rows.callbacks:
         comp, c_i, x_i, a, pi = rows.components[i], c[i], x_prev[i], rows.a[i], rows.pi[i]
 

@@ -526,7 +526,7 @@ class PextraEngine:
     def init(self, x0=None) -> PextraState:
         x = harness.rows(x0, self.graph)
         # the running sum starts at (W - W~) x0
-        running_sum = self.net.mix(self.net.v, x)
+        running_sum = self.net.mixes(x)[1]
         return PextraState(x=x.ravel(), running_sum=running_sum.ravel(), k=0)
 
     def step(self, state: PextraState) -> PextraState:

@@ -11,6 +11,8 @@ The package derives its arc indices from the sorted edges in one vectorized
 step. `reference_arcs` labels the arcs edge by edge instead, and
 `neighbor_ids` reads a vertex's neighbours off the edges, so tests can check
 the package's arc arrays and masks against an independent construction.
+`mix` forms a graph-local product W x arc by arc in a Python loop, in the
+order the network's round must add the terms.
 """
 
 import numpy as np
@@ -32,6 +34,19 @@ def reference_arcs(g):
 def neighbor_ids(g, i):
     """The ids of the vertices joined to vertex i by an edge, ascending."""
     return tuple(sorted(v if u == i else u for u, v in g.edges if i in (u, v)))
+
+
+def mix(g, w, x):
+    """W x for an n x n graph-local W and (n, p) rows x, row by row: the arcs
+    into each vertex summed in label order from 0.0, then its self term."""
+    out = np.empty_like(x)
+    for i in range(g.n):
+        acc = np.zeros(g.p)
+        for _, src, dst in reference_arcs(g):
+            if dst == i + 1:
+                acc = acc + w[i, src - 1] * x[src - 1]
+        out[i] = acc + w[i, i] * x[i]
+    return out
 
 
 def arc_bases(g):

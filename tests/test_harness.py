@@ -15,6 +15,14 @@ def collect(agents, graph, rounds):
     return snaps
 
 
+def dadmm_weights(graph, params):
+    """D-ADMM's graph-level (U, V) = (-rho/2 E_u'E_u, eta rho/2 L), from the
+    dense incidence products."""
+    gram_u, gram_o, _ = dense_ref.incidence_uv(graph)
+    rho = params.rho
+    return -0.5 * rho * gram_u, 0.5 * params.eta * rho * gram_o
+
+
 def hops_from(graph, source):
     """Graph distance from agent `source` to agents 1..n, breadth first."""
     hops = {source: 0}
@@ -131,16 +139,17 @@ class TestStackedLocalSolve:
         # reference: every round inverts each agent's system afresh
         ref = harness.dadmm_agents(graph, comps, params)
         shift = ref.local.a + ref.local.pi
+        u, v = dadmm_weights(graph, params)
         for k, x, phi, _ in snaps:
             if k > 0:
-                c = ref.scale * ref.dual + ref.mix(ref.u, ref.x)
+                c = ref.scale * ref.dual + dense_ref.mix(graph, u, ref.x)
                 new_x = np.empty_like(ref.x)
                 for i, comp in enumerate(comps):
                     q, b = comp.quadratic_terms()
                     inv = denselin.spd_inverse(q + shift[i] * np.eye(p))
                     new_x[i] = inv @ (ref.local.pi[i] * ref.x[i] - b - c[i])
                 ref.x = new_x
-                ref.dual = ref.dual + ref.mix(ref.v, new_x)
+                ref.dual = ref.dual + dense_ref.mix(graph, v, new_x)
             assert np.array_equal(x, ref.x.ravel())
             assert np.array_equal(phi, ref.phi.ravel())
 
@@ -151,6 +160,94 @@ class TestStackedLocalSolve:
             with pytest.raises(ValueError, match="nonnegative"):
                 harness.Network(graph, comps, lap, lap, a, pi, scale=1.0, tol=1e-10,
                                 x=np.zeros((4, 2)), dual=np.zeros((4, 2)))
+
+
+class TestFusedMixing:
+    """A round forms U x and V x of each new iterate in one gather and one
+    scatter; each destination adds its arcs in label order, then its self term."""
+
+    FACTORIES = ("dadmm", "pextra", "general_uv")
+    PARAMS = AdmmParams(rho=1.2, eta=0.5, pi=0.1)
+
+    @staticmethod
+    def graph_and_components(p):
+        # vertex 1 has degree 4, so its bin sums several arcs
+        graph = netgraph.build_graph(6, harness.ring_edges(6) + [(1, 3), (1, 4)], p)
+        return graph, harness.random_rank_one_components(6, p, np.random.default_rng(p))
+
+    def pextra_params(self, graph):
+        xi = 0.9 / float(netgraph.degrees(graph).max())
+        w, wt = solvers.pextra_mixing(graph, xi, self.PARAMS.rho, self.PARAMS.eta)
+        return PextraParams(xi=xi, w=w, w_tilde=wt)
+
+    def network(self, name, graph, comps, **start):
+        """The named factory's network and its graph-level (U, V), built here
+        from the dense products."""
+        if name == "pextra":
+            pp = self.pextra_params(graph)
+            return (harness.pextra_agents(graph, comps, pp, **start),
+                    (-pp.w / pp.xi, pp.w - pp.w_tilde))
+        if name == "dadmm":
+            net = harness.dadmm_agents(graph, comps, self.PARAMS, **start)
+        else:
+            net = harness.general_uv_agents(graph, *dense_ref.incidence_uv(graph), comps,
+                                            self.PARAMS, **start)
+        # the incidence triple makes the U/V round D-ADMM's
+        return net, dadmm_weights(graph, self.PARAMS)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("name", FACTORIES)
+    def test_mixes_match_per_arc_reference(self, name, p):
+        graph, comps = self.graph_and_components(p)
+        assert netgraph.degrees(graph).max() >= 2 * 3
+        net, (u, v) = self.network(name, graph, comps)
+        rng = np.random.default_rng(70 + p)
+        for _ in range(3):
+            x = rng.standard_normal((graph.n, graph.p))
+            want = np.stack([dense_ref.mix(graph, u, x), dense_ref.mix(graph, v, x)])
+            assert np.array_equal(net.mixes(x), want)
+
+    @pytest.mark.parametrize("name", FACTORIES)
+    def test_one_scatter_per_round(self, monkeypatch, name):
+        graph, comps = self.graph_and_components(2)
+        net, _ = self.network(name, graph, comps)
+        calls = []
+        real = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *args: calls.append(1) or real(*args))
+        for k in range(1, 4):
+            harness.network_round(net)
+            assert len(calls) == k
+
+    @pytest.mark.parametrize("name", ["dadmm", "general_uv"])
+    def test_replaced_rows_round_matches_fresh_network(self, name):
+        # assigning x, as `solvers._agent_round` does, re-forms [U x; V x]
+        graph, comps = self.graph_and_components(2)
+        used, _ = self.network(name, graph, comps)
+        harness.run_rounds(used, graph, 3)
+        rng = np.random.default_rng(5)
+        x1, d1 = rng.standard_normal((2, graph.n, graph.p))
+        used.x, used.dual = x1, d1
+        fresh, _ = self.network(name, graph, comps, x0=x1.ravel(), phi0=d1.ravel())
+        for net in (used, fresh):
+            harness.network_round(net)
+        assert np.array_equal(used.x, fresh.x)
+        assert np.array_equal(used.dual, fresh.dual)
+
+    def test_pextra_engine_step_matches_fresh_network(self):
+        graph, comps = self.graph_and_components(2)
+        pp = self.pextra_params(graph)
+        engine = solvers.PextraEngine(graph, comps, pp)
+        rng = np.random.default_rng(6)
+        state = engine.init(rng.standard_normal(graph.n * graph.p))
+        for _ in range(3):
+            state = engine.step(state)
+        x1, r1 = rng.standard_normal((2, graph.n * graph.p))
+        got = engine.step(solvers.PextraState(x=x1, running_sum=r1))
+        fresh = harness.pextra_agents(graph, comps, pp, x0=x1)
+        fresh.dual = r1.reshape(graph.n, graph.p)
+        harness.network_round(fresh)
+        assert np.array_equal(got.x, fresh.x.ravel())
+        assert np.array_equal(got.running_sum, fresh.dual.ravel())
 
 
 class TestAgentFactories:
@@ -227,12 +324,10 @@ class TestInformationLocality:
         graph, comps = harness.scenario_least_squares(4, 2, seed=2)
         net = harness.dadmm_agents(graph, comps, AdmmParams(1.0, 0.5))
         assert net.x.shape == net.dual.shape == (graph.n, graph.p)
-        for w_self, w_arc in (net.u, net.v):
-            assert w_self.shape == (graph.n,)
-            assert w_arc.shape == (graph.m,)
+        # U and V: one weight per arc, then one self weight per agent
+        assert net.weights.shape == (2, graph.m + graph.n, graph.p)
         arrays = [value for value in vars(net).values() if isinstance(value, np.ndarray)]
-        arrays += [w for pair in (net.u, net.v) for w in pair]
-        assert all(arr.shape != (graph.n, graph.n) for arr in arrays)
+        assert all(arr.shape[-2:] != (graph.n, graph.n) for arr in arrays)
         assert not hasattr(net, "graph")
 
     def test_corrupting_non_neighbor_leaves_update_unchanged(self):

@@ -404,7 +404,8 @@ class TestProximalRows:
         calls = self.count_inverses(monkeypatch)
         comp = logcosh_component([1.0, -2.0], 0.1)
         rows = ProximalRows([comp, comp], [1.0, 0.5], [0.1, 0.0], 1e-11)
-        assert rows.inverse is None and not calls
+        # nothing is inverted: the stack is all zero blocks, for Newton to overwrite
+        assert not calls and not rows.inverse.any()
         x, iters = local_subproblem_ex(rows, np.ones((2, 2)), np.zeros((2, 2)))
         for i in range(2):
             assert _subproblem_residual(comp, x[i], np.ones(2), rows.a[i], rows.pi[i],
