@@ -10,9 +10,11 @@ is solved for all agents of a round by one `local_subproblem_ex` call on
 (n, p) rows. A `ProximalRows` fixes the weights and inverts the quadratic
 rows' systems Q_i + (a_i + pi_i) I once into one stack over all rows, zero
 for callbacks, so a round is one stacked matmul (`apply_rows`); damped Newton
-with Armijo backtracking then overwrites the callback rows. The central
-engines take every (Q, b) from `quadratic_stack` and their decoupled inverses
-from `proximal_inverse`; `minimize_composite` is their Newton path for the
+with Armijo backtracking then overwrites the callback rows. That one solve
+serves the simulated network and the three central engines whose agents
+decouple (`dadmm-matrix`, `full-admm`, `mm-approx`). Only the exact method of
+multipliers couples the agents: it takes every (Q, b) from `quadratic_stack`
+into one dense system, and `minimize_composite` is its Newton path for the
 other kinds.
 
 `sum_value` evaluates the separable sum at one stacked point or at every row
@@ -235,7 +237,10 @@ class ProximalRows:
     ValueError) and Newton tolerance, agent i in row i - 1. `inverse` stacks
     every row: the quadratic rows' (Q_i + (a_i + pi_i) I)^-1 from one
     `proximal_inverse` call (a singular one raises NoUniqueMinimizer), zero
-    blocks and zero `b` rows for the callbacks."""
+    blocks and zero `b` rows for the callbacks. `pi_rows` repeats pi along
+    the p columns (a broadcast multiply is slower), `shape` is the (n, p) of
+    the rows and `closed_iters` the iteration counts of a round with no
+    callback."""
 
     def __init__(self, components, a, pi, tol: float = DEFAULT.subproblem):
         self.components = list(components)
@@ -246,10 +251,12 @@ class ProximalRows:
         if np.any(self.a < 0) or np.any(self.pi < 0):
             raise ValueError("quadratic weights a and pi must be nonnegative")
         n, p = len(self.components), self.components[0].p
+        self.shape = (n, p)
+        self.closed_iters = (1,) * n
         terms = [comp.quadratic_terms() for comp in self.components]
         quadratic = [i for i, t in enumerate(terms) if t is not None]
         self.callbacks = [i for i, t in enumerate(terms) if t is None]
-        self.pi_rows = self.pi[:, None]
+        self.pi_rows = self.pi[:, None].repeat(p, axis=1)
         self.b = np.zeros((n, p))
         self.inverse = np.zeros((n, 1) if p == 1 else (n, p, p))
         if quadratic:
@@ -260,7 +267,8 @@ class ProximalRows:
                     np.array([terms[i][0] for i in quadratic]), shift)
             except NotPositiveDefinite as exc:
                 raise NoUniqueMinimizer(
-                    "subproblem is not strongly convex (a + pi = 0 and singular Q)"
+                    "subproblem is not strongly convex: some Q_i + (a_i + pi_i) I "
+                    "is not positive definite"
                 ) from exc
 
 
@@ -271,11 +279,12 @@ def local_subproblem_ex(rows: ProximalRows, c, x_prev) -> tuple[np.ndarray, tupl
     kept inverse stack on pi_i x_prev_i - b_i - c_i, then the callback rows
     overwritten by Newton."""
     c, x_prev = np.asarray(c, dtype=float), np.asarray(x_prev, dtype=float)
-    shape = (len(rows.components), rows.components[0].p)
-    if c.shape != shape or x_prev.shape != shape:
-        raise DimensionMismatch(f"c and x_prev must be {shape} rows")
+    if c.shape != rows.shape or x_prev.shape != rows.shape:
+        raise DimensionMismatch(f"c and x_prev must be {rows.shape} rows")
     out = apply_rows(rows.inverse, rows.pi_rows * x_prev - rows.b - c)
-    iters = [1] * shape[0]
+    if not rows.callbacks:
+        return out, rows.closed_iters
+    iters = list(rows.closed_iters)
     for i in rows.callbacks:
         comp, c_i, x_i, a, pi = rows.components[i], c[i], x_prev[i], rows.a[i], rows.pi[i]
 
@@ -340,8 +349,8 @@ def minimize_composite(components, linear, quad, x0, tol: float = DEFAULT.centra
     """argmin over stacked x of sum_i f_i(x_i) + linear'x + 0.5 x'(quad)x.
 
     `quad` is a dense PSD matrix on the stacked space. Solved by damped
-    Newton from x0; the central engines invert the constant system of an
-    all-quadratic instance themselves.
+    Newton from x0; `solvers.ExactMMEngine` inverts the constant system of an
+    all-quadratic instance itself.
     """
     linear = np.asarray(linear, dtype=float)
     quad = np.asarray(quad, dtype=float)

@@ -27,13 +27,15 @@ is one gather S x, whose halves give A_s x and A_d x (E_o x is their
 difference, E_u x their sum), or one `np.bincount` S^T y on a stacked arc
 vector (E_o^T a = S^T [a; -a], E_u^T z = S^T [z; z]), through the
 `ArcStack` methods `apply`, `e_o`, `e_u` and their transposes. L x is formed
-as E_o^T (E_o x). Their constant systems go through `_StationarySolver`: the
-engines whose agents decouple keep one `objective.proximal_inverse` stack of
-inverses of Q_i + q_i I, stored negated with the solution of the linear-free
-system, so a solve is one stacked matmul (a product for p = 1) and one add;
-only ``ExactMMEngine``, which couples agents through L (x) I_p, inverts a
-dense (np) x (np) system, and it refuses instances with n p above
-`EXACT_MM_MAX_ORDER`.
+as E_o^T (E_o x). The three engines whose agents decouple solve their local
+subproblems with the simulated network's solver: each holds an
+`objective.ProximalRows` and makes one `objective.local_subproblem_ex` call
+per step, so the paper's equivalences show in the code as a choice of c and
+of the weights (a_i, pi_i). ``DadmmMatrixEngine`` and ``FullAdmmEngine`` use
+D-ADMM's (rho d_i, pi_i); ``ApproxMMEngine`` uses (0, rho (d_i + eps pi_i)),
+its majorizer. Only ``ExactMMEngine``, which couples agents through
+L (x) I_p, forms a dense (np) x (np) system, and it refuses instances with
+n p above `EXACT_MM_MAX_ORDER`.
 
 Every `init` raises DimensionMismatch for an initial vector of the wrong
 length, and every central `step` for a state vector of the wrong length; no
@@ -156,10 +158,6 @@ class TraceRow:
     phi: np.ndarray
 
 
-def _repeat_diag(values: np.ndarray, p: int) -> np.ndarray:
-    return np.repeat(np.asarray(values, dtype=float), p)
-
-
 def _check_state(state, lengths: dict[str, int]) -> None:
     """Raise DimensionMismatch unless each named state vector is a numpy
     vector of the given length, as `init` makes them."""
@@ -182,52 +180,12 @@ def _initial(vector, length: int, name: str) -> np.ndarray:
     return out
 
 
-class _StationarySolver:
-    """argmin f(x) + linear'x + 0.5 x'Kx for a fixed K.
-
-    `quad` is K's diagonal as a vector when the agents decouple, or K as a
-    dense matrix. When every component is quadratic, f(x) = 0.5 x'Qx + b'x,
-    the minimizer is affine in `linear`: x = x_b - H^-1 linear with
-    H = Q + K and x_b = -H^-1 b. H^-1 is computed once by
-    `denselin.spd_inverse` and kept negated next to x_b, so a solve is one
-    matmul and one add: for diagonal K, H^-1 is the `objective.proximal_inverse`
-    stack of inverses of Q_i + K_i, applied row-wise; for dense K, the
-    (np) x (np) system with the Q_i added on its diagonal blocks. Otherwise
-    each solve runs damped Newton.
-    """
-
-    def __init__(self, components, quad: np.ndarray, tol: float):
-        self.components = components
-        self.tol = tol
-        self._neg_inverse = None
-        stack = objective.quadratic_stack(components)
-        if stack is None:
-            # damped Newton works with the dense Hessian
-            self.quad = np.diag(quad) if quad.ndim == 1 else quad
-            return
-        q, b = stack
-        n, p = b.shape
-        self._rows = (n, p) if quad.ndim == 1 else None
-        if quad.ndim == 1:
-            self._neg_inverse = -objective.proximal_inverse(q, quad.reshape(n, p))
-        else:
-            system = np.array(quad)
-            agents = np.arange(n)
-            system.reshape(n, p, n, p)[agents, :, agents, :] += q
-            self._neg_inverse = -denselin.spd_inverse(system)
-        self._x_b = self._apply_neg_inverse(b.ravel())
-
-    def _apply_neg_inverse(self, v: np.ndarray) -> np.ndarray:
-        if self._rows is None:
-            return self._neg_inverse @ v
-        return objective.apply_rows(self._neg_inverse, v.reshape(self._rows)).ravel()
-
-    def solve(self, linear: np.ndarray, x_start: np.ndarray) -> np.ndarray:
-        if self._neg_inverse is None:
-            return objective.minimize_composite(
-                self.components, linear, self.quad, x_start, self.tol
-            )
-        return self._apply_neg_inverse(linear) + self._x_b
+def _local_solve(rows: objective.ProximalRows, c, x) -> np.ndarray:
+    """Every agent's local subproblem of a central step, on stacked vectors:
+    one `objective.local_subproblem_ex` call on their (n, p) rows."""
+    shape = rows.shape
+    new_x, _ = objective.local_subproblem_ex(rows, c.reshape(shape), x.reshape(shape))
+    return new_x.ravel()
 
 
 def _agent_round(net: harness.Network, graph: NetworkGraph, x, dual):
@@ -270,14 +228,9 @@ class DadmmMatrixEngine:
         self.components = list(components)
         self.params = params
         self.stack = arc_stack(graph)
-        pi = params.pi_vector(graph.n)
-        self.quad_diag = _repeat_diag(params.rho * degrees(graph) + pi, graph.p)
-        self.p_diag = _repeat_diag(pi, graph.p)
-        self._solver = _StationarySolver(
-            self.components, self.quad_diag, params.subproblem_tol
-        )
-        self._lengths = {"x": graph.n * graph.p, "phi": graph.n * graph.p}
-        self._alpha_length = {"alpha": graph.m * graph.p}
+        self.local = _dadmm_rows(graph, self.components, params)
+        npx = graph.n * graph.p
+        self._lengths = {"x": npx, "phi": npx, "alpha": graph.m * graph.p}
 
     def init(self, x0=None, alpha0_mode: str = "zero", seed=None, alpha0=None) -> AdmmState:
         return dadmm_init(self.graph, self.components, self.params,
@@ -285,22 +238,22 @@ class DadmmMatrixEngine:
 
     def step(self, state: AdmmState) -> AdmmState:
         _check_state(state, self._lengths)
-        if state.alpha is not None:
-            _check_state(state, self._alpha_length)
         rho, eta = self.params.rho, self.params.eta
         x, s = state.x, self.stack
-        linear = state.phi - 0.5 * rho * s.e_u_transpose(s.e_u(x)) - self.p_diag * x
-        new_x = self._solver.solve(linear, x)
-        diffs = s.e_o(new_x)
-        if state.alpha is None:
-            new_phi = state.phi + 0.5 * eta * rho * s.e_o_transpose(diffs)
-            return AdmmState(x=new_x, phi=new_phi, k=state.k + 1)
-        new_alpha = state.alpha + 0.5 * eta * rho * diffs
-        new_phi = s.e_o_transpose(new_alpha)
-        return AdmmState(x=new_x, phi=new_phi, k=state.k + 1, alpha=new_alpha)
+        c = state.phi - 0.5 * rho * s.e_u_transpose(s.e_u(x))
+        new_x = _local_solve(self.local, c, x)
+        new_alpha = state.alpha + 0.5 * eta * rho * s.e_o(new_x)
+        return AdmmState(x=new_x, phi=s.e_o_transpose(new_alpha), k=state.k + 1,
+                         alpha=new_alpha)
 
     def snapshot(self, state: AdmmState) -> TraceRow:
         return TraceRow(state.k, state.x, state.phi)
+
+
+def _dadmm_rows(graph: NetworkGraph, components, params: AdmmParams):
+    """D-ADMM's local subproblems: a_i = rho d_i and the proximal pi_i."""
+    return objective.ProximalRows(components, params.rho * degrees(graph),
+                                  params.pi_vector(graph.n), params.subproblem_tol)
 
 
 def dadmm_init(graph: NetworkGraph, components, params: AdmmParams,
@@ -337,10 +290,7 @@ class FullAdmmEngine:
         self.components = list(components)
         self.params = params
         self.stack = arc_stack(graph)
-        pi = params.pi_vector(graph.n)
-        self.p_diag = _repeat_diag(pi, graph.p)
-        quad_diag = _repeat_diag(params.rho * degrees(graph) + pi, graph.p)
-        self._solver = _StationarySolver(self.components, quad_diag, params.subproblem_tol)
+        self.local = _dadmm_rows(graph, self.components, params)
         mp = graph.m * graph.p
         self._lengths = {"x": graph.n * graph.p, "z": mp, "lam": 2 * mp}
 
@@ -356,8 +306,8 @@ class FullAdmmEngine:
         # lam = [alpha; beta] pairs with S = [A_s; A_d]: A_s^T alpha + A_d^T beta
         # - rho E_u^T z is S^T (lam - rho [z; z]), one scatter
         lam = state.lam.reshape(2, -1)
-        linear = self.stack.apply_transpose(lam - rho * state.z) - self.p_diag * state.x
-        new_x = self._solver.solve(linear, state.x)
+        new_x = _local_solve(self.local, self.stack.apply_transpose(lam - rho * state.z),
+                             state.x)
         ends = self.stack.apply(new_x)  # A_s x, A_d x
         # z = (alpha + beta) / (2 rho) + (A_s x + A_d x) / 2
         halves = lam + rho * ends
@@ -398,10 +348,13 @@ class ExactMMEngine(_MultiplierEngine):
     minimization couples all agents through the incidence Gram matrix, so this
     engine is a centralized reference only.
 
-    It is the one engine that forms and inverts a dense (np) x (np) system,
-    (rho/2) L (x) I_p plus the blocks Q_i. Instances with n*p above
-    `EXACT_MM_MAX_ORDER` are refused with a DeconoptError before anything
-    dense is allocated.
+    It is the one engine that forms a dense (np) x (np) system, H =
+    (rho/2) L (x) I_p plus the blocks Q_i. When every component is quadratic
+    the minimizer is affine in the linear term: x = x_b - H^-1 linear with
+    x_b = -H^-1 b, both formed once at set-up, so a step is one matmul and one
+    add. Otherwise each step runs damped Newton (`objective.minimize_composite`).
+    Instances with n*p above `EXACT_MM_MAX_ORDER` are refused with a
+    DeconoptError before anything dense is allocated.
     """
 
     def __init__(self, graph: NetworkGraph, components, params: AdmmParams,
@@ -414,15 +367,30 @@ class ExactMMEngine(_MultiplierEngine):
         if not 0 < params.eta < 1:
             raise ValueError("exact method of multipliers requires eta in (0,1)")
         super().__init__(graph, components, params)
-        quad = 0.5 * params.rho * np.kron(laplacian(graph), np.eye(graph.p))
-        self._solver = _StationarySolver(self.components, quad, solve_tol)
+        n, p = graph.n, graph.p
+        system = 0.5 * params.rho * np.kron(laplacian(graph), np.eye(p))
+        self._solve_tol = solve_tol
+        stack = objective.quadratic_stack(self.components)
+        if stack is None:
+            # damped Newton on the stacked objective
+            self._system, self._neg_inverse = system, None
+            return
+        q, b = stack
+        agents = np.arange(n)
+        system.reshape(n, p, n, p)[agents, :, agents, :] += q
+        self._neg_inverse = -denselin.spd_inverse(system)
+        self._x_b = self._neg_inverse @ b.ravel()
 
     def step(self, state: MMState) -> MMState:
         _check_state(state, self._lengths)
         rho, eta = self.params.rho, self.params.eta
         root_eta = math.sqrt(eta)
         linear = self.stack.e_o_transpose(root_eta * state.nu)
-        new_x = self._solver.solve(linear, state.x)
+        if self._neg_inverse is None:
+            new_x = objective.minimize_composite(self.components, linear, self._system,
+                                                 state.x, self._solve_tol)
+        else:
+            new_x = self._neg_inverse @ linear + self._x_b
         new_nu = state.nu + root_eta * 0.5 * rho * self.stack.e_o(new_x)
         return MMState(x=new_x, nu=new_nu, k=state.k + 1)
 
@@ -432,6 +400,8 @@ class ApproxMMEngine(_MultiplierEngine):
 
     With epsilon = 1/rho the x-iterates coincide with generalized D-ADMM. The
     majorization Gamma = 2D + 2 eps P >= E_o^T E_o is verified once at setup.
+    The majorizer (rho/2) Gamma is a proximal term around the current iterate,
+    so the local subproblems have a_i = 0 and pi_i = rho (d_i + eps pi_i).
     """
 
     def __init__(self, graph: NetworkGraph, components, params: AdmmParams,
@@ -448,12 +418,9 @@ class ApproxMMEngine(_MultiplierEngine):
             raise GammaTooSmall(
                 f"majorization fails: min eig(Gamma - E_o'E_o) = {eigvals[0]:.3e}"
             )
-        self.majorizer_diag = _repeat_diag(
-            params.rho * (deg + self.epsilon * pi), graph.p
-        )
-        self._solver = _StationarySolver(
-            self.components, self.majorizer_diag, params.subproblem_tol
-        )
+        self.local = objective.ProximalRows(
+            self.components, np.zeros(graph.n), params.rho * (deg + self.epsilon * pi),
+            params.subproblem_tol)
 
     def step(self, state: MMState) -> MMState:
         _check_state(state, self._lengths)
@@ -461,11 +428,8 @@ class ApproxMMEngine(_MultiplierEngine):
         root_eta = math.sqrt(eta)
         x = state.x
         # E_o^T (sqrt(eta) nu) + (rho/2) L x in one transpose product
-        linear = (
-            self.stack.e_o_transpose(root_eta * state.nu + 0.5 * rho * self.stack.e_o(x))
-            - self.majorizer_diag * x
-        )
-        new_x = self._solver.solve(linear, x)
+        c = self.stack.e_o_transpose(root_eta * state.nu + 0.5 * rho * self.stack.e_o(x))
+        new_x = _local_solve(self.local, c, x)
         new_nu = state.nu + root_eta * 0.5 * rho * self.stack.e_o(new_x)
         return MMState(x=new_x, nu=new_nu, k=state.k + 1)
 

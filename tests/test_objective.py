@@ -368,21 +368,29 @@ class TestProximalRows:
         rng = np.random.default_rng(61)
         comps = [RankOneLeastSquares(rng.standard_normal(p), 0.3),
                  AffineQuadratic(_random_psd(rng, p), rng.standard_normal(p))] * 3
-        # rows share shifts, and each still gets its own block of the stack
-        a = np.array([2.0, 1.0, 2.0, 1.0, 2.5, 0.5])
-        pi = np.array([0.5, 0.0, 0.5, 0.0, 0.0, 0.5])
-        rows = ProximalRows(comps, a, pi)
-        assert len(calls) == 1
-        for _ in range(5):
-            c = rng.standard_normal((6, p))
-            x_prev = rng.standard_normal((6, p))
-            got, iters = local_subproblem_ex(rows, c, x_prev)
-            assert iters == (1,) * 6
-            for i, comp in enumerate(comps):
-                q, b = comp.quadratic_terms()
-                inv = fresh(q + (a[i] + pi[i]) * np.eye(p))
-                assert np.array_equal(got[i], inv @ (pi[i] * x_prev[i] - b - c[i]))
-        assert len(calls) == 1
+        weights = [
+            # rows share shifts, and each still gets its own block of the stack
+            (np.array([2.0, 1.0, 2.0, 1.0, 2.5, 0.5]),
+             np.array([0.5, 0.0, 0.5, 0.0, 0.0, 0.5])),
+            # the central engines' weightings: D-ADMM's (rho d_i, pi_i), and
+            # the approximated method of multipliers' (0, rho (d_i + eps pi_i))
+            (rng.uniform(1.0, 3.0, 6), np.full(6, 0.1)),
+            (np.zeros(6), rng.uniform(1.0, 3.0, 6)),
+        ]
+        for a, pi in weights:
+            calls.clear()
+            rows = ProximalRows(comps, a, pi)
+            assert len(calls) == 1
+            for _ in range(5):
+                c = rng.standard_normal((6, p))
+                x_prev = rng.standard_normal((6, p))
+                got, iters = local_subproblem_ex(rows, c, x_prev)
+                assert iters == (1,) * 6
+                for i, comp in enumerate(comps):
+                    q, b = comp.quadratic_terms()
+                    inv = fresh(q + (a[i] + pi[i]) * np.eye(p))
+                    assert np.array_equal(got[i], inv @ (pi[i] * x_prev[i] - b - c[i]))
+            assert len(calls) == 1
 
     def test_singular_shift_raises_every_time(self, monkeypatch):
         comp = RankOneLeastSquares([1.0, 0.0], 0.0)

@@ -8,7 +8,7 @@ from deconopt.errors import (
     ConditionViolation,
     DeconoptError,
     DimensionMismatch,
-    NotPositiveDefinite,
+    NoUniqueMinimizer,
     OmegaOutOfRange,
 )
 from deconopt.objective import AffineQuadratic, RankOneLeastSquares, zero_component
@@ -538,13 +538,17 @@ class TestBlockDiagonalSolves:
         assert seen.count((graph.n, graph.p, graph.p)) == 3
         assert all(np.prod(shape) <= graph.n * graph.p ** 2 for shape in seen)
 
-    def test_indefinite_block_raises_not_positive_definite(self):
+    def test_indefinite_block_raises_no_unique_minimizer(self):
+        # the central engines share the network's local solve, so they
+        # refuse the block with the same error as the per-agent engine
         graph, comps = random_instance(62, n=5, p=2)
         comps = list(comps)
         comps[2] = AffineQuadratic(-100.0 * np.eye(2), np.zeros(2))
         params = AdmmParams(1.0, 0.5, 0.1)
-        for make in self.decoupled_engines(graph, comps, params):
-            with pytest.raises(NotPositiveDefinite):
+        makers = self.decoupled_engines(graph, comps, params) + [
+            lambda: solvers.DadmmEngine(graph, comps, params)]
+        for make in makers:
+            with pytest.raises(NoUniqueMinimizer):
                 make()
 
     def test_exact_mm_size_cap(self):
@@ -556,47 +560,56 @@ class TestBlockDiagonalSolves:
 
 
 class TestAffineSolve:
-    """The all-quadratic stationary solve x = x_b - H^-1 linear, with x_b and
-    -H^-1 formed at set-up, against the inverse applied to -(b + linear)."""
+    """The exact method of multipliers' all-quadratic solve x = x_b - H^-1
+    linear, with x_b and -H^-1 formed at set-up, against the inverse applied
+    to -(b + linear); and the decoupled engines' refusal of an indefinite
+    block, which they share with the per-agent engine."""
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_matches_inverse_times_rhs(self, p):
+        # the decoupled engines' stationary solve: rows with a = 0 and a
+        # per-agent shift pi, solved around x = 0 by one _local_solve
         graph, comps = random_instance(81, n=6, p=p)
         n = graph.n
-        q, b = objective.quadratic_stack(comps)
         rng = np.random.default_rng(82)
-        quad = rng.uniform(1.0, 3.0, n * p)
-        solver = solvers._StationarySolver(comps, quad, 1e-12)
+        shift = rng.uniform(1.0, 3.0, n)
+        rows = objective.ProximalRows(comps, np.zeros(n), shift, 1e-12)
         for _ in range(5):
             linear = rng.standard_normal(n * p)
-            got = solver.solve(linear, np.zeros(n * p))
-            rhs = -(b + linear.reshape(n, p))
-            for i in range(n):
-                system = q[i] + np.diag(quad[i * p:(i + 1) * p])
-                want = denselin.spd_inverse(system) @ rhs[i]
+            got = solvers._local_solve(rows, linear, np.zeros(n * p))
+            for i, comp in enumerate(comps):
+                q, b = comp.quadratic_terms()
+                want = denselin.spd_inverse(q + shift[i] * np.eye(p)) @ -(
+                    b + linear[i * p:(i + 1) * p])
                 block = got[i * p:(i + 1) * p]
                 assert np.linalg.norm(block - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_dense_system_matches_inverse_times_rhs(self):
         graph, comps = random_instance(83, n=5, p=2)
         n, p = graph.n, graph.p
-        quad = 0.5 * dense_ref.lift(netgraph.laplacian(graph), p)
-        solver = solvers._StationarySolver(comps, quad, 1e-12)
-        q, b = objective.quadratic_stack(comps)
-        system = quad.copy()
-        for i in range(n):
-            system[i * p:(i + 1) * p, i * p:(i + 1) * p] += q[i]
-        linear = np.random.default_rng(84).standard_normal(n * p)
-        want = denselin.spd_inverse(system) @ -(b.ravel() + linear)
-        got = solver.solve(linear, np.zeros(n * p))
+        params = AdmmParams(1.0, 0.5)
+        engine = solvers.ExactMMEngine(graph, comps, params)
+        system = 0.5 * params.rho * dense_ref.lift(netgraph.laplacian(graph), p)
+        for i, comp in enumerate(comps):
+            system[i * p:(i + 1) * p, i * p:(i + 1) * p] += comp.quadratic_terms()[0]
+        b = np.concatenate([comp.quadratic_terms()[1] for comp in comps])
+        rng = np.random.default_rng(84)
+        state = engine.init(x0=rng.standard_normal(n * p),
+                            nu0=rng.standard_normal(graph.m * p))
+        linear = dense_ref.lifted_incidence(graph)[0].T @ (np.sqrt(params.eta) * state.nu)
+        want = denselin.spd_inverse(system) @ -(b + linear)
+        got = engine.step(state).x
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_indefinite_block_raises(self):
-        graph, comps = random_instance(85, n=4, p=2)
-        quad = np.full(graph.n * graph.p, 1.0)
-        quad[:graph.p] = -1e3
-        with pytest.raises(NotPositiveDefinite):
-            solvers._StationarySolver(comps, quad, 1e-12)
+        graph, comps = random_instance(85, n=4, p=1)
+        comps = [AffineQuadratic([[-1e3]], [0.0])] + list(comps[1:])
+        params = AdmmParams(1.0, 0.5, 0.1)
+        makers = TestBlockDiagonalSolves.decoupled_engines(graph, comps, params) + [
+            lambda: solvers.DadmmEngine(graph, comps, params)]
+        for make in makers:
+            with pytest.raises(NoUniqueMinimizer):
+                make()
 
 
 class TestStepContract:
@@ -630,6 +643,14 @@ class TestStepContract:
                     with pytest.raises(DimensionMismatch):
                         engine.step(broken)
         assert seen == {"x", "z", "lam", "nu", "phi", "alpha"}
+
+    def test_untracked_alpha_raises(self):
+        # the operator-form D-ADMM step always updates the tracked arc dual
+        graph, comps = random_instance(92, n=5, p=2)
+        engine = solvers.DadmmMatrixEngine(graph, comps, AdmmParams(1.0, 0.5, 0.1))
+        state = engine.init()
+        with pytest.raises(DimensionMismatch):
+            engine.step(solvers.AdmmState(x=state.x, phi=state.phi))
 
     def test_steps_are_pure(self):
         graph, comps = random_instance(93, n=6, p=2)
@@ -730,6 +751,30 @@ class TestCallbackComponents:
             assert np.max(np.abs(sp.x - sm.x)) <= 1e-9
             assert np.max(np.abs(sp.x - sa.x)) <= 1e-9
 
+    def test_decoupled_engines_form_no_system_above_p(self, monkeypatch):
+        # callback rows run Newton on their own p x p Hessians, as on the
+        # network; no stacked (np) x (np) system is inverted or solved
+        graph, comps, _ = mixed_callback_instance(64)
+        params = AdmmParams(rho=1.0, eta=0.5, pi=0.1, subproblem_tol=1e-12)
+        seen = {"spd_inverse": [], "solve_spd": []}
+        for name, shapes in seen.items():
+            def spy(a, *args, real=getattr(denselin, name), shapes=shapes):
+                shapes.append(np.shape(a.entries if isinstance(a, denselin.SymMatrix) else a))
+                return real(a, *args)
+
+            monkeypatch.setattr(denselin, name, spy)
+        for make in TestBlockDiagonalSolves.decoupled_engines(graph, comps, params):
+            engine = make()
+            state = engine.init()
+            for _ in range(5):
+                state = engine.step(state)
+        p = graph.p
+        # one stack of the two quadratic rows per engine; Newton's solves
+        # invert single p x p Hessians
+        assert seen["spd_inverse"].count((2, p, p)) == 3
+        assert seen["solve_spd"]
+        assert all(shape[-2:] == (p, p) for shapes in seen.values() for shape in shapes)
+
     def test_reference_solution_via_central_newton(self):
         graph, comps, _ = mixed_callback_instance(61)
         from deconopt import analysis, objective
@@ -768,21 +813,6 @@ class TestCallbackComponents:
         for _ in range(300):
             st = mm.step(st)
         assert np.linalg.norm(st.x - ref.x_star) < 1e-6
-
-
-class TestModuleLevelSteps:
-    def test_matrix_engine_without_tracked_alpha(self):
-        # the Laplacian-based dual route must match the tracked-alpha route
-        graph, comps = random_instance(71)
-        params = AdmmParams(rho=1.0, eta=0.5, pi=0.0)
-        engine = solvers.DadmmMatrixEngine(graph, comps, params)
-        tracked = engine.init()
-        bare = solvers.AdmmState(x=tracked.x.copy(), phi=tracked.phi.copy(), k=0)
-        for _ in range(30):
-            tracked, bare = engine.step(tracked), engine.step(bare)
-            assert bare.alpha is None
-            assert np.max(np.abs(tracked.phi - bare.phi)) <= 1e-12
-            assert np.max(np.abs(tracked.x - bare.x)) <= 1e-12
 
 
 class TestConvergenceRange:
