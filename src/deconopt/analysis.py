@@ -3,7 +3,10 @@
 The certificate machinery computes the restricted strong convexity constant
 of the penalized objective, the Lipschitz modulus of its gradient, and the
 strictly positive contraction parameter bounding the per-round decrease of
-the primal-dual distance in the associated (semi-)norm. Verification replays
+the primal-dual distance in the associated (semi-)norm. The two constants are
+max-min problems over one scalar each (gamma, tau), whose maximum sits where
+a falling and a rising branch cross; the crossings are closed-form roots (a
+cubic for gamma, a quadratic for tau), with no search. Verification replays
 an iterate trace against that bound with an explicit slack budget, since the
 iterates themselves are only solved to the subproblem tolerance. A trace of
 dual aggregates phi = E_o^T alpha is verified in phi-space, with no per-round
@@ -39,45 +42,7 @@ from .netgraph import (
 )
 from .tolerances import DEFAULT, Tolerances
 
-_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
-
 _ROW_BLOCK = 128  # trace rows per pass of `distances_sq`; bounds its temporaries
-
-
-# -- scalar searches -------------------------------------------------------------
-
-def _golden_max(fn, lo: float, hi: float, tol: float):
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(400):
-        if b - a <= tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-    mid = 0.5 * (a + b)
-    return mid, fn(mid)
-
-
-def _maximize_unimodal(fn, lo: float, hi: float, tol: float):
-    """Golden section with a coarse-grid bracketing fallback."""
-    best_x, best_f = _golden_max(fn, lo, hi, tol)
-    grid = np.linspace(lo, hi, 513)
-    vals = [fn(t) for t in grid]
-    j = int(np.argmax(vals))
-    if vals[j] > best_f:
-        a = grid[max(j - 1, 0)]
-        b = grid[min(j + 1, len(grid) - 1)]
-        best_x, best_f = _golden_max(fn, a, b, tol)
-    return best_x, best_f
 
 
 # -- reference solution -----------------------------------------------------------
@@ -128,16 +93,18 @@ def mu_g(profile: objective.SumProfile, graph: NetworkGraph, rho: float,
     penalized objective, and the auxiliary scalar realizing it.
 
     The bound is the smaller of two branches: the centralized curvature
-    mu_sum/n eroded by 2 L gamma, and the consensus penalty curvature
-    lam_min_nonzero * rho (1-eta) / (2 (1 + 1/gamma^2)). "optimize" maximizes
-    the min over the admissible gamma interval by golden section.
+    a = mu_sum/n eroded by 2 L gamma, and the consensus penalty curvature
+    K / (1 + 1/gamma^2) with K = lam_min_nonzero * rho (1-eta) / 2. The first
+    falls and the second rises on the admissible interval (0, a/2L), so
+    "optimize" takes gamma at their crossing, the only positive root of
+    -2L gamma^3 + (a-K) gamma^2 - 2L gamma + a = 0.
     """
     if not 0 < eta < 1:
         raise EtaOutOfRange(f"eta must lie in (0,1), got {eta}")
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     lam_min = _laplacian_spectrum(graph, tolerances)[0]
-    return _mu_g(profile, lam_min, rho, eta, gamma, tolerances)
+    return _mu_g(profile, lam_min, rho, eta, gamma)
 
 
 def _laplacian_spectrum(graph: NetworkGraph, tolerances: Tolerances) -> tuple[float, float]:
@@ -147,26 +114,26 @@ def _laplacian_spectrum(graph: NetworkGraph, tolerances: Tolerances) -> tuple[fl
 
 
 def _mu_g(profile: objective.SumProfile, lam_min: float, rho: float, eta: float,
-          gamma, tolerances: Tolerances) -> tuple[float, float]:
+          gamma) -> tuple[float, float]:
     """`mu_g` for a given lam_min_nonzero of L."""
-    hi = (profile.mu_sum / profile.n) / (2.0 * profile.lipschitz)
-
-    def branches(g: float) -> float:
-        b1 = profile.mu_sum / profile.n - 2.0 * profile.lipschitz * g
-        b2 = lam_min * rho * (1.0 - eta) / (2.0 * (1.0 + 1.0 / (g * g)))
-        return min(b1, b2)
-
+    a, lip = profile.mu_sum / profile.n, profile.lipschitz
+    k = 0.5 * lam_min * rho * (1.0 - eta)
     if gamma == "optimize":
-        lo = hi * 1e-12
-        g_star, value = _maximize_unimodal(branches, lo, hi * (1.0 - 1e-12),
-                                           tolerances.search)
-        return value, g_star
-    gamma = float(gamma)
-    if not 0 < gamma < hi:
-        raise GammaOutOfRange(
-            f"gamma must lie in (0, {hi:.6g}), got {gamma}"
-        )
-    return branches(gamma), gamma
+        # the cubic is (1 + g^2) times the branch difference, which falls
+        # strictly from a to below zero on (0, a/2L) and stays negative
+        # beyond: its one positive root is the crossing (LAPACK returns a
+        # real root with an exactly zero imaginary part)
+        roots = np.roots([-2.0 * lip, a - k, -2.0 * lip, a])
+        gamma = float(roots.real[(roots.imag == 0) & (roots.real > 0)].min())
+    else:
+        gamma = float(gamma)
+        if not 0 < gamma < a / (2.0 * lip):
+            raise GammaOutOfRange(
+                f"gamma must lie in (0, {a / (2.0 * lip):.6g}), got {gamma}"
+            )
+    # any admissible gamma gives a valid bound, so the min is reported at
+    # the computed root whatever its roundoff
+    return min(a - 2.0 * lip * gamma, k / (1.0 + 1.0 / (gamma * gamma))), gamma
 
 
 # -- rate certificates ---------------------------------------------------------------
@@ -248,40 +215,60 @@ class RateCertificate:
         return out
 
 
-def delta_bound(rho: float, eta: float, mu: float, lip_g: float,
-                lam_min: float, lam_max_m: float,
-                search_tol: float = DEFAULT.search) -> tuple[float, float]:
-    """Maximize the two-branch contraction bound over the coupling scalar tau.
+def _max_min_tau(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """Max over tau > 0 of min(a / (1 + 1/tau), b / ((1 + tau) c + d)), and
+    the tau realizing it.
 
-    The first branch increases in tau and the second decreases, so the max of
-    their min is unimodal; the search runs on log10 tau in [-12, 12].
+    The first branch rises and the second falls, so the max sits at their
+    crossing: the one positive root of a c tau^2 + (a c + a d - b) tau - b = 0,
+    taken in the form that does not cancel. Any tau gives a valid bound, so
+    the min is reported at the computed root whatever its roundoff.
     """
+    lin = a * c + a * d - b
+    root = math.sqrt(lin * lin + 4.0 * a * c * b)
+    tau = 2.0 * b / (lin + root) if lin > 0 else (root - lin) / (2.0 * a * c)
+    return min(a / (1.0 + 1.0 / tau), b / ((1.0 + tau) * c + d)), tau
 
-    def value(log_tau: float) -> float:
-        tau = 10.0 ** log_tau
-        b1 = rho * eta * lam_min / (2.0 * (1.0 + 1.0 / tau) * lam_max_m)
-        b2 = (rho * eta * mu * lam_min
-              / ((1.0 + tau) * lip_g ** 2 + rho * eta * lam_max_m * lam_min))
-        return min(b1, b2)
 
-    log_tau, delta = _maximize_unimodal(value, -12.0, 12.0, search_tol)
-    return delta, 10.0 ** log_tau
+def delta_bound(rho: float, eta: float, mu: float, lip_g: float,
+                lam_min: float, lam_max_m: float) -> tuple[float, float]:
+    """Contraction parameter delta and the coupling scalar tau realizing it:
+    the max over tau > 0 of the smaller of the rising branch
+    rho eta lam_min / (2 (1 + 1/tau) lam_max(M)) and the falling branch
+    rho eta mu lam_min / ((1 + tau) L_g^2 + rho eta lam_max(M) lam_min).
+    """
+    return _max_min_tau(rho * eta * lam_min / (2.0 * lam_max_m), rho * eta * mu * lam_min,
+                        lip_g ** 2, rho * eta * lam_max_m * lam_min)
 
 
 def delta_bound_admm(rho: float, eta: float, mu: float, lip_g: float,
-                     lam_min: float, lam_max_eu: float,
-                     search_tol: float = DEFAULT.search) -> tuple[float, float]:
-    """Contraction bound for the P = 0 corollary, in the edge-variable norm."""
+                     lam_min: float, lam_max_eu: float) -> tuple[float, float]:
+    """Contraction bound for the P = 0 corollary, in the edge-variable norm:
+    the max over tau > 0 of the smaller of eta lam_min / ((1 + 1/tau)
+    lam_max(E_u^T E_u)) and 2 rho eta mu lam_min / ((1 + tau) L_g^2
+    + rho^2 eta lam_max(E_u^T E_u) lam_min)."""
+    return _max_min_tau(eta * lam_min / lam_max_eu, 2.0 * rho * eta * mu * lam_min,
+                        lip_g ** 2, rho * rho * eta * lam_max_eu * lam_min)
 
-    def value(log_tau: float) -> float:
-        tau = 10.0 ** log_tau
-        b1 = eta * lam_min / ((1.0 + 1.0 / tau) * lam_max_eu)
-        b2 = (2.0 * rho * eta * mu * lam_min
-              / (rho * rho * eta * lam_max_eu * lam_min + (1.0 + tau) * lip_g ** 2))
-        return min(b1, b2)
 
-    log_tau, delta = _maximize_unimodal(value, -12.0, 12.0, search_tol)
-    return delta, 10.0 ** log_tau
+def _certificate_prelude(graph: NetworkGraph, profile: objective.SumProfile, rho: float,
+                         eta: float, tolerances: Tolerances) -> tuple[float, float, float, float]:
+    """lam_min_nonzero of L, the Lipschitz modulus L_g of the penalized
+    gradient, mu_g and its gamma: what both certificates share. An unusable
+    Laplacian spectrum or mu_g <= 0 is CertificateUnavailable."""
+    if not 0 < eta < 1:
+        raise EtaOutOfRange(f"certificate requires eta in (0,1), got {eta}")
+    if rho <= 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    try:
+        lam_min, lam_max_lap = _laplacian_spectrum(graph, tolerances)
+    except (IndefiniteInput, AllZero) as exc:
+        raise CertificateUnavailable(f"Laplacian spectrum unusable: {exc}") from exc
+    mu, gamma_star = _mu_g(profile, lam_min, rho, eta, "optimize")
+    if mu <= 0:
+        raise CertificateUnavailable(f"restricted strong convexity bound {mu:.3e} <= 0")
+    lip_g = profile.lipschitz + (1.0 - eta) * 0.5 * rho * lam_max_lap
+    return lam_min, lip_g, mu, gamma_star
 
 
 def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
@@ -293,25 +280,14 @@ def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
     preserves them) and the certificate keeps M at graph level too.
     """
     rho, eta = params.rho, params.eta
-    if not 0 < eta < 1:
-        raise EtaOutOfRange(f"certificate requires eta in (0,1), got {eta}")
+    lam_min, lip_g, mu, gamma_star = _certificate_prelude(graph, profile, rho, eta,
+                                                          tolerances)
     pi = params.pi_vector(graph.n)
-
-    try:
-        lam_min, lam_max_lap = _laplacian_spectrum(graph, tolerances)
-    except (IndefiniteInput, AllZero) as exc:
-        raise CertificateUnavailable(f"Laplacian spectrum unusable: {exc}") from exc
-    mu, gamma_star = _mu_g(profile, lam_min, rho, eta, "optimize", tolerances)
     m_base = 0.5 * rho * (2.0 * np.diag(degrees(graph)) + (2.0 / rho) * np.diag(pi)
                           - laplacian(graph))
     eigvals_m, _ = denselin.sym_eigen(denselin.SymMatrix(m_base), tolerances)
     lam_max_m = float(eigvals_m[-1])
-    lip_g = profile.lipschitz + (1.0 - eta) * 0.5 * rho * lam_max_lap
-    if mu <= 0:
-        raise CertificateUnavailable(f"restricted strong convexity bound {mu:.3e} <= 0")
-
-    delta, tau_star = delta_bound(rho, eta, mu, lip_g, lam_min, lam_max_m,
-                                  tolerances.search)
+    delta, tau_star = delta_bound(rho, eta, mu, lip_g, lam_min, lam_max_m)
     return RateCertificate(
         rho=rho, eta=eta, mu_g=mu, lipschitz_g=lip_g,
         lam_min_nonzero=lam_min, tau_star=tau_star, gamma_star=gamma_star,
@@ -324,20 +300,12 @@ def rate_certificate_admm(graph: NetworkGraph, profile: objective.SumProfile,
                           rho: float, eta: float,
                           tolerances: Tolerances = DEFAULT) -> RateCertificate:
     """Certificate for the P = 0 case, stated on (alpha, edge variable)."""
-    if not 0 < eta < 1:
-        raise EtaOutOfRange(f"certificate requires eta in (0,1), got {eta}")
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    lam_min, lam_max_lap = _laplacian_spectrum(graph, tolerances)
+    lam_min, lip_g, mu, gamma_star = _certificate_prelude(graph, profile, rho, eta,
+                                                          tolerances)
     gram_u = unoriented_gram(graph)
     eig_eu, _ = denselin.sym_eigen(denselin.SymMatrix(gram_u), tolerances)
     lam_max_eu = float(eig_eu[-1])
-    lip_g = profile.lipschitz + (1.0 - eta) * 0.5 * rho * lam_max_lap
-    mu, gamma_star = _mu_g(profile, lam_min, rho, eta, "optimize", tolerances)
-    if mu <= 0:
-        raise CertificateUnavailable(f"restricted strong convexity bound {mu:.3e} <= 0")
-    delta, tau_star = delta_bound_admm(rho, eta, mu, lip_g, lam_min, lam_max_eu,
-                                       tolerances.search)
+    delta, tau_star = delta_bound_admm(rho, eta, mu, lip_g, lam_min, lam_max_eu)
     return RateCertificate(
         rho=rho, eta=eta, mu_g=mu, lipschitz_g=lip_g,
         lam_min_nonzero=lam_min, tau_star=tau_star, gamma_star=gamma_star,

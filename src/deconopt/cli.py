@@ -40,11 +40,8 @@ Config grammar (INI, parsed with configparser)::
     [output]
     dir = out
 
-    [tolerances]          ; optional per-field overrides of the tolerance record
-    subproblem = 1e-11
-
-The environment variable DECON_OPT_TOL overrides the subproblem tolerance on
-top of the config.
+    [tolerances]          ; optional per-field overrides of the tolerance record,
+    subproblem = 1e-11    ; the run's only source besides its defaults
 """
 
 from __future__ import annotations
@@ -135,6 +132,12 @@ class ExperimentConfig:
                 raise ConfigError(
                     "verifying a pextra run requires pi = theorem2 so the "
                     "certificate matches the iterates"
+                )
+            if self.algorithm == "mm-exact":
+                raise ConfigError(
+                    "verifying an mm-exact run is not supported: the exact "
+                    "method of multipliers does not produce D-ADMM's iterates, "
+                    "which the certificate describes"
                 )
             if (self.algorithm == "mm-approx" and self.epsilon is not None
                     and abs(self.epsilon - 1.0 / self.rho) > 1e-12):
@@ -398,9 +401,7 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
     """Execute one experiment; returns the process exit code."""
     config.validate()
     if tol is None:
-        tol = tolerances.from_env(
-            tolerances.DEFAULT.replace(**dict(config.tolerance_overrides))
-        )
+        tol = tolerances.DEFAULT.replace(**dict(config.tolerance_overrides))
 
     graph, components = build_scenario(config)
     params = _resolve_params(config, graph, tol)

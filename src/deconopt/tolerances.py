@@ -1,15 +1,14 @@
 """Central tolerance record.
 
 Every numerical threshold used across the package lives here so that tests,
-the CLI, and library callers agree on one set of defaults. The environment
-variable ``DECON_OPT_TOL`` (read by :func:`from_env`) overrides the
-subproblem stationarity tolerance, the knob every iterate engine consumes.
+the CLI, and library callers agree on one set of defaults. A run config
+overrides single fields in its ``[tolerances]`` section, the only other
+source; an unknown field name there is a ConfigError.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 
 from .errors import ConfigError
 
@@ -29,8 +28,6 @@ class Tolerances:
     central_solve: float = 1e-12
     newton_armijo: float = 1e-4
     newton_max_iter: int = 200
-    # golden-section stopping width for the certificate parameter searches
-    search: float = 1e-10
     # additive slack budget when checking per-round contraction
     contraction_slack: float = 1e-7
     # eigenvalue tolerance for mixing-matrix condition checks
@@ -45,16 +42,3 @@ class Tolerances:
 
 DEFAULT = Tolerances()
 
-
-def from_env(base: Tolerances = DEFAULT) -> Tolerances:
-    """Return `base` with DECON_OPT_TOL (if set) applied to `subproblem`."""
-    raw = os.environ.get("DECON_OPT_TOL")
-    if raw is None:
-        return base
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"DECON_OPT_TOL is not a number: {raw!r}") from exc
-    if value <= 0:
-        raise ConfigError(f"DECON_OPT_TOL must be positive, got {value}")
-    return base.replace(subproblem=value)

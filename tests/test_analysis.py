@@ -276,6 +276,56 @@ class TestRateCertificateAdmm:
         assert cert.delta_admm <= limit + 1e-12
 
 
+    def test_unusable_spectrum_is_certificate_unavailable(self, monkeypatch):
+        graph, comps = ls_preset(seed=12)
+        profile = objective.sum_profile(comps, graph)
+
+        def fail(*args, **kwargs):
+            raise IndefiniteInput("spectrum")
+
+        monkeypatch.setattr(denselin, "smallest_nonzero", fail)
+        with pytest.raises(CertificateUnavailable) as info:
+            analysis.rate_certificate_admm(graph, profile, rho=1.0, eta=0.5)
+        assert isinstance(info.value.__cause__, IndefiniteInput)
+
+
+class TestClosedFormCrossings:
+    """gamma_star and tau_star are where each max-min problem's falling and
+    rising branches cross, so the branches agree there to roundoff."""
+
+    @pytest.mark.parametrize("seed,n,p", [(1, 5, 2), (2, 12, 3), (3, 30, 1)])
+    def test_branches_meet_at_the_returned_scalars(self, seed, n, p):
+        graph, comps = ls_preset(seed=seed, n=n, p=p)
+        profile = objective.sum_profile(comps, graph)
+        a, lip = profile.mu_sum / profile.n, profile.lipschitz
+        eps = np.finfo(float).eps
+        for rho in (0.01, 1.0, 300.0):
+            for eta in (0.05, 0.5, 0.95):
+                certs = [analysis.rate_certificate(graph, profile, AdmmParams(rho, eta, pi))
+                         for pi in (0.0, 0.1, 5.0)]
+                certs.append(analysis.rate_certificate_admm(graph, profile, rho, eta))
+                for cert in certs:
+                    lam, g, tau = cert.lam_min_nonzero, cert.gamma_star, cert.tau_star
+                    # mu_g's falling branch is a difference of terms near a,
+                    # so its roundoff is on a's scale
+                    falling = a - 2.0 * lip * g
+                    rising = lam * rho * (1.0 - eta) / (2.0 * (1.0 + 1.0 / g**2))
+                    assert abs(falling - rising) <= 32 * eps * a
+                    assert cert.mu_g == pytest.approx(min(falling, rising), abs=32 * eps * a)
+                    lip_sq = cert.lipschitz_g ** 2
+                    if cert.delta is not None:
+                        lam_m, delta = cert.lam_max_m, cert.delta
+                        rising = rho * eta * lam / (2.0 * (1.0 + 1.0 / tau) * lam_m)
+                        falling = rho * eta * cert.mu_g * lam / (
+                            (1.0 + tau) * lip_sq + rho * eta * lam_m * lam)
+                    else:
+                        lam_eu, delta = cert.lam_max_eu, cert.delta_admm
+                        rising = eta * lam / ((1.0 + 1.0 / tau) * lam_eu)
+                        falling = 2.0 * rho * eta * cert.mu_g * lam / (
+                            rho * rho * eta * lam_eu * lam + (1.0 + tau) * lip_sq)
+                    assert rising == pytest.approx(falling, rel=16 * eps)
+                    assert delta == pytest.approx(min(rising, falling), rel=16 * eps)
+
 class TestVerifyContraction:
     def test_least_squares_run_contracts(self):
         graph, comps = ls_preset(seed=1)

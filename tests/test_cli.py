@@ -441,13 +441,22 @@ class TestVerifiedRuns:
 
         monkeypatch.setattr(cli.analysis, "verify_contraction", spy)
         text = BASE_INI.format(out=tmp_path / "v") + (
-            "\n[tolerances]\nspectrum_zero = 1e-10\nminnorm_consistency = 1e-9\n")
+            "\n[tolerances]\nspectrum_zero = 1e-10\nminnorm_consistency = 1e-9\n"
+            "subproblem = 1e-10\n")
         assert cli.main(["run", write(tmp_path, text), "--verify"]) == 0
-        assert [(t.spectrum_zero, t.minnorm_consistency) for t in seen] == [(1e-10, 1e-9)]
+        assert [(t.spectrum_zero, t.minnorm_consistency, t.subproblem)
+                for t in seen] == [(1e-10, 1e-9, 1e-10)]
+
+    def test_unknown_tolerance_is_setup_error(self, tmp_path, capsys):
+        # `search` names no tolerance: the certificate's scalars are closed forms
+        text = BASE_INI.format(out=tmp_path / "s") + "\n[tolerances]\nsearch = 1e-10\n"
+        assert cli.main(["run", write(tmp_path, text), "--verify"]) == 1
+        assert "search" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestCentralAlgorithms:
-    @pytest.mark.parametrize("name", ["dadmm-matrix", "full-admm", "mm-exact", "mm-approx"])
+    @pytest.mark.parametrize("name", ["dadmm-matrix", "full-admm", "mm-approx"])
     def test_each_runs_and_verifies(self, name, tmp_path):
         out = tmp_path / name
         text = BASE_INI.format(out=out).replace("name = dadmm", f"name = {name}")
@@ -475,14 +484,45 @@ class TestCentralAlgorithms:
         assert max(gaps) <= 1e-9
 
 
-def test_env_tolerance_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("DECON_OPT_TOL", "1e-6")
-    from deconopt import tolerances
-    tol = tolerances.from_env()
-    assert tol.subproblem == 1e-6
-    monkeypatch.setenv("DECON_OPT_TOL", "bogus")
-    with pytest.raises(ConfigError):
-        tolerances.from_env()
-    monkeypatch.setenv("DECON_OPT_TOL", "-2")
-    with pytest.raises(ConfigError):
-        tolerances.from_env()
+
+# Every algorithm with the [algorithm] settings that make `validate` accept or
+# refuse it under --verify; the cells are small criterion-1-style ls-ring
+# instances (n, p, seed, pi). An accepted run must pass its certificate, a
+# refused one must stop at set-up, so the accept list cannot admit a run the
+# D-ADMM certificate does not describe.
+VERIFY_TABLE = [
+    ("dadmm", ""),
+    ("pextra", "pi = theorem2\nxi = 0.04\n"),
+    ("pextra", "pi = theorem2\nxi = 0.04\nomega = 0.75\n"),
+    ("pextra", "xi = 0.04\n"),
+    ("general-uv", ""),
+    ("dadmm-matrix", ""),
+    ("full-admm", ""),
+    ("mm-exact", ""),
+    ("mm-approx", ""),
+    ("mm-approx", "epsilon = 2.0\n"),
+]
+VERIFY_CELLS = [(5, 2, 1, 0.1), (8, 3, 4, 0.0), (20, 2, 21, 0.0)]
+
+
+def test_verify_table_covers_every_algorithm():
+    assert {name for name, _ in VERIFY_TABLE} == set(cli.ALGORITHMS)
+
+
+@pytest.mark.parametrize("name,settings", VERIFY_TABLE, ids=[
+    ",".join([name] + settings.replace(" ", "").split()) for name, settings in VERIFY_TABLE])
+def test_verified_run_passes_or_is_refused(name, settings, tmp_path):
+    for n, p, seed, pi in VERIFY_CELLS:
+        out = tmp_path / f"{n}-{seed}"
+        text = (f"[scenario]\npreset = ls-ring\nn = {n}\np = {p}\nseed = {seed}\n\n"
+                f"[algorithm]\nname = {name}\nrho = 1.0\neta = 0.5\nrounds = 300\n"
+                + (settings if "pi =" in settings else f"pi = {pi}\n{settings}")
+                + f"\n[run]\nverify = true\n\n[output]\ndir = {out}\n")
+        path = write(tmp_path, text)
+        try:
+            parse_config(text).validate()
+        except ConfigError:
+            assert cli.main(["run", path]) == 1, (n, p, seed, pi)
+            continue
+        assert cli.main(["run", path]) == 0, (n, p, seed, pi)
+        assert "violations = 0" in (out / "certificate.txt").read_text().splitlines()
