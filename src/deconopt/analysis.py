@@ -8,9 +8,10 @@ max-min problems over one scalar each (gamma, tau), whose maximum sits where
 a falling and a rising branch cross; the crossings are closed-form roots (a
 cubic for gamma, a quadratic for tau), with no search. Verification replays
 an iterate trace against that bound with an explicit slack budget, since the
-iterates themselves are only solved to the subproblem tolerance. A trace of
-dual aggregates phi = E_o^T alpha is verified in phi-space, with no per-round
-reconstruction of alpha and no n x n L^+.
+iterates themselves are only solved to the subproblem tolerance. The
+verification reads the arc multipliers off the primal trace, alpha_k =
+alpha_0 + (rho eta / 2) sum_{j<=k} E_o x_j, and checks the run's final dual
+aggregate against E_o^T alpha_K: no dual trace is kept and no L^+ is formed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     GammaOutOfRange,
     Inconsistent,
     IndefiniteInput,
+    NonFinite,
 )
 from .netgraph import (
     NetworkGraph,
@@ -167,52 +169,61 @@ class RateCertificate:
         d = self.delta if self.delta is not None else self.delta_admm
         return 1.0 / (1.0 + d)
 
-    def distances_sq(self, xs, duals, ref: ReferenceSolution, dual: str = "alpha",
+    def distances_sq(self, xs, phi_last, ref: ReferenceSolution, alpha0=None,
                      tolerances: Tolerances = DEFAULT) -> np.ndarray:
-        """Squared distance of every row (xs[k], duals[k]), in row blocks.
+        """Squared distance of every row (xs[k], alpha_k), in row blocks.
 
-        The duals are arc multipliers alpha (dual="alpha") or their aggregates
-        phi = E_o^T alpha (dual="phi"), where alpha in range(E_o) gives
-        |alpha - alpha*|^2 = sum_k inv_k |(V^T dphi)_k|^2 over the eigenpairs
-        of L (inv = `pinv_spectrum`). Inconsistent is raised for a phi row off
-        range(E_o^T) = 1^perp: |sum_i phi_i|/sqrt(n), the min-norm solve's
-        residual, above that solve's tolerance."""
+        A certified run's dual step gives alpha_k = alpha_0 + (rho eta / 2)
+        sum_{j=1..k} E_o x_j, read off the trace from `alpha0` (zero by
+        default). Inconsistent unless the run's final dual aggregate
+        `phi_last` is E_o^T alpha_K within `minnorm_consistency` |phi_last|
+        plus the range floor; NonFinite for a row with no finite distance."""
         g = self.graph
         n, p = g.n, g.p
         xs = np.asarray(xs, dtype=float)
-        duals = np.asarray(duals, dtype=float)
-        if dual == "phi":
-            eigvals, eigvecs = laplacian_eigen(g)
-            inv = denselin.pinv_spectrum(eigvals, tolerances)
-            dual_star = arc_stack(g).e_o_transpose(ref.alpha_star)
-            floor = denselin.range_floor(float(np.trace(laplacian(g))), p)
-        elif dual == "alpha":
-            dual_star = ref.alpha_star
-        else:
-            raise ValueError(f"unknown dual {dual!r}")
-        if xs.shape[1:] != (n * p,) or duals.shape != (len(xs), len(dual_star)) or not len(xs):
-            raise DimensionMismatch(f"expected (rows, {n * p}) and (rows, {len(dual_star)}) "
-                                    f"arrays, got {xs.shape} and {duals.shape}")
+        phi_last = np.asarray(phi_last, dtype=float)
+        alpha = np.zeros(g.m * p) if alpha0 is None else np.asarray(alpha0, dtype=float)
+        if (xs.shape[1:] != (n * p,) or not len(xs)
+                or phi_last.shape != (n * p,) or alpha.shape != (g.m * p,)):
+            raise DimensionMismatch(f"expected xs (rows, {n * p}), phi_last ({n * p},) and "
+                                    f"alpha0 ({g.m * p},), got {xs.shape}, "
+                                    f"{phi_last.shape} and {alpha.shape}")
         out = np.empty(len(xs))
-        for start in range(0, len(xs), _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            dd = duals[rows] - dual_star
-            if dual == "phi":
-                phi = duals[rows]
-                resid = np.linalg.norm(phi.reshape(-1, n, p).sum(axis=1), axis=1) / math.sqrt(n)
-                bad = np.flatnonzero(
-                    resid > tolerances.minnorm_consistency * np.linalg.norm(phi, axis=1) + floor)
-                if bad.size:
-                    raise Inconsistent(f"phi row {start + bad[0]} is not in the range of the "
-                                       f"transpose (residual {resid[bad[0]]:.3e})")
-                coef = eigvecs.T @ dd.reshape(-1, n, p)
-                dual_sq = np.square(coef).sum(axis=2) @ inv
-            else:
-                dual_sq = np.vecdot(dd, dd)
+        for start, alphas in self._alpha_blocks(xs, alpha):
+            rows = slice(start, start + len(alphas))
+            alpha = alphas[-1].copy()
+            alphas -= ref.alpha_star
             dx = xs[rows] - ref.x_star
             x_sq = np.vecdot(dx, (self.x_block @ dx.reshape(-1, n, p)).reshape(dx.shape))
-            out[rows] = np.maximum(self.dual_weight * dual_sq + x_sq, 0.0)
+            out[rows] = np.maximum(self.dual_weight * np.vecdot(alphas, alphas) + x_sq, 0.0)
+            bad = np.flatnonzero(~np.isfinite(out[rows]))
+            if bad.size:
+                raise NonFinite(f"trace row {start + bad[0]} has a non-finite distance")
+        resid = float(np.linalg.norm(phi_last - arc_stack(g).e_o_transpose(alpha)))
+        allowed = (tolerances.minnorm_consistency * float(np.linalg.norm(phi_last))
+                   + denselin.range_floor(float(np.trace(laplacian(g))), p))
+        if not resid <= allowed:
+            raise Inconsistent(f"final dual is not E_o^T alpha of the trace "
+                               f"(residual {resid:.3e}, allowed {allowed:.3e})")
         return out
+
+    def _alpha_blocks(self, xs: np.ndarray, alpha0: np.ndarray):
+        """(first row, alpha rows) per `_ROW_BLOCK` trace rows: c E_o x_k with
+        c = rho eta / 2, alpha0 for row 0's, in one cumsum carried across blocks,
+        in place in one buffer that each block overwrites (arc rows are wide)."""
+        src, dst = arc_stack(self.graph).index
+        c = 0.5 * self.eta * self.rho
+        buf = np.empty((min(len(xs), _ROW_BLOCK), len(src)))
+        carry = alpha0
+        for start in range(0, len(xs), _ROW_BLOCK):
+            block = xs[start:start + _ROW_BLOCK]
+            # the indices are valid; the default mode="raise" would buffer `out`
+            steps = np.take(block, src, axis=1, out=buf[:len(block)], mode="clip")
+            steps -= block[:, dst]
+            steps *= c
+            steps[0] = steps[0] + carry if start else carry
+            carry = np.cumsum(steps, axis=0, out=steps)[-1].copy()
+            yield start, steps
 
 
 def _max_min_tau(a: float, b: float, c: float, d: float) -> tuple[float, float]:
@@ -329,19 +340,18 @@ class ContractionReport:
         return not self.violations
 
 
-def verify_contraction(xs, duals, ref: ReferenceSolution, cert: RateCertificate,
-                       dual: str = "alpha",
-                       tolerances: Tolerances = DEFAULT) -> ContractionReport:
-    """Check the per-round contraction of a primal-dual trace.
+def verify_contraction(xs, phi_last, ref: ReferenceSolution, cert: RateCertificate,
+                       alpha0=None, tolerances: Tolerances = DEFAULT) -> ContractionReport:
+    """Check the per-round contraction of a primal trace.
 
-    Row k of xs and of duals is the iterate after round k; duals holds arc
-    multipliers (dual="alpha") or their aggregates phi (dual="phi"), see
-    `RateCertificate.distances_sq`. The norm is the certificate's. Round k
-    violates the bound when d_k > bound d_{k-1} + slack, with the slack
-    `contraction_slack` (1 + d_0) budgeting the subproblem tolerance.
-    `worst_ratio` is the largest d_k / d_{k-1} over rows with d_{k-1} > 0.
+    Row k of xs is the iterate after round k; `RateCertificate.distances_sq`
+    reads the duals off it and checks them against `phi_last`, the run's final
+    dual aggregate. The norm is the certificate's. Round k violates the bound when
+    d_k > bound d_{k-1} + slack, with the slack `contraction_slack` (1 + d_0)
+    budgeting the subproblem tolerance. `worst_ratio` is the largest
+    d_k / d_{k-1} over rows with d_{k-1} > 0.
     """
-    distances = cert.distances_sq(xs, duals, ref, dual, tolerances)
+    distances = cert.distances_sq(xs, phi_last, ref, alpha0, tolerances)
     bound = cert.contraction_factor()
     slack = tolerances.contraction_slack * (1.0 + distances[0])
     prev, nxt = distances[:-1], distances[1:]

@@ -314,23 +314,20 @@ def _resolve_params(config: ExperimentConfig, graph, tol) -> solvers.AdmmParams:
 
 
 def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
-                   params: solvers.AdmmParams, tol, keep_phi: bool):
-    """Run one algorithm for the configured rounds.
+                   params: solvers.AdmmParams, tol):
+    """Run one algorithm for the configured rounds from a zero dual.
 
-    Returns (xs, phis, messages). Row k of the preallocated (rounds+1, n*p)
-    array `xs` holds a copy of the iterate after round k, row 0 the initial
-    state. `phis` holds the dual iterates the same way, or is None unless
-    `keep_phi` (only the verification reads it). `messages[k]` is round k's
-    message count.
+    Returns (xs, phi_last, messages). Row k of the preallocated
+    (rounds+1, n*p) array `xs` holds a copy of the iterate after round k,
+    row 0 the initial state. `phi_last` is the dual aggregate after the last
+    round, the one dual the verification reads: it takes the duals of the
+    other rounds off `xs`. `messages[k]` is round k's message count.
     """
     xs = np.empty((config.rounds + 1, graph.n * graph.p))
-    phis = np.empty_like(xs) if keep_phi else None
     messages = [0] * len(xs)
 
-    def record(k, x, phi, count):
+    def record(k, x, count):
         xs[k] = x
-        if phis is not None:
-            phis[k] = phi
         messages[k] = count
 
     if name in ("dadmm", "pextra", "general-uv"):
@@ -351,9 +348,9 @@ def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
             )
         harness.run_rounds(
             agents, graph, config.rounds,
-            observer=lambda k, x, phi, log: record(k, x, phi, log.messages),
+            observer=lambda k, x, phi, log: record(k, x, log.messages),
         )
-        return xs, phis, messages
+        return xs, agents.phi.ravel(), messages
 
     if name == "dadmm-matrix":
         engine = solvers.DadmmMatrixEngine(graph, components, params)
@@ -371,10 +368,8 @@ def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
     for k in range(config.rounds + 1):
         if k > 0:
             state = engine.step(state)
-        # the dual aggregate costs a transpose product; form it only when kept
-        phi = engine.snapshot(state).phi if keep_phi else None
-        record(k, state.x, phi, 0)
-    return xs, phis, messages
+        record(k, state.x, 0)
+    return xs, engine.snapshot(state).phi, messages
 
 
 def emit_trace(rows, path) -> None:
@@ -407,8 +402,8 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
     params = _resolve_params(config, graph, tol)
     ref = analysis.reference_solution(graph, components, params.eta, tol)
 
-    xs, phis, messages = _run_algorithm(config.algorithm, config, graph, components,
-                                        params, tol, keep_phi=config.verify)
+    xs, phi_last, messages = _run_algorithm(config.algorithm, config, graph, components,
+                                            params, tol)
 
     cert = None
     report = None
@@ -416,8 +411,7 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
         profile = objective.sum_profile(components, graph)
         cert_params = replace(params, eta=config.certified_eta())
         cert = analysis.rate_certificate(graph, profile, cert_params, tol)
-        report = analysis.verify_contraction(xs, phis, ref, cert, dual="phi",
-                                             tolerances=tol)
+        report = analysis.verify_contraction(xs, phi_last, ref, cert, tolerances=tol)
 
     os.makedirs(config.out_dir, exist_ok=True)
 
@@ -445,8 +439,7 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
             fh.write("\n".join(analysis.certificate_csv_rows(cert)) + "\n")
 
     if config.compare is not None:
-        other = _run_algorithm(
-            config.compare, config, graph, components, params, tol, keep_phi=False)[0]
+        other = _run_algorithm(config.compare, config, graph, components, params, tol)[0]
         # in place: `other` is not read again, and a fresh (rounds+1, n*p)
         # temporary would raise the run's peak memory
         gaps = np.abs(np.subtract(xs, other, out=other), out=other).max(axis=1)

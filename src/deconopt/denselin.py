@@ -127,19 +127,10 @@ def solve_spd(a, b) -> np.ndarray:
     return inv @ b
 
 
-def pinv_spectrum(eigvals: np.ndarray, tolerances: Tolerances = DEFAULT) -> np.ndarray:
-    """The pseudo-inverse's eigenvalues from a PSD matrix's ascending ones:
-    reciprocals above the cutoff `spectrum_zero * lambda_max`, zero below."""
-    cutoff = tolerances.spectrum_zero * max(float(eigvals[-1]), 0.0)
-    inv = np.zeros_like(eigvals)
-    keep = eigvals > cutoff
-    inv[keep] = 1.0 / eigvals[keep]
-    return inv
-
-
 def range_floor(gram_trace: float, p: int) -> float:
     """Absolute floor of the range test of B^T a = c, 1e-12 |B|_F or 1e-12:
-    a rhs at roundoff scale is "in range" by convention."""
+    a rhs at roundoff scale is "in range" by convention. The verification's
+    final-dual check uses the same floor for B = E_o."""
     return 1e-12 * max(1.0, math.sqrt(p) * math.sqrt(gram_trace))
 
 
@@ -151,8 +142,9 @@ class MinNormTransposeSolver:
     products `apply` (y -> B y) and `apply_transpose` (a -> B^T a) on flat
     stacked vectors. The returned solution is a = B (B^T B)^+ c, the unique
     solution lying in the column space of B. The pseudo-inverse is formed
-    once from the decomposition, since (B^T B)^+ = (b^T b)^+ (x) I_p; each
-    reconstruction is then one matmul on c reshaped to blocks and one
+    once from the decomposition, since (B^T B)^+ = (b^T b)^+ (x) I_p, with
+    the eigenvalues at or below `spectrum_zero * lambda_max` taken as zero;
+    each reconstruction is then one matmul on c reshaped to blocks and one
     `apply`.
     """
 
@@ -167,7 +159,10 @@ class MinNormTransposeSolver:
         self._apply = apply
         self._apply_transpose = apply_transpose
         self._cols = gram.shape[0]
-        self.gram_pinv = (eigvecs * pinv_spectrum(eigvals, tolerances)) @ eigvecs.T
+        inv = np.zeros_like(eigvals)
+        keep = eigvals > tolerances.spectrum_zero * max(float(eigvals[-1]), 0.0)
+        inv[keep] = 1.0 / eigvals[keep]
+        self.gram_pinv = (eigvecs * inv) @ eigvecs.T
         self._floor = range_floor(float(np.trace(gram)), self.p)
 
     def __call__(self, c) -> np.ndarray:

@@ -17,7 +17,8 @@ from .errors import ConfigError
 class Tolerances:
     # relative cutoff separating "zero" eigenvalues from the rest
     spectrum_zero: float = 1e-9
-    # relative consistency requirement for min-norm transpose solves
+    # relative consistency requirement for min-norm transpose solves and for
+    # the verification's final dual, E_o^T alpha of the primal trace
     minnorm_consistency: float = 1e-8
     # maximum accepted absolute asymmetry before symmetrization is refused
     symmetry: float = 1e-12

@@ -1,4 +1,4 @@
-"""Dense reference matrices and graph lookups for the tests.
+"""Dense reference matrices, graph lookups and distances for the tests.
 
 The package forms no m x n arc matrix and no Kronecker lift: `ArcStack`
 gathers and scatters on the arc indices, and the graph matrices D and L are
@@ -12,7 +12,9 @@ step. `reference_arcs` labels the arcs edge by edge instead, and
 `neighbor_ids` reads a vertex's neighbours off the edges, so tests can check
 the package's arc arrays and masks against an independent construction.
 `mix` forms a graph-local product W x arc by arc in a Python loop, in the
-order the network's round must add the terms.
+order the network's round must add the terms. `phi_space_distances_sq`
+measures the certificate's distance on dual aggregates through a dense L^+,
+against which the verification's distances are checked.
 """
 
 import numpy as np
@@ -94,3 +96,16 @@ def min_norm_solver(b, tolerances=DEFAULT):
     return denselin.MinNormTransposeSolver(
         gram, eigen, lambda y: b @ y, lambda a: b.T @ a, tolerances=tolerances
     )
+
+
+def phi_space_distances_sq(cert, ref, xs, phis):
+    """The certificate's squared distance of every row (xs[k], phis[k]), with
+    the dual term measured on the aggregates phi = E_o'alpha: for alpha in
+    range(E_o), |alpha - alpha*|^2 = dphi' (L^+ (x) I_p) dphi with L = E_o'E_o,
+    L^+ by `np.linalg.pinv`; the x-term is the lifted x-block, densely."""
+    g = cert.graph
+    l_pinv = lift(np.linalg.pinv(netgraph.laplacian(g), rtol=1e-9, hermitian=True), g.p)
+    dphi = np.asarray(phis) - lifted_incidence(g)[0].T @ ref.alpha_star
+    dx = np.asarray(xs) - ref.x_star
+    x_sq = np.einsum("ki,ij,kj->k", dx, lift(cert.x_block, g.p), dx)
+    return cert.dual_weight * np.einsum("ki,ij,kj->k", dphi, l_pinv, dphi) + x_sq

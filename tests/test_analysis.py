@@ -12,6 +12,7 @@ from deconopt.errors import (
     GammaOutOfRange,
     Inconsistent,
     IndefiniteInput,
+    NonFinite,
     NotStronglyConvex,
 )
 from deconopt.objective import AffineQuadratic, RankOneLeastSquares
@@ -333,8 +334,8 @@ class TestVerifyContraction:
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, params)
         ref = analysis.reference_solution(graph, comps, params.eta)
-        xs, alphas, _ = run_matrix_trace(graph, comps, params, 300)
-        report = analysis.verify_contraction(xs, alphas, ref, cert)
+        xs, _, phis = run_matrix_trace(graph, comps, params, 300)
+        report = analysis.verify_contraction(xs, phis[-1], ref, cert)
         assert report.ok
         assert report.worst_ratio < report.bound
 
@@ -344,9 +345,10 @@ class TestVerifyContraction:
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, params)
         ref = analysis.reference_solution(graph, comps, params.eta)
-        xs, alphas, _ = run_matrix_trace(graph, comps, params, 20,
-                                         x0=ref.x_star, alpha0=ref.alpha_star)
-        report = analysis.verify_contraction(xs, alphas, ref, cert)
+        xs, _, phis = run_matrix_trace(graph, comps, params, 20,
+                                       x0=ref.x_star, alpha0=ref.alpha_star)
+        report = analysis.verify_contraction(xs, phis[-1], ref, cert,
+                                             alpha0=ref.alpha_star)
         assert report.ok
         assert np.all(report.distances <= report.slack)
 
@@ -358,13 +360,11 @@ class TestVerifyContraction:
         ref = analysis.reference_solution(graph, comps, params.eta)
         engine = solvers.DadmmEngine(graph, comps, params)
         st = engine.init()
-        xs, phis = [st.x], [st.phi]
+        xs = [st.x]
         for _ in range(100):
             st = engine.step(st)
             xs.append(st.x)
-            phis.append(st.phi)
-        report = analysis.verify_contraction(np.array(xs), np.array(phis), ref, cert,
-                                             dual="phi")
+        report = analysis.verify_contraction(np.array(xs), st.phi, ref, cert)
         assert report.ok
 
     def test_certificates_compare_by_value(self):
@@ -379,6 +379,7 @@ class TestVerifyContraction:
                 != analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, 0.2)))
 
     def test_violation_detected_on_fake_trace(self):
+        # a consensual shift leaves E_o x = 0, so the dual stays at alpha*
         graph, comps = ls_preset(seed=5)
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
@@ -386,27 +387,31 @@ class TestVerifyContraction:
         ref = analysis.reference_solution(graph, comps, params.eta)
         far = ref.x_star + 10.0
         xs = np.array([ref.x_star, far])
-        alphas = np.array([ref.alpha_star, ref.alpha_star])
-        report = analysis.verify_contraction(xs, alphas, ref, cert)
+        phi_star = netgraph.arc_stack(graph).e_o_transpose(ref.alpha_star)
+        report = analysis.verify_contraction(xs, phi_star, ref, cert, alpha0=ref.alpha_star)
         assert not report.ok
 
     def test_violations_and_worst_ratio_are_exact(self):
         # distances 0, d, d/2, 3d/2: round 1 violates (from zero, beyond the
-        # slack), round 2 contracts, round 3 violates; the ratio skips row 0
+        # slack), round 2 contracts, round 3 violates; the ratio skips row 0.
+        # The shifts are consensual, so E_o x = 0 exactly and alpha stays alpha*
         graph, comps = ls_preset(seed=5)
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, params)
         ref = analysis.reference_solution(graph, comps, params.eta)
-        unit = np.zeros_like(ref.alpha_star)
+        unit = np.zeros(graph.p)
         unit[0] = 1.0
+        consensual = np.tile(unit, graph.n)
         scales = np.sqrt([0.0, 4.0, 2.0, 6.0])
-        xs = np.tile(ref.x_star, (4, 1))
-        alphas = ref.alpha_star + scales[:, None] * unit
-        report = analysis.verify_contraction(xs, alphas, ref, cert)
+        xs = ref.x_star + scales[:, None] * consensual
+        phi_star = netgraph.arc_stack(graph).e_o_transpose(ref.alpha_star)
+        report = analysis.verify_contraction(xs, phi_star, ref, cert, alpha0=ref.alpha_star)
         d = report.distances
         assert d[0] == 0.0
-        assert_allclose(d[1:], cert.dual_weight * np.array([4.0, 2.0, 6.0]), rtol=1e-14)
+        # consensual' (M (x) I_p) consensual = 1'M1 = rho sum_i d_i at pi = 0 (L 1 = 0)
+        m_sum = params.rho * float(netgraph.degrees(graph).sum())
+        assert_allclose(d[1:], m_sum * np.array([4.0, 2.0, 6.0]), rtol=1e-14)
         bound, slack = report.bound, report.slack
         assert slack == DEFAULT.contraction_slack
         assert report.violations == (
@@ -415,26 +420,41 @@ class TestVerifyContraction:
         )
         assert report.worst_ratio == max(d[2] / d[1], d[3] / d[2])
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_row_raises(self):
+        # NaN compares false, so unchecked it would pass every bound
+        graph, comps = ls_preset(seed=5)
+        params = AdmmParams(1.0, 0.5, 0.0)
+        profile = objective.sum_profile(comps, graph)
+        cert = analysis.rate_certificate(graph, profile, params)
+        ref = analysis.reference_solution(graph, comps, params.eta)
+        phi_star = netgraph.arc_stack(graph).e_o_transpose(ref.alpha_star)
+        for bad in (np.nan, np.inf):
+            xs = ref.x_star + np.array([[1.0], [bad], [1e6]])
+            with pytest.raises(NonFinite, match="row 1"):
+                analysis.verify_contraction(xs, phi_star, ref, cert, alpha0=ref.alpha_star)
+
     def test_corollary_norm_contracts_for_zero_proximal(self):
         graph, comps = ls_preset(seed=6)
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate_admm(graph, profile, params.rho, params.eta)
         ref = analysis.reference_solution(graph, comps, params.eta)
-        xs, alphas, _ = run_matrix_trace(graph, comps, params, 300)
-        report = analysis.verify_contraction(xs, alphas, ref, cert)
+        xs, _, phis = run_matrix_trace(graph, comps, params, 300)
+        report = analysis.verify_contraction(xs, phis[-1], ref, cert)
         assert report.ok
 
     @pytest.mark.parametrize("norm", ["u", "v"])
     def test_distances_match_per_row_dense_formulas(self, norm):
         # u: 2/(rho eta)|da|^2 + dx'M dx with M = (rho/2) E_u'E_u + pi I (the
-        # lifted 0.5 rho (2D + (2/rho) P - L)); v: 1/(rho eta)|da|^2 + rho|E_u dx / 2|^2
+        # lifted 0.5 rho (2D + (2/rho) P - L)); v: 1/(rho eta)|da|^2 + rho|E_u dx / 2|^2,
+        # on the engine's tracked alpha
         graph, comps = ls_preset(seed=8, n=7, p=3)
         pi = 0.1 if norm == "u" else 0.0
         params = AdmmParams(0.7, 0.4, pi)
         profile = objective.sum_profile(comps, graph)
         ref = analysis.reference_solution(graph, comps, params.eta)
-        xs, alphas, _ = run_matrix_trace(graph, comps, params, 150)
+        xs, alphas, phis = run_matrix_trace(graph, comps, params, 150)
         rho, eta = params.rho, params.eta
         e_u = dense_ref.lifted_incidence(graph)[1]
         if norm == "u":
@@ -446,27 +466,43 @@ class TestVerifyContraction:
         want = [weight * float((a - ref.alpha_star) @ (a - ref.alpha_star))
                 + float((x - ref.x_star) @ m_lift @ (x - ref.x_star))
                 for x, a in zip(xs, alphas)]
-        assert_allclose(cert.distances_sq(xs, alphas, ref), want, rtol=1e-12, atol=1e-300)
+        assert_allclose(cert.distances_sq(xs, phis[-1], ref), want, rtol=1e-12, atol=1e-300)
 
     @pytest.mark.parametrize("n", [12, 40])
     def test_phi_space_matches_alpha_space(self, n):
-        # the tracked alpha lies in range(E_o), so |alpha - alpha*| is fixed
-        # by phi = E_o^T alpha; both norms, rows above the roundoff floor
+        # the alpha read off the trace lies in range(E_o), so |alpha - alpha*|
+        # is fixed by phi = E_o^T alpha: both norms agree with the dense
+        # phi-space distance of the engine's phi rows above the roundoff floor
         graph, comps = ls_preset(seed=7, n=n, p=2)
         params = AdmmParams(1.0, 0.5, 0.1)
         profile = objective.sum_profile(comps, graph)
         ref = analysis.reference_solution(graph, comps, params.eta)
-        xs, alphas, phis = run_matrix_trace(graph, comps, params, 300)
+        xs, _, phis = run_matrix_trace(graph, comps, params, 300)
         for cert in (analysis.rate_certificate(graph, profile, params),
                      analysis.rate_certificate_admm(graph, profile, params.rho,
                                                     params.eta)):
-            via_alpha = cert.distances_sq(xs, alphas, ref, "alpha")
-            via_phi = cert.distances_sq(xs, phis, ref, "phi")
+            via_alpha = cert.distances_sq(xs, phis[-1], ref)
+            via_phi = dense_ref.phi_space_distances_sq(cert, ref, xs, phis)
             above = via_alpha > 1e-10 * via_alpha[0]
             assert above.sum() > 50
             assert_allclose(via_phi[above], via_alpha[above], rtol=1e-9)
 
+    @pytest.mark.parametrize("start", ["zero", "optimal"])
+    def test_implied_alpha_is_the_tracked_alpha(self, start):
+        # the verify's alpha path, across row blocks, is the engine's alpha bit for bit
+        graph, comps = ls_preset(seed=7, n=12, p=2)
+        params = AdmmParams(1.0, 0.5, 0.1)
+        cert = analysis.rate_certificate(graph, objective.sum_profile(comps, graph), params)
+        ref = analysis.reference_solution(graph, comps, params.eta)
+        init = {} if start == "zero" else {"x0": ref.x_star, "alpha0": ref.alpha_star}
+        xs, alphas, _ = run_matrix_trace(graph, comps, params, 300, **init)
+        assert len(xs) > 2 * analysis._ROW_BLOCK
+        blocks = [(start, rows.copy()) for start, rows in cert._alpha_blocks(xs, alphas[0])]
+        assert [start for start, _ in blocks] == list(range(0, len(xs), analysis._ROW_BLOCK))
+        assert np.array_equal(np.concatenate([rows for _, rows in blocks]), alphas)
+
     def test_phi_row_off_range_is_inconsistent(self):
+        # a final phi with a consensus component is not E_o^T of any alpha
         graph, comps = ls_preset(seed=4)
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
@@ -474,14 +510,14 @@ class TestVerifyContraction:
         ref = analysis.reference_solution(graph, comps, params.eta)
         phi_star = netgraph.arc_stack(graph).e_o_transpose(ref.alpha_star)
         xs = np.tile(ref.x_star, (3, 1))
-        phis = np.tile(phi_star, (3, 1))
-        phis[2] += 1e-3    # a consensus component in every block
-        with pytest.raises(Inconsistent, match="row 2"):
-            analysis.verify_contraction(xs, phis, ref, cert, dual="phi")
+        analysis.verify_contraction(xs, phi_star, ref, cert, alpha0=ref.alpha_star)
+        with pytest.raises(Inconsistent, match="final dual"):
+            analysis.verify_contraction(xs, phi_star + 1e-3, ref, cert,
+                                        alpha0=ref.alpha_star)
 
     def test_phi_range_check_uses_the_given_tolerances(self):
-        # a consensus component above the absolute floor but below
-        # minnorm_consistency |phi| passes at DEFAULT only
+        # a final phi off E_o^T alpha_K by more than the absolute floor but
+        # less than minnorm_consistency |phi| passes at DEFAULT only
         graph, comps = ls_preset(seed=4)
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
@@ -490,14 +526,15 @@ class TestVerifyContraction:
         phi = netgraph.arc_stack(graph).e_o_transpose(ref.alpha_star)
         scale = float(np.linalg.norm(phi))
         floor = denselin.range_floor(float(np.trace(netgraph.laplacian(graph))), graph.p)
-        # the same shift on every entry: |sum_i phi_i|/sqrt(n) = 1e-9 |phi| sqrt(n)
-        phis = np.array([phi, phi + 1e-9 * scale / np.sqrt(graph.p)])
+        # the same shift on every entry: a residual of 1e-9 |phi| sqrt(n)
+        phi_last = phi + 1e-9 * scale / np.sqrt(graph.p)
         assert floor < 1e-9 * scale * np.sqrt(graph.n) < 1e-8 * scale
         xs = np.tile(ref.x_star, (2, 1))
-        analysis.verify_contraction(xs, phis, ref, cert, dual="phi")
+        analysis.verify_contraction(xs, phi_last, ref, cert, alpha0=ref.alpha_star)
         tight = DEFAULT.replace(minnorm_consistency=1e-11)
         with pytest.raises(Inconsistent):
-            analysis.verify_contraction(xs, phis, ref, cert, dual="phi", tolerances=tight)
+            analysis.verify_contraction(xs, phi_last, ref, cert, alpha0=ref.alpha_star,
+                                        tolerances=tight)
 
     def test_shape_and_dual_checked(self):
         graph, comps = ls_preset(seed=4)
@@ -506,12 +543,16 @@ class TestVerifyContraction:
         cert = analysis.rate_certificate(graph, profile, params)
         ref = analysis.reference_solution(graph, comps, params.eta)
         xs = ref.x_star[None, :]
+        phi = netgraph.arc_stack(graph).e_o_transpose(ref.alpha_star)
+        analysis.verify_contraction(xs, phi, ref, cert, alpha0=ref.alpha_star)
         with pytest.raises(DimensionMismatch):
-            analysis.verify_contraction(xs, xs, ref, cert, dual="alpha")
+            analysis.verify_contraction(xs, xs, ref, cert)
         with pytest.raises(DimensionMismatch):
-            analysis.verify_contraction(xs[:0], xs[:0], ref, cert, dual="phi")
-        with pytest.raises(ValueError):
-            analysis.verify_contraction(xs, xs, ref, cert, dual="nu")
+            analysis.verify_contraction(xs[:0], phi, ref, cert)
+        with pytest.raises(DimensionMismatch):
+            analysis.verify_contraction(xs, phi[1:], ref, cert)
+        with pytest.raises(DimensionMismatch):
+            analysis.verify_contraction(xs, phi, ref, cert, alpha0=ref.alpha_star[1:])
 
 
 class TestRestrictedStrongConvexity:

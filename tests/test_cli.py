@@ -1,13 +1,14 @@
 import csv
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dense_ref
-from deconopt import analysis, cli, denselin, netgraph, objective, solvers
+from deconopt import analysis, cli, denselin, harness, netgraph, objective, solvers
 from deconopt.cli import ExperimentConfig, parse_config, serialize_config
-from deconopt.errors import ConfigError
+from deconopt.errors import ConfigError, Inconsistent
 
 BASE_INI = """
 [scenario]
@@ -394,7 +395,7 @@ class TestVerifiedRuns:
     @pytest.mark.parametrize("algorithm", ["dadmm", "dadmm-matrix"])
     def test_one_min_norm_solve_per_verified_run(self, tmp_path, monkeypatch, algorithm):
         # the reference multiplier is the only reconstruction: the verify
-        # measures the dual in phi-space, with no per-round solve
+        # reads the arc dual off the primal trace, with no per-round solve
         solver = denselin.MinNormTransposeSolver
         real = solver.__call__
         calls = []
@@ -446,6 +447,37 @@ class TestVerifiedRuns:
         assert cli.main(["run", write(tmp_path, text), "--verify"]) == 0
         assert [(t.spectrum_zero, t.minnorm_consistency, t.subproblem)
                 for t in seen] == [(1e-10, 1e-9, 1e-10)]
+
+    @staticmethod
+    def nudge_final_dual(monkeypatch, rel):
+        """Make the CLI's run return a final phi moved by rel |phi| off E_o^T
+        of the arc dual its trace implies."""
+        run_algorithm = cli._run_algorithm
+
+        def nudged(*args, **kwargs):
+            xs, phi_last, messages = run_algorithm(*args, **kwargs)
+            phi_last = phi_last.copy()
+            phi_last[0] += rel * np.linalg.norm(phi_last)
+            return xs, phi_last, messages
+
+        monkeypatch.setattr(cli, "_run_algorithm", nudged)
+
+    def test_final_dual_off_the_trace_exits_1(self, tmp_path, monkeypatch, capsys):
+        self.nudge_final_dual(monkeypatch, 1e-6)
+        text = BASE_INI.format(out=tmp_path / "v")
+        assert cli.main(["run", write(tmp_path, text), "--verify"]) == 1
+        assert "final dual is not E_o^T alpha" in capsys.readouterr().err
+        with pytest.raises(Inconsistent):
+            cli.run(replace(parse_config(text), verify=True))
+
+    def test_final_dual_check_uses_the_run_tolerances(self, tmp_path, monkeypatch):
+        # a 1e-9 relative residual passes at the default minnorm_consistency
+        # (1e-8) and fails when [tolerances] sets it to 1e-11
+        self.nudge_final_dual(monkeypatch, 1e-9)
+        text = BASE_INI.format(out=tmp_path / "v")
+        assert cli.main(["run", write(tmp_path, text), "--verify"]) == 0
+        tight = text + "\n[tolerances]\nminnorm_consistency = 1e-11\n"
+        assert cli.main(["run", write(tmp_path, tight), "--verify"]) == 1
 
     def test_unknown_tolerance_is_setup_error(self, tmp_path, capsys):
         # `search` names no tolerance: the certificate's scalars are closed forms
@@ -505,19 +537,39 @@ VERIFY_TABLE = [
 VERIFY_CELLS = [(5, 2, 1, 0.1), (8, 3, 4, 0.0), (20, 2, 21, 0.0)]
 
 
+def verify_text(name, settings, cell, out):
+    """The verified run of one VERIFY_TABLE entry on one cell."""
+    n, p, seed, pi = cell
+    return (f"[scenario]\npreset = ls-ring\nn = {n}\np = {p}\nseed = {seed}\n\n"
+            f"[algorithm]\nname = {name}\nrho = 1.0\neta = 0.5\nrounds = 300\n"
+            + (settings if "pi =" in settings else f"pi = {pi}\n{settings}")
+            + f"\n[run]\nverify = true\n\n[output]\ndir = {out}\n")
+
+
+def _accepted(name, settings):
+    try:
+        parse_config(verify_text(name, settings, VERIFY_CELLS[0], "out")).validate()
+    except ConfigError:
+        return False
+    return True
+
+
+VERIFIED = [(name, settings) for name, settings in VERIFY_TABLE if _accepted(name, settings)]
+
+
+def table_ids(table):
+    return [",".join([name] + settings.replace(" ", "").split()) for name, settings in table]
+
+
 def test_verify_table_covers_every_algorithm():
     assert {name for name, _ in VERIFY_TABLE} == set(cli.ALGORITHMS)
 
 
-@pytest.mark.parametrize("name,settings", VERIFY_TABLE, ids=[
-    ",".join([name] + settings.replace(" ", "").split()) for name, settings in VERIFY_TABLE])
+@pytest.mark.parametrize("name,settings", VERIFY_TABLE, ids=table_ids(VERIFY_TABLE))
 def test_verified_run_passes_or_is_refused(name, settings, tmp_path):
     for n, p, seed, pi in VERIFY_CELLS:
         out = tmp_path / f"{n}-{seed}"
-        text = (f"[scenario]\npreset = ls-ring\nn = {n}\np = {p}\nseed = {seed}\n\n"
-                f"[algorithm]\nname = {name}\nrho = 1.0\neta = 0.5\nrounds = 300\n"
-                + (settings if "pi =" in settings else f"pi = {pi}\n{settings}")
-                + f"\n[run]\nverify = true\n\n[output]\ndir = {out}\n")
+        text = verify_text(name, settings, (n, p, seed, pi), out)
         path = write(tmp_path, text)
         try:
             parse_config(text).validate()
@@ -526,3 +578,53 @@ def test_verified_run_passes_or_is_refused(name, settings, tmp_path):
             continue
         assert cli.main(["run", path]) == 0, (n, p, seed, pi)
         assert "violations = 0" in (out / "certificate.txt").read_text().splitlines()
+
+
+def record_phi_rows(monkeypatch):
+    """The dual aggregate of every state a CLI run produces, in order: the
+    simulated network's phi through a second observer, the central engines'
+    through `snapshot` of each `init` and `step` result."""
+    rows = []
+    run_rounds = harness.run_rounds
+
+    def observed(net, graph, rounds, observer=None):
+        def both(k, x, phi, log):
+            rows.append(phi.copy())
+            observer(k, x, phi, log)
+        return run_rounds(net, graph, rounds, observer=both)
+
+    monkeypatch.setattr(harness, "run_rounds", observed)
+    for cls in (solvers.DadmmMatrixEngine, solvers.FullAdmmEngine, solvers.ApproxMMEngine):
+        for method in ("init", "step"):
+            def recorded(self, *args, _real=getattr(cls, method), **kwargs):
+                state = _real(self, *args, **kwargs)
+                rows.append(self.snapshot(state).phi.copy())
+                return state
+            monkeypatch.setattr(cls, method, recorded)
+    return rows
+
+
+@pytest.mark.parametrize("name,settings", VERIFIED, ids=table_ids(VERIFIED))
+def test_verify_distances_match_dense_phi_reference(name, settings, tmp_path, monkeypatch):
+    # the distances the verify reads off the primal trace equal the dense
+    # phi-space distances of the phi rows the run's engine formed
+    real = cli.analysis.verify_contraction
+    seen = []
+
+    def spy(xs, phi_last, ref, cert, **kwargs):
+        report = real(xs, phi_last, ref, cert, **kwargs)
+        seen.append((xs, phi_last, ref, cert, report))
+        return report
+
+    monkeypatch.setattr(cli.analysis, "verify_contraction", spy)
+    rows = record_phi_rows(monkeypatch)
+    for cell in VERIFY_CELLS:
+        rows.clear()
+        seen.clear()
+        text = verify_text(name, settings, cell, tmp_path / "out")
+        assert cli.main(["run", write(tmp_path, text)]) == 0, cell
+        (xs, phi_last, ref, cert, report), = seen
+        phis = np.array(rows)
+        assert phis.shape == xs.shape and np.array_equal(phis[-1], phi_last), cell
+        want = dense_ref.phi_space_distances_sq(cert, ref, xs, phis)
+        assert np.max(np.abs(report.distances - want)) <= 1e-12 * want[0], cell

@@ -795,12 +795,11 @@ class TestCallbackComponents:
         ref = analysis.reference_solution(graph, comps, params.eta)
         engine = solvers.DadmmMatrixEngine(graph, comps, params)
         st = engine.init()
-        xs, alphas = [st.x], [st.alpha]
+        xs = [st.x]
         for _ in range(200):
             st = engine.step(st)
             xs.append(st.x)
-            alphas.append(st.alpha)
-        report = analysis.verify_contraction(np.array(xs), np.array(alphas), ref, cert)
+        report = analysis.verify_contraction(np.array(xs), st.phi, ref, cert)
         assert report.ok, report.violations[:3]
 
     def test_exact_mm_newton_path_converges(self):
