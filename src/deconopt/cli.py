@@ -148,7 +148,7 @@ class ExperimentConfig:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -314,22 +314,15 @@ def _resolve_params(config: ExperimentConfig, graph, tol) -> solvers.AdmmParams:
 
 
 def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
-                   params: solvers.AdmmParams, tol):
+                   params: solvers.AdmmParams, tol, record):
     """Run one algorithm for the configured rounds from a zero dual.
 
-    Returns (xs, phi_last, messages). Row k of the preallocated
-    (rounds+1, n*p) array `xs` holds a copy of the iterate after round k,
-    row 0 the initial state. `phi_last` is the dual aggregate after the last
-    round, the one dual the verification reads: it takes the duals of the
-    other rounds off `xs`. `messages[k]` is round k's message count.
+    Calls the row sink `record(k, x, messages)` for k = 0 (the initial
+    state) to `rounds`, with `x` the stacked iterate after round k, which
+    the sink copies if it keeps it, and round k's message count. Returns
+    `phi_last`, the dual aggregate after the last round, the one dual the
+    verification reads: it takes the other rounds' duals off the iterates.
     """
-    xs = np.empty((config.rounds + 1, graph.n * graph.p))
-    messages = [0] * len(xs)
-
-    def record(k, x, count):
-        xs[k] = x
-        messages[k] = count
-
     if name in ("dadmm", "pextra", "general-uv"):
         if name == "dadmm":
             agents = harness.dadmm_agents(graph, components, params)
@@ -350,7 +343,7 @@ def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
             agents, graph, config.rounds,
             observer=lambda k, x, phi, log: record(k, x, log.messages),
         )
-        return xs, agents.phi.ravel(), messages
+        return agents.phi.ravel()
 
     if name == "dadmm-matrix":
         engine = solvers.DadmmMatrixEngine(graph, components, params)
@@ -369,31 +362,60 @@ def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
         if k > 0:
             state = engine.step(state)
         record(k, state.x, 0)
-    return xs, engine.snapshot(state).phi, messages
+    return engine.snapshot(state).phi
+
+
+def _gap_sink(xs, gaps):
+    """Row sink for the comparison run: `gaps[k] = max|xs[k] - x_k|`.
+
+    Rows are copied into one (analysis._ROW_BLOCK, n*p) buffer; when it fills,
+    and at the last row of `xs`, its block of gaps is formed in place.
+    """
+    buf = np.empty((min(len(xs), analysis._ROW_BLOCK), xs.shape[1]))
+    last = len(xs) - 1
+
+    def record(k, x, messages):
+        row = k % len(buf)
+        buf[row] = x
+        if row == len(buf) - 1 or k == last:
+            block = buf[:row + 1]
+            np.subtract(xs[k - row:k + 1], block, out=block)
+            np.abs(block, out=block).max(axis=1, out=gaps[k - row:k + 1])
+
+    return record
+
+
+def _write_lines(path, header: str, lines) -> None:
+    """Write the header and each line of an iterable, newline-terminated."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def emit_trace(rows, path) -> None:
     """Write the per-round trace CSV with the fixed seven-column header.
 
-    Floats print with 17 significant digits; missing entries are empty
-    fields (the contraction ratio is always empty at k = 0).
+    `rows` is any iterable of (k, obj_err, consensus_resid, u_dist_H_sq,
+    contraction_ratio, delta_bound, messages) tuples; each is formatted and
+    written as it is drawn, so a generator is never held as a list. Floats
+    print with 17 significant digits; missing entries are empty fields (the
+    contraction ratio is always empty at k = 0).
     """
     def fmt(v):
         return "" if v is None else f"{v:.17g}"
 
-    lines = [TRACE_HEADER]
-    for row in rows:
-        k, obj_err, resid, udist, ratio, delta, messages = row
-        lines.append(
-            f"{k},{fmt(obj_err)},{fmt(resid)},{fmt(udist)},{fmt(ratio)},"
-            f"{fmt(delta)},{messages}"
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, TRACE_HEADER, (
+        f"{k},{fmt(obj_err)},{fmt(resid)},{fmt(udist)},{fmt(ratio)},{fmt(delta)},{messages}"
+        for k, obj_err, resid, udist, ratio, delta, messages in rows
+    ))
 
 
 def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Execute one experiment; returns the process exit code.
+
+    Only the primary run's (rounds+1, n*p) iterates are kept; a comparison
+    run's rows become compare.csv's gaps one row block at a time.
+    """
     config.validate()
     if tol is None:
         tol = tolerances.DEFAULT.replace(**dict(config.tolerance_overrides))
@@ -402,8 +424,15 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
     params = _resolve_params(config, graph, tol)
     ref = analysis.reference_solution(graph, components, params.eta, tol)
 
-    xs, phi_last, messages = _run_algorithm(config.algorithm, config, graph, components,
-                                            params, tol)
+    xs = np.empty((config.rounds + 1, graph.n * graph.p))
+    messages = [0] * len(xs)
+
+    def record(k, x, count):
+        xs[k] = x
+        messages[k] = count
+
+    phi_last = _run_algorithm(config.algorithm, config, graph, components, params, tol,
+                              record)
 
     cert = None
     report = None
@@ -416,17 +445,20 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
     os.makedirs(config.out_dir, exist_ok=True)
 
     udists = None if report is None else report.distances
+    delta = None if cert is None else cert.delta
     obj_errs = objective.sum_value(components, xs) - ref.objective_value
-    csv_rows = []
-    for k, x in enumerate(xs):
-        resid = netgraph.consensuality_residual(graph, x)
-        udist = None if udists is None else float(udists[k])
-        ratio = None
-        if udists is not None and k > 0 and udists[k - 1] > 0:
-            ratio = float(udists[k] / udists[k - 1])
-        delta = None if cert is None else cert.delta
-        csv_rows.append((k, float(obj_errs[k]), resid, udist, ratio, delta, messages[k]))
-    emit_trace(csv_rows, os.path.join(config.out_dir, "trace.csv"))
+    resids = [netgraph.consensuality_residual(graph, x) for x in xs]
+
+    def trace_rows():
+        for k in range(len(xs)):
+            udist = ratio = None
+            if udists is not None:
+                udist = float(udists[k])
+                if k > 0 and udists[k - 1] > 0:
+                    ratio = float(udists[k] / udists[k - 1])
+            yield k, float(obj_errs[k]), resids[k], udist, ratio, delta, messages[k]
+
+    emit_trace(trace_rows(), os.path.join(config.out_dir, "trace.csv"))
 
     if cert is not None:
         lines = analysis.certificate_lines(cert)
@@ -439,13 +471,11 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
             fh.write("\n".join(analysis.certificate_csv_rows(cert)) + "\n")
 
     if config.compare is not None:
-        other = _run_algorithm(config.compare, config, graph, components, params, tol)[0]
-        # in place: `other` is not read again, and a fresh (rounds+1, n*p)
-        # temporary would raise the run's peak memory
-        gaps = np.abs(np.subtract(xs, other, out=other), out=other).max(axis=1)
-        lines = ["k,max_abs_dx"] + [f"{k},{gap:.17g}" for k, gap in enumerate(gaps)]
-        with open(os.path.join(config.out_dir, "compare.csv"), "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        gaps = np.empty(len(xs))
+        _run_algorithm(config.compare, config, graph, components, params, tol,
+                       _gap_sink(xs, gaps))
+        _write_lines(os.path.join(config.out_dir, "compare.csv"), "k,max_abs_dx",
+                     (f"{k},{gap:.17g}" for k, gap in enumerate(gaps)))
 
     if config.verify and report is not None and not report.ok:
         return 2

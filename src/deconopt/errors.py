@@ -65,10 +65,6 @@ class NotStronglyConvex(DeconoptError):
 
 # -- solvers ---------------------------------------------------------------------
 
-class GammaTooSmall(DeconoptError):
-    """Majorization matrix fails to dominate the incidence Gram matrix."""
-
-
 class OmegaOutOfRange(DeconoptError):
     pass
 

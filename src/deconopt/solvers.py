@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import denselin, harness, objective
-from .errors import DeconoptError, DimensionMismatch, GammaTooSmall, OmegaOutOfRange
+from .errors import DeconoptError, DimensionMismatch, OmegaOutOfRange
 from .netgraph import NetworkGraph, arc_stack, degrees, e_o_min_norm_solver, laplacian
 from .tolerances import DEFAULT
 
@@ -399,7 +399,9 @@ class ApproxMMEngine(_MultiplierEngine):
     """Method of multipliers with the coupling term majorized by a diagonal.
 
     With epsilon = 1/rho the x-iterates coincide with generalized D-ADMM. The
-    majorization Gamma = 2D + 2 eps P >= E_o^T E_o is verified once at setup.
+    majorizer Gamma = 2D + 2 eps P dominates E_o^T E_o = L with no check:
+    with D = diag(L), Gamma - E_o^T E_o = 2D + 2 eps P - L = E_u^T E_u + 2 eps P,
+    positive semidefinite for eps >= 0 and pi >= 0, both enforced.
     The majorizer (rho/2) Gamma is a proximal term around the current iterate,
     so the local subproblems have a_i = 0 and pi_i = rho (d_i + eps pi_i).
     """
@@ -410,16 +412,9 @@ class ApproxMMEngine(_MultiplierEngine):
             raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
         super().__init__(graph, components, params)
         self.epsilon = float(epsilon)
-        deg = degrees(graph)
-        pi = params.pi_vector(graph.n)
-        gamma_base = 2.0 * np.diag(deg) + 2.0 * self.epsilon * np.diag(pi)
-        eigvals, _ = denselin.sym_eigen(gamma_base - laplacian(graph))
-        if eigvals[0] < -1e-9:
-            raise GammaTooSmall(
-                f"majorization fails: min eig(Gamma - E_o'E_o) = {eigvals[0]:.3e}"
-            )
         self.local = objective.ProximalRows(
-            self.components, np.zeros(graph.n), params.rho * (deg + self.epsilon * pi),
+            self.components, np.zeros(graph.n),
+            params.rho * (degrees(graph) + self.epsilon * params.pi_vector(graph.n)),
             params.subproblem_tol)
 
     def step(self, state: MMState) -> MMState:

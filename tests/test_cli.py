@@ -1,12 +1,15 @@
 import csv
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dense_ref
-from deconopt import analysis, cli, denselin, harness, netgraph, objective, solvers
+from deconopt import (
+    analysis, cli, denselin, harness, netgraph, objective, solvers, tolerances,
+)
 from deconopt.cli import ExperimentConfig, parse_config, serialize_config
 from deconopt.errors import ConfigError, Inconsistent
 
@@ -107,6 +110,18 @@ class TestRun:
         code = cli.main(["run", path, "--verify"])
         assert code == 1
         assert "deconopt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new", [("rho = 1.0", "rho = 1%"),
+                                         ("edges = 1-2 2-3", "edges = 1-2 %(x)s")])
+    def test_percent_in_a_value_is_setup_error(self, old, new, tmp_path, capsys):
+        text = EXPLICIT_INI.format(out=tmp_path / "o").replace(old, new)
+        assert cli.main(["run", write(tmp_path, text)]) == 1
+        assert capsys.readouterr().err.startswith("deconopt: ")
+
+    def test_percent_in_out_dir_is_literal(self, tmp_path):
+        out = tmp_path / "100%(x)s"
+        assert cli.main(["run", write(tmp_path, BASE_INI.format(out=out))]) == 0
+        assert (out / "trace.csv").exists()
 
     def test_eta_without_verify_runs(self, tmp_path):
         text = BASE_INI.format(out=tmp_path / "o").replace("eta = 0.5", "eta = 1.5")
@@ -289,9 +304,16 @@ class TestBatchedTraceColumns:
         run_algorithm = cli._run_algorithm
 
         def keep_iterates(*args, **kwargs):
-            result = run_algorithm(*args, **kwargs)
-            iterates.append(result[0].copy())
-            return result
+            # the rows each run hands its `record` sink, the primary's first
+            *args, record = args
+            rows = []
+            iterates.append(rows)
+
+            def also_keep(k, x, messages):
+                rows.append(x.copy())
+                record(k, x, messages)
+
+            return run_algorithm(*args, also_keep, **kwargs)
 
         monkeypatch.setattr(cli, "_run_algorithm", keep_iterates)
         out = str(tmp_path / "t")
@@ -313,6 +335,50 @@ class TestBatchedTraceColumns:
         for row, x in zip(rows, iterates[0]):
             assert float(row["obj_err"]) == f(x) - f_star
             assert float(row["consensus_resid"]) == float(np.linalg.norm(e_o @ x))
+
+
+class TestCompareMode:
+    TEXT = BASE_INI.replace("name = dadmm", "name = full-admm").replace(
+        "[output]", "[run]\ncompare = mm-approx\n\n[output]")
+
+    @staticmethod
+    def recorded(name, config):
+        """The (rounds+1, n*p) trajectory of one algorithm, row by row."""
+        graph, comps = cli.build_scenario(config)
+        tol = tolerances.DEFAULT
+        rows = []
+        cli._run_algorithm(name, config, graph, comps, cli._resolve_params(config, graph, tol),
+                           tol, lambda k, x, messages: rows.append(x.copy()))
+        return np.array(rows)
+
+    @pytest.mark.parametrize("rounds", [0, 127, 128, 129])
+    def test_gaps_equal_the_dense_difference(self, rounds, tmp_path):
+        # rounds + 1 rows: a single row, exactly one full row block, and one
+        # or two rows past it
+        assert analysis._ROW_BLOCK == 128
+        out = tmp_path / "c"
+        text = self.TEXT.format(out=out).replace("rounds = 40", f"rounds = {rounds}")
+        assert cli.main(["run", write(tmp_path, text)]) == 0
+        config = parse_config(text)
+        gaps = np.abs(self.recorded("full-admm", config)
+                      - self.recorded("mm-approx", config)).max(axis=1)
+        want = "k,max_abs_dx\n" + "".join(f"{k},{g:.17g}\n" for k, g in enumerate(gaps))
+        assert (out / "compare.csv").read_text() == want
+
+    def test_holds_one_trajectory(self, tmp_path):
+        # the comparison run's rows are never kept as a second trajectory
+        n, p, rounds = 50, 2, 2000
+        config = replace(parse_config(self.TEXT.format(out=tmp_path / "m")),
+                         n=n, p=p, seed=3, rounds=rounds)
+        # a short run first, so modules imported on first use are not counted
+        assert cli.run(replace(config, rounds=1)) == 0
+        tracemalloc.start()
+        try:
+            assert cli.run(config) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (rounds + 1) * n * p * 8
 
 
 class TestVerifiedRuns:
@@ -455,10 +521,9 @@ class TestVerifiedRuns:
         run_algorithm = cli._run_algorithm
 
         def nudged(*args, **kwargs):
-            xs, phi_last, messages = run_algorithm(*args, **kwargs)
-            phi_last = phi_last.copy()
+            phi_last = run_algorithm(*args, **kwargs).copy()
             phi_last[0] += rel * np.linalg.norm(phi_last)
-            return xs, phi_last, messages
+            return phi_last
 
         monkeypatch.setattr(cli, "_run_algorithm", nudged)
 

@@ -270,6 +270,19 @@ class TestApproxMM:
             rhs = float(d @ (gamma_diag * d))
             assert lhs <= rhs * (1 + 1e-12) + 1e-12
 
+    @pytest.mark.parametrize("seed", [16, 17, 18, 19])
+    def test_majorizer_gap_is_the_unoriented_gram(self, seed):
+        # Gamma - E_o^T E_o = 2D + 2 eps P - L = E_u^T E_u + 2 eps P, so the
+        # majorization needs no check at set-up; dyadic eps and pi keep every
+        # sum exact, so the identity holds entry for entry
+        graph, _ = random_instance(seed)
+        rng = np.random.default_rng(seed)
+        eps = 0.5
+        pi = np.diag(rng.integers(0, 8, graph.n) / 4.0)
+        lhs = (2.0 * np.diag(netgraph.degrees(graph)) + 2.0 * eps * pi
+               - netgraph.laplacian(graph))
+        assert np.array_equal(lhs, netgraph.unoriented_gram(graph) + 2.0 * eps * pi)
+
     def test_plain_majorizer_still_converges(self):
         graph, comps = harness.scenario_least_squares(5, 2, seed=1)
         params = AdmmParams(rho=1.0, eta=0.5)
