@@ -386,28 +386,34 @@ def _gap_sink(xs, gaps):
 
 
 def _write_lines(path, header: str, lines) -> None:
-    """Write the header and each line of an iterable, newline-terminated."""
+    """Write the header line, then each newline-terminated line of an iterable."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        fh.writelines(line + "\n" for line in lines)
+        fh.writelines(lines)
 
 
-def emit_trace(rows, path) -> None:
+def emit_trace(path, obj_errs, resids, messages, distances=None, delta=None) -> None:
     """Write the per-round trace CSV with the fixed seven-column header.
 
-    `rows` is any iterable of (k, obj_err, consensus_resid, u_dist_H_sq,
-    contraction_ratio, delta_bound, messages) tuples; each is formatted and
-    written as it is drawn, so a generator is never held as a list. Floats
-    print with 17 significant digits; missing entries are empty fields (the
-    contraction ratio is always empty at k = 0).
+    The columns are sequences with one entry per round k = 0..K: floats for
+    obj_err and consensus_resid, ints for messages. Without `distances`
+    (a float sequence, given with the certificate's `delta`) the columns
+    u_dist_H_sq, contraction_ratio and delta_bound are empty. With them,
+    the contraction ratio is distances[k] / distances[k - 1], empty at k = 0
+    and wherever the previous distance is not positive. Each line is one
+    `%` operation; floats print with 17 significant digits.
     """
-    def fmt(v):
-        return "" if v is None else f"{v:.17g}"
-
-    _write_lines(path, TRACE_HEADER, (
-        f"{k},{fmt(obj_err)},{fmt(resid)},{fmt(udist)},{fmt(ratio)},{fmt(delta)},{messages}"
-        for k, obj_err, resid, udist, ratio, delta, messages in rows
-    ))
+    rows = zip(range(len(obj_errs)), obj_errs, resids, messages)
+    if distances is None:
+        lines = map("%d,%.17g,%.17g,,,,%d\n".__mod__, rows)
+    else:
+        ratio_line = f"%d,%.17g,%.17g,%.17g,%.17g,{delta:.17g},%d\n"
+        blank_line = f"%d,%.17g,%.17g,%.17g,,{delta:.17g},%d\n"
+        lines = (ratio_line % (k, obj_err, resid, dist, dist / prev, count) if prev > 0
+                 else blank_line % (k, obj_err, resid, dist, count)
+                 for (k, obj_err, resid, count), prev, dist
+                 in zip(rows, [0.0, *distances], distances))
+    _write_lines(path, TRACE_HEADER, lines)
 
 
 def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> int:
@@ -444,21 +450,12 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
 
     os.makedirs(config.out_dir, exist_ok=True)
 
-    udists = None if report is None else report.distances
-    delta = None if cert is None else cert.delta
     obj_errs = objective.sum_value(components, xs) - ref.objective_value
     resids = [netgraph.consensuality_residual(graph, x) for x in xs]
-
-    def trace_rows():
-        for k in range(len(xs)):
-            udist = ratio = None
-            if udists is not None:
-                udist = float(udists[k])
-                if k > 0 and udists[k - 1] > 0:
-                    ratio = float(udists[k] / udists[k - 1])
-            yield k, float(obj_errs[k]), resids[k], udist, ratio, delta, messages[k]
-
-    emit_trace(trace_rows(), os.path.join(config.out_dir, "trace.csv"))
+    distances = None if report is None else report.distances.tolist()
+    delta = None if cert is None else cert.delta
+    emit_trace(os.path.join(config.out_dir, "trace.csv"), obj_errs.tolist(), resids,
+               messages, distances, delta)
 
     if cert is not None:
         lines = analysis.certificate_lines(cert)
@@ -475,7 +472,7 @@ def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> i
         _run_algorithm(config.compare, config, graph, components, params, tol,
                        _gap_sink(xs, gaps))
         _write_lines(os.path.join(config.out_dir, "compare.csv"), "k,max_abs_dx",
-                     (f"{k},{gap:.17g}" for k, gap in enumerate(gaps)))
+                     map("%d,%.17g\n".__mod__, enumerate(gaps.tolist())))
 
     if config.verify and report is not None and not report.ok:
         return 2

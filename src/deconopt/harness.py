@@ -186,23 +186,23 @@ def general_uv_agents(graph: NetworkGraph, u, v, dbar, components,
                        np.diag(np.asarray(dbar, dtype=float)), params, x0, phi0)
 
 
-def run_rounds(net: Network, graph: NetworkGraph, rounds: int, observer=None):
-    """Execute synchronous rounds; returns (net, [RoundLog per round]).
+def run_rounds(net: Network, graph: NetworkGraph, rounds: int, observer=None) -> Network:
+    """Execute synchronous rounds; returns the network.
 
     The observer, when given, receives (k, stacked x, stacked phi, RoundLog)
-    once for the initial state (k = 0, zero messages) and once per round.
+    once for the initial state (k = 0, zero messages) and once per round;
+    each round's log reaches it only, and is not kept.
     """
-    logs = []
     if observer is not None:
         observer(0, net.x.ravel(), net.phi.ravel(),
                  RoundLog(k=0, messages=0, payload_scalars=0, subproblem_iters=()))
     for k in range(1, rounds + 1):
-        log = RoundLog(k=k, messages=graph.m, payload_scalars=graph.m * graph.p,
-                       subproblem_iters=network_round(net))
-        logs.append(log)
+        iters = network_round(net)
         if observer is not None:
-            observer(k, net.x.ravel(), net.phi.ravel(), log)
-    return net, logs
+            observer(k, net.x.ravel(), net.phi.ravel(),
+                     RoundLog(k=k, messages=graph.m, payload_scalars=graph.m * graph.p,
+                              subproblem_iters=iters))
+    return net
 
 
 # -- scenario presets -----------------------------------------------------------

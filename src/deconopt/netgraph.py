@@ -94,10 +94,12 @@ class ArcStack:
     `index` is the (2, mp) array of the flattened (endpoint, column) index of
     every entry of S x: row 0 for the arc sources, row 1 for the arc
     destinations. So S x = x[index], one gather, and S^T y is one
-    `np.bincount`; no base matrix is formed. E_o and E_u come from the same
-    two passes: E_o x and E_u x are the difference and the sum of the halves
-    of S x, E_o^T a = S^T [a; -a] and E_u^T z = S^T [z; z]. The products
-    check no lengths: callers check their inputs once and then call them.
+    `np.bincount(bins, y, size)` with `bins` the flat index and `size` = n p;
+    no base matrix is formed. E_o and E_u come from the same two passes:
+    E_o x and E_u x are the difference and the sum of the halves of S x,
+    E_o^T a = S^T [a; -a] and E_u^T z = S^T [z; z]. The products check no
+    lengths: callers check their inputs once and then call them, or bind
+    `index` and `bins` and run the passes inline.
     """
 
     def __init__(self, g: NetworkGraph):
@@ -105,8 +107,8 @@ class ArcStack:
         index = (ends[:, :, None] * g.p + np.arange(g.p)).reshape(2, -1)
         index.setflags(write=False)
         self.index = index
-        self._flat = index.ravel()
-        self._size = g.n * g.p
+        self.bins = index.ravel()
+        self.size = g.n * g.p
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """S x as a (2, mp) array: row 0 is A_s x, row 1 is A_d x."""
@@ -114,7 +116,7 @@ class ArcStack:
 
     def apply_transpose(self, y: np.ndarray) -> np.ndarray:
         """S^T y for y of 2mp entries in the layout of `apply`, flat or (2, mp)."""
-        return np.bincount(self._flat, y.ravel(), self._size)
+        return np.bincount(self.bins, y.ravel(), self.size)
 
     def e_o(self, x: np.ndarray) -> np.ndarray:
         src, dst = self.apply(x)
@@ -125,14 +127,14 @@ class ArcStack:
         return src + dst
 
     def e_o_transpose(self, a: np.ndarray) -> np.ndarray:
-        return self.apply_transpose(_E_O_SIGNS * a)
+        return self.apply_transpose(E_O_SIGNS * a)
 
     def e_u_transpose(self, z: np.ndarray) -> np.ndarray:
         return self.apply_transpose(np.concatenate((z, z)))
 
 
 # an arc vector a times this is [a; -a] in the (2, mp) layout of ArcStack
-_E_O_SIGNS = np.array([[1.0], [-1.0]])
+E_O_SIGNS = np.array([[1.0], [-1.0]])
 
 
 def build_graph(n: int, edges, p: int = 1) -> NetworkGraph:

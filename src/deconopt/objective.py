@@ -6,16 +6,17 @@ user-supplied gradient Lipschitz modulus. Every agent's local subproblem
 
     argmin_x  f_i(x) + c_i'x + (a_i/2)||x||^2 + (pi_i/2)||x - x_prev_i||^2
 
-is solved for all agents of a round by one `local_subproblem_ex` call on
+is solved for all agents of a round by one `ProximalRows.solve` call on
 (n, p) rows. A `ProximalRows` fixes the weights and inverts the quadratic
 rows' systems Q_i + (a_i + pi_i) I once into one stack over all rows, zero
 for callbacks, so a round is one stacked matmul (`apply_rows`); damped Newton
 with Armijo backtracking then overwrites the callback rows. That one solve
-serves the simulated network and the three central engines whose agents
-decouple (`dadmm-matrix`, `full-admm`, `mm-approx`). Only the exact method of
-multipliers couples the agents: it takes every (Q, b) from `quadratic_stack`
-into one dense system, and `minimize_composite` is its Newton path for the
-other kinds.
+serves the simulated network, through its checked wrapper
+`local_subproblem_ex`, and the three central engines whose agents decouple
+(`dadmm-matrix`, `full-admm`, `mm-approx`), which call it directly on rows
+they have checked. Only the exact method of multipliers couples the agents:
+it takes every (Q, b) from `quadratic_stack` into one dense system, and
+`minimize_composite` is its Newton path for the other kinds.
 
 `sum_value` evaluates the separable sum at one stacked point or at every row
 of a (rows, n*p) array in one pass; each component's `values` gives the same
@@ -271,35 +272,41 @@ class ProximalRows:
                     "is not positive definite"
                 ) from exc
 
+    def solve(self, c: np.ndarray, x_prev: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Every agent's local subproblem of one round, and each row's
+        iteration count. Row i of the (n, p) result minimizes f_i(x) + c_i'x
+        + (a_i/2)||x||^2 + (pi_i/2)||x - x_prev_i||^2: every row in one pass
+        of the kept inverse stack on pi_i x_prev_i - b_i - c_i, then the
+        callback rows overwritten by Newton. c and x_prev are (n, p) float
+        arrays, unchecked."""
+        out = apply_rows(self.inverse, self.pi_rows * x_prev - self.b - c)
+        if not self.callbacks:
+            return out, self.closed_iters
+        iters = list(self.closed_iters)
+        for i in self.callbacks:
+            comp, c_i, x_i, a, pi = self.components[i], c[i], x_prev[i], self.a[i], self.pi[i]
+
+            def value_fn(x):
+                d = x - x_i
+                return comp.value(x) + c_i @ x + 0.5 * a * (x @ x) + 0.5 * pi * (d @ d)
+
+            def grad_fn(x):
+                return comp.grad(x) + c_i + a * x + pi * (x - x_i)
+
+            def hess_fn(x):
+                return comp.hess(x) + (a + pi) * np.eye(comp.p)
+
+            out[i], iters[i] = _newton_minimize(value_fn, grad_fn, hess_fn, x_i, self.tol)
+        return out, tuple(iters)
+
 
 def local_subproblem_ex(rows: ProximalRows, c, x_prev) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Every agent's local subproblem of one round, and each row's iteration
-    count. Row i of the (n, p) result minimizes f_i(x) + c_i'x +
-    (a_i/2)||x||^2 + (pi_i/2)||x - x_prev_i||^2: every row in one pass of the
-    kept inverse stack on pi_i x_prev_i - b_i - c_i, then the callback rows
-    overwritten by Newton."""
+    """`rows.solve` on c and x_prev as float arrays; raises DimensionMismatch
+    unless both are (n, p) rows. The simulated network's round calls it."""
     c, x_prev = np.asarray(c, dtype=float), np.asarray(x_prev, dtype=float)
     if c.shape != rows.shape or x_prev.shape != rows.shape:
         raise DimensionMismatch(f"c and x_prev must be {rows.shape} rows")
-    out = apply_rows(rows.inverse, rows.pi_rows * x_prev - rows.b - c)
-    if not rows.callbacks:
-        return out, rows.closed_iters
-    iters = list(rows.closed_iters)
-    for i in rows.callbacks:
-        comp, c_i, x_i, a, pi = rows.components[i], c[i], x_prev[i], rows.a[i], rows.pi[i]
-
-        def value_fn(x):
-            d = x - x_i
-            return comp.value(x) + c_i @ x + 0.5 * a * (x @ x) + 0.5 * pi * (d @ d)
-
-        def grad_fn(x):
-            return comp.grad(x) + c_i + a * x + pi * (x - x_i)
-
-        def hess_fn(x):
-            return comp.hess(x) + (a + pi) * np.eye(comp.p)
-
-        out[i], iters[i] = _newton_minimize(value_fn, grad_fn, hess_fn, x_i, rows.tol)
-    return out, tuple(iters)
+    return rows.solve(c, x_prev)
 
 
 # -- stacked helpers -----------------------------------------------------------

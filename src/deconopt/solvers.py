@@ -25,21 +25,27 @@ The central engines work at arc-index level through the stacked arc
 operator S = [A_s; A_d] (`netgraph.ArcStack`): each operator pass of a step
 is one gather S x, whose halves give A_s x and A_d x (E_o x is their
 difference, E_u x their sum), or one `np.bincount` S^T y on a stacked arc
-vector (E_o^T a = S^T [a; -a], E_u^T z = S^T [z; z]), through the
-`ArcStack` methods `apply`, `e_o`, `e_u` and their transposes. L x is formed
-as E_o^T (E_o x). The three engines whose agents decouple solve their local
-subproblems with the simulated network's solver: each holds an
-`objective.ProximalRows` and makes one `objective.local_subproblem_ex` call
-per step, so the paper's equivalences show in the code as a choice of c and
-of the weights (a_i, pi_i). ``DadmmMatrixEngine`` and ``FullAdmmEngine`` use
-D-ADMM's (rho d_i, pi_i); ``ApproxMMEngine`` uses (0, rho (d_i + eps pi_i)),
-its majorizer. Only ``ExactMMEngine``, which couples agents through
-L (x) I_p, forms a dense (np) x (np) system, and it refuses instances with
-n p above `EXACT_MM_MAX_ORDER`.
+vector (E_o^T a = S^T [a; -a], E_u^T z = S^T [z; z]). L x is formed as
+E_o^T (E_o x). Set-up binds what a step reads: the gather index, the
+bincount bins and the step's scalar products (rho/2, eta rho/2, 2 rho,
+eta rho, sqrt(eta), sqrt(eta) rho/2, each formed in the order the formulas
+write it), so a step is its numpy arithmetic, with the passes inline. The
+three engines whose agents decouple solve their local subproblems with the
+simulated network's solver: each holds an `objective.ProximalRows` and makes
+one `ProximalRows.solve` call per step on rows it has checked, so the
+paper's equivalences show in the code as a choice of c and of the weights
+(a_i, pi_i). ``DadmmMatrixEngine`` and ``FullAdmmEngine`` use D-ADMM's
+(rho d_i, pi_i); ``ApproxMMEngine`` uses (0, rho (d_i + eps pi_i)), its
+majorizer. A method-of-multipliers state carries E_o x of its x, which `init`
+and `step` set, so an ``ApproxMMEngine`` step gathers once; a state built
+without it gets it formed by the step, to the same bits. Only
+``ExactMMEngine``, which couples agents through L (x) I_p, forms a dense
+(np) x (np) system, and it refuses instances with n p above
+`EXACT_MM_MAX_ORDER`.
 
 Every `init` raises DimensionMismatch for an initial vector of the wrong
-length, and every central `step` for a state vector of the wrong length; no
-step writes to the state it is given.
+length, and every central `step` for a state vector of the wrong length,
+found by one shape test on entry; no step writes to the state it is given.
 
 Proximal perturbations are restricted to P = diag(pi) (x) I_p with pi >= 0,
 which is what decoupling and the contraction certificate cover; indefinite
@@ -55,7 +61,14 @@ import numpy as np
 
 from . import denselin, harness, objective
 from .errors import DeconoptError, DimensionMismatch, OmegaOutOfRange
-from .netgraph import NetworkGraph, arc_stack, degrees, e_o_min_norm_solver, laplacian
+from .netgraph import (
+    E_O_SIGNS,
+    NetworkGraph,
+    arc_stack,
+    degrees,
+    e_o_min_norm_solver,
+    laplacian,
+)
 from .tolerances import DEFAULT
 
 ETA_SUP = 0.5 * (1.0 + math.sqrt(5.0))
@@ -124,6 +137,7 @@ class MMState:
     x: np.ndarray
     nu: np.ndarray
     k: int = 0
+    e_o_x: np.ndarray | None = None  # E_o x, carried to the next step; None: formed there
 
 
 @dataclass
@@ -160,7 +174,8 @@ class TraceRow:
 
 def _check_state(state, lengths: dict[str, int]) -> None:
     """Raise DimensionMismatch unless each named state vector is a numpy
-    vector of the given length, as `init` makes them."""
+    vector of the given length, as `init` makes them. A step runs it only
+    when its own shape test fails, for the message."""
     for name, length in lengths.items():
         shape = getattr(getattr(state, name), "shape", None)
         if shape != (length,):
@@ -180,12 +195,23 @@ def _initial(vector, length: int, name: str) -> np.ndarray:
     return out
 
 
-def _local_solve(rows: objective.ProximalRows, c, x) -> np.ndarray:
-    """Every agent's local subproblem of a central step, on stacked vectors:
-    one `objective.local_subproblem_ex` call on their (n, p) rows."""
-    shape = rows.shape
-    new_x, _ = objective.local_subproblem_ex(rows, c.reshape(shape), x.reshape(shape))
-    return new_x.ravel()
+class _CentralEngine:
+    """The set-up of the central engines. It binds the graph's stacked arc
+    operator (`stack`) and, for the inline operator passes of a step, its
+    gather index, bincount bins and size, the (n, p) shape of the local
+    subproblem rows, and the state's vector lengths (`lengths`, in the
+    order of the step's shape test)."""
+
+    def __init__(self, graph: NetworkGraph, components, params: AdmmParams,
+                 lengths: dict[str, int]):
+        self.graph = graph
+        self.components = list(components)
+        self.params = params
+        self.stack = arc_stack(graph)
+        self._index, self._bins, self._size = self.stack.index, self.stack.bins, self.stack.size
+        self._rows = (graph.n, graph.p)
+        self._lengths = lengths
+        self._shapes = tuple((length,) for length in lengths.values())
 
 
 def _agent_round(net: harness.Network, graph: NetworkGraph, x, dual):
@@ -220,31 +246,35 @@ class DadmmEngine:
         return TraceRow(state.k, state.x, state.phi)
 
 
-class DadmmMatrixEngine:
+class DadmmMatrixEngine(_CentralEngine):
     """Operator-form D-ADMM oracle; tracks the arc-space dual explicitly."""
 
     def __init__(self, graph: NetworkGraph, components, params: AdmmParams):
-        self.graph = graph
-        self.components = list(components)
-        self.params = params
-        self.stack = arc_stack(graph)
-        self.local = _dadmm_rows(graph, self.components, params)
         npx = graph.n * graph.p
-        self._lengths = {"x": npx, "phi": npx, "alpha": graph.m * graph.p}
+        super().__init__(graph, components, params,
+                         {"x": npx, "phi": npx, "alpha": graph.m * graph.p})
+        self.local = _dadmm_rows(graph, self.components, params)
+        self._half_rho = 0.5 * params.rho
+        self._half_eta_rho = 0.5 * params.eta * params.rho
 
     def init(self, x0=None, alpha0_mode: str = "zero", seed=None, alpha0=None) -> AdmmState:
         return dadmm_init(self.graph, self.components, self.params,
                           x0=x0, alpha0_mode=alpha0_mode, seed=seed, alpha0=alpha0)
 
     def step(self, state: AdmmState) -> AdmmState:
-        _check_state(state, self._lengths)
-        rho, eta = self.params.rho, self.params.eta
-        x, s = state.x, self.stack
-        c = state.phi - 0.5 * rho * s.e_u_transpose(s.e_u(x))
-        new_x = _local_solve(self.local, c, x)
-        new_alpha = state.alpha + 0.5 * eta * rho * s.e_o(new_x)
-        return AdmmState(x=new_x, phi=s.e_o_transpose(new_alpha), k=state.k + 1,
-                         alpha=new_alpha)
+        x, phi, alpha = state.x, state.phi, state.alpha
+        if (getattr(x, "shape", None), getattr(phi, "shape", None),
+                getattr(alpha, "shape", None)) != self._shapes:
+            _check_state(state, self._lengths)
+        bins, size, rows = self._bins, self._size, self._rows
+        ends = x[self._index]
+        e_u_x = ends[0] + ends[1]
+        c = phi - self._half_rho * np.bincount(bins, np.concatenate((e_u_x, e_u_x)), size)
+        new_x = self.local.solve(c.reshape(rows), x.reshape(rows))[0].ravel()
+        ends = new_x[self._index]
+        new_alpha = alpha + self._half_eta_rho * (ends[0] - ends[1])
+        new_phi = np.bincount(bins, (E_O_SIGNS * new_alpha).ravel(), size)
+        return AdmmState(x=new_x, phi=new_phi, k=state.k + 1, alpha=new_alpha)
 
     def snapshot(self, state: AdmmState) -> TraceRow:
         return TraceRow(state.k, state.x, state.phi)
@@ -281,18 +311,18 @@ def dadmm_init(graph: NetworkGraph, components, params: AdmmParams,
 
 # -- full three-block generalized ADMM -------------------------------------------
 
-class FullAdmmEngine:
+class FullAdmmEngine(_CentralEngine):
     """Three-block generalized ADMM with explicit edge variables and the full
     stacked multiplier; the z-minimization is closed form."""
 
     def __init__(self, graph: NetworkGraph, components, params: AdmmParams):
-        self.graph = graph
-        self.components = list(components)
-        self.params = params
-        self.stack = arc_stack(graph)
-        self.local = _dadmm_rows(graph, self.components, params)
         mp = graph.m * graph.p
-        self._lengths = {"x": graph.n * graph.p, "z": mp, "lam": 2 * mp}
+        super().__init__(graph, components, params,
+                         {"x": graph.n * graph.p, "z": mp, "lam": 2 * mp})
+        self.local = _dadmm_rows(graph, self.components, params)
+        self._rho = params.rho
+        self._two_rho = 2.0 * params.rho
+        self._eta_rho = params.eta * params.rho
 
     def init(self, x0=None, alpha0=None) -> FullAdmmState:
         x = _initial(x0, self.graph.n * self.graph.p, "x0")
@@ -301,18 +331,21 @@ class FullAdmmEngine:
         return FullAdmmState(x=x, z=z, lam=np.concatenate([alpha, -alpha]), k=0)
 
     def step(self, state: FullAdmmState) -> FullAdmmState:
-        _check_state(state, self._lengths)
-        rho, eta = self.params.rho, self.params.eta
+        x, z, lam = state.x, state.z, state.lam
+        if (getattr(x, "shape", None), getattr(z, "shape", None),
+                getattr(lam, "shape", None)) != self._shapes:
+            _check_state(state, self._lengths)
+        rho, rows = self._rho, self._rows
         # lam = [alpha; beta] pairs with S = [A_s; A_d]: A_s^T alpha + A_d^T beta
         # - rho E_u^T z is S^T (lam - rho [z; z]), one scatter
-        lam = state.lam.reshape(2, -1)
-        new_x = _local_solve(self.local, self.stack.apply_transpose(lam - rho * state.z),
-                             state.x)
-        ends = self.stack.apply(new_x)  # A_s x, A_d x
+        lam = lam.reshape(2, -1)
+        c = np.bincount(self._bins, (lam - rho * z).ravel(), self._size)
+        new_x = self.local.solve(c.reshape(rows), x.reshape(rows))[0].ravel()
+        ends = new_x[self._index]  # A_s x, A_d x
         # z = (alpha + beta) / (2 rho) + (A_s x + A_d x) / 2
         halves = lam + rho * ends
-        new_z = (halves[0] + halves[1]) / (2.0 * rho)
-        new_lam = lam + eta * rho * (ends - new_z)
+        new_z = (halves[0] + halves[1]) / self._two_rho
+        new_lam = lam + self._eta_rho * (ends - new_z)
         return FullAdmmState(x=new_x, z=new_z, lam=new_lam.ravel(), k=state.k + 1)
 
     def snapshot(self, state: FullAdmmState) -> TraceRow:
@@ -321,26 +354,46 @@ class FullAdmmEngine:
 
 # -- method of multipliers: exact and approximated ---------------------------------
 
-class _MultiplierEngine:
-    """The graph-side set-up, `init`, `snapshot` and state check of the two
-    method-of-multipliers engines."""
+class _MultiplierEngine(_CentralEngine):
+    """The set-up, `init`, `snapshot` and state check of the two
+    method-of-multipliers engines. Their states carry E_o x: `init` and
+    `step` set it, and a step forms it for a state that carries none."""
 
     def __init__(self, graph: NetworkGraph, components, params: AdmmParams):
-        self.graph = graph
-        self.components = list(components)
-        self.params = params
-        self.stack = arc_stack(graph)
-        self._lengths = {"x": graph.n * graph.p, "nu": graph.m * graph.p}
+        mp = graph.m * graph.p
+        super().__init__(graph, components, params,
+                         {"x": graph.n * graph.p, "nu": mp, "e_o_x": mp})
+        self._root_eta = math.sqrt(params.eta)
+        self._root_eta_half_rho = self._root_eta * 0.5 * params.rho
 
     def init(self, x0=None, nu0=None) -> MMState:
         x = _initial(x0, self.graph.n * self.graph.p, "x0")
         nu = _initial(nu0, self.graph.m * self.graph.p, "nu0")
-        return MMState(x=x, nu=nu, k=0)
+        return MMState(x=x, nu=nu, k=0, e_o_x=self.stack.e_o(x))
 
     def snapshot(self, state: MMState) -> TraceRow:
         scaled = math.sqrt(self.params.eta) * state.nu
         return TraceRow(state.k, state.x, self.stack.e_o_transpose(scaled))
 
+    def _operands(self, state: MMState):
+        """The state's checked (x, nu, E_o x)."""
+        x, nu, e_o_x = state.x, state.nu, state.e_o_x
+        if (getattr(x, "shape", None), getattr(nu, "shape", None),
+                getattr(e_o_x, "shape", None)) != self._shapes:
+            lengths = dict(self._lengths)
+            if e_o_x is None:  # a state that carries no product: formed here
+                del lengths["e_o_x"]
+            _check_state(state, lengths)
+            e_o_x = self.stack.e_o(x)
+        return x, nu, e_o_x
+
+    def _next(self, state: MMState, new_x: np.ndarray, nu: np.ndarray) -> MMState:
+        """The state after a step to new_x: nu + sqrt(eta) (rho/2) E_o new_x,
+        with E_o new_x carried."""
+        ends = new_x[self._index]
+        e_o_x = ends[0] - ends[1]
+        return MMState(x=new_x, nu=nu + self._root_eta_half_rho * e_o_x, k=state.k + 1,
+                       e_o_x=e_o_x)
 
 
 class ExactMMEngine(_MultiplierEngine):
@@ -382,17 +435,14 @@ class ExactMMEngine(_MultiplierEngine):
         self._x_b = self._neg_inverse @ b.ravel()
 
     def step(self, state: MMState) -> MMState:
-        _check_state(state, self._lengths)
-        rho, eta = self.params.rho, self.params.eta
-        root_eta = math.sqrt(eta)
-        linear = self.stack.e_o_transpose(root_eta * state.nu)
+        x, nu, _ = self._operands(state)
+        linear = self.stack.e_o_transpose(self._root_eta * nu)
         if self._neg_inverse is None:
             new_x = objective.minimize_composite(self.components, linear, self._system,
-                                                 state.x, self._solve_tol)
+                                                 x, self._solve_tol)
         else:
             new_x = self._neg_inverse @ linear + self._x_b
-        new_nu = state.nu + root_eta * 0.5 * rho * self.stack.e_o(new_x)
-        return MMState(x=new_x, nu=new_nu, k=state.k + 1)
+        return self._next(state, new_x, nu)
 
 
 class ApproxMMEngine(_MultiplierEngine):
@@ -411,6 +461,7 @@ class ApproxMMEngine(_MultiplierEngine):
         if epsilon < 0:
             raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
         super().__init__(graph, components, params)
+        self._half_rho = 0.5 * params.rho
         self.epsilon = float(epsilon)
         self.local = objective.ProximalRows(
             self.components, np.zeros(graph.n),
@@ -418,15 +469,13 @@ class ApproxMMEngine(_MultiplierEngine):
             params.subproblem_tol)
 
     def step(self, state: MMState) -> MMState:
-        _check_state(state, self._lengths)
-        rho, eta = self.params.rho, self.params.eta
-        root_eta = math.sqrt(eta)
-        x = state.x
+        x, nu, e_o_x = self._operands(state)
+        rows = self._rows
         # E_o^T (sqrt(eta) nu) + (rho/2) L x in one transpose product
-        c = self.stack.e_o_transpose(root_eta * state.nu + 0.5 * rho * self.stack.e_o(x))
-        new_x = _local_solve(self.local, c, x)
-        new_nu = state.nu + root_eta * 0.5 * rho * self.stack.e_o(new_x)
-        return MMState(x=new_x, nu=new_nu, k=state.k + 1)
+        arcs = self._root_eta * nu + self._half_rho * e_o_x
+        c = np.bincount(self._bins, (E_O_SIGNS * arcs).ravel(), self._size)
+        new_x = self.local.solve(c.reshape(rows), x.reshape(rows))[0].ravel()
+        return self._next(state, new_x, nu)
 
 
 # -- P-EXTRA -----------------------------------------------------------------------

@@ -15,11 +15,20 @@ the package's arc arrays and masks against an independent construction.
 order the network's round must add the terms. `phi_space_distances_sq`
 measures the certificate's distance on dual aggregates through a dense L^+,
 against which the verification's distances are checked.
+
+`dadmm_matrix_step`, `full_admm_step` and `approx_mm_step` are the steps of
+the three central engines whose agents decouple, written out with the
+`ArcStack` methods, one method call per operator pass, and the checked
+`objective.local_subproblem_ex` solve, on dicts of state fields. The engines
+bind their operands at set-up and inline those passes; a test requires the
+same bits from both.
 """
+
+import math
 
 import numpy as np
 
-from deconopt import denselin, netgraph
+from deconopt import denselin, netgraph, objective
 from deconopt.tolerances import DEFAULT
 
 
@@ -109,3 +118,61 @@ def phi_space_distances_sq(cert, ref, xs, phis):
     dx = np.asarray(xs) - ref.x_star
     x_sq = np.einsum("ki,ij,kj->k", dx, lift(cert.x_block, g.p), dx)
     return cert.dual_weight * np.einsum("ki,ij,kj->k", dphi, l_pinv, dphi) + x_sq
+
+
+def _solve_stacked(rows, c, x):
+    """The local subproblems of a central step on stacked vectors."""
+    new_x, _ = objective.local_subproblem_ex(rows, c.reshape(rows.shape), x.reshape(rows.shape))
+    return new_x.ravel()
+
+
+def dadmm_rows(graph, components, params):
+    """D-ADMM's local subproblems: a_i = rho d_i and the proximal pi_i."""
+    return objective.ProximalRows(components, params.rho * netgraph.degrees(graph),
+                                  params.pi_vector(graph.n), params.subproblem_tol)
+
+
+def approx_mm_rows(graph, components, params, epsilon):
+    """The majorized subproblems: a_i = 0 and pi_i = rho (d_i + eps pi_i)."""
+    return objective.ProximalRows(
+        components, np.zeros(graph.n),
+        params.rho * (netgraph.degrees(graph) + epsilon * params.pi_vector(graph.n)),
+        params.subproblem_tol)
+
+
+def dadmm_matrix_step(graph, rows, params, state):
+    """Operator-form D-ADMM: the fields (x, phi, alpha) after one step."""
+    s = netgraph.arc_stack(graph)
+    rho, eta = params.rho, params.eta
+    x = state["x"]
+    c = state["phi"] - 0.5 * rho * s.e_u_transpose(s.e_u(x))
+    new_x = _solve_stacked(rows, c, x)
+    new_alpha = state["alpha"] + 0.5 * eta * rho * s.e_o(new_x)
+    return {"x": new_x, "phi": s.e_o_transpose(new_alpha), "alpha": new_alpha}
+
+
+def full_admm_step(graph, rows, params, state):
+    """Three-block ADMM: the fields (x, z, lam) after one step."""
+    s = netgraph.arc_stack(graph)
+    rho, eta = params.rho, params.eta
+    lam = state["lam"].reshape(2, -1)
+    new_x = _solve_stacked(rows, s.apply_transpose(lam - rho * state["z"]), state["x"])
+    ends = s.apply(new_x)
+    halves = lam + rho * ends
+    new_z = (halves[0] + halves[1]) / (2.0 * rho)
+    new_lam = lam + eta * rho * (ends - new_z)
+    return {"x": new_x, "z": new_z, "lam": new_lam.ravel()}
+
+
+def approx_mm_step(graph, rows, params, state):
+    """Approximated method of multipliers: the fields (x, nu) after one
+    step, and E_o x of the new x."""
+    s = netgraph.arc_stack(graph)
+    rho, eta = params.rho, params.eta
+    root_eta = math.sqrt(eta)
+    x = state["x"]
+    c = s.e_o_transpose(root_eta * state["nu"] + 0.5 * rho * s.e_o(x))
+    new_x = _solve_stacked(rows, c, x)
+    new_nu = state["nu"] + root_eta * 0.5 * rho * s.e_o(new_x)
+    return {"x": new_x, "nu": new_nu, "e_o_x": s.e_o(new_x)}
+

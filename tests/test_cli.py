@@ -365,6 +365,25 @@ class TestCompareMode:
         want = "k,max_abs_dx\n" + "".join(f"{k},{g:.17g}\n" for k, g in enumerate(gaps))
         assert (out / "compare.csv").read_text() == want
 
+    def test_benchmark_call_counts(self, tmp_path, monkeypatch):
+        # the counts the benchmark's tracer reads off a compare-mode run: one
+        # step of each engine per round, one residual per trace row
+        calls = {}
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+            return counted
+
+        for cls in (solvers.FullAdmmEngine, solvers.ApproxMMEngine):
+            monkeypatch.setattr(cls, "step", counting(cls.__name__, cls.step))
+        monkeypatch.setattr(netgraph, "consensuality_residual",
+                            counting("residual", netgraph.consensuality_residual))
+        text = self.TEXT.format(out=tmp_path / "b").replace("rounds = 40", "rounds = 20")
+        assert cli.main(["run", write(tmp_path, text.replace("p = 2", "p = 1"))]) == 0
+        assert calls == {"FullAdmmEngine": 20, "ApproxMMEngine": 20, "residual": 21}
+
     def test_holds_one_trajectory(self, tmp_path):
         # the comparison run's rows are never kept as a second trajectory
         n, p, rounds = 50, 2, 2000

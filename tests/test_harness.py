@@ -15,6 +15,15 @@ def collect(agents, graph, rounds):
     return snaps
 
 
+def run_logged(net, graph, rounds):
+    """`run_rounds`' returned network and the RoundLog of each executed
+    round, collected through the observer after the initial state's."""
+    logs = []
+    net = harness.run_rounds(net, graph, rounds,
+                             observer=lambda k, x, phi, log: logs.append(log))
+    return net, logs[1:]
+
+
 def dadmm_weights(graph, params):
     """D-ADMM's graph-level (U, V) = (-rho/2 E_u'E_u, eta rho/2 L), from the
     dense incidence products."""
@@ -55,7 +64,7 @@ class TestRunRounds:
         graph = netgraph.build_graph(3, [(1, 2), (2, 3)], 1)
         comps = [objective.RankOneLeastSquares([1.0], float(i)) for i in range(3)]
         agents = harness.dadmm_agents(graph, comps, AdmmParams(1.0, 0.5))
-        _, logs = harness.run_rounds(agents, graph, 5)
+        _, logs = run_logged(agents, graph, 5)
         assert graph.m == 4
         assert all(log.messages == 4 for log in logs)
         assert all(log.payload_scalars == 4 for log in logs)
@@ -64,7 +73,7 @@ class TestRunRounds:
         graph, comps = harness.scenario_least_squares(4, 2, seed=1)
         x0 = np.arange(8, dtype=float)
         net = harness.dadmm_agents(graph, comps, AdmmParams(1.0, 0.5), x0=x0)
-        net, logs = harness.run_rounds(net, graph, 0)
+        net, logs = run_logged(net, graph, 0)
         assert logs == []
         assert_allclose(net.x.ravel(), x0)
 
@@ -390,11 +399,13 @@ class TestDeterminism:
 
         def run():
             agents = harness.dadmm_agents(graph, comps, params)
-            snaps = []
-            _, logs = harness.run_rounds(
-                agents, graph, 25,
-                observer=lambda k, x, phi, log: snaps.append((k, x.copy(), phi.copy())),
-            )
+            snaps, logs = [], []
+
+            def observe(k, x, phi, log):
+                snaps.append((k, x.copy(), phi.copy()))
+                logs.append(log)
+
+            harness.run_rounds(agents, graph, 25, observer=observe)
             return snaps, logs
 
         s1, l1 = run()

@@ -581,7 +581,7 @@ class TestAffineSolve:
     @pytest.mark.parametrize("p", [1, 3])
     def test_matches_inverse_times_rhs(self, p):
         # the decoupled engines' stationary solve: rows with a = 0 and a
-        # per-agent shift pi, solved around x = 0 by one _local_solve
+        # per-agent shift pi, solved around x = 0 by one ProximalRows.solve
         graph, comps = random_instance(81, n=6, p=p)
         n = graph.n
         rng = np.random.default_rng(82)
@@ -589,7 +589,7 @@ class TestAffineSolve:
         rows = objective.ProximalRows(comps, np.zeros(n), shift, 1e-12)
         for _ in range(5):
             linear = rng.standard_normal(n * p)
-            got = solvers._local_solve(rows, linear, np.zeros(n * p))
+            got = rows.solve(linear.reshape(n, p), np.zeros((n, p)))[0].ravel()
             for i, comp in enumerate(comps):
                 q, b = comp.quadratic_terms()
                 want = denselin.spd_inverse(q + shift[i] * np.eye(p)) @ -(
@@ -655,7 +655,35 @@ class TestStepContract:
                     broken = type(state)(**{**vars(state), name: bad})
                     with pytest.raises(DimensionMismatch):
                         engine.step(broken)
-        assert seen == {"x", "z", "lam", "nu", "phi", "alpha"}
+        assert seen == {"x", "z", "lam", "nu", "phi", "alpha", "e_o_x"}
+
+    @staticmethod
+    def multiplier_engines(graph, comps):
+        return [engine for engine in TestStepContract.engines(graph, comps)
+                if isinstance(engine, (solvers.ApproxMMEngine, solvers.ExactMMEngine))]
+
+    def test_carried_product_is_e_o_x(self):
+        # init and step set E_o x of their x, which the next step reads
+        graph, comps = random_instance(94, n=6, p=2)
+        rng = np.random.default_rng(94)
+        for engine in self.multiplier_engines(graph, comps):
+            state = engine.init(x0=rng.standard_normal(graph.n * graph.p))
+            for _ in range(3):
+                assert np.array_equal(state.e_o_x, engine.stack.e_o(state.x))
+                state = engine.step(state)
+
+    def test_state_without_carried_product_steps_to_the_same_bits(self):
+        graph, comps = random_instance(95, n=6, p=2)
+        rng = np.random.default_rng(95)
+        for engine in self.multiplier_engines(graph, comps):
+            carried = engine.init(x0=rng.standard_normal(graph.n * graph.p),
+                                  nu0=rng.standard_normal(graph.m * graph.p))
+            bare = solvers.MMState(carried.x, carried.nu)
+            assert bare.e_o_x is None
+            for _ in range(3):
+                carried, bare = engine.step(carried), engine.step(bare)
+                for name in ("x", "nu", "e_o_x"):
+                    assert np.array_equal(getattr(carried, name), getattr(bare, name)), name
 
     def test_untracked_alpha_raises(self):
         # the operator-form D-ADMM step always updates the tracked arc dual
@@ -749,6 +777,59 @@ def mixed_callback_instance(seed):
     q_sum = quads[0].q + quads[1].q
     mu = float(denselin.sym_eigen(denselin.SymMatrix(q_sum))[0][0])
     return graph, comps, mu
+
+
+# algorithm -> (engine and its reference rows, reference step, initial state)
+CENTRAL_REFERENCES = {
+    "dadmm-matrix": (
+        lambda g, c, prm: (solvers.DadmmMatrixEngine(g, c, prm), dense_ref.dadmm_rows(g, c, prm)),
+        dense_ref.dadmm_matrix_step,
+        lambda engine, x0, dual0: engine.init(x0=x0, alpha0=dual0),
+    ),
+    "full-admm": (
+        lambda g, c, prm: (solvers.FullAdmmEngine(g, c, prm), dense_ref.dadmm_rows(g, c, prm)),
+        dense_ref.full_admm_step,
+        lambda engine, x0, dual0: engine.init(x0=x0, alpha0=dual0),
+    ),
+    "mm-approx": (
+        lambda g, c, prm: (solvers.ApproxMMEngine(g, c, prm, 0.7),
+                           dense_ref.approx_mm_rows(g, c, prm, 0.7)),
+        dense_ref.approx_mm_step,
+        lambda engine, x0, dual0: engine.init(x0=x0, nu0=dual0),
+    ),
+}
+
+
+class TestCentralStepBits:
+    """Each central engine's step against its written-out reference in
+    `dense_ref`: 50 steps from a random start, every state field bit for bit
+    at every step, on p in {1, 3} and pi in {0, 0.1} and on an instance with
+    callback agents."""
+
+    @pytest.mark.parametrize("cell", [(1, 0.0), (1, 0.1), (3, 0.0), (3, 0.1), "callback"],
+                             ids=["p1-pi0", "p1-pi0.1", "p3-pi0", "p3-pi0.1", "callback"])
+    @pytest.mark.parametrize("name", sorted(CENTRAL_REFERENCES))
+    def test_fifty_steps_bit_identical(self, name, cell):
+        if cell == "callback":
+            graph, comps, _ = mixed_callback_instance(70)
+            pi = 0.1
+        else:
+            p, pi = cell
+            graph, comps = harness.scenario_least_squares(7, p, seed=71)
+        params = AdmmParams(rho=1.3, eta=0.6, pi=pi, subproblem_tol=1e-12)
+        make, reference_step, init = CENTRAL_REFERENCES[name]
+        engine, rows = make(graph, comps, params)
+        rng = np.random.default_rng(72)
+        state = init(engine, rng.standard_normal(graph.n * graph.p),
+                     rng.standard_normal(graph.m * graph.p))
+        ref = TestStepContract.vectors(state)
+        for k in range(1, 51):
+            state = engine.step(state)
+            ref = reference_step(graph, rows, params, ref)
+            fields = TestStepContract.vectors(state)
+            assert "x" in fields and state.k == k
+            for key, value in fields.items():
+                assert np.array_equal(value, ref[key]), (k, key)
 
 
 class TestCallbackComponents:
