@@ -12,6 +12,8 @@ iterates themselves are only solved to the subproblem tolerance. The
 verification reads the arc multipliers off the primal trace, alpha_k =
 alpha_0 + (rho eta / 2) sum_{j<=k} E_o x_j, and checks the run's final dual
 aggregate against E_o^T alpha_K: no dual trace is kept and no L^+ is formed.
+The x-term of the norm is node weights plus the same gather's |E_o x_j|^2,
+so no row meets an n x n matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .netgraph import (
     degrees,
     e_o_min_norm_solver,
     laplacian,
-    laplacian_eigen,
+    laplacian_eigvals,
     support_mask,
     unoriented_gram,
 )
@@ -110,8 +112,8 @@ def mu_g(profile: objective.SumProfile, graph: NetworkGraph, rho: float,
 
 
 def _laplacian_spectrum(graph: NetworkGraph, tolerances: Tolerances) -> tuple[float, float]:
-    """lam_min_nonzero and lam_max of L, from its per-graph eigendecomposition."""
-    eigvals = laplacian_eigen(graph)[0]
+    """lam_min_nonzero and lam_max of L, from its per-graph eigenvalues."""
+    eigvals = laplacian_eigvals(graph)
     return denselin.smallest_nonzero(eigvals, tolerances=tolerances), float(eigvals[-1])
 
 
@@ -143,10 +145,14 @@ def _mu_g(profile: objective.SumProfile, lam_min: float, rho: float, eta: float,
 @dataclass(frozen=True)
 class RateCertificate:
     """Contraction certificate: constants, optimizing scalars, and the norm
-    dual_weight |alpha - alpha*|^2 + (x - x*)^T (x_block (x) I_p) (x - x*)
-    the statement is made in: 2/(rho eta) and M's base for `delta`, or
-    1/(rho eta) and (rho/4) E_u^T E_u (rho |z - z*|^2 for z = E_u x / 2)
-    for the P = 0 corollary's `delta_admm`. It carries one of the two."""
+    dual_weight |alpha - alpha*|^2 + (x - x*)^T (X (x) I_p) (x - x*) the
+    statement is made in: 2/(rho eta) and X = M = rho D + P - (rho/2) L for
+    `delta`, or 1/(rho eta) and X = (rho/4) E_u^T E_u = (rho/4)(2D - L)
+    (rho |z - z*|^2 for z = E_u x / 2) for the P = 0 corollary's
+    `delta_admm`. It carries one of the two. Both X are a diagonal minus a
+    multiple of L, diag(x_weights) - x_coupling L, and x* is consensual, so
+    the x-term is sum_i x_weights_i |x_i - x*_i|^2 - x_coupling |E_o x|^2:
+    no n x n matrix is kept."""
 
     rho: float
     eta: float
@@ -158,7 +164,8 @@ class RateCertificate:
     dual_weight: float
     # equality skips the array, which has no boolean `==`; what it is built
     # from (rho, the graph, lam_max_m or lam_max_eu) takes part
-    x_block: np.ndarray = field(repr=False, compare=False)
+    x_weights: np.ndarray = field(repr=False, compare=False)
+    x_coupling: float
     graph: NetworkGraph = field(repr=False)
     delta: float | None = None
     delta_admm: float | None = None
@@ -189,28 +196,30 @@ class RateCertificate:
                                     f"alpha0 ({g.m * p},), got {xs.shape}, "
                                     f"{phi_last.shape} and {alpha.shape}")
         out = np.empty(len(xs))
-        for start, alphas in self._alpha_blocks(xs, alpha):
+        weights = np.repeat(self.x_weights, p)
+        for start, e_o_sq, alphas in self._alpha_blocks(xs, alpha):
             rows = slice(start, start + len(alphas))
             alpha = alphas[-1].copy()
             alphas -= ref.alpha_star
             dx = xs[rows] - ref.x_star
-            x_sq = np.vecdot(dx, (self.x_block @ dx.reshape(-1, n, p)).reshape(dx.shape))
+            x_sq = np.vecdot(dx, weights * dx) - self.x_coupling * e_o_sq
             out[rows] = np.maximum(self.dual_weight * np.vecdot(alphas, alphas) + x_sq, 0.0)
             bad = np.flatnonzero(~np.isfinite(out[rows]))
             if bad.size:
                 raise NonFinite(f"trace row {start + bad[0]} has a non-finite distance")
         resid = float(np.linalg.norm(phi_last - arc_stack(g).e_o_transpose(alpha)))
         allowed = (tolerances.minnorm_consistency * float(np.linalg.norm(phi_last))
-                   + denselin.range_floor(float(np.trace(laplacian(g))), p))
+                   + denselin.range_floor(float(degrees(g).sum()), p))
         if not resid <= allowed:
             raise Inconsistent(f"final dual is not E_o^T alpha of the trace "
                                f"(residual {resid:.3e}, allowed {allowed:.3e})")
         return out
 
     def _alpha_blocks(self, xs: np.ndarray, alpha0: np.ndarray):
-        """(first row, alpha rows) per `_ROW_BLOCK` trace rows: c E_o x_k with
-        c = rho eta / 2, alpha0 for row 0's, in one cumsum carried across blocks,
-        in place in one buffer that each block overwrites (arc rows are wide)."""
+        """(first row, |E_o x_k|^2, alpha rows) per `_ROW_BLOCK` trace rows:
+        the alpha rows are c E_o x_k with c = rho eta / 2, alpha0 for row 0's,
+        in one cumsum carried across blocks, in place in one buffer that each
+        block overwrites (arc rows are wide)."""
         src, dst = arc_stack(self.graph).index
         c = 0.5 * self.eta * self.rho
         buf = np.empty((min(len(xs), _ROW_BLOCK), len(src)))
@@ -220,10 +229,11 @@ class RateCertificate:
             # the indices are valid; the default mode="raise" would buffer `out`
             steps = np.take(block, src, axis=1, out=buf[:len(block)], mode="clip")
             steps -= block[:, dst]
+            e_o_sq = np.vecdot(steps, steps)
             steps *= c
             steps[0] = steps[0] + carry if start else carry
             carry = np.cumsum(steps, axis=0, out=steps)[-1].copy()
-            yield start, steps
+            yield start, e_o_sq, steps
 
 
 def _max_min_tau(a: float, b: float, c: float, d: float) -> tuple[float, float]:
@@ -288,7 +298,8 @@ def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
 
     `params` carries rho, eta and the proximal weights. Requires eta in (0,1);
     the spectral quantities are computed at graph level (the identity lift
-    preserves them) and the certificate keeps M at graph level too.
+    preserves them). M is formed for its lam_max only; the certificate keeps
+    it as node weights rho d + pi and the coupling rho/2 of L.
     """
     rho, eta = params.rho, params.eta
     lam_min, lip_g, mu, gamma_star = _certificate_prelude(graph, profile, rho, eta,
@@ -302,7 +313,8 @@ def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
     return RateCertificate(
         rho=rho, eta=eta, mu_g=mu, lipschitz_g=lip_g,
         lam_min_nonzero=lam_min, tau_star=tau_star, gamma_star=gamma_star,
-        dual_weight=2.0 / (rho * eta), x_block=m_base, graph=graph,
+        dual_weight=2.0 / (rho * eta), x_weights=rho * degrees(graph) + pi,
+        x_coupling=0.5 * rho, graph=graph,
         delta=delta, lam_max_m=lam_max_m,
     )
 
@@ -320,7 +332,8 @@ def rate_certificate_admm(graph: NetworkGraph, profile: objective.SumProfile,
     return RateCertificate(
         rho=rho, eta=eta, mu_g=mu, lipschitz_g=lip_g,
         lam_min_nonzero=lam_min, tau_star=tau_star, gamma_star=gamma_star,
-        dual_weight=1.0 / (rho * eta), x_block=0.25 * rho * gram_u, graph=graph,
+        dual_weight=1.0 / (rho * eta), x_weights=0.5 * rho * degrees(graph),
+        x_coupling=0.25 * rho, graph=graph,
         delta_admm=delta, lam_max_eu=lam_max_eu,
     )
 
@@ -409,7 +422,7 @@ def _respects_graph(mat: np.ndarray, graph: NetworkGraph, tol: float) -> bool:
 
 def _nullspace_is_consensus(mat: np.ndarray, tol: float) -> bool:
     """null(mat) equals the span of the all-ones vector (mat symmetrized)."""
-    sym = denselin.SymMatrix(0.5 * (mat + mat.T), DEFAULT.replace(symmetry=np.inf))
+    sym = denselin.SymMatrix(0.5 * (mat + mat.T))
     eigvals, eigvecs = denselin.sym_eigen(sym)
     scale = max(float(np.max(np.abs(eigvals))), 1.0)
     null_idx = [i for i, lam in enumerate(eigvals) if abs(lam) <= tol * scale]
@@ -449,17 +462,12 @@ def check_mixing(w: np.ndarray, w_tilde: np.ndarray, graph: NetworkGraph,
     nullspace = (_nullspace_is_consensus(diff, tol)
                  and float(np.linalg.norm((np.eye(n) - wt) @ ones)) <= tol * math.sqrt(n))
 
-    loose = DEFAULT.replace(symmetry=np.inf)
-    eig_wt, _ = denselin.sym_eigen(denselin.SymMatrix(0.5 * (wt + wt.T), loose))
+    eig_wt, _ = denselin.sym_eigen(denselin.SymMatrix(0.5 * (wt + wt.T)))
     lam_min_wt = float(eig_wt[0])
     upper_gap = 0.5 * (np.eye(n) + w) - wt
-    eig_up, _ = denselin.sym_eigen(
-        denselin.SymMatrix(0.5 * (upper_gap + upper_gap.T), loose)
-    )
+    eig_up, _ = denselin.sym_eigen(denselin.SymMatrix(0.5 * (upper_gap + upper_gap.T)))
     lower_gap = wt - w
-    eig_lo, _ = denselin.sym_eigen(
-        denselin.SymMatrix(0.5 * (lower_gap + lower_gap.T), loose)
-    )
+    eig_lo, _ = denselin.sym_eigen(denselin.SymMatrix(0.5 * (lower_gap + lower_gap.T)))
     return MixingReport(
         decentralized=decentralized,
         symmetric=symmetric,

@@ -34,7 +34,7 @@ Config grammar (INI, parsed with configparser)::
     rounds = 300
 
     [run]
-    verify = false
+    verify = false        ; 1/yes/true/on or 0/no/false/off
     compare =             ; second algorithm name for comparison mode
 
     [output]
@@ -147,6 +147,14 @@ class ExperimentConfig:
                 )
 
 
+def _boolean(raw: str) -> bool:
+    """configparser's boolean words; ValueError for anything else."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
 def parse_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -231,7 +239,7 @@ def parse_config(text: str) -> ExperimentConfig:
         omega=get("algorithm", "omega", float, None),
         epsilon=get("algorithm", "epsilon", float, None),
         rounds=get("algorithm", "rounds", int, 300),
-        verify=get("run", "verify", lambda s: s.lower() in ("1", "true", "yes"), False),
+        verify=get("run", "verify", _boolean, False),
         compare=compare,
         out_dir=get("output", "dir", str, "out"),
         tolerance_overrides=tuple(sorted(overrides)),
@@ -416,15 +424,14 @@ def emit_trace(path, obj_errs, resids, messages, distances=None, delta=None) -> 
     _write_lines(path, TRACE_HEADER, lines)
 
 
-def run(config: ExperimentConfig, tol: tolerances.Tolerances | None = None) -> int:
+def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code.
 
     Only the primary run's (rounds+1, n*p) iterates are kept; a comparison
     run's rows become compare.csv's gaps one row block at a time.
     """
     config.validate()
-    if tol is None:
-        tol = tolerances.DEFAULT.replace(**dict(config.tolerance_overrides))
+    tol = tolerances.DEFAULT.replace(**dict(config.tolerance_overrides))
 
     graph, components = build_scenario(config)
     params = _resolve_params(config, graph, tol)

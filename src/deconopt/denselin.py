@@ -4,10 +4,11 @@ Everything the other modules need: symmetric eigendecompositions, Cholesky
 factorizations, positive definite inverses (every SPD system in the package is
 solved by `spd_inverse` and a matmul; a stack of blocks is inverted in one
 call), and minimum-norm solutions of transpose systems B^T a = c with
-B = b (x) I_p, from the graph-level Gram matrix b^T b, its eigendecomposition
-and the products of B and B^T, which the caller supplies: no b is formed
-here. Inputs are validated here and LAPACK failures are mapped
-to the package errors, so no bare numpy exception escapes.
+B = b (x) I_p for an incidence operator b of a connected graph, from the
+graph-level Gram matrix b^T b and the products of B and B^T, which the caller
+supplies: no b is formed here and no pseudo-inverse either. Inputs are
+validated here and LAPACK failures are mapped to the package errors, so no
+bare numpy exception escapes.
 """
 
 from __future__ import annotations
@@ -137,32 +138,28 @@ def range_floor(gram_trace: float, p: int) -> float:
 class MinNormTransposeSolver:
     """Reusable minimum-norm solver for B^T a = c, with B = b (x) I_p.
 
-    b is never formed: the solver takes its graph-level Gram matrix b^T b,
-    the eigendecomposition of b^T b as `sym_eigen` returns it, and the two
-    products `apply` (y -> B y) and `apply_transpose` (a -> B^T a) on flat
-    stacked vectors. The returned solution is a = B (B^T B)^+ c, the unique
-    solution lying in the column space of B. The pseudo-inverse is formed
-    once from the decomposition, since (B^T B)^+ = (b^T b)^+ (x) I_p, with
-    the eigenvalues at or below `spectrum_zero * lambda_max` taken as zero;
+    b is never formed: the solver takes its graph-level Gram matrix b^T b and
+    the two products `apply` (y -> B y) and `apply_transpose` (a -> B^T a) on
+    flat stacked vectors. The returned solution is a = B (B^T B)^+ c, the
+    unique solution lying in the column space of B. b must be an incidence
+    operator of a connected graph, so null(b) = span(1) and
+    (b^T b)^+ = (b^T b + 11^T/n)^-1 - 11^T/n, whose last term B annihilates:
+    the solver inverts the SPD matrix b^T b + 11^T/n once (`spd_inverse`), and
     each reconstruction is then one matmul on c reshaped to blocks and one
     `apply`.
     """
 
-    def __init__(self, gram, eigen, apply, apply_transpose, p: int = 1,
+    def __init__(self, gram, apply, apply_transpose, p: int = 1,
                  tolerances: Tolerances = DEFAULT):
         gram = np.asarray(gram, dtype=float)
         if not np.all(np.isfinite(gram)):
             raise NonFinite("Gram matrix contains non-finite entries")
-        eigvals, eigvecs = eigen
         self.p = int(p)
         self.tolerances = tolerances
         self._apply = apply
         self._apply_transpose = apply_transpose
         self._cols = gram.shape[0]
-        inv = np.zeros_like(eigvals)
-        keep = eigvals > tolerances.spectrum_zero * max(float(eigvals[-1]), 0.0)
-        inv[keep] = 1.0 / eigvals[keep]
-        self.gram_pinv = (eigvecs * inv) @ eigvecs.T
+        self._inverse = spd_inverse(gram + 1.0 / self._cols)
         self._floor = range_floor(float(np.trace(gram)), self.p)
 
     def __call__(self, c) -> np.ndarray:
@@ -171,7 +168,7 @@ class MinNormTransposeSolver:
             raise DimensionMismatch(
                 f"rhs length {c.shape} does not match {self._cols * self.p}"
             )
-        alpha = self._apply((self.gram_pinv @ c.reshape(self._cols, self.p)).ravel())
+        alpha = self._apply((self._inverse @ c.reshape(self._cols, self.p)).ravel())
         resid = np.linalg.norm(self._apply_transpose(alpha) - c)
         if resid > self.tolerances.minnorm_consistency * np.linalg.norm(c) + self._floor:
             raise Inconsistent(

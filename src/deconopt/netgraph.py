@@ -18,14 +18,15 @@ Two representations are derived from the arc indices, and nothing else:
   E_u^T z = S^T [z; z].
 * The graph-level n x n matrices, counted from the arcs in O(m): the
   (doubled) degree vector (`degrees`), the Laplacian L = E_o^T E_o
-  (`laplacian`) with its eigendecomposition (`laplacian_eigen`), and
+  (`laplacian`) with its eigenvalues (`laplacian_eigvals`), and
   E_u^T E_u = 2D - L (`unoriented_gram`). A lifted product (M (x) I_p) x is
   M times x reshaped to (n, p).
 
 The derived values of a graph (`arc_indices`, `support_mask`, `arc_stack`,
-`degrees`, `laplacian`, `laplacian_eigen`) are cached read-only in the graph
+`degrees`, `laplacian`, `laplacian_eigvals`) are cached read-only in the graph
 instance, so they live as long as the graph and an equal graph built
-separately computes its own.
+separately computes its own. No eigenvector is cached: the minimum-norm solve
+of E_o^T a = c (`e_o_min_norm_solver`) needs only L.
 
 Convention note: with two arcs per edge the extended degree matrix
 D = (E_o^T E_o + E_u^T E_u)/2 carries twice the neighbor count on its
@@ -240,14 +241,12 @@ def laplacian(g: NetworkGraph) -> np.ndarray:
 
 
 @_per_graph
-def laplacian_eigen(g: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The eigendecomposition of L (eigenvalues ascending, eigenvectors as
-    columns, both read-only), computed once per graph for every spectral
-    constant and minimum-norm solve that needs it."""
-    eigvals, eigvecs = denselin.sym_eigen(denselin.SymMatrix(laplacian(g)))
+def laplacian_eigvals(g: NetworkGraph) -> np.ndarray:
+    """The eigenvalues of L, ascending (read-only), computed once per graph
+    for every spectral constant that needs them."""
+    eigvals = denselin.sym_eigen(denselin.SymMatrix(laplacian(g)))[0]
     eigvals.setflags(write=False)
-    eigvecs.setflags(write=False)
-    return eigvals, eigvecs
+    return eigvals
 
 
 def unoriented_gram(g: NetworkGraph) -> np.ndarray:
@@ -259,12 +258,10 @@ def unoriented_gram(g: NetworkGraph) -> np.ndarray:
 def e_o_min_norm_solver(g: NetworkGraph,
                         tolerances: Tolerances = DEFAULT) -> denselin.MinNormTransposeSolver:
     """The minimum-norm solver of (E_o (x) I_p)^T a = c: the Gram matrix is L,
-    taken with its cached eigendecomposition, and E_o and E_o^T act through
-    the graph's `ArcStack`."""
+    and E_o and E_o^T act through the graph's `ArcStack`."""
     s = arc_stack(g)
-    return denselin.MinNormTransposeSolver(
-        laplacian(g), laplacian_eigen(g), s.e_o, s.e_o_transpose, g.p, tolerances
-    )
+    return denselin.MinNormTransposeSolver(laplacian(g), s.e_o, s.e_o_transpose, g.p,
+                                           tolerances)
 
 
 def consensuality_residual(g: NetworkGraph, x) -> float:

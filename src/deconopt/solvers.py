@@ -66,7 +66,6 @@ from .netgraph import (
     NetworkGraph,
     arc_stack,
     degrees,
-    e_o_min_norm_solver,
     laplacian,
 )
 from .tolerances import DEFAULT
@@ -234,9 +233,8 @@ class DadmmEngine:
         self.params = params
         self.net = harness.dadmm_agents(graph, self.components, params)
 
-    def init(self, x0=None, alpha0_mode: str = "zero", seed=None, alpha0=None) -> AdmmState:
-        return dadmm_init(self.graph, self.components, self.params,
-                          x0=x0, alpha0_mode=alpha0_mode, seed=seed, alpha0=alpha0)
+    def init(self, x0=None, alpha0=None) -> AdmmState:
+        return dadmm_init(self.graph, self.components, self.params, x0=x0, alpha0=alpha0)
 
     def step(self, state: AdmmState) -> AdmmState:
         x, phi = _agent_round(self.net, self.graph, state.x, state.phi)
@@ -257,9 +255,8 @@ class DadmmMatrixEngine(_CentralEngine):
         self._half_rho = 0.5 * params.rho
         self._half_eta_rho = 0.5 * params.eta * params.rho
 
-    def init(self, x0=None, alpha0_mode: str = "zero", seed=None, alpha0=None) -> AdmmState:
-        return dadmm_init(self.graph, self.components, self.params,
-                          x0=x0, alpha0_mode=alpha0_mode, seed=seed, alpha0=alpha0)
+    def init(self, x0=None, alpha0=None) -> AdmmState:
+        return dadmm_init(self.graph, self.components, self.params, x0=x0, alpha0=alpha0)
 
     def step(self, state: AdmmState) -> AdmmState:
         x, phi, alpha = state.x, state.phi, state.alpha
@@ -287,26 +284,12 @@ def _dadmm_rows(graph: NetworkGraph, components, params: AdmmParams):
 
 
 def dadmm_init(graph: NetworkGraph, components, params: AdmmParams,
-               x0=None, alpha0_mode: str = "zero", seed=None, alpha0=None) -> AdmmState:
-    """Initial state with the dual confined to the column space of E_o.
-
-    alpha0_mode "zero" starts from the origin; "random-in-colspace" draws a
-    standard-normal arc vector and projects it onto range(E_o) (seeded, hence
-    reproducible). An explicit alpha0 takes precedence over the mode.
-    """
-    s = arc_stack(graph)
+               x0=None, alpha0=None) -> AdmmState:
+    """Initial state from x0 and the arc dual alpha0, each zero by default,
+    with phi = E_o^T alpha0."""
     x = _initial(x0, graph.n * graph.p, "x0")
-    if alpha0 is not None:
-        alpha = _initial(alpha0, graph.m * graph.p, "alpha0")
-    elif alpha0_mode == "zero":
-        alpha = np.zeros(graph.m * graph.p)
-    elif alpha0_mode == "random-in-colspace":
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal(graph.m * graph.p)
-        alpha = e_o_min_norm_solver(graph)(s.e_o_transpose(raw))
-    else:
-        raise ValueError(f"unknown alpha0_mode {alpha0_mode!r}")
-    return AdmmState(x=x, phi=s.e_o_transpose(alpha), k=0, alpha=alpha)
+    alpha = _initial(alpha0, graph.m * graph.p, "alpha0")
+    return AdmmState(x=x, phi=arc_stack(graph).e_o_transpose(alpha), k=0, alpha=alpha)
 
 
 # -- full three-block generalized ADMM -------------------------------------------

@@ -12,9 +12,12 @@ step. `reference_arcs` labels the arcs edge by edge instead, and
 `neighbor_ids` reads a vertex's neighbours off the edges, so tests can check
 the package's arc arrays and masks against an independent construction.
 `mix` forms a graph-local product W x arc by arc in a Python loop, in the
-order the network's round must add the terms. `phi_space_distances_sq`
-measures the certificate's distance on dual aggregates through a dense L^+,
-against which the verification's distances are checked.
+order the network's round must add the terms. `x_norm_blocks` builds the two
+certificate norms' lifted x-blocks from the dense incidence, and `x_block`
+reassembles a certificate's x-block densely from its node weights and
+coupling. `phi_space_distances_sq` measures the certificate's distance on
+dual aggregates through a dense L^+, against which the verification's
+distances are checked.
 
 `dadmm_matrix_step`, `full_admm_step` and `approx_mm_step` are the steps of
 the three central engines whose agents decouple, written out with the
@@ -95,28 +98,44 @@ def incidence_uv(g):
     return gram_u, gram_o, 0.5 * (gram_o + gram_u)
 
 
-def min_norm_solver(b, tolerances=DEFAULT):
-    """`denselin.MinNormTransposeSolver` for a dense matrix b at p = 1: its
-    Gram matrix b'b with that matrix's decomposition, and the products b y
-    and b'a."""
+def min_norm_solver(b, p=1, tolerances=DEFAULT):
+    """`denselin.MinNormTransposeSolver` for a dense graph-level incidence
+    matrix b of a connected graph: its Gram matrix b'b, and the products of
+    the dense lift b (x) I_p and its transpose."""
     b = np.asarray(b, dtype=float)
-    gram = b.T @ b
-    eigen = denselin.sym_eigen(denselin.SymMatrix(gram, tolerances), tolerances)
+    lifted = lift(b, p)
     return denselin.MinNormTransposeSolver(
-        gram, eigen, lambda y: b @ y, lambda a: b.T @ a, tolerances=tolerances
+        b.T @ b, lambda y: lifted @ y, lambda a: lifted.T @ a, p, tolerances
     )
+
+
+def x_norm_blocks(g, rho, pi):
+    """The lifted x-blocks of the two certificate norms, from the dense
+    unoriented incidence and the proximal weights pi: M (x) I_p with
+    M = (rho/2) E_u'E_u + diag(pi) for `delta`, and (rho/4) E_u'E_u (x) I_p
+    for `delta_admm`."""
+    e_u = incidence_bases(g)[1]
+    gram_u = e_u.T @ e_u
+    return lift(0.5 * rho * gram_u + np.diag(pi), g.p), lift(0.25 * rho * gram_u, g.p)
+
+
+def x_block(cert):
+    """A certificate's n x n x-block diag(x_weights) - x_coupling E_o'E_o,
+    with E_o'E_o from the dense incidence."""
+    e_o = incidence_bases(cert.graph)[0]
+    return np.diag(cert.x_weights) - cert.x_coupling * (e_o.T @ e_o)
 
 
 def phi_space_distances_sq(cert, ref, xs, phis):
     """The certificate's squared distance of every row (xs[k], phis[k]), with
     the dual term measured on the aggregates phi = E_o'alpha: for alpha in
     range(E_o), |alpha - alpha*|^2 = dphi' (L^+ (x) I_p) dphi with L = E_o'E_o,
-    L^+ by `np.linalg.pinv`; the x-term is the lifted x-block, densely."""
+    L^+ by `np.linalg.pinv`; the x-term is the lifted `x_block`, densely."""
     g = cert.graph
     l_pinv = lift(np.linalg.pinv(netgraph.laplacian(g), rtol=1e-9, hermitian=True), g.p)
     dphi = np.asarray(phis) - lifted_incidence(g)[0].T @ ref.alpha_star
     dx = np.asarray(xs) - ref.x_star
-    x_sq = np.einsum("ki,ij,kj->k", dx, lift(cert.x_block, g.p), dx)
+    x_sq = np.einsum("ki,ij,kj->k", dx, lift(x_block(cert), g.p), dx)
     return cert.dual_weight * np.einsum("ki,ij,kj->k", dphi, l_pinv, dphi) + x_sq
 
 

@@ -78,17 +78,19 @@ class TestReferenceSolution:
         resid = e_o.T @ ref.alpha_star + objective.sum_gradient(comps, ref.x_star)
         assert np.linalg.norm(resid) <= 1e-8
         # minimum norm: orthogonal to null(E_o^T)
-        solver = dense_ref.min_norm_solver(e_o)
+        solver = dense_ref.min_norm_solver(dense_ref.incidence_bases(graph)[0], graph.p)
         assert np.linalg.norm(solver(e_o.T @ ref.alpha_star) - ref.alpha_star) <= 1e-10
 
 
     def test_multiplier_matches_lifted_min_norm_solve(self):
-        # oracle: the minimum-norm solve on the dense lift E_o (x) I_p
+        # oracle: numpy's least-squares solve (minimum norm) on the dense
+        # lift E_o (x) I_p, independent of the package's solver
         for p in (1, 3):
             graph, comps = ls_preset(seed=6, n=7, p=p)
             ref = analysis.reference_solution(graph, comps, eta=0.5)
             e_o = dense_ref.lifted_incidence(graph)[0]
-            lifted = dense_ref.min_norm_solver(e_o)(-objective.sum_gradient(comps, ref.x_star))
+            rhs = -objective.sum_gradient(comps, ref.x_star)
+            lifted = np.linalg.lstsq(e_o.T, rhs, rcond=None)[0]
             assert np.max(np.abs(ref.alpha_star - lifted)) <= 1e-12
 
 
@@ -155,9 +157,18 @@ class TestRateCertificate:
         assert cert.mu_g > 0
         assert cert.lipschitz_g >= profile.lipschitz
         # M is PSD by construction
-        m_lifted = np.kron(cert.x_block, np.eye(graph.p))
+        m_lifted = np.kron(dense_ref.x_block(cert), np.eye(graph.p))
         eigvals, _ = denselin.sym_eigen(denselin.SymMatrix(m_lifted))
         assert eigvals[0] >= -1e-9
+
+    def test_certificates_hold_no_matrix(self):
+        # the norm's x-block is kept as n node weights and a scalar coupling
+        graph, comps = ls_preset(seed=5)
+        profile = objective.sum_profile(comps, graph)
+        for cert in (analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, 0.1)),
+                     analysis.rate_certificate_admm(graph, profile, 1.0, 0.5)):
+            arrays = [v for v in vars(cert).values() if isinstance(v, np.ndarray)]
+            assert [arr.shape for arr in arrays] == [(graph.n,)]
 
     @pytest.mark.parametrize("error", [IndefiniteInput, AllZero])
     def test_unusable_spectrum_is_chained(self, monkeypatch, error):
@@ -243,7 +254,7 @@ class TestRateCertificate:
             lifted_gram = denselin.SymMatrix(e_o.T @ e_o)
             lam_min_lif = denselin.smallest_nonzero(denselin.sym_eigen(lifted_gram)[0])
             eig_m, _ = denselin.sym_eigen(
-                denselin.SymMatrix(np.kron(cert.x_block, np.eye(p))))
+                denselin.SymMatrix(np.kron(dense_ref.x_block(cert), np.eye(p))))
             delta_lifted, _ = analysis.delta_bound(
                 params.rho, params.eta, cert.mu_g, cert.lipschitz_g,
                 lam_min_lif, float(eig_m[-1]),
@@ -468,6 +479,47 @@ class TestVerifyContraction:
                 for x, a in zip(xs, alphas)]
         assert_allclose(cert.distances_sq(xs, phis[-1], ref), want, rtol=1e-12, atol=1e-300)
 
+    X_NORM_GRAPHS = {
+        "bipartite": (6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]),
+        "odd-cycle": (5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3)]),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(X_NORM_GRAPHS))
+    @pytest.mark.parametrize("pi", [0.0, 0.2])
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("kind", ["delta", "delta_admm"])
+    def test_node_weight_x_term_equals_dense_form(self, kind, p, pi, shape):
+        # distances with the x-term dx'(X (x) I_p)dx, X from the dense
+        # incidence; rows x* + d, x* - d bring alpha back to alpha* (up to
+        # roundoff), so every other row is its x-term alone
+        n, edges = self.X_NORM_GRAPHS[shape]
+        graph = netgraph.build_graph(n, edges, p)
+        comps = ls_preset(seed=12, n=n, p=p)[1]
+        params = AdmmParams(0.8, 0.4, pi)
+        rho, eta = params.rho, params.eta
+        profile = objective.sum_profile(comps, graph)
+        ref = analysis.reference_solution(graph, comps, eta)
+        m_lift, eu_lift = dense_ref.x_norm_blocks(graph, rho, params.pi_vector(n))
+        if kind == "delta":
+            cert = analysis.rate_certificate(graph, profile, params)
+            weight, x_lift = 2.0 / (rho * eta), m_lift
+        else:
+            cert = analysis.rate_certificate_admm(graph, profile, rho, eta)
+            weight, x_lift = 1.0 / (rho * eta), eu_lift
+        assert_allclose(dense_ref.lift(dense_ref.x_block(cert), p), x_lift, rtol=0, atol=1e-15)
+        rng = np.random.default_rng(n + 10 * p)
+        ds = rng.standard_normal((3, n * p))
+        xs = ref.x_star + np.array([ds[0], ds[1], -ds[1], ds[2], -ds[2]])
+        e_o = dense_ref.lifted_incidence(graph)[0]
+        steps = 0.5 * rho * eta * (xs @ e_o.T)
+        steps[0] = ref.alpha_star
+        alphas = np.cumsum(steps, axis=0)
+        dx, da = xs - ref.x_star, alphas - ref.alpha_star
+        want = (weight * np.einsum("ki,ki->k", da, da)
+                + np.einsum("ki,ij,kj->k", dx, x_lift, dx))
+        got = cert.distances_sq(xs, e_o.T @ alphas[-1], ref, alpha0=ref.alpha_star)
+        assert_allclose(got, want, rtol=1e-12)
+
     @pytest.mark.parametrize("n", [12, 40])
     def test_phi_space_matches_alpha_space(self, n):
         # the alpha read off the trace lies in range(E_o), so |alpha - alpha*|
@@ -497,9 +549,14 @@ class TestVerifyContraction:
         init = {} if start == "zero" else {"x0": ref.x_star, "alpha0": ref.alpha_star}
         xs, alphas, _ = run_matrix_trace(graph, comps, params, 300, **init)
         assert len(xs) > 2 * analysis._ROW_BLOCK
-        blocks = [(start, rows.copy()) for start, rows in cert._alpha_blocks(xs, alphas[0])]
-        assert [start for start, _ in blocks] == list(range(0, len(xs), analysis._ROW_BLOCK))
-        assert np.array_equal(np.concatenate([rows for _, rows in blocks]), alphas)
+        blocks = [(start, e_o_sq, rows.copy())
+                  for start, e_o_sq, rows in cert._alpha_blocks(xs, alphas[0])]
+        assert [start for start, _, _ in blocks] == list(range(0, len(xs), analysis._ROW_BLOCK))
+        assert np.array_equal(np.concatenate([rows for _, _, rows in blocks]), alphas)
+        # each block's |E_o x_k|^2 comes from the same gather
+        e_o_x = xs @ dense_ref.lifted_incidence(graph)[0].T
+        assert_allclose(np.concatenate([sq for _, sq, _ in blocks]),
+                        np.einsum("ki,ki->k", e_o_x, e_o_x), rtol=1e-14)
 
     def test_phi_row_off_range_is_inconsistent(self):
         # a final phi with a consensus component is not E_o^T of any alpha

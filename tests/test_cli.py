@@ -401,6 +401,21 @@ class TestCompareMode:
 
 
 class TestVerifiedRuns:
+    def test_misspelt_verify_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        text = BASE_INI.format(out=out) + "\n[run]\nverify = ture\n"
+        assert cli.main(["run", write(tmp_path, text)]) == 1
+        assert "deconopt:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("word,verified", [("on", True), ("Off", False)])
+    def test_boolean_verify_words(self, tmp_path, word, verified):
+        out = tmp_path / "b"
+        text = BASE_INI.format(out=out) + f"\n[run]\nverify = {word}\n"
+        assert parse_config(text).verify is verified
+        assert cli.main(["run", write(tmp_path, text)]) == 0
+        assert (out / "certificate.txt").exists() is verified
+
     def test_pextra_verify_requires_matching_weights(self, tmp_path):
         text = BASE_INI.format(out=tmp_path / "o")
         text = text.replace("name = dadmm", "name = pextra")

@@ -58,23 +58,14 @@ class TestDadmmInit:
         assert_allclose(st.phi, 0.0)
         assert_allclose(st.alpha, 0.0)
 
-    def test_colspace_phi_blocks_sum_to_zero(self):
+    def test_explicit_alpha0(self):
         graph, comps = random_instance(1)
-        st = solvers.dadmm_init(graph, comps, AdmmParams(1.0, 0.5),
-                                alpha0_mode="random-in-colspace", seed=3)
-        p = graph.p
-        block_sum = sum(st.phi[i * p:(i + 1) * p] for i in range(graph.n))
-        assert_allclose(block_sum, 0.0, atol=1e-9)
+        alpha0 = np.random.default_rng(3).standard_normal(graph.m * graph.p)
+        st = solvers.dadmm_init(graph, comps, AdmmParams(1.0, 0.5), alpha0=alpha0)
+        assert np.array_equal(st.alpha, alpha0) and st.alpha is not alpha0
+        e_o = dense_ref.lifted_incidence(graph)[0]
+        assert_allclose(st.phi, e_o.T @ alpha0, rtol=0, atol=1e-12)
 
-    def test_seeded_reproducibility(self):
-        graph, comps = random_instance(2)
-        params = AdmmParams(1.0, 0.5)
-        a = solvers.dadmm_init(graph, comps, params,
-                               alpha0_mode="random-in-colspace", seed=42)
-        b = solvers.dadmm_init(graph, comps, params,
-                               alpha0_mode="random-in-colspace", seed=42)
-        assert np.array_equal(a.phi, b.phi)
-        assert np.array_equal(a.alpha, b.alpha)
 
 
 class TestDadmmStep:
@@ -161,7 +152,7 @@ class TestDadmmMatrixStep:
         graph, comps = random_instance(9)
         engine = solvers.DadmmMatrixEngine(graph, comps, AdmmParams(1.0, 0.5))
         e_o = dense_ref.lifted_incidence(graph)[0]
-        solver = dense_ref.min_norm_solver(e_o)
+        solver = dense_ref.min_norm_solver(dense_ref.incidence_bases(graph)[0], graph.p)
         st = engine.init()
         for _ in range(30):
             st = engine.step(st)
@@ -201,7 +192,7 @@ class TestFullAdmm:
         graph, comps = random_instance(30)
         fa = solvers.FullAdmmEngine(graph, comps, AdmmParams(1.0, 0.5))
         e_o = dense_ref.lifted_incidence(graph)[0]
-        solver = dense_ref.min_norm_solver(e_o)
+        solver = dense_ref.min_norm_solver(dense_ref.incidence_bases(graph)[0], graph.p)
         st = fa.init()
         for _ in range(40):
             st = fa.step(st)
@@ -237,7 +228,7 @@ class TestExactMM:
         graph, comps = random_instance(14)
         mm = solvers.ExactMMEngine(graph, comps, AdmmParams(1.0, 0.5))
         e_o = dense_ref.lifted_incidence(graph)[0]
-        solver = dense_ref.min_norm_solver(e_o)
+        solver = dense_ref.min_norm_solver(dense_ref.incidence_bases(graph)[0], graph.p)
         st = mm.init()
         for _ in range(20):
             st = mm.step(st)
