@@ -13,7 +13,9 @@ verification reads the arc multipliers off the primal trace, alpha_k =
 alpha_0 + (rho eta / 2) sum_{j<=k} E_o x_j, and checks the run's final dual
 aggregate against E_o^T alpha_K: no dual trace is kept and no L^+ is formed.
 The x-term of the norm is node weights plus the same gather's |E_o x_j|^2,
-so no row meets an n x n matrix.
+so no row meets an n x n matrix. The verification reads the run's two
+`Tolerances`; the mixing and U/V condition checks use the one constant
+`MIXING_TOL`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from .netgraph import (
 from .tolerances import DEFAULT, Tolerances
 
 _ROW_BLOCK = 128  # trace rows per pass of `distances_sq`; bounds its temporaries
+# entry and eigenvalue tolerance of the mixing-matrix and U/V condition checks
+MIXING_TOL = 1e-9
 
 
 # -- reference solution -----------------------------------------------------------
@@ -74,7 +78,7 @@ def reference_solution(graph: NetworkGraph, components, eta: float,
         raise EtaOutOfRange(f"eta must be positive, got {eta}")
     if all(comp.quadratic_terms() is not None for comp in components):
         objective.sum_profile(components, graph)  # raises NotStronglyConvex early
-    xbar = objective.minimize_sum(components, tolerances.central_solve)
+    xbar = objective.minimize_sum(components)
     x_star = np.tile(xbar, graph.n)
     alpha_star = e_o_min_norm_solver(graph, tolerances)(
         -objective.sum_gradient(components, x_star)
@@ -91,8 +95,7 @@ def reference_solution(graph: NetworkGraph, components, eta: float,
 # -- restricted strong convexity constant ----------------------------------------
 
 def mu_g(profile: objective.SumProfile, graph: NetworkGraph, rho: float,
-         eta: float, gamma="optimize",
-         tolerances: Tolerances = DEFAULT) -> tuple[float, float]:
+         eta: float, gamma="optimize") -> tuple[float, float]:
     """Lower bound on the restricted strong convexity constant of the
     penalized objective, and the auxiliary scalar realizing it.
 
@@ -107,14 +110,14 @@ def mu_g(profile: objective.SumProfile, graph: NetworkGraph, rho: float,
         raise EtaOutOfRange(f"eta must lie in (0,1), got {eta}")
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    lam_min = _laplacian_spectrum(graph, tolerances)[0]
+    lam_min = _laplacian_spectrum(graph)[0]
     return _mu_g(profile, lam_min, rho, eta, gamma)
 
 
-def _laplacian_spectrum(graph: NetworkGraph, tolerances: Tolerances) -> tuple[float, float]:
+def _laplacian_spectrum(graph: NetworkGraph) -> tuple[float, float]:
     """lam_min_nonzero and lam_max of L, from its per-graph eigenvalues."""
     eigvals = laplacian_eigvals(graph)
-    return denselin.smallest_nonzero(eigvals, tolerances=tolerances), float(eigvals[-1])
+    return denselin.smallest_nonzero(eigvals), float(eigvals[-1])
 
 
 def _mu_g(profile: objective.SumProfile, lam_min: float, rho: float, eta: float,
@@ -273,7 +276,7 @@ def delta_bound_admm(rho: float, eta: float, mu: float, lip_g: float,
 
 
 def _certificate_prelude(graph: NetworkGraph, profile: objective.SumProfile, rho: float,
-                         eta: float, tolerances: Tolerances) -> tuple[float, float, float, float]:
+                         eta: float) -> tuple[float, float, float, float]:
     """lam_min_nonzero of L, the Lipschitz modulus L_g of the penalized
     gradient, mu_g and its gamma: what both certificates share. An unusable
     Laplacian spectrum or mu_g <= 0 is CertificateUnavailable."""
@@ -282,7 +285,7 @@ def _certificate_prelude(graph: NetworkGraph, profile: objective.SumProfile, rho
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     try:
-        lam_min, lam_max_lap = _laplacian_spectrum(graph, tolerances)
+        lam_min, lam_max_lap = _laplacian_spectrum(graph)
     except (IndefiniteInput, AllZero) as exc:
         raise CertificateUnavailable(f"Laplacian spectrum unusable: {exc}") from exc
     mu, gamma_star = _mu_g(profile, lam_min, rho, eta, "optimize")
@@ -293,7 +296,7 @@ def _certificate_prelude(graph: NetworkGraph, profile: objective.SumProfile, rho
 
 
 def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
-                     params, tolerances: Tolerances = DEFAULT) -> RateCertificate:
+                     params) -> RateCertificate:
     """Assemble the contraction certificate for generalized D-ADMM.
 
     `params` carries rho, eta and the proximal weights. Requires eta in (0,1);
@@ -302,12 +305,11 @@ def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
     it as node weights rho d + pi and the coupling rho/2 of L.
     """
     rho, eta = params.rho, params.eta
-    lam_min, lip_g, mu, gamma_star = _certificate_prelude(graph, profile, rho, eta,
-                                                          tolerances)
+    lam_min, lip_g, mu, gamma_star = _certificate_prelude(graph, profile, rho, eta)
     pi = params.pi_vector(graph.n)
     m_base = 0.5 * rho * (2.0 * np.diag(degrees(graph)) + (2.0 / rho) * np.diag(pi)
                           - laplacian(graph))
-    eigvals_m, _ = denselin.sym_eigen(denselin.SymMatrix(m_base), tolerances)
+    eigvals_m, _ = denselin.sym_eigen(denselin.SymMatrix(m_base))
     lam_max_m = float(eigvals_m[-1])
     delta, tau_star = delta_bound(rho, eta, mu, lip_g, lam_min, lam_max_m)
     return RateCertificate(
@@ -320,13 +322,11 @@ def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
 
 
 def rate_certificate_admm(graph: NetworkGraph, profile: objective.SumProfile,
-                          rho: float, eta: float,
-                          tolerances: Tolerances = DEFAULT) -> RateCertificate:
+                          rho: float, eta: float) -> RateCertificate:
     """Certificate for the P = 0 case, stated on (alpha, edge variable)."""
-    lam_min, lip_g, mu, gamma_star = _certificate_prelude(graph, profile, rho, eta,
-                                                          tolerances)
+    lam_min, lip_g, mu, gamma_star = _certificate_prelude(graph, profile, rho, eta)
     gram_u = unoriented_gram(graph)
-    eig_eu, _ = denselin.sym_eigen(denselin.SymMatrix(gram_u), tolerances)
+    eig_eu, _ = denselin.sym_eigen(denselin.SymMatrix(gram_u))
     lam_max_eu = float(eig_eu[-1])
     delta, tau_star = delta_bound_admm(rho, eta, mu, lip_g, lam_min, lam_max_eu)
     return RateCertificate(
@@ -416,16 +416,16 @@ class MixingReport:
         return out
 
 
-def _respects_graph(mat: np.ndarray, graph: NetworkGraph, tol: float) -> bool:
-    return not np.any((np.abs(mat) > tol) & ~support_mask(graph))
+def _respects_graph(mat: np.ndarray, graph: NetworkGraph) -> bool:
+    return not np.any((np.abs(mat) > MIXING_TOL) & ~support_mask(graph))
 
 
-def _nullspace_is_consensus(mat: np.ndarray, tol: float) -> bool:
+def _nullspace_is_consensus(mat: np.ndarray) -> bool:
     """null(mat) equals the span of the all-ones vector (mat symmetrized)."""
     sym = denselin.SymMatrix(0.5 * (mat + mat.T))
     eigvals, eigvecs = denselin.sym_eigen(sym)
     scale = max(float(np.max(np.abs(eigvals))), 1.0)
-    null_idx = [i for i, lam in enumerate(eigvals) if abs(lam) <= tol * scale]
+    null_idx = [i for i, lam in enumerate(eigvals) if abs(lam) <= MIXING_TOL * scale]
     if len(null_idx) != 1:
         return False
     v = eigvecs[:, null_idx[0]]
@@ -446,21 +446,21 @@ def _graph_matrices(graph: NetworkGraph, **mats) -> list[np.ndarray]:
     return out
 
 
-def check_mixing(w: np.ndarray, w_tilde: np.ndarray, graph: NetworkGraph,
-                 tol: float = DEFAULT.mixing_eigen) -> MixingReport:
+def check_mixing(w: np.ndarray, w_tilde: np.ndarray, graph: NetworkGraph) -> MixingReport:
     """Evaluate the decentralization, symmetry, nullspace and spectral
     requirements on a mixing pair; failures are reported, never raised.
     Matrices that are not n x n raise DimensionMismatch."""
     w, wt = _graph_matrices(graph, W=w, W_tilde=w_tilde)
     n = graph.n
-    decentralized = _respects_graph(w, graph, tol) and _respects_graph(wt, graph, tol)
-    symmetric = (float(np.max(np.abs(w - w.T))) <= tol
-                 and float(np.max(np.abs(wt - wt.T))) <= tol)
+    decentralized = _respects_graph(w, graph) and _respects_graph(wt, graph)
+    symmetric = (float(np.max(np.abs(w - w.T))) <= MIXING_TOL
+                 and float(np.max(np.abs(wt - wt.T))) <= MIXING_TOL)
 
     diff = w - wt
     ones = np.ones(n)
-    nullspace = (_nullspace_is_consensus(diff, tol)
-                 and float(np.linalg.norm((np.eye(n) - wt) @ ones)) <= tol * math.sqrt(n))
+    nullspace = (_nullspace_is_consensus(diff)
+                 and float(np.linalg.norm((np.eye(n) - wt) @ ones))
+                 <= MIXING_TOL * math.sqrt(n))
 
     eig_wt, _ = denselin.sym_eigen(denselin.SymMatrix(0.5 * (wt + wt.T)))
     lam_min_wt = float(eig_wt[0])
@@ -472,9 +472,9 @@ def check_mixing(w: np.ndarray, w_tilde: np.ndarray, graph: NetworkGraph,
         decentralized=decentralized,
         symmetric=symmetric,
         nullspace=nullspace,
-        wt_positive_definite=lam_min_wt > tol,
-        upper_ok=float(eig_up[0]) >= -tol,
-        lower_ok=float(eig_lo[0]) >= -tol,
+        wt_positive_definite=lam_min_wt > MIXING_TOL,
+        upper_ok=float(eig_up[0]) >= -MIXING_TOL,
+        lower_ok=float(eig_lo[0]) >= -MIXING_TOL,
         lam_min_wt=lam_min_wt,
         lam_overshoot=-float(eig_up[0]),
     )
@@ -503,20 +503,19 @@ class UVReport:
 
 
 def check_uv_conditions(u: np.ndarray, v: np.ndarray, dbar: np.ndarray,
-                        graph: NetworkGraph,
-                        tol: float = DEFAULT.mixing_eigen) -> UVReport:
+                        graph: NetworkGraph) -> UVReport:
     """Evaluate the U/V conditions; failures are reported, never raised.
     Matrices that are not n x n raise DimensionMismatch."""
     u, v, dbar = _graph_matrices(graph, U=u, V=v, Dbar=dbar)
-    nullspace = _nullspace_is_consensus(v, tol)
+    nullspace = _nullspace_is_consensus(v)
     off = dbar - np.diag(np.diag(dbar))
     gap = float(np.max(np.abs(v + u - 2.0 * dbar)))
     complementarity = (
-        gap <= tol
-        and float(np.max(np.abs(off))) <= tol
-        and bool(np.all(np.diag(dbar) > tol))
+        gap <= MIXING_TOL
+        and float(np.max(np.abs(off))) <= MIXING_TOL
+        and bool(np.all(np.diag(dbar) > MIXING_TOL))
     )
-    distributable = _respects_graph(u, graph, tol) and _respects_graph(v, graph, tol)
+    distributable = _respects_graph(u, graph) and _respects_graph(v, graph)
     return UVReport(
         nullspace=nullspace,
         complementarity=complementarity,

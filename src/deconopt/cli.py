@@ -40,8 +40,13 @@ Config grammar (INI, parsed with configparser)::
     [output]
     dir = out
 
-    [tolerances]          ; optional per-field overrides of the tolerance record,
-    subproblem = 1e-11    ; the run's only source besides its defaults
+    [tolerances]          ; optional: the two thresholds a verdict reads
+    contraction_slack = 1e-7
+    minnorm_consistency = 1e-8
+
+Every float value (rho, eta, pi, xi, omega, epsilon, the [problem] entries
+and the [tolerances] values) must be a finite number; anything else is a
+ConfigError, as is an unknown [tolerances] name or a negative tolerance.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -86,6 +92,11 @@ class ExperimentConfig:
     out_dir: str = "out"
     tolerance_overrides: tuple[tuple[str, float], ...] = ()
 
+    def run_tolerances(self) -> tolerances.Tolerances:
+        """The run's thresholds: the defaults with the config's overrides;
+        ConfigError for an unknown name or a negative value."""
+        return tolerances.DEFAULT.replace(**dict(self.tolerance_overrides))
+
     def certified_eta(self) -> float:
         """The relaxation the verified run iterates with: a pextra run's
         overshoot omega when set, eta otherwise."""
@@ -94,6 +105,7 @@ class ExperimentConfig:
         return self.eta
 
     def validate(self) -> None:
+        self.run_tolerances()
         if self.preset not in ("ls-ring", "explicit"):
             raise ConfigError(f"unknown preset {self.preset!r}")
         if self.preset == "explicit" and (self.edges is None or self.rows is None):
@@ -147,6 +159,14 @@ class ExperimentConfig:
                 )
 
 
+def _finite(raw: str) -> float:
+    """float(raw); ValueError unless it is finite."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _boolean(raw: str) -> bool:
     """configparser's boolean words; ValueError for anything else."""
     try:
@@ -162,16 +182,20 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    def get(section, option, cast, default):
-        if not parser.has_option(section, option):
-            return default
+    def value(section, option, cast):
         raw = parser.get(section, option).strip()
-        if raw == "":
-            return default
         try:
             return cast(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {option}: bad value {raw!r}") from exc
+
+    def get(section, option, cast, default):
+        if not parser.get(section, option, fallback="").strip():
+            return default
+        return value(section, option, cast)
+
+    def floats(raw):
+        return tuple(map(_finite, raw.split()))
 
     preset = get("scenario", "preset", str, "ls-ring")
     n = get("scenario", "n", int, 5)
@@ -198,46 +222,33 @@ def parse_config(text: str) -> ExperimentConfig:
             if parser.has_option("problem", f"q{i}"):
                 if not parser.has_option("problem", f"b{i}"):
                     raise ConfigError(f"[problem] q{i} given without b{i}")
-                q = tuple(float(t) for t in parser.get("problem", f"q{i}").split())
-                b = tuple(float(t) for t in parser.get("problem", f"b{i}").split())
-                rows.append(("quadratic", q, b))
+                rows.append(("quadratic", value("problem", f"q{i}", floats),
+                             value("problem", f"b{i}", floats)))
             elif parser.has_option("problem", f"h{i}"):
                 if not parser.has_option("problem", f"y{i}"):
                     raise ConfigError(f"[problem] h{i} given without y{i}")
-                h = tuple(float(t) for t in parser.get("problem", f"h{i}").split())
-                rows.append(("rank-one", h, float(parser.get("problem", f"y{i}"))))
+                rows.append(("rank-one", value("problem", f"h{i}", floats),
+                             value("problem", f"y{i}", _finite)))
             else:
                 raise ConfigError(f"[problem] agent {i} needs h{i}/y{i} or q{i}/b{i}")
         rows = tuple(rows)
 
-    pi_raw = get("algorithm", "pi", str, "0")
-    pi: float | str
-    if pi_raw == "theorem2":
-        pi = "theorem2"
-    else:
-        try:
-            pi = float(pi_raw)
-        except ValueError as exc:
-            raise ConfigError(f"[algorithm] pi: bad value {pi_raw!r}") from exc
-
+    pi = get("algorithm", "pi", lambda raw: raw if raw == "theorem2" else _finite(raw), 0.0)
     overrides = []
     if parser.has_section("tolerances"):
-        for name, raw in parser.items("tolerances"):
-            try:
-                overrides.append((name, float(raw)))
-            except ValueError as exc:
-                raise ConfigError(f"[tolerances] {name}: bad value {raw!r}") from exc
+        overrides = [(name, value("tolerances", name, _finite))
+                     for name in parser.options("tolerances")]
 
     compare = get("run", "compare", str, None)
     return ExperimentConfig(
         preset=preset, n=n, p=p, seed=seed, edges=edges, rows=rows,
         algorithm=get("algorithm", "name", str, "dadmm"),
-        rho=get("algorithm", "rho", float, 1.0),
-        eta=get("algorithm", "eta", float, 0.5),
+        rho=get("algorithm", "rho", _finite, 1.0),
+        eta=get("algorithm", "eta", _finite, 0.5),
         pi=pi,
-        xi=get("algorithm", "xi", float, None),
-        omega=get("algorithm", "omega", float, None),
-        epsilon=get("algorithm", "epsilon", float, None),
+        xi=get("algorithm", "xi", _finite, None),
+        omega=get("algorithm", "omega", _finite, None),
+        epsilon=get("algorithm", "epsilon", _finite, None),
         rounds=get("algorithm", "rounds", int, 300),
         verify=get("run", "verify", _boolean, False),
         compare=compare,
@@ -308,21 +319,19 @@ def build_scenario(config: ExperimentConfig):
     return graph, components
 
 
-def _resolve_params(config: ExperimentConfig, graph, tol) -> solvers.AdmmParams:
+def _resolve_params(config: ExperimentConfig, graph) -> solvers.AdmmParams:
     if config.pi == "theorem2":
         pi = solvers.theorem2_pi(graph, config.xi, config.rho)
     else:
         pi = float(config.pi)
     try:
-        return solvers.AdmmParams(
-            rho=config.rho, eta=config.eta, pi=pi, subproblem_tol=tol.subproblem
-        )
+        return solvers.AdmmParams(rho=config.rho, eta=config.eta, pi=pi)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
-                   params: solvers.AdmmParams, tol, record):
+                   params: solvers.AdmmParams, record):
     """Run one algorithm for the configured rounds from a zero dual.
 
     Calls the row sink `record(k, x, messages)` for k = 0 (the initial
@@ -338,9 +347,7 @@ def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
             eta_like = config.omega if config.omega is not None else config.eta
             w, wt = solvers.pextra_mixing(graph, config.xi, config.rho, eta_like)
             agents = harness.pextra_agents(
-                graph, components,
-                solvers.PextraParams(xi=config.xi, w=w, w_tilde=wt),
-                subproblem_tol=tol.subproblem,
+                graph, components, solvers.PextraParams(xi=config.xi, w=w, w_tilde=wt)
             )
         else:
             agents = harness.general_uv_agents(
@@ -431,10 +438,10 @@ def run(config: ExperimentConfig) -> int:
     run's rows become compare.csv's gaps one row block at a time.
     """
     config.validate()
-    tol = tolerances.DEFAULT.replace(**dict(config.tolerance_overrides))
+    tol = config.run_tolerances()
 
     graph, components = build_scenario(config)
-    params = _resolve_params(config, graph, tol)
+    params = _resolve_params(config, graph)
     ref = analysis.reference_solution(graph, components, params.eta, tol)
 
     xs = np.empty((config.rounds + 1, graph.n * graph.p))
@@ -444,15 +451,14 @@ def run(config: ExperimentConfig) -> int:
         xs[k] = x
         messages[k] = count
 
-    phi_last = _run_algorithm(config.algorithm, config, graph, components, params, tol,
-                              record)
+    phi_last = _run_algorithm(config.algorithm, config, graph, components, params, record)
 
     cert = None
     report = None
     if config.verify:
         profile = objective.sum_profile(components, graph)
         cert_params = replace(params, eta=config.certified_eta())
-        cert = analysis.rate_certificate(graph, profile, cert_params, tol)
+        cert = analysis.rate_certificate(graph, profile, cert_params)
         report = analysis.verify_contraction(xs, phi_last, ref, cert, tolerances=tol)
 
     os.makedirs(config.out_dir, exist_ok=True)
@@ -476,7 +482,7 @@ def run(config: ExperimentConfig) -> int:
 
     if config.compare is not None:
         gaps = np.empty(len(xs))
-        _run_algorithm(config.compare, config, graph, components, params, tol,
+        _run_algorithm(config.compare, config, graph, components, params,
                        _gap_sink(xs, gaps))
         _write_lines(os.path.join(config.out_dir, "compare.csv"), "k,max_abs_dx",
                      map("%d,%.17g\n".__mod__, enumerate(gaps.tolist())))

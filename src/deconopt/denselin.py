@@ -8,7 +8,10 @@ B = b (x) I_p for an incidence operator b of a connected graph, from the
 graph-level Gram matrix b^T b and the products of B and B^T, which the caller
 supplies: no b is formed here and no pseudo-inverse either. Inputs are
 validated here and LAPACK failures are mapped to the package errors, so no
-bare numpy exception escapes.
+bare numpy exception escapes. Its two thresholds are constants:
+`SYMMETRY_TOL`, the largest asymmetry a SymMatrix symmetrizes, and
+`SPECTRUM_ZERO`, the relative cutoff below which `smallest_nonzero` counts an
+eigenvalue as zero.
 """
 
 from __future__ import annotations
@@ -28,24 +31,31 @@ from .errors import (
 )
 from .tolerances import DEFAULT, Tolerances
 
+# largest absolute asymmetry a SymMatrix symmetrizes rather than refuses
+SYMMETRY_TOL = 1e-12
+# relative cutoff separating "zero" eigenvalues from the rest; a connected
+# graph's Laplacian computes its zero at |lam_0| / lam_max ~ 1e-16, and a
+# 1000-node path has lam_2 / lam_max = 2.5e-6
+SPECTRUM_ZERO = 1e-9
+
 
 class SymMatrix:
     """Dense symmetric matrix; symmetrized on construction.
 
-    Construction refuses inputs whose absolute asymmetry exceeds the
-    `symmetry` tolerance.
+    Construction refuses inputs whose absolute asymmetry exceeds
+    `SYMMETRY_TOL`.
     """
 
-    def __init__(self, entries, tolerances: Tolerances = DEFAULT):
+    def __init__(self, entries):
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise NonFinite("matrix contains non-finite entries")
         skew = np.max(np.abs(a - a.T)) if a.size else 0.0
-        if skew > tolerances.symmetry:
+        if skew > SYMMETRY_TOL:
             raise DimensionMismatch(
-                f"matrix asymmetry {skew:.3e} exceeds tolerance {tolerances.symmetry:.3e}"
+                f"matrix asymmetry {skew:.3e} exceeds tolerance {SYMMETRY_TOL:.3e}"
             )
         a = 0.5 * (a + a.T)
         a.setflags(write=False)
@@ -56,36 +66,33 @@ class SymMatrix:
         return self.entries.shape[0]
 
 
-def _as_sym_array(a, tolerances: Tolerances = DEFAULT) -> np.ndarray:
+def _as_sym_array(a) -> np.ndarray:
     if isinstance(a, SymMatrix):
         return a.entries
-    return SymMatrix(a, tolerances).entries
+    return SymMatrix(a).entries
 
 
-def sym_eigen(a, tolerances: Tolerances = DEFAULT):
+def sym_eigen(a):
     """Eigendecomposition of a symmetric matrix (LAPACK via numpy.linalg.eigh).
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns, in
     matching order). A raw array is validated as a SymMatrix first.
     """
     try:
-        return np.linalg.eigh(_as_sym_array(a, tolerances))
+        return np.linalg.eigh(_as_sym_array(a))
     except np.linalg.LinAlgError as exc:
         raise DeconoptError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def smallest_nonzero(eigvals: np.ndarray, zero_tol: float | None = None,
-                     tolerances: Tolerances = DEFAULT) -> float:
+def smallest_nonzero(eigvals: np.ndarray) -> float:
     """Smallest eigenvalue strictly above the zero cutoff, from the ascending
     eigenvalues of a PSD matrix.
 
-    The cutoff defaults to `spectrum_zero * lambda_max`. Raises IndefiniteInput
-    when the matrix has an eigenvalue below -cutoff, AllZero when nothing
-    exceeds the cutoff.
+    The cutoff is `SPECTRUM_ZERO * lambda_max`. Raises IndefiniteInput when
+    the matrix has an eigenvalue below -cutoff, AllZero when nothing exceeds
+    the cutoff.
     """
-    lam_max = float(eigvals[-1])
-    if zero_tol is None:
-        zero_tol = tolerances.spectrum_zero * max(lam_max, 0.0)
+    zero_tol = SPECTRUM_ZERO * max(float(eigvals[-1]), 0.0)
     if eigvals[0] < -zero_tol:
         raise IndefiniteInput(
             f"matrix has negative eigenvalue {eigvals[0]:.3e}"

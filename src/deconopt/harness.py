@@ -53,7 +53,6 @@ from .netgraph import (
     support_mask,
     unoriented_gram,
 )
-from .tolerances import DEFAULT
 
 if TYPE_CHECKING:
     from .solvers import AdmmParams, PextraParams
@@ -162,7 +161,7 @@ def dadmm_agents(graph: NetworkGraph, components, params: AdmmParams,
 
 
 def pextra_agents(graph: NetworkGraph, components, pextra: PextraParams,
-                  x0=None, subproblem_tol: float = DEFAULT.subproblem) -> Network:
+                  x0=None) -> Network:
     _check_mixing_support(pextra.w, graph)
     _check_mixing_support(pextra.w_tilde, graph)
     x = rows(x0, graph)
@@ -170,7 +169,7 @@ def pextra_agents(graph: NetworkGraph, components, pextra: PextraParams,
     net = Network(
         graph, components, -pextra.w / pextra.xi, pextra.w - pextra.w_tilde,
         np.full(graph.n, inv_xi), np.zeros(graph.n), scale=-inv_xi,
-        tol=subproblem_tol, x=x, dual=np.zeros_like(x),
+        tol=objective.SUBPROBLEM_TOL, x=x, dual=np.zeros_like(x),
     )
     net.dual = net.mixed[1]   # the running sum starts at (W - W~) x0
     return net
@@ -241,18 +240,17 @@ def random_connected_edges(n: int, rng: np.random.Generator,
     return sorted(edges)
 
 
-def random_rank_one_components(n: int, p: int, rng: np.random.Generator,
-                               min_eig: float = 0.1):
+def random_rank_one_components(n: int, p: int, rng: np.random.Generator):
     """n standard-normal rank-one rows, resampled until the summed Gram
-    matrix has smallest eigenvalue >= min_eig (strongly convex sum even
-    though each component is not for p > 1)."""
+    matrix has smallest eigenvalue >= 0.1 (strongly convex sum even though
+    each component is not for p > 1)."""
     if n < p:
         raise ValueError(f"need n >= p for a full-rank instance, got n={n}, p={p}")
     for _ in range(1000):
         rows = rng.standard_normal((n, p))
         gram = rows.T @ rows
         eigvals, _ = denselin.sym_eigen(denselin.SymMatrix(gram))
-        if eigvals[0] >= min_eig:
+        if eigvals[0] >= 0.1:
             break
     else:
         raise RuntimeError("failed to draw a well-conditioned instance")

@@ -21,6 +21,11 @@ it takes every (Q, b) from `quadratic_stack` into one dense system, and
 `sum_value` evaluates the separable sum at one stacked point or at every row
 of a (rows, n*p) array in one pass; each component's `values` gives the same
 bits as its `value`, row by row.
+
+Newton's thresholds are constants: `SUBPROBLEM_TOL`, the default
+stationarity of a local subproblem, `CENTRAL_SOLVE_TOL`, that of the central
+solves, the Armijo constant `NEWTON_ARMIJO` and the iteration cap
+`NEWTON_MAX_ITER`.
 """
 
 from __future__ import annotations
@@ -38,8 +43,16 @@ from .errors import (
     NotStronglyConvex,
     NoUniqueMinimizer,
 )
-from .netgraph import NetworkGraph, arc_stack, laplacian
-from .tolerances import DEFAULT, Tolerances
+from .netgraph import NetworkGraph
+
+# per-agent subproblem stationarity norm; contraction verification needs
+# iterates accurate well below the per-step contraction margin
+SUBPROBLEM_TOL = 1e-11
+# stationarity of the central solves (reference solution, exact method of
+# multipliers)
+CENTRAL_SOLVE_TOL = 1e-12
+NEWTON_ARMIJO = 1e-4
+NEWTON_MAX_ITER = 200
 
 
 class ObjectiveComponent:
@@ -179,12 +192,11 @@ class SumProfile:
     p: int
 
 
-def _newton_minimize(value_fn, grad_fn, hess_fn, x0, tol,
-                     tolerances: Tolerances = DEFAULT) -> tuple[np.ndarray, int]:
+def _newton_minimize(value_fn, grad_fn, hess_fn, x0, tol) -> tuple[np.ndarray, int]:
     """Damped Newton with Armijo backtracking; returns (minimizer, iterations)."""
     x = np.array(x0, dtype=float)
     fx = value_fn(x)
-    for it in range(tolerances.newton_max_iter):
+    for it in range(NEWTON_MAX_ITER):
         g = grad_fn(x)
         gnorm = np.linalg.norm(g)
         if gnorm <= tol:
@@ -201,7 +213,7 @@ def _newton_minimize(value_fn, grad_fn, hess_fn, x0, tol,
         for _ in range(60):
             trial = x + t * step
             f_trial = value_fn(trial)
-            if f_trial <= fx + tolerances.newton_armijo * t * slope + floor:
+            if f_trial <= fx + NEWTON_ARMIJO * t * slope + floor:
                 break
             t *= 0.5
         else:
@@ -210,10 +222,10 @@ def _newton_minimize(value_fn, grad_fn, hess_fn, x0, tol,
         fx = f_trial
     g = grad_fn(x)
     if np.linalg.norm(g) <= tol:
-        return x, tolerances.newton_max_iter
+        return x, NEWTON_MAX_ITER
     raise NewtonStall(
         f"stationarity {np.linalg.norm(g):.3e} above tolerance {tol:.3e} "
-        f"after {tolerances.newton_max_iter} iterations"
+        f"after {NEWTON_MAX_ITER} iterations"
     )
 
 
@@ -243,7 +255,7 @@ class ProximalRows:
     the rows and `closed_iters` the iteration counts of a round with no
     callback."""
 
-    def __init__(self, components, a, pi, tol: float = DEFAULT.subproblem):
+    def __init__(self, components, a, pi, tol: float = SUBPROBLEM_TOL):
         self.components = list(components)
         self.a, self.pi = np.asarray(a, dtype=float), np.asarray(pi, dtype=float)
         self.tol = tol
@@ -352,7 +364,7 @@ def quadratic_stack(components):
     return np.array([t[0] for t in terms]), np.array([t[1] for t in terms])
 
 
-def minimize_composite(components, linear, quad, x0, tol: float = DEFAULT.central_solve):
+def minimize_composite(components, linear, quad, x0):
     """argmin over stacked x of sum_i f_i(x_i) + linear'x + 0.5 x'(quad)x.
 
     `quad` is a dense PSD matrix on the stacked space. Solved by damped
@@ -377,10 +389,11 @@ def minimize_composite(components, linear, quad, x0, tol: float = DEFAULT.centra
             h[sl, sl] += comp.hess(x[sl])
         return h
 
-    return _newton_minimize(value_fn, grad_fn, hess_fn, np.asarray(x0, dtype=float), tol)[0]
+    return _newton_minimize(value_fn, grad_fn, hess_fn, np.asarray(x0, dtype=float),
+                            CENTRAL_SOLVE_TOL)[0]
 
 
-def minimize_sum(components, tol: float = DEFAULT.central_solve) -> np.ndarray:
+def minimize_sum(components) -> np.ndarray:
     """Centralized minimizer of f_bar(v) = sum_i f_i(v) on R^p."""
     p = components[0].p
     qs = [comp.quadratic_terms() for comp in components]
@@ -398,37 +411,10 @@ def minimize_sum(components, tol: float = DEFAULT.central_solve) -> np.ndarray:
     def hess_fn(v):
         return sum(comp.hess(v) for comp in components)
 
-    return _newton_minimize(value_fn, grad_fn, hess_fn, np.zeros(p), tol)[0]
+    return _newton_minimize(value_fn, grad_fn, hess_fn, np.zeros(p), CENTRAL_SOLVE_TOL)[0]
 
 
-# -- the regularized objective g ------------------------------------------------
-
-def _check_on_graph(components, graph: NetworkGraph, x=None):
-    """DimensionMismatch unless there is one component per agent of the
-    graph; then `_check_stacked` on x, when given."""
-    if len(components) != graph.n:
-        raise DimensionMismatch(
-            f"{len(components)} components for a graph with {graph.n} agents"
-        )
-    return None if x is None else _check_stacked(components, x)
-
-
-def eval_g(components, graph: NetworkGraph, rho: float, eta: float, x) -> float:
-    """f(x) plus the consensus penalty rho(1-eta)/4 ||E_o x||^2."""
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not 0 < eta < 1:
-        raise ValueError(f"eta must lie in (0,1), got {eta}")
-    x = _check_on_graph(components, graph, x)
-    penalty = float(np.linalg.norm(arc_stack(graph).e_o(x)) ** 2)
-    return sum_value(components, x) + 0.25 * rho * (1.0 - eta) * penalty
-
-
-def grad_g(components, graph: NetworkGraph, rho: float, eta: float, x) -> np.ndarray:
-    x = _check_on_graph(components, graph, x)
-    lap_x = (laplacian(graph) @ x.reshape(graph.n, -1)).ravel()
-    return sum_gradient(components, x) + 0.5 * rho * (1.0 - eta) * lap_x
-
+# -- curvature profile of the sum ------------------------------------------------
 
 def sum_profile(components, graph: NetworkGraph,
                 mu_sum: float | None = None) -> SumProfile:
@@ -438,7 +424,10 @@ def sum_profile(components, graph: NetworkGraph,
     quadratic kinds and must be supplied for callback components. Raises
     NotStronglyConvex when the sum fails Assumption-level strong convexity.
     """
-    _check_on_graph(components, graph)
+    if len(components) != graph.n:
+        raise DimensionMismatch(
+            f"{len(components)} components for a graph with {graph.n} agents"
+        )
     p = components[0].p
     if any(comp.p != p for comp in components):
         raise DimensionMismatch("components disagree on block dimension")

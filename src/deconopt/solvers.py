@@ -37,8 +37,7 @@ paper's equivalences show in the code as a choice of c and of the weights
 (a_i, pi_i). ``DadmmMatrixEngine`` and ``FullAdmmEngine`` use D-ADMM's
 (rho d_i, pi_i); ``ApproxMMEngine`` uses (0, rho (d_i + eps pi_i)), its
 majorizer. A method-of-multipliers state carries E_o x of its x, which `init`
-and `step` set, so an ``ApproxMMEngine`` step gathers once; a state built
-without it gets it formed by the step, to the same bits. Only
+and `step` set, so an ``ApproxMMEngine`` step gathers once. Only
 ``ExactMMEngine``, which couples agents through L (x) I_p, forms a dense
 (np) x (np) system, and it refuses instances with n p above
 `EXACT_MM_MAX_ORDER`.
@@ -68,7 +67,6 @@ from .netgraph import (
     degrees,
     laplacian,
 )
-from .tolerances import DEFAULT
 
 ETA_SUP = 0.5 * (1.0 + math.sqrt(5.0))
 
@@ -85,7 +83,7 @@ class AdmmParams:
     rho: float
     eta: float
     pi: float | tuple[float, ...] = 0.0
-    subproblem_tol: float = DEFAULT.subproblem
+    subproblem_tol: float = objective.SUBPROBLEM_TOL
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -135,8 +133,8 @@ class FullAdmmState:
 class MMState:
     x: np.ndarray
     nu: np.ndarray
+    e_o_x: np.ndarray  # E_o x, carried to the next step
     k: int = 0
-    e_o_x: np.ndarray | None = None  # E_o x, carried to the next step; None: formed there
 
 
 @dataclass
@@ -158,7 +156,7 @@ class PextraParams:
         if self.xi <= 0:
             raise ValueError(f"xi must be positive, got {self.xi}")
         for mat in (self.w, self.w_tilde):
-            if np.max(np.abs(mat - mat.T)) > 1e-12:
+            if np.max(np.abs(mat - mat.T)) > denselin.SYMMETRY_TOL:
                 raise ValueError("mixing matrices must be symmetric")
 
 
@@ -339,8 +337,8 @@ class FullAdmmEngine(_CentralEngine):
 
 class _MultiplierEngine(_CentralEngine):
     """The set-up, `init`, `snapshot` and state check of the two
-    method-of-multipliers engines. Their states carry E_o x: `init` and
-    `step` set it, and a step forms it for a state that carries none."""
+    method-of-multipliers engines. Their states carry E_o x, which `init`
+    and `step` set."""
 
     def __init__(self, graph: NetworkGraph, components, params: AdmmParams):
         mp = graph.m * graph.p
@@ -352,7 +350,7 @@ class _MultiplierEngine(_CentralEngine):
     def init(self, x0=None, nu0=None) -> MMState:
         x = _initial(x0, self.graph.n * self.graph.p, "x0")
         nu = _initial(nu0, self.graph.m * self.graph.p, "nu0")
-        return MMState(x=x, nu=nu, k=0, e_o_x=self.stack.e_o(x))
+        return MMState(x=x, nu=nu, e_o_x=self.stack.e_o(x))
 
     def snapshot(self, state: MMState) -> TraceRow:
         scaled = math.sqrt(self.params.eta) * state.nu
@@ -363,11 +361,7 @@ class _MultiplierEngine(_CentralEngine):
         x, nu, e_o_x = state.x, state.nu, state.e_o_x
         if (getattr(x, "shape", None), getattr(nu, "shape", None),
                 getattr(e_o_x, "shape", None)) != self._shapes:
-            lengths = dict(self._lengths)
-            if e_o_x is None:  # a state that carries no product: formed here
-                del lengths["e_o_x"]
-            _check_state(state, lengths)
-            e_o_x = self.stack.e_o(x)
+            _check_state(state, self._lengths)
         return x, nu, e_o_x
 
     def _next(self, state: MMState, new_x: np.ndarray, nu: np.ndarray) -> MMState:
@@ -393,8 +387,7 @@ class ExactMMEngine(_MultiplierEngine):
     DeconoptError before anything dense is allocated.
     """
 
-    def __init__(self, graph: NetworkGraph, components, params: AdmmParams,
-                 solve_tol: float = DEFAULT.central_solve):
+    def __init__(self, graph: NetworkGraph, components, params: AdmmParams):
         if graph.n * graph.p > EXACT_MM_MAX_ORDER:
             raise DeconoptError(
                 f"mm-exact inverts a dense system of order n*p = {graph.n * graph.p}, "
@@ -405,7 +398,6 @@ class ExactMMEngine(_MultiplierEngine):
         super().__init__(graph, components, params)
         n, p = graph.n, graph.p
         system = 0.5 * params.rho * np.kron(laplacian(graph), np.eye(p))
-        self._solve_tol = solve_tol
         stack = objective.quadratic_stack(self.components)
         if stack is None:
             # damped Newton on the stacked objective
@@ -421,8 +413,7 @@ class ExactMMEngine(_MultiplierEngine):
         x, nu, _ = self._operands(state)
         linear = self.stack.e_o_transpose(self._root_eta * nu)
         if self._neg_inverse is None:
-            new_x = objective.minimize_composite(self.components, linear, self._system,
-                                                 x, self._solve_tol)
+            new_x = objective.minimize_composite(self.components, linear, self._system, x)
         else:
             new_x = self._neg_inverse @ linear + self._x_b
         return self._next(state, new_x, nu)
@@ -508,11 +499,9 @@ class PextraEngine:
     (identical mathematics, O(1) memory). Run by the simulated network's
     round (`harness.pextra_agents`), whose dual is the running sum."""
 
-    def __init__(self, graph: NetworkGraph, components, pextra: PextraParams,
-                 subproblem_tol: float = DEFAULT.subproblem):
+    def __init__(self, graph: NetworkGraph, components, pextra: PextraParams):
         self.graph = graph
-        self.net = harness.pextra_agents(graph, components, pextra,
-                                         subproblem_tol=subproblem_tol)
+        self.net = harness.pextra_agents(graph, components, pextra)
 
     def init(self, x0=None) -> PextraState:
         x = harness.rows(x0, self.graph)

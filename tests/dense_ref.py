@@ -17,7 +17,9 @@ certificate norms' lifted x-blocks from the dense incidence, and `x_block`
 reassembles a certificate's x-block densely from its node weights and
 coupling. `phi_space_distances_sq` measures the certificate's distance on
 dual aggregates through a dense L^+, against which the verification's
-distances are checked.
+distances are checked. `eval_g` and `grad_g` are the penalized objective
+g(x) = f(x) + rho (1 - eta)/4 |E_o x|^2 and its gradient, from the dense
+lifted incidence: the oracles of the certified mu_g and L_g.
 
 `dadmm_matrix_step`, `full_admm_step` and `approx_mm_step` are the steps of
 the three central engines whose agents decouple, written out with the
@@ -32,7 +34,6 @@ import math
 import numpy as np
 
 from deconopt import denselin, netgraph, objective
-from deconopt.tolerances import DEFAULT
 
 
 def reference_arcs(g):
@@ -98,15 +99,27 @@ def incidence_uv(g):
     return gram_u, gram_o, 0.5 * (gram_o + gram_u)
 
 
-def min_norm_solver(b, p=1, tolerances=DEFAULT):
+def min_norm_solver(b, p=1):
     """`denselin.MinNormTransposeSolver` for a dense graph-level incidence
     matrix b of a connected graph: its Gram matrix b'b, and the products of
     the dense lift b (x) I_p and its transpose."""
     b = np.asarray(b, dtype=float)
     lifted = lift(b, p)
     return denselin.MinNormTransposeSolver(
-        b.T @ b, lambda y: lifted @ y, lambda a: lifted.T @ a, p, tolerances
+        b.T @ b, lambda y: lifted @ y, lambda a: lifted.T @ a, p
     )
+
+
+def eval_g(components, g, rho, eta, x):
+    """f(x) plus the consensus penalty rho (1 - eta)/4 |E_o x|^2."""
+    e_o_x = lifted_incidence(g)[0] @ x
+    return objective.sum_value(components, x) + 0.25 * rho * (1.0 - eta) * (e_o_x @ e_o_x)
+
+
+def grad_g(components, g, rho, eta, x):
+    """grad f(x) plus rho (1 - eta)/2 E_o'E_o x."""
+    e_o = lifted_incidence(g)[0]
+    return objective.sum_gradient(components, x) + 0.5 * rho * (1.0 - eta) * (e_o.T @ (e_o @ x))
 
 
 def x_norm_blocks(g, rho, pi):

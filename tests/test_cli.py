@@ -1,7 +1,8 @@
 import csv
 import os
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -84,6 +85,25 @@ class TestConfigRoundTrip:
             parse_config("[graph]\nedges = 1:2\n")
         with pytest.raises(ConfigError):
             parse_config("not an ini at all [ ")
+
+    NON_FINITE = {
+        "[algorithm] rho": "[algorithm]\nrho = nan\n",
+        "[algorithm] eta": "[algorithm]\neta = inf\n",
+        "[algorithm] pi": "[algorithm]\npi = -inf\n",
+        "[algorithm] xi": "[algorithm]\nxi = nan\n",
+        "[algorithm] omega": "[algorithm]\nomega = nan\n",
+        "[algorithm] epsilon": "[algorithm]\nepsilon = inf\n",
+        "[problem] h1": "[scenario]\nn = 1\n[problem]\nh1 = 1.0 nan\ny1 = 0\n",
+        "[problem] y1": "[scenario]\nn = 1\n[problem]\nh1 = 1.0\ny1 = inf\n",
+        "[problem] q1": "[scenario]\nn = 1\n[problem]\nq1 = nan\nb1 = 0\n",
+        "[tolerances] contraction_slack": "[tolerances]\ncontraction_slack = nan\n",
+        "[tolerances] minnorm_consistency": "[tolerances]\nminnorm_consistency = inf\n",
+    }
+
+    @pytest.mark.parametrize("name", list(NON_FINITE))
+    def test_non_finite_values_rejected(self, name):
+        with pytest.raises(ConfigError, match=re.escape(f"{name}: bad value")):
+            parse_config(self.NON_FINITE[name])
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
@@ -345,10 +365,9 @@ class TestCompareMode:
     def recorded(name, config):
         """The (rounds+1, n*p) trajectory of one algorithm, row by row."""
         graph, comps = cli.build_scenario(config)
-        tol = tolerances.DEFAULT
         rows = []
-        cli._run_algorithm(name, config, graph, comps, cli._resolve_params(config, graph, tol),
-                           tol, lambda k, x, messages: rows.append(x.copy()))
+        cli._run_algorithm(name, config, graph, comps, cli._resolve_params(config, graph),
+                           lambda k, x, messages: rows.append(x.copy()))
         return np.array(rows)
 
     @pytest.mark.parametrize("rounds", [0, 127, 128, 129])
@@ -542,11 +561,10 @@ class TestVerifiedRuns:
 
         monkeypatch.setattr(cli.analysis, "verify_contraction", spy)
         text = BASE_INI.format(out=tmp_path / "v") + (
-            "\n[tolerances]\nspectrum_zero = 1e-10\nminnorm_consistency = 1e-9\n"
-            "subproblem = 1e-10\n")
+            "\n[tolerances]\nminnorm_consistency = 1e-9\ncontraction_slack = 1e-6\n")
         assert cli.main(["run", write(tmp_path, text), "--verify"]) == 0
-        assert [(t.spectrum_zero, t.minnorm_consistency, t.subproblem)
-                for t in seen] == [(1e-10, 1e-9, 1e-10)]
+        assert [(t.minnorm_consistency, t.contraction_slack)
+                for t in seen] == [(1e-9, 1e-6)]
 
     @staticmethod
     def nudge_final_dual(monkeypatch, rel):
@@ -583,6 +601,38 @@ class TestVerifiedRuns:
         text = BASE_INI.format(out=tmp_path / "s") + "\n[tolerances]\nsearch = 1e-10\n"
         assert cli.main(["run", write(tmp_path, text), "--verify"]) == 1
         assert "search" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("name", ["spectrum_zero", "symmetry", "subproblem",
+                                      "central_solve", "newton_armijo", "newton_max_iter",
+                                      "mixing_eigen"])
+    def test_removed_tolerance_is_setup_error(self, name, tmp_path, capsys):
+        # thresholds no run could change are module constants, not settings
+        text = BASE_INI.format(out=tmp_path / "s") + f"\n[tolerances]\n{name} = 1e-10\n"
+        assert cli.main(["run", write(tmp_path, text), "--verify"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("deconopt: ") and name in err
+        assert not (tmp_path / "s").exists()
+
+    def test_tolerances_are_the_run_thresholds(self):
+        assert {f.name for f in fields(tolerances.Tolerances)} == {
+            "minnorm_consistency", "contraction_slack"}
+
+    def test_non_finite_xi_is_setup_error(self, tmp_path, capsys):
+        text = (BASE_INI.format(out=tmp_path / "s")
+                .replace("name = dadmm", "name = pextra").replace("pi = 0", "pi = 0\nxi = nan"))
+        assert cli.main(["run", write(tmp_path, text)]) == 1
+        assert "[algorithm] xi: bad value 'nan'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-7"])
+    def test_bad_contraction_slack_is_setup_error(self, value, tmp_path, capsys):
+        # a NaN slack makes every round's allowed distance NaN, so no round
+        # could ever violate
+        text = (BASE_INI.format(out=tmp_path / "s")
+                + f"\n[tolerances]\ncontraction_slack = {value}\n")
+        assert cli.main(["run", write(tmp_path, text), "--verify"]) == 1
+        assert "contraction_slack" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
 
