@@ -48,7 +48,7 @@ from .netgraph import (
 )
 from .tolerances import DEFAULT, Tolerances
 
-_ROW_BLOCK = 128  # trace rows per pass of `distances_sq`; bounds its temporaries
+_ROW_BLOCK = objective._ROW_BLOCK  # trace rows per pass of `distances_sq`
 # entry and eigenvalue tolerance of the mixing-matrix and U/V condition checks
 MIXING_TOL = 1e-9
 
@@ -57,14 +57,17 @@ MIXING_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Consensual optimum, the unique column-space multiplier, and its scaled
-    method-of-multipliers counterpart."""
+    """Consensual optimum, the unique column-space multiplier, its scaled
+    method-of-multipliers counterpart, and the sum's curvature profile, which
+    the strong-convexity check formed (None when a component is a callback,
+    whose mu_sum the caller supplies)."""
 
     xbar: np.ndarray
     x_star: np.ndarray
     alpha_star: np.ndarray
     nu_star: np.ndarray
     objective_value: float
+    profile: objective.SumProfile | None = None
 
 
 def reference_solution(graph: NetworkGraph, components, eta: float,
@@ -72,23 +75,27 @@ def reference_solution(graph: NetworkGraph, components, eta: float,
     """Solve the instance centrally and price the consensus coupling.
 
     The multiplier solves E_o^T alpha = -grad f(x*) at minimum norm, hence
-    lies in the column space of E_o and is the unique such multiplier.
+    lies in the column space of E_o and is the unique such multiplier. Every
+    pass over the components reads one stacked view of them.
     """
     if eta <= 0:
         raise EtaOutOfRange(f"eta must be positive, got {eta}")
-    if all(comp.quadratic_terms() is not None for comp in components):
-        objective.sum_profile(components, graph)  # raises NotStronglyConvex early
-    xbar = objective.minimize_sum(components)
+    stack = objective._stacked(components)
+    profile = None
+    if not stack.callbacks:
+        profile = objective.sum_profile(stack, graph)  # raises NotStronglyConvex early
+    xbar = objective.minimize_sum(stack)
     x_star = np.tile(xbar, graph.n)
     alpha_star = e_o_min_norm_solver(graph, tolerances)(
-        -objective.sum_gradient(components, x_star)
+        -objective.sum_gradient(stack, x_star)
     )
     return ReferenceSolution(
         xbar=xbar,
         x_star=x_star,
         alpha_star=alpha_star,
         nu_star=alpha_star / math.sqrt(eta),
-        objective_value=objective.sum_value(components, x_star),
+        objective_value=objective.sum_value(stack, x_star),
+        profile=profile,
     )
 
 

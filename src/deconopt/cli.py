@@ -7,20 +7,22 @@ violation when verification was requested.
 
 Config grammar (INI, parsed with configparser)::
 
-    [scenario]            ; preset "ls-ring" or "explicit"
-    preset = ls-ring
-    n = 5
+    [scenario]            ; preset "explicit" or "ls-ring"
+    preset = explicit
+    n = 3
     p = 2
-    seed = 1
+    seed = 1              ; ls-ring only
 
     [graph]               ; explicit scenarios only
     edges = 1-2 2-3 3-1
 
-    [problem]             ; one block per agent: rank-one h{i}/y{i} pairs or
-    h1 = 1.0 0.0          ; quadratic q{i}/b{i} blocks (Q row-major, p x p)
-    y1 = 0.25
+    [problem]             ; explicit scenarios only; every agent 1..n gives
+    h1 = 1.0 0.0          ; either a rank-one h{i}/y{i} pair or a quadratic
+    y1 = 0.25             ; q{i}/b{i} block (Q row-major, p x p), never both
     q2 = 1.0 0.0 0.0 1.0
     b2 = 0.5 -0.5
+    h3 = 0.0 1.0
+    y3 = -1.0
 
     [algorithm]
     name = dadmm          ; dadmm | pextra | general-uv | dadmm-matrix |
@@ -44,9 +46,12 @@ Config grammar (INI, parsed with configparser)::
     contraction_slack = 1e-7
     minnorm_consistency = 1e-8
 
-Every float value (rho, eta, pi, xi, omega, epsilon, the [problem] entries
-and the [tolerances] values) must be a finite number; anything else is a
-ConfigError, as is an unknown [tolerances] name or a negative tolerance.
+A ";" at the start of a line or after whitespace begins a comment. Every
+float value (rho, eta, pi, xi, omega, epsilon, the [problem] entries and the
+[tolerances] values) must be a finite number; anything else is a
+ConfigError, as is an unknown [tolerances] name, a negative tolerance, a
+[problem] option naming no agent 1..n, and an agent without exactly one
+complete pair.
 """
 
 from __future__ import annotations
@@ -175,27 +180,32 @@ def _boolean(raw: str) -> bool:
         raise ValueError(raw) from None
 
 
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(map(_finite, raw.split()))
+
+
+# an agent's [problem] entries per kind: its two option letters and casts
+_PROBLEM_KINDS = (("rank-one", "h", _floats, "y", _finite),
+                  ("quadratic", "q", _floats, "b", _floats))
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    def value(section, option, cast):
-        raw = parser.get(section, option).strip()
+    def cast(section, option, raw, convert):
+        raw = raw.strip()
         try:
-            return cast(raw)
+            return convert(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {option}: bad value {raw!r}") from exc
 
-    def get(section, option, cast, default):
-        if not parser.get(section, option, fallback="").strip():
-            return default
-        return value(section, option, cast)
-
-    def floats(raw):
-        return tuple(map(_finite, raw.split()))
+    def get(section, option, convert, default):
+        raw = parser.get(section, option, fallback="")
+        return cast(section, option, raw, convert) if raw.strip() else default
 
     preset = get("scenario", "preset", str, "ls-ring")
     n = get("scenario", "n", int, 5)
@@ -215,29 +225,37 @@ def parse_config(text: str) -> ExperimentConfig:
 
     rows = None
     if parser.has_section("problem"):
+        # each agent supplies either a rank-one (h, y) pair or a full
+        # quadratic (Q, b) block, Q given row-major
+        section = dict(parser.items("problem"))
         rows = []
         for i in range(1, n + 1):
-            # each agent supplies either a rank-one (h, y) pair or a full
-            # quadratic (Q, b) block, Q given row-major
-            if parser.has_option("problem", f"q{i}"):
-                if not parser.has_option("problem", f"b{i}"):
-                    raise ConfigError(f"[problem] q{i} given without b{i}")
-                rows.append(("quadratic", value("problem", f"q{i}", floats),
-                             value("problem", f"b{i}", floats)))
-            elif parser.has_option("problem", f"h{i}"):
-                if not parser.has_option("problem", f"y{i}"):
-                    raise ConfigError(f"[problem] h{i} given without y{i}")
-                rows.append(("rank-one", value("problem", f"h{i}", floats),
-                             value("problem", f"y{i}", _finite)))
-            else:
-                raise ConfigError(f"[problem] agent {i} needs h{i}/y{i} or q{i}/b{i}")
+            found = []
+            for kind, first, first_cast, second, second_cast in _PROBLEM_KINDS:
+                a, b = section.pop(f"{first}{i}", None), section.pop(f"{second}{i}", None)
+                if a is None and b is None:
+                    continue
+                if a is None or b is None:
+                    have, lack = (first, second) if b is None else (second, first)
+                    raise ConfigError(f"[problem] {have}{i} given without {lack}{i}")
+                found.append((kind, cast("problem", f"{first}{i}", a, first_cast),
+                              cast("problem", f"{second}{i}", b, second_cast)))
+            if len(found) != 1:
+                raise ConfigError(f"[problem] agent {i} is given both h{i}/y{i} and q{i}/b{i}"
+                                  if found else
+                                  f"[problem] agent {i} needs h{i}/y{i} or q{i}/b{i}")
+            rows.append(found[0])
+        # configparser lists [DEFAULT]'s options in every section
+        unknown = [option for option in section if option not in parser.defaults()]
+        if unknown:
+            raise ConfigError(f"[problem] {unknown[0]} names no agent 1..{n}")
         rows = tuple(rows)
 
     pi = get("algorithm", "pi", lambda raw: raw if raw == "theorem2" else _finite(raw), 0.0)
     overrides = []
     if parser.has_section("tolerances"):
-        overrides = [(name, value("tolerances", name, _finite))
-                     for name in parser.options("tolerances")]
+        overrides = [(name, cast("tolerances", name, raw, _finite))
+                     for name, raw in parser.items("tolerances")]
 
     compare = get("run", "compare", str, None)
     return ExperimentConfig(
@@ -456,9 +474,8 @@ def run(config: ExperimentConfig) -> int:
     cert = None
     report = None
     if config.verify:
-        profile = objective.sum_profile(components, graph)
         cert_params = replace(params, eta=config.certified_eta())
-        cert = analysis.rate_certificate(graph, profile, cert_params)
+        cert = analysis.rate_certificate(graph, ref.profile, cert_params)
         report = analysis.verify_contraction(xs, phi_last, ref, cert, tolerances=tol)
 
     os.makedirs(config.out_dir, exist_ok=True)

@@ -18,9 +18,19 @@ they have checked. Only the exact method of multipliers couples the agents:
 it takes every (Q, b) from `quadratic_stack` into one dense system, and
 `minimize_composite` is its Newton path for the other kinds.
 
-`sum_value` evaluates the separable sum at one stacked point or at every row
-of a (rows, n*p) array in one pass; each component's `values` gives the same
-bits as its `value`, row by row.
+Every pass over the sum reads one stacked view of the component list
+(`_Stacked`), built in one pass over it: the rank-one agents as rows h (k, p)
+and y (k,), the affine-quadratic agents as Q (k, p, p) and b (k, p), and the
+callback agents as a list of indices, whose own methods evaluate them one
+agent at a time. `sum_value`, `sum_gradient`, `minimize_sum`, `sum_profile`,
+`quadratic_stack` and the `ProximalRows` set-up each make a few numpy passes
+over the view, with each kind's arithmetic of its per-agent methods, where
+they would otherwise make one call per agent. Sums over the agents add them
+in index order, as the builtin sum adds them (`_in_order`; numpy's sum
+along a contiguous axis pairs them up), so `sum_value` at every row of a
+(rows, n*p) array, taken `_ROW_BLOCK` rows at a time, carries the bits of
+the per-agent evaluation of each row. `RankOneLeastSquares` forms its (h h', -y h) only when
+`quadratic_terms` is called; nothing in the package calls it.
 
 Newton's thresholds are constants: `SUBPROBLEM_TOL`, the default
 stationarity of a local subproblem, `CENTRAL_SOLVE_TOL`, that of the central
@@ -53,6 +63,9 @@ SUBPROBLEM_TOL = 1e-11
 CENTRAL_SOLVE_TOL = 1e-12
 NEWTON_ARMIJO = 1e-4
 NEWTON_MAX_ITER = 200
+# trace rows per pass of `sum_value` and of `analysis`'s distances; bounds
+# their temporaries
+_ROW_BLOCK = 128
 
 
 class ObjectiveComponent:
@@ -82,8 +95,7 @@ class ObjectiveComponent:
         x = np.asarray(x, dtype=float)
         if x.ndim != ndim or x.shape[-1] != self.p:
             raise DimensionMismatch(f"expected points in R^{self.p}, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise NonFinite("evaluation point contains non-finite entries")
+        _check_finite(x)
         return x
 
 
@@ -138,7 +150,6 @@ class RankOneLeastSquares(ObjectiveComponent):
         self.y = float(y)
         self.p = h.shape[0]
         self.lipschitz = float(h @ h)
-        self._terms = (np.outer(h, h), -self.y * h)
 
     def value(self, x):
         x = self._check(x)
@@ -157,7 +168,7 @@ class RankOneLeastSquares(ObjectiveComponent):
         return np.outer(self.h, self.h)
 
     def quadratic_terms(self):
-        return self._terms
+        return np.outer(self.h, self.h), -self.y * self.h
 
 
 class SmoothCallback(ObjectiveComponent):
@@ -178,6 +189,108 @@ class SmoothCallback(ObjectiveComponent):
 
     def hess(self, x):
         return np.asarray(self._hess(self._check(x)), dtype=float)
+
+
+def _agent_index(agents, n: int):
+    """Index of the listed agents' rows: a slice when they are all n agents,
+    so that indexing makes a view, not a copy."""
+    return slice(None) if len(agents) == n else np.array(agents, dtype=np.intp)
+
+
+class _Stacked:
+    """A component list's agents by kind, from one pass over it: the rank-one
+    agents' `h` (k, p) and `y` (k,) at rows `rank_one`, the affine-quadratic
+    agents' `q` (k, p, p) and `b` (k, p) at rows `quadratic`, both kinds'
+    rows as `closed`, the callback agents' indices and the largest Lipschitz
+    modulus. Agents are classed by type; DimensionMismatch unless every
+    component has the first one's p. Callback agents are evaluated by their
+    own methods, one call per agent."""
+
+    def __init__(self, components):
+        self.components = components
+        self.n, self.p = n, p = len(components), components[0].p
+        rank_one, h, y, quadratic, q, b, lipschitz = [], [], [], [], [], [], []
+        self.callbacks = []
+        for i, comp in enumerate(components):
+            if comp.p != p:
+                raise DimensionMismatch("components disagree on block dimension")
+            lipschitz.append(comp.lipschitz)
+            if isinstance(comp, RankOneLeastSquares):
+                rank_one.append(i)
+                h.append(comp.h)
+                y.append(comp.y)
+            elif isinstance(comp, AffineQuadratic):
+                quadratic.append(i)
+                q.append(comp.q)
+                b.append(comp.b)
+            else:
+                self.callbacks.append(i)
+        self.h, self.y = np.array(h).reshape(-1, p), np.array(y)
+        self.q, self.b = np.array(q).reshape(-1, p, p), np.array(b).reshape(-1, p)
+        self.rank_one, self.quadratic = _agent_index(rank_one, n), _agent_index(quadratic, n)
+        self.closed = _agent_index(sorted(rank_one + quadratic), n)
+        self.lipschitz = max(lipschitz)
+
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        """Every agent's value at each row of a (rows, n p) array, as (n, rows):
+        per kind, the arithmetic of its `values`."""
+        _check_finite(xs)
+        x = xs.reshape(len(xs), self.n, self.p)
+        out = np.empty((self.n, len(xs)))
+        if len(self.h):
+            r = np.vecdot(x[:, self.rank_one], self.h)
+            r -= self.y
+            half = 0.5 * r
+            half *= r
+            out[self.rank_one] = half.T
+        if len(self.q):
+            xq = x[:, self.quadratic]
+            qx = np.matmul(self.q, xq[..., None])[..., 0]
+            out[self.quadratic] = (np.vecdot(0.5 * xq, qx) + np.vecdot(xq, self.b)).T
+        for i in self.callbacks:
+            out[i] = self.components[i].values(x[:, i])
+        return out
+
+    def grads(self, x: np.ndarray) -> np.ndarray:
+        """Every agent's gradient at its row of an (n, p) array, as (n, p):
+        per kind, the arithmetic of its `grad`."""
+        _check_finite(x)
+        out = np.empty((self.n, self.p))
+        if len(self.h):
+            r = np.vecdot(x[self.rank_one], self.h) - self.y
+            out[self.rank_one] = r[:, None] * self.h
+        if len(self.q):
+            out[self.quadratic] = (np.matmul(self.q, x[self.quadratic][..., None])[..., 0]
+                                   + self.b)
+        for i in self.callbacks:
+            out[i] = self.components[i].grad(x[i])
+        return out
+
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every agent's (Q, b) of `quadratic_terms`, stacked as (n, p, p) and
+        (n, p), with zero rows for the callback agents."""
+        q, b = np.zeros((self.n, self.p, self.p)), np.zeros((self.n, self.p))
+        q[self.rank_one] = self.h[:, :, None] * self.h[:, None, :]
+        b[self.rank_one] = -self.y[:, None] * self.h
+        q[self.quadratic], b[self.quadratic] = self.q, self.b
+        return q, b
+
+
+def _in_order(rows: np.ndarray) -> np.ndarray:
+    """rows[0] + rows[1] + ... added in agent order, as the builtin sum adds
+    them. np.add.reduce over the first axis of a C-ordered array adds row
+    after row, but numpy folds rows of one element into a single axis and
+    sums that pairwise, so those are accumulated. The final + 0.0 turns a
+    -0.0 total into the 0.0 that the builtin sum's start of 0 gives."""
+    rows = np.ascontiguousarray(rows)
+    if rows[0].size == 1:
+        return np.add.accumulate(rows)[-1] + 0.0
+    return np.add.reduce(rows) + 0.0
+
+
+def _check_finite(x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)):
+        raise NonFinite("evaluation point contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -263,21 +376,19 @@ class ProximalRows:
             raise ValueError(f"one component per agent required, got {len(self.components)}")
         if np.any(self.a < 0) or np.any(self.pi < 0):
             raise ValueError("quadratic weights a and pi must be nonnegative")
-        n, p = len(self.components), self.components[0].p
+        stack = _Stacked(self.components)
+        n, p = stack.n, stack.p
         self.shape = (n, p)
         self.closed_iters = (1,) * n
-        terms = [comp.quadratic_terms() for comp in self.components]
-        quadratic = [i for i, t in enumerate(terms) if t is not None]
-        self.callbacks = [i for i, t in enumerate(terms) if t is None]
+        self.callbacks = stack.callbacks
         self.pi_rows = self.pi[:, None].repeat(p, axis=1)
-        self.b = np.zeros((n, p))
+        q, self.b = stack.terms()
         self.inverse = np.zeros((n, 1) if p == 1 else (n, p, p))
-        if quadratic:
-            self.b[quadratic] = [terms[i][1] for i in quadratic]
-            shift = (self.a + self.pi)[quadratic][:, None]
+        if len(self.callbacks) < n:
+            closed = stack.closed
             try:
-                self.inverse[quadratic] = proximal_inverse(
-                    np.array([terms[i][0] for i in quadratic]), shift)
+                self.inverse[closed] = proximal_inverse(
+                    q[closed], (self.a + self.pi)[closed][:, None])
             except NotPositiveDefinite as exc:
                 raise NoUniqueMinimizer(
                     "subproblem is not strongly convex: some Q_i + (a_i + pi_i) I "
@@ -323,10 +434,16 @@ def local_subproblem_ex(rows: ProximalRows, c, x_prev) -> tuple[np.ndarray, tupl
 
 # -- stacked helpers -----------------------------------------------------------
 
-def _check_stacked(components, x, ndims=(1,)) -> np.ndarray:
+def _stacked(components) -> _Stacked:
+    """The stacked view of a component list; a view passes through, so a
+    caller making several passes over one list builds it once."""
+    return components if isinstance(components, _Stacked) else _Stacked(components)
+
+
+def _check_stacked(stack: _Stacked, x, ndims=(1,)) -> np.ndarray:
     """x as floats, of a dimension in `ndims`, with rows of n p entries."""
     x = np.asarray(x, dtype=float)
-    width = len(components) * components[0].p
+    width = stack.n * stack.p
     if x.ndim not in ndims or x.shape[-1] != width:
         raise DimensionMismatch(
             f"expected stacked vectors of length {width}, got shape {x.shape}"
@@ -337,31 +454,33 @@ def _check_stacked(components, x, ndims=(1,)) -> np.ndarray:
 def sum_value(components, x):
     """sum_i f_i(x_i) at a stacked point, or at each row of a (rows, n*p) array.
 
-    A 1-D `x` gives a float, a 2-D one a (rows,) array. Agents are added in
-    order, as the builtin sum adds them (np.sum would pair them up), so every
-    row carries the bits of the per-point evaluation.
+    A 1-D `x` gives a float, a 2-D one a (rows,) array. Rows are evaluated
+    `_ROW_BLOCK` at a time, each kind of agent in one pass, and agents are
+    added in order, as the builtin sum adds them, so every row carries the
+    bits of the per-point evaluation.
     """
-    x = _check_stacked(components, x, (1, 2))
-    p = components[0].p
-    xs = x.reshape(-1, len(components) * p)
-    total = np.zeros(len(xs))
-    for i, comp in enumerate(components):
-        total += comp.values(xs[:, i * p:(i + 1) * p])
+    stack = _stacked(components)
+    x = _check_stacked(stack, x, (1, 2))
+    xs = x.reshape(-1, x.shape[-1])
+    total = np.empty(len(xs))
+    for start in range(0, len(xs), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        total[block] = _in_order(stack.values(xs[block]))
     return float(total[0]) if x.ndim == 1 else total
 
 
 def sum_gradient(components, x) -> np.ndarray:
-    blocks = _check_stacked(components, x).reshape(len(components), -1)
-    return np.concatenate([comp.grad(x_i) for comp, x_i in zip(components, blocks)])
+    """The stacked gradient (grad f_i(x_i))_i, each kind of agent in one pass."""
+    stack = _stacked(components)
+    x = _check_stacked(stack, x)
+    return stack.grads(x.reshape(stack.n, stack.p)).ravel()
 
 
 def quadratic_stack(components):
     """(Q, b) of every component stacked as (n, p, p) and (n, p) arrays when
     every component is quadratic, else None."""
-    terms = [comp.quadratic_terms() for comp in components]
-    if any(t is None for t in terms):
-        return None
-    return np.array([t[0] for t in terms]), np.array([t[1] for t in terms])
+    stack = _stacked(components)
+    return None if stack.callbacks else stack.terms()
 
 
 def minimize_composite(components, linear, quad, x0):
@@ -371,22 +490,24 @@ def minimize_composite(components, linear, quad, x0):
     Newton from x0; `solvers.ExactMMEngine` inverts the constant system of an
     all-quadratic instance itself.
     """
+    stack = _stacked(components)
     linear = np.asarray(linear, dtype=float)
     quad = np.asarray(quad, dtype=float)
+    n, p = stack.n, stack.p
+    blocks = stack.terms()[0]
+    agents = np.arange(n)
 
     def value_fn(x):
-        return sum_value(components, x) + linear @ x + 0.5 * x @ (quad @ x)
+        return sum_value(stack, x) + linear @ x + 0.5 * x @ (quad @ x)
 
     def grad_fn(x):
-        return sum_gradient(components, x) + linear + quad @ x
-
-    p = components[0].p
+        return sum_gradient(stack, x) + linear + quad @ x
 
     def hess_fn(x):
+        for i in stack.callbacks:
+            blocks[i] = stack.components[i].hess(x[i * p:(i + 1) * p])
         h = np.array(quad)
-        for i, comp in enumerate(components):
-            sl = slice(i * p, (i + 1) * p)
-            h[sl, sl] += comp.hess(x[sl])
+        h.reshape(n, p, n, p)[agents, :, agents, :] += blocks
         return h
 
     return _newton_minimize(value_fn, grad_fn, hess_fn, np.asarray(x0, dtype=float),
@@ -395,23 +516,26 @@ def minimize_composite(components, linear, quad, x0):
 
 def minimize_sum(components) -> np.ndarray:
     """Centralized minimizer of f_bar(v) = sum_i f_i(v) on R^p."""
-    p = components[0].p
-    qs = [comp.quadratic_terms() for comp in components]
-    if all(t is not None for t in qs):
-        q_sum = sum(t[0] for t in qs)
-        b_sum = sum(t[1] for t in qs)
-        return denselin.solve_spd(denselin.SymMatrix(q_sum), -b_sum)
+    stack = _stacked(components)
+    q, b = stack.terms()
+    if not stack.callbacks:
+        return denselin.solve_spd(denselin.SymMatrix(_in_order(q)), -_in_order(b))
+    n = stack.n
 
     def value_fn(v):
-        return float(sum(comp.value(v) for comp in components))
+        return float(_in_order(stack.values(np.tile(v, (1, n)))[:, 0]))
 
     def grad_fn(v):
-        return sum(comp.grad(v) for comp in components)
+        return _in_order(stack.grads(np.tile(v, (n, 1))))
 
     def hess_fn(v):
-        return sum(comp.hess(v) for comp in components)
+        hess = q.copy()
+        for i in stack.callbacks:
+            hess[i] = stack.components[i].hess(v)
+        return _in_order(hess)
 
-    return _newton_minimize(value_fn, grad_fn, hess_fn, np.zeros(p), CENTRAL_SOLVE_TOL)[0]
+    return _newton_minimize(value_fn, grad_fn, hess_fn, np.zeros(stack.p),
+                            CENTRAL_SOLVE_TOL)[0]
 
 
 # -- curvature profile of the sum ------------------------------------------------
@@ -424,23 +548,18 @@ def sum_profile(components, graph: NetworkGraph,
     quadratic kinds and must be supplied for callback components. Raises
     NotStronglyConvex when the sum fails Assumption-level strong convexity.
     """
-    if len(components) != graph.n:
+    stack = _stacked(components)
+    if stack.n != graph.n:
         raise DimensionMismatch(
-            f"{len(components)} components for a graph with {graph.n} agents"
+            f"{stack.n} components for a graph with {graph.n} agents"
         )
-    p = components[0].p
-    if any(comp.p != p for comp in components):
-        raise DimensionMismatch("components disagree on block dimension")
     if mu_sum is None:
-        terms = [comp.quadratic_terms() for comp in components]
-        if any(t is None for t in terms):
+        if stack.callbacks:
             raise ValueError("mu_sum must be supplied for callback components")
-        q_sum = sum(t[0] for t in terms)
-        eigvals, _ = denselin.sym_eigen(q_sum)
+        eigvals, _ = denselin.sym_eigen(_in_order(stack.terms()[0]))
         mu_sum = float(eigvals[0])
     if mu_sum <= 1e-12:
         raise NotStronglyConvex(
             f"summed objective is not strongly convex (mu = {mu_sum:.3e})"
         )
-    lipschitz = max(comp.lipschitz for comp in components)
-    return SumProfile(mu_sum=mu_sum, lipschitz=lipschitz, n=graph.n, p=p)
+    return SumProfile(mu_sum=mu_sum, lipschitz=stack.lipschitz, n=graph.n, p=stack.p)

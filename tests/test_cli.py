@@ -105,6 +105,43 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match=re.escape(f"{name}: bad value")):
             parse_config(self.NON_FINITE[name])
 
+    @pytest.mark.parametrize("rows", ["h4 = 1.0\ny4 = 0.5\n", "bb2 = 1.0\n"], ids=["h4", "bb2"])
+    def test_problem_option_naming_no_agent_is_setup_error(self, rows, tmp_path, capsys):
+        out = tmp_path / "o"
+        text = EXPLICIT_INI.format(out=out).replace("[algorithm]", rows + "\n[algorithm]")
+        with pytest.raises(ConfigError, match=r"names no agent 1\.\.3"):
+            parse_config(text)
+        assert cli.main(["run", write(tmp_path, text)]) == 1
+        assert "deconopt:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_section_options_name_no_agent(self):
+        # [DEFAULT]'s options show in every section without being its own
+        text = "[DEFAULT]\nrounds = 7\n" + EXPLICIT_INI.format(out="o")
+        assert parse_config(text).rows == parse_config(EXPLICIT_INI.format(out="o")).rows
+
+    def test_agent_given_both_kinds_is_setup_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        text = EXPLICIT_INI.format(out=out).replace("y2 = 1.0", "y2 = 1.0\nq2 = 1.0\nb2 = 0.0")
+        with pytest.raises(ConfigError, match="agent 2 is given both h2/y2 and q2/b2"):
+            parse_config(text)
+        assert cli.main(["run", write(tmp_path, text)]) == 1
+        assert "deconopt:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inline_comments(self):
+        text = "[algorithm]\nrho = 2.0 ; penalty\n\n[output]\ndir = a;b\n"
+        cfg = parse_config(text)
+        assert (cfg.rho, cfg.out_dir) == (2.0, "a;b")
+
+    def test_readme_example_runs(self, tmp_path):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = re.search(r"```ini\n(.*?)```", fh.read(), re.S)[1]
+        out = tmp_path / "readme"
+        assert cli.main(["run", write(tmp_path, text), "--out", str(out)]) == 0
+        assert (out / "trace.csv").exists()
+
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
             parse_config("[algorithm]\nname = nosuch\n").validate()
@@ -419,6 +456,51 @@ class TestCompareMode:
         assert peak < 1.5 * (rounds + 1) * n * p * 8
 
 
+class TestStackedAgents:
+    """The sums, the reference solution and the engines' set-up read every
+    rank-one and affine-quadratic agent through one stacked view, with no
+    call on a component."""
+
+    TEXT = """
+[scenario]
+preset = explicit
+n = 4
+p = 2
+
+[graph]
+edges = 1-2 2-3 3-4 4-1
+
+[problem]
+h1 = 1.0 0.5
+y1 = 0.25
+q2 = 2.0 0.5 0.5 1.0
+b2 = -1.0 0.5
+h3 = -0.5 1.0
+y3 = 1.0
+q4 = 1.0 0.0 0.0 1.5
+b4 = 0.0 -0.5
+
+[algorithm]
+name = dadmm
+pi = 0.1
+rounds = 20
+
+[output]
+dir = {out}
+"""
+
+    @pytest.mark.parametrize("flags", [["--verify"], ["--compare", "full-admm,mm-approx"]])
+    def test_run_makes_no_per_agent_call(self, flags, tmp_path, monkeypatch):
+        calls = []
+        for cls in (objective.RankOneLeastSquares, objective.AffineQuadratic):
+            for name in ("value", "values", "grad", "hess", "quadratic_terms"):
+                monkeypatch.setattr(cls, name, lambda *args, name=name: calls.append(name))
+        out = tmp_path / "s"
+        assert cli.main(["run", write(tmp_path, self.TEXT.format(out=out)), *flags]) == 0
+        assert calls == []
+        assert (out / "trace.csv").exists()
+
+
 class TestVerifiedRuns:
     def test_misspelt_verify_exits_1(self, tmp_path, capsys):
         out = tmp_path / "t"
@@ -528,6 +610,17 @@ class TestVerifiedRuns:
                                                            f"name = {algorithm}")
         assert cli.main(["run", write(tmp_path, text), "--verify"]) == 0
         assert len(calls) == 1
+
+    def test_one_sum_profile_per_verified_run(self, tmp_path, monkeypatch):
+        # the certificate reads the profile the reference solution formed
+        calls = []
+        real = objective.sum_profile
+        monkeypatch.setattr(objective, "sum_profile",
+                            lambda *args: calls.append(1) or real(*args))
+        out = tmp_path / "v"
+        assert cli.main(["run", write(tmp_path, BASE_INI.format(out=out)), "--verify"]) == 0
+        assert len(calls) == 1
+        assert (out / "certificate.txt").exists()
 
     def test_one_local_solve_per_round(self, tmp_path, monkeypatch):
         # all agents' subproblems of a round are one call, applying one

@@ -333,6 +333,35 @@ class TestBatchedValues:
         assert isinstance(one, float)
         assert one == got[3]
 
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_stacked_sums_match_per_agent_calls(self, p):
+        # ten agents, so numpy's eight-element pairwise blocks would show in
+        # the sums; trace rows past one row block
+        rng = np.random.default_rng(70 + p)
+        comps = _mixed_components(rng, 10, p)
+        xs = rng.standard_normal((objective._ROW_BLOCK + 5, 10 * p))
+        got = objective.sum_value(comps, xs)
+        assert np.array_equal(got, [_builtin_sum_value(comps, x) for x in xs])
+        # one point at a time: a 1-D point and a single (1, n p) row
+        assert [objective.sum_value(comps, x) for x in xs[:30]] == got[:30].tolist()
+        assert np.array_equal([objective.sum_value(comps, xs[k:k + 1])[0] for k in range(30)],
+                              got[:30])
+        grad = np.concatenate([comp.grad(xs[7, i * p:(i + 1) * p])
+                               for i, comp in enumerate(comps)])
+        assert np.array_equal(objective.sum_gradient(comps, xs[7]), grad)
+
+    def test_stacked_terms_match_per_agent_terms(self):
+        rng = np.random.default_rng(75)
+        comps = _mixed_components(rng, 10, 3)[:2] * 5
+        terms = [comp.quadratic_terms() for comp in comps]
+        q, b = objective.quadratic_stack(comps)
+        assert np.array_equal(q, [t[0] for t in terms])
+        assert np.array_equal(b, [t[1] for t in terms])
+        q_sum, b_sum = sum(t[0] for t in terms), sum(t[1] for t in terms)
+        assert np.array_equal(objective.minimize_sum(comps),
+                              denselin.solve_spd(denselin.SymMatrix(q_sum), -b_sum))
+        assert objective.quadratic_stack(_mixed_components(rng, 3, 3)) is None
+
     def test_sum_value_errors(self):
         comps = [RankOneLeastSquares([1.0, 2.0], 0.5) for _ in range(3)]
         for shape in ((5,), (4, 5), (2, 2, 6)):
@@ -387,6 +416,25 @@ class TestProximalRows:
                     inv = fresh(q + (a[i] + pi[i]) * np.eye(p))
                     assert np.array_equal(got[i], inv @ (pi[i] * x_prev[i] - b - c[i]))
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_stack_matches_per_agent_terms(self, p):
+        # rank-one, affine-quadratic and callback rows: the closed rows'
+        # terms inverted in one call, in agent order, zero callback rows
+        rng = np.random.default_rng(64 + p)
+        comps = _mixed_components(rng, 10, p)
+        a, pi = rng.uniform(0.5, 2.0, 10), rng.uniform(0.0, 1.0, 10)
+        rows = ProximalRows(comps, a, pi)
+        terms = [comp.quadratic_terms() for comp in comps]
+        closed = [i for i, t in enumerate(terms) if t is not None]
+        want_b = np.zeros((10, p))
+        want_b[closed] = [terms[i][1] for i in closed]
+        want_inverse = np.zeros_like(rows.inverse)
+        want_inverse[closed] = objective.proximal_inverse(
+            np.array([terms[i][0] for i in closed]), (a + pi)[closed][:, None])
+        assert rows.callbacks == [i for i, t in enumerate(terms) if t is None]
+        assert np.array_equal(rows.b, want_b)
+        assert np.array_equal(rows.inverse, want_inverse)
 
     def test_singular_shift_raises_every_time(self, monkeypatch):
         comp = RankOneLeastSquares([1.0, 0.0], 0.0)
