@@ -384,18 +384,16 @@ def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
         engine = solvers.FullAdmmEngine(graph, components, params)
     elif name == "mm-exact":
         engine = solvers.ExactMMEngine(graph, components, params)
-    elif name == "mm-approx":
+    else:  # mm-approx; `ExperimentConfig.validate` admits no other name
         eps = config.epsilon if config.epsilon is not None else 1.0 / config.rho
         engine = solvers.ApproxMMEngine(graph, components, params, eps)
-    else:
-        raise ConfigError(f"unknown algorithm {name!r}")
 
     state = engine.init()
     for k in range(config.rounds + 1):
         if k > 0:
             state = engine.step(state)
         record(k, state.x, 0)
-    return engine.snapshot(state).phi
+    return engine.phi(state)
 
 
 def _gap_sink(xs, gaps):

@@ -65,10 +65,6 @@ class NotStronglyConvex(DeconoptError):
 
 # -- solvers ---------------------------------------------------------------------
 
-class OmegaOutOfRange(DeconoptError):
-    pass
-
-
 class ConditionViolation(DeconoptError):
     """A mixing-matrix condition required by the general iterates fails."""
 

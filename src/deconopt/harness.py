@@ -28,10 +28,11 @@ The three factories only pick the weights:
 * `pextra_agents`: (-W/xi, W - W~), s = -1/xi, a_i = 1/xi, pi = 0. The dual
   is the running sum, seeded with (W - W~) x0, and phi = s dual.
 
-Every executed round reports m messages of p scalars; the round-0 observer
-snapshot reports none. `solvers.DadmmEngine`, `solvers.PextraEngine` and
-`solvers.GeneralUVEngine` load their state into the same object and run the
-same round, so engine and network agree bit for bit.
+Every executed round reports m messages of p scalars in its `RoundLog`; the
+observer's call for the initial state reports none. `solvers.DadmmEngine`,
+`solvers.PextraEngine` and `solvers.GeneralUVEngine` load their state into
+the same object and run the same round, so engine and network agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class RoundLog:
-    k: int
     messages: int
     payload_scalars: int
     subproblem_iters: tuple[int, ...]
@@ -92,9 +92,9 @@ class Network:
     """
 
     def __init__(self, graph: NetworkGraph, components, u, v, a, pi, *,
-                 scale: float, tol: float, x: np.ndarray, dual: np.ndarray):
+                 scale: float, x: np.ndarray, dual: np.ndarray):
         src, dst = arc_indices(graph)
-        self.local = objective.ProximalRows(components, a, pi, tol)
+        self.local = objective.ProximalRows(components, a, pi)
         self.weights = np.stack([np.concatenate((w[dst, src], np.diag(w)))
                                  for w in (u, v)])[:, :, None].repeat(graph.p, axis=2)
         self.scale = float(scale)
@@ -149,8 +149,8 @@ def _uv_network(graph: NetworkGraph, components, u, v, dbar_diag,
     rho = params.rho
     return Network(
         graph, components, -0.5 * rho * u, 0.5 * params.eta * rho * v,
-        rho * dbar_diag, params.pi_vector(graph.n), scale=1.0,
-        tol=params.subproblem_tol, x=rows(x0, graph), dual=rows(phi0, graph),
+        rho * dbar_diag, params.pi_vector(graph.n), scale=1.0, x=rows(x0, graph),
+        dual=rows(phi0, graph),
     )
 
 
@@ -168,8 +168,8 @@ def pextra_agents(graph: NetworkGraph, components, pextra: PextraParams,
     inv_xi = 1.0 / pextra.xi
     net = Network(
         graph, components, -pextra.w / pextra.xi, pextra.w - pextra.w_tilde,
-        np.full(graph.n, inv_xi), np.zeros(graph.n), scale=-inv_xi,
-        tol=objective.SUBPROBLEM_TOL, x=x, dual=np.zeros_like(x),
+        np.full(graph.n, inv_xi), np.zeros(graph.n), scale=-inv_xi, x=x,
+        dual=np.zeros_like(x),
     )
     net.dual = net.mixed[1]   # the running sum starts at (W - W~) x0
     return net
@@ -194,12 +194,12 @@ def run_rounds(net: Network, graph: NetworkGraph, rounds: int, observer=None) ->
     """
     if observer is not None:
         observer(0, net.x.ravel(), net.phi.ravel(),
-                 RoundLog(k=0, messages=0, payload_scalars=0, subproblem_iters=()))
+                 RoundLog(messages=0, payload_scalars=0, subproblem_iters=()))
     for k in range(1, rounds + 1):
         iters = network_round(net)
         if observer is not None:
             observer(k, net.x.ravel(), net.phi.ravel(),
-                     RoundLog(k=k, messages=graph.m, payload_scalars=graph.m * graph.p,
+                     RoundLog(messages=graph.m, payload_scalars=graph.m * graph.p,
                               subproblem_iters=iters))
     return net
 

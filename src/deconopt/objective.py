@@ -22,20 +22,20 @@ Every pass over the sum reads one stacked view of the component list
 (`_Stacked`), built in one pass over it: the rank-one agents as rows h (k, p)
 and y (k,), the affine-quadratic agents as Q (k, p, p) and b (k, p), and the
 callback agents as a list of indices, whose own methods evaluate them one
-agent at a time. `sum_value`, `sum_gradient`, `minimize_sum`, `sum_profile`,
+agent at a time. Agents are classed by type: a component is rank-one or
+affine-quadratic when it is an instance of that class, and a callback
+otherwise. `sum_value`, `sum_gradient`, `minimize_sum`, `sum_profile`,
 `quadratic_stack` and the `ProximalRows` set-up each make a few numpy passes
 over the view, with each kind's arithmetic of its per-agent methods, where
 they would otherwise make one call per agent. Sums over the agents add them
 in index order, as the builtin sum adds them (`_in_order`; numpy's sum
 along a contiguous axis pairs them up), so `sum_value` at every row of a
 (rows, n*p) array, taken `_ROW_BLOCK` rows at a time, carries the bits of
-the per-agent evaluation of each row. `RankOneLeastSquares` forms its (h h', -y h) only when
-`quadratic_terms` is called; nothing in the package calls it.
+the per-agent evaluation of each row.
 
-Newton's thresholds are constants: `SUBPROBLEM_TOL`, the default
-stationarity of a local subproblem, `CENTRAL_SOLVE_TOL`, that of the central
-solves, the Armijo constant `NEWTON_ARMIJO` and the iteration cap
-`NEWTON_MAX_ITER`.
+Newton's thresholds are constants: `SUBPROBLEM_TOL`, the stationarity of a
+local subproblem, `CENTRAL_SOLVE_TOL`, that of the central solves, the
+Armijo constant `NEWTON_ARMIJO` and the iteration cap `NEWTON_MAX_ITER`.
 """
 
 from __future__ import annotations
@@ -77,23 +77,15 @@ class ObjectiveComponent:
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        """`value` of each row of a (rows, p) array, as a (rows,) array."""
-        return np.array([self.value(x) for x in xs], dtype=float)
-
     def grad(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def hess(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def quadratic_terms(self):
-        """(Q, b) when the component is exactly 0.5 x'Qx + b'x + const, else None."""
-        return None
-
-    def _check(self, x, ndim: int = 1) -> np.ndarray:
+    def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim != ndim or x.shape[-1] != self.p:
+        if x.shape != (self.p,):
             raise DimensionMismatch(f"expected points in R^{self.p}, got shape {x.shape}")
         _check_finite(x)
         return x
@@ -117,21 +109,12 @@ class AffineQuadratic(ObjectiveComponent):
         x = self._check(x)
         return float(0.5 * x @ (self.q @ x) + self.b @ x)
 
-    def values(self, xs):
-        # stacked matmul and vecdot accumulate like the BLAS products in value
-        xs = self._check(xs, 2)
-        qx = np.matmul(self.q, xs[:, :, None])[:, :, 0]
-        return np.vecdot(0.5 * xs, qx) + np.vecdot(xs, self.b)
-
     def grad(self, x):
         x = self._check(x)
         return self.q @ x + self.b
 
     def hess(self, x):
         return self.q
-
-    def quadratic_terms(self):
-        return self.q, self.b
 
 
 def zero_component(p: int) -> AffineQuadratic:
@@ -156,19 +139,12 @@ class RankOneLeastSquares(ObjectiveComponent):
         r = self.h @ x - self.y
         return float(0.5 * r * r)
 
-    def values(self, xs):
-        r = np.vecdot(self._check(xs, 2), self.h) - self.y
-        return 0.5 * r * r
-
     def grad(self, x):
         x = self._check(x)
         return (self.h @ x - self.y) * self.h
 
     def hess(self, x):
         return np.outer(self.h, self.h)
-
-    def quadratic_terms(self):
-        return np.outer(self.h, self.h), -self.y * self.h
 
 
 class SmoothCallback(ObjectiveComponent):
@@ -233,7 +209,8 @@ class _Stacked:
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """Every agent's value at each row of a (rows, n p) array, as (n, rows):
-        per kind, the arithmetic of its `values`."""
+        per kind, the arithmetic of its `value` (stacked matmul and vecdot
+        accumulate like its BLAS products)."""
         _check_finite(xs)
         x = xs.reshape(len(xs), self.n, self.p)
         out = np.empty((self.n, len(xs)))
@@ -248,7 +225,7 @@ class _Stacked:
             qx = np.matmul(self.q, xq[..., None])[..., 0]
             out[self.quadratic] = (np.vecdot(0.5 * xq, qx) + np.vecdot(xq, self.b)).T
         for i in self.callbacks:
-            out[i] = self.components[i].values(x[:, i])
+            out[i] = [self.components[i].value(row) for row in x[:, i]]
         return out
 
     def grads(self, x: np.ndarray) -> np.ndarray:
@@ -267,8 +244,9 @@ class _Stacked:
         return out
 
     def terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every agent's (Q, b) of `quadratic_terms`, stacked as (n, p, p) and
-        (n, p), with zero rows for the callback agents."""
+        """Every agent's (Q, b) with f_i(x) = 0.5 x'Qx + b'x + const, stacked
+        as (n, p, p) and (n, p): (h h', -y h) for the rank-one agents, zero
+        rows for the callback agents."""
         q, b = np.zeros((self.n, self.p, self.p)), np.zeros((self.n, self.p))
         q[self.rank_one] = self.h[:, :, None] * self.h[:, None, :]
         b[self.rank_one] = -self.y[:, None] * self.h
@@ -360,18 +338,17 @@ def apply_rows(inverse: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 class ProximalRows:
     """n agents' local subproblems with fixed weights a_i, pi_i >= 0 (else
-    ValueError) and Newton tolerance, agent i in row i - 1. `inverse` stacks
-    every row: the quadratic rows' (Q_i + (a_i + pi_i) I)^-1 from one
-    `proximal_inverse` call (a singular one raises NoUniqueMinimizer), zero
-    blocks and zero `b` rows for the callbacks. `pi_rows` repeats pi along
-    the p columns (a broadcast multiply is slower), `shape` is the (n, p) of
-    the rows and `closed_iters` the iteration counts of a round with no
-    callback."""
+    ValueError), agent i in row i - 1. `inverse` stacks every row: the
+    quadratic rows' (Q_i + (a_i + pi_i) I)^-1 from one `proximal_inverse`
+    call (a singular one raises NoUniqueMinimizer), zero blocks and zero `b`
+    rows for the callbacks, whose rows Newton solves to stationarity
+    `SUBPROBLEM_TOL`. `pi_rows` repeats pi along the p columns (a broadcast
+    multiply is slower), `shape` is the (n, p) of the rows and
+    `closed_iters` the iteration counts of a round with no callback."""
 
-    def __init__(self, components, a, pi, tol: float = SUBPROBLEM_TOL):
+    def __init__(self, components, a, pi):
         self.components = list(components)
         self.a, self.pi = np.asarray(a, dtype=float), np.asarray(pi, dtype=float)
-        self.tol = tol
         if self.a.shape != (len(self.components),) or self.pi.shape != self.a.shape:
             raise ValueError(f"one component per agent required, got {len(self.components)}")
         if np.any(self.a < 0) or np.any(self.pi < 0):
@@ -419,7 +396,7 @@ class ProximalRows:
             def hess_fn(x):
                 return comp.hess(x) + (a + pi) * np.eye(comp.p)
 
-            out[i], iters[i] = _newton_minimize(value_fn, grad_fn, hess_fn, x_i, self.tol)
+            out[i], iters[i] = _newton_minimize(value_fn, grad_fn, hess_fn, x_i, SUBPROBLEM_TOL)
         return out, tuple(iters)
 
 

@@ -45,6 +45,8 @@ and `step` set, so an ``ApproxMMEngine`` step gathers once. Only
 Every `init` raises DimensionMismatch for an initial vector of the wrong
 length, and every central `step` for a state vector of the wrong length,
 found by one shape test on entry; no step writes to the state it is given.
+Every engine's `phi(state)` is the D-ADMM dual aggregate phi of a state,
+the one dual a run reads.
 
 Proximal perturbations are restricted to P = diag(pi) (x) I_p with pi >= 0,
 which is what decoupling and the contraction certificate cover; indefinite
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import denselin, harness, objective
-from .errors import DeconoptError, DimensionMismatch, OmegaOutOfRange
+from .errors import DeconoptError, DimensionMismatch
 from .netgraph import (
     E_O_SIGNS,
     NetworkGraph,
@@ -77,13 +79,12 @@ EXACT_MM_MAX_ORDER = 2000
 
 @dataclass(frozen=True)
 class AdmmParams:
-    """Penalty rho > 0, relaxation eta in (0, (1+sqrt 5)/2), per-agent
-    proximal weights pi_i >= 0 (scalar broadcasts), subproblem tolerance."""
+    """Penalty rho > 0, relaxation eta in (0, (1+sqrt 5)/2) and per-agent
+    proximal weights pi_i >= 0 (scalar broadcasts)."""
 
     rho: float
     eta: float
     pi: float | tuple[float, ...] = 0.0
-    subproblem_tol: float = objective.SUBPROBLEM_TOL
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -160,15 +161,6 @@ class PextraParams:
                 raise ValueError("mixing matrices must be symmetric")
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """Uniform per-round snapshot: iterate and its dual aggregate."""
-
-    k: int
-    x: np.ndarray
-    phi: np.ndarray
-
-
 def _check_state(state, lengths: dict[str, int]) -> None:
     """Raise DimensionMismatch unless each named state vector is a numpy
     vector of the given length, as `init` makes them. A step runs it only
@@ -199,11 +191,8 @@ class _CentralEngine:
     subproblem rows, and the state's vector lengths (`lengths`, in the
     order of the step's shape test)."""
 
-    def __init__(self, graph: NetworkGraph, components, params: AdmmParams,
-                 lengths: dict[str, int]):
+    def __init__(self, graph: NetworkGraph, lengths: dict[str, int]):
         self.graph = graph
-        self.components = list(components)
-        self.params = params
         self.stack = arc_stack(graph)
         self._index, self._bins, self._size = self.stack.index, self.stack.bins, self.stack.size
         self._rows = (graph.n, graph.p)
@@ -227,19 +216,18 @@ class DadmmEngine:
 
     def __init__(self, graph: NetworkGraph, components, params: AdmmParams):
         self.graph = graph
-        self.components = list(components)
-        self.params = params
-        self.net = harness.dadmm_agents(graph, self.components, params)
+        self.net = harness.dadmm_agents(graph, components, params)
 
     def init(self, x0=None, alpha0=None) -> AdmmState:
-        return dadmm_init(self.graph, self.components, self.params, x0=x0, alpha0=alpha0)
+        return dadmm_init(self.graph, x0=x0, alpha0=alpha0)
 
     def step(self, state: AdmmState) -> AdmmState:
         x, phi = _agent_round(self.net, self.graph, state.x, state.phi)
         return AdmmState(x=x, phi=phi, k=state.k + 1)
 
-    def snapshot(self, state: AdmmState) -> TraceRow:
-        return TraceRow(state.k, state.x, state.phi)
+    def phi(self, state: AdmmState) -> np.ndarray:
+        """The state's dual aggregate phi."""
+        return state.phi
 
 
 class DadmmMatrixEngine(_CentralEngine):
@@ -247,14 +235,13 @@ class DadmmMatrixEngine(_CentralEngine):
 
     def __init__(self, graph: NetworkGraph, components, params: AdmmParams):
         npx = graph.n * graph.p
-        super().__init__(graph, components, params,
-                         {"x": npx, "phi": npx, "alpha": graph.m * graph.p})
-        self.local = _dadmm_rows(graph, self.components, params)
+        super().__init__(graph, {"x": npx, "phi": npx, "alpha": graph.m * graph.p})
+        self.local = _dadmm_rows(graph, components, params)
         self._half_rho = 0.5 * params.rho
         self._half_eta_rho = 0.5 * params.eta * params.rho
 
     def init(self, x0=None, alpha0=None) -> AdmmState:
-        return dadmm_init(self.graph, self.components, self.params, x0=x0, alpha0=alpha0)
+        return dadmm_init(self.graph, x0=x0, alpha0=alpha0)
 
     def step(self, state: AdmmState) -> AdmmState:
         x, phi, alpha = state.x, state.phi, state.alpha
@@ -271,18 +258,18 @@ class DadmmMatrixEngine(_CentralEngine):
         new_phi = np.bincount(bins, (E_O_SIGNS * new_alpha).ravel(), size)
         return AdmmState(x=new_x, phi=new_phi, k=state.k + 1, alpha=new_alpha)
 
-    def snapshot(self, state: AdmmState) -> TraceRow:
-        return TraceRow(state.k, state.x, state.phi)
+    def phi(self, state: AdmmState) -> np.ndarray:
+        """The state's dual aggregate phi = E_o^T alpha."""
+        return state.phi
 
 
 def _dadmm_rows(graph: NetworkGraph, components, params: AdmmParams):
     """D-ADMM's local subproblems: a_i = rho d_i and the proximal pi_i."""
     return objective.ProximalRows(components, params.rho * degrees(graph),
-                                  params.pi_vector(graph.n), params.subproblem_tol)
+                                  params.pi_vector(graph.n))
 
 
-def dadmm_init(graph: NetworkGraph, components, params: AdmmParams,
-               x0=None, alpha0=None) -> AdmmState:
+def dadmm_init(graph: NetworkGraph, x0=None, alpha0=None) -> AdmmState:
     """Initial state from x0 and the arc dual alpha0, each zero by default,
     with phi = E_o^T alpha0."""
     x = _initial(x0, graph.n * graph.p, "x0")
@@ -298,9 +285,8 @@ class FullAdmmEngine(_CentralEngine):
 
     def __init__(self, graph: NetworkGraph, components, params: AdmmParams):
         mp = graph.m * graph.p
-        super().__init__(graph, components, params,
-                         {"x": graph.n * graph.p, "z": mp, "lam": 2 * mp})
-        self.local = _dadmm_rows(graph, self.components, params)
+        super().__init__(graph, {"x": graph.n * graph.p, "z": mp, "lam": 2 * mp})
+        self.local = _dadmm_rows(graph, components, params)
         self._rho = params.rho
         self._two_rho = 2.0 * params.rho
         self._eta_rho = params.eta * params.rho
@@ -329,21 +315,21 @@ class FullAdmmEngine(_CentralEngine):
         new_lam = lam + self._eta_rho * (ends - new_z)
         return FullAdmmState(x=new_x, z=new_z, lam=new_lam.ravel(), k=state.k + 1)
 
-    def snapshot(self, state: FullAdmmState) -> TraceRow:
-        return TraceRow(state.k, state.x, self.stack.e_o_transpose(state.alpha))
+    def phi(self, state: FullAdmmState) -> np.ndarray:
+        """The dual aggregate E_o^T alpha of the state's multiplier."""
+        return self.stack.e_o_transpose(state.alpha)
 
 
 # -- method of multipliers: exact and approximated ---------------------------------
 
 class _MultiplierEngine(_CentralEngine):
-    """The set-up, `init`, `snapshot` and state check of the two
+    """The set-up, `init`, `phi` and state check of the two
     method-of-multipliers engines. Their states carry E_o x, which `init`
     and `step` set."""
 
-    def __init__(self, graph: NetworkGraph, components, params: AdmmParams):
+    def __init__(self, graph: NetworkGraph, params: AdmmParams):
         mp = graph.m * graph.p
-        super().__init__(graph, components, params,
-                         {"x": graph.n * graph.p, "nu": mp, "e_o_x": mp})
+        super().__init__(graph, {"x": graph.n * graph.p, "nu": mp, "e_o_x": mp})
         self._root_eta = math.sqrt(params.eta)
         self._root_eta_half_rho = self._root_eta * 0.5 * params.rho
 
@@ -352,9 +338,9 @@ class _MultiplierEngine(_CentralEngine):
         nu = _initial(nu0, self.graph.m * self.graph.p, "nu0")
         return MMState(x=x, nu=nu, e_o_x=self.stack.e_o(x))
 
-    def snapshot(self, state: MMState) -> TraceRow:
-        scaled = math.sqrt(self.params.eta) * state.nu
-        return TraceRow(state.k, state.x, self.stack.e_o_transpose(scaled))
+    def phi(self, state: MMState) -> np.ndarray:
+        """The dual aggregate E_o^T (sqrt(eta) nu) of the state's multiplier."""
+        return self.stack.e_o_transpose(self._root_eta * state.nu)
 
     def _operands(self, state: MMState):
         """The state's checked (x, nu, E_o x)."""
@@ -395,7 +381,8 @@ class ExactMMEngine(_MultiplierEngine):
             )
         if not 0 < params.eta < 1:
             raise ValueError("exact method of multipliers requires eta in (0,1)")
-        super().__init__(graph, components, params)
+        super().__init__(graph, params)
+        self.components = list(components)
         n, p = graph.n, graph.p
         system = 0.5 * params.rho * np.kron(laplacian(graph), np.eye(p))
         stack = objective.quadratic_stack(self.components)
@@ -434,13 +421,12 @@ class ApproxMMEngine(_MultiplierEngine):
                  epsilon: float):
         if epsilon < 0:
             raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-        super().__init__(graph, components, params)
+        super().__init__(graph, params)
         self._half_rho = 0.5 * params.rho
         self.epsilon = float(epsilon)
         self.local = objective.ProximalRows(
-            self.components, np.zeros(graph.n),
-            params.rho * (degrees(graph) + self.epsilon * params.pi_vector(graph.n)),
-            params.subproblem_tol)
+            components, np.zeros(graph.n),
+            params.rho * (degrees(graph) + self.epsilon * params.pi_vector(graph.n)))
 
     def step(self, state: MMState) -> MMState:
         x, nu, e_o_x = self._operands(state)
@@ -455,7 +441,13 @@ class ApproxMMEngine(_MultiplierEngine):
 # -- P-EXTRA -----------------------------------------------------------------------
 
 def pextra_mixing(graph: NetworkGraph, xi: float, rho: float, eta: float):
-    """Mixing pair W = I - (xi rho / 2) L, W~ = I - (xi rho / 2)(1 - eta) L."""
+    """Mixing pair W = I - (xi rho / 2) L, W~ = I - (xi rho / 2)(1 - eta) L.
+
+    Passing an overshoot omega in [0.5, 1) for eta gives the overshooting
+    pair: at omega = 0.5 it sits exactly on the spectral boundary
+    (I + W)/2 = W~, and beyond it the spectral condition fails by
+    construction, which is the point.
+    """
     if xi <= 0 or rho <= 0:
         raise ValueError("xi and rho must be positive")
     lap = laplacian(graph)
@@ -463,18 +455,6 @@ def pextra_mixing(graph: NetworkGraph, xi: float, rho: float, eta: float):
     w = eye - 0.5 * xi * rho * lap
     w_tilde = eye - 0.5 * xi * rho * (1.0 - eta) * lap
     return w, w_tilde
-
-
-def pextra_overshoot_mixing(graph: NetworkGraph, xi: float, rho: float, omega: float):
-    """Overshooting pair: the relaxation is pushed to omega in [0.5, 1).
-
-    At omega = 0.5 the pair sits exactly on the spectral boundary
-    (I + W)/2 = W~; beyond it the spectral condition fails by construction,
-    which is the point.
-    """
-    if not 0.5 <= omega < 1.0:
-        raise OmegaOutOfRange(f"omega must lie in [0.5, 1), got {omega}")
-    return pextra_mixing(graph, xi, rho, omega)
 
 
 def theorem2_pi(graph: NetworkGraph, xi: float, rho: float) -> tuple[float, ...]:
@@ -513,13 +493,10 @@ class PextraEngine:
         x, running_sum = _agent_round(self.net, self.graph, state.x, state.running_sum)
         return PextraState(x=x, running_sum=running_sum, k=state.k + 1)
 
-    def phi_view(self, state: PextraState) -> np.ndarray:
+    def phi(self, state: PextraState) -> np.ndarray:
         """The D-ADMM dual aggregate implied by the running sum, s times it
         with s = -1/xi, as the network forms it."""
         return self.net.scale * state.running_sum
-
-    def snapshot(self, state: PextraState) -> TraceRow:
-        return TraceRow(state.k, state.x, self.phi_view(state))
 
 
 # -- general two-matrix formulation ---------------------------------------------------
@@ -536,9 +513,7 @@ class GeneralUVEngine:
     def __init__(self, graph: NetworkGraph, u: np.ndarray, v: np.ndarray,
                  dbar: np.ndarray, components, params: AdmmParams):
         self.graph = graph
-        self.components = list(components)
-        self.params = params
-        self.net = harness.general_uv_agents(graph, u, v, dbar, self.components, params)
+        self.net = harness.general_uv_agents(graph, u, v, dbar, components, params)
 
     def init(self, x0=None, phi0=None) -> AdmmState:
         npx = self.graph.n * self.graph.p
@@ -548,5 +523,6 @@ class GeneralUVEngine:
         x, phi = _agent_round(self.net, self.graph, state.x, state.phi)
         return AdmmState(x=x, phi=phi, k=state.k + 1)
 
-    def snapshot(self, state: AdmmState) -> TraceRow:
-        return TraceRow(state.k, state.x, state.phi)
+    def phi(self, state: AdmmState) -> np.ndarray:
+        """The state's dual aggregate phi."""
+        return state.phi

@@ -21,6 +21,9 @@ distances are checked. `eval_g` and `grad_g` are the penalized objective
 g(x) = f(x) + rho (1 - eta)/4 |E_o x|^2 and its gradient, from the dense
 lifted incidence: the oracles of the certified mu_g and L_g.
 
+`terms` writes a component's quadratic terms (Q, b) from its own data, the
+per-agent reference for the package's stacked terms.
+
 `dadmm_matrix_step`, `full_admm_step` and `approx_mm_step` are the steps of
 the three central engines whose agents decouple, written out with the
 `ArcStack` methods, one method call per operator pass, and the checked
@@ -152,6 +155,17 @@ def phi_space_distances_sq(cert, ref, xs, phis):
     return cert.dual_weight * np.einsum("ki,ij,kj->k", dphi, l_pinv, dphi) + x_sq
 
 
+def terms(comp):
+    """(Q, b) with comp(x) = 0.5 x'Qx + b'x + const: (Q, b) of an
+    `AffineQuadratic`, (h h', -y h) of a `RankOneLeastSquares`; None for
+    any other component."""
+    if isinstance(comp, objective.AffineQuadratic):
+        return comp.q, comp.b
+    if isinstance(comp, objective.RankOneLeastSquares):
+        return np.outer(comp.h, comp.h), -comp.y * comp.h
+    return None
+
+
 def _solve_stacked(rows, c, x):
     """The local subproblems of a central step on stacked vectors."""
     new_x, _ = objective.local_subproblem_ex(rows, c.reshape(rows.shape), x.reshape(rows.shape))
@@ -161,15 +175,14 @@ def _solve_stacked(rows, c, x):
 def dadmm_rows(graph, components, params):
     """D-ADMM's local subproblems: a_i = rho d_i and the proximal pi_i."""
     return objective.ProximalRows(components, params.rho * netgraph.degrees(graph),
-                                  params.pi_vector(graph.n), params.subproblem_tol)
+                                  params.pi_vector(graph.n))
 
 
 def approx_mm_rows(graph, components, params, epsilon):
     """The majorized subproblems: a_i = 0 and pi_i = rho (d_i + eps pi_i)."""
     return objective.ProximalRows(
         components, np.zeros(graph.n),
-        params.rho * (netgraph.degrees(graph) + epsilon * params.pi_vector(graph.n)),
-        params.subproblem_tol)
+        params.rho * (netgraph.degrees(graph) + epsilon * params.pi_vector(graph.n)))
 
 
 def dadmm_matrix_step(graph, rows, params, state):

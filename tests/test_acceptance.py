@@ -261,7 +261,7 @@ def test_criterion_6_overshooting():
     xi = 0.9 / (rho * dmax)
 
     for omega in (0.6, 0.75, 0.9):
-        w, wt = solvers.pextra_overshoot_mixing(graph, xi, rho, omega)
+        w, wt = solvers.pextra_mixing(graph, xi, rho, omega)
         mixing_report = analysis.check_mixing(w, wt, graph)
         assert not mixing_report.upper_ok, omega      # spectral condition violated
         assert mixing_report.lam_overshoot > 0
@@ -281,7 +281,7 @@ def test_criterion_6_overshooting():
             xs.append(st.x)
         # the arc dual is read off the trace at eta = omega; the final
         # aggregate must be E_o^T of it
-        report = analysis.verify_contraction(np.array(xs), engine.phi_view(st), ref, cert)
+        report = analysis.verify_contraction(np.array(xs), engine.phi(st), ref, cert)
         assert report.ok, (omega, report.violations[:3])
 
 

@@ -663,7 +663,7 @@ class TestCheckMixing:
 
     def test_overshoot_fails_only_upper_spectral(self):
         xi = 0.9 / self.dmax
-        w, wt = solvers.pextra_overshoot_mixing(self.graph, xi, 1.0, 0.75)
+        w, wt = solvers.pextra_mixing(self.graph, xi, 1.0, 0.75)
         report = analysis.check_mixing(w, wt, self.graph)
         assert report.decentralized and report.symmetric and report.nullspace
         assert report.wt_positive_definite and report.lower_ok

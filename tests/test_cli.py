@@ -149,6 +149,10 @@ class TestConfigRoundTrip:
             parse_config("[algorithm]\nrho = -1\n").validate()
         with pytest.raises(ConfigError):
             parse_config("[algorithm]\npi = theorem2\n").validate()
+        # the overshoot omega's one range check
+        for omega in (0.3, 1.0):
+            with pytest.raises(ConfigError, match=r"omega must lie in \[0.5, 1\)"):
+                ExperimentConfig(algorithm="pextra", xi=0.04, omega=omega).validate()
 
 
 class TestRun:
@@ -493,7 +497,7 @@ dir = {out}
     def test_run_makes_no_per_agent_call(self, flags, tmp_path, monkeypatch):
         calls = []
         for cls in (objective.RankOneLeastSquares, objective.AffineQuadratic):
-            for name in ("value", "values", "grad", "hess", "quadratic_terms"):
+            for name in ("value", "grad", "hess"):
                 monkeypatch.setattr(cls, name, lambda *args, name=name: calls.append(name))
         out = tmp_path / "s"
         assert cli.main(["run", write(tmp_path, self.TEXT.format(out=out)), *flags]) == 0
@@ -825,7 +829,7 @@ def test_verified_run_passes_or_is_refused(name, settings, tmp_path):
 def record_phi_rows(monkeypatch):
     """The dual aggregate of every state a CLI run produces, in order: the
     simulated network's phi through a second observer, the central engines'
-    through `snapshot` of each `init` and `step` result."""
+    through `phi` of each `init` and `step` result."""
     rows = []
     run_rounds = harness.run_rounds
 
@@ -840,7 +844,7 @@ def record_phi_rows(monkeypatch):
         for method in ("init", "step"):
             def recorded(self, *args, _real=getattr(cls, method), **kwargs):
                 state = _real(self, *args, **kwargs)
-                rows.append(self.snapshot(state).phi.copy())
+                rows.append(self.phi(state).copy())
                 return state
             monkeypatch.setattr(cls, method, recorded)
     return rows

@@ -91,7 +91,7 @@ class TestRunRounds:
             if k > 0:
                 state = engine.step(state)
             assert np.array_equal(x, state.x)
-            assert np.array_equal(phi, engine.phi_view(state))
+            assert np.array_equal(phi, engine.phi(state))
 
     def test_general_uv_agents_match_engine(self):
         graph, comps = harness.scenario_least_squares(5, 2, seed=9)
@@ -154,7 +154,7 @@ class TestStackedLocalSolve:
                 c = ref.scale * ref.dual + dense_ref.mix(graph, u, ref.x)
                 new_x = np.empty_like(ref.x)
                 for i, comp in enumerate(comps):
-                    q, b = comp.quadratic_terms()
+                    q, b = dense_ref.terms(comp)
                     inv = denselin.spd_inverse(q + shift[i] * np.eye(p))
                     new_x[i] = inv @ (ref.local.pi[i] * ref.x[i] - b - c[i])
                 ref.x = new_x
@@ -167,7 +167,7 @@ class TestStackedLocalSolve:
         lap = netgraph.laplacian(graph)
         for a, pi in ((-np.ones(4), np.zeros(4)), (np.ones(4), np.full(4, -0.1))):
             with pytest.raises(ValueError, match="nonnegative"):
-                harness.Network(graph, comps, lap, lap, a, pi, scale=1.0, tol=1e-10,
+                harness.Network(graph, comps, lap, lap, a, pi, scale=1.0,
                                 x=np.zeros((4, 2)), dual=np.zeros((4, 2)))
 
 

@@ -268,7 +268,7 @@ class TestArcOperator:
         comps = [objective.AffineQuadratic(np.eye(2), np.zeros(2)) for _ in range(3)]
         params = AdmmParams(rho=1.0, eta=0.5)
         with pytest.raises(DimensionMismatch):
-            solvers.dadmm_init(g, comps, params, alpha0=np.zeros(7))
+            solvers.dadmm_init(g, alpha0=np.zeros(7))
         engine = solvers.FullAdmmEngine(g, comps, params)
         state = engine.init()
         state.lam = np.zeros(7)

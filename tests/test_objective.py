@@ -12,6 +12,7 @@ from deconopt.errors import (
 )
 from deconopt.objective import (
     AffineQuadratic,
+    ObjectiveComponent,
     ProximalRows,
     RankOneLeastSquares,
     SmoothCallback,
@@ -36,9 +37,9 @@ def _subproblem_residual(comp, x, c, a, pi, x_prev):
     return np.linalg.norm(comp.grad(x) + c + a * x + pi * (x - x_prev))
 
 
-def solve_one(comp, c, a, pi, x_prev, tol=objective.SUBPROBLEM_TOL):
+def solve_one(comp, c, a, pi, x_prev):
     """One agent's subproblem as a one-row stack: (minimizer, iterations)."""
-    x, iters = local_subproblem_ex(ProximalRows([comp], [a], [pi], tol),
+    x, iters = local_subproblem_ex(ProximalRows([comp], [a], [pi]),
                                    np.asarray(c)[None], np.asarray(x_prev)[None])
     return x[0], iters[0]
 
@@ -132,14 +133,14 @@ class TestLocalSubproblem:
             AffineQuadratic(_random_psd(rng, 2), rng.standard_normal(2)),
             logcosh_component(rng.standard_normal(2), -0.6),
         ]
-        tol = 1e-11
+        tol = objective.SUBPROBLEM_TOL
         for comp in comps:
             for _ in range(25):
                 c = rng.standard_normal(2)
                 a = float(rng.uniform(0.1, 3.0))
                 pi = float(rng.uniform(0.0, 2.0))
                 x_prev = rng.standard_normal(2)
-                x = solve_one(comp, c, a, pi, x_prev, tol)[0]
+                x = solve_one(comp, c, a, pi, x_prev)[0]
                 assert _subproblem_residual(comp, x, c, a, pi, x_prev) <= tol * 10
 
     def test_newton_matches_closed_form(self):
@@ -158,7 +159,7 @@ class TestLocalSubproblem:
         c = rng.standard_normal(3)
         x_prev = rng.standard_normal(3)
         xe = solve_one(exact, c, 0.7, 0.3, x_prev)[0]
-        xn = solve_one(wrapped, c, 0.7, 0.3, x_prev, tol=1e-12)[0]
+        xn = solve_one(wrapped, c, 0.7, 0.3, x_prev)[0]
         assert_allclose(xn, xe, atol=1e-9)
 
     def test_mixed_rows(self):
@@ -173,14 +174,14 @@ class TestLocalSubproblem:
         ]
         a = rng.uniform(0.1, 3.0, 4)
         pi = rng.uniform(0.0, 2.0, 4)
-        tol = 1e-11
-        rows = ProximalRows(comps, a, pi, tol)
+        tol = objective.SUBPROBLEM_TOL
+        rows = ProximalRows(comps, a, pi)
         for _ in range(10):
             c = rng.standard_normal((4, 2))
             x_prev = rng.standard_normal((4, 2))
             x, iters = local_subproblem_ex(rows, c, x_prev)
             for i, comp in enumerate(comps):
-                terms = comp.quadratic_terms()
+                terms = dense_ref.terms(comp)
                 if terms is None:
                     assert _subproblem_residual(comp, x[i], c[i], a[i], pi[i],
                                                 x_prev[i]) <= tol
@@ -261,6 +262,48 @@ class TestSumProfile:
         assert prof.mu_sum == 0.5
 
 
+class UserQuadratic(ObjectiveComponent):
+    """0.5 x'Qx + b'x written as a user subclass: quadratic, yet none of
+    the package's three kinds."""
+
+    def __init__(self, q, b):
+        self.q, self.b = np.asarray(q, dtype=float), np.asarray(b, dtype=float)
+        self.p = self.b.shape[0]
+        self.lipschitz = float(np.linalg.eigvalsh(self.q)[-1])
+
+    def value(self, x):
+        return float(0.5 * x @ (self.q @ x) + self.b @ x)
+
+    def grad(self, x):
+        return self.q @ x + self.b
+
+    def hess(self, x):
+        return self.q
+
+
+class TestClassificationByType:
+    """Agents are classed by type: only instances of `RankOneLeastSquares`
+    and `AffineQuadratic` are closed-form rows, so any other subclass is a
+    callback, whatever its arithmetic."""
+
+    def test_user_subclass_is_a_callback(self):
+        rng = np.random.default_rng(90)
+        user = UserQuadratic(_random_psd(rng, 2) + np.eye(2), rng.standard_normal(2))
+        comps = [RankOneLeastSquares(rng.standard_normal(2), 0.2), user,
+                 AffineQuadratic(_random_psd(rng, 2), rng.standard_normal(2))]
+        a, pi = rng.uniform(0.5, 2.0, 3), rng.uniform(0.0, 1.0, 3)
+        rows = ProximalRows(comps, a, pi)
+        assert rows.callbacks == [1]
+        for _ in range(5):
+            c, x_prev = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+            x = local_subproblem_ex(rows, c, x_prev)[0]
+            assert _subproblem_residual(user, x[1], c[1], a[1], pi[1],
+                                        x_prev[1]) <= objective.SUBPROBLEM_TOL
+        g = netgraph.build_graph(3, [(1, 2), (2, 3)], 2)
+        with pytest.raises(ValueError, match="mu_sum must be supplied"):
+            objective.sum_profile(comps, g)
+
+
 def test_minimize_sum_least_squares():
     # centralized minimizer equals the normal-equation solution
     rng = np.random.default_rng(33)
@@ -305,22 +348,6 @@ def _mixed_components(rng, n, p):
 
 
 class TestBatchedValues:
-    @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_values_match_value_on_strided_views(self, p):
-        rng = np.random.default_rng(40 + p)
-        # column blocks of a wide array are strided views, as in a trace
-        wide = 3.0 * rng.standard_normal((37, 4 * p))
-        for comp in (RankOneLeastSquares(rng.standard_normal(p), rng.standard_normal()),
-                     AffineQuadratic(_random_psd(rng, p), rng.standard_normal(p))):
-            for i in range(4):
-                xs = wide[:, i * p:(i + 1) * p]
-                assert np.array_equal(comp.values(xs), [comp.value(x) for x in xs])
-
-    def test_callback_values_loop_over_value(self):
-        comp = logcosh_component([1.0, -2.0], 0.5)
-        xs = np.random.default_rng(7).standard_normal((5, 2))
-        assert np.array_equal(comp.values(xs), [comp.value(x) for x in xs])
-
     @pytest.mark.parametrize("p", [1, 3])
     def test_sum_value_rows_match_builtin_sum(self, p):
         rng = np.random.default_rng(50 + p)
@@ -353,7 +380,7 @@ class TestBatchedValues:
     def test_stacked_terms_match_per_agent_terms(self):
         rng = np.random.default_rng(75)
         comps = _mixed_components(rng, 10, 3)[:2] * 5
-        terms = [comp.quadratic_terms() for comp in comps]
+        terms = [dense_ref.terms(comp) for comp in comps]
         q, b = objective.quadratic_stack(comps)
         assert np.array_equal(q, [t[0] for t in terms])
         assert np.array_equal(b, [t[1] for t in terms])
@@ -412,7 +439,7 @@ class TestProximalRows:
                 got, iters = local_subproblem_ex(rows, c, x_prev)
                 assert iters == (1,) * 6
                 for i, comp in enumerate(comps):
-                    q, b = comp.quadratic_terms()
+                    q, b = dense_ref.terms(comp)
                     inv = fresh(q + (a[i] + pi[i]) * np.eye(p))
                     assert np.array_equal(got[i], inv @ (pi[i] * x_prev[i] - b - c[i]))
             assert len(calls) == 1
@@ -425,7 +452,7 @@ class TestProximalRows:
         comps = _mixed_components(rng, 10, p)
         a, pi = rng.uniform(0.5, 2.0, 10), rng.uniform(0.0, 1.0, 10)
         rows = ProximalRows(comps, a, pi)
-        terms = [comp.quadratic_terms() for comp in comps]
+        terms = [dense_ref.terms(comp) for comp in comps]
         closed = [i for i, t in enumerate(terms) if t is not None]
         want_b = np.zeros((10, p))
         want_b[closed] = [terms[i][1] for i in closed]
@@ -455,7 +482,7 @@ class TestProximalRows:
     def test_callback_rows_only(self, monkeypatch):
         calls = self.count_inverses(monkeypatch)
         comp = logcosh_component([1.0, -2.0], 0.1)
-        rows = ProximalRows([comp, comp], [1.0, 0.5], [0.1, 0.0], 1e-11)
+        rows = ProximalRows([comp, comp], [1.0, 0.5], [0.1, 0.0])
         # nothing is inverted: the stack is all zero blocks, for Newton to overwrite
         assert not calls and not rows.inverse.any()
         x, iters = local_subproblem_ex(rows, np.ones((2, 2)), np.zeros((2, 2)))

@@ -9,7 +9,6 @@ from deconopt.errors import (
     DeconoptError,
     DimensionMismatch,
     NoUniqueMinimizer,
-    OmegaOutOfRange,
 )
 from deconopt.objective import AffineQuadratic, RankOneLeastSquares, zero_component
 from deconopt.solvers import AdmmParams, PextraParams
@@ -53,15 +52,15 @@ class TestAdmmParams:
 
 class TestDadmmInit:
     def test_zero_mode(self):
-        g, comps = single_edge_instance()
-        st = solvers.dadmm_init(g, comps, AdmmParams(1.0, 0.5))
+        g, _ = single_edge_instance()
+        st = solvers.dadmm_init(g)
         assert_allclose(st.phi, 0.0)
         assert_allclose(st.alpha, 0.0)
 
     def test_explicit_alpha0(self):
-        graph, comps = random_instance(1)
+        graph, _ = random_instance(1)
         alpha0 = np.random.default_rng(3).standard_normal(graph.m * graph.p)
-        st = solvers.dadmm_init(graph, comps, AdmmParams(1.0, 0.5), alpha0=alpha0)
+        st = solvers.dadmm_init(graph, alpha0=alpha0)
         assert np.array_equal(st.alpha, alpha0) and st.alpha is not alpha0
         e_o = dense_ref.lifted_incidence(graph)[0]
         assert_allclose(st.phi, e_o.T @ alpha0, rtol=0, atol=1e-12)
@@ -314,28 +313,21 @@ class TestPextraMixing:
 class TestPextraOvershoot:
     def test_boundary_equality(self):
         graph, _ = random_instance(19)
-        w, wt = solvers.pextra_overshoot_mixing(graph, 0.05, 1.0, 0.5)
+        w, wt = solvers.pextra_mixing(graph, 0.05, 1.0, 0.5)
         assert_allclose(wt, 0.5 * (np.eye(graph.n) + w), atol=1e-15)
 
     def test_spectral_condition_violated(self):
         g = netgraph.build_graph(3, [(1, 2), (2, 3)], 1)
-        w, wt = solvers.pextra_overshoot_mixing(g, 0.05, 1.0, 0.75)
+        w, wt = solvers.pextra_mixing(g, 0.05, 1.0, 0.75)
         gap = wt - 0.5 * (np.eye(3) + w)
         eigvals, _ = denselin.sym_eigen(denselin.SymMatrix(gap))
         assert eigvals[-1] > 0
-
-    def test_omega_range(self):
-        graph, _ = random_instance(20)
-        with pytest.raises(OmegaOutOfRange):
-            solvers.pextra_overshoot_mixing(graph, 0.05, 1.0, 0.3)
-        with pytest.raises(OmegaOutOfRange):
-            solvers.pextra_overshoot_mixing(graph, 0.05, 1.0, 1.0)
 
     def test_overshoot_matches_dadmm(self):
         graph, comps = random_instance(21)
         rho, omega = 1.0, 0.75
         xi = 0.9 * max_theorem2_xi(graph, rho)
-        w, wt = solvers.pextra_overshoot_mixing(graph, xi, rho, omega)
+        w, wt = solvers.pextra_mixing(graph, xi, rho, omega)
         pe = solvers.PextraEngine(graph, comps, PextraParams(xi=xi, w=w, w_tilde=wt))
         da = solvers.DadmmEngine(
             graph, comps,
@@ -498,8 +490,8 @@ class TestStackedLengthChecked:
         approx = solvers.ApproxMMEngine(graph, comps, params, 1.0)
         uv = solvers.GeneralUVEngine(graph, *dense_ref.incidence_uv(graph), comps, params)
         calls = [
-            lambda: solvers.dadmm_init(graph, comps, params, x0=bad_x),
-            lambda: solvers.dadmm_init(graph, comps, params, alpha0=bad_arc),
+            lambda: solvers.dadmm_init(graph, x0=bad_x),
+            lambda: solvers.dadmm_init(graph, alpha0=bad_arc),
             lambda: full.init(x0=bad_x),
             lambda: full.init(alpha0=bad_arc),
             lambda: exact.init(x0=bad_x),
@@ -577,12 +569,12 @@ class TestAffineSolve:
         n = graph.n
         rng = np.random.default_rng(82)
         shift = rng.uniform(1.0, 3.0, n)
-        rows = objective.ProximalRows(comps, np.zeros(n), shift, 1e-12)
+        rows = objective.ProximalRows(comps, np.zeros(n), shift)
         for _ in range(5):
             linear = rng.standard_normal(n * p)
             got = rows.solve(linear.reshape(n, p), np.zeros((n, p)))[0].ravel()
             for i, comp in enumerate(comps):
-                q, b = comp.quadratic_terms()
+                q, b = dense_ref.terms(comp)
                 want = denselin.spd_inverse(q + shift[i] * np.eye(p)) @ -(
                     b + linear[i * p:(i + 1) * p])
                 block = got[i * p:(i + 1) * p]
@@ -595,8 +587,8 @@ class TestAffineSolve:
         engine = solvers.ExactMMEngine(graph, comps, params)
         system = 0.5 * params.rho * dense_ref.lift(netgraph.laplacian(graph), p)
         for i, comp in enumerate(comps):
-            system[i * p:(i + 1) * p, i * p:(i + 1) * p] += comp.quadratic_terms()[0]
-        b = np.concatenate([comp.quadratic_terms()[1] for comp in comps])
+            system[i * p:(i + 1) * p, i * p:(i + 1) * p] += dense_ref.terms(comp)[0]
+        b = np.concatenate([dense_ref.terms(comp)[1] for comp in comps])
         rng = np.random.default_rng(84)
         state = engine.init(x0=rng.standard_normal(n * p),
                             nu0=rng.standard_normal(graph.m * p))
@@ -701,13 +693,13 @@ class TestSnapshots:
         ]
         for engine in engines:
             state = engine.step(engine.init())
-            row = engine.snapshot(state)
-            assert row.k == 1
-            assert row.x.shape == (graph.n * graph.p,)
-            assert row.phi.shape == (graph.n * graph.p,)
+            phi = engine.phi(state)
+            assert state.k == 1
+            assert state.x.shape == (graph.n * graph.p,)
+            assert phi.shape == (graph.n * graph.p,)
             # the dual aggregate lies in the range of the transposed incidence
             p = graph.p
-            block_sum = sum(row.phi[i * p:(i + 1) * p] for i in range(graph.n))
+            block_sum = sum(phi[i * p:(i + 1) * p] for i in range(graph.n))
             assert np.max(np.abs(block_sum)) <= 1e-9
 
     def test_mixing_must_respect_graph(self):
@@ -794,7 +786,7 @@ class TestCentralStepBits:
         else:
             p, pi = cell
             graph, comps = harness.scenario_least_squares(7, p, seed=71)
-        params = AdmmParams(rho=1.3, eta=0.6, pi=pi, subproblem_tol=1e-12)
+        params = AdmmParams(rho=1.3, eta=0.6, pi=pi)
         make, reference_step, init = CENTRAL_REFERENCES[name]
         engine, rows = make(graph, comps, params)
         rng = np.random.default_rng(72)
@@ -813,7 +805,7 @@ class TestCentralStepBits:
 class TestCallbackComponents:
     def test_engines_agree_on_newton_path(self):
         graph, comps, _ = mixed_callback_instance(60)
-        params = AdmmParams(rho=1.0, eta=0.5, pi=0.1, subproblem_tol=1e-12)
+        params = AdmmParams(rho=1.0, eta=0.5, pi=0.1)
         pa = solvers.DadmmEngine(graph, comps, params)
         mx = solvers.DadmmMatrixEngine(graph, comps, params)
         am = solvers.ApproxMMEngine(graph, comps, params, 1.0)
@@ -827,7 +819,7 @@ class TestCallbackComponents:
         # callback rows run Newton on their own p x p Hessians, as on the
         # network; no stacked (np) x (np) system is inverted or solved
         graph, comps, _ = mixed_callback_instance(64)
-        params = AdmmParams(rho=1.0, eta=0.5, pi=0.1, subproblem_tol=1e-12)
+        params = AdmmParams(rho=1.0, eta=0.5, pi=0.1)
         seen = {"spd_inverse": [], "solve_spd": []}
         for name, shapes in seen.items():
             def spy(a, *args, real=getattr(denselin, name), shapes=shapes):
@@ -860,7 +852,7 @@ class TestCallbackComponents:
     def test_contraction_holds_with_supplied_mu(self):
         from deconopt import analysis, objective
         graph, comps, mu = mixed_callback_instance(62)
-        params = AdmmParams(rho=1.0, eta=0.5, pi=0.1, subproblem_tol=1e-12)
+        params = AdmmParams(rho=1.0, eta=0.5, pi=0.1)
         profile = objective.sum_profile(comps, graph, mu_sum=mu)
         cert = analysis.rate_certificate(graph, profile, params)
         assert cert.delta > 0
