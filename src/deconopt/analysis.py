@@ -48,7 +48,6 @@ from .netgraph import (
 )
 from .tolerances import DEFAULT, Tolerances
 
-_ROW_BLOCK = objective._ROW_BLOCK  # trace rows per pass of `distances_sq`
 # entry and eigenvalue tolerance of the mixing-matrix and U/V condition checks
 MIXING_TOL = 1e-9
 
@@ -57,20 +56,19 @@ MIXING_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Consensual optimum, the unique column-space multiplier, its scaled
-    method-of-multipliers counterpart, and the sum's curvature profile, which
-    the strong-convexity check formed (None when a component is a callback,
-    whose mu_sum the caller supplies)."""
+    """The instance's consensual optimum, its unique column-space multiplier
+    (a method of multipliers with relaxation eta tends to alpha*/sqrt(eta)),
+    and the sum's curvature profile, which the strong-convexity check formed
+    (None when a component is a callback, whose mu_sum the caller supplies)."""
 
     xbar: np.ndarray
     x_star: np.ndarray
     alpha_star: np.ndarray
-    nu_star: np.ndarray
     objective_value: float
     profile: objective.SumProfile | None = None
 
 
-def reference_solution(graph: NetworkGraph, components, eta: float,
+def reference_solution(graph: NetworkGraph, components,
                        tolerances: Tolerances = DEFAULT) -> ReferenceSolution:
     """Solve the instance centrally and price the consensus coupling.
 
@@ -78,9 +76,7 @@ def reference_solution(graph: NetworkGraph, components, eta: float,
     lies in the column space of E_o and is the unique such multiplier. Every
     pass over the components reads one stacked view of them.
     """
-    if eta <= 0:
-        raise EtaOutOfRange(f"eta must be positive, got {eta}")
-    stack = objective._stacked(components)
+    stack = objective.stacked(components)
     profile = None
     if not stack.callbacks:
         profile = objective.sum_profile(stack, graph)  # raises NotStronglyConvex early
@@ -93,7 +89,6 @@ def reference_solution(graph: NetworkGraph, components, eta: float,
         xbar=xbar,
         x_star=x_star,
         alpha_star=alpha_star,
-        nu_star=alpha_star / math.sqrt(eta),
         objective_value=objective.sum_value(stack, x_star),
         profile=profile,
     )
@@ -136,9 +131,18 @@ def _mu_g(profile: objective.SumProfile, lam_min: float, rho: float, eta: float,
         # the cubic is (1 + g^2) times the branch difference, which falls
         # strictly from a to below zero on (0, a/2L) and stays negative
         # beyond: its one positive root is the crossing (LAPACK returns a
-        # real root with an exactly zero imaginary part)
-        roots = np.roots([-2.0 * lip, a - k, -2.0 * lip, a])
-        gamma = float(roots.real[(roots.imag == 0) & (roots.real > 0)].min())
+        # real root with an exactly zero imaginary part); coefficients out of
+        # the float range leave none
+        try:
+            roots = np.roots([-2.0 * lip, a - k, -2.0 * lip, a])
+        except np.linalg.LinAlgError:
+            roots = np.zeros(0)
+        positive = roots.real[(roots.imag == 0) & (roots.real > 0)]
+        if not positive.size:
+            raise CertificateUnavailable(
+                f"mu_g: no positive real root for gamma (a = {a:.3e}, K = {k:.3e}, "
+                f"L = {lip:.3e})")
+        gamma = float(positive.min())
     else:
         gamma = float(gamma)
         if not 0 < gamma < a / (2.0 * lip):
@@ -226,16 +230,17 @@ class RateCertificate:
         return out
 
     def _alpha_blocks(self, xs: np.ndarray, alpha0: np.ndarray):
-        """(first row, |E_o x_k|^2, alpha rows) per `_ROW_BLOCK` trace rows:
-        the alpha rows are c E_o x_k with c = rho eta / 2, alpha0 for row 0's,
-        in one cumsum carried across blocks, in place in one buffer that each
-        block overwrites (arc rows are wide)."""
+        """(first row, |E_o x_k|^2, alpha rows) per `objective._ROW_BLOCK`
+        trace rows: the alpha rows are c E_o x_k with c = rho eta / 2, alpha0
+        for row 0's, in one cumsum carried across blocks, in place in one
+        buffer that each block overwrites (arc rows are wide)."""
         src, dst = arc_stack(self.graph).index
         c = 0.5 * self.eta * self.rho
-        buf = np.empty((min(len(xs), _ROW_BLOCK), len(src)))
+        block_rows = objective._ROW_BLOCK
+        buf = np.empty((min(len(xs), block_rows), len(src)))
         carry = alpha0
-        for start in range(0, len(xs), _ROW_BLOCK):
-            block = xs[start:start + _ROW_BLOCK]
+        for start in range(0, len(xs), block_rows):
+            block = xs[start:start + block_rows]
             # the indices are valid; the default mode="raise" would buffer `out`
             steps = np.take(block, src, axis=1, out=buf[:len(block)], mode="clip")
             steps -= block[:, dst]
@@ -246,19 +251,30 @@ class RateCertificate:
             yield start, e_o_sq, steps
 
 
-def _max_min_tau(a: float, b: float, c: float, d: float) -> tuple[float, float]:
-    """Max over tau > 0 of min(a / (1 + 1/tau), b / ((1 + tau) c + d)), and
-    the tau realizing it.
+def _max_min_tau(name: str, a: float, b: float, lip_g: float,
+                 d: float) -> tuple[float, float]:
+    """Max over tau > 0 of min(a / (1 + 1/tau), b / ((1 + tau) c + d)) with
+    c = L_g^2, and the tau realizing it.
 
     The first branch rises and the second falls, so the max sits at their
     crossing: the one positive root of a c tau^2 + (a c + a d - b) tau - b = 0,
     taken in the form that does not cancel. Any tau gives a valid bound, so
-    the min is reported at the computed root whatever its roundoff.
+    the min is reported at the computed root whatever its roundoff. A step
+    that leaves the float range, or a max that is not a positive finite
+    number, is CertificateUnavailable naming the constant `name`.
     """
-    lin = a * c + a * d - b
-    root = math.sqrt(lin * lin + 4.0 * a * c * b)
-    tau = 2.0 * b / (lin + root) if lin > 0 else (root - lin) / (2.0 * a * c)
-    return min(a / (1.0 + 1.0 / tau), b / ((1.0 + tau) * c + d)), tau
+    try:
+        c = lip_g ** 2
+        lin = a * c + a * d - b
+        root = math.sqrt(lin * lin + 4.0 * a * c * b)
+        tau = 2.0 * b / (lin + root) if lin > 0 else (root - lin) / (2.0 * a * c)
+        value = min(a / (1.0 + 1.0 / tau), b / ((1.0 + tau) * c + d))
+    except (ArithmeticError, ValueError) as exc:
+        raise CertificateUnavailable(
+            f"{name} leaves the float range (L_g = {lip_g:.3e}): {exc}") from exc
+    if not 0 < value < math.inf:
+        raise CertificateUnavailable(f"{name} = {value!r} is not a positive finite number")
+    return value, tau
 
 
 def delta_bound(rho: float, eta: float, mu: float, lip_g: float,
@@ -268,8 +284,8 @@ def delta_bound(rho: float, eta: float, mu: float, lip_g: float,
     rho eta lam_min / (2 (1 + 1/tau) lam_max(M)) and the falling branch
     rho eta mu lam_min / ((1 + tau) L_g^2 + rho eta lam_max(M) lam_min).
     """
-    return _max_min_tau(rho * eta * lam_min / (2.0 * lam_max_m), rho * eta * mu * lam_min,
-                        lip_g ** 2, rho * eta * lam_max_m * lam_min)
+    return _max_min_tau("delta", rho * eta * lam_min / (2.0 * lam_max_m),
+                        rho * eta * mu * lam_min, lip_g, rho * eta * lam_max_m * lam_min)
 
 
 def delta_bound_admm(rho: float, eta: float, mu: float, lip_g: float,
@@ -278,8 +294,9 @@ def delta_bound_admm(rho: float, eta: float, mu: float, lip_g: float,
     the max over tau > 0 of the smaller of eta lam_min / ((1 + 1/tau)
     lam_max(E_u^T E_u)) and 2 rho eta mu lam_min / ((1 + tau) L_g^2
     + rho^2 eta lam_max(E_u^T E_u) lam_min)."""
-    return _max_min_tau(eta * lam_min / lam_max_eu, 2.0 * rho * eta * mu * lam_min,
-                        lip_g ** 2, rho * rho * eta * lam_max_eu * lam_min)
+    return _max_min_tau("delta_admm", eta * lam_min / lam_max_eu,
+                        2.0 * rho * eta * mu * lam_min, lip_g,
+                        rho * rho * eta * lam_max_eu * lam_min)
 
 
 def _certificate_prelude(graph: NetworkGraph, profile: objective.SumProfile, rho: float,
@@ -316,7 +333,7 @@ def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
     pi = params.pi_vector(graph.n)
     m_base = 0.5 * rho * (2.0 * np.diag(degrees(graph)) + (2.0 / rho) * np.diag(pi)
                           - laplacian(graph))
-    eigvals_m, _ = denselin.sym_eigen(denselin.SymMatrix(m_base))
+    eigvals_m, _ = denselin.sym_eigen(m_base)
     lam_max_m = float(eigvals_m[-1])
     delta, tau_star = delta_bound(rho, eta, mu, lip_g, lam_min, lam_max_m)
     return RateCertificate(
@@ -333,7 +350,7 @@ def rate_certificate_admm(graph: NetworkGraph, profile: objective.SumProfile,
     """Certificate for the P = 0 case, stated on (alpha, edge variable)."""
     lam_min, lip_g, mu, gamma_star = _certificate_prelude(graph, profile, rho, eta)
     gram_u = unoriented_gram(graph)
-    eig_eu, _ = denselin.sym_eigen(denselin.SymMatrix(gram_u))
+    eig_eu, _ = denselin.sym_eigen(gram_u)
     lam_max_eu = float(eig_eu[-1])
     delta, tau_star = delta_bound_admm(rho, eta, mu, lip_g, lam_min, lam_max_eu)
     return RateCertificate(
@@ -429,8 +446,7 @@ def _respects_graph(mat: np.ndarray, graph: NetworkGraph) -> bool:
 
 def _nullspace_is_consensus(mat: np.ndarray) -> bool:
     """null(mat) equals the span of the all-ones vector (mat symmetrized)."""
-    sym = denselin.SymMatrix(0.5 * (mat + mat.T))
-    eigvals, eigvecs = denselin.sym_eigen(sym)
+    eigvals, eigvecs = denselin.sym_eigen(0.5 * (mat + mat.T))
     scale = max(float(np.max(np.abs(eigvals))), 1.0)
     null_idx = [i for i, lam in enumerate(eigvals) if abs(lam) <= MIXING_TOL * scale]
     if len(null_idx) != 1:
@@ -469,12 +485,12 @@ def check_mixing(w: np.ndarray, w_tilde: np.ndarray, graph: NetworkGraph) -> Mix
                  and float(np.linalg.norm((np.eye(n) - wt) @ ones))
                  <= MIXING_TOL * math.sqrt(n))
 
-    eig_wt, _ = denselin.sym_eigen(denselin.SymMatrix(0.5 * (wt + wt.T)))
+    eig_wt, _ = denselin.sym_eigen(0.5 * (wt + wt.T))
     lam_min_wt = float(eig_wt[0])
     upper_gap = 0.5 * (np.eye(n) + w) - wt
-    eig_up, _ = denselin.sym_eigen(denselin.SymMatrix(0.5 * (upper_gap + upper_gap.T)))
+    eig_up, _ = denselin.sym_eigen(0.5 * (upper_gap + upper_gap.T))
     lower_gap = wt - w
-    eig_lo, _ = denselin.sym_eigen(denselin.SymMatrix(0.5 * (lower_gap + lower_gap.T)))
+    eig_lo, _ = denselin.sym_eigen(0.5 * (lower_gap + lower_gap.T))
     return MixingReport(
         decentralized=decentralized,
         symmetric=symmetric,

@@ -399,10 +399,10 @@ def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
 def _gap_sink(xs, gaps):
     """Row sink for the comparison run: `gaps[k] = max|xs[k] - x_k|`.
 
-    Rows are copied into one (analysis._ROW_BLOCK, n*p) buffer; when it fills,
+    Rows are copied into one (objective._ROW_BLOCK, n*p) buffer; when it fills,
     and at the last row of `xs`, its block of gaps is formed in place.
     """
-    buf = np.empty((min(len(xs), analysis._ROW_BLOCK), xs.shape[1]))
+    buf = np.empty((min(len(xs), objective._ROW_BLOCK), xs.shape[1]))
     last = len(xs) - 1
 
     def record(k, x, messages):
@@ -450,36 +450,51 @@ def emit_trace(path, obj_errs, resids, messages, distances=None, delta=None) -> 
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code.
 
-    Only the primary run's (rounds+1, n*p) iterates are kept; a comparison
-    run's rows become compare.csv's gaps one row block at a time.
+    The component list's stacked view is built once and serves every pass
+    over the sum. Only the primary run's (rounds+1, n*p) iterates are kept;
+    a comparison run's rows become compare.csv's gaps one row block at a
+    time. Every computation ends before the first file is written, so a run
+    that fails writes nothing.
     """
     config.validate()
     tol = config.run_tolerances()
 
     graph, components = build_scenario(config)
+    components = objective.stacked(components)
     params = _resolve_params(config, graph)
-    ref = analysis.reference_solution(graph, components, params.eta, tol)
+    ref = analysis.reference_solution(graph, components, tol)
 
-    xs = np.empty((config.rounds + 1, graph.n * graph.p))
+    try:
+        xs = np.empty((config.rounds + 1, graph.n * graph.p))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"rounds = {config.rounds}: no room for the iterates") from exc
     messages = [0] * len(xs)
 
     def record(k, x, count):
         xs[k] = x
         messages[k] = count
 
-    phi_last = _run_algorithm(config.algorithm, config, graph, components, params, record)
-
     cert = None
-    report = None
     if config.verify:
         cert_params = replace(params, eta=config.certified_eta())
         cert = analysis.rate_certificate(graph, ref.profile, cert_params)
+
+    phi_last = _run_algorithm(config.algorithm, config, graph, components, params, record)
+
+    report = None
+    if cert is not None:
         report = analysis.verify_contraction(xs, phi_last, ref, cert, tolerances=tol)
 
-    os.makedirs(config.out_dir, exist_ok=True)
+    gaps = None
+    if config.compare is not None:
+        gaps = np.empty(len(xs))
+        _run_algorithm(config.compare, config, graph, components, params,
+                       _gap_sink(xs, gaps))
 
     obj_errs = objective.sum_value(components, xs) - ref.objective_value
     resids = [netgraph.consensuality_residual(graph, x) for x in xs]
+
+    os.makedirs(config.out_dir, exist_ok=True)
     distances = None if report is None else report.distances.tolist()
     delta = None if cert is None else cert.delta
     emit_trace(os.path.join(config.out_dir, "trace.csv"), obj_errs.tolist(), resids,
@@ -495,14 +510,11 @@ def run(config: ExperimentConfig) -> int:
         with open(os.path.join(config.out_dir, "certificate.csv"), "w", newline="") as fh:
             fh.write("\n".join(analysis.certificate_csv_rows(cert)) + "\n")
 
-    if config.compare is not None:
-        gaps = np.empty(len(xs))
-        _run_algorithm(config.compare, config, graph, components, params,
-                       _gap_sink(xs, gaps))
+    if gaps is not None:
         _write_lines(os.path.join(config.out_dir, "compare.csv"), "k,max_abs_dx",
                      map("%d,%.17g\n".__mod__, enumerate(gaps.tolist())))
 
-    if config.verify and report is not None and not report.ok:
+    if report is not None and not report.ok:
         return 2
     return 0
 

@@ -9,7 +9,7 @@ graph-level Gram matrix b^T b and the products of B and B^T, which the caller
 supplies: no b is formed here and no pseudo-inverse either. Inputs are
 validated here and LAPACK failures are mapped to the package errors, so no
 bare numpy exception escapes. Its two thresholds are constants:
-`SYMMETRY_TOL`, the largest asymmetry a SymMatrix symmetrizes, and
+`SYMMETRY_TOL`, the largest asymmetry `symmetric` symmetrizes, and
 `SPECTRUM_ZERO`, the relative cutoff below which `smallest_nonzero` counts an
 eigenvalue as zero.
 """
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .tolerances import DEFAULT, Tolerances
 
-# largest absolute asymmetry a SymMatrix symmetrizes rather than refuses
+# largest absolute asymmetry `symmetric` symmetrizes rather than refuses
 SYMMETRY_TOL = 1e-12
 # relative cutoff separating "zero" eigenvalues from the rest; a connected
 # graph's Laplacian computes its zero at |lam_0| / lam_max ~ 1e-16, and a
@@ -39,48 +39,33 @@ SYMMETRY_TOL = 1e-12
 SPECTRUM_ZERO = 1e-9
 
 
-class SymMatrix:
-    """Dense symmetric matrix; symmetrized on construction.
-
-    Construction refuses inputs whose absolute asymmetry exceeds
-    `SYMMETRY_TOL`.
-    """
-
-    def __init__(self, entries):
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise NonFinite("matrix contains non-finite entries")
-        skew = np.max(np.abs(a - a.T)) if a.size else 0.0
-        if skew > SYMMETRY_TOL:
-            raise DimensionMismatch(
-                f"matrix asymmetry {skew:.3e} exceeds tolerance {SYMMETRY_TOL:.3e}"
-            )
-        a = 0.5 * (a + a.T)
-        a.setflags(write=False)
-        self.entries = a
-
-    @property
-    def order(self) -> int:
-        # no caller in the package: bench/tracer.py reads it to size eigen calls
-        return self.entries.shape[0]
-
-
-def _as_sym_array(a) -> np.ndarray:
-    if isinstance(a, SymMatrix):
-        return a.entries
-    return SymMatrix(a).entries
+def symmetric(a) -> np.ndarray:
+    """A read-only float copy of a square, finite, symmetric matrix,
+    symmetrized: DimensionMismatch unless square or when its absolute
+    asymmetry exceeds `SYMMETRY_TOL`, NonFinite for a non-finite entry."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NonFinite("matrix contains non-finite entries")
+    skew = np.max(np.abs(a - a.T)) if a.size else 0.0
+    if skew > SYMMETRY_TOL:
+        raise DimensionMismatch(
+            f"matrix asymmetry {skew:.3e} exceeds tolerance {SYMMETRY_TOL:.3e}"
+        )
+    a = 0.5 * (a + a.T)
+    a.setflags(write=False)
+    return a
 
 
 def sym_eigen(a):
     """Eigendecomposition of a symmetric matrix (LAPACK via numpy.linalg.eigh).
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns, in
-    matching order). A raw array is validated as a SymMatrix first.
+    matching order). The matrix is checked by `symmetric` first.
     """
     try:
-        return np.linalg.eigh(_as_sym_array(a))
+        return np.linalg.eigh(symmetric(a))
     except np.linalg.LinAlgError as exc:
         raise DeconoptError(f"symmetric eigensolver failed: {exc}") from exc
 
@@ -120,7 +105,7 @@ def spd_inverse(a) -> np.ndarray:
     block to the same bits as its own 2-D inverse; one block without a
     Cholesky factor raises NotPositiveDefinite for the stack.
     """
-    arr = a.entries if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
+    arr = np.asarray(a, dtype=float)
     low = spd_factor(arr)
     low_inv = np.linalg.solve(low, np.eye(arr.shape[-1]))
     inv = low_inv.mT @ low_inv

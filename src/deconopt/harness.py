@@ -37,6 +37,7 @@ bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -66,17 +67,17 @@ class RoundLog:
     subproblem_iters: tuple[int, ...]
 
 
-def rows(stacked, graph: NetworkGraph) -> np.ndarray:
-    """A copy of a stacked vector of n blocks as an (n, p) array, zeros when
-    None; raises DimensionMismatch unless it has n p entries."""
-    if stacked is None:
-        return np.zeros((graph.n, graph.p))
-    out = np.array(stacked, dtype=float)
-    if out.shape != (graph.n * graph.p,):
-        raise DimensionMismatch(
-            f"expected stacked vector of length {graph.n * graph.p}, got {out.shape}"
-        )
-    return out.reshape(graph.n, graph.p)
+def checked_copy(vector, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A float copy of a flat vector as an array of `shape`, zeros when None;
+    raises DimensionMismatch, naming the vector, unless it has the entries of
+    `shape`."""
+    if vector is None:
+        return np.zeros(shape)
+    out = np.array(vector, dtype=float)
+    size = math.prod(shape)
+    if out.shape != (size,):
+        raise DimensionMismatch(f"{name} must have length {size}, got shape {out.shape}")
+    return out.reshape(shape)
 
 
 class Network:
@@ -149,8 +150,9 @@ def _uv_network(graph: NetworkGraph, components, u, v, dbar_diag,
     rho = params.rho
     return Network(
         graph, components, -0.5 * rho * u, 0.5 * params.eta * rho * v,
-        rho * dbar_diag, params.pi_vector(graph.n), scale=1.0, x=rows(x0, graph),
-        dual=rows(phi0, graph),
+        rho * dbar_diag, params.pi_vector(graph.n), scale=1.0,
+        x=checked_copy(x0, (graph.n, graph.p), "x0"),
+        dual=checked_copy(phi0, (graph.n, graph.p), "phi0"),
     )
 
 
@@ -164,7 +166,7 @@ def pextra_agents(graph: NetworkGraph, components, pextra: PextraParams,
                   x0=None) -> Network:
     _check_mixing_support(pextra.w, graph)
     _check_mixing_support(pextra.w_tilde, graph)
-    x = rows(x0, graph)
+    x = checked_copy(x0, (graph.n, graph.p), "x0")
     inv_xi = 1.0 / pextra.xi
     net = Network(
         graph, components, -pextra.w / pextra.xi, pextra.w - pextra.w_tilde,
@@ -249,7 +251,7 @@ def random_rank_one_components(n: int, p: int, rng: np.random.Generator):
     for _ in range(1000):
         rows = rng.standard_normal((n, p))
         gram = rows.T @ rows
-        eigvals, _ = denselin.sym_eigen(denselin.SymMatrix(gram))
+        eigvals, _ = denselin.sym_eigen(gram)
         if eigvals[0] >= 0.1:
             break
     else:

@@ -244,7 +244,7 @@ def laplacian(g: NetworkGraph) -> np.ndarray:
 def laplacian_eigvals(g: NetworkGraph) -> np.ndarray:
     """The eigenvalues of L, ascending (read-only), computed once per graph
     for every spectral constant that needs them."""
-    eigvals = denselin.sym_eigen(denselin.SymMatrix(laplacian(g)))[0]
+    eigvals = denselin.sym_eigen(laplacian(g))[0]
     eigvals.setflags(write=False)
     return eigvals
 

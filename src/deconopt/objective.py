@@ -19,7 +19,7 @@ it takes every (Q, b) from `quadratic_stack` into one dense system, and
 `minimize_composite` is its Newton path for the other kinds.
 
 Every pass over the sum reads one stacked view of the component list
-(`_Stacked`), built in one pass over it: the rank-one agents as rows h (k, p)
+(`stacked`), built in one pass over it: the rank-one agents as rows h (k, p)
 and y (k,), the affine-quadratic agents as Q (k, p, p) and b (k, p), and the
 callback agents as a list of indices, whose own methods evaluate them one
 agent at a time. Agents are classed by type: a component is rank-one or
@@ -31,7 +31,8 @@ they would otherwise make one call per agent. Sums over the agents add them
 in index order, as the builtin sum adds them (`_in_order`; numpy's sum
 along a contiguous axis pairs them up), so `sum_value` at every row of a
 (rows, n*p) array, taken `_ROW_BLOCK` rows at a time, carries the bits of
-the per-agent evaluation of each row.
+the per-agent evaluation of each row. Each of them, and `ProximalRows`,
+takes a component list or its view and reuses a view, so a run builds one.
 
 Newton's thresholds are constants: `SUBPROBLEM_TOL`, the stationarity of a
 local subproblem, `CENTRAL_SOLVE_TOL`, that of the central solves, the
@@ -95,7 +96,7 @@ class AffineQuadratic(ObjectiveComponent):
     """f(x) = 0.5 x'Qx + b'x with symmetric PSD Q."""
 
     def __init__(self, q, b):
-        q = denselin.SymMatrix(q).entries
+        q = denselin.symmetric(q)
         b = np.asarray(b, dtype=float)
         if b.shape != (q.shape[0],):
             raise DimensionMismatch("Q and b dimensions disagree")
@@ -273,14 +274,13 @@ def _check_finite(x: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SumProfile:
-    """Curvature summary of the separable sum: strong convexity of the
-    centralized objective and the worst per-component gradient Lipschitz
-    modulus."""
+    """Curvature summary of the separable sum of n components: strong
+    convexity of the centralized objective and the worst per-component
+    gradient Lipschitz modulus."""
 
     mu_sum: float
     lipschitz: float
     n: int
-    p: int
 
 
 def _newton_minimize(value_fn, grad_fn, hess_fn, x0, tol) -> tuple[np.ndarray, int]:
@@ -338,23 +338,23 @@ def apply_rows(inverse: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 class ProximalRows:
     """n agents' local subproblems with fixed weights a_i, pi_i >= 0 (else
-    ValueError), agent i in row i - 1. `inverse` stacks every row: the
-    quadratic rows' (Q_i + (a_i + pi_i) I)^-1 from one `proximal_inverse`
-    call (a singular one raises NoUniqueMinimizer), zero blocks and zero `b`
-    rows for the callbacks, whose rows Newton solves to stationarity
-    `SUBPROBLEM_TOL`. `pi_rows` repeats pi along the p columns (a broadcast
-    multiply is slower), `shape` is the (n, p) of the rows and
+    ValueError), agent i in row i - 1 of the components' view. `inverse`
+    stacks every row: the quadratic rows' (Q_i + (a_i + pi_i) I)^-1 from one
+    `proximal_inverse` call (a singular one raises NoUniqueMinimizer), zero
+    blocks and zero `b` rows for the callbacks, whose rows Newton solves to
+    stationarity `SUBPROBLEM_TOL`. `pi_rows` repeats pi along the p columns
+    (a broadcast multiply is slower), `shape` is the (n, p) of the rows and
     `closed_iters` the iteration counts of a round with no callback."""
 
     def __init__(self, components, a, pi):
-        self.components = list(components)
+        stack = stacked(components)
+        n, p = stack.n, stack.p
+        self.components = stack.components
         self.a, self.pi = np.asarray(a, dtype=float), np.asarray(pi, dtype=float)
-        if self.a.shape != (len(self.components),) or self.pi.shape != self.a.shape:
-            raise ValueError(f"one component per agent required, got {len(self.components)}")
+        if self.a.shape != (n,) or self.pi.shape != self.a.shape:
+            raise ValueError(f"one component per agent required, got {n}")
         if np.any(self.a < 0) or np.any(self.pi < 0):
             raise ValueError("quadratic weights a and pi must be nonnegative")
-        stack = _Stacked(self.components)
-        n, p = stack.n, stack.p
         self.shape = (n, p)
         self.closed_iters = (1,) * n
         self.callbacks = stack.callbacks
@@ -411,7 +411,7 @@ def local_subproblem_ex(rows: ProximalRows, c, x_prev) -> tuple[np.ndarray, tupl
 
 # -- stacked helpers -----------------------------------------------------------
 
-def _stacked(components) -> _Stacked:
+def stacked(components) -> _Stacked:
     """The stacked view of a component list; a view passes through, so a
     caller making several passes over one list builds it once."""
     return components if isinstance(components, _Stacked) else _Stacked(components)
@@ -436,7 +436,7 @@ def sum_value(components, x):
     added in order, as the builtin sum adds them, so every row carries the
     bits of the per-point evaluation.
     """
-    stack = _stacked(components)
+    stack = stacked(components)
     x = _check_stacked(stack, x, (1, 2))
     xs = x.reshape(-1, x.shape[-1])
     total = np.empty(len(xs))
@@ -448,7 +448,7 @@ def sum_value(components, x):
 
 def sum_gradient(components, x) -> np.ndarray:
     """The stacked gradient (grad f_i(x_i))_i, each kind of agent in one pass."""
-    stack = _stacked(components)
+    stack = stacked(components)
     x = _check_stacked(stack, x)
     return stack.grads(x.reshape(stack.n, stack.p)).ravel()
 
@@ -456,7 +456,7 @@ def sum_gradient(components, x) -> np.ndarray:
 def quadratic_stack(components):
     """(Q, b) of every component stacked as (n, p, p) and (n, p) arrays when
     every component is quadratic, else None."""
-    stack = _stacked(components)
+    stack = stacked(components)
     return None if stack.callbacks else stack.terms()
 
 
@@ -467,7 +467,7 @@ def minimize_composite(components, linear, quad, x0):
     Newton from x0; `solvers.ExactMMEngine` inverts the constant system of an
     all-quadratic instance itself.
     """
-    stack = _stacked(components)
+    stack = stacked(components)
     linear = np.asarray(linear, dtype=float)
     quad = np.asarray(quad, dtype=float)
     n, p = stack.n, stack.p
@@ -493,10 +493,10 @@ def minimize_composite(components, linear, quad, x0):
 
 def minimize_sum(components) -> np.ndarray:
     """Centralized minimizer of f_bar(v) = sum_i f_i(v) on R^p."""
-    stack = _stacked(components)
+    stack = stacked(components)
     q, b = stack.terms()
     if not stack.callbacks:
-        return denselin.solve_spd(denselin.SymMatrix(_in_order(q)), -_in_order(b))
+        return denselin.solve_spd(denselin.symmetric(_in_order(q)), -_in_order(b))
     n = stack.n
 
     def value_fn(v):
@@ -525,7 +525,7 @@ def sum_profile(components, graph: NetworkGraph,
     quadratic kinds and must be supplied for callback components. Raises
     NotStronglyConvex when the sum fails Assumption-level strong convexity.
     """
-    stack = _stacked(components)
+    stack = stacked(components)
     if stack.n != graph.n:
         raise DimensionMismatch(
             f"{stack.n} components for a graph with {graph.n} agents"
@@ -539,4 +539,4 @@ def sum_profile(components, graph: NetworkGraph,
         raise NotStronglyConvex(
             f"summed objective is not strongly convex (mu = {mu_sum:.3e})"
         )
-    return SumProfile(mu_sum=mu_sum, lipschitz=stack.lipschitz, n=graph.n, p=stack.p)
+    return SumProfile(mu_sum=mu_sum, lipschitz=stack.lipschitz, n=graph.n)

@@ -42,9 +42,10 @@ and `step` set, so an ``ApproxMMEngine`` step gathers once. Only
 (np) x (np) system, and it refuses instances with n p above
 `EXACT_MM_MAX_ORDER`.
 
-Every `init` raises DimensionMismatch for an initial vector of the wrong
-length, and every central `step` for a state vector of the wrong length,
-found by one shape test on entry; no step writes to the state it is given.
+Every `init` copies its initial vectors through `harness.checked_copy`,
+which raises DimensionMismatch for one of the wrong length, and every
+central `step` raises it for a state vector of the wrong length, found by
+one shape test on entry; no step writes to the state it is given.
 Every engine's `phi(state)` is the D-ADMM dual aggregate phi of a state,
 the one dual a run reads.
 
@@ -110,7 +111,6 @@ class AdmmParams:
 class AdmmState:
     x: np.ndarray
     phi: np.ndarray
-    k: int = 0
     alpha: np.ndarray | None = None
 
 
@@ -119,7 +119,6 @@ class FullAdmmState:
     x: np.ndarray
     z: np.ndarray
     lam: np.ndarray  # stacked [alpha; beta], length 2 m p
-    k: int = 0
 
     @property
     def alpha(self) -> np.ndarray:
@@ -135,14 +134,12 @@ class MMState:
     x: np.ndarray
     nu: np.ndarray
     e_o_x: np.ndarray  # E_o x, carried to the next step
-    k: int = 0
 
 
 @dataclass
 class PextraState:
     x: np.ndarray
     running_sum: np.ndarray
-    k: int = 0
 
 
 @dataclass(frozen=True)
@@ -173,17 +170,6 @@ def _check_state(state, lengths: dict[str, int]) -> None:
             )
 
 
-def _initial(vector, length: int, name: str) -> np.ndarray:
-    """A float copy of an initial vector, zeros when None; raises
-    DimensionMismatch unless it has `length` entries."""
-    if vector is None:
-        return np.zeros(length)
-    out = np.array(vector, dtype=float)
-    if out.shape != (length,):
-        raise DimensionMismatch(f"{name} must have length {length}, got shape {out.shape}")
-    return out
-
-
 class _CentralEngine:
     """The set-up of the central engines. It binds the graph's stacked arc
     operator (`stack`) and, for the inline operator passes of a step, its
@@ -200,10 +186,11 @@ class _CentralEngine:
         self._shapes = tuple((length,) for length in lengths.values())
 
 
-def _agent_round(net: harness.Network, graph: NetworkGraph, x, dual):
+def _agent_round(net: harness.Network, x, dual):
     """One network round from the stacked (x, dual); returns the new stacked
     pair. The inputs are copied in, so they stay untouched."""
-    net.x, net.dual = harness.rows(x, graph), harness.rows(dual, graph)
+    net.x = harness.checked_copy(x, net.x.shape, "x")
+    net.dual = harness.checked_copy(dual, net.dual.shape, "dual")
     harness.network_round(net)
     return net.x.ravel(), net.dual.ravel()
 
@@ -222,8 +209,8 @@ class DadmmEngine:
         return dadmm_init(self.graph, x0=x0, alpha0=alpha0)
 
     def step(self, state: AdmmState) -> AdmmState:
-        x, phi = _agent_round(self.net, self.graph, state.x, state.phi)
-        return AdmmState(x=x, phi=phi, k=state.k + 1)
+        x, phi = _agent_round(self.net, state.x, state.phi)
+        return AdmmState(x=x, phi=phi)
 
     def phi(self, state: AdmmState) -> np.ndarray:
         """The state's dual aggregate phi."""
@@ -256,7 +243,7 @@ class DadmmMatrixEngine(_CentralEngine):
         ends = new_x[self._index]
         new_alpha = alpha + self._half_eta_rho * (ends[0] - ends[1])
         new_phi = np.bincount(bins, (E_O_SIGNS * new_alpha).ravel(), size)
-        return AdmmState(x=new_x, phi=new_phi, k=state.k + 1, alpha=new_alpha)
+        return AdmmState(x=new_x, phi=new_phi, alpha=new_alpha)
 
     def phi(self, state: AdmmState) -> np.ndarray:
         """The state's dual aggregate phi = E_o^T alpha."""
@@ -272,9 +259,9 @@ def _dadmm_rows(graph: NetworkGraph, components, params: AdmmParams):
 def dadmm_init(graph: NetworkGraph, x0=None, alpha0=None) -> AdmmState:
     """Initial state from x0 and the arc dual alpha0, each zero by default,
     with phi = E_o^T alpha0."""
-    x = _initial(x0, graph.n * graph.p, "x0")
-    alpha = _initial(alpha0, graph.m * graph.p, "alpha0")
-    return AdmmState(x=x, phi=arc_stack(graph).e_o_transpose(alpha), k=0, alpha=alpha)
+    x = harness.checked_copy(x0, (graph.n * graph.p,), "x0")
+    alpha = harness.checked_copy(alpha0, (graph.m * graph.p,), "alpha0")
+    return AdmmState(x=x, phi=arc_stack(graph).e_o_transpose(alpha), alpha=alpha)
 
 
 # -- full three-block generalized ADMM -------------------------------------------
@@ -292,10 +279,10 @@ class FullAdmmEngine(_CentralEngine):
         self._eta_rho = params.eta * params.rho
 
     def init(self, x0=None, alpha0=None) -> FullAdmmState:
-        x = _initial(x0, self.graph.n * self.graph.p, "x0")
-        alpha = _initial(alpha0, self.graph.m * self.graph.p, "alpha0")
+        x = harness.checked_copy(x0, (self.graph.n * self.graph.p,), "x0")
+        alpha = harness.checked_copy(alpha0, (self.graph.m * self.graph.p,), "alpha0")
         z = 0.5 * self.stack.e_u(x)
-        return FullAdmmState(x=x, z=z, lam=np.concatenate([alpha, -alpha]), k=0)
+        return FullAdmmState(x=x, z=z, lam=np.concatenate([alpha, -alpha]))
 
     def step(self, state: FullAdmmState) -> FullAdmmState:
         x, z, lam = state.x, state.z, state.lam
@@ -313,7 +300,7 @@ class FullAdmmEngine(_CentralEngine):
         halves = lam + rho * ends
         new_z = (halves[0] + halves[1]) / self._two_rho
         new_lam = lam + self._eta_rho * (ends - new_z)
-        return FullAdmmState(x=new_x, z=new_z, lam=new_lam.ravel(), k=state.k + 1)
+        return FullAdmmState(x=new_x, z=new_z, lam=new_lam.ravel())
 
     def phi(self, state: FullAdmmState) -> np.ndarray:
         """The dual aggregate E_o^T alpha of the state's multiplier."""
@@ -334,8 +321,8 @@ class _MultiplierEngine(_CentralEngine):
         self._root_eta_half_rho = self._root_eta * 0.5 * params.rho
 
     def init(self, x0=None, nu0=None) -> MMState:
-        x = _initial(x0, self.graph.n * self.graph.p, "x0")
-        nu = _initial(nu0, self.graph.m * self.graph.p, "nu0")
+        x = harness.checked_copy(x0, (self.graph.n * self.graph.p,), "x0")
+        nu = harness.checked_copy(nu0, (self.graph.m * self.graph.p,), "nu0")
         return MMState(x=x, nu=nu, e_o_x=self.stack.e_o(x))
 
     def phi(self, state: MMState) -> np.ndarray:
@@ -350,13 +337,12 @@ class _MultiplierEngine(_CentralEngine):
             _check_state(state, self._lengths)
         return x, nu, e_o_x
 
-    def _next(self, state: MMState, new_x: np.ndarray, nu: np.ndarray) -> MMState:
+    def _next(self, new_x: np.ndarray, nu: np.ndarray) -> MMState:
         """The state after a step to new_x: nu + sqrt(eta) (rho/2) E_o new_x,
         with E_o new_x carried."""
         ends = new_x[self._index]
         e_o_x = ends[0] - ends[1]
-        return MMState(x=new_x, nu=nu + self._root_eta_half_rho * e_o_x, k=state.k + 1,
-                       e_o_x=e_o_x)
+        return MMState(x=new_x, nu=nu + self._root_eta_half_rho * e_o_x, e_o_x=e_o_x)
 
 
 class ExactMMEngine(_MultiplierEngine):
@@ -382,10 +368,10 @@ class ExactMMEngine(_MultiplierEngine):
         if not 0 < params.eta < 1:
             raise ValueError("exact method of multipliers requires eta in (0,1)")
         super().__init__(graph, params)
-        self.components = list(components)
+        self.agents = objective.stacked(components)
         n, p = graph.n, graph.p
         system = 0.5 * params.rho * np.kron(laplacian(graph), np.eye(p))
-        stack = objective.quadratic_stack(self.components)
+        stack = objective.quadratic_stack(self.agents)
         if stack is None:
             # damped Newton on the stacked objective
             self._system, self._neg_inverse = system, None
@@ -400,10 +386,10 @@ class ExactMMEngine(_MultiplierEngine):
         x, nu, _ = self._operands(state)
         linear = self.stack.e_o_transpose(self._root_eta * nu)
         if self._neg_inverse is None:
-            new_x = objective.minimize_composite(self.components, linear, self._system, x)
+            new_x = objective.minimize_composite(self.agents, linear, self._system, x)
         else:
             new_x = self._neg_inverse @ linear + self._x_b
-        return self._next(state, new_x, nu)
+        return self._next(new_x, nu)
 
 
 class ApproxMMEngine(_MultiplierEngine):
@@ -435,7 +421,7 @@ class ApproxMMEngine(_MultiplierEngine):
         arcs = self._root_eta * nu + self._half_rho * e_o_x
         c = np.bincount(self._bins, (E_O_SIGNS * arcs).ravel(), self._size)
         new_x = self.local.solve(c.reshape(rows), x.reshape(rows))[0].ravel()
-        return self._next(state, new_x, nu)
+        return self._next(new_x, nu)
 
 
 # -- P-EXTRA -----------------------------------------------------------------------
@@ -484,14 +470,14 @@ class PextraEngine:
         self.net = harness.pextra_agents(graph, components, pextra)
 
     def init(self, x0=None) -> PextraState:
-        x = harness.rows(x0, self.graph)
+        x = harness.checked_copy(x0, (self.graph.n, self.graph.p), "x0")
         # the running sum starts at (W - W~) x0
         running_sum = self.net.mixes(x)[1]
-        return PextraState(x=x.ravel(), running_sum=running_sum.ravel(), k=0)
+        return PextraState(x=x.ravel(), running_sum=running_sum.ravel())
 
     def step(self, state: PextraState) -> PextraState:
-        x, running_sum = _agent_round(self.net, self.graph, state.x, state.running_sum)
-        return PextraState(x=x, running_sum=running_sum, k=state.k + 1)
+        x, running_sum = _agent_round(self.net, state.x, state.running_sum)
+        return PextraState(x=x, running_sum=running_sum)
 
     def phi(self, state: PextraState) -> np.ndarray:
         """The D-ADMM dual aggregate implied by the running sum, s times it
@@ -516,12 +502,13 @@ class GeneralUVEngine:
         self.net = harness.general_uv_agents(graph, u, v, dbar, components, params)
 
     def init(self, x0=None, phi0=None) -> AdmmState:
-        npx = self.graph.n * self.graph.p
-        return AdmmState(x=_initial(x0, npx, "x0"), phi=_initial(phi0, npx, "phi0"), k=0)
+        npx = (self.graph.n * self.graph.p,)
+        return AdmmState(x=harness.checked_copy(x0, npx, "x0"),
+                         phi=harness.checked_copy(phi0, npx, "phi0"))
 
     def step(self, state: AdmmState) -> AdmmState:
-        x, phi = _agent_round(self.net, self.graph, state.x, state.phi)
-        return AdmmState(x=x, phi=phi, k=state.k + 1)
+        x, phi = _agent_round(self.net, state.x, state.phi)
+        return AdmmState(x=x, phi=phi)
 
     def phi(self, state: AdmmState) -> np.ndarray:
         """The state's dual aggregate phi."""

@@ -6,6 +6,7 @@ internals, the condition checkers, and determinism/locality of the simulated
 network."""
 
 import functools
+import math
 import zlib
 
 import numpy as np
@@ -57,7 +58,7 @@ def cached_instance(kind, n, p):
     seed = zlib.crc32(f"{kind}-{n}-{p}".encode())  # process-independent
     graph, components = build_instance(kind, n, p, seed)
     profile = objective.sum_profile(components, graph)
-    ref = analysis.reference_solution(graph, components, eta=0.5)
+    ref = analysis.reference_solution(graph, components)
     return graph, components, profile, ref
 
 
@@ -198,7 +199,7 @@ def test_criterion_5_fixed_points_and_mm():
     graph, components = harness.scenario_least_squares(5, 2, seed=77)
     rho, eta = 1.0, 0.5
     params = AdmmParams(rho, eta, 0.1)
-    ref = analysis.reference_solution(graph, components, eta)
+    ref = analysis.reference_solution(graph, components)
     phi_star = dense_ref.lifted_incidence(graph)[0].T @ ref.alpha_star
 
     dmax = float(netgraph.degrees(graph).max())
@@ -216,10 +217,10 @@ def test_criterion_5_fixed_points_and_mm():
     st = eng.init(x0=ref.x_star, alpha0=ref.alpha_star)
     fixed_points.append(("full", eng, st, lambda s: (s.x, s.lam)))
     eng = solvers.ExactMMEngine(graph, components, params)
-    st = eng.init(x0=ref.x_star, nu0=ref.nu_star)
+    st = eng.init(x0=ref.x_star, nu0=ref.alpha_star / math.sqrt(eta))
     fixed_points.append(("mm-exact", eng, st, lambda s: (s.x, s.nu)))
     eng = solvers.ApproxMMEngine(graph, components, params, 1.0 / rho)
-    st = eng.init(x0=ref.x_star, nu0=ref.nu_star)
+    st = eng.init(x0=ref.x_star, nu0=ref.alpha_star / math.sqrt(eta))
     fixed_points.append(("mm-approx", eng, st, lambda s: (s.x, s.nu)))
     eng = solvers.GeneralUVEngine(
         graph, *dense_ref.incidence_uv(graph), components, params)
@@ -229,8 +230,7 @@ def test_criterion_5_fixed_points_and_mm():
     # s = -xi * phi_star reproduces the stationarity of the optimum
     peng = solvers.PextraEngine(graph, components,
                                 PextraParams(xi=xi, w=w, w_tilde=wt))
-    pst = solvers.PextraState(x=ref.x_star.copy(),
-                              running_sum=-xi * phi_star, k=0)
+    pst = solvers.PextraState(x=ref.x_star.copy(), running_sum=-xi * phi_star)
     fixed_points.append(("pextra", peng, pst, lambda s: (s.x, s.running_sum)))
 
     for name, engine, state, view in fixed_points:
@@ -248,14 +248,14 @@ def test_criterion_5_fixed_points_and_mm():
             hit = k
             break
     assert hit is not None
-    assert np.max(np.abs(st.nu - ref.nu_star)) < 1e-3  # converging to alpha*/sqrt(eta)
+    assert np.max(np.abs(st.nu - ref.alpha_star / math.sqrt(eta))) < 1e-3
 
 
 @criterion(6, "overshooting beyond the spectral condition still contracts")
 def test_criterion_6_overshooting():
     graph, components = build_instance("ring", 5, 2, seed=4242)
     profile = objective.sum_profile(components, graph)
-    ref = analysis.reference_solution(graph, components, eta=0.5)
+    ref = analysis.reference_solution(graph, components)
     rho = 1.0
     dmax = float(netgraph.degrees(graph).max())
     xi = 0.9 / (rho * dmax)
@@ -288,7 +288,7 @@ def test_criterion_6_overshooting():
 @criterion(7, "relaxation beyond the certified range still converges")
 def test_criterion_7_extended_relaxation():
     graph, components = harness.scenario_least_squares(5, 2, seed=5)
-    ref = analysis.reference_solution(graph, components, eta=0.5)
+    ref = analysis.reference_solution(graph, components)
     engine = solvers.DadmmMatrixEngine(graph, components, AdmmParams(1.0, 1.618, 0.0))
     st = engine.init()
     for k in range(1, 2001):
@@ -319,7 +319,7 @@ def test_criterion_8_certificate_internals():
     rho, eta = 1.0, 0.5
     mu_opt, _ = analysis.mu_g(profile, graph, rho, eta, "optimize")
     lap = netgraph.laplacian(graph)
-    lam_min = denselin.smallest_nonzero(denselin.sym_eigen(denselin.SymMatrix(lap))[0])
+    lam_min = denselin.smallest_nonzero(denselin.sym_eigen(lap)[0])
     hi = (profile.mu_sum / profile.n) / (2.0 * profile.lipschitz)
 
     def branch_min(gammas):

@@ -38,7 +38,7 @@ def run_matrix_trace(graph, comps, params, rounds, **init):
 class TestReferenceSolution:
     def test_least_squares_normal_equations(self):
         graph, comps = ls_preset(seed=3)
-        ref = analysis.reference_solution(graph, comps, eta=0.5)
+        ref = analysis.reference_solution(graph, comps)
         rows = np.array([c.h for c in comps])
         ys = np.array([c.y for c in comps])
         assert_allclose(rows.T @ rows @ ref.xbar, rows.T @ ys, atol=1e-10)
@@ -54,25 +54,24 @@ class TestReferenceSolution:
         comps = [RankOneLeastSquares([1.0, 0.0], 0.0),
                  RankOneLeastSquares([1.0, 0.0], 1.0)]
         with pytest.raises(NotStronglyConvex):
-            analysis.reference_solution(g, comps, eta=0.5)
+            analysis.reference_solution(g, comps)
 
     def test_two_agent_hand_value(self):
         g = netgraph.build_graph(2, [(1, 2)], 1)
         comps = [AffineQuadratic([[1.0]], [0.0]), AffineQuadratic([[1.0]], [-2.0])]
-        ref = analysis.reference_solution(g, comps, eta=0.25)
+        ref = analysis.reference_solution(g, comps)
         assert_allclose(ref.xbar, [1.0])
-        assert_allclose(ref.nu_star, ref.alpha_star / 0.5)
 
     def test_separable_optimum_needs_no_price(self):
         g = netgraph.build_graph(2, [(1, 2)], 1)
         comps = [AffineQuadratic([[1.0]], [-1.0]), AffineQuadratic([[2.0]], [-2.0])]
         # both agents individually minimized at 1
-        ref = analysis.reference_solution(g, comps, eta=0.5)
+        ref = analysis.reference_solution(g, comps)
         assert_allclose(ref.alpha_star, 0.0, atol=1e-12)
 
     def test_invariants(self):
         graph, comps = ls_preset(seed=9)
-        ref = analysis.reference_solution(graph, comps, eta=0.7)
+        ref = analysis.reference_solution(graph, comps)
         e_o = dense_ref.lifted_incidence(graph)[0]
         assert netgraph.consensuality_residual(graph, ref.x_star) <= 1e-9
         resid = e_o.T @ ref.alpha_star + objective.sum_gradient(comps, ref.x_star)
@@ -87,7 +86,7 @@ class TestReferenceSolution:
         # lift E_o (x) I_p, independent of the package's solver
         for p in (1, 3):
             graph, comps = ls_preset(seed=6, n=7, p=p)
-            ref = analysis.reference_solution(graph, comps, eta=0.5)
+            ref = analysis.reference_solution(graph, comps)
             e_o = dense_ref.lifted_incidence(graph)[0]
             rhs = -objective.sum_gradient(comps, ref.x_star)
             lifted = np.linalg.lstsq(e_o.T, rhs, rcond=None)[0]
@@ -104,7 +103,7 @@ class TestMuG:
         # direct substitution: mu_sum=2, L=1, n=2 with a graph whose smallest
         # nonzero Laplacian eigenvalue is 2 (the three-agent path) gives
         # branches (1 - 0.5, 2*10*0.5 / (2*(1+16))) = (0.5, 10/34)
-        profile = objective.SumProfile(mu_sum=2.0, lipschitz=1.0, n=2, p=1)
+        profile = objective.SumProfile(mu_sum=2.0, lipschitz=1.0, n=2)
         g = netgraph.build_graph(3, [(1, 2), (2, 3)], 1)
         value, gamma = analysis.mu_g(profile, g, rho=10.0, eta=0.5, gamma=0.25)
         assert gamma == 0.25
@@ -121,7 +120,7 @@ class TestMuG:
         # two branches meet, so the bound comes within 2Lg of mu_sum / n
         profile, g = self.two_agent_profile()
         lap = netgraph.laplacian(g)
-        lam_min = denselin.smallest_nonzero(denselin.sym_eigen(denselin.SymMatrix(lap))[0])
+        lam_min = denselin.smallest_nonzero(denselin.sym_eigen(lap)[0])
         gamma = 1e-6
         target = profile.mu_sum / profile.n - 2 * profile.lipschitz * gamma
         eta = 0.5
@@ -158,7 +157,7 @@ class TestRateCertificate:
         assert cert.lipschitz_g >= profile.lipschitz
         # M is PSD by construction
         m_lifted = np.kron(dense_ref.x_block(cert), np.eye(graph.p))
-        eigvals, _ = denselin.sym_eigen(denselin.SymMatrix(m_lifted))
+        eigvals, _ = denselin.sym_eigen(m_lifted)
         assert eigvals[0] >= -1e-9
 
     def test_certificates_hold_no_matrix(self):
@@ -224,8 +223,8 @@ class TestRateCertificate:
         profile = objective.sum_profile(comps, graph)
         params = AdmmParams(1.0, 0.5, 0.1)
         lap = netgraph.laplacian(graph)
-        lam_min = denselin.smallest_nonzero(denselin.sym_eigen(denselin.SymMatrix(lap))[0])
-        lam_max = float(denselin.sym_eigen(denselin.SymMatrix(lap))[0][-1])
+        lam_min = denselin.smallest_nonzero(denselin.sym_eigen(lap)[0])
+        lam_max = float(denselin.sym_eigen(lap)[0][-1])
         orders = []
         real = denselin.sym_eigen
 
@@ -251,10 +250,10 @@ class TestRateCertificate:
             params = AdmmParams(1.0, 0.5, 0.2)
             cert = analysis.rate_certificate(graph, profile, params)
             e_o = dense_ref.lifted_incidence(graph)[0]
-            lifted_gram = denselin.SymMatrix(e_o.T @ e_o)
+            lifted_gram = e_o.T @ e_o
             lam_min_lif = denselin.smallest_nonzero(denselin.sym_eigen(lifted_gram)[0])
             eig_m, _ = denselin.sym_eigen(
-                denselin.SymMatrix(np.kron(dense_ref.x_block(cert), np.eye(p))))
+                np.kron(dense_ref.x_block(cert), np.eye(p)))
             delta_lifted, _ = analysis.delta_bound(
                 params.rho, params.eta, cert.mu_g, cert.lipschitz_g,
                 lam_min_lif, float(eig_m[-1]),
@@ -267,7 +266,7 @@ class TestRateCertificateAdmm:
         g = netgraph.build_graph(3, [(1, 2), (2, 3)], 1)
         e_u = dense_ref.incidence_bases(g)[1]
         assert np.array_equal(netgraph.unoriented_gram(g), e_u.T @ e_u)
-        eigvals, _ = denselin.sym_eigen(denselin.SymMatrix(netgraph.unoriented_gram(g)))
+        eigvals, _ = denselin.sym_eigen(netgraph.unoriented_gram(g))
         assert_allclose(eigvals, [0.0, 2.0, 6.0], atol=1e-10)
 
     def test_positive_delta(self):
@@ -344,7 +343,7 @@ class TestVerifyContraction:
         params = AdmmParams(1.0, 0.5, 0.1)
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, params)
-        ref = analysis.reference_solution(graph, comps, params.eta)
+        ref = analysis.reference_solution(graph, comps)
         xs, _, phis = run_matrix_trace(graph, comps, params, 300)
         report = analysis.verify_contraction(xs, phis[-1], ref, cert)
         assert report.ok
@@ -355,7 +354,7 @@ class TestVerifyContraction:
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, params)
-        ref = analysis.reference_solution(graph, comps, params.eta)
+        ref = analysis.reference_solution(graph, comps)
         xs, _, phis = run_matrix_trace(graph, comps, params, 20,
                                        x0=ref.x_star, alpha0=ref.alpha_star)
         report = analysis.verify_contraction(xs, phis[-1], ref, cert,
@@ -368,7 +367,7 @@ class TestVerifyContraction:
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, params)
-        ref = analysis.reference_solution(graph, comps, params.eta)
+        ref = analysis.reference_solution(graph, comps)
         engine = solvers.DadmmEngine(graph, comps, params)
         st = engine.init()
         xs = [st.x]
@@ -395,7 +394,7 @@ class TestVerifyContraction:
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, params)
-        ref = analysis.reference_solution(graph, comps, params.eta)
+        ref = analysis.reference_solution(graph, comps)
         far = ref.x_star + 10.0
         xs = np.array([ref.x_star, far])
         phi_star = netgraph.arc_stack(graph).e_o_transpose(ref.alpha_star)
@@ -410,7 +409,7 @@ class TestVerifyContraction:
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, params)
-        ref = analysis.reference_solution(graph, comps, params.eta)
+        ref = analysis.reference_solution(graph, comps)
         unit = np.zeros(graph.p)
         unit[0] = 1.0
         consensual = np.tile(unit, graph.n)
@@ -438,7 +437,7 @@ class TestVerifyContraction:
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, params)
-        ref = analysis.reference_solution(graph, comps, params.eta)
+        ref = analysis.reference_solution(graph, comps)
         phi_star = netgraph.arc_stack(graph).e_o_transpose(ref.alpha_star)
         for bad in (np.nan, np.inf):
             xs = ref.x_star + np.array([[1.0], [bad], [1e6]])
@@ -450,7 +449,7 @@ class TestVerifyContraction:
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate_admm(graph, profile, params.rho, params.eta)
-        ref = analysis.reference_solution(graph, comps, params.eta)
+        ref = analysis.reference_solution(graph, comps)
         xs, _, phis = run_matrix_trace(graph, comps, params, 300)
         report = analysis.verify_contraction(xs, phis[-1], ref, cert)
         assert report.ok
@@ -464,7 +463,7 @@ class TestVerifyContraction:
         pi = 0.1 if norm == "u" else 0.0
         params = AdmmParams(0.7, 0.4, pi)
         profile = objective.sum_profile(comps, graph)
-        ref = analysis.reference_solution(graph, comps, params.eta)
+        ref = analysis.reference_solution(graph, comps)
         xs, alphas, phis = run_matrix_trace(graph, comps, params, 150)
         rho, eta = params.rho, params.eta
         e_u = dense_ref.lifted_incidence(graph)[1]
@@ -498,7 +497,7 @@ class TestVerifyContraction:
         params = AdmmParams(0.8, 0.4, pi)
         rho, eta = params.rho, params.eta
         profile = objective.sum_profile(comps, graph)
-        ref = analysis.reference_solution(graph, comps, eta)
+        ref = analysis.reference_solution(graph, comps)
         m_lift, eu_lift = dense_ref.x_norm_blocks(graph, rho, params.pi_vector(n))
         if kind == "delta":
             cert = analysis.rate_certificate(graph, profile, params)
@@ -528,7 +527,7 @@ class TestVerifyContraction:
         graph, comps = ls_preset(seed=7, n=n, p=2)
         params = AdmmParams(1.0, 0.5, 0.1)
         profile = objective.sum_profile(comps, graph)
-        ref = analysis.reference_solution(graph, comps, params.eta)
+        ref = analysis.reference_solution(graph, comps)
         xs, _, phis = run_matrix_trace(graph, comps, params, 300)
         for cert in (analysis.rate_certificate(graph, profile, params),
                      analysis.rate_certificate_admm(graph, profile, params.rho,
@@ -545,13 +544,13 @@ class TestVerifyContraction:
         graph, comps = ls_preset(seed=7, n=12, p=2)
         params = AdmmParams(1.0, 0.5, 0.1)
         cert = analysis.rate_certificate(graph, objective.sum_profile(comps, graph), params)
-        ref = analysis.reference_solution(graph, comps, params.eta)
+        ref = analysis.reference_solution(graph, comps)
         init = {} if start == "zero" else {"x0": ref.x_star, "alpha0": ref.alpha_star}
         xs, alphas, _ = run_matrix_trace(graph, comps, params, 300, **init)
-        assert len(xs) > 2 * analysis._ROW_BLOCK
+        assert len(xs) > 2 * objective._ROW_BLOCK
         blocks = [(start, e_o_sq, rows.copy())
                   for start, e_o_sq, rows in cert._alpha_blocks(xs, alphas[0])]
-        assert [start for start, _, _ in blocks] == list(range(0, len(xs), analysis._ROW_BLOCK))
+        assert [start for start, _, _ in blocks] == list(range(0, len(xs), objective._ROW_BLOCK))
         assert np.array_equal(np.concatenate([rows for _, _, rows in blocks]), alphas)
         # each block's |E_o x_k|^2 comes from the same gather
         e_o_x = xs @ dense_ref.lifted_incidence(graph)[0].T
@@ -564,7 +563,7 @@ class TestVerifyContraction:
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, params)
-        ref = analysis.reference_solution(graph, comps, params.eta)
+        ref = analysis.reference_solution(graph, comps)
         phi_star = netgraph.arc_stack(graph).e_o_transpose(ref.alpha_star)
         xs = np.tile(ref.x_star, (3, 1))
         analysis.verify_contraction(xs, phi_star, ref, cert, alpha0=ref.alpha_star)
@@ -579,7 +578,7 @@ class TestVerifyContraction:
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, params)
-        ref = analysis.reference_solution(graph, comps, params.eta)
+        ref = analysis.reference_solution(graph, comps)
         phi = netgraph.arc_stack(graph).e_o_transpose(ref.alpha_star)
         scale = float(np.linalg.norm(phi))
         floor = denselin.range_floor(float(np.trace(netgraph.laplacian(graph))), graph.p)
@@ -598,7 +597,7 @@ class TestVerifyContraction:
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, params)
-        ref = analysis.reference_solution(graph, comps, params.eta)
+        ref = analysis.reference_solution(graph, comps)
         xs = ref.x_star[None, :]
         phi = netgraph.arc_stack(graph).e_o_transpose(ref.alpha_star)
         analysis.verify_contraction(xs, phi, ref, cert, alpha0=ref.alpha_star)
@@ -618,7 +617,7 @@ class TestRestrictedStrongConvexity:
         rho, eta = 1.0, 0.5
         profile = objective.sum_profile(comps, graph)
         mu, _ = analysis.mu_g(profile, graph, rho, eta, "optimize")
-        ref = analysis.reference_solution(graph, comps, eta)
+        ref = analysis.reference_solution(graph, comps)
         g_star = dense_ref.grad_g(comps, graph, rho, eta, ref.x_star)
         rng = np.random.default_rng(20)
         for _ in range(1000):

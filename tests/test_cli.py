@@ -142,6 +142,18 @@ class TestConfigRoundTrip:
         assert cli.main(["run", write(tmp_path, text), "--out", str(out)]) == 0
         assert (out / "trace.csv").exists()
 
+    def test_readme_library_example_runs(self, capsys):
+        # the Python blocks run in order in one namespace, as a reader would
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+        assert len(blocks) == 2
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert "violations = 0" in capsys.readouterr().out
+        assert namespace["report"].ok and len(namespace["logs"]) == 301
+
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
             parse_config("[algorithm]\nname = nosuch\n").validate()
@@ -292,6 +304,36 @@ dir = {out}
         assert "cap of 5" in capsys.readouterr().err
 
 
+class TestOutOfRange:
+    """Values a run cannot represent are setup errors: exit 1 with one
+    `deconopt:` line naming the value, and no output."""
+
+    def test_unallocatable_round_count(self, tmp_path, capsys):
+        # a (10**16 + 1, 12) iterate array needs about 2**60 bytes, more than
+        # any address space, so nothing is allocated
+        out = tmp_path / "r"
+        text = BASE_INI.format(out=out).replace("n = 5", "n = 6")
+        text = text.replace("rounds = 40", f"rounds = {10**16}")
+        assert cli.main(["run", write(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("deconopt:") and err.count("\n") == 1
+        assert f"rounds = {10**16}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rho,constant", [("1e200", "delta"), ("1e250", "mu_g"),
+                                              ("1e300", "mu_g"), ("1e308", "mu_g")])
+    def test_certificate_constant_out_of_float_range(self, rho, constant, tmp_path, capsys):
+        out = tmp_path / "o"
+        text = BASE_INI.format(out=out).replace("n = 5", "n = 6")
+        text = text.replace("rho = 1.0", f"rho = {rho}")
+        assert cli.main(["run", write(tmp_path, text), "--verify"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("deconopt:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert re.search(rf": {constant}\b", err)
+        assert not out.exists()
+
+
 class TestTraceFile:
     def read_rows(self, out):
         with open(os.path.join(out, "trace.csv")) as fh:
@@ -388,7 +430,7 @@ class TestBatchedTraceColumns:
         def f(x):
             return sum(c.value(x[i * p:(i + 1) * p]) for i, c in enumerate(comps))
 
-        f_star = f(analysis.reference_solution(graph, comps, config.eta).x_star)
+        f_star = f(analysis.reference_solution(graph, comps).x_star)
         e_o = dense_ref.lifted_incidence(graph)[0]
         with open(os.path.join(out, "trace.csv")) as fh:
             rows = list(csv.DictReader(fh))
@@ -415,7 +457,7 @@ class TestCompareMode:
     def test_gaps_equal_the_dense_difference(self, rounds, tmp_path):
         # rounds + 1 rows: a single row, exactly one full row block, and one
         # or two rows past it
-        assert analysis._ROW_BLOCK == 128
+        assert objective._ROW_BLOCK == 128
         out = tmp_path / "c"
         text = self.TEXT.format(out=out).replace("rounds = 40", f"rounds = {rounds}")
         assert cli.main(["run", write(tmp_path, text)]) == 0
@@ -443,6 +485,23 @@ class TestCompareMode:
         text = self.TEXT.format(out=tmp_path / "b").replace("rounds = 40", "rounds = 20")
         assert cli.main(["run", write(tmp_path, text.replace("p = 2", "p = 1"))]) == 0
         assert calls == {"FullAdmmEngine": 20, "ApproxMMEngine": 20, "residual": 21}
+
+    # a comparison algorithm that fails its set-up after the primary run
+    SETUP_ERRORS = {
+        "mm-approx": ("rounds = 40", "rounds = 40\nepsilon = -1"),
+        "pextra": ("rounds = 40", "rounds = 40\nxi = -0.5"),
+        "mm-exact": ("eta = 0.5", "eta = 1.2"),
+    }
+
+    @pytest.mark.parametrize("compare", list(SETUP_ERRORS))
+    def test_comparison_setup_error_writes_nothing(self, compare, tmp_path, capsys):
+        out = tmp_path / "c"
+        text = BASE_INI.format(out=out).replace("n = 5", "n = 6")
+        text = text.replace(*self.SETUP_ERRORS[compare])
+        assert cli.main(["run", write(tmp_path, text), "--compare", f"dadmm,{compare}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("deconopt:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_holds_one_trajectory(self, tmp_path):
         # the comparison run's rows are never kept as a second trajectory
@@ -492,6 +551,25 @@ rounds = 20
 [output]
 dir = {out}
 """
+
+    @pytest.mark.parametrize("name,flags", [("dadmm", ["--verify"]),
+                                            ("dadmm-matrix", ["--verify"]),
+                                            ("dadmm", ["--compare", "full-admm,mm-approx"])],
+                             ids=["dadmm", "dadmm-matrix", "compare"])
+    def test_one_stacked_view_per_run(self, name, flags, tmp_path, monkeypatch):
+        # the run builds the view once; the reference solution, every
+        # engine's subproblems and the trace's sums read that one
+        views = []
+        real = objective._Stacked.__init__
+
+        def counted(self, components):
+            views.append(1)
+            real(self, components)
+
+        monkeypatch.setattr(objective._Stacked, "__init__", counted)
+        text = self.TEXT.format(out=tmp_path / "s").replace("name = dadmm", f"name = {name}")
+        assert cli.main(["run", write(tmp_path, text), *flags]) == 0
+        assert len(views) == 1
 
     @pytest.mark.parametrize("flags", [["--verify"], ["--compare", "full-admm,mm-approx"]])
     def test_run_makes_no_per_agent_call(self, flags, tmp_path, monkeypatch):

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 import dense_ref
 from deconopt import denselin, harness, netgraph
-from deconopt.denselin import SymMatrix
 from deconopt.errors import (
     AllZero,
     DeconoptError,
@@ -91,7 +90,7 @@ def _cubic_roots_by_bisection(coeffs, lo=-100.0, hi=100.0):
 
 class TestSymEigen:
     def test_diagonal(self):
-        w, _ = denselin.sym_eigen(SymMatrix(np.diag([3.0, 1.0, 2.0])))
+        w, _ = denselin.sym_eigen(np.diag([3.0, 1.0, 2.0]))
         assert_allclose(w, [1.0, 2.0, 3.0])
 
     def test_path3_laplacian_spectrum(self):
@@ -99,13 +98,13 @@ class TestSymEigen:
         # det(L - t I) expanded by hand gives -t^3 + 8t^2 - 12t
         roots = _cubic_roots_by_bisection([-1.0, 8.0, -12.0, 0.0])
         assert_allclose(roots, [0.0, 2.0, 6.0], atol=1e-8)
-        w, v = denselin.sym_eigen(SymMatrix(PATH3_L))
+        w, v = denselin.sym_eigen(PATH3_L)
         assert_allclose(w, [0.0, 2.0, 6.0], atol=1e-10)
         for k in range(3):
             assert_allclose(PATH3_L @ v[:, k], w[k] * v[:, k], atol=1e-9)
 
     def test_identity(self):
-        w, _ = denselin.sym_eigen(SymMatrix(np.eye(4)))
+        w, _ = denselin.sym_eigen(np.eye(4))
         assert_allclose(w, np.ones(4))
 
     def test_reconstruction_random(self):
@@ -114,7 +113,7 @@ class TestSymEigen:
             order = int(rng.integers(1, 31))
             a = rng.standard_normal((order, order))
             a = 0.5 * (a + a.T)
-            w, v = denselin.sym_eigen(SymMatrix(a))
+            w, v = denselin.sym_eigen(a)
             recon = (v * w) @ v.T
             scale = max(np.linalg.norm(a), 1e-12)
             assert np.linalg.norm(recon - a) <= 1e-9 * scale
@@ -124,7 +123,7 @@ class TestSymEigen:
     @pytest.mark.parametrize("n,seed", [(5, 1), (12, 2), (30, 3)])
     def test_graph_matrices_match_jacobi_reference(self, n, seed):
         for base in ring_chord_bases(n, seed):
-            w, v = denselin.sym_eigen(SymMatrix(base))
+            w, v = denselin.sym_eigen(base)
             tol = 1e-12 * np.linalg.norm(base)
             assert np.max(np.abs(w - jacobi_eigenvalues(base))) <= tol
             assert np.linalg.norm((v * w) @ v.T - base) <= tol
@@ -135,7 +134,7 @@ class TestSymEigen:
             order = int(rng.integers(1, 13))
             a = rng.standard_normal((order, order))
             a = 0.5 * (a + a.T)
-            w, _ = denselin.sym_eigen(SymMatrix(a))
+            w, _ = denselin.sym_eigen(a)
             ref = jacobi_eigenvalues(a)
             assert np.max(np.abs(w - ref)) <= 1e-12 * np.linalg.norm(a)
 
@@ -145,22 +144,22 @@ class TestSymEigen:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(DeconoptError) as info:
-            denselin.sym_eigen(SymMatrix(np.eye(2)))
+            denselin.sym_eigen(np.eye(2))
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFinite):
-            SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
+            denselin.symmetric([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(NonFinite):
             denselin.sym_eigen([[np.inf, 0.0], [0.0, 1.0]])
 
     def test_asymmetry_rejected(self):
         with pytest.raises(DimensionMismatch):
-            SymMatrix([[1.0, 2.0], [0.0, 1.0]])
+            denselin.symmetric([[1.0, 2.0], [0.0, 1.0]])
 
 
 def smallest_nonzero_of(a):
-    return denselin.smallest_nonzero(denselin.sym_eigen(SymMatrix(a))[0])
+    return denselin.smallest_nonzero(denselin.sym_eigen(a)[0])
 
 
 class TestSmallestNonzero:
@@ -182,11 +181,11 @@ class TestSmallestNonzero:
 class TestSolveSpd:
     def test_identity(self):
         b = np.array([1.0, -2.0, 0.5])
-        assert_allclose(denselin.solve_spd(SymMatrix(np.eye(3)), b), b)
+        assert_allclose(denselin.solve_spd(np.eye(3), b), b)
 
     def test_diagonal(self):
         assert_allclose(
-            denselin.solve_spd(SymMatrix(np.diag([2.0, 4.0])), [2.0, 4.0]),
+            denselin.solve_spd(np.diag([2.0, 4.0]), [2.0, 4.0]),
             [1.0, 1.0],
         )
 
@@ -195,7 +194,7 @@ class TestSolveSpd:
         a = rng.standard_normal((5, 5))
         a = a @ a.T + 5 * np.eye(5)
         x = rng.standard_normal(5)
-        sol = denselin.solve_spd(SymMatrix(a), a @ x)
+        sol = denselin.solve_spd(a, a @ x)
         assert_allclose(sol, x, atol=1e-9)
 
     def test_residual_contract(self):
@@ -205,15 +204,15 @@ class TestSolveSpd:
             a = rng.standard_normal((order, order))
             a = a @ a.T + order * np.eye(order)
             b = rng.standard_normal(order)
-            x = denselin.solve_spd(SymMatrix(a), b)
+            x = denselin.solve_spd(a, b)
             bound = 1e-10 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
             assert np.linalg.norm(a @ x - b) <= bound
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
-            denselin.solve_spd(SymMatrix(np.diag([1.0, 0.0])), [1.0, 1.0])
+            denselin.solve_spd(np.diag([1.0, 0.0]), [1.0, 1.0])
         with pytest.raises(NotPositiveDefinite):
-            denselin.solve_spd(SymMatrix(np.diag([1.0, -3.0])), [1.0, 1.0])
+            denselin.solve_spd(np.diag([1.0, -3.0]), [1.0, 1.0])
 
     def test_indefinite_factor_and_inverse(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -226,7 +225,7 @@ class TestSolveSpd:
         rng = np.random.default_rng(12)
         a = rng.standard_normal((6, 6))
         a = a @ a.T + 6 * np.eye(6)
-        inv = denselin.spd_inverse(SymMatrix(a))
+        inv = denselin.spd_inverse(a)
         assert_allclose(inv @ a, np.eye(6), atol=1e-10)
 
     @pytest.mark.parametrize("order", [1, 3, 10])

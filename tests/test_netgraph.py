@@ -151,7 +151,7 @@ class TestIncidenceOperators:
             assert abs(eigvals[0]) <= 1e-10
             assert eigvals[1] > 1e-10  # rank n-1
             # the cached eigenvalues are the ones sym_eigen gives for L
-            want, eigvecs = denselin.sym_eigen(denselin.SymMatrix(netgraph.laplacian(g)))
+            want, eigvecs = denselin.sym_eigen(netgraph.laplacian(g))
             assert np.array_equal(eigvals, want)
             v = eigvecs[:, 0]
             assert_allclose(np.abs(v), np.full(n, 1.0 / np.sqrt(n)), atol=1e-10)

@@ -386,7 +386,7 @@ class TestBatchedValues:
         assert np.array_equal(b, [t[1] for t in terms])
         q_sum, b_sum = sum(t[0] for t in terms), sum(t[1] for t in terms)
         assert np.array_equal(objective.minimize_sum(comps),
-                              denselin.solve_spd(denselin.SymMatrix(q_sum), -b_sum))
+                              denselin.solve_spd(q_sum, -b_sum))
         assert objective.quadratic_stack(_mixed_components(rng, 3, 3)) is None
 
     def test_sum_value_errors(self):
@@ -401,6 +401,12 @@ class TestBatchedValues:
             for kinds in (comps, callbacks):
                 with pytest.raises(NonFinite):
                     objective.sum_value(kinds, xs)
+
+    def test_minimize_sum_rejects_non_finite_rows(self):
+        # the closed form checks the summed system before it solves it
+        comps = [RankOneLeastSquares([np.nan, 1.0], 0.0), RankOneLeastSquares([1.0, 0.0], 1.0)]
+        with pytest.raises(NonFinite):
+            objective.minimize_sum(comps)
 
 
 class TestProximalRows:
