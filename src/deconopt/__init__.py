@@ -7,7 +7,8 @@ form) on simulated synchronous networks, and verifies per-round Q-linear
 contraction against computed rate certificates.
 """
 
-from . import analysis, cli, denselin, harness, netgraph, objective, solvers, tolerances
+# `cli` is imported on first use, so `python -m deconopt.cli` runs it once
+from . import analysis, denselin, harness, netgraph, objective, solvers, tolerances
 from .errors import DeconoptError
 
 __all__ = [

@@ -423,22 +423,6 @@ class MixingReport:
     def all_pass(self) -> bool:
         return self.decentralized and self.symmetric and self.nullspace and self.spectral
 
-    def failures(self) -> list[str]:
-        out = []
-        if not self.decentralized:
-            out.append("decentralized")
-        if not self.symmetric:
-            out.append("symmetric")
-        if not self.nullspace:
-            out.append("nullspace")
-        if not self.wt_positive_definite:
-            out.append("wt_positive_definite")
-        if not self.upper_ok:
-            out.append("upper_spectral")
-        if not self.lower_ok:
-            out.append("lower_spectral")
-        return out
-
 
 def _respects_graph(mat: np.ndarray, graph: NetworkGraph) -> bool:
     return not np.any((np.abs(mat) > MIXING_TOL) & ~support_mask(graph))

@@ -46,28 +46,29 @@ Config grammar (INI, parsed with configparser)::
     contraction_slack = 1e-7
     minnorm_consistency = 1e-8
 
-A ";" at the start of a line or after whitespace begins a comment. Every
-float value (rho, eta, pi, xi, omega, epsilon, the [problem] entries and the
+A ";" at the start of a line or after whitespace begins a comment, and an
+absent or empty setting keeps its `ExperimentConfig` default. Every float
+value (rho, eta, pi, xi, omega, epsilon, the [problem] entries and the
 [tolerances] values) must be a finite number; anything else is a
-ConfigError, as is an unknown [tolerances] name, a negative tolerance, a
-[problem] option naming no agent 1..n, and an agent without exactly one
-complete pair.
+ConfigError, as is an unknown section or option ([DEFAULT]'s excepted), an
+unknown [tolerances] name, a negative tolerance, a [problem] option naming
+no agent 1..n, and an agent without exactly one complete pair.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import analysis, harness, netgraph, objective, solvers, tolerances
+from . import analysis, harness, netgraph, objective, solvers
 from .errors import ConfigError, DeconoptError
+from .tolerances import DEFAULT, Tolerances
 
 ALGORITHMS = (
     "dadmm", "pextra", "general-uv", "dadmm-matrix",
@@ -95,12 +96,7 @@ class ExperimentConfig:
     verify: bool = False
     compare: str | None = None
     out_dir: str = "out"
-    tolerance_overrides: tuple[tuple[str, float], ...] = ()
-
-    def run_tolerances(self) -> tolerances.Tolerances:
-        """The run's thresholds: the defaults with the config's overrides;
-        ConfigError for an unknown name or a negative value."""
-        return tolerances.DEFAULT.replace(**dict(self.tolerance_overrides))
+    tolerances: Tolerances = DEFAULT
 
     def certified_eta(self) -> float:
         """The relaxation the verified run iterates with: a pextra run's
@@ -110,7 +106,6 @@ class ExperimentConfig:
         return self.eta
 
     def validate(self) -> None:
-        self.run_tolerances()
         if self.preset not in ("ls-ring", "explicit"):
             raise ConfigError(f"unknown preset {self.preset!r}")
         if self.preset == "explicit" and (self.edges is None or self.rows is None):
@@ -184,6 +179,31 @@ def _floats(raw: str) -> tuple[float, ...]:
     return tuple(map(_finite, raw.split()))
 
 
+# the scalar settings: (section, option, ExperimentConfig field, cast of the
+# stripped text); an absent or empty option leaves its field at the default
+_SETTINGS = (
+    ("scenario", "preset", "preset", str),
+    ("scenario", "n", "n", int),
+    ("scenario", "p", "p", int),
+    ("scenario", "seed", "seed", int),
+    ("algorithm", "name", "algorithm", str),
+    ("algorithm", "rho", "rho", _finite),
+    ("algorithm", "eta", "eta", _finite),
+    ("algorithm", "pi", "pi", lambda raw: raw if raw == "theorem2" else _finite(raw)),
+    ("algorithm", "xi", "xi", _finite),
+    ("algorithm", "omega", "omega", _finite),
+    ("algorithm", "epsilon", "epsilon", _finite),
+    ("algorithm", "rounds", "rounds", int),
+    ("run", "verify", "verify", _boolean),
+    ("run", "compare", "compare", str),
+    ("output", "dir", "out_dir", str),
+)
+# the options of each section but [problem] and [tolerances], which check
+# their own names
+_OPTIONS = {"graph": {"edges"}} | {
+    section: {option for s, option, _, _ in _SETTINGS if s == section}
+    for section, _, _, _ in _SETTINGS}
+
 # an agent's [problem] entries per kind: its two option letters and casts
 _PROBLEM_KINDS = (("rank-one", "h", _floats, "y", _finite),
                   ("quadratic", "q", _floats, "b", _floats))
@@ -196,6 +216,17 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
+    # configparser lists [DEFAULT]'s options in every section
+    inherited = parser.defaults()
+    for section in parser.sections():
+        if section in ("problem", "tolerances"):
+            continue
+        if section not in _OPTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        for option in parser.options(section):
+            if option not in _OPTIONS[section] and option not in inherited:
+                raise ConfigError(f"[{section}] {option}: unknown option")
+
     def cast(section, option, raw, convert):
         raw = raw.strip()
         try:
@@ -203,16 +234,12 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"[{section}] {option}: bad value {raw!r}") from exc
 
-    def get(section, option, convert, default):
+    values = {}
+    for section, option, field, convert in _SETTINGS:
         raw = parser.get(section, option, fallback="")
-        return cast(section, option, raw, convert) if raw.strip() else default
+        if raw.strip():
+            values[field] = cast(section, option, raw, convert)
 
-    preset = get("scenario", "preset", str, "ls-ring")
-    n = get("scenario", "n", int, 5)
-    p = get("scenario", "p", int, 2)
-    seed = get("scenario", "seed", int, 1)
-
-    edges = None
     if parser.has_option("graph", "edges"):
         edges = []
         for token in parser.get("graph", "edges").split():
@@ -221,12 +248,12 @@ def parse_config(text: str) -> ExperimentConfig:
                 edges.append((int(u), int(v)))
             except ValueError as exc:
                 raise ConfigError(f"[graph] edges: bad token {token!r}") from exc
-        edges = tuple(edges)
+        values["edges"] = tuple(edges)
 
-    rows = None
     if parser.has_section("problem"):
         # each agent supplies either a rank-one (h, y) pair or a full
         # quadratic (Q, b) block, Q given row-major
+        n = values.get("n", ExperimentConfig.n)
         section = dict(parser.items("problem"))
         rows = []
         for i in range(1, n + 1):
@@ -245,74 +272,50 @@ def parse_config(text: str) -> ExperimentConfig:
                                   if found else
                                   f"[problem] agent {i} needs h{i}/y{i} or q{i}/b{i}")
             rows.append(found[0])
-        # configparser lists [DEFAULT]'s options in every section
-        unknown = [option for option in section if option not in parser.defaults()]
+        unknown = [option for option in section if option not in inherited]
         if unknown:
             raise ConfigError(f"[problem] {unknown[0]} names no agent 1..{n}")
-        rows = tuple(rows)
+        values["rows"] = tuple(rows)
 
-    pi = get("algorithm", "pi", lambda raw: raw if raw == "theorem2" else _finite(raw), 0.0)
-    overrides = []
     if parser.has_section("tolerances"):
-        overrides = [(name, cast("tolerances", name, raw, _finite))
-                     for name, raw in parser.items("tolerances")]
+        given = {name: cast("tolerances", name, raw, _finite)
+                 for name, raw in parser.items("tolerances")}
+        bad = sorted(set(given) - {field.name for field in fields(Tolerances)})
+        if bad:
+            raise ConfigError(f"unknown tolerance name(s): {bad}")
+        values["tolerances"] = Tolerances(**given)
+    return ExperimentConfig(**values)
 
-    compare = get("run", "compare", str, None)
-    return ExperimentConfig(
-        preset=preset, n=n, p=p, seed=seed, edges=edges, rows=rows,
-        algorithm=get("algorithm", "name", str, "dadmm"),
-        rho=get("algorithm", "rho", _finite, 1.0),
-        eta=get("algorithm", "eta", _finite, 0.5),
-        pi=pi,
-        xi=get("algorithm", "xi", _finite, None),
-        omega=get("algorithm", "omega", _finite, None),
-        epsilon=get("algorithm", "epsilon", _finite, None),
-        rounds=get("algorithm", "rounds", int, 300),
-        verify=get("run", "verify", _boolean, False),
-        compare=compare,
-        out_dir=get("output", "dir", str, "out"),
-        tolerance_overrides=tuple(sorted(overrides)),
-    )
+
+def _text(value) -> str:
+    """A value's INI text: true/false, a string as it is, a number by repr
+    and a tuple of numbers space-separated."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical INI text; parse(serialize(parse(t))) == parse(t)."""
-    out = io.StringIO()
-    out.write("[scenario]\n")
-    out.write(f"preset = {config.preset}\n")
-    out.write(f"n = {config.n}\np = {config.p}\nseed = {config.seed}\n")
-    if config.edges is not None:
-        out.write("\n[graph]\n")
-        out.write("edges = " + " ".join(f"{u}-{v}" for u, v in config.edges) + "\n")
-    if config.rows is not None:
-        out.write("\n[problem]\n")
-        for i, (kind, first, second) in enumerate(config.rows, start=1):
-            if kind == "quadratic":
-                out.write(f"q{i} = " + " ".join(repr(v) for v in first) + "\n")
-                out.write(f"b{i} = " + " ".join(repr(v) for v in second) + "\n")
-            else:
-                out.write(f"h{i} = " + " ".join(repr(v) for v in first) + "\n")
-                out.write(f"y{i} = {second!r}\n")
-    out.write("\n[algorithm]\n")
-    out.write(f"name = {config.algorithm}\n")
-    out.write(f"rho = {config.rho!r}\neta = {config.eta!r}\n")
-    out.write(f"pi = {config.pi if isinstance(config.pi, str) else repr(config.pi)}\n")
-    for name in ("xi", "omega", "epsilon"):
-        value = getattr(config, name)
+    """Canonical INI text of every setting that is not None, the graph, the
+    problem rows and both tolerances; parse_config inverts it."""
+    sections = {}
+    for section, option, field, _ in _SETTINGS:
+        value = getattr(config, field)
         if value is not None:
-            out.write(f"{name} = {value!r}\n")
-    out.write(f"rounds = {config.rounds}\n")
-    out.write("\n[run]\n")
-    out.write(f"verify = {'true' if config.verify else 'false'}\n")
-    if config.compare is not None:
-        out.write(f"compare = {config.compare}\n")
-    out.write("\n[output]\n")
-    out.write(f"dir = {config.out_dir}\n")
-    if config.tolerance_overrides:
-        out.write("\n[tolerances]\n")
-        for name, value in config.tolerance_overrides:
-            out.write(f"{name} = {value!r}\n")
-    return out.getvalue()
+            sections.setdefault(section, []).append(f"{option} = {_text(value)}")
+    if config.edges is not None:
+        sections["graph"] = ["edges = " + " ".join(f"{u}-{v}" for u, v in config.edges)]
+    if config.rows is not None:
+        letters = {kind: (first, second) for kind, first, _, second, _ in _PROBLEM_KINDS}
+        sections["problem"] = [f"{letter}{i} = {_text(value)}"
+                               for i, (kind, *pair) in enumerate(config.rows, start=1)
+                               for letter, value in zip(letters[kind], pair)]
+    sections["tolerances"] = [f"{field.name} = {getattr(config.tolerances, field.name)!r}"
+                              for field in fields(Tolerances)]
+    return "\n".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
+                     for name, lines in sections.items())
 
 
 # -- scenario and engine assembly ------------------------------------------------
@@ -447,22 +450,22 @@ def emit_trace(path, obj_errs, resids, messages, distances=None, delta=None) -> 
     _write_lines(path, TRACE_HEADER, lines)
 
 
-def run(config: ExperimentConfig) -> int:
+def run(config: ExperimentConfig, dump_operators: bool = False) -> int:
     """Execute one experiment; returns the process exit code.
 
     The component list's stacked view is built once and serves every pass
     over the sum. Only the primary run's (rounds+1, n*p) iterates are kept;
     a comparison run's rows become compare.csv's gaps one row block at a
     time. Every computation ends before the first file is written, so a run
-    that fails writes nothing.
+    that fails writes nothing; `dump_operators` adds the operator CSVs of
+    `_dump_operators` to the files.
     """
     config.validate()
-    tol = config.run_tolerances()
 
     graph, components = build_scenario(config)
     components = objective.stacked(components)
     params = _resolve_params(config, graph)
-    ref = analysis.reference_solution(graph, components, tol)
+    ref = analysis.reference_solution(graph, components, config.tolerances)
 
     try:
         xs = np.empty((config.rounds + 1, graph.n * graph.p))
@@ -479,11 +482,19 @@ def run(config: ExperimentConfig) -> int:
         cert_params = replace(params, eta=config.certified_eta())
         cert = analysis.rate_certificate(graph, ref.profile, cert_params)
 
+    # the engines form the penalty weights rho d_i, and an overflowed one
+    # would iterate on inf; checked after the certificate, which names its
+    # own out-of-range constant first
+    if not math.isfinite(config.rho * float(netgraph.degrees(graph).max())):
+        raise ConfigError(f"rho = {config.rho!r}: the penalty weights rho d_i "
+                          "leave the float range")
+
     phi_last = _run_algorithm(config.algorithm, config, graph, components, params, record)
 
     report = None
     if cert is not None:
-        report = analysis.verify_contraction(xs, phi_last, ref, cert, tolerances=tol)
+        report = analysis.verify_contraction(xs, phi_last, ref, cert,
+                                             tolerances=config.tolerances)
 
     gaps = None
     if config.compare is not None:
@@ -514,23 +525,24 @@ def run(config: ExperimentConfig) -> int:
         _write_lines(os.path.join(config.out_dir, "compare.csv"), "k,max_abs_dx",
                      map("%d,%.17g\n".__mod__, enumerate(gaps.tolist())))
 
+    if dump_operators:
+        _dump_operators(graph, config.out_dir)
+
     if report is not None and not report.ok:
         return 2
     return 0
 
 
-def _dump_operators(config: ExperimentConfig, out_dir: str) -> None:
+def _dump_operators(graph, out_dir: str) -> None:
     """Write the dense arc matrices A_s, A_d, E_o, E_u (m x n) and the graph
     matrices D and L (n x n) as CSV files, for inspection; the arc matrices
     are formed here only, from the arc indices."""
-    graph, _ = build_scenario(config)
     src, dst = netgraph.arc_indices(graph)
     arcs = np.arange(graph.m)
     a_src = np.zeros((graph.m, graph.n))
     a_src[arcs, src] = 1.0
     a_dst = np.zeros((graph.m, graph.n))
     a_dst[arcs, dst] = 1.0
-    os.makedirs(out_dir, exist_ok=True)
     for name, matrix in (("a_src", a_src), ("a_dst", a_dst), ("e_o", a_src - a_dst),
                          ("e_u", a_src + a_dst), ("degree", np.diag(netgraph.degrees(graph))),
                          ("laplacian", netgraph.laplacian(graph))):
@@ -570,10 +582,7 @@ def main(argv=None) -> int:
             config = replace(config, seed=args.seed)
         if args.out is not None:
             config = replace(config, out_dir=args.out)
-        if args.dump_operators:
-            config.validate()
-            _dump_operators(config, config.out_dir)
-        return run(config)
+        return run(config, args.dump_operators)
     except (DeconoptError, OSError, ValueError) as exc:
         print(f"deconopt: {args.config}: {exc}", file=sys.stderr)
         return 1

@@ -337,8 +337,8 @@ def apply_rows(inverse: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 class ProximalRows:
-    """n agents' local subproblems with fixed weights a_i, pi_i >= 0 (else
-    ValueError), agent i in row i - 1 of the components' view. `inverse`
+    """n agents' local subproblems with fixed finite weights a_i, pi_i >= 0
+    (else ValueError), agent i in row i - 1 of the components' view. `inverse`
     stacks every row: the quadratic rows' (Q_i + (a_i + pi_i) I)^-1 from one
     `proximal_inverse` call (a singular one raises NoUniqueMinimizer), zero
     blocks and zero `b` rows for the callbacks, whose rows Newton solves to
@@ -353,8 +353,9 @@ class ProximalRows:
         self.a, self.pi = np.asarray(a, dtype=float), np.asarray(pi, dtype=float)
         if self.a.shape != (n,) or self.pi.shape != self.a.shape:
             raise ValueError(f"one component per agent required, got {n}")
-        if np.any(self.a < 0) or np.any(self.pi < 0):
-            raise ValueError("quadratic weights a and pi must be nonnegative")
+        weights = np.concatenate((self.a, self.pi))
+        if not np.all((weights >= 0) & (weights < np.inf)):
+            raise ValueError("quadratic weights a and pi must be finite and nonnegative")
         self.shape = (n, p)
         self.closed_iters = (1,) * n
         self.callbacks = stack.callbacks

@@ -4,9 +4,9 @@
 and of the run's final dual; `contraction_slack` is the per-round slack of
 the contraction check. The package's other numerical thresholds are
 constants of the one module that reads them (`objective`, `denselin`,
-`analysis`). A run config overrides single fields in its ``[tolerances]``
-section, the only other source; an unknown field name or a value that is
-not a finite nonnegative number there is a ConfigError.
+`analysis`). A run config holds one `Tolerances`, its ``[tolerances]``
+section setting single fields over the defaults; a value that is not a
+finite nonnegative number is a ConfigError when the `Tolerances` is made.
 """
 
 from __future__ import annotations
@@ -25,15 +25,12 @@ class Tolerances:
     # additive slack budget when checking per-round contraction
     contraction_slack: float = 1e-7
 
-    def replace(self, **overrides) -> "Tolerances":
-        bad = set(overrides) - {f.name for f in dataclasses.fields(self)}
-        if bad:
-            raise ConfigError(f"unknown tolerance name(s): {sorted(bad)}")
-        for name, value in sorted(overrides.items()):
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
             if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"tolerance {name} must be finite and nonnegative, "
+                raise ConfigError(f"tolerance {field.name} must be finite and nonnegative, "
                                   f"got {value!r}")
-        return dataclasses.replace(self, **overrides)
 
 
 DEFAULT = Tolerances()

@@ -17,7 +17,7 @@ from deconopt.errors import (
 )
 from deconopt.objective import AffineQuadratic, RankOneLeastSquares
 from deconopt.solvers import AdmmParams
-from deconopt.tolerances import DEFAULT
+from deconopt.tolerances import DEFAULT, Tolerances
 
 
 def ls_preset(seed=0, n=5, p=2):
@@ -587,7 +587,7 @@ class TestVerifyContraction:
         assert floor < 1e-9 * scale * np.sqrt(graph.n) < 1e-8 * scale
         xs = np.tile(ref.x_star, (2, 1))
         analysis.verify_contraction(xs, phi_last, ref, cert, alpha0=ref.alpha_star)
-        tight = DEFAULT.replace(minnorm_consistency=1e-11)
+        tight = Tolerances(minnorm_consistency=1e-11)
         with pytest.raises(Inconsistent):
             analysis.verify_contraction(xs, phi_last, ref, cert, alpha0=ref.alpha_star,
                                         tolerances=tight)

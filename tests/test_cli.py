@@ -1,6 +1,9 @@
+import configparser
 import csv
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -78,6 +81,64 @@ class TestConfigRoundTrip:
         cfg = parse_config("[scenario]\npreset = ls-ring\n")
         assert cfg == ExperimentConfig()
 
+    # every table entry away from its default, explicit edges, both row kinds
+    # and both tolerances
+    EVERY_SETTING_INI = """
+[scenario]
+preset = explicit
+n = 3
+p = 1
+seed = 9
+
+[graph]
+edges = 1-2 2-3 3-1
+
+[problem]
+h1 = 1.5
+y1 = 0.25
+q2 = 2.0
+b2 = -1.0
+h3 = -0.5
+y3 = 1.0
+
+[algorithm]
+name = pextra
+rho = 2.5
+eta = 0.75
+pi = {pi}
+xi = 0.04
+omega = 0.625
+epsilon = 0.3
+rounds = 17
+
+[run]
+verify = true
+compare = mm-approx
+
+[output]
+dir = elsewhere
+
+[tolerances]
+minnorm_consistency = 1e-9
+contraction_slack = 1e-6
+"""
+
+    @pytest.mark.parametrize("pi", ["0.125", "theorem2"])
+    def test_round_trip_covers_every_setting(self, pi):
+        cfg = parse_config(self.EVERY_SETTING_INI.format(pi=pi))
+        default = ExperimentConfig()
+        assert all(getattr(cfg, field) != getattr(default, field)
+                   for _, _, field, _ in cli._SETTINGS)
+        assert all(getattr(cfg.tolerances, f.name) != getattr(default.tolerances, f.name)
+                   for f in fields(tolerances.Tolerances))
+        assert {kind for kind, _, _ in cfg.rows} == {"rank-one", "quadratic"}
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg
+        written = configparser.ConfigParser(interpolation=None)
+        written.read_string(text)
+        assert all(written.has_option(section, option)
+                   for section, option, _, _ in cli._SETTINGS)
+
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[algorithm]\nrho = abc\n")
@@ -119,6 +180,27 @@ class TestConfigRoundTrip:
         # [DEFAULT]'s options show in every section without being its own
         text = "[DEFAULT]\nrounds = 7\n" + EXPLICIT_INI.format(out="o")
         assert parse_config(text).rows == parse_config(EXPLICIT_INI.format(out="o")).rows
+
+    # a misspelt option in each section the settings table reads, and a
+    # misspelt section; with [output] misspelt the run would write to ./out
+    MISSPELT = {
+        "seeed": ("seed = 1", "seeed = 2"),
+        "edgs": ("[algorithm]", "[graph]\nedgs = 1-2\n\n[algorithm]"),
+        "etta": ("eta = 0.5", "etta = 0.9"),
+        "verfy": ("[output]", "[run]\nverfy = true\n\n[output]"),
+        "dirr": ("dir =", "dirr ="),
+        "[outptu]": ("[output]", "[outptu]"),
+    }
+
+    @pytest.mark.parametrize("name", list(MISSPELT))
+    def test_unknown_name_is_setup_error(self, name, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        text = BASE_INI.format(out=tmp_path / "o").replace(*self.MISSPELT[name])
+        assert cli.main(["run", write(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("deconopt:") and err.count("\n") == 1
+        assert name in err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "out").exists()
 
     def test_agent_given_both_kinds_is_setup_error(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -331,6 +413,40 @@ class TestOutOfRange:
         assert err.startswith("deconopt:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert re.search(rf": {constant}\b", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", cli.ALGORITHMS)
+    def test_overflowing_penalty_weights(self, name, tmp_path, capsys):
+        # rho d_i overflows on every graph with an edge: refused before any
+        # engine forms a weight, with no numpy warning
+        out = tmp_path / "o"
+        text = BASE_INI.format(out=out).replace("n = 5", "n = 6")
+        text = text.replace("rounds = 40", "rounds = 5").replace("rho = 1.0", "rho = 1e308")
+        text = text.replace("name = dadmm", f"name = {name}")
+        if name == "pextra":
+            text = text.replace("[algorithm]", "[algorithm]\nxi = 0.04")
+        assert cli.main(["run", write(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("deconopt:") and err.count("\n") == 1
+        assert re.search(r"\brho\b", err)
+        assert not out.exists()
+
+    def test_huge_proximal_weight_runs(self, tmp_path, capsys):
+        # the check reads rho d_i only: a huge finite pi still runs
+        out = tmp_path / "o"
+        text = BASE_INI.format(out=out).replace("n = 5", "n = 6")
+        text = text.replace("pi = 0", "pi = 1e308")
+        assert cli.main(["run", write(tmp_path, text)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "trace.csv").exists()
+
+    def test_failed_run_dumps_no_operators(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        text = BASE_INI.format(out=out).replace("n = 5", "n = 6")
+        text = text.replace("rho = 1.0", "rho = 1e200")
+        path = write(tmp_path, text)
+        assert cli.main(["run", path, "--verify", "--dump-operators"]) == 1
+        assert "delta" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -952,3 +1068,17 @@ def test_verify_distances_match_dense_phi_reference(name, settings, tmp_path, mo
         assert phis.shape == xs.shape and np.array_equal(phis[-1], phi_last), cell
         want = dense_ref.phi_space_distances_sq(cert, ref, xs, phis)
         assert np.max(np.abs(report.distances - want)) <= 1e-12 * want[0], cell
+
+
+def test_module_entry_point_runs_with_warnings_as_errors(tmp_path):
+    out = tmp_path / "m"
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "deconopt.cli", "run",
+         write(tmp_path, BASE_INI.format(out=out))],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (out / "trace.csv").exists()

@@ -201,6 +201,13 @@ class TestLocalSubproblem:
         with pytest.raises(ValueError, match="one component per agent"):
             ProximalRows([zero_component(2)] * 3, np.ones(2), np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_weights_must_be_finite_and_nonnegative(self, bad):
+        comps = [RankOneLeastSquares(np.ones(2), 0.5)] * 3
+        for a, pi in (([1.0, bad, 1.0], np.zeros(3)), (np.ones(3), [0.0, 0.0, bad])):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                ProximalRows(comps, a, pi)
+
 
 class TestEvalG:
     def setup_method(self):
