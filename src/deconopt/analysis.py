@@ -425,7 +425,7 @@ class MixingReport:
 
 
 def _respects_graph(mat: np.ndarray, graph: NetworkGraph) -> bool:
-    return not np.any((np.abs(mat) > MIXING_TOL) & ~support_mask(graph))
+    return not np.any(~(np.abs(mat) <= MIXING_TOL) & ~support_mask(graph))
 
 
 def _nullspace_is_consensus(mat: np.ndarray) -> bool:

@@ -50,9 +50,10 @@ A ";" at the start of a line or after whitespace begins a comment, and an
 absent or empty setting keeps its `ExperimentConfig` default. Every float
 value (rho, eta, pi, xi, omega, epsilon, the [problem] entries and the
 [tolerances] values) must be a finite number; anything else is a
-ConfigError, as is an unknown section or option ([DEFAULT]'s excepted), an
-unknown [tolerances] name, a negative tolerance, a [problem] option naming
-no agent 1..n, and an agent without exactly one complete pair.
+ConfigError, as is an unknown section or option, a [DEFAULT] option that no
+section of the config reads, an unknown [tolerances] name, a negative
+tolerance, a [problem] option naming no agent 1..n, and an agent without
+exactly one complete pair.
 """
 
 from __future__ import annotations
@@ -216,15 +217,19 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    # configparser lists [DEFAULT]'s options in every section
+    # configparser lists [DEFAULT]'s options in every section; each must be
+    # read by some section of the config (`read`)
     inherited = parser.defaults()
+    read = set()
     for section in parser.sections():
         if section in ("problem", "tolerances"):
             continue
         if section not in _OPTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for option in parser.options(section):
-            if option not in _OPTIONS[section] and option not in inherited:
+            if option in _OPTIONS[section]:
+                read.add(option)
+            elif option not in inherited:
                 raise ConfigError(f"[{section}] {option}: unknown option")
 
     def cast(section, option, raw, convert):
@@ -275,15 +280,23 @@ def parse_config(text: str) -> ExperimentConfig:
         unknown = [option for option in section if option not in inherited]
         if unknown:
             raise ConfigError(f"[problem] {unknown[0]} names no agent 1..{n}")
+        read.update(option for option in inherited if option not in section)
         values["rows"] = tuple(rows)
 
     if parser.has_section("tolerances"):
+        names = {field.name for field in fields(Tolerances)}
         given = {name: cast("tolerances", name, raw, _finite)
-                 for name, raw in parser.items("tolerances")}
-        bad = sorted(set(given) - {field.name for field in fields(Tolerances)})
+                 for name, raw in parser.items("tolerances")
+                 if name in names or name not in inherited}
+        bad = sorted(set(given) - names)
         if bad:
             raise ConfigError(f"unknown tolerance name(s): {bad}")
+        read.update(given)
         values["tolerances"] = Tolerances(**given)
+
+    unread = [option for option in inherited if option not in read]
+    if unread:
+        raise ConfigError(f"[DEFAULT] {unread[0]}: no section of the config reads it")
     return ExperimentConfig(**values)
 
 
@@ -352,71 +365,78 @@ def _resolve_params(config: ExperimentConfig, graph) -> solvers.AdmmParams:
 
 
 def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
-                   params: solvers.AdmmParams, record):
+                   params: solvers.AdmmParams, blocks):
     """Run one algorithm for the configured rounds from a zero dual.
 
-    Calls the row sink `record(k, x, messages)` for k = 0 (the initial
-    state) to `rounds`, with `x` the stacked iterate after round k, which
-    the sink copies if it keeps it, and round k's message count. Returns
-    `phi_last`, the dual aggregate after the last round, the one dual the
-    verification reads: it takes the other rounds' duals off the iterates.
+    `blocks` yields (k, n*p) float arrays whose row counts add up to
+    rounds + 1, and the run fills each in place before it asks for the next
+    (so a block may be handed out again): the first row with the initial
+    state, each next one with the stacked iterate after one more round.
+    The network algorithms fill a block by one `harness.run_rounds` call,
+    the central engines by one `step`. Returns `phi_last`, the dual
+    aggregate after the last round, the one dual the verification reads (it
+    takes the other rounds' duals off the iterates), and the message count
+    of a round, the same for every round.
     """
     if name in ("dadmm", "pextra", "general-uv"):
         if name == "dadmm":
-            agents = harness.dadmm_agents(graph, components, params)
+            state = harness.dadmm_agents(graph, components, params)
         elif name == "pextra":
             eta_like = config.omega if config.omega is not None else config.eta
             w, wt = solvers.pextra_mixing(graph, config.xi, config.rho, eta_like)
-            agents = harness.pextra_agents(
+            state = harness.pextra_agents(
                 graph, components, solvers.PextraParams(xi=config.xi, w=w, w_tilde=wt)
             )
         else:
-            agents = harness.general_uv_agents(
+            state = harness.general_uv_agents(
                 graph, netgraph.unoriented_gram(graph), netgraph.laplacian(graph),
                 np.diag(netgraph.degrees(graph)), components, params
             )
-        harness.run_rounds(
-            agents, graph, config.rounds,
-            observer=lambda k, x, phi, log: record(k, x, log.messages),
-        )
-        return agents.phi.ravel()
 
-    if name == "dadmm-matrix":
-        engine = solvers.DadmmMatrixEngine(graph, components, params)
-    elif name == "full-admm":
-        engine = solvers.FullAdmmEngine(graph, components, params)
-    elif name == "mm-exact":
-        engine = solvers.ExactMMEngine(graph, components, params)
-    else:  # mm-approx; `ExperimentConfig.validate` admits no other name
-        eps = config.epsilon if config.epsilon is not None else 1.0 / config.rho
-        engine = solvers.ApproxMMEngine(graph, components, params, eps)
+        def step(net, rows):
+            return harness.run_rounds(net, graph, len(rows), rows=rows)
 
-    state = engine.init()
-    for k in range(config.rounds + 1):
-        if k > 0:
-            state = engine.step(state)
-        record(k, state.x, 0)
-    return engine.phi(state)
+        x0, phi, messages = state.x.ravel(), lambda net: net.phi.ravel(), graph.m
+    else:
+        if name == "dadmm-matrix":
+            engine = solvers.DadmmMatrixEngine(graph, components, params)
+        elif name == "full-admm":
+            engine = solvers.FullAdmmEngine(graph, components, params)
+        elif name == "mm-exact":
+            engine = solvers.ExactMMEngine(graph, components, params)
+        else:  # mm-approx; `ExperimentConfig.validate` admits no other name
+            eps = config.epsilon if config.epsilon is not None else 1.0 / config.rho
+            engine = solvers.ApproxMMEngine(graph, components, params, eps)
+        state = engine.init()
+        step, x0, phi, messages = engine.step, state.x, engine.phi, 0
+
+    first = True
+    for rows in blocks:
+        if first:
+            rows[0] = x0
+            rows, first = rows[1:], False
+        if len(rows):
+            state = step(state, rows)
+    return phi(state), messages
 
 
-def _gap_sink(xs, gaps):
-    """Row sink for the comparison run: `gaps[k] = max|xs[k] - x_k|`.
+def _row_blocks(xs):
+    """The primary run's blocks: views of `objective._ROW_BLOCK` rows of xs."""
+    return (xs[start:start + objective._ROW_BLOCK]
+            for start in range(0, len(xs), objective._ROW_BLOCK))
 
-    Rows are copied into one (objective._ROW_BLOCK, n*p) buffer; when it fills,
-    and at the last row of `xs`, its block of gaps is formed in place.
-    """
+
+def _gap_blocks(xs, gaps):
+    """The comparison run's blocks: one (objective._ROW_BLOCK, n*p) buffer,
+    handed out again for each block of rows; once the run has filled it,
+    `gaps[k] = max|xs[k] - x_k|` is formed for its rows in place."""
     buf = np.empty((min(len(xs), objective._ROW_BLOCK), xs.shape[1]))
-    last = len(xs) - 1
-
-    def record(k, x, messages):
-        row = k % len(buf)
-        buf[row] = x
-        if row == len(buf) - 1 or k == last:
-            block = buf[:row + 1]
-            np.subtract(xs[k - row:k + 1], block, out=block)
-            np.abs(block, out=block).max(axis=1, out=gaps[k - row:k + 1])
-
-    return record
+    for start in range(0, len(xs), len(buf)):
+        block = buf[:len(xs) - start]
+        yield block
+        stop = start + len(block)
+        np.subtract(xs[start:stop], block, out=block)
+        np.abs(block, out=block).max(axis=1, out=gaps[start:stop])
 
 
 def _write_lines(path, header: str, lines) -> None:
@@ -454,11 +474,14 @@ def run(config: ExperimentConfig, dump_operators: bool = False) -> int:
     """Execute one experiment; returns the process exit code.
 
     The component list's stacked view is built once and serves every pass
-    over the sum. Only the primary run's (rounds+1, n*p) iterates are kept;
-    a comparison run's rows become compare.csv's gaps one row block at a
-    time. Every computation ends before the first file is written, so a run
-    that fails writes nothing; `dump_operators` adds the operator CSVs of
-    `_dump_operators` to the files.
+    over the sum. Only the primary run's (rounds+1, n*p) iterates are kept,
+    each block of them written in place by the run; a comparison run fills
+    one block buffer again and again, whose rows become compare.csv's gaps
+    a block at a time. The obj_err and consensus_resid columns are one
+    row-wise pass each over the kept iterates. Every computation ends
+    before the first file is written, so a run that fails writes nothing;
+    `dump_operators` adds the operator CSVs of `_dump_operators` to the
+    files.
     """
     config.validate()
 
@@ -471,12 +494,6 @@ def run(config: ExperimentConfig, dump_operators: bool = False) -> int:
         xs = np.empty((config.rounds + 1, graph.n * graph.p))
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"rounds = {config.rounds}: no room for the iterates") from exc
-    messages = [0] * len(xs)
-
-    def record(k, x, count):
-        xs[k] = x
-        messages[k] = count
-
     cert = None
     if config.verify:
         cert_params = replace(params, eta=config.certified_eta())
@@ -489,7 +506,8 @@ def run(config: ExperimentConfig, dump_operators: bool = False) -> int:
         raise ConfigError(f"rho = {config.rho!r}: the penalty weights rho d_i "
                           "leave the float range")
 
-    phi_last = _run_algorithm(config.algorithm, config, graph, components, params, record)
+    phi_last, messages = _run_algorithm(config.algorithm, config, graph, components,
+                                        params, _row_blocks(xs))
 
     report = None
     if cert is not None:
@@ -500,16 +518,16 @@ def run(config: ExperimentConfig, dump_operators: bool = False) -> int:
     if config.compare is not None:
         gaps = np.empty(len(xs))
         _run_algorithm(config.compare, config, graph, components, params,
-                       _gap_sink(xs, gaps))
+                       _gap_blocks(xs, gaps))
 
     obj_errs = objective.sum_value(components, xs) - ref.objective_value
-    resids = [netgraph.consensuality_residual(graph, x) for x in xs]
+    resids = netgraph.consensuality_residual(graph, xs)
 
     os.makedirs(config.out_dir, exist_ok=True)
     distances = None if report is None else report.distances.tolist()
     delta = None if cert is None else cert.delta
-    emit_trace(os.path.join(config.out_dir, "trace.csv"), obj_errs.tolist(), resids,
-               messages, distances, delta)
+    emit_trace(os.path.join(config.out_dir, "trace.csv"), obj_errs.tolist(),
+               resids.tolist(), [0] + [messages] * config.rounds, distances, delta)
 
     if cert is not None:
         lines = analysis.certificate_lines(cert)

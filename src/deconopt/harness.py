@@ -28,15 +28,21 @@ The three factories only pick the weights:
 * `pextra_agents`: (-W/xi, W - W~), s = -1/xi, a_i = 1/xi, pi = 0. The dual
   is the running sum, seeded with (W - W~) x0, and phi = s dual.
 
+A round may write its new x rows into an (n, p) array the caller hands
+over (`network_round`'s `out`), and `run_rounds` fills a block of the
+caller's (rounds, n p) rows that way, one row per round, with no copy but
+that of the last row (`block_outputs`); the CLI fills its iterate rows so.
 Every executed round reports m messages of p scalars in its `RoundLog`; the
-observer's call for the initial state reports none. `solvers.DadmmEngine`,
-`solvers.PextraEngine` and `solvers.GeneralUVEngine` load their state into
-the same object and run the same round, so engine and network agree bit for
-bit.
+observer's call for the current state reports none. `RoundLog` and the
+observer serve library users and tracing: the CLI passes no observer.
+`solvers.DadmmEngine`, `solvers.PextraEngine` and `solvers.GeneralUVEngine`
+load their state into the same object and run the same round, so engine and
+network agree bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -88,8 +94,9 @@ class Network:
     one's entries (dst, src) on the arcs in label order, then its diagonal,
     repeated along the p columns (a broadcast multiply is slower).
     Assigning `x` sets `mixed` to `mixes(x)`. A round replaces `x` and `dual`
-    with new arrays and never writes into them, so arrays handed out and
-    `mixed` stay valid.
+    and never writes into the arrays they held, so arrays handed out and
+    `mixed` stay valid; its new `x` is a new array or the `out` rows it was
+    given.
     """
 
     def __init__(self, graph: NetworkGraph, components, u, v, a, pi, *,
@@ -127,12 +134,38 @@ class Network:
         return np.bincount(self._scatter, sent, 2 * x.size).reshape(2, *x.shape)
 
 
-def network_round(net: Network) -> tuple[int, ...]:
-    """One synchronous round; returns each agent's subproblem iteration count."""
+def network_round(net: Network, out=None) -> tuple[int, ...]:
+    """One synchronous round; returns each agent's subproblem iteration count.
+    With `out`, an (n, p) float array apart from the network's arrays, the
+    new x rows are written into it and `net.x` becomes it (the same bits)."""
     c = net.scale * net.dual + net.mixed[0]
-    net.x, iters = objective.local_subproblem_ex(net.local, c, net.x)
+    net.x, iters = objective.local_subproblem_ex(net.local, c, net.x, out)
     net.dual = net.dual + net.mixed[1]
     return iters
+
+
+def block_outputs(rows, shape: tuple[int, int]):
+    """The (n, p) array each round of a block writes its new x into, one per
+    row of `rows`, a (k, n*p) float array: views of its first k - 1 rows,
+    then a new array, which is copied into the last row once the last round
+    is done. So the state after a block holds no view of `rows`, and the
+    caller may overwrite them. Raises DimensionMismatch unless `rows` is a
+    2-D float array of rows of n*p entries (splitting its last axis into
+    (n, p) never copies, so the views write into `rows`)."""
+    width = math.prod(shape)
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64
+            and rows.ndim == 2 and rows.shape[1] == width):
+        raise DimensionMismatch(f"rows must be a float array of rows of {width} entries, "
+                                f"got {getattr(rows, 'shape', None)}")
+    return _outputs(rows.reshape(len(rows), *shape))
+
+
+def _outputs(views: np.ndarray):
+    yield from views[:-1]
+    if len(views):
+        last = np.empty(views.shape[1:])
+        yield last
+        views[-1] = last
 
 
 def _check_mixing_support(mat: np.ndarray, graph: NetworkGraph) -> None:
@@ -187,18 +220,30 @@ def general_uv_agents(graph: NetworkGraph, u, v, dbar, components,
                        np.diag(np.asarray(dbar, dtype=float)), params, x0, phi0)
 
 
-def run_rounds(net: Network, graph: NetworkGraph, rounds: int, observer=None) -> Network:
-    """Execute synchronous rounds; returns the network.
+def run_rounds(net: Network, graph: NetworkGraph, rounds: int, observer=None,
+               rows=None) -> Network:
+    """Execute `rounds` synchronous rounds from the network's current state;
+    returns the network.
 
-    The observer, when given, receives (k, stacked x, stacked phi, RoundLog)
-    once for the initial state (k = 0, zero messages) and once per round;
-    each round's log reaches it only, and is not kept.
+    With `rows`, a (rounds, n*p) float array, round k's x is written into
+    rows[k - 1] in place (`block_outputs`; DimensionMismatch for other
+    rows), so a caller fills its iterate rows block by block with
+    successive calls. The observer, when given, receives (k, stacked x,
+    stacked phi, RoundLog) once for the current state (k = 0, zero
+    messages) and once per round k = 1..rounds of this call; each round's
+    log reaches it only, and is not kept.
     """
+    if rows is None:
+        outputs = itertools.repeat(None, rounds)
+    else:
+        outputs = block_outputs(rows, net.x.shape)
+        if len(rows) != rounds:
+            raise DimensionMismatch(f"rows must hold {rounds} rounds, got {len(rows)}")
     if observer is not None:
         observer(0, net.x.ravel(), net.phi.ravel(),
                  RoundLog(messages=0, payload_scalars=0, subproblem_iters=()))
-    for k in range(1, rounds + 1):
-        iters = network_round(net)
+    for k, out in enumerate(outputs, start=1):
+        iters = network_round(net, out)
         if observer is not None:
             observer(k, net.x.ravel(), net.phi.ravel(),
                      RoundLog(messages=graph.m, payload_scalars=graph.m * graph.p,

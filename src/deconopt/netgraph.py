@@ -37,7 +37,6 @@ the value `degrees` holds.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +50,10 @@ from .errors import (
     SelfLoop,
 )
 from .tolerances import DEFAULT, Tolerances
+
+# rows per pass of every row-wise pass over a (rows, n*p) trace (residuals,
+# sum values, distances, the blocks a run fills); bounds their temporaries
+_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -79,14 +82,6 @@ def _per_graph(fn):
             return value
 
     return cached
-
-
-def _checked(v, length: int) -> np.ndarray:
-    """v as a float vector; raises DimensionMismatch unless it has `length` entries."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (length,):
-        raise DimensionMismatch(f"expected vector of length {length}, got {v.shape}")
-    return v
 
 
 class ArcStack:
@@ -264,14 +259,29 @@ def e_o_min_norm_solver(g: NetworkGraph,
                                            tolerances)
 
 
-def consensuality_residual(g: NetworkGraph, x) -> float:
+def consensuality_residual(g: NetworkGraph, x):
     """Euclidean norm of E_o x; zero exactly on consensual vectors.
 
-    E_o x comes from one gather, and its norm is sqrt(d @ d), which is what
-    np.linalg.norm computes for a real vector.
+    A 1-D `x` gives a float, a (rows, n*p) array one value per row. Per
+    `_ROW_BLOCK` rows, E_o x is one gather into a C-contiguous buffer minus a
+    second gather, and each norm is the square root of `np.vecdot` of a
+    buffer row with itself: the bits of sqrt(d @ d) on that row alone.
     """
-    d = arc_stack(g).e_o(_checked(x, g.n * g.p))
-    return math.sqrt(d.dot(d))
+    x = np.asarray(x, dtype=float)
+    width = g.n * g.p
+    if x.ndim not in (1, 2) or x.shape[-1] != width:
+        raise DimensionMismatch(f"expected vectors of length {width}, got {x.shape}")
+    src, dst = arc_stack(g).index
+    xs = x.reshape(-1, width)
+    out = np.empty(len(xs))
+    buf = np.empty((min(len(xs), _ROW_BLOCK), len(src)))
+    for start in range(0, len(xs), _ROW_BLOCK):
+        block = xs[start:start + _ROW_BLOCK]
+        # the indices are valid; the default mode="raise" would buffer `out`
+        d = np.take(block, src, axis=1, out=buf[:len(block)], mode="clip")
+        d -= block[:, dst]
+        np.sqrt(np.vecdot(d, d), out=out[start:start + len(block)])
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def operator_csv_rows(matrix: np.ndarray) -> list[str]:

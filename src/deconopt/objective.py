@@ -54,7 +54,7 @@ from .errors import (
     NotStronglyConvex,
     NoUniqueMinimizer,
 )
-from .netgraph import NetworkGraph
+from .netgraph import _ROW_BLOCK, NetworkGraph
 
 # per-agent subproblem stationarity norm; contraction verification needs
 # iterates accurate well below the per-step contraction margin
@@ -64,9 +64,6 @@ SUBPROBLEM_TOL = 1e-11
 CENTRAL_SOLVE_TOL = 1e-12
 NEWTON_ARMIJO = 1e-4
 NEWTON_MAX_ITER = 200
-# trace rows per pass of `sum_value` and of `analysis`'s distances; bounds
-# their temporaries
-_ROW_BLOCK = 128
 
 
 class ObjectiveComponent:
@@ -329,11 +326,13 @@ def proximal_inverse(q: np.ndarray, shift) -> np.ndarray:
     return inverse[:, :, 0] if p == 1 else inverse
 
 
-def apply_rows(inverse: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """inverse_i @ rows_i for each of (n, p) rows; for p = 1 a product (same bits)."""
+def apply_rows(inverse: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
+    """inverse_i @ rows_i for each of (n, p) rows; for p = 1 a product (same
+    bits). With `out`, an (n, p) float array, the result is written there."""
     if inverse.ndim == 2:
-        return inverse * rows
-    return np.matmul(inverse, rows[:, :, None])[:, :, 0]
+        return np.multiply(inverse, rows, out=out)
+    return np.matmul(inverse, rows[:, :, None],
+                     out=None if out is None else out[:, :, None])[:, :, 0]
 
 
 class ProximalRows:
@@ -373,14 +372,17 @@ class ProximalRows:
                     "is not positive definite"
                 ) from exc
 
-    def solve(self, c: np.ndarray, x_prev: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    def solve(self, c: np.ndarray, x_prev: np.ndarray,
+              out=None) -> tuple[np.ndarray, tuple[int, ...]]:
         """Every agent's local subproblem of one round, and each row's
         iteration count. Row i of the (n, p) result minimizes f_i(x) + c_i'x
         + (a_i/2)||x||^2 + (pi_i/2)||x - x_prev_i||^2: every row in one pass
         of the kept inverse stack on pi_i x_prev_i - b_i - c_i, then the
         callback rows overwritten by Newton. c and x_prev are (n, p) float
-        arrays, unchecked."""
-        out = apply_rows(self.inverse, self.pi_rows * x_prev - self.b - c)
+        arrays, unchecked. The result is a new array, or `out`'s memory when
+        an (n, p) float array `out` that overlaps neither is given (the
+        same bits)."""
+        out = apply_rows(self.inverse, self.pi_rows * x_prev - self.b - c, out)
         if not self.callbacks:
             return out, self.closed_iters
         iters = list(self.closed_iters)
@@ -401,13 +403,16 @@ class ProximalRows:
         return out, tuple(iters)
 
 
-def local_subproblem_ex(rows: ProximalRows, c, x_prev) -> tuple[np.ndarray, tuple[int, ...]]:
-    """`rows.solve` on c and x_prev as float arrays; raises DimensionMismatch
-    unless both are (n, p) rows. The simulated network's round calls it."""
+def local_subproblem_ex(rows: ProximalRows, c, x_prev,
+                        out=None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """`rows.solve` on c and x_prev as float arrays, into `out` when given;
+    raises DimensionMismatch unless each is (n, p) rows. The simulated
+    network's round calls it."""
     c, x_prev = np.asarray(c, dtype=float), np.asarray(x_prev, dtype=float)
-    if c.shape != rows.shape or x_prev.shape != rows.shape:
-        raise DimensionMismatch(f"c and x_prev must be {rows.shape} rows")
-    return rows.solve(c, x_prev)
+    if c.shape != rows.shape or x_prev.shape != rows.shape or (
+            out is not None and out.shape != rows.shape):
+        raise DimensionMismatch(f"c, x_prev and out must be {rows.shape} rows")
+    return rows.solve(c, x_prev, out)
 
 
 # -- stacked helpers -----------------------------------------------------------

@@ -32,12 +32,12 @@ eta rho, sqrt(eta), sqrt(eta) rho/2, each formed in the order the formulas
 write it), so a step is its numpy arithmetic, with the passes inline. The
 three engines whose agents decouple solve their local subproblems with the
 simulated network's solver: each holds an `objective.ProximalRows` and makes
-one `ProximalRows.solve` call per step on rows it has checked, so the
+one `ProximalRows.solve` call per round on rows it has checked, so the
 paper's equivalences show in the code as a choice of c and of the weights
 (a_i, pi_i). ``DadmmMatrixEngine`` and ``FullAdmmEngine`` use D-ADMM's
 (rho d_i, pi_i); ``ApproxMMEngine`` uses (0, rho (d_i + eps pi_i)), its
 majorizer. A method-of-multipliers state carries E_o x of its x, which `init`
-and `step` set, so an ``ApproxMMEngine`` step gathers once. Only
+and `step` set, so an ``ApproxMMEngine`` round gathers once. Only
 ``ExactMMEngine``, which couples agents through L (x) I_p, forms a dense
 (np) x (np) system, and it refuses instances with n p above
 `EXACT_MM_MAX_ORDER`.
@@ -45,7 +45,12 @@ and `step` set, so an ``ApproxMMEngine`` step gathers once. Only
 Every `init` copies its initial vectors through `harness.checked_copy`,
 which raises DimensionMismatch for one of the wrong length, and every
 central `step` raises it for a state vector of the wrong length, found by
-one shape test on entry; no step writes to the state it is given.
+one shape test on entry. A central `step(state)` runs one round;
+`step(state, rows)` runs one round per row of a (k, n p) float array and
+writes round j's x into rows[j - 1] in place (`harness.block_outputs`),
+with the bits of k one-round steps, so a caller fills its iterate rows a
+block per call. No step writes to the state it is given, and the state it
+returns holds no view of `rows`.
 Every engine's `phi(state)` is the D-ADMM dual aggregate phi of a state,
 the one dual a run reads.
 
@@ -151,10 +156,12 @@ class PextraParams:
     w_tilde: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.xi <= 0:
-            raise ValueError(f"xi must be positive, got {self.xi}")
+        if not 0 < self.xi < math.inf:
+            raise ValueError(f"xi must be positive and finite, got {self.xi}")
         for mat in (self.w, self.w_tilde):
-            if np.max(np.abs(mat - mat.T)) > denselin.SYMMETRY_TOL:
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"mixing matrices must be finite (xi = {self.xi!r})")
+            if not np.max(np.abs(mat - mat.T)) <= denselin.SYMMETRY_TOL:
                 raise ValueError("mixing matrices must be symmetric")
 
 
@@ -175,7 +182,8 @@ class _CentralEngine:
     operator (`stack`) and, for the inline operator passes of a step, its
     gather index, bincount bins and size, the (n, p) shape of the local
     subproblem rows, and the state's vector lengths (`lengths`, in the
-    order of the step's shape test)."""
+    order of the step's shape test). Each engine's `step(state, rows=None)`
+    runs one round, or one round per row of `rows`."""
 
     def __init__(self, graph: NetworkGraph, lengths: dict[str, int]):
         self.graph = graph
@@ -184,6 +192,11 @@ class _CentralEngine:
         self._rows = (graph.n, graph.p)
         self._lengths = lengths
         self._shapes = tuple((length,) for length in lengths.values())
+
+    def _outputs(self, rows):
+        """Where each round of a step writes its x rows: nowhere (None) for
+        the one round without `rows`, else `harness.block_outputs`."""
+        return (None,) if rows is None else harness.block_outputs(rows, self._rows)
 
 
 def _agent_round(net: harness.Network, x, dual):
@@ -230,20 +243,21 @@ class DadmmMatrixEngine(_CentralEngine):
     def init(self, x0=None, alpha0=None) -> AdmmState:
         return dadmm_init(self.graph, x0=x0, alpha0=alpha0)
 
-    def step(self, state: AdmmState) -> AdmmState:
+    def step(self, state: AdmmState, rows=None) -> AdmmState:
         x, phi, alpha = state.x, state.phi, state.alpha
         if (getattr(x, "shape", None), getattr(phi, "shape", None),
                 getattr(alpha, "shape", None)) != self._shapes:
             _check_state(state, self._lengths)
-        bins, size, rows = self._bins, self._size, self._rows
-        ends = x[self._index]
-        e_u_x = ends[0] + ends[1]
-        c = phi - self._half_rho * np.bincount(bins, np.concatenate((e_u_x, e_u_x)), size)
-        new_x = self.local.solve(c.reshape(rows), x.reshape(rows))[0].ravel()
-        ends = new_x[self._index]
-        new_alpha = alpha + self._half_eta_rho * (ends[0] - ends[1])
-        new_phi = np.bincount(bins, (E_O_SIGNS * new_alpha).ravel(), size)
-        return AdmmState(x=new_x, phi=new_phi, alpha=new_alpha)
+        bins, size, shape = self._bins, self._size, self._rows
+        for out in self._outputs(rows):
+            ends = x[self._index]
+            e_u_x = ends[0] + ends[1]
+            c = phi - self._half_rho * np.bincount(bins, np.concatenate((e_u_x, e_u_x)), size)
+            x = self.local.solve(c.reshape(shape), x.reshape(shape), out)[0].ravel()
+            ends = x[self._index]
+            alpha = alpha + self._half_eta_rho * (ends[0] - ends[1])
+            phi = np.bincount(bins, (E_O_SIGNS * alpha).ravel(), size)
+        return AdmmState(x=x, phi=phi, alpha=alpha)
 
     def phi(self, state: AdmmState) -> np.ndarray:
         """The state's dual aggregate phi = E_o^T alpha."""
@@ -284,23 +298,24 @@ class FullAdmmEngine(_CentralEngine):
         z = 0.5 * self.stack.e_u(x)
         return FullAdmmState(x=x, z=z, lam=np.concatenate([alpha, -alpha]))
 
-    def step(self, state: FullAdmmState) -> FullAdmmState:
+    def step(self, state: FullAdmmState, rows=None) -> FullAdmmState:
         x, z, lam = state.x, state.z, state.lam
         if (getattr(x, "shape", None), getattr(z, "shape", None),
                 getattr(lam, "shape", None)) != self._shapes:
             _check_state(state, self._lengths)
-        rho, rows = self._rho, self._rows
-        # lam = [alpha; beta] pairs with S = [A_s; A_d]: A_s^T alpha + A_d^T beta
-        # - rho E_u^T z is S^T (lam - rho [z; z]), one scatter
+        rho, shape = self._rho, self._rows
         lam = lam.reshape(2, -1)
-        c = np.bincount(self._bins, (lam - rho * z).ravel(), self._size)
-        new_x = self.local.solve(c.reshape(rows), x.reshape(rows))[0].ravel()
-        ends = new_x[self._index]  # A_s x, A_d x
-        # z = (alpha + beta) / (2 rho) + (A_s x + A_d x) / 2
-        halves = lam + rho * ends
-        new_z = (halves[0] + halves[1]) / self._two_rho
-        new_lam = lam + self._eta_rho * (ends - new_z)
-        return FullAdmmState(x=new_x, z=new_z, lam=new_lam.ravel())
+        for out in self._outputs(rows):
+            # lam = [alpha; beta] pairs with S = [A_s; A_d]: A_s^T alpha +
+            # A_d^T beta - rho E_u^T z is S^T (lam - rho [z; z]), one scatter
+            c = np.bincount(self._bins, (lam - rho * z).ravel(), self._size)
+            x = self.local.solve(c.reshape(shape), x.reshape(shape), out)[0].ravel()
+            ends = x[self._index]  # A_s x, A_d x
+            # z = (alpha + beta) / (2 rho) + (A_s x + A_d x) / 2
+            halves = lam + rho * ends
+            z = (halves[0] + halves[1]) / self._two_rho
+            lam = lam + self._eta_rho * (ends - z)
+        return FullAdmmState(x=x, z=z, lam=lam.ravel())
 
     def phi(self, state: FullAdmmState) -> np.ndarray:
         """The dual aggregate E_o^T alpha of the state's multiplier."""
@@ -310,7 +325,7 @@ class FullAdmmEngine(_CentralEngine):
 # -- method of multipliers: exact and approximated ---------------------------------
 
 class _MultiplierEngine(_CentralEngine):
-    """The set-up, `init`, `phi` and state check of the two
+    """The set-up, `init`, `phi`, state check and dual update of the two
     method-of-multipliers engines. Their states carry E_o x, which `init`
     and `step` set."""
 
@@ -337,12 +352,12 @@ class _MultiplierEngine(_CentralEngine):
             _check_state(state, self._lengths)
         return x, nu, e_o_x
 
-    def _next(self, new_x: np.ndarray, nu: np.ndarray) -> MMState:
-        """The state after a step to new_x: nu + sqrt(eta) (rho/2) E_o new_x,
-        with E_o new_x carried."""
+    def _dual(self, new_x: np.ndarray, nu: np.ndarray):
+        """(nu + sqrt(eta) (rho/2) E_o new_x, E_o new_x) after a round to
+        new_x."""
         ends = new_x[self._index]
         e_o_x = ends[0] - ends[1]
-        return MMState(x=new_x, nu=nu + self._root_eta_half_rho * e_o_x, e_o_x=e_o_x)
+        return nu + self._root_eta_half_rho * e_o_x, e_o_x
 
 
 class ExactMMEngine(_MultiplierEngine):
@@ -353,8 +368,8 @@ class ExactMMEngine(_MultiplierEngine):
     It is the one engine that forms a dense (np) x (np) system, H =
     (rho/2) L (x) I_p plus the blocks Q_i. When every component is quadratic
     the minimizer is affine in the linear term: x = x_b - H^-1 linear with
-    x_b = -H^-1 b, both formed once at set-up, so a step is one matmul and one
-    add. Otherwise each step runs damped Newton (`objective.minimize_composite`).
+    x_b = -H^-1 b, both formed once at set-up, so a round is one matmul and one
+    add. Otherwise each round runs damped Newton (`objective.minimize_composite`).
     Instances with n*p above `EXACT_MM_MAX_ORDER` are refused with a
     DeconoptError before anything dense is allocated.
     """
@@ -382,14 +397,18 @@ class ExactMMEngine(_MultiplierEngine):
         self._neg_inverse = -denselin.spd_inverse(system)
         self._x_b = self._neg_inverse @ b.ravel()
 
-    def step(self, state: MMState) -> MMState:
-        x, nu, _ = self._operands(state)
-        linear = self.stack.e_o_transpose(self._root_eta * nu)
-        if self._neg_inverse is None:
-            new_x = objective.minimize_composite(self.agents, linear, self._system, x)
-        else:
-            new_x = self._neg_inverse @ linear + self._x_b
-        return self._next(new_x, nu)
+    def step(self, state: MMState, rows=None) -> MMState:
+        x, nu, e_o_x = self._operands(state)
+        for out in self._outputs(rows):
+            linear = self.stack.e_o_transpose(self._root_eta * nu)
+            if self._neg_inverse is None:
+                x = objective.minimize_composite(self.agents, linear, self._system, x)
+            else:
+                x = self._neg_inverse @ linear + self._x_b
+            if out is not None:
+                out[...] = x.reshape(out.shape)
+            nu, e_o_x = self._dual(x, nu)
+        return MMState(x=x, nu=nu, e_o_x=e_o_x)
 
 
 class ApproxMMEngine(_MultiplierEngine):
@@ -414,14 +433,16 @@ class ApproxMMEngine(_MultiplierEngine):
             components, np.zeros(graph.n),
             params.rho * (degrees(graph) + self.epsilon * params.pi_vector(graph.n)))
 
-    def step(self, state: MMState) -> MMState:
+    def step(self, state: MMState, rows=None) -> MMState:
         x, nu, e_o_x = self._operands(state)
-        rows = self._rows
-        # E_o^T (sqrt(eta) nu) + (rho/2) L x in one transpose product
-        arcs = self._root_eta * nu + self._half_rho * e_o_x
-        c = np.bincount(self._bins, (E_O_SIGNS * arcs).ravel(), self._size)
-        new_x = self.local.solve(c.reshape(rows), x.reshape(rows))[0].ravel()
-        return self._next(new_x, nu)
+        shape = self._rows
+        for out in self._outputs(rows):
+            # E_o^T (sqrt(eta) nu) + (rho/2) L x in one transpose product
+            arcs = self._root_eta * nu + self._half_rho * e_o_x
+            c = np.bincount(self._bins, (E_O_SIGNS * arcs).ravel(), self._size)
+            x = self.local.solve(c.reshape(shape), x.reshape(shape), out)[0].ravel()
+            nu, e_o_x = self._dual(x, nu)
+        return MMState(x=x, nu=nu, e_o_x=e_o_x)
 
 
 # -- P-EXTRA -----------------------------------------------------------------------
@@ -432,10 +453,15 @@ def pextra_mixing(graph: NetworkGraph, xi: float, rho: float, eta: float):
     Passing an overshoot omega in [0.5, 1) for eta gives the overshooting
     pair: at omega = 0.5 it sits exactly on the spectral boundary
     (I + W)/2 = W~, and beyond it the spectral condition fails by
-    construction, which is the point.
+    construction, which is the point. Unless every entry (xi rho / 2) L_ij
+    is finite, a ValueError naming xi and rho is raised before the pair is
+    formed.
     """
     if xi <= 0 or rho <= 0:
         raise ValueError("xi and rho must be positive")
+    if not math.isfinite(0.5 * xi * rho * float(degrees(graph).max())):
+        raise ValueError(f"xi = {xi!r} and rho = {rho!r}: the mixing weights "
+                         "(xi rho / 2) L leave the float range")
     lap = laplacian(graph)
     eye = np.eye(graph.n)
     w = eye - 0.5 * xi * rho * lap

@@ -669,6 +669,15 @@ class TestCheckMixing:
         assert not report.upper_ok
         assert report.lam_overshoot > 0
 
+    def test_nan_off_the_graph_fails_decentralized(self):
+        # the support test reads "not |w| <= tol", so a NaN where no arc
+        # joins the pair fails it
+        i, j = np.argwhere(~netgraph.support_mask(self.graph))[0]
+        w = np.eye(self.graph.n)
+        w[i, j] = w[j, i] = np.nan
+        assert not analysis._respects_graph(w, self.graph)
+        assert analysis._respects_graph(np.eye(self.graph.n), self.graph)
+
     def test_dense_matrix_fails_decentralized(self):
         w = np.full((self.graph.n, self.graph.n), 1.0 / self.graph.n)
         report = analysis.check_mixing(w, w, self.graph)

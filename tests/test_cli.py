@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -201,6 +202,25 @@ contraction_slack = 1e-6
         assert err.startswith("deconopt:") and err.count("\n") == 1
         assert name in err
         assert not (tmp_path / "o").exists() and not (tmp_path / "out").exists()
+
+    def test_default_option_no_section_reads_is_setup_error(self, tmp_path, capsys):
+        # a misspelt [DEFAULT] option is read by no section: refused, named
+        out = tmp_path / "o"
+        text = "[DEFAULT]\nverfy = true\n" + BASE_INI.format(out=out)
+        assert cli.main(["run", write(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("deconopt:") and err.count("\n") == 1
+        assert "verfy" in err
+        assert not out.exists()
+
+    def test_default_option_applies(self):
+        # a [DEFAULT] option that a section reads keeps its meaning, also
+        # beside a [tolerances] section, which ignores it
+        text = "[DEFAULT]\nrho = 2\n" + BASE_INI.format(out="o").replace("rho = 1.0\n", "")
+        assert parse_config(text).rho == 2.0
+        text += "\n[tolerances]\ncontraction_slack = 1e-6\n"
+        cfg = parse_config(text)
+        assert (cfg.rho, cfg.tolerances.contraction_slack) == (2.0, 1e-6)
 
     def test_agent_given_both_kinds_is_setup_error(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -431,6 +451,21 @@ class TestOutOfRange:
         assert re.search(r"\brho\b", err)
         assert not out.exists()
 
+    def test_non_finite_mixing_pair(self, tmp_path, capsys):
+        # (xi rho / 2) L overflows in the comparison's mixing pair: refused
+        # before the pair is formed, so no numpy warning, naming xi and rho
+        out = tmp_path / "o"
+        text = ("[scenario]\npreset = ls-ring\nn = 2\np = 1\nseed = 3\n\n"
+                "[algorithm]\nname = general-uv\nrho = 2.98e172\nxi = 1.73e295\n"
+                f"rounds = 5\n\n[run]\ncompare = pextra\n\n[output]\ndir = {out}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", write(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("deconopt:") and err.count("\n") == 1
+        assert "xi = 1.73e+295" in err and "rho = 2.98e+172" in err
+        assert not out.exists()
+
     def test_huge_proximal_weight_runs(self, tmp_path, capsys):
         # the check reads rho d_i only: a huge finite pi still runs
         out = tmp_path / "o"
@@ -523,16 +558,18 @@ class TestBatchedTraceColumns:
         run_algorithm = cli._run_algorithm
 
         def keep_iterates(*args, **kwargs):
-            # the rows each run hands its `record` sink, the primary's first
-            *args, record = args
+            # the rows each run writes into its blocks, the primary's first,
+            # copied once a block is filled and before its sink reads it
+            *args, blocks = args
             rows = []
             iterates.append(rows)
 
-            def also_keep(k, x, messages):
-                rows.append(x.copy())
-                record(k, x, messages)
+            def also_keep():
+                for block in blocks:
+                    yield block
+                    rows.extend(block.copy())
 
-            return run_algorithm(*args, also_keep, **kwargs)
+            return run_algorithm(*args, also_keep(), **kwargs)
 
         monkeypatch.setattr(cli, "_run_algorithm", keep_iterates)
         out = str(tmp_path / "t")
@@ -562,12 +599,12 @@ class TestCompareMode:
 
     @staticmethod
     def recorded(name, config):
-        """The (rounds+1, n*p) trajectory of one algorithm, row by row."""
+        """The (rounds+1, n*p) trajectory of one algorithm, as one block."""
         graph, comps = cli.build_scenario(config)
-        rows = []
+        xs = np.empty((config.rounds + 1, graph.n * graph.p))
         cli._run_algorithm(name, config, graph, comps, cli._resolve_params(config, graph),
-                           lambda k, x, messages: rows.append(x.copy()))
-        return np.array(rows)
+                           [xs])
+        return xs
 
     @pytest.mark.parametrize("rounds", [0, 127, 128, 129])
     def test_gaps_equal_the_dense_difference(self, rounds, tmp_path):
@@ -585,7 +622,8 @@ class TestCompareMode:
 
     def test_benchmark_call_counts(self, tmp_path, monkeypatch):
         # the counts the benchmark's tracer reads off a compare-mode run: one
-        # step of each engine per round, one residual per trace row
+        # step of each engine per block of objective._ROW_BLOCK trace rows
+        # (301 rows are 3 blocks), one residual call for all rows
         calls = {}
 
         def counting(name, real):
@@ -598,9 +636,10 @@ class TestCompareMode:
             monkeypatch.setattr(cls, "step", counting(cls.__name__, cls.step))
         monkeypatch.setattr(netgraph, "consensuality_residual",
                             counting("residual", netgraph.consensuality_residual))
-        text = self.TEXT.format(out=tmp_path / "b").replace("rounds = 40", "rounds = 20")
+        text = self.TEXT.format(out=tmp_path / "b").replace("rounds = 40", "rounds = 300")
         assert cli.main(["run", write(tmp_path, text.replace("p = 2", "p = 1"))]) == 0
-        assert calls == {"FullAdmmEngine": 20, "ApproxMMEngine": 20, "residual": 21}
+        assert objective._ROW_BLOCK == 128
+        assert calls == {"FullAdmmEngine": 3, "ApproxMMEngine": 3, "residual": 1}
 
     # a comparison algorithm that fails its set-up after the primary run
     SETUP_ERRORS = {
@@ -633,6 +672,67 @@ class TestCompareMode:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * (rounds + 1) * n * p * 8
+
+
+class TestInPlaceRows:
+    """Each run writes its iterate rows in place, a block of
+    objective._ROW_BLOCK rows per `harness.run_rounds` call or central
+    `step`; the rows equal a trajectory run one round at a time, with the
+    block edges at 127, 128 and 129 rounds."""
+
+    TEXT = BASE_INI.replace("n = 5", "n = 6").replace("pi = 0", "pi = 0.1\nxi = 0.04")
+
+    @staticmethod
+    def reference(name, config):
+        """The (rounds+1, n*p) trajectory of one algorithm, one `step` (which
+        the network engines run as one `harness.network_round`) at a time."""
+        graph, comps = cli.build_scenario(config)
+        params = cli._resolve_params(config, graph)
+        engines = {
+            "dadmm": lambda: solvers.DadmmEngine(graph, comps, params),
+            "pextra": lambda: solvers.PextraEngine(graph, comps, solvers.PextraParams(
+                config.xi, *solvers.pextra_mixing(graph, config.xi, config.rho, config.eta))),
+            "general-uv": lambda: solvers.GeneralUVEngine(
+                graph, netgraph.unoriented_gram(graph), netgraph.laplacian(graph),
+                np.diag(netgraph.degrees(graph)), comps, params),
+            "dadmm-matrix": lambda: solvers.DadmmMatrixEngine(graph, comps, params),
+            "full-admm": lambda: solvers.FullAdmmEngine(graph, comps, params),
+            "mm-exact": lambda: solvers.ExactMMEngine(graph, comps, params),
+            "mm-approx": lambda: solvers.ApproxMMEngine(graph, comps, params, 1.0 / config.rho),
+        }
+        engine = engines[name]()
+        state = engine.init()
+        rows = [state.x.copy()]
+        for _ in range(config.rounds):
+            state = engine.step(state)
+            rows.append(state.x.copy())
+        return np.array(rows)
+
+    @pytest.mark.parametrize("rounds", [0, 1, 127, 128, 129])
+    @pytest.mark.parametrize("name", cli.ALGORITHMS)
+    def test_rows_equal_one_round_at_a_time(self, name, rounds, tmp_path, monkeypatch):
+        assert objective._ROW_BLOCK == 128
+        kept = []
+        row_blocks = cli._row_blocks
+        monkeypatch.setattr(cli, "_row_blocks", lambda xs: kept.append(xs) or row_blocks(xs))
+        text = self.TEXT.format(out=tmp_path / "r").replace("name = dadmm", f"name = {name}")
+        config = parse_config(text.replace("rounds = 40", f"rounds = {rounds}"))
+        assert cli.run(config) == 0
+        (xs,) = kept
+        assert np.array_equal(xs, self.reference(name, config))
+
+    @pytest.mark.parametrize("rounds", [0, 1, 127, 128, 129])
+    def test_network_comparison_gaps(self, rounds, tmp_path):
+        # the comparison run fills one reused block buffer; its gaps are the
+        # dense difference of the two one-round-at-a-time trajectories
+        out = tmp_path / "c"
+        text = self.TEXT.format(out=out).replace("rounds = 40", f"rounds = {rounds}")
+        config = replace(parse_config(text), compare="pextra")
+        assert cli.run(config) == 0
+        gaps = np.abs(self.reference("dadmm", config)
+                      - self.reference("pextra", config)).max(axis=1)
+        want = "k,max_abs_dx\n" + "".join(f"{k},{g:.17g}\n" for k, g in enumerate(gaps))
+        assert (out / "compare.csv").read_text() == want
 
 
 class TestStackedAgents:
@@ -864,9 +964,10 @@ class TestVerifiedRuns:
         run_algorithm = cli._run_algorithm
 
         def nudged(*args, **kwargs):
-            phi_last = run_algorithm(*args, **kwargs).copy()
+            phi_last, messages = run_algorithm(*args, **kwargs)
+            phi_last = phi_last.copy()
             phi_last[0] += rel * np.linalg.norm(phi_last)
-            return phi_last
+            return phi_last, messages
 
         monkeypatch.setattr(cli, "_run_algorithm", nudged)
 
@@ -1022,26 +1123,36 @@ def test_verified_run_passes_or_is_refused(name, settings, tmp_path):
 
 def record_phi_rows(monkeypatch):
     """The dual aggregate of every state a CLI run produces, in order: the
-    simulated network's phi through a second observer, the central engines'
-    through `phi` of each `init` and `step` result."""
-    rows = []
+    simulated network's phi through an observer (the initial state's once,
+    then every round's), the central engines' through `phi` of the `init`
+    result and of each round, a block's rows run as one-row steps."""
+    phis = []
     run_rounds = harness.run_rounds
 
-    def observed(net, graph, rounds, observer=None):
+    def observed(net, graph, rounds, observer=None, rows=None):
         def both(k, x, phi, log):
-            rows.append(phi.copy())
-            observer(k, x, phi, log)
-        return run_rounds(net, graph, rounds, observer=both)
+            if k or not phis:
+                phis.append(phi.copy())
+            if observer is not None:
+                observer(k, x, phi, log)
+        return run_rounds(net, graph, rounds, observer=both, rows=rows)
 
     monkeypatch.setattr(harness, "run_rounds", observed)
     for cls in (solvers.DadmmMatrixEngine, solvers.FullAdmmEngine, solvers.ApproxMMEngine):
-        for method in ("init", "step"):
-            def recorded(self, *args, _real=getattr(cls, method), **kwargs):
-                state = _real(self, *args, **kwargs)
-                rows.append(self.phi(state).copy())
-                return state
-            monkeypatch.setattr(cls, method, recorded)
-    return rows
+        def init(self, *args, _real=cls.init, **kwargs):
+            state = _real(self, *args, **kwargs)
+            phis.append(self.phi(state).copy())
+            return state
+
+        def step(self, state, block, _real=cls.step):
+            for row in block:
+                state = _real(self, state, row[None])
+                phis.append(self.phi(state).copy())
+            return state
+
+        monkeypatch.setattr(cls, "init", init)
+        monkeypatch.setattr(cls, "step", step)
+    return phis
 
 
 @pytest.mark.parametrize("name,settings", VERIFIED, ids=table_ids(VERIFIED))

@@ -121,6 +121,47 @@ class TestRunRounds:
             assert np.array_equal(phi1, phi2)
 
 
+class TestRowsInPlace:
+    """`run_rounds` with rows writes round k's x into rows[k - 1], in blocks
+    of any size, with the bits of the observed trajectory; the network then
+    holds no view of the rows, which the caller may overwrite."""
+
+    @staticmethod
+    def network(seed):
+        graph, comps = harness.scenario_least_squares(6, 2, seed=seed)
+        params = AdmmParams(rho=1.1, eta=0.6, pi=0.2)
+        return graph, lambda: harness.dadmm_agents(graph, comps, params)
+
+    def test_blocks_match_observed_rounds(self):
+        graph, make = self.network(31)
+        want = [x.copy() for _, x, _, _ in collect(make(), graph, 10)][1:]
+        net, rows = make(), np.empty((10, graph.n * graph.p))
+        for start, stop in ((0, 4), (4, 5), (5, 10)):
+            harness.run_rounds(net, graph, stop - start, rows=rows[start:stop])
+            assert not np.shares_memory(net.x, rows)
+        assert np.array_equal(rows, want)
+
+    def test_overwritten_rows_do_not_change_the_run(self):
+        graph, make = self.network(32)
+        want = [x.copy() for _, x, _, _ in collect(make(), graph, 6)][1:]
+        net, buf = make(), np.empty((3, graph.n * graph.p))
+        got = []
+        for _ in range(2):
+            harness.run_rounds(net, graph, 3, rows=buf)
+            got.extend(buf.copy())
+            buf[:] = np.nan
+        assert np.array_equal(got, want)
+
+    def test_bad_rows_raise(self):
+        graph, make = self.network(33)
+        width = graph.n * graph.p
+        for rounds, rows in ((2, np.empty((3, width))), (2, np.empty((2, width + 1))),
+                             (2, np.empty((2, width), dtype=np.float32)),
+                             (2, np.empty((2, graph.n, graph.p))), (1, np.empty(width))):
+            with pytest.raises(DimensionMismatch):
+                harness.run_rounds(make(), graph, rounds, rows=rows)
+
+
 class TestStackedLocalSolve:
     """A network inverts its agents' systems once, at set-up, and each round
     applies that stack to every row."""

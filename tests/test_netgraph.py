@@ -396,6 +396,29 @@ class TestConsensualityResidual:
                 assert netgraph.consensuality_residual(g, x) == want
 
 
+class TestResidualRows:
+    """`consensuality_residual` on a (rows, n*p) array, in blocks of
+    `_ROW_BLOCK` rows, gives each row's bits of the one-vector call."""
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_rows_equal_per_row_calls(self, p):
+        rng = np.random.default_rng(300 + p)
+        g = netgraph.build_graph(9, _random_connected(9, rng), p)
+        xs = rng.standard_normal((300, 9 * p)) * 10.0 ** rng.integers(-6, 6, (300, 1))
+        picked = rng.integers(0, len(xs), 140)
+        assert netgraph._ROW_BLOCK == 128
+        for rows in (xs, xs[:1], xs[picked], np.asfortranarray(xs[::2])):
+            got = netgraph.consensuality_residual(g, rows)
+            want = [netgraph.consensuality_residual(g, x) for x in rows]
+            assert got.shape == (len(rows),) and np.array_equal(got, want)
+
+    def test_wrong_width_raises(self):
+        g = path3(p=2)
+        for bad in (np.zeros((4, 5)), np.zeros((4, 7)), np.zeros((2, 3, 6))):
+            with pytest.raises(DimensionMismatch):
+                netgraph.consensuality_residual(g, bad)
+
+
 class TestArcIndices:
     def test_path3_tables(self):
         src, dst = netgraph.arc_indices(path3())

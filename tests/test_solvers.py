@@ -312,6 +312,27 @@ class TestPextraMixing:
         assert_allclose(w - wt, -0.5 * xi * rho * eta * lap, atol=1e-14)
 
 
+class TestNonFiniteMixing:
+    """A mixing pair that leaves the float range is refused before any
+    arithmetic on it, so no numpy warning is raised."""
+
+    def test_overflowing_pair_names_xi_and_rho(self):
+        g = netgraph.build_graph(2, [(1, 2)], 1)
+        with pytest.raises(ValueError, match=r"xi = 1\.73e\+295 and rho = 2\.98e\+172"):
+            solvers.pextra_mixing(g, 1.73e295, 2.98e172, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_params_refuse_a_non_finite_pair(self, bad):
+        w = np.eye(3)
+        broken = w.copy()
+        broken[0, 2] = broken[2, 0] = bad
+        for pair in ((broken, w), (w, broken)):
+            with pytest.raises(ValueError, match=r"finite \(xi = 0\.1\)"):
+                PextraParams(xi=0.1, w=pair[0], w_tilde=pair[1])
+        with pytest.raises(ValueError, match="xi must be positive"):
+            PextraParams(xi=bad, w=w, w_tilde=w)
+
+
 class TestPextraOvershoot:
     def test_boundary_equality(self):
         graph, _ = random_instance(19)
@@ -674,6 +695,36 @@ class TestStepContract:
             for name, value in self.vectors(state).items():
                 assert np.array_equal(value, before[name]), (type(engine).__name__, name)
                 assert np.array_equal(getattr(first, name), getattr(second, name))
+
+
+class TestStepRows:
+    """A central `step(state, rows)` runs one round per row, writing each
+    round's x into its row, with the bits of one-round steps; the state it
+    returns holds no view of the rows."""
+
+    def test_rows_equal_one_round_steps(self):
+        graph, comps = random_instance(95, n=6, p=2)
+        rng = np.random.default_rng(95)
+        for engine in TestStepContract.engines(graph, comps):
+            start = engine.step(engine.init(x0=rng.standard_normal(graph.n * graph.p)))
+            rows = np.empty((5, graph.n * graph.p))
+            block = engine.step(start, rows)
+            state = start
+            for row in rows:
+                state = engine.step(state)
+                assert np.array_equal(row, state.x), type(engine).__name__
+            for name, value in TestStepContract.vectors(block).items():
+                assert np.array_equal(value, getattr(state, name)), name
+                assert not np.shares_memory(value, rows), name
+
+    def test_bad_rows_raise(self):
+        graph, comps = random_instance(96, n=5, p=2)
+        width = graph.n * graph.p
+        for engine in TestStepContract.engines(graph, comps):
+            for rows in (np.empty((2, width + 1)), np.empty((2, width), dtype=np.float32),
+                         np.empty((2, graph.n, graph.p)), np.empty(width), [[0.0] * width]):
+                with pytest.raises(DimensionMismatch):
+                    engine.step(engine.init(), rows)
 
 
 class TestSnapshots:
