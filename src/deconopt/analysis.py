@@ -40,6 +40,7 @@ from .netgraph import (
     NetworkGraph,
     arc_stack,
     degrees,
+    e_o_blocks,
     e_o_min_norm_solver,
     laplacian,
     laplacian_eigvals,
@@ -230,20 +231,13 @@ class RateCertificate:
         return out
 
     def _alpha_blocks(self, xs: np.ndarray, alpha0: np.ndarray):
-        """(first row, |E_o x_k|^2, alpha rows) per `objective._ROW_BLOCK`
-        trace rows: the alpha rows are c E_o x_k with c = rho eta / 2, alpha0
-        for row 0's, in one cumsum carried across blocks, in place in one
-        buffer that each block overwrites (arc rows are wide)."""
-        src, dst = arc_stack(self.graph).index
+        """(first row, |E_o x_k|^2, alpha rows) per `netgraph.e_o_blocks`
+        block: the alpha rows are c E_o x_k with c = rho eta / 2, alpha0 for
+        row 0's, in one cumsum carried across blocks, in place in the block's
+        buffer, which the next block overwrites (arc rows are wide)."""
         c = 0.5 * self.eta * self.rho
-        block_rows = objective._ROW_BLOCK
-        buf = np.empty((min(len(xs), block_rows), len(src)))
         carry = alpha0
-        for start in range(0, len(xs), block_rows):
-            block = xs[start:start + block_rows]
-            # the indices are valid; the default mode="raise" would buffer `out`
-            steps = np.take(block, src, axis=1, out=buf[:len(block)], mode="clip")
-            steps -= block[:, dst]
+        for start, steps in e_o_blocks(self.graph, xs):
             e_o_sq = np.vecdot(steps, steps)
             steps *= c
             steps[0] = steps[0] + carry if start else carry

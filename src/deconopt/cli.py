@@ -71,10 +71,6 @@ from . import analysis, harness, netgraph, objective, solvers
 from .errors import ConfigError, DeconoptError
 from .tolerances import DEFAULT, Tolerances
 
-ALGORITHMS = (
-    "dadmm", "pextra", "general-uv", "dadmm-matrix",
-    "full-admm", "mm-exact", "mm-approx",
-)
 TRACE_HEADER = "k,obj_err,consensus_resid,u_dist_H_sq,contraction_ratio,delta_bound,messages"
 
 
@@ -364,60 +360,51 @@ def _resolve_params(config: ExperimentConfig, graph) -> solvers.AdmmParams:
         raise ConfigError(str(exc)) from exc
 
 
+# each algorithm's engine from (graph, components, params, config), and the
+# messages its round sends per arc (a network agent's new x row, once)
+_ENGINES = {
+    "dadmm": (1, lambda g, comps, params, config: solvers.DadmmEngine(g, comps, params)),
+    "pextra": (1, lambda g, comps, params, config: solvers.PextraEngine(
+        g, comps, solvers.PextraParams(config.xi, *solvers.pextra_mixing(
+            g, config.xi, config.rho, config.eta if config.omega is None else config.omega)))),
+    "general-uv": (1, lambda g, comps, params, config: solvers.GeneralUVEngine(
+        g, netgraph.unoriented_gram(g), netgraph.laplacian(g),
+        np.diag(netgraph.degrees(g)), comps, params)),
+    "dadmm-matrix": (0, lambda g, comps, params, config: solvers.DadmmMatrixEngine(
+        g, comps, params)),
+    "full-admm": (0, lambda g, comps, params, config: solvers.FullAdmmEngine(g, comps, params)),
+    "mm-exact": (0, lambda g, comps, params, config: solvers.ExactMMEngine(g, comps, params)),
+    "mm-approx": (0, lambda g, comps, params, config: solvers.ApproxMMEngine(
+        g, comps, params, 1.0 / config.rho if config.epsilon is None else config.epsilon)),
+}
+ALGORITHMS = tuple(_ENGINES)
+
+
 def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
                    params: solvers.AdmmParams, blocks):
-    """Run one algorithm for the configured rounds from a zero dual.
+    """Run one algorithm for the configured rounds from its engine's
+    `init` state, a zero dual.
 
     `blocks` yields (k, n*p) float arrays whose row counts add up to
     rounds + 1, and the run fills each in place before it asks for the next
     (so a block may be handed out again): the first row with the initial
-    state, each next one with the stacked iterate after one more round.
-    The network algorithms fill a block by one `harness.run_rounds` call,
-    the central engines by one `step`. Returns `phi_last`, the dual
-    aggregate after the last round, the one dual the verification reads (it
-    takes the other rounds' duals off the iterates), and the message count
-    of a round, the same for every round.
+    state, each next one with the stacked iterate after one more round, by
+    one `step(state, rows)` of the engine `_ENGINES` builds per block.
+    Returns `phi_last`, the dual aggregate after the last round, the one
+    dual the verification reads (it takes the other rounds' duals off the
+    iterates), and the message count of a round, the same for every round.
     """
-    if name in ("dadmm", "pextra", "general-uv"):
-        if name == "dadmm":
-            state = harness.dadmm_agents(graph, components, params)
-        elif name == "pextra":
-            eta_like = config.omega if config.omega is not None else config.eta
-            w, wt = solvers.pextra_mixing(graph, config.xi, config.rho, eta_like)
-            state = harness.pextra_agents(
-                graph, components, solvers.PextraParams(xi=config.xi, w=w, w_tilde=wt)
-            )
-        else:
-            state = harness.general_uv_agents(
-                graph, netgraph.unoriented_gram(graph), netgraph.laplacian(graph),
-                np.diag(netgraph.degrees(graph)), components, params
-            )
-
-        def step(net, rows):
-            return harness.run_rounds(net, graph, len(rows), rows=rows)
-
-        x0, phi, messages = state.x.ravel(), lambda net: net.phi.ravel(), graph.m
-    else:
-        if name == "dadmm-matrix":
-            engine = solvers.DadmmMatrixEngine(graph, components, params)
-        elif name == "full-admm":
-            engine = solvers.FullAdmmEngine(graph, components, params)
-        elif name == "mm-exact":
-            engine = solvers.ExactMMEngine(graph, components, params)
-        else:  # mm-approx; `ExperimentConfig.validate` admits no other name
-            eps = config.epsilon if config.epsilon is not None else 1.0 / config.rho
-            engine = solvers.ApproxMMEngine(graph, components, params, eps)
-        state = engine.init()
-        step, x0, phi, messages = engine.step, state.x, engine.phi, 0
-
+    per_arc, make = _ENGINES[name]
+    engine = make(graph, components, params, config)
+    state = engine.init()
     first = True
     for rows in blocks:
         if first:
-            rows[0] = x0
+            rows[0] = state.x
             rows, first = rows[1:], False
         if len(rows):
-            state = step(state, rows)
-    return phi(state), messages
+            state = engine.step(state, rows)
+    return engine.phi(state), per_arc * graph.m
 
 
 def _row_blocks(xs):

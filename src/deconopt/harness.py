@@ -31,13 +31,13 @@ The three factories only pick the weights:
 A round may write its new x rows into an (n, p) array the caller hands
 over (`network_round`'s `out`), and `run_rounds` fills a block of the
 caller's (rounds, n p) rows that way, one row per round, with no copy but
-that of the last row (`block_outputs`); the CLI fills its iterate rows so.
-Every executed round reports m messages of p scalars in its `RoundLog`; the
-observer's call for the current state reports none. `RoundLog` and the
-observer serve library users and tracing: the CLI passes no observer.
-`solvers.DadmmEngine`, `solvers.PextraEngine` and `solvers.GeneralUVEngine`
-load their state into the same object and run the same round, so engine and
-network agree bit for bit.
+that of the last row (`block_outputs`). Every executed round reports m
+messages of p scalars in its `RoundLog`; the observer's call for the
+current state reports none. `RoundLog` and the observer serve library users
+and tracing. Each of `solvers.DadmmEngine`, `solvers.PextraEngine` and
+`solvers.GeneralUVEngine` holds a network: its `step` loads the state into it
+once and makes one `run_rounds` call, with no observer, so engine and network
+agree bit for bit. The CLI runs those engines, one step per block of rows.
 """
 
 from __future__ import annotations

@@ -262,26 +262,33 @@ def e_o_min_norm_solver(g: NetworkGraph,
 def consensuality_residual(g: NetworkGraph, x):
     """Euclidean norm of E_o x; zero exactly on consensual vectors.
 
-    A 1-D `x` gives a float, a (rows, n*p) array one value per row. Per
-    `_ROW_BLOCK` rows, E_o x is one gather into a C-contiguous buffer minus a
-    second gather, and each norm is the square root of `np.vecdot` of a
-    buffer row with itself: the bits of sqrt(d @ d) on that row alone.
+    A 1-D `x` gives a float, a (rows, n*p) array one value per row. Each
+    norm is the square root of `np.vecdot` of an `e_o_blocks` row with
+    itself: the bits of sqrt(d @ d) on that row alone.
     """
     x = np.asarray(x, dtype=float)
     width = g.n * g.p
     if x.ndim not in (1, 2) or x.shape[-1] != width:
         raise DimensionMismatch(f"expected vectors of length {width}, got {x.shape}")
-    src, dst = arc_stack(g).index
     xs = x.reshape(-1, width)
     out = np.empty(len(xs))
+    for start, d in e_o_blocks(g, xs):
+        np.sqrt(np.vecdot(d, d), out=out[start:start + len(d)])
+    return float(out[0]) if x.ndim == 1 else out
+
+
+def e_o_blocks(g: NetworkGraph, xs: np.ndarray):
+    """(first row, E_o x rows) per `_ROW_BLOCK` rows of a (rows, n*p) array,
+    one gather into a C-contiguous buffer minus a second gather; each block
+    overwrites the one before in that buffer, which a caller may change."""
+    src, dst = arc_stack(g).index
     buf = np.empty((min(len(xs), _ROW_BLOCK), len(src)))
     for start in range(0, len(xs), _ROW_BLOCK):
         block = xs[start:start + _ROW_BLOCK]
         # the indices are valid; the default mode="raise" would buffer `out`
         d = np.take(block, src, axis=1, out=buf[:len(block)], mode="clip")
         d -= block[:, dst]
-        np.sqrt(np.vecdot(d, d), out=out[start:start + len(block)])
-    return float(out[0]) if x.ndim == 1 else out
+        yield start, d
 
 
 def operator_csv_rows(matrix: np.ndarray) -> list[str]:

@@ -17,8 +17,8 @@ All engines drive the same primal-dual mathematics from different angles:
   classical incidence assignment.
 
 ``DadmmEngine``, ``PextraEngine`` and ``GeneralUVEngine`` load their state
-into the rows of a `harness.Network` and run `harness.network_round`, the one
-implementation of those three local rules, so they match the simulated
+into the rows of a `harness.Network` once per step and run `harness.run_rounds`,
+the one implementation of those three local rules, so they match the simulated
 network bit for bit; the rules differ only in the network's weights.
 
 The central engines work at arc-index level through the stacked arc
@@ -45,7 +45,7 @@ and `step` set, so an ``ApproxMMEngine`` round gathers once. Only
 Every `init` copies its initial vectors through `harness.checked_copy`,
 which raises DimensionMismatch for one of the wrong length, and every
 central `step` raises it for a state vector of the wrong length, found by
-one shape test on entry. A central `step(state)` runs one round;
+one shape test on entry. Every engine's `step(state)` runs one round;
 `step(state, rows)` runs one round per row of a (k, n p) float array and
 writes round j's x into rows[j - 1] in place (`harness.block_outputs`),
 with the bits of k one-round steps, so a caller fills its iterate rows a
@@ -156,13 +156,18 @@ class PextraParams:
     w_tilde: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not 0 < self.xi < math.inf:
-            raise ValueError(f"xi must be positive and finite, got {self.xi}")
+        _check_xi(self.xi)
         for mat in (self.w, self.w_tilde):
             if not np.all(np.isfinite(mat)):
                 raise ValueError(f"mixing matrices must be finite (xi = {self.xi!r})")
             if not np.max(np.abs(mat - mat.T)) <= denselin.SYMMETRY_TOL:
                 raise ValueError("mixing matrices must be symmetric")
+
+
+def _check_xi(xi: float) -> None:
+    """Raise a ValueError naming xi unless xi and 1/xi are positive and finite."""
+    if not (0 < xi < math.inf and 1.0 / float(xi) < math.inf):
+        raise ValueError(f"xi must be positive with a finite 1/xi, got xi = {xi!r}")
 
 
 def _check_state(state, lengths: dict[str, int]) -> None:
@@ -199,12 +204,13 @@ class _CentralEngine:
         return (None,) if rows is None else harness.block_outputs(rows, self._rows)
 
 
-def _agent_round(net: harness.Network, x, dual):
-    """One network round from the stacked (x, dual); returns the new stacked
-    pair. The inputs are copied in, so they stay untouched."""
+def _network_rounds(net: harness.Network, graph: NetworkGraph, x, dual, rows):
+    """Load the stacked (x, dual) into the network once, copying them, so
+    they stay untouched, and run one round, or one round per row of `rows`
+    by one `harness.run_rounds` call; returns the new stacked pair."""
     net.x = harness.checked_copy(x, net.x.shape, "x")
     net.dual = harness.checked_copy(dual, net.dual.shape, "dual")
-    harness.network_round(net)
+    harness.run_rounds(net, graph, 1 if rows is None else len(rows), rows=rows)
     return net.x.ravel(), net.dual.ravel()
 
 
@@ -221,8 +227,8 @@ class DadmmEngine:
     def init(self, x0=None, alpha0=None) -> AdmmState:
         return dadmm_init(self.graph, x0=x0, alpha0=alpha0)
 
-    def step(self, state: AdmmState) -> AdmmState:
-        x, phi = _agent_round(self.net, state.x, state.phi)
+    def step(self, state: AdmmState, rows=None) -> AdmmState:
+        x, phi = _network_rounds(self.net, self.graph, state.x, state.phi, rows)
         return AdmmState(x=x, phi=phi)
 
     def phi(self, state: AdmmState) -> np.ndarray:
@@ -455,10 +461,11 @@ def pextra_mixing(graph: NetworkGraph, xi: float, rho: float, eta: float):
     (I + W)/2 = W~, and beyond it the spectral condition fails by
     construction, which is the point. Unless every entry (xi rho / 2) L_ij
     is finite, a ValueError naming xi and rho is raised before the pair is
-    formed.
+    formed, as is one for a xi without a finite 1/xi (`_check_xi`).
     """
-    if xi <= 0 or rho <= 0:
-        raise ValueError("xi and rho must be positive")
+    _check_xi(xi)
+    if rho <= 0:
+        raise ValueError("rho must be positive")
     if not math.isfinite(0.5 * xi * rho * float(degrees(graph).max())):
         raise ValueError(f"xi = {xi!r} and rho = {rho!r}: the mixing weights "
                          "(xi rho / 2) L leave the float range")
@@ -472,10 +479,12 @@ def pextra_mixing(graph: NetworkGraph, xi: float, rho: float, eta: float):
 def theorem2_pi(graph: NetworkGraph, xi: float, rho: float) -> tuple[float, ...]:
     """Proximal weights pi_i = 1/xi - rho d_i making D-ADMM match P-EXTRA.
 
-    Requires xi * rho <= 1 / max_i d_i so every weight stays nonnegative.
+    Requires xi * rho <= 1 / max_i d_i so every weight stays nonnegative,
+    and a finite 1/xi (`_check_xi`).
     """
-    if xi <= 0 or rho <= 0:
-        raise ValueError("xi and rho must be positive")
+    _check_xi(xi)
+    if rho <= 0:
+        raise ValueError("rho must be positive")
     deg = degrees(graph)
     pi = tuple((1.0 / xi - rho * deg).tolist())
     if min(pi) < 0:
@@ -501,8 +510,9 @@ class PextraEngine:
         running_sum = self.net.mixes(x)[1]
         return PextraState(x=x.ravel(), running_sum=running_sum.ravel())
 
-    def step(self, state: PextraState) -> PextraState:
-        x, running_sum = _agent_round(self.net, state.x, state.running_sum)
+    def step(self, state: PextraState, rows=None) -> PextraState:
+        x, running_sum = _network_rounds(self.net, self.graph, state.x,
+                                         state.running_sum, rows)
         return PextraState(x=x, running_sum=running_sum)
 
     def phi(self, state: PextraState) -> np.ndarray:
@@ -532,8 +542,8 @@ class GeneralUVEngine:
         return AdmmState(x=harness.checked_copy(x0, npx, "x0"),
                          phi=harness.checked_copy(phi0, npx, "phi0"))
 
-    def step(self, state: AdmmState) -> AdmmState:
-        x, phi = _agent_round(self.net, state.x, state.phi)
+    def step(self, state: AdmmState, rows=None) -> AdmmState:
+        x, phi = _network_rounds(self.net, self.graph, state.x, state.phi, rows)
         return AdmmState(x=x, phi=phi)
 
     def phi(self, state: AdmmState) -> np.ndarray:

@@ -466,6 +466,24 @@ class TestOutOfRange:
         assert "xi = 1.73e+295" in err and "rho = 2.98e+172" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,pi,flags", [("pextra", "0", []),
+                                               ("dadmm", "theorem2", []),
+                                               ("dadmm", "theorem2", ["--verify"])])
+    def test_xi_without_a_finite_inverse(self, name, pi, flags, tmp_path, capsys):
+        # 1/xi overflows for a subnormal xi: refused where xi is
+        # range-checked, naming it, before any arithmetic on 1/xi
+        out = tmp_path / "o"
+        text = BASE_INI.format(out=out).replace("n = 5", "n = 6")
+        text = text.replace("name = dadmm", f"name = {name}")
+        text = text.replace("pi = 0", f"pi = {pi}\nxi = 1e-320")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", write(tmp_path, text)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("deconopt:") and err.count("\n") == 1
+        assert "xi = 1e-320" in err
+        assert not out.exists()
+
     def test_huge_proximal_weight_runs(self, tmp_path, capsys):
         # the check reads rho d_i only: a huge finite pi still runs
         out = tmp_path / "o"
@@ -620,26 +638,45 @@ class TestCompareMode:
         want = "k,max_abs_dx\n" + "".join(f"{k},{g:.17g}\n" for k, g in enumerate(gaps))
         assert (out / "compare.csv").read_text() == want
 
+    @staticmethod
+    def counting(calls, name, real):
+        """`real`, counting its calls in calls[name]."""
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return counted
+
     def test_benchmark_call_counts(self, tmp_path, monkeypatch):
         # the counts the benchmark's tracer reads off a compare-mode run: one
         # step of each engine per block of objective._ROW_BLOCK trace rows
         # (301 rows are 3 blocks), one residual call for all rows
         calls = {}
-
-        def counting(name, real):
-            def counted(*args):
-                calls[name] = calls.get(name, 0) + 1
-                return real(*args)
-            return counted
-
         for cls in (solvers.FullAdmmEngine, solvers.ApproxMMEngine):
-            monkeypatch.setattr(cls, "step", counting(cls.__name__, cls.step))
+            monkeypatch.setattr(cls, "step", self.counting(calls, cls.__name__, cls.step))
         monkeypatch.setattr(netgraph, "consensuality_residual",
-                            counting("residual", netgraph.consensuality_residual))
+                            self.counting(calls, "residual", netgraph.consensuality_residual))
         text = self.TEXT.format(out=tmp_path / "b").replace("rounds = 40", "rounds = 300")
         assert cli.main(["run", write(tmp_path, text.replace("p = 2", "p = 1"))]) == 0
         assert objective._ROW_BLOCK == 128
         assert calls == {"FullAdmmEngine": 3, "ApproxMMEngine": 3, "residual": 1}
+
+    @pytest.mark.parametrize("name,cls", [("dadmm", solvers.DadmmEngine),
+                                          ("pextra", solvers.PextraEngine),
+                                          ("general-uv", solvers.GeneralUVEngine)])
+    def test_network_algorithms_run_their_engines(self, name, cls, tmp_path, monkeypatch):
+        # a network algorithm runs through its engine: one `step` per block
+        # of objective._ROW_BLOCK trace rows (301 rows are 3 blocks), each
+        # filling its rows by one `harness.run_rounds` call
+        calls = {}
+        monkeypatch.setattr(cls, "step", self.counting(calls, "step", cls.step))
+        monkeypatch.setattr(harness, "run_rounds",
+                            self.counting(calls, "run_rounds", harness.run_rounds))
+        text = TestInPlaceRows.TEXT.format(out=tmp_path / "e").replace("rounds = 40",
+                                                                        "rounds = 300")
+        assert cli.main(["run", write(tmp_path, text.replace("name = dadmm",
+                                                             f"name = {name}"))]) == 0
+        assert objective._ROW_BLOCK == 128
+        assert calls == {"step": 3, "run_rounds": 3}
 
     # a comparison algorithm that fails its set-up after the primary run
     SETUP_ERRORS = {
@@ -1104,6 +1141,33 @@ def table_ids(table):
 
 def test_verify_table_covers_every_algorithm():
     assert {name for name, _ in VERIFY_TABLE} == set(cli.ALGORITHMS)
+
+
+def listed_algorithms(text):
+    """The names a config grammar lists for `name`: the `|`-separated words
+    of the comment on its `name =` line and on the comment lines under it."""
+    lines = text.splitlines()
+    first = next(i for i, line in enumerate(lines)
+                 if re.match(r"\s*name = \S+\s+;.*\|", line))
+    comments = [lines[first].split(";", 1)[1]]
+    for line in lines[first + 1:]:
+        if not line.lstrip().startswith(";"):
+            break
+        comments.append(line.split(";", 1)[1])
+    return [word.strip() for word in " ".join(comments).split("|")]
+
+
+@pytest.mark.parametrize("doc", ["cli", "README"])
+def test_documented_algorithms_are_the_table(doc):
+    # the config grammar in the cli docstring and in README lists exactly
+    # the algorithms the CLI runs, in the table's order
+    if doc == "cli":
+        text = cli.__doc__
+    else:
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+    assert listed_algorithms(text) == list(cli.ALGORITHMS)
 
 
 @pytest.mark.parametrize("name,settings", VERIFY_TABLE, ids=table_ids(VERIFY_TABLE))

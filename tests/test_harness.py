@@ -270,7 +270,7 @@ class TestFusedMixing:
 
     @pytest.mark.parametrize("name", ["dadmm", "general_uv"])
     def test_replaced_rows_round_matches_fresh_network(self, name):
-        # assigning x, as `solvers._agent_round` does, re-forms [U x; V x]
+        # assigning x, as a network engine's `step` does, re-forms [U x; V x]
         graph, comps = self.graph_and_components(2)
         used, _ = self.network(name, graph, comps)
         harness.run_rounds(used, graph, 3)

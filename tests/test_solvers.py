@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,22 @@ class TestNonFiniteMixing:
                 PextraParams(xi=0.1, w=pair[0], w_tilde=pair[1])
         with pytest.raises(ValueError, match="xi must be positive"):
             PextraParams(xi=bad, w=w, w_tilde=w)
+
+    @pytest.mark.parametrize("xi", [1e-320, 5e-324, 0.0, -1.0])
+    def test_xi_without_a_finite_inverse(self, xi):
+        # a subnormal xi has no finite 1/xi; each place that range-checks xi
+        # refuses it, naming it, before any arithmetic on 1/xi
+        g = netgraph.build_graph(3, [(1, 2), (2, 3)], 1)
+        w = np.eye(3)
+        match = f"xi = {xi!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                PextraParams(xi=xi, w=w, w_tilde=w)
+            with pytest.raises(ValueError, match=match):
+                solvers.pextra_mixing(g, xi, 1.0, 0.5)
+            with pytest.raises(ValueError, match=match):
+                solvers.theorem2_pi(g, xi, 1.0)
 
 
 class TestPextraOvershoot:
@@ -698,14 +715,26 @@ class TestStepContract:
 
 
 class TestStepRows:
-    """A central `step(state, rows)` runs one round per row, writing each
-    round's x into its row, with the bits of one-round steps; the state it
-    returns holds no view of the rows."""
+    """Every engine's `step(state, rows)` runs one round per row, writing
+    each round's x into its row, with the bits of one-round steps; the state
+    it returns holds no view of the rows."""
+
+    @staticmethod
+    def engines(graph, comps):
+        """The central engines and the three network engines."""
+        params = AdmmParams(1.0, 0.5, 0.1)
+        xi = 0.5 * max_theorem2_xi(graph, params.rho)
+        pextra = PextraParams(xi, *solvers.pextra_mixing(graph, xi, params.rho, params.eta))
+        return TestStepContract.engines(graph, comps) + [
+            solvers.DadmmEngine(graph, comps, params),
+            solvers.PextraEngine(graph, comps, pextra),
+            solvers.GeneralUVEngine(graph, *dense_ref.incidence_uv(graph), comps, params),
+        ]
 
     def test_rows_equal_one_round_steps(self):
         graph, comps = random_instance(95, n=6, p=2)
         rng = np.random.default_rng(95)
-        for engine in TestStepContract.engines(graph, comps):
+        for engine in self.engines(graph, comps):
             start = engine.step(engine.init(x0=rng.standard_normal(graph.n * graph.p)))
             rows = np.empty((5, graph.n * graph.p))
             block = engine.step(start, rows)
@@ -720,7 +749,7 @@ class TestStepRows:
     def test_bad_rows_raise(self):
         graph, comps = random_instance(96, n=5, p=2)
         width = graph.n * graph.p
-        for engine in TestStepContract.engines(graph, comps):
+        for engine in self.engines(graph, comps):
             for rows in (np.empty((2, width + 1)), np.empty((2, width), dtype=np.float32),
                          np.empty((2, graph.n, graph.p)), np.empty(width), [[0.0] * width]):
                 with pytest.raises(DimensionMismatch):
