@@ -713,16 +713,16 @@ class TestCompareMode:
 
 class TestInPlaceRows:
     """Each run writes its iterate rows in place, a block of
-    objective._ROW_BLOCK rows per `harness.run_rounds` call or central
-    `step`; the rows equal a trajectory run one round at a time, with the
-    block edges at 127, 128 and 129 rounds."""
+    objective._ROW_BLOCK rows per engine `step`; the rows equal a trajectory
+    run one round at a time, with the block edges at 127, 128 and 129
+    rounds."""
 
     TEXT = BASE_INI.replace("n = 5", "n = 6").replace("pi = 0", "pi = 0.1\nxi = 0.04")
 
     @staticmethod
     def reference(name, config):
-        """The (rounds+1, n*p) trajectory of one algorithm, one `step` (which
-        the network engines run as one `harness.network_round`) at a time."""
+        """The (rounds+1, n*p) trajectory of one algorithm, one `step`
+        without rows at a time, built from this table, not the CLI's."""
         graph, comps = cli.build_scenario(config)
         params = cli._resolve_params(config, graph)
         engines = {
