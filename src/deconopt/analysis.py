@@ -111,8 +111,8 @@ def mu_g(profile: objective.SumProfile, graph: NetworkGraph, rho: float,
     """
     if not 0 < eta < 1:
         raise EtaOutOfRange(f"eta must lie in (0,1), got {eta}")
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got rho = {rho!r}")
     lam_min = _laplacian_spectrum(graph)[0]
     return _mu_g(profile, lam_min, rho, eta, gamma)
 
@@ -300,14 +300,14 @@ def _certificate_prelude(graph: NetworkGraph, profile: objective.SumProfile, rho
     Laplacian spectrum or mu_g <= 0 is CertificateUnavailable."""
     if not 0 < eta < 1:
         raise EtaOutOfRange(f"certificate requires eta in (0,1), got {eta}")
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got rho = {rho!r}")
     try:
         lam_min, lam_max_lap = _laplacian_spectrum(graph)
     except (IndefiniteInput, AllZero) as exc:
         raise CertificateUnavailable(f"Laplacian spectrum unusable: {exc}") from exc
     mu, gamma_star = _mu_g(profile, lam_min, rho, eta, "optimize")
-    if mu <= 0:
+    if not mu > 0:
         raise CertificateUnavailable(f"restricted strong convexity bound {mu:.3e} <= 0")
     lip_g = profile.lipschitz + (1.0 - eta) * 0.5 * rho * lam_max_lap
     return lam_min, lip_g, mu, gamma_star

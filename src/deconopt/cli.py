@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
 import sys
@@ -113,8 +114,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown comparison algorithm {self.compare!r}")
         if self.rounds < 0:
             raise ConfigError("rounds must be nonnegative")
-        if self.rho <= 0:
-            raise ConfigError(f"rho must be positive, got {self.rho}")
+        if not 0 < self.rho < math.inf:
+            raise ConfigError(f"rho must be positive and finite, got rho = {self.rho!r}")
         if not 0 < self.eta < solvers.ETA_SUP:
             raise ConfigError(
                 f"eta must lie in (0, {solvers.ETA_SUP:.6f}), got {self.eta}"
@@ -457,6 +458,27 @@ def emit_trace(path, obj_errs, resids, messages, distances=None, delta=None) -> 
     _write_lines(path, TRACE_HEADER, lines)
 
 
+# the scalar settings a run computes with, named when a value leaves the float
+# range
+_SCALARS = ("rho", "eta", "pi", "xi", "omega", "epsilon")
+
+
+@contextlib.contextmanager
+def _float_range(config: ExperimentConfig):
+    """Compute under np.errstate(over="raise", invalid="raise"): an overflow
+    or invalid operation is a ConfigError naming the run's algorithms and
+    its set scalars, not a warning and a later failure that names none."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        names = config.algorithm if config.compare is None else (
+            f"{config.algorithm} and {config.compare}")
+        scalars = ", ".join(f"{name} = {getattr(config, name)!r}" for name in _SCALARS
+                            if getattr(config, name) is not None)
+        raise ConfigError(f"{names}: a value left the float range ({exc}) at {scalars}") from exc
+
+
 def run(config: ExperimentConfig, dump_operators: bool = False) -> int:
     """Execute one experiment; returns the process exit code.
 
@@ -467,48 +489,49 @@ def run(config: ExperimentConfig, dump_operators: bool = False) -> int:
     a block at a time. The obj_err and consensus_resid columns are one
     row-wise pass each over the kept iterates. Every computation ends
     before the first file is written, so a run that fails writes nothing;
-    `dump_operators` adds the operator CSVs of `_dump_operators` to the
-    files.
+    a value that leaves the float range on the way fails it with a
+    ConfigError (`_float_range`). `dump_operators` adds the operator CSVs
+    of `_dump_operators` to the files.
     """
     config.validate()
+    with _float_range(config):
+        graph, components = build_scenario(config)
+        components = objective.stacked(components)
+        params = _resolve_params(config, graph)
+        ref = analysis.reference_solution(graph, components, config.tolerances)
 
-    graph, components = build_scenario(config)
-    components = objective.stacked(components)
-    params = _resolve_params(config, graph)
-    ref = analysis.reference_solution(graph, components, config.tolerances)
+        try:
+            xs = np.empty((config.rounds + 1, graph.n * graph.p))
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(f"rounds = {config.rounds}: no room for the iterates") from exc
+        cert = None
+        if config.verify:
+            cert_params = replace(params, eta=config.certified_eta())
+            cert = analysis.rate_certificate(graph, ref.profile, cert_params)
 
-    try:
-        xs = np.empty((config.rounds + 1, graph.n * graph.p))
-    except (MemoryError, ValueError) as exc:
-        raise ConfigError(f"rounds = {config.rounds}: no room for the iterates") from exc
-    cert = None
-    if config.verify:
-        cert_params = replace(params, eta=config.certified_eta())
-        cert = analysis.rate_certificate(graph, ref.profile, cert_params)
+        # the engines form the penalty weights rho d_i, and an overflowed one
+        # would iterate on inf; checked after the certificate, which names its
+        # own out-of-range constant first
+        if not math.isfinite(config.rho * float(netgraph.degrees(graph).max())):
+            raise ConfigError(f"rho = {config.rho!r}: the penalty weights rho d_i "
+                              "leave the float range")
 
-    # the engines form the penalty weights rho d_i, and an overflowed one
-    # would iterate on inf; checked after the certificate, which names its
-    # own out-of-range constant first
-    if not math.isfinite(config.rho * float(netgraph.degrees(graph).max())):
-        raise ConfigError(f"rho = {config.rho!r}: the penalty weights rho d_i "
-                          "leave the float range")
+        phi_last, messages = _run_algorithm(config.algorithm, config, graph, components,
+                                            params, _row_blocks(xs))
 
-    phi_last, messages = _run_algorithm(config.algorithm, config, graph, components,
-                                        params, _row_blocks(xs))
+        report = None
+        if cert is not None:
+            report = analysis.verify_contraction(xs, phi_last, ref, cert,
+                                                 tolerances=config.tolerances)
 
-    report = None
-    if cert is not None:
-        report = analysis.verify_contraction(xs, phi_last, ref, cert,
-                                             tolerances=config.tolerances)
+        gaps = None
+        if config.compare is not None:
+            gaps = np.empty(len(xs))
+            _run_algorithm(config.compare, config, graph, components, params,
+                           _gap_blocks(xs, gaps))
 
-    gaps = None
-    if config.compare is not None:
-        gaps = np.empty(len(xs))
-        _run_algorithm(config.compare, config, graph, components, params,
-                       _gap_blocks(xs, gaps))
-
-    obj_errs = objective.sum_value(components, xs) - ref.objective_value
-    resids = netgraph.consensuality_residual(graph, xs)
+        obj_errs = objective.sum_value(components, xs) - ref.objective_value
+        resids = netgraph.consensuality_residual(graph, xs)
 
     os.makedirs(config.out_dir, exist_ok=True)
     distances = None if report is None else report.distances.tolist()

@@ -1,11 +1,11 @@
 """Synchronous simulated network: agents are rows of shared arrays.
 
-Agent i owns row i - 1 of the (n, p) iterate `x` and of the (n, p) `dual`,
-its local component, its scalars a_i and pi_i, and its row of a graph-local
-weight pair (U, V): a self weight and the weight of each arc into i. With a
-dual scale s, one round (`network_round`) is
+Agent i owns row i - 1 of the (n, p) iterate `x` and of the (n, p) dual
+aggregate `dual` (phi), its local component, its scalars a_i and pi_i, and
+its row of a graph-local weight pair (U, V): a self weight and the weight of
+each arc into i. One round (`network_round`) is
 
-    c = s dual + U x
+    c = dual + U x
     x_i <- argmin f_i(x) + c_i'x + (a_i/2)|x|^2 + (pi_i/2)|x - x_i|^2
     dual <- dual + V x
 
@@ -22,11 +22,12 @@ Arc contributions add up in arc label order, so runs are reproducible.
 
 The three factories only pick the weights:
 
-* `dadmm_agents`: (U, V) = (-rho/2 E_u'E_u, eta rho/2 L), a_i = rho d_i,
-  s = 1, and the dual is phi.
-* `general_uv_agents`: (-rho/2 U, eta rho/2 V), a_i = rho Dbar_ii, s = 1.
-* `pextra_agents`: (-W/xi, W - W~), s = -1/xi, a_i = 1/xi, pi = 0. The dual
-  is the running sum, seeded with (W - W~) x0, and phi = s dual.
+* `dadmm_agents`: (U, V) = (-rho/2 E_u'E_u, eta rho/2 L), a_i = rho d_i.
+* `general_uv_agents`: (-rho/2 U, eta rho/2 V), a_i = rho Dbar_ii.
+* `pextra_agents`: (-W/xi, (W~ - W)/xi), a_i = 1/xi, pi = 0, with phi
+  seeded at (W~ - W)/xi x0. For the pair of `solvers.pextra_mixing`,
+  (W~ - W)/xi is eta rho/2 L, D-ADMM's V up to roundoff: Theorem 2's shared
+  dual step.
 
 A round may write its new x rows into an (n, p) array the caller hands
 over (`network_round`'s `out`), and `run_rounds` fills a block of the
@@ -100,12 +101,11 @@ class Network:
     """
 
     def __init__(self, graph: NetworkGraph, components, u, v, a, pi, *,
-                 scale: float, x: np.ndarray, dual: np.ndarray):
+                 x: np.ndarray, dual: np.ndarray):
         src, dst = arc_indices(graph)
         self.local = objective.ProximalRows(components, a, pi)
         self.weights = np.stack([np.concatenate((w[dst, src], np.diag(w)))
                                  for w in (u, v)])[:, :, None].repeat(graph.p, axis=2)
-        self.scale = float(scale)
         self._gather = np.concatenate((src, np.arange(graph.n)))
         size = graph.n * graph.p
         bins = np.concatenate((arc_stack(graph).index[1], np.arange(size)))
@@ -122,11 +122,6 @@ class Network:
         self._x = x
         self.mixed = self.mixes(x)
 
-    @property
-    def phi(self) -> np.ndarray:
-        """The D-ADMM dual aggregate, s dual."""
-        return self.scale * self.dual
-
     def mixes(self, x: np.ndarray) -> np.ndarray:
         """[U x; V x] as (2, n, p) for (n, p) rows x; each bin adds its arcs
         in label order from 0.0, then its self term."""
@@ -138,7 +133,7 @@ def network_round(net: Network, out=None) -> tuple[int, ...]:
     """One synchronous round; returns each agent's subproblem iteration count.
     With `out`, an (n, p) float array apart from the network's arrays, the
     new x rows are written into it and `net.x` becomes it (the same bits)."""
-    c = net.scale * net.dual + net.mixed[0]
+    c = net.dual + net.mixed[0]
     net.x, iters = objective.local_subproblem_ex(net.local, c, net.x, out)
     net.dual = net.dual + net.mixed[1]
     return iters
@@ -183,7 +178,7 @@ def _uv_network(graph: NetworkGraph, components, u, v, dbar_diag,
     rho = params.rho
     return Network(
         graph, components, -0.5 * rho * u, 0.5 * params.eta * rho * v,
-        rho * dbar_diag, params.pi_vector(graph.n), scale=1.0,
+        rho * dbar_diag, params.pi_vector(graph.n),
         x=checked_copy(x0, (graph.n, graph.p), "x0"),
         dual=checked_copy(phi0, (graph.n, graph.p), "phi0"),
     )
@@ -200,13 +195,11 @@ def pextra_agents(graph: NetworkGraph, components, pextra: PextraParams,
     _check_mixing_support(pextra.w, graph)
     _check_mixing_support(pextra.w_tilde, graph)
     x = checked_copy(x0, (graph.n, graph.p), "x0")
-    inv_xi = 1.0 / pextra.xi
     net = Network(
-        graph, components, -pextra.w / pextra.xi, pextra.w - pextra.w_tilde,
-        np.full(graph.n, inv_xi), np.zeros(graph.n), scale=-inv_xi, x=x,
-        dual=np.zeros_like(x),
+        graph, components, -pextra.w / pextra.xi, (pextra.w_tilde - pextra.w) / pextra.xi,
+        np.full(graph.n, 1.0 / pextra.xi), np.zeros(graph.n), x=x, dual=np.zeros_like(x),
     )
-    net.dual = net.mixed[1]   # the running sum starts at (W - W~) x0
+    net.dual = net.mixed[1]   # phi starts at V x0
     return net
 
 
@@ -240,12 +233,12 @@ def run_rounds(net: Network, graph: NetworkGraph, rounds: int, observer=None,
         if len(rows) != rounds:
             raise DimensionMismatch(f"rows must hold {rounds} rounds, got {len(rows)}")
     if observer is not None:
-        observer(0, net.x.ravel(), net.phi.ravel(),
+        observer(0, net.x.ravel(), net.dual.ravel(),
                  RoundLog(messages=0, payload_scalars=0, subproblem_iters=()))
     for k, out in enumerate(outputs, start=1):
         iters = network_round(net, out)
         if observer is not None:
-            observer(k, net.x.ravel(), net.phi.ravel(),
+            observer(k, net.x.ravel(), net.dual.ravel(),
                      RoundLog(messages=graph.m, payload_scalars=graph.m * graph.p,
                               subproblem_iters=iters))
     return net

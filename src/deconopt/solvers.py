@@ -11,15 +11,17 @@ All engines drive the same primal-dual mathematics from different angles:
 * ``ExactMMEngine`` / ``ApproxMMEngine`` -- the (approximated) method of
   multipliers on the penalized reformulation; the exact variant is a
   centralized reference only.
-* ``PextraEngine`` -- mixing-matrix iterates with an O(1)-memory running sum
-  in place of the full history sum.
+* ``PextraEngine`` -- mixing-matrix iterates, with the history sum of EXTRA
+  carried as the D-ADMM dual aggregate phi.
 * ``GeneralUVEngine`` -- the general two-matrix form that subsumes the
   classical incidence assignment.
 
-``DadmmEngine``, ``PextraEngine`` and ``GeneralUVEngine`` load their state
-into the rows of a `harness.Network` once per step and run `harness.run_rounds`,
-the one implementation of those three local rules, so they match the simulated
-network bit for bit; the rules differ only in the network's weights.
+``DadmmEngine``, ``PextraEngine`` and ``GeneralUVEngine`` share one `step`
+and one `phi` on the state (x, phi) (`_NetworkEngine`): a step loads the
+state into the rows of the engine's `harness.Network` once and runs
+`harness.run_rounds`, the one implementation of those three local rules, so
+they match the simulated network bit for bit; the rules differ only in the
+network's weights, and each engine keeps only its constructor and `init`.
 
 The central engines work at arc-index level through the stacked arc
 operator S = [A_s; A_d] (`netgraph.ArcStack`): each operator pass of a step
@@ -86,15 +88,14 @@ EXACT_MM_MAX_ORDER = 2000
 @dataclass(frozen=True)
 class AdmmParams:
     """Penalty rho > 0, relaxation eta in (0, (1+sqrt 5)/2) and per-agent
-    proximal weights pi_i >= 0 (scalar broadcasts)."""
+    proximal weights pi_i >= 0 (scalar broadcasts), all finite."""
 
     rho: float
     eta: float
     pi: float | tuple[float, ...] = 0.0
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        _check_rho(self.rho)
         if not 0 < self.eta < ETA_SUP:
             raise ValueError(f"eta must lie in (0, {ETA_SUP:.6f}), got {self.eta}")
 
@@ -105,10 +106,9 @@ class AdmmParams:
             vec = np.asarray(self.pi, dtype=float)
             if vec.shape != (n,):
                 raise ValueError(f"pi must be scalar or length {n}")
-        if np.any(vec < 0):
-            raise ValueError(
-                "indefinite proximal perturbations are not supported: pi_i >= 0 required"
-            )
+        if not np.all((vec >= 0) & (vec < math.inf)):
+            raise ValueError("indefinite proximal perturbations are not supported: "
+                             f"finite pi_i >= 0 required, got pi = {self.pi!r}")
         return vec
 
 
@@ -141,12 +141,6 @@ class MMState:
     e_o_x: np.ndarray  # E_o x, carried to the next step
 
 
-@dataclass
-class PextraState:
-    x: np.ndarray
-    running_sum: np.ndarray
-
-
 @dataclass(frozen=True)
 class PextraParams:
     """Step size xi > 0 plus the symmetric mixing pair at graph level."""
@@ -164,22 +158,16 @@ class PextraParams:
                 raise ValueError("mixing matrices must be symmetric")
 
 
+def _check_rho(rho: float) -> None:
+    """Raise a ValueError naming rho unless it is positive and finite."""
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got rho = {rho!r}")
+
+
 def _check_xi(xi: float) -> None:
     """Raise a ValueError naming xi unless xi and 1/xi are positive and finite."""
     if not (0 < xi < math.inf and 1.0 / float(xi) < math.inf):
         raise ValueError(f"xi must be positive with a finite 1/xi, got xi = {xi!r}")
-
-
-def _check_state(state, lengths: dict[str, int]) -> None:
-    """Raise DimensionMismatch unless each named state vector is a numpy
-    vector of the given length, as `init` makes them. A step runs it only
-    when its own shape test fails, for the message."""
-    for name, length in lengths.items():
-        shape = getattr(getattr(state, name), "shape", None)
-        if shape != (length,):
-            raise DimensionMismatch(
-                f"{name} must be a vector of length {length}, got shape {shape}"
-            )
 
 
 class _CentralEngine:
@@ -187,7 +175,7 @@ class _CentralEngine:
     operator (`stack`) and, for the inline operator passes of a step, its
     gather index, bincount bins and size, the (n, p) shape of the local
     subproblem rows, and the state's vector lengths (`lengths`, in the
-    order of the step's shape test). Each engine's `step(state, rows=None)`
+    order `_operands` returns them). Each engine's `step(state, rows=None)`
     runs one round, or one round per row of `rows`."""
 
     def __init__(self, graph: NetworkGraph, lengths: dict[str, int]):
@@ -198,25 +186,47 @@ class _CentralEngine:
         self._lengths = lengths
         self._shapes = tuple((length,) for length in lengths.values())
 
+    def _operands(self, state) -> tuple:
+        """The state's vectors named in `lengths`, in order; DimensionMismatch
+        unless each is a numpy vector of its length, as `init` makes them,
+        found by one shape test."""
+        values = tuple(getattr(state, name) for name in self._lengths)
+        if tuple(getattr(value, "shape", None) for value in values) != self._shapes:
+            for (name, length), value in zip(self._lengths.items(), values):
+                shape = getattr(value, "shape", None)
+                if shape != (length,):
+                    raise DimensionMismatch(
+                        f"{name} must be a vector of length {length}, got shape {shape}")
+        return values
+
     def _outputs(self, rows):
         """Where each round of a step writes its x rows: nowhere (None) for
         the one round without `rows`, else `harness.block_outputs`."""
         return (None,) if rows is None else harness.block_outputs(rows, self._rows)
 
 
-def _network_rounds(net: harness.Network, graph: NetworkGraph, x, dual, rows):
-    """Load the stacked (x, dual) into the network once, copying them, so
-    they stay untouched, and run one round, or one round per row of `rows`
-    by one `harness.run_rounds` call; returns the new stacked pair."""
-    net.x = harness.checked_copy(x, net.x.shape, "x")
-    net.dual = harness.checked_copy(dual, net.dual.shape, "dual")
-    harness.run_rounds(net, graph, 1 if rows is None else len(rows), rows=rows)
-    return net.x.ravel(), net.dual.ravel()
+class _NetworkEngine:
+    """The `step` and `phi` of the engines run by a simulated network
+    (`net`, a `harness.Network`, on `graph`), whose dual is phi."""
+
+    def step(self, state: AdmmState, rows=None) -> AdmmState:
+        """Load the state's (x, phi) into the network once, copying them, so
+        they stay untouched, and run one round, or one round per row of
+        `rows`, by one `harness.run_rounds` call."""
+        net = self.net
+        net.x = harness.checked_copy(state.x, net.x.shape, "x")
+        net.dual = harness.checked_copy(state.phi, net.dual.shape, "phi")
+        harness.run_rounds(net, self.graph, 1 if rows is None else len(rows), rows=rows)
+        return AdmmState(x=net.x.ravel(), phi=net.dual.ravel())
+
+    def phi(self, state: AdmmState) -> np.ndarray:
+        """The state's dual aggregate phi."""
+        return state.phi
 
 
 # -- decoupled per-agent generalized D-ADMM -------------------------------------
 
-class DadmmEngine:
+class DadmmEngine(_NetworkEngine):
     """Per-agent D-ADMM: local proximal solves plus neighbor-difference dual
     steps, run by the simulated network's round (`harness.dadmm_agents`)."""
 
@@ -226,14 +236,6 @@ class DadmmEngine:
 
     def init(self, x0=None, alpha0=None) -> AdmmState:
         return dadmm_init(self.graph, x0=x0, alpha0=alpha0)
-
-    def step(self, state: AdmmState, rows=None) -> AdmmState:
-        x, phi = _network_rounds(self.net, self.graph, state.x, state.phi, rows)
-        return AdmmState(x=x, phi=phi)
-
-    def phi(self, state: AdmmState) -> np.ndarray:
-        """The state's dual aggregate phi."""
-        return state.phi
 
 
 class DadmmMatrixEngine(_CentralEngine):
@@ -250,10 +252,7 @@ class DadmmMatrixEngine(_CentralEngine):
         return dadmm_init(self.graph, x0=x0, alpha0=alpha0)
 
     def step(self, state: AdmmState, rows=None) -> AdmmState:
-        x, phi, alpha = state.x, state.phi, state.alpha
-        if (getattr(x, "shape", None), getattr(phi, "shape", None),
-                getattr(alpha, "shape", None)) != self._shapes:
-            _check_state(state, self._lengths)
+        x, phi, alpha = self._operands(state)
         bins, size, shape = self._bins, self._size, self._rows
         for out in self._outputs(rows):
             ends = x[self._index]
@@ -305,10 +304,7 @@ class FullAdmmEngine(_CentralEngine):
         return FullAdmmState(x=x, z=z, lam=np.concatenate([alpha, -alpha]))
 
     def step(self, state: FullAdmmState, rows=None) -> FullAdmmState:
-        x, z, lam = state.x, state.z, state.lam
-        if (getattr(x, "shape", None), getattr(z, "shape", None),
-                getattr(lam, "shape", None)) != self._shapes:
-            _check_state(state, self._lengths)
+        x, z, lam = self._operands(state)
         rho, shape = self._rho, self._rows
         lam = lam.reshape(2, -1)
         for out in self._outputs(rows):
@@ -331,7 +327,7 @@ class FullAdmmEngine(_CentralEngine):
 # -- method of multipliers: exact and approximated ---------------------------------
 
 class _MultiplierEngine(_CentralEngine):
-    """The set-up, `init`, `phi`, state check and dual update of the two
+    """The set-up, `init`, `phi` and dual update of the two
     method-of-multipliers engines. Their states carry E_o x, which `init`
     and `step` set."""
 
@@ -349,14 +345,6 @@ class _MultiplierEngine(_CentralEngine):
     def phi(self, state: MMState) -> np.ndarray:
         """The dual aggregate E_o^T (sqrt(eta) nu) of the state's multiplier."""
         return self.stack.e_o_transpose(self._root_eta * state.nu)
-
-    def _operands(self, state: MMState):
-        """The state's checked (x, nu, E_o x)."""
-        x, nu, e_o_x = state.x, state.nu, state.e_o_x
-        if (getattr(x, "shape", None), getattr(nu, "shape", None),
-                getattr(e_o_x, "shape", None)) != self._shapes:
-            _check_state(state, self._lengths)
-        return x, nu, e_o_x
 
     def _dual(self, new_x: np.ndarray, nu: np.ndarray):
         """(nu + sqrt(eta) (rho/2) E_o new_x, E_o new_x) after a round to
@@ -430,8 +418,8 @@ class ApproxMMEngine(_MultiplierEngine):
 
     def __init__(self, graph: NetworkGraph, components, params: AdmmParams,
                  epsilon: float):
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+        if not 0 <= epsilon < math.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite, got epsilon = {epsilon!r}")
         super().__init__(graph, params)
         self._half_rho = 0.5 * params.rho
         self.epsilon = float(epsilon)
@@ -464,8 +452,7 @@ def pextra_mixing(graph: NetworkGraph, xi: float, rho: float, eta: float):
     formed, as is one for a xi without a finite 1/xi (`_check_xi`).
     """
     _check_xi(xi)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _check_rho(rho)
     if not math.isfinite(0.5 * xi * rho * float(degrees(graph).max())):
         raise ValueError(f"xi = {xi!r} and rho = {rho!r}: the mixing weights "
                          "(xi rho / 2) L leave the float range")
@@ -483,8 +470,7 @@ def theorem2_pi(graph: NetworkGraph, xi: float, rho: float) -> tuple[float, ...]
     and a finite 1/xi (`_check_xi`).
     """
     _check_xi(xi)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _check_rho(rho)
     deg = degrees(graph)
     pi = tuple((1.0 / xi - rho * deg).tolist())
     if min(pi) < 0:
@@ -495,35 +481,25 @@ def theorem2_pi(graph: NetworkGraph, xi: float, rho: float) -> tuple[float, ...]
     return pi
 
 
-class PextraEngine:
-    """Mixing-matrix iterates; the history sum is kept as a running sum
-    (identical mathematics, O(1) memory). Run by the simulated network's
-    round (`harness.pextra_agents`), whose dual is the running sum."""
+class PextraEngine(_NetworkEngine):
+    """Mixing-matrix iterates, run by the simulated network's round
+    (`harness.pextra_agents`). EXTRA's history sum sum_j (W - W~) x_j enters
+    as phi = -1/xi times it, a running sum with V = (W~ - W)/xi (O(1)
+    memory), so the state is D-ADMM's (x, phi)."""
 
     def __init__(self, graph: NetworkGraph, components, pextra: PextraParams):
         self.graph = graph
         self.net = harness.pextra_agents(graph, components, pextra)
 
-    def init(self, x0=None) -> PextraState:
+    def init(self, x0=None) -> AdmmState:
         x = harness.checked_copy(x0, (self.graph.n, self.graph.p), "x0")
-        # the running sum starts at (W - W~) x0
-        running_sum = self.net.mixes(x)[1]
-        return PextraState(x=x.ravel(), running_sum=running_sum.ravel())
-
-    def step(self, state: PextraState, rows=None) -> PextraState:
-        x, running_sum = _network_rounds(self.net, self.graph, state.x,
-                                         state.running_sum, rows)
-        return PextraState(x=x, running_sum=running_sum)
-
-    def phi(self, state: PextraState) -> np.ndarray:
-        """The D-ADMM dual aggregate implied by the running sum, s times it
-        with s = -1/xi, as the network forms it."""
-        return self.net.scale * state.running_sum
+        # phi starts at V x0
+        return AdmmState(x=x.ravel(), phi=self.net.mixes(x)[1].ravel())
 
 
 # -- general two-matrix formulation ---------------------------------------------------
 
-class GeneralUVEngine:
+class GeneralUVEngine(_NetworkEngine):
     """D-ADMM driven by a general (U, V, Dbar) triple at graph level, run by
     the simulated network's round (`harness.general_uv_agents`).
 
@@ -541,11 +517,3 @@ class GeneralUVEngine:
         npx = (self.graph.n * self.graph.p,)
         return AdmmState(x=harness.checked_copy(x0, npx, "x0"),
                          phi=harness.checked_copy(phi0, npx, "phi0"))
-
-    def step(self, state: AdmmState, rows=None) -> AdmmState:
-        x, phi = _network_rounds(self.net, self.graph, state.x, state.phi, rows)
-        return AdmmState(x=x, phi=phi)
-
-    def phi(self, state: AdmmState) -> np.ndarray:
-        """The state's dual aggregate phi."""
-        return state.phi

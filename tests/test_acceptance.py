@@ -110,7 +110,7 @@ def test_criterion_1_q_linear_contraction():
         snaps = []
         harness.run_rounds(agents, graph, ROUNDS,
                            observer=lambda k, x, phi, log: snaps.append(x))
-        report = analysis.verify_contraction(np.array(snaps), agents.phi.ravel(), ref, cert)
+        report = analysis.verify_contraction(np.array(snaps), agents.dual.ravel(), ref, cert)
         assert report.ok, (kind, n, p, report.violations[:3])
 
 
@@ -226,12 +226,12 @@ def test_criterion_5_fixed_points_and_mm():
         graph, *dense_ref.incidence_uv(graph), components, params)
     st = eng.init(x0=ref.x_star, phi0=phi_star)
     fixed_points.append(("uv", eng, st, lambda s: (s.x, s.phi)))
-    # P-EXTRA holds the optimum once the running sum carries the dual price:
-    # s = -xi * phi_star reproduces the stationarity of the optimum
+    # P-EXTRA carries D-ADMM's dual aggregate, so it holds the optimum at the
+    # same (x*, phi*)
     peng = solvers.PextraEngine(graph, components,
                                 PextraParams(xi=xi, w=w, w_tilde=wt))
-    pst = solvers.PextraState(x=ref.x_star.copy(), running_sum=-xi * phi_star)
-    fixed_points.append(("pextra", peng, pst, lambda s: (s.x, s.running_sum)))
+    pst = solvers.AdmmState(x=ref.x_star.copy(), phi=phi_star)
+    fixed_points.append(("pextra", peng, pst, lambda s: (s.x, s.phi)))
 
     for name, engine, state, view in fixed_points:
         nxt = engine.step(state)

@@ -263,6 +263,10 @@ contraction_slack = 1e-6
             parse_config("[algorithm]\nrho = -1\n").validate()
         with pytest.raises(ConfigError):
             parse_config("[algorithm]\npi = theorem2\n").validate()
+        # a config built in code may carry a rho that no INI value parses to
+        for rho in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=rf"rho = {rho!r}"):
+                ExperimentConfig(rho=rho).validate()
         # the overshoot omega's one range check
         for omega in (0.3, 1.0):
             with pytest.raises(ConfigError, match=r"omega must lie in \[0.5, 1\)"):
@@ -482,6 +486,29 @@ class TestOutOfRange:
         err = capsys.readouterr().err
         assert err.startswith("deconopt:") and err.count("\n") == 1
         assert "xi = 1e-320" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,settings,flags", [
+        ("pextra", "rho = 1e307\nxi = 0.04", []),
+        ("mm-approx", "rho = 1e200\npi = 1e200\nepsilon = 1e200", []),
+        ("dadmm", "rho = 1e-300\npi = 1e300", ["--verify"]),
+    ])
+    def test_overflow_during_the_run(self, name, settings, flags, tmp_path, capsys):
+        # each passes the up-front checks and overflows in the arithmetic of
+        # the run (the mixed weights, the majorizer weights, the certificate's
+        # M): the numpy overflow fails the run, naming the algorithm and rho,
+        # with no warning and no output
+        out = tmp_path / "o"
+        text = BASE_INI.format(out=out).replace("n = 5", "n = 6")
+        text = text.replace("name = dadmm", f"name = {name}")
+        text = text.replace("rho = 1.0", "").replace("pi = 0", settings)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", write(tmp_path, text)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("deconopt:") and err.count("\n") == 1
+        assert f"{name}: a value left the float range" in err
+        assert re.search(r"\brho = ", err)
         assert not out.exists()
 
     def test_huge_proximal_weight_runs(self, tmp_path, capsys):

@@ -192,7 +192,7 @@ class TestStackedLocalSolve:
         u, v = dadmm_weights(graph, params)
         for k, x, phi, _ in snaps:
             if k > 0:
-                c = ref.scale * ref.dual + dense_ref.mix(graph, u, ref.x)
+                c = ref.dual + dense_ref.mix(graph, u, ref.x)
                 new_x = np.empty_like(ref.x)
                 for i, comp in enumerate(comps):
                     q, b = dense_ref.terms(comp)
@@ -201,14 +201,14 @@ class TestStackedLocalSolve:
                 ref.x = new_x
                 ref.dual = ref.dual + dense_ref.mix(graph, v, new_x)
             assert np.array_equal(x, ref.x.ravel())
-            assert np.array_equal(phi, ref.phi.ravel())
+            assert np.array_equal(phi, ref.dual.ravel())
 
     def test_negative_weights_rejected_at_set_up(self):
         graph, comps = harness.scenario_least_squares(4, 2, seed=1)
         lap = netgraph.laplacian(graph)
         for a, pi in ((-np.ones(4), np.zeros(4)), (np.ones(4), np.full(4, -0.1))):
             with pytest.raises(ValueError, match="nonnegative"):
-                harness.Network(graph, comps, lap, lap, a, pi, scale=1.0,
+                harness.Network(graph, comps, lap, lap, a, pi,
                                 x=np.zeros((4, 2)), dual=np.zeros((4, 2)))
 
 
@@ -236,7 +236,7 @@ class TestFusedMixing:
         if name == "pextra":
             pp = self.pextra_params(graph)
             return (harness.pextra_agents(graph, comps, pp, **start),
-                    (-pp.w / pp.xi, pp.w - pp.w_tilde))
+                    (-pp.w / pp.xi, (pp.w_tilde - pp.w) / pp.xi))
         if name == "dadmm":
             net = harness.dadmm_agents(graph, comps, self.PARAMS, **start)
         else:
@@ -291,13 +291,13 @@ class TestFusedMixing:
         state = engine.init(rng.standard_normal(graph.n * graph.p))
         for _ in range(3):
             state = engine.step(state)
-        x1, r1 = rng.standard_normal((2, graph.n * graph.p))
-        got = engine.step(solvers.PextraState(x=x1, running_sum=r1))
+        x1, phi1 = rng.standard_normal((2, graph.n * graph.p))
+        got = engine.step(solvers.AdmmState(x=x1, phi=phi1))
         fresh = harness.pextra_agents(graph, comps, pp, x0=x1)
-        fresh.dual = r1.reshape(graph.n, graph.p)
+        fresh.dual = phi1.reshape(graph.n, graph.p)
         harness.network_round(fresh)
         assert np.array_equal(got.x, fresh.x.ravel())
-        assert np.array_equal(got.running_sum, fresh.dual.ravel())
+        assert np.array_equal(got.phi, fresh.dual.ravel())
 
 
 class TestAgentFactories:
@@ -360,7 +360,7 @@ class TestAgentFactories:
             lambda: solvers.DadmmEngine(graph, comps, params).step(
                 solvers.AdmmState(x=bad, phi=np.zeros(10))),
             lambda: solvers.PextraEngine(graph, comps, pp).step(
-                solvers.PextraState(x=np.zeros(10), running_sum=bad)),
+                solvers.AdmmState(x=np.zeros(10), phi=bad)),
         ]
         for call in calls:
             with pytest.raises(DimensionMismatch):

@@ -53,6 +53,31 @@ class TestAdmmParams:
             params.pi_vector(3)
 
 
+class TestNonFiniteScalars:
+    """Every range check on a scalar refuses NaN and infinity, naming the
+    scalar, where a comparison like rho <= 0 lets NaN through."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refused_by_name(self, bad):
+        graph, comps = random_instance(5)
+        profile = objective.sum_profile(comps, graph)
+        params = AdmmParams(1.0, 0.5)
+        calls = [
+            ("rho", lambda: AdmmParams(rho=bad, eta=0.5)),
+            ("pi", lambda: AdmmParams(1.0, 0.5, pi=bad).pi_vector(graph.n)),
+            ("pi", lambda: AdmmParams(1.0, 0.5, pi=(bad,) + (0.1,) * (graph.n - 1))
+             .pi_vector(graph.n)),
+            ("rho", lambda: solvers.theorem2_pi(graph, 0.01, bad)),
+            ("rho", lambda: solvers.pextra_mixing(graph, 0.01, bad, 0.5)),
+            ("epsilon", lambda: solvers.ApproxMMEngine(graph, comps, params, epsilon=bad)),
+            ("rho", lambda: analysis.mu_g(profile, graph, bad, 0.5)),
+            ("rho", lambda: analysis.rate_certificate_admm(graph, profile, bad, 0.5)),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValueError, match=rf"\b{name} = "):
+                call()
+
+
 class TestDadmmInit:
     def test_zero_mode(self):
         g, _ = single_edge_instance()
@@ -377,6 +402,7 @@ class TestPextraOvershoot:
         for _ in range(100):
             sp, sd = pe.step(sp), da.step(sd)
             assert np.max(np.abs(sp.x - sd.x)) <= 1e-9
+            assert np.max(np.abs(sp.phi - sd.phi)) <= 1e-9
 
 
 class TestTheorem2Pi:
@@ -414,6 +440,21 @@ class TestPextraStep:
         for _ in range(100):
             sp, sd = pe.step(sp), da.step(sd)
             assert np.max(np.abs(sp.x - sd.x)) <= 1e-9
+            assert np.max(np.abs(sp.phi - sd.phi)) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [22, 23, 25])
+    def test_dual_weights_are_dadmm(self, seed):
+        # Theorem 2's shared dual step in the weights: P-EXTRA's V =
+        # (W~ - W)/xi is D-ADMM's (eta rho / 2) L up to the roundoff of
+        # forming W and W~, a few ulps of 1/xi
+        graph, comps = random_instance(seed)
+        rho, eta = 1.3, 0.6
+        xi = 0.8 * max_theorem2_xi(graph, rho)
+        w, wt = solvers.pextra_mixing(graph, xi, rho, eta)
+        pe = solvers.PextraEngine(graph, comps, PextraParams(xi=xi, w=w, w_tilde=wt))
+        da = solvers.DadmmEngine(graph, comps, AdmmParams(rho, eta))
+        gap = np.abs(pe.net.weights[1] - da.net.weights[1])
+        assert np.max(gap) <= 4 * np.spacing(1.0) / xi
 
     def test_zero_objective_consensual_fixed_point(self):
         graph = netgraph.build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], 2)
@@ -427,6 +468,8 @@ class TestPextraStep:
             assert np.max(np.abs(st.x - x0)) <= 1e-12
 
     def test_running_sum_matches_history(self):
+        # phi is EXTRA's history sum sum_j (W - W~) x_j scaled by -1/xi, so
+        # the bound on the sum scales by 1/xi too
         graph, comps = random_instance(23)
         rho, eta = 1.0, 0.4
         xi = 0.8 * max_theorem2_xi(graph, rho)
@@ -438,8 +481,8 @@ class TestPextraStep:
         for _ in range(20):
             st = pe.step(st)
             history.append(st.x.copy())
-            explicit = sum(diff @ xt for xt in history)
-            assert np.max(np.abs(st.running_sum - explicit)) <= 1e-12
+            explicit = -sum(diff @ xt for xt in history) / xi
+            assert np.max(np.abs(st.phi - explicit)) <= 1e-12 / xi
 
     def test_step_is_pure(self):
         graph, comps = random_instance(24)
@@ -447,11 +490,11 @@ class TestPextraStep:
         w, wt = solvers.pextra_mixing(graph, xi, 1.0, 0.5)
         pe = solvers.PextraEngine(graph, comps, PextraParams(xi=xi, w=w, w_tilde=wt))
         st = pe.step(pe.step(pe.init(x0=np.ones(graph.n * graph.p))))
-        x_in, sum_in = st.x.copy(), st.running_sum.copy()
+        x_in, phi_in = st.x.copy(), st.phi.copy()
         a, b = pe.step(st), pe.step(st)
         assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.running_sum, b.running_sum)
-        assert np.array_equal(st.x, x_in) and np.array_equal(st.running_sum, sum_in)
+        assert np.array_equal(a.phi, b.phi)
+        assert np.array_equal(st.x, x_in) and np.array_equal(st.phi, phi_in)
         assert not np.array_equal(a.x, st.x)
 
 
