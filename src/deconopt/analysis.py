@@ -3,9 +3,12 @@
 The certificate machinery computes the restricted strong convexity constant
 of the penalized objective, the Lipschitz modulus of its gradient, and the
 strictly positive contraction parameter bounding the per-round decrease of
-the primal-dual distance in the associated (semi-)norm. The two constants are
-max-min problems over one scalar each (gamma, tau), whose maximum sits where
-a falling and a rising branch cross; the crossings are closed-form roots (a
+the primal-dual distance in the associated (semi-)norm. A certificate has one
+norm, the main theorem's, and candidate contraction parameters: the paper's,
+and at P = 0 its corollary's, whose edge-variable norm is half of this one;
+the verify checks the largest. The constants are max-min problems over one
+scalar each (gamma, tau), whose maximum sits where a falling and a rising
+branch cross; the crossings are closed-form roots (a
 cubic for gamma, a quadratic for tau), with no search. Verification replays
 an iterate trace against that bound with an explicit slack budget, since the
 iterates themselves are only solved to the subproblem tolerance. The
@@ -45,7 +48,6 @@ from .netgraph import (
     laplacian,
     laplacian_eigvals,
     support_mask,
-    unoriented_gram,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -158,38 +160,48 @@ def _mu_g(profile: objective.SumProfile, lam_min: float, rho: float, eta: float,
 # -- rate certificates ---------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Candidate:
+    """One candidate contraction bound: delta, the tau realizing it and the
+    spectral constant lam_max it rests on, reported under `names` (in that
+    order)."""
+
+    names: tuple[str, str, str]
+    delta: float
+    tau: float
+    lam_max: float
+
+
+@dataclass(frozen=True)
 class RateCertificate:
-    """Contraction certificate: constants, optimizing scalars, and the norm
-    dual_weight |alpha - alpha*|^2 + (x - x*)^T (X (x) I_p) (x - x*) the
-    statement is made in: 2/(rho eta) and X = M = rho D + P - (rho/2) L for
-    `delta`, or 1/(rho eta) and X = (rho/4) E_u^T E_u = (rho/4)(2D - L)
-    (rho |z - z*|^2 for z = E_u x / 2) for the P = 0 corollary's
-    `delta_admm`. It carries one of the two. Both X are a diagonal minus a
-    multiple of L, diag(x_weights) - x_coupling L, and x* is consensual, so
-    the x-term is sum_i x_weights_i |x_i - x*_i|^2 - x_coupling |E_o x|^2:
-    no n x n matrix is kept."""
+    """Contraction certificate: constants, mu_g's gamma, the candidate bounds
+    in order (the paper's first), and the norm dual_weight |alpha - alpha*|^2
+    + (x - x*)^T (M (x) I_p) (x - x*) every candidate's statement is made
+    in, with dual_weight = 2/(rho eta) and M = rho D + P - (rho/2) L. M is a
+    diagonal minus a multiple of L, diag(x_weights) - x_coupling L, and x*
+    is consensual, so the x-term is sum_i x_weights_i |x_i - x*_i|^2
+    - x_coupling |E_o x|^2: no n x n matrix is kept."""
 
     rho: float
     eta: float
     mu_g: float
     lipschitz_g: float
     lam_min_nonzero: float
-    tau_star: float
     gamma_star: float
     dual_weight: float
     # equality skips the array, which has no boolean `==`; what it is built
-    # from (rho, the graph, lam_max_m or lam_max_eu) takes part
+    # from (rho, the graph, the candidates' lam_max) takes part
     x_weights: np.ndarray = field(repr=False, compare=False)
     x_coupling: float
     graph: NetworkGraph = field(repr=False)
-    delta: float | None = None
-    delta_admm: float | None = None
-    lam_max_m: float | None = None
-    lam_max_eu: float | None = None
+    candidates: tuple[Candidate, ...]
+
+    @property
+    def checked(self) -> Candidate:
+        """The candidate the verify checks: the one with the largest delta."""
+        return max(self.candidates, key=lambda c: c.delta)
 
     def contraction_factor(self) -> float:
-        d = self.delta if self.delta is not None else self.delta_admm
-        return 1.0 / (1.0 + d)
+        return 1.0 / (1.0 + self.checked.delta)
 
     def distances_sq(self, xs, phi_last, ref: ReferenceSolution, alpha0=None,
                      tolerances: Tolerances = DEFAULT) -> np.ndarray:
@@ -271,33 +283,39 @@ def _max_min_tau(name: str, a: float, b: float, lip_g: float,
     return value, tau
 
 
-def delta_bound(rho: float, eta: float, mu: float, lip_g: float,
-                lam_min: float, lam_max_m: float) -> tuple[float, float]:
+def delta_bound(rho: float, eta: float, mu: float, lip_g: float, lam_min: float,
+                lam_max_m: float, corollary: bool = False) -> tuple[float, float]:
     """Contraction parameter delta and the coupling scalar tau realizing it:
     the max over tau > 0 of the smaller of the rising branch
     rho eta lam_min / (2 (1 + 1/tau) lam_max(M)) and the falling branch
     rho eta mu lam_min / ((1 + tau) L_g^2 + rho eta lam_max(M) lam_min).
+
+    With `corollary`, the P = 0 corollary's `delta_admm` (valid only at
+    P = 0): by lam_max(E_u^T E_u) = 2 lam_max(M) / rho its rising branch is
+    the same, and its falling branch is
+    2 rho eta mu lam_min / ((1 + tau) L_g^2 + 2 rho eta lam_max(M) lam_min).
     """
-    return _max_min_tau("delta", rho * eta * lam_min / (2.0 * lam_max_m),
-                        rho * eta * mu * lam_min, lip_g, rho * eta * lam_max_m * lam_min)
+    k = 2.0 if corollary else 1.0
+    return _max_min_tau("delta_admm" if corollary else "delta",
+                        rho * eta * lam_min / (2.0 * lam_max_m), k * rho * eta * mu * lam_min,
+                        lip_g, k * rho * eta * lam_max_m * lam_min)
 
 
-def delta_bound_admm(rho: float, eta: float, mu: float, lip_g: float,
-                     lam_min: float, lam_max_eu: float) -> tuple[float, float]:
-    """Contraction bound for the P = 0 corollary, in the edge-variable norm:
-    the max over tau > 0 of the smaller of eta lam_min / ((1 + 1/tau)
-    lam_max(E_u^T E_u)) and 2 rho eta mu lam_min / ((1 + tau) L_g^2
-    + rho^2 eta lam_max(E_u^T E_u) lam_min)."""
-    return _max_min_tau("delta_admm", eta * lam_min / lam_max_eu,
-                        2.0 * rho * eta * mu * lam_min, lip_g,
-                        rho * rho * eta * lam_max_eu * lam_min)
+def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
+                     params) -> RateCertificate:
+    """Assemble the contraction certificate for generalized D-ADMM.
 
-
-def _certificate_prelude(graph: NetworkGraph, profile: objective.SumProfile, rho: float,
-                         eta: float) -> tuple[float, float, float, float]:
-    """lam_min_nonzero of L, the Lipschitz modulus L_g of the penalized
-    gradient, mu_g and its gamma: what both certificates share. An unusable
-    Laplacian spectrum or mu_g <= 0 is CertificateUnavailable."""
+    `params` carries rho, eta and the proximal weights. Requires eta in (0,1);
+    the spectral quantities are computed at graph level (the identity lift
+    preserves them). An unusable Laplacian spectrum or mu_g <= 0 is
+    CertificateUnavailable. M is formed for its lam_max only; the
+    certificate keeps it as node weights rho d + pi and the coupling rho/2
+    of L. The paper's delta is the first candidate. When every pi_i is 0,
+    M = (rho/2) E_u^T E_u and the corollary's norm (1/(rho eta) on the dual,
+    rho |z - z*|^2 for the edge variable z = E_u x / 2) is exactly half of
+    this one, so its delta is a second candidate, from the same lam_max(M).
+    """
+    rho, eta = params.rho, params.eta
     if not 0 < eta < 1:
         raise EtaOutOfRange(f"certificate requires eta in (0,1), got {eta}")
     if not 0 < rho < math.inf:
@@ -310,49 +328,23 @@ def _certificate_prelude(graph: NetworkGraph, profile: objective.SumProfile, rho
     if not mu > 0:
         raise CertificateUnavailable(f"restricted strong convexity bound {mu:.3e} <= 0")
     lip_g = profile.lipschitz + (1.0 - eta) * 0.5 * rho * lam_max_lap
-    return lam_min, lip_g, mu, gamma_star
-
-
-def rate_certificate(graph: NetworkGraph, profile: objective.SumProfile,
-                     params) -> RateCertificate:
-    """Assemble the contraction certificate for generalized D-ADMM.
-
-    `params` carries rho, eta and the proximal weights. Requires eta in (0,1);
-    the spectral quantities are computed at graph level (the identity lift
-    preserves them). M is formed for its lam_max only; the certificate keeps
-    it as node weights rho d + pi and the coupling rho/2 of L.
-    """
-    rho, eta = params.rho, params.eta
-    lam_min, lip_g, mu, gamma_star = _certificate_prelude(graph, profile, rho, eta)
     pi = params.pi_vector(graph.n)
     m_base = 0.5 * rho * (2.0 * np.diag(degrees(graph)) + (2.0 / rho) * np.diag(pi)
                           - laplacian(graph))
     eigvals_m, _ = denselin.sym_eigen(m_base)
     lam_max_m = float(eigvals_m[-1])
-    delta, tau_star = delta_bound(rho, eta, mu, lip_g, lam_min, lam_max_m)
+    candidates = [Candidate(("delta", "tau_star", "lam_max_m"),
+                            *delta_bound(rho, eta, mu, lip_g, lam_min, lam_max_m), lam_max_m)]
+    if not pi.any():
+        candidates.append(Candidate(
+            ("delta_admm", "tau_admm", "lam_max_eu"),
+            *delta_bound(rho, eta, mu, lip_g, lam_min, lam_max_m, corollary=True),
+            2.0 * lam_max_m / rho))
     return RateCertificate(
         rho=rho, eta=eta, mu_g=mu, lipschitz_g=lip_g,
-        lam_min_nonzero=lam_min, tau_star=tau_star, gamma_star=gamma_star,
+        lam_min_nonzero=lam_min, gamma_star=gamma_star,
         dual_weight=2.0 / (rho * eta), x_weights=rho * degrees(graph) + pi,
-        x_coupling=0.5 * rho, graph=graph,
-        delta=delta, lam_max_m=lam_max_m,
-    )
-
-
-def rate_certificate_admm(graph: NetworkGraph, profile: objective.SumProfile,
-                          rho: float, eta: float) -> RateCertificate:
-    """Certificate for the P = 0 case, stated on (alpha, edge variable)."""
-    lam_min, lip_g, mu, gamma_star = _certificate_prelude(graph, profile, rho, eta)
-    gram_u = unoriented_gram(graph)
-    eig_eu, _ = denselin.sym_eigen(gram_u)
-    lam_max_eu = float(eig_eu[-1])
-    delta, tau_star = delta_bound_admm(rho, eta, mu, lip_g, lam_min, lam_max_eu)
-    return RateCertificate(
-        rho=rho, eta=eta, mu_g=mu, lipschitz_g=lip_g,
-        lam_min_nonzero=lam_min, tau_star=tau_star, gamma_star=gamma_star,
-        dual_weight=1.0 / (rho * eta), x_weights=0.5 * rho * degrees(graph),
-        x_coupling=0.25 * rho, graph=graph,
-        delta_admm=delta, lam_max_eu=lam_max_eu,
+        x_coupling=0.5 * rho, graph=graph, candidates=tuple(candidates),
     )
 
 
@@ -528,18 +520,17 @@ def check_uv_conditions(u: np.ndarray, v: np.ndarray, dbar: np.ndarray,
 # -- report serialization --------------------------------------------------------------
 
 def certificate_lines(cert: RateCertificate) -> list[str]:
-    """Line-oriented text form of a certificate (name = value per line)."""
+    """Line-oriented text form of a certificate (name = value per line): the
+    constants, every candidate's tau beside gamma, every candidate's delta
+    and lam_max, and the contraction factor of the checked candidate."""
     items = [
         ("rho", cert.rho), ("eta", cert.eta), ("mu_g", cert.mu_g),
-        ("lipschitz_g", cert.lipschitz_g),
-        ("lam_min_nonzero", cert.lam_min_nonzero),
-        ("tau_star", cert.tau_star), ("gamma_star", cert.gamma_star),
+        ("lipschitz_g", cert.lipschitz_g), ("lam_min_nonzero", cert.lam_min_nonzero),
+        *((c.names[1], c.tau) for c in cert.candidates), ("gamma_star", cert.gamma_star),
+        *(row for c in cert.candidates
+          for row in ((c.names[0], c.delta), (c.names[2], c.lam_max))),
+        ("contraction_factor", cert.contraction_factor()),
     ]
-    if cert.delta is not None:
-        items += [("delta", cert.delta), ("lam_max_m", cert.lam_max_m),
-                  ("contraction_factor", cert.contraction_factor())]
-    if cert.delta_admm is not None:
-        items += [("delta_admm", cert.delta_admm), ("lam_max_eu", cert.lam_max_eu)]
     return [f"{name} = {value:.17g}" for name, value in items]
 
 

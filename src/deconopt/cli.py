@@ -439,7 +439,7 @@ def emit_trace(path, obj_errs, resids, messages, distances=None, delta=None) -> 
 
     The columns are sequences with one entry per round k = 0..K: floats for
     obj_err and consensus_resid, ints for messages. Without `distances`
-    (a float sequence, given with the certificate's `delta`) the columns
+    (a float sequence, given with the `delta` the verify checked) the columns
     u_dist_H_sq, contraction_ratio and delta_bound are empty. With them,
     the contraction ratio is distances[k] / distances[k - 1], empty at k = 0
     and wherever the previous distance is not positive. Each line is one
@@ -535,7 +535,7 @@ def run(config: ExperimentConfig, dump_operators: bool = False) -> int:
 
     os.makedirs(config.out_dir, exist_ok=True)
     distances = None if report is None else report.distances.tolist()
-    delta = None if cert is None else cert.delta
+    delta = None if cert is None else cert.checked.delta
     emit_trace(os.path.join(config.out_dir, "trace.csv"), obj_errs.tolist(),
                resids.tolist(), [0] + [messages] * config.rounds, distances, delta)
 

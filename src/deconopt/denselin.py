@@ -163,7 +163,7 @@ class MinNormTransposeSolver:
             )
         alpha = self._apply((self._inverse @ c.reshape(self._cols, self.p)).ravel())
         resid = np.linalg.norm(self._apply_transpose(alpha) - c)
-        if resid > self.tolerances.minnorm_consistency * np.linalg.norm(c) + self._floor:
+        if not resid <= self.tolerances.minnorm_consistency * np.linalg.norm(c) + self._floor:
             raise Inconsistent(
                 f"rhs is not in the range of the transpose (residual {resid:.3e})"
             )

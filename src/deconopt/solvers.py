@@ -449,10 +449,13 @@ def pextra_mixing(graph: NetworkGraph, xi: float, rho: float, eta: float):
     (I + W)/2 = W~, and beyond it the spectral condition fails by
     construction, which is the point. Unless every entry (xi rho / 2) L_ij
     is finite, a ValueError naming xi and rho is raised before the pair is
-    formed, as is one for a xi without a finite 1/xi (`_check_xi`).
+    formed, as is one for a xi without a finite 1/xi (`_check_xi`) and one
+    for a non-finite eta.
     """
     _check_xi(xi)
     _check_rho(rho)
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got eta = {eta!r}")
     if not math.isfinite(0.5 * xi * rho * float(degrees(graph).max())):
         raise ValueError(f"xi = {xi!r} and rho = {rho!r}: the mixing weights "
                          "(xi rho / 2) L leave the float range")

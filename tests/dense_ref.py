@@ -126,10 +126,10 @@ def grad_g(components, g, rho, eta, x):
 
 
 def x_norm_blocks(g, rho, pi):
-    """The lifted x-blocks of the two certificate norms, from the dense
-    unoriented incidence and the proximal weights pi: M (x) I_p with
-    M = (rho/2) E_u'E_u + diag(pi) for `delta`, and (rho/4) E_u'E_u (x) I_p
-    for `delta_admm`."""
+    """The lifted x-blocks of the certificate's norm and of the P = 0
+    corollary's edge-variable norm, from the dense unoriented incidence and
+    the proximal weights pi: M (x) I_p with M = (rho/2) E_u'E_u + diag(pi),
+    and (rho/4) E_u'E_u (x) I_p, half of M's at pi = 0."""
     e_u = incidence_bases(g)[1]
     gram_u = e_u.T @ e_u
     return lift(0.5 * rho * gram_u + np.diag(pi), g.p), lift(0.25 * rho * gram_u, g.p)

@@ -86,7 +86,7 @@ def test_criterion_1_q_linear_contraction():
                         for pi in PIS:
                             params = AdmmParams(rho, eta, pi)
                             cert = analysis.rate_certificate(graph, profile, params)
-                            assert cert.delta > 0, (kind, n, p, eta, rho, pi)
+                            assert cert.candidates[0].delta > 0, (kind, n, p, eta, rho, pi)
                             xs, phi_last = matrix_trace(graph, components, params, ROUNDS)
                             report = analysis.verify_contraction(xs, phi_last, ref, cert)
                             assert report.slack == SLACK_SCALE * (1 + report.distances[0])
@@ -114,7 +114,7 @@ def test_criterion_1_q_linear_contraction():
         assert report.ok, (kind, n, p, report.violations[:3])
 
 
-@criterion(2, "corollary contraction in the edge-variable norm at P = 0")
+@criterion(2, "corollary contraction at P = 0, in twice its edge-variable norm")
 def test_criterion_2_corollary_norm():
     checked = 0
     for kind in GRAPH_KINDS:
@@ -124,8 +124,10 @@ def test_criterion_2_corollary_norm():
                 for eta in ETAS:
                     for rho in RHOS:
                         params = AdmmParams(rho, eta, 0.0)
-                        cert = analysis.rate_certificate_admm(graph, profile, rho, eta)
-                        assert cert.delta_admm > 0
+                        cert = analysis.rate_certificate(graph, profile, params)
+                        delta_admm = cert.candidates[1].delta
+                        assert delta_admm > 0
+                        assert cert.contraction_factor() == 1.0 / (1.0 + delta_admm)
                         xs, phi_last = matrix_trace(graph, components, params, ROUNDS)
                         report = analysis.verify_contraction(xs, phi_last, ref, cert)
                         assert report.slack == SLACK_SCALE * (1 + report.distances[0])
@@ -270,7 +272,7 @@ def test_criterion_6_overshooting():
 
         params = AdmmParams(rho, omega, solvers.theorem2_pi(graph, xi, rho))
         cert = analysis.rate_certificate(graph, profile, params)
-        assert cert.delta > 0
+        assert cert.checked.delta > 0
 
         engine = solvers.PextraEngine(graph, components,
                                       PextraParams(xi=xi, w=w, w_tilde=wt))
@@ -306,13 +308,14 @@ def test_criterion_8_certificate_internals():
     # tau search vs a dense grid
     for rho, eta, pi in ((0.5, 0.3, 0.0), (1.0, 0.5, 0.1), (5.0, 0.9, 0.1)):
         cert = analysis.rate_certificate(graph, profile, AdmmParams(rho, eta, pi))
+        paper = cert.candidates[0]
         taus = np.logspace(-10, 10, 1_000_001)
-        b1 = rho * eta * cert.lam_min_nonzero / (2.0 * (1.0 + 1.0 / taus) * cert.lam_max_m)
+        b1 = rho * eta * cert.lam_min_nonzero / (2.0 * (1.0 + 1.0 / taus) * paper.lam_max)
         b2 = (rho * eta * cert.mu_g * cert.lam_min_nonzero
               / ((1.0 + taus) * cert.lipschitz_g ** 2
-                 + rho * eta * cert.lam_max_m * cert.lam_min_nonzero))
+                 + rho * eta * paper.lam_max * cert.lam_min_nonzero))
         grid_best = float(np.max(np.minimum(b1, b2)))
-        assert cert.delta == pytest.approx(grid_best, rel=1e-6)
+        assert paper.delta == pytest.approx(grid_best, rel=1e-6)
 
     # gamma search vs a dense grid (refined once around the coarse argmax so
     # the oracle resolves the kink beyond the comparison tolerance)

@@ -152,7 +152,9 @@ class TestRateCertificate:
         graph, comps = ls_preset(seed=5)
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, 0.1))
-        assert cert.delta > 0
+        # with a proximal weight the paper's delta is the one candidate
+        assert [c.names for c in cert.candidates] == [("delta", "tau_star", "lam_max_m")]
+        assert cert.checked.delta > 0
         assert cert.mu_g > 0
         assert cert.lipschitz_g >= profile.lipschitz
         # M is PSD by construction
@@ -164,8 +166,8 @@ class TestRateCertificate:
         # the norm's x-block is kept as n node weights and a scalar coupling
         graph, comps = ls_preset(seed=5)
         profile = objective.sum_profile(comps, graph)
-        for cert in (analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, 0.1)),
-                     analysis.rate_certificate_admm(graph, profile, 1.0, 0.5)):
+        for pi in (0.1, 0.0):
+            cert = analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, pi))
             arrays = [v for v in vars(cert).values() if isinstance(v, np.ndarray)]
             assert [arr.shape for arr in arrays] == [(graph.n,)]
 
@@ -186,18 +188,19 @@ class TestRateCertificate:
         graph, comps = ls_preset(seed=6)
         profile = objective.sum_profile(comps, graph)
         cert = analysis.rate_certificate(graph, profile, AdmmParams(2.0, 0.7, 0.0))
+        paper = cert.candidates[0]
 
         def bound(tau):
             b1 = cert.rho * cert.eta * cert.lam_min_nonzero / (
-                2.0 * (1.0 + 1.0 / tau) * cert.lam_max_m)
+                2.0 * (1.0 + 1.0 / tau) * paper.lam_max)
             b2 = cert.rho * cert.eta * cert.mu_g * cert.lam_min_nonzero / (
                 (1.0 + tau) * cert.lipschitz_g ** 2
-                + cert.rho * cert.eta * cert.lam_max_m * cert.lam_min_nonzero)
+                + cert.rho * cert.eta * paper.lam_max * cert.lam_min_nonzero)
             return min(b1, b2)
 
         taus = np.logspace(-8, 8, 200001)
         grid_best = max(bound(t) for t in taus)
-        assert cert.delta == pytest.approx(grid_best, rel=1e-6)
+        assert paper.delta == pytest.approx(grid_best, rel=1e-6)
 
     def test_extra_proximal_weight_never_helps(self):
         graph, comps = ls_preset(seed=7)
@@ -205,8 +208,10 @@ class TestRateCertificate:
         base = analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, 0.0))
         for c in (0.5, 2.0, 10.0):
             heavier = analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, c))
-            assert heavier.lam_max_m > base.lam_max_m
-            assert heavier.delta <= base.delta + 1e-12
+            assert heavier.candidates[0].lam_max > base.candidates[0].lam_max
+            assert heavier.candidates[0].delta <= base.candidates[0].delta + 1e-12
+            # nor against the P = 0 corollary's candidate, which base checks
+            assert heavier.checked.delta <= base.checked.delta + 1e-12
 
     def test_eta_out_of_range(self):
         graph, comps = ls_preset(seed=8)
@@ -217,7 +222,8 @@ class TestRateCertificate:
     def test_one_laplacian_decomposition_per_certificate(self, monkeypatch):
         # L is decomposed once per graph (lam_min_nonzero and lam_max(L)
         # come from that one spectrum): the first certificate decomposes L
-        # and its norm matrix M, the second only its norm matrix E_u'E_u;
+        # and its norm matrix M, the second (at P = 0) only its M, whose
+        # lam_max gives the corollary's lam_max(E_u'E_u) = 2 lam_max(M) / rho;
         # the constants equal those of separate decompositions
         graph, comps = ls_preset(seed=8)
         profile = objective.sum_profile(comps, graph)
@@ -236,55 +242,75 @@ class TestRateCertificate:
         cert = analysis.rate_certificate(graph, profile, params)
         assert orders == [graph.n, graph.n]
         orders.clear()
-        cert_admm = analysis.rate_certificate_admm(graph, profile, 1.0, 0.5)
+        cert_admm = analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, 0.0))
         assert orders == [graph.n]
+        lam_max_eu = float(real(netgraph.unoriented_gram(graph))[0][-1])
+        assert cert_admm.candidates[1].lam_max == pytest.approx(lam_max_eu, rel=1e-12)
         for c in (cert, cert_admm):
             assert c.lam_min_nonzero == lam_min
             assert c.lipschitz_g == profile.lipschitz + 0.25 * lam_max
 
     def test_delta_invariant_under_block_lift(self):
         # spectra computed at graph level equal those of the lifted operators
+        # (the P = 0 corollary's candidate too)
         for p in (1, 2, 3):
             graph, comps = ls_preset(seed=10, n=4, p=p)
             profile = objective.sum_profile(comps, graph)
-            params = AdmmParams(1.0, 0.5, 0.2)
-            cert = analysis.rate_certificate(graph, profile, params)
-            e_o = dense_ref.lifted_incidence(graph)[0]
-            lifted_gram = e_o.T @ e_o
-            lam_min_lif = denselin.smallest_nonzero(denselin.sym_eigen(lifted_gram)[0])
-            eig_m, _ = denselin.sym_eigen(
-                np.kron(dense_ref.x_block(cert), np.eye(p)))
-            delta_lifted, _ = analysis.delta_bound(
-                params.rho, params.eta, cert.mu_g, cert.lipschitz_g,
-                lam_min_lif, float(eig_m[-1]),
-            )
-            assert delta_lifted == pytest.approx(cert.delta, rel=1e-9)
+            for pi in (0.2, 0.0):
+                params = AdmmParams(1.0, 0.5, pi)
+                cert = analysis.rate_certificate(graph, profile, params)
+                e_o = dense_ref.lifted_incidence(graph)[0]
+                lifted_gram = e_o.T @ e_o
+                lam_min_lif = denselin.smallest_nonzero(denselin.sym_eigen(lifted_gram)[0])
+                eig_m, _ = denselin.sym_eigen(
+                    np.kron(dense_ref.x_block(cert), np.eye(p)))
+                for cand, corollary in zip(cert.candidates, (False, True)):
+                    delta_lifted, _ = analysis.delta_bound(
+                        params.rho, params.eta, cert.mu_g, cert.lipschitz_g,
+                        lam_min_lif, float(eig_m[-1]), corollary,
+                    )
+                    assert delta_lifted == pytest.approx(cand.delta, rel=1e-9)
 
 
 class TestRateCertificateAdmm:
+    """The P = 0 corollary's candidate bound, in the edge-variable norm
+    (1/(rho eta) on the dual, (rho/4) E_u'E_u on x), half of the certificate's."""
+
     def test_path3_unoriented_gram_spectrum(self):
         g = netgraph.build_graph(3, [(1, 2), (2, 3)], 1)
         e_u = dense_ref.incidence_bases(g)[1]
         assert np.array_equal(netgraph.unoriented_gram(g), e_u.T @ e_u)
         eigvals, _ = denselin.sym_eigen(netgraph.unoriented_gram(g))
         assert_allclose(eigvals, [0.0, 2.0, 6.0], atol=1e-10)
+        # the candidate reads the same lam_max off M = (rho/2) E_u'E_u
+        comps = [RankOneLeastSquares([1.0], float(y)) for y in range(3)]
+        cert = analysis.rate_certificate(g, objective.sum_profile(comps, g),
+                                         AdmmParams(0.7, 0.5, 0.0))
+        assert cert.candidates[1].lam_max == pytest.approx(6.0, rel=1e-14)
 
     def test_positive_delta(self):
         graph, comps = ls_preset(seed=12)
         profile = objective.sum_profile(comps, graph)
-        cert = analysis.rate_certificate_admm(graph, profile, rho=1.0, eta=0.9)
-        assert cert.delta_admm > 0
-        assert cert.lam_max_eu > 0
+        cert = analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.9, 0.0))
+        paper, corollary = cert.candidates
+        assert corollary.names == ("delta_admm", "tau_admm", "lam_max_eu")
+        assert corollary.delta > 0
+        assert corollary.lam_max > 0
+        # the sharper of the two is the one the verify checks
+        assert corollary.delta > paper.delta
+        assert cert.checked is corollary
+        assert cert.contraction_factor() == 1.0 / (1.0 + corollary.delta)
 
     def test_first_branch_limit(self):
         graph, comps = ls_preset(seed=13)
         profile = objective.sum_profile(comps, graph)
-        cert = analysis.rate_certificate_admm(graph, profile, rho=1.0, eta=0.8)
-        limit = cert.eta * cert.lam_min_nonzero / cert.lam_max_eu
+        cert = analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.8, 0.0))
+        lam_eu, delta = cert.candidates[1].lam_max, cert.candidates[1].delta
+        limit = cert.eta * cert.lam_min_nonzero / lam_eu
         for tau in (1e6, 1e9):
-            b1 = cert.eta * cert.lam_min_nonzero / ((1.0 + 1.0 / tau) * cert.lam_max_eu)
+            b1 = cert.eta * cert.lam_min_nonzero / ((1.0 + 1.0 / tau) * lam_eu)
             assert b1 == pytest.approx(limit, rel=1e-5)
-        assert cert.delta_admm <= limit + 1e-12
+        assert delta <= limit + 1e-12
 
 
     def test_unusable_spectrum_is_certificate_unavailable(self, monkeypatch):
@@ -296,13 +322,14 @@ class TestRateCertificateAdmm:
 
         monkeypatch.setattr(denselin, "smallest_nonzero", fail)
         with pytest.raises(CertificateUnavailable) as info:
-            analysis.rate_certificate_admm(graph, profile, rho=1.0, eta=0.5)
+            analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, 0.0))
         assert isinstance(info.value.__cause__, IndefiniteInput)
 
 
 class TestClosedFormCrossings:
-    """gamma_star and tau_star are where each max-min problem's falling and
-    rising branches cross, so the branches agree there to roundoff."""
+    """gamma_star and every candidate's tau are where each max-min problem's
+    falling and rising branches cross, so the branches agree there to
+    roundoff."""
 
     @pytest.mark.parametrize("seed,n,p", [(1, 5, 2), (2, 12, 3), (3, 30, 1)])
     def test_branches_meet_at_the_returned_scalars(self, seed, n, p):
@@ -312,11 +339,12 @@ class TestClosedFormCrossings:
         eps = np.finfo(float).eps
         for rho in (0.01, 1.0, 300.0):
             for eta in (0.05, 0.5, 0.95):
-                certs = [analysis.rate_certificate(graph, profile, AdmmParams(rho, eta, pi))
-                         for pi in (0.0, 0.1, 5.0)]
-                certs.append(analysis.rate_certificate_admm(graph, profile, rho, eta))
-                for cert in certs:
-                    lam, g, tau = cert.lam_min_nonzero, cert.gamma_star, cert.tau_star
+                for pi in (0.0, 0.1, 5.0):
+                    cert = analysis.rate_certificate(graph, profile, AdmmParams(rho, eta, pi))
+                    # the P = 0 corollary is a candidate exactly when pi = 0
+                    assert [c.names[0] for c in cert.candidates] == (
+                        ["delta", "delta_admm"] if pi == 0.0 else ["delta"])
+                    lam, g = cert.lam_min_nonzero, cert.gamma_star
                     # mu_g's falling branch is a difference of terms near a,
                     # so its roundoff is on a's scale
                     falling = a - 2.0 * lip * g
@@ -324,18 +352,20 @@ class TestClosedFormCrossings:
                     assert abs(falling - rising) <= 32 * eps * a
                     assert cert.mu_g == pytest.approx(min(falling, rising), abs=32 * eps * a)
                     lip_sq = cert.lipschitz_g ** 2
-                    if cert.delta is not None:
-                        lam_m, delta = cert.lam_max_m, cert.delta
-                        rising = rho * eta * lam / (2.0 * (1.0 + 1.0 / tau) * lam_m)
-                        falling = rho * eta * cert.mu_g * lam / (
-                            (1.0 + tau) * lip_sq + rho * eta * lam_m * lam)
-                    else:
-                        lam_eu, delta = cert.lam_max_eu, cert.delta_admm
-                        rising = eta * lam / ((1.0 + 1.0 / tau) * lam_eu)
-                        falling = 2.0 * rho * eta * cert.mu_g * lam / (
-                            rho * rho * eta * lam_eu * lam + (1.0 + tau) * lip_sq)
-                    assert rising == pytest.approx(falling, rel=16 * eps)
-                    assert delta == pytest.approx(min(rising, falling), rel=16 * eps)
+                    for cand in cert.candidates:
+                        tau = cand.tau
+                        if cand.names[0] == "delta":
+                            lam_m = cand.lam_max
+                            rising = rho * eta * lam / (2.0 * (1.0 + 1.0 / tau) * lam_m)
+                            falling = rho * eta * cert.mu_g * lam / (
+                                (1.0 + tau) * lip_sq + rho * eta * lam_m * lam)
+                        else:
+                            lam_eu = cand.lam_max
+                            rising = eta * lam / ((1.0 + 1.0 / tau) * lam_eu)
+                            falling = 2.0 * rho * eta * cert.mu_g * lam / (
+                                rho * rho * eta * lam_eu * lam + (1.0 + tau) * lip_sq)
+                        assert rising == pytest.approx(falling, rel=16 * eps)
+                        assert cand.delta == pytest.approx(min(rising, falling), rel=16 * eps)
 
 class TestVerifyContraction:
     def test_least_squares_run_contracts(self):
@@ -383,10 +413,13 @@ class TestVerifyContraction:
         params = AdmmParams(1.0, 0.5, 0.1)
         assert (analysis.rate_certificate(graph, profile, params)
                 == analysis.rate_certificate(graph, profile, params))
-        assert (analysis.rate_certificate_admm(graph, profile, 1.0, 0.5)
-                == analysis.rate_certificate_admm(graph, profile, 1.0, 0.5))
+        zero = AdmmParams(1.0, 0.5, 0.0)
+        assert (analysis.rate_certificate(graph, profile, zero)
+                == analysis.rate_certificate(graph, profile, zero))
         assert (analysis.rate_certificate(graph, profile, params)
                 != analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, 0.2)))
+        assert (analysis.rate_certificate(graph, profile, params)
+                != analysis.rate_certificate(graph, profile, zero))
 
     def test_violation_detected_on_fake_trace(self):
         # a consensual shift leaves E_o x = 0, so the dual stays at alpha*
@@ -448,17 +481,19 @@ class TestVerifyContraction:
         graph, comps = ls_preset(seed=6)
         params = AdmmParams(1.0, 0.5, 0.0)
         profile = objective.sum_profile(comps, graph)
-        cert = analysis.rate_certificate_admm(graph, profile, params.rho, params.eta)
+        cert = analysis.rate_certificate(graph, profile, params)
         ref = analysis.reference_solution(graph, comps)
         xs, _, phis = run_matrix_trace(graph, comps, params, 300)
         report = analysis.verify_contraction(xs, phis[-1], ref, cert)
+        assert report.bound == 1.0 / (1.0 + cert.candidates[1].delta)
         assert report.ok
 
     @pytest.mark.parametrize("norm", ["u", "v"])
     def test_distances_match_per_row_dense_formulas(self, norm):
         # u: 2/(rho eta)|da|^2 + dx'M dx with M = (rho/2) E_u'E_u + pi I (the
-        # lifted 0.5 rho (2D + (2/rho) P - L)); v: 1/(rho eta)|da|^2 + rho|E_u dx / 2|^2,
-        # on the engine's tracked alpha
+        # lifted 0.5 rho (2D + (2/rho) P - L)); v, at pi = 0: twice the
+        # corollary's 1/(rho eta)|da|^2 + rho|E_u dx / 2|^2, on the engine's
+        # tracked alpha
         graph, comps = ls_preset(seed=8, n=7, p=3)
         pi = 0.1 if norm == "u" else 0.0
         params = AdmmParams(0.7, 0.4, pi)
@@ -467,12 +502,11 @@ class TestVerifyContraction:
         xs, alphas, phis = run_matrix_trace(graph, comps, params, 150)
         rho, eta = params.rho, params.eta
         e_u = dense_ref.lifted_incidence(graph)[1]
+        cert = analysis.rate_certificate(graph, profile, params)
         if norm == "u":
-            cert = analysis.rate_certificate(graph, profile, params)
             weight, m_lift = 2.0 / (rho * eta), 0.5 * rho * e_u.T @ e_u + pi * np.eye(len(xs[0]))
         else:
-            cert = analysis.rate_certificate_admm(graph, profile, rho, eta)
-            weight, m_lift = 1.0 / (rho * eta), 0.25 * rho * e_u.T @ e_u
+            weight, m_lift = 2.0 * (1.0 / (rho * eta)), 2.0 * (0.25 * rho * e_u.T @ e_u)
         want = [weight * float((a - ref.alpha_star) @ (a - ref.alpha_star))
                 + float((x - ref.x_star) @ m_lift @ (x - ref.x_star))
                 for x, a in zip(xs, alphas)]
@@ -490,7 +524,10 @@ class TestVerifyContraction:
     def test_node_weight_x_term_equals_dense_form(self, kind, p, pi, shape):
         # distances with the x-term dx'(X (x) I_p)dx, X from the dense
         # incidence; rows x* + d, x* - d bring alpha back to alpha* (up to
-        # roundoff), so every other row is its x-term alone
+        # roundoff), so every other row is its x-term alone. "delta_admm":
+        # the one norm is twice the P = 0 corollary's edge-variable norm
+        # (1/(rho eta) on the dual) plus the proximal term, so exactly twice
+        # it at pi = 0: the identity that makes the corollary a candidate
         n, edges = self.X_NORM_GRAPHS[shape]
         graph = netgraph.build_graph(n, edges, p)
         comps = ls_preset(seed=12, n=n, p=p)[1]
@@ -499,12 +536,11 @@ class TestVerifyContraction:
         profile = objective.sum_profile(comps, graph)
         ref = analysis.reference_solution(graph, comps)
         m_lift, eu_lift = dense_ref.x_norm_blocks(graph, rho, params.pi_vector(n))
+        cert = analysis.rate_certificate(graph, profile, params)
         if kind == "delta":
-            cert = analysis.rate_certificate(graph, profile, params)
             weight, x_lift = 2.0 / (rho * eta), m_lift
         else:
-            cert = analysis.rate_certificate_admm(graph, profile, rho, eta)
-            weight, x_lift = 1.0 / (rho * eta), eu_lift
+            weight, x_lift = 2.0 * (1.0 / (rho * eta)), 2.0 * eu_lift + pi * np.eye(n * p)
         assert_allclose(dense_ref.lift(dense_ref.x_block(cert), p), x_lift, rtol=0, atol=1e-15)
         rng = np.random.default_rng(n + 10 * p)
         ds = rng.standard_normal((3, n * p))
@@ -529,9 +565,8 @@ class TestVerifyContraction:
         profile = objective.sum_profile(comps, graph)
         ref = analysis.reference_solution(graph, comps)
         xs, _, phis = run_matrix_trace(graph, comps, params, 300)
-        for cert in (analysis.rate_certificate(graph, profile, params),
-                     analysis.rate_certificate_admm(graph, profile, params.rho,
-                                                    params.eta)):
+        for pi in (0.1, 0.0):
+            cert = analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, pi))
             via_alpha = cert.distances_sq(xs, phis[-1], ref)
             via_phi = dense_ref.phi_space_distances_sq(cert, ref, xs, phis)
             above = via_alpha > 1e-10 * via_alpha[0]
@@ -730,7 +765,12 @@ def test_certificate_serialization_roundtrip_values():
     cert = analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, 0.0))
     lines = analysis.certificate_lines(cert)
     values = dict(line.split(" = ") for line in lines)
-    assert float(values["delta"]) == cert.delta
+    assert len(values) == len(lines)
+    for cand in cert.candidates:
+        for name, value in zip(cand.names, (cand.delta, cand.tau, cand.lam_max)):
+            assert float(values[name]) == value
+    assert float(values["contraction_factor"]) == cert.contraction_factor()
+    assert cert.contraction_factor() == 1.0 / (1.0 + cert.candidates[1].delta)
     rows = analysis.certificate_csv_rows(cert)
     assert rows[0] == "name,value"
     assert len(rows) == len(lines) + 1

@@ -593,6 +593,45 @@ class TestTraceFile:
         assert a != b
 
 
+class TestCertificateFiles:
+    """The contract of the certificate files that a reader such as the
+    benchmark's relies on: every certificate.txt line parses as
+    `name = <float>`, each name once; certificate.csv holds the same values;
+    the trace's delta_bound column is the delta the verify checked."""
+
+    TEN = ["rho", "eta", "mu_g", "lipschitz_g", "lam_min_nonzero", "tau_star",
+           "gamma_star", "delta", "lam_max_m", "contraction_factor"]
+
+    @pytest.mark.parametrize("pi", ["0.1", "0"])
+    def test_lines_parse_and_delta_bound_is_the_checked_delta(self, pi, tmp_path):
+        out = tmp_path / "c"
+        text = EXPLICIT_INI.format(out=out).replace("eta = 0.5", f"eta = 0.5\npi = {pi}")
+        assert cli.main(["run", write(tmp_path, text), "--verify"]) == 0
+        lines = (out / "certificate.txt").read_text().splitlines()
+        values = {}
+        for line in lines:
+            name, sep, value = line.partition(" = ")
+            assert sep and re.fullmatch(r"[a-z_]+", name), line
+            assert name not in values, line
+            values[name] = float(value)
+        with open(out / "certificate.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["name", "value"]
+        assert [f"{name} = {value}" for name, value in rows[1:]] == lines[:len(rows) - 1]
+        names = [name for name, _ in rows[1:]]
+        if pi == "0.1":
+            assert names == self.TEN
+            assert list(values) == self.TEN + ["violations", "worst_ratio"]
+        else:
+            # the P = 0 corollary adds its delta, tau and lam_max
+            assert set(names) == set(self.TEN) | {"delta_admm", "tau_admm", "lam_max_eu"}
+        checked = max(values["delta"], values.get("delta_admm", 0.0))
+        assert values["contraction_factor"] == 1.0 / (1.0 + checked)
+        with open(out / "trace.csv", newline="") as fh:
+            deltas = {row["delta_bound"] for row in csv.DictReader(fh)}
+        assert [float(d) for d in deltas] == [checked]
+
+
 class TestBatchedTraceColumns:
     """obj_err and consensus_resid, computed for all rows at once, equal the
     per-row formulas applied to the iterates the run produced."""

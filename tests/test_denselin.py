@@ -283,6 +283,13 @@ class TestMinNormSolve:
         assert_allclose(a1, [0.5, -0.5], atol=1e-12)
         assert_allclose(a2, [-1.0, 1.0], atol=1e-12)
 
+    def test_nonfinite_rhs_inconsistent(self):
+        # the range test reads "not resid <= tol": a NaN rhs makes both NaN,
+        # which `resid > tol` would let through as a NaN multiplier
+        ring4 = netgraph.build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], 1)
+        with pytest.raises(Inconsistent, match="residual nan"):
+            netgraph.e_o_min_norm_solver(ring4)(np.array([1.0, -1.0, np.nan, 0.0]))
+
     def test_nonfinite_matrix_rejected(self):
         with pytest.raises(NonFinite):
             dense_ref.min_norm_solver([[1.0, np.nan], [-1.0, 1.0]])

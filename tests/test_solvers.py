@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -69,9 +70,12 @@ class TestNonFiniteScalars:
              .pi_vector(graph.n)),
             ("rho", lambda: solvers.theorem2_pi(graph, 0.01, bad)),
             ("rho", lambda: solvers.pextra_mixing(graph, 0.01, bad, 0.5)),
+            ("eta", lambda: solvers.pextra_mixing(graph, 0.01, 1.0, bad)),
             ("epsilon", lambda: solvers.ApproxMMEngine(graph, comps, params, epsilon=bad)),
             ("rho", lambda: analysis.mu_g(profile, graph, bad, 0.5)),
-            ("rho", lambda: analysis.rate_certificate_admm(graph, profile, bad, 0.5)),
+            # params not built by AdmmParams, which would refuse rho itself
+            ("rho", lambda: analysis.rate_certificate(
+                graph, profile, types.SimpleNamespace(rho=bad, eta=0.5))),
         ]
         for name, call in calls:
             with pytest.raises(ValueError, match=rf"\b{name} = "):
@@ -978,7 +982,7 @@ class TestCallbackComponents:
         params = AdmmParams(rho=1.0, eta=0.5, pi=0.1)
         profile = objective.sum_profile(comps, graph, mu_sum=mu)
         cert = analysis.rate_certificate(graph, profile, params)
-        assert cert.delta > 0
+        assert cert.checked.delta > 0
         ref = analysis.reference_solution(graph, comps)
         engine = solvers.DadmmMatrixEngine(graph, comps, params)
         st = engine.init()
