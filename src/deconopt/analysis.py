@@ -519,10 +519,13 @@ def check_uv_conditions(u: np.ndarray, v: np.ndarray, dbar: np.ndarray,
 
 # -- report serialization --------------------------------------------------------------
 
-def certificate_lines(cert: RateCertificate) -> list[str]:
+def certificate_lines(cert: RateCertificate,
+                      report: ContractionReport | None = None) -> list[str]:
     """Line-oriented text form of a certificate (name = value per line): the
     constants, every candidate's tau beside gamma, every candidate's delta
-    and lam_max, and the contraction factor of the checked candidate."""
+    and lam_max, and the contraction factor of the checked candidate; with
+    the `report` of a verify, its verdict: the count of violations and,
+    when defined, the worst ratio."""
     items = [
         ("rho", cert.rho), ("eta", cert.eta), ("mu_g", cert.mu_g),
         ("lipschitz_g", cert.lipschitz_g), ("lam_min_nonzero", cert.lam_min_nonzero),
@@ -531,10 +534,16 @@ def certificate_lines(cert: RateCertificate) -> list[str]:
           for row in ((c.names[0], c.delta), (c.names[2], c.lam_max))),
         ("contraction_factor", cert.contraction_factor()),
     ]
+    if report is not None:
+        items.append(("violations", len(report.violations)))
+        if report.worst_ratio is not None:
+            items.append(("worst_ratio", report.worst_ratio))
     return [f"{name} = {value:.17g}" for name, value in items]
 
 
-def certificate_csv_rows(cert: RateCertificate) -> list[str]:
+def certificate_csv_rows(cert: RateCertificate,
+                         report: ContractionReport | None = None) -> list[str]:
+    """`certificate_lines` as `name,value` rows under a header."""
     return ["name,value"] + [
-        line.replace(" = ", ",") for line in certificate_lines(cert)
+        line.replace(" = ", ",") for line in certificate_lines(cert, report)
     ]

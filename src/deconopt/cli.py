@@ -61,6 +61,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import gc
 import math
 import os
 import sys
@@ -381,50 +382,39 @@ _ENGINES = {
 ALGORITHMS = tuple(_ENGINES)
 
 
-def _run_algorithm(name: str, config: ExperimentConfig, graph, components,
-                   params: solvers.AdmmParams, blocks):
-    """Run one algorithm for the configured rounds from its engine's
-    `init` state, a zero dual.
-
-    `blocks` yields (k, n*p) float arrays whose row counts add up to
-    rounds + 1, and the run fills each in place before it asks for the next
-    (so a block may be handed out again): the first row with the initial
-    state, each next one with the stacked iterate after one more round, by
-    one `step(state, rows)` of the engine `_ENGINES` builds per block.
-    Returns `phi_last`, the dual aggregate after the last round, the one
-    dual the verification reads (it takes the other rounds' duals off the
-    iterates), and the message count of a round, the same for every round.
-    """
-    per_arc, make = _ENGINES[name]
+def _run_engines(config: ExperimentConfig, graph, components, params: solvers.AdmmParams,
+                 xs: np.ndarray):
+    """Fill the (rounds+1, n*p) float array xs with the configured
+    algorithm's iterates, from its engine's `init` state, a zero dual: row 0
+    with the initial state, then one `step` per block of
+    `objective._ROW_BLOCK` rows, each copying a round's iterate into its
+    row. Both engines `_ENGINES` builds exist before either steps; the
+    comparison, when configured, steps in lockstep into one reused block
+    buffer, and each block gives its rows' gaps max|xs[k] - x_k|. Returns
+    the primary's dual aggregate after the last round (`phi`, the one dual
+    the verification reads), the comparison's gaps or None, and the message
+    count of a round, the same for every round."""
+    per_arc, make = _ENGINES[config.algorithm]
     engine = make(graph, components, params, config)
+    other = None if config.compare is None else _ENGINES[config.compare][1](
+        graph, components, params, config)
     state = engine.init()
-    first = True
-    for rows in blocks:
-        if first:
-            rows[0] = state.x
-            rows, first = rows[1:], False
-        if len(rows):
-            state = engine.step(state, rows)
-    return engine.phi(state), per_arc * graph.m
-
-
-def _row_blocks(xs):
-    """The primary run's blocks: views of `objective._ROW_BLOCK` rows of xs."""
-    return (xs[start:start + objective._ROW_BLOCK]
-            for start in range(0, len(xs), objective._ROW_BLOCK))
-
-
-def _gap_blocks(xs, gaps):
-    """The comparison run's blocks: one (objective._ROW_BLOCK, n*p) buffer,
-    handed out again for each block of rows; once the run has filled it,
-    `gaps[k] = max|xs[k] - x_k|` is formed for its rows in place."""
-    buf = np.empty((min(len(xs), objective._ROW_BLOCK), xs.shape[1]))
-    for start in range(0, len(xs), len(buf)):
-        block = buf[:len(xs) - start]
-        yield block
-        stop = start + len(block)
-        np.subtract(xs[start:stop], block, out=block)
-        np.abs(block, out=block).max(axis=1, out=gaps[start:stop])
+    xs[0] = state.x
+    gaps = None
+    if other is not None:
+        other_state = other.init()
+        gaps = np.empty(len(xs))
+        gaps[0] = np.abs(xs[0] - other_state.x).max()
+        buf = np.empty((min(len(xs) - 1, objective._ROW_BLOCK), xs.shape[1]))
+    for start in range(1, len(xs), objective._ROW_BLOCK):
+        rows = xs[start:start + objective._ROW_BLOCK]
+        state = engine.step(state, rows)
+        if other is not None:
+            block = buf[:len(rows)]
+            other_state = other.step(other_state, block)
+            np.subtract(rows, block, out=block)
+            np.abs(block, out=block).max(axis=1, out=gaps[start:start + len(rows)])
+    return engine.phi(state), gaps, per_arc * graph.m
 
 
 def _write_lines(path, header: str, lines) -> None:
@@ -483,11 +473,12 @@ def run(config: ExperimentConfig, dump_operators: bool = False) -> int:
     """Execute one experiment; returns the process exit code.
 
     The component list's stacked view is built once and serves every pass
-    over the sum. Only the primary run's (rounds+1, n*p) iterates are kept,
-    each block of them written in place by the run; a comparison run fills
-    one block buffer again and again, whose rows become compare.csv's gaps
-    a block at a time. The obj_err and consensus_resid columns are one
-    row-wise pass each over the kept iterates. Every computation ends
+    over the sum. Only the primary run's (rounds+1, n*p) iterates are
+    kept, filled a block at a time by `_run_engines`; the comparison steps
+    in lockstep, so a comparison that fails its set-up fails the run before
+    any round, and its rows become compare.csv's gaps a block at a time.
+    The obj_err and consensus_resid columns are one row-wise pass each over
+    the kept iterates. Every computation ends
     before the first file is written, so a run that fails writes nothing;
     a value that leaves the float range on the way fails it with a
     ConfigError (`_float_range`). `dump_operators` adds the operator CSVs
@@ -516,19 +507,12 @@ def run(config: ExperimentConfig, dump_operators: bool = False) -> int:
             raise ConfigError(f"rho = {config.rho!r}: the penalty weights rho d_i "
                               "leave the float range")
 
-        phi_last, messages = _run_algorithm(config.algorithm, config, graph, components,
-                                            params, _row_blocks(xs))
+        phi_last, gaps, messages = _run_engines(config, graph, components, params, xs)
 
         report = None
         if cert is not None:
             report = analysis.verify_contraction(xs, phi_last, ref, cert,
                                                  tolerances=config.tolerances)
-
-        gaps = None
-        if config.compare is not None:
-            gaps = np.empty(len(xs))
-            _run_algorithm(config.compare, config, graph, components, params,
-                           _gap_blocks(xs, gaps))
 
         obj_errs = objective.sum_value(components, xs) - ref.objective_value
         resids = netgraph.consensuality_residual(graph, xs)
@@ -540,14 +524,10 @@ def run(config: ExperimentConfig, dump_operators: bool = False) -> int:
                resids.tolist(), [0] + [messages] * config.rounds, distances, delta)
 
     if cert is not None:
-        lines = analysis.certificate_lines(cert)
-        lines.append(f"violations = {len(report.violations)}")
-        if report.worst_ratio is not None:
-            lines.append(f"worst_ratio = {report.worst_ratio:.17g}")
         with open(os.path.join(config.out_dir, "certificate.txt"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join(analysis.certificate_lines(cert, report)) + "\n")
         with open(os.path.join(config.out_dir, "certificate.csv"), "w", newline="") as fh:
-            fh.write("\n".join(analysis.certificate_csv_rows(cert)) + "\n")
+            fh.write("\n".join(analysis.certificate_csv_rows(cert, report)) + "\n")
 
     if gaps is not None:
         _write_lines(os.path.join(config.out_dir, "compare.csv"), "k,max_abs_dx",
@@ -579,6 +559,18 @@ def _dump_operators(graph, out_dir: str) -> None:
 
 
 def main(argv=None) -> int:
+    """The command line; returns the exit code. The heap that exists on entry
+    (the interpreter's and the imports') is frozen out of garbage collection
+    until it returns, so a collection during a run scans only what the run
+    allocated. The freeze comes first: building the parser may collect."""
+    gc.freeze()
+    try:
+        return _main(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="deconopt",
         description="Decentralized consensus optimization experiment runner",

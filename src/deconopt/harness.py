@@ -29,21 +29,19 @@ The three factories only pick the weights:
   (W~ - W)/xi is eta rho/2 L, D-ADMM's V up to roundoff: Theorem 2's shared
   dual step.
 
-A round may write its new x rows into an (n, p) array the caller hands
-over (`network_round`'s `out`), and `run_rounds` fills a block of the
-caller's (rounds, n p) rows that way, one row per round, with no copy but
-that of the last row (`block_outputs`). Every executed round reports m
-messages of p scalars in its `RoundLog`; the observer's call for the
-current state reports none. `RoundLog` and the observer serve library users
-and tracing. Each of `solvers.DadmmEngine`, `solvers.PextraEngine` and
-`solvers.GeneralUVEngine` holds a network: its `step` loads the state into it
-once and makes one `run_rounds` call, with no observer, so engine and network
-agree bit for bit. The CLI runs those engines, one step per block of rows.
+A round's new x rows are a new array, and `run_rounds` copies each one
+into its row of a block of the caller's (rounds, n p) rows. Every executed
+round reports m messages of p scalars in its `RoundLog`; the observer's
+call for the current state reports none. `RoundLog` and the observer serve
+library users and tracing. Each of `solvers.DadmmEngine`,
+`solvers.PextraEngine` and `solvers.GeneralUVEngine` holds a network: its
+`step` loads the state into it once and makes one `run_rounds` call, with
+no observer, so engine and network agree bit for bit. The CLI runs those
+engines, one step per block of rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -95,9 +93,8 @@ class Network:
     one's entries (dst, src) on the arcs in label order, then its diagonal,
     repeated along the p columns (a broadcast multiply is slower).
     Assigning `x` sets `mixed` to `mixes(x)`. A round replaces `x` and `dual`
-    and never writes into the arrays they held, so arrays handed out and
-    `mixed` stay valid; its new `x` is a new array or the `out` rows it was
-    given.
+    with new arrays and never writes into the arrays they held, so arrays
+    handed out and `mixed` stay valid.
     """
 
     def __init__(self, graph: NetworkGraph, components, u, v, a, pi, *,
@@ -129,38 +126,23 @@ class Network:
         return np.bincount(self._scatter, sent, 2 * x.size).reshape(2, *x.shape)
 
 
-def network_round(net: Network, out=None) -> tuple[int, ...]:
-    """One synchronous round; returns each agent's subproblem iteration count.
-    With `out`, an (n, p) float array apart from the network's arrays, the
-    new x rows are written into it and `net.x` becomes it (the same bits)."""
+def network_round(net: Network) -> tuple[int, ...]:
+    """One synchronous round; returns each agent's subproblem iteration count."""
     c = net.dual + net.mixed[0]
-    net.x, iters = objective.local_subproblem_ex(net.local, c, net.x, out)
+    net.x, iters = objective.local_subproblem_ex(net.local, c, net.x)
     net.dual = net.dual + net.mixed[1]
     return iters
 
 
-def block_outputs(rows, shape: tuple[int, int]):
-    """The (n, p) array each round of a block writes its new x into, one per
-    row of `rows`, a (k, n*p) float array: views of its first k - 1 rows,
-    then a new array, which is copied into the last row once the last round
-    is done. So the state after a block holds no view of `rows`, and the
-    caller may overwrite them. Raises DimensionMismatch unless `rows` is a
-    2-D float array of rows of n*p entries (splitting its last axis into
-    (n, p) never copies, so the views write into `rows`)."""
-    width = math.prod(shape)
+def row_count(rows, width: int) -> int:
+    """len(rows), the rounds of a step that copies each round's x into a row
+    of `rows`; raises DimensionMismatch unless `rows` is a 2-D float array of
+    rows of `width` entries."""
     if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64
             and rows.ndim == 2 and rows.shape[1] == width):
         raise DimensionMismatch(f"rows must be a float array of rows of {width} entries, "
                                 f"got {getattr(rows, 'shape', None)}")
-    return _outputs(rows.reshape(len(rows), *shape))
-
-
-def _outputs(views: np.ndarray):
-    yield from views[:-1]
-    if len(views):
-        last = np.empty(views.shape[1:])
-        yield last
-        views[-1] = last
+    return len(rows)
 
 
 def _check_mixing_support(mat: np.ndarray, graph: NetworkGraph) -> None:
@@ -218,25 +200,23 @@ def run_rounds(net: Network, graph: NetworkGraph, rounds: int, observer=None,
     """Execute `rounds` synchronous rounds from the network's current state;
     returns the network.
 
-    With `rows`, a (rounds, n*p) float array, round k's x is written into
-    rows[k - 1] in place (`block_outputs`; DimensionMismatch for other
-    rows), so a caller fills its iterate rows block by block with
+    With `rows`, a (rounds, n*p) float array (`row_count`; DimensionMismatch
+    for other rows or another count), round k's x is copied into
+    rows[k - 1], so a caller fills its iterate rows block by block with
     successive calls. The observer, when given, receives (k, stacked x,
     stacked phi, RoundLog) once for the current state (k = 0, zero
     messages) and once per round k = 1..rounds of this call; each round's
     log reaches it only, and is not kept.
     """
-    if rows is None:
-        outputs = itertools.repeat(None, rounds)
-    else:
-        outputs = block_outputs(rows, net.x.shape)
-        if len(rows) != rounds:
-            raise DimensionMismatch(f"rows must hold {rounds} rounds, got {len(rows)}")
+    if rows is not None and row_count(rows, net.x.size) != rounds:
+        raise DimensionMismatch(f"rows must hold {rounds} rounds, got {len(rows)}")
     if observer is not None:
         observer(0, net.x.ravel(), net.dual.ravel(),
                  RoundLog(messages=0, payload_scalars=0, subproblem_iters=()))
-    for k, out in enumerate(outputs, start=1):
-        iters = network_round(net, out)
+    for k in range(1, rounds + 1):
+        iters = network_round(net)
+        if rows is not None:
+            rows[k - 1] = net.x.ravel()
         if observer is not None:
             observer(k, net.x.ravel(), net.dual.ravel(),
                      RoundLog(messages=graph.m, payload_scalars=graph.m * graph.p,

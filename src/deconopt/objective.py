@@ -9,8 +9,9 @@ user-supplied gradient Lipschitz modulus. Every agent's local subproblem
 is solved for all agents of a round by one `ProximalRows.solve` call on
 (n, p) rows. A `ProximalRows` fixes the weights and inverts the quadratic
 rows' systems Q_i + (a_i + pi_i) I once into one stack over all rows, zero
-for callbacks, so a round is one stacked matmul (`apply_rows`); damped Newton
-with Armijo backtracking then overwrites the callback rows. That one solve
+for callbacks, so a round is one stacked matmul into a new array
+(`apply_rows`); damped Newton with Armijo backtracking then overwrites the
+callback rows of that array. That one solve
 serves the simulated network, through its checked wrapper
 `local_subproblem_ex`, and the three central engines whose agents decouple
 (`dadmm-matrix`, `full-admm`, `mm-approx`), which call it directly on rows
@@ -326,13 +327,12 @@ def proximal_inverse(q: np.ndarray, shift) -> np.ndarray:
     return inverse[:, :, 0] if p == 1 else inverse
 
 
-def apply_rows(inverse: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
-    """inverse_i @ rows_i for each of (n, p) rows; for p = 1 a product (same
-    bits). With `out`, an (n, p) float array, the result is written there."""
+def apply_rows(inverse: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """inverse_i @ rows_i for each of (n, p) rows, as a new array; for p = 1
+    a product (same bits)."""
     if inverse.ndim == 2:
-        return np.multiply(inverse, rows, out=out)
-    return np.matmul(inverse, rows[:, :, None],
-                     out=None if out is None else out[:, :, None])[:, :, 0]
+        return inverse * rows
+    return np.matmul(inverse, rows[:, :, None])[:, :, 0]
 
 
 class ProximalRows:
@@ -372,19 +372,16 @@ class ProximalRows:
                     "is not positive definite"
                 ) from exc
 
-    def solve(self, c: np.ndarray, x_prev: np.ndarray,
-              out=None) -> tuple[np.ndarray, tuple[int, ...]]:
+    def solve(self, c: np.ndarray, x_prev: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         """Every agent's local subproblem of one round, and each row's
-        iteration count. Row i of the (n, p) result minimizes f_i(x) + c_i'x
-        + (a_i/2)||x||^2 + (pi_i/2)||x - x_prev_i||^2: every row in one pass
-        of the kept inverse stack on pi_i x_prev_i - b_i - c_i, then the
-        callback rows overwritten by Newton. c and x_prev are (n, p) float
-        arrays, unchecked. The result is a new array, or `out`'s memory when
-        an (n, p) float array `out` that overlaps neither is given (the
-        same bits)."""
-        out = apply_rows(self.inverse, self.pi_rows * x_prev - self.b - c, out)
+        iteration count. Row i of the (n, p) result, a new array, minimizes
+        f_i(x) + c_i'x + (a_i/2)||x||^2 + (pi_i/2)||x - x_prev_i||^2: every
+        row in one pass of the kept inverse stack on pi_i x_prev_i - b_i -
+        c_i, then the callback rows overwritten by Newton. c and x_prev are
+        (n, p) float arrays, unchecked."""
+        x_new = apply_rows(self.inverse, self.pi_rows * x_prev - self.b - c)
         if not self.callbacks:
-            return out, self.closed_iters
+            return x_new, self.closed_iters
         iters = list(self.closed_iters)
         for i in self.callbacks:
             comp, c_i, x_i, a, pi = self.components[i], c[i], x_prev[i], self.a[i], self.pi[i]
@@ -399,20 +396,17 @@ class ProximalRows:
             def hess_fn(x):
                 return comp.hess(x) + (a + pi) * np.eye(comp.p)
 
-            out[i], iters[i] = _newton_minimize(value_fn, grad_fn, hess_fn, x_i, SUBPROBLEM_TOL)
-        return out, tuple(iters)
+            x_new[i], iters[i] = _newton_minimize(value_fn, grad_fn, hess_fn, x_i, SUBPROBLEM_TOL)
+        return x_new, tuple(iters)
 
 
-def local_subproblem_ex(rows: ProximalRows, c, x_prev,
-                        out=None) -> tuple[np.ndarray, tuple[int, ...]]:
-    """`rows.solve` on c and x_prev as float arrays, into `out` when given;
-    raises DimensionMismatch unless each is (n, p) rows. The simulated
-    network's round calls it."""
+def local_subproblem_ex(rows: ProximalRows, c, x_prev) -> tuple[np.ndarray, tuple[int, ...]]:
+    """`rows.solve` on c and x_prev as float arrays; raises DimensionMismatch
+    unless each is (n, p) rows. The simulated network's round calls it."""
     c, x_prev = np.asarray(c, dtype=float), np.asarray(x_prev, dtype=float)
-    if c.shape != rows.shape or x_prev.shape != rows.shape or (
-            out is not None and out.shape != rows.shape):
-        raise DimensionMismatch(f"c, x_prev and out must be {rows.shape} rows")
-    return rows.solve(c, x_prev, out)
+    if c.shape != rows.shape or x_prev.shape != rows.shape:
+        raise DimensionMismatch(f"c and x_prev must be {rows.shape} rows")
+    return rows.solve(c, x_prev)
 
 
 # -- stacked helpers -----------------------------------------------------------

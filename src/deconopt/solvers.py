@@ -49,10 +49,10 @@ which raises DimensionMismatch for one of the wrong length, and every
 central `step` raises it for a state vector of the wrong length, found by
 one shape test on entry. Every engine's `step(state)` runs one round;
 `step(state, rows)` runs one round per row of a (k, n p) float array and
-writes round j's x into rows[j - 1] in place (`harness.block_outputs`),
-with the bits of k one-round steps, so a caller fills its iterate rows a
-block per call. No step writes to the state it is given, and the state it
-returns holds no view of `rows`.
+copies round j's x, a new array, into rows[j - 1] (`harness.row_count`
+checks the rows), with the bits of k one-round steps, so a caller fills
+its iterate rows a block per call. No step writes to the state it is
+given, and the state it returns shares no memory with `rows`.
 Every engine's `phi(state)` is the D-ADMM dual aggregate phi of a state,
 the one dual a run reads.
 
@@ -199,10 +199,15 @@ class _CentralEngine:
                         f"{name} must be a vector of length {length}, got shape {shape}")
         return values
 
-    def _outputs(self, rows):
-        """Where each round of a step writes its x rows: nowhere (None) for
-        the one round without `rows`, else `harness.block_outputs`."""
-        return (None,) if rows is None else harness.block_outputs(rows, self._rows)
+    def _targets(self, rows) -> np.ndarray:
+        """The rows a step copies its rounds' x into, one round per row:
+        `rows`, checked by `harness.row_count`, or one scratch row for the
+        one round of a step without them."""
+        width = self._lengths["x"]
+        if rows is None:
+            return np.empty((1, width))
+        harness.row_count(rows, width)
+        return rows
 
 
 class _NetworkEngine:
@@ -254,11 +259,12 @@ class DadmmMatrixEngine(_CentralEngine):
     def step(self, state: AdmmState, rows=None) -> AdmmState:
         x, phi, alpha = self._operands(state)
         bins, size, shape = self._bins, self._size, self._rows
-        for out in self._outputs(rows):
+        for row in self._targets(rows):
             ends = x[self._index]
             e_u_x = ends[0] + ends[1]
             c = phi - self._half_rho * np.bincount(bins, np.concatenate((e_u_x, e_u_x)), size)
-            x = self.local.solve(c.reshape(shape), x.reshape(shape), out)[0].ravel()
+            x = self.local.solve(c.reshape(shape), x.reshape(shape))[0].ravel()
+            row[...] = x
             ends = x[self._index]
             alpha = alpha + self._half_eta_rho * (ends[0] - ends[1])
             phi = np.bincount(bins, (E_O_SIGNS * alpha).ravel(), size)
@@ -307,11 +313,12 @@ class FullAdmmEngine(_CentralEngine):
         x, z, lam = self._operands(state)
         rho, shape = self._rho, self._rows
         lam = lam.reshape(2, -1)
-        for out in self._outputs(rows):
+        for row in self._targets(rows):
             # lam = [alpha; beta] pairs with S = [A_s; A_d]: A_s^T alpha +
             # A_d^T beta - rho E_u^T z is S^T (lam - rho [z; z]), one scatter
             c = np.bincount(self._bins, (lam - rho * z).ravel(), self._size)
-            x = self.local.solve(c.reshape(shape), x.reshape(shape), out)[0].ravel()
+            x = self.local.solve(c.reshape(shape), x.reshape(shape))[0].ravel()
+            row[...] = x
             ends = x[self._index]  # A_s x, A_d x
             # z = (alpha + beta) / (2 rho) + (A_s x + A_d x) / 2
             halves = lam + rho * ends
@@ -393,14 +400,13 @@ class ExactMMEngine(_MultiplierEngine):
 
     def step(self, state: MMState, rows=None) -> MMState:
         x, nu, e_o_x = self._operands(state)
-        for out in self._outputs(rows):
+        for row in self._targets(rows):
             linear = self.stack.e_o_transpose(self._root_eta * nu)
             if self._neg_inverse is None:
                 x = objective.minimize_composite(self.agents, linear, self._system, x)
             else:
                 x = self._neg_inverse @ linear + self._x_b
-            if out is not None:
-                out[...] = x.reshape(out.shape)
+            row[...] = x
             nu, e_o_x = self._dual(x, nu)
         return MMState(x=x, nu=nu, e_o_x=e_o_x)
 
@@ -430,11 +436,12 @@ class ApproxMMEngine(_MultiplierEngine):
     def step(self, state: MMState, rows=None) -> MMState:
         x, nu, e_o_x = self._operands(state)
         shape = self._rows
-        for out in self._outputs(rows):
+        for row in self._targets(rows):
             # E_o^T (sqrt(eta) nu) + (rho/2) L x in one transpose product
             arcs = self._root_eta * nu + self._half_rho * e_o_x
             c = np.bincount(self._bins, (E_O_SIGNS * arcs).ravel(), self._size)
-            x = self.local.solve(c.reshape(shape), x.reshape(shape), out)[0].ravel()
+            x = self.local.solve(c.reshape(shape), x.reshape(shape))[0].ravel()
+            row[...] = x
             nu, e_o_x = self._dual(x, nu)
         return MMState(x=x, nu=nu, e_o_x=e_o_x)
 

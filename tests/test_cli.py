@@ -1,5 +1,6 @@
 import configparser
 import csv
+import gc
 import os
 import re
 import subprocess
@@ -282,6 +283,20 @@ class TestRun:
         assert (out / "trace.csv").exists()
         assert (out / "certificate.txt").exists()
         assert (out / "certificate.csv").exists()
+
+    @pytest.mark.parametrize("eta,code", [("0.5", 0), ("1.5", 1)])
+    def test_heap_frozen_during_the_run_only(self, eta, code, tmp_path, monkeypatch):
+        # main freezes the heap it starts with out of garbage collection for
+        # the run, and unfreezes it on both the success and the error path
+        frozen = []
+        real = cli.run
+        monkeypatch.setattr(cli, "run",
+                            lambda *args: frozen.append(gc.get_freeze_count()) or real(*args))
+        text = BASE_INI.format(out=tmp_path / "g").replace("eta = 0.5", f"eta = {eta}")
+        assert gc.get_freeze_count() == 0
+        assert cli.main(["run", write(tmp_path, text), "--verify"]) == code
+        assert len(frozen) == 1 and frozen[0] > 0
+        assert gc.get_freeze_count() == 0
 
     def test_eta_out_of_theorem_range_with_verify_fails_setup(self, tmp_path, capsys):
         text = BASE_INI.format(out=tmp_path / "o").replace("eta = 0.5", "eta = 1.5")
@@ -596,8 +611,9 @@ class TestTraceFile:
 class TestCertificateFiles:
     """The contract of the certificate files that a reader such as the
     benchmark's relies on: every certificate.txt line parses as
-    `name = <float>`, each name once; certificate.csv holds the same values;
-    the trace's delta_bound column is the delta the verify checked."""
+    `name = <float>`, each name once, the verify's verdict last;
+    certificate.csv mirrors every line; the trace's delta_bound column is
+    the delta the verify checked."""
 
     TEN = ["rho", "eta", "mu_g", "lipschitz_g", "lam_min_nonzero", "tau_star",
            "gamma_star", "delta", "lam_max_m", "contraction_factor"]
@@ -617,14 +633,16 @@ class TestCertificateFiles:
         with open(out / "certificate.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["name", "value"]
-        assert [f"{name} = {value}" for name, value in rows[1:]] == lines[:len(rows) - 1]
+        assert [f"{name} = {value}" for name, value in rows[1:]] == lines
         names = [name for name, _ in rows[1:]]
+        verdict = ["violations", "worst_ratio"]
         if pi == "0.1":
-            assert names == self.TEN
-            assert list(values) == self.TEN + ["violations", "worst_ratio"]
+            assert names == self.TEN + verdict
+            assert list(values) == self.TEN + verdict
         else:
             # the P = 0 corollary adds its delta, tau and lam_max
-            assert set(names) == set(self.TEN) | {"delta_admm", "tau_admm", "lam_max_eu"}
+            assert set(names) == set(self.TEN + verdict) | {"delta_admm", "tau_admm",
+                                                            "lam_max_eu"}
         checked = max(values["delta"], values.get("delta_admm", 0.0))
         assert values["contraction_factor"] == 1.0 / (1.0 + checked)
         with open(out / "trace.csv", newline="") as fh:
@@ -639,23 +657,17 @@ class TestBatchedTraceColumns:
     @pytest.mark.parametrize("flags", [["--verify"], ["--compare", "full-admm,mm-approx"]])
     def test_rows_equal_per_row_reference(self, flags, tmp_path, monkeypatch):
         iterates = []
-        run_algorithm = cli._run_algorithm
+        run_engines = cli._run_engines
 
         def keep_iterates(*args, **kwargs):
-            # the rows each run writes into its blocks, the primary's first,
-            # copied once a block is filled and before its sink reads it
-            *args, blocks = args
-            rows = []
-            iterates.append(rows)
+            # the primary's rows, copied once the engines have filled them
+            # and before the trace columns read them
+            *args, xs = args
+            result = run_engines(*args, xs, **kwargs)
+            iterates.append(xs.copy())
+            return result
 
-            def also_keep():
-                for block in blocks:
-                    yield block
-                    rows.extend(block.copy())
-
-            return run_algorithm(*args, also_keep(), **kwargs)
-
-        monkeypatch.setattr(cli, "_run_algorithm", keep_iterates)
+        monkeypatch.setattr(cli, "_run_engines", keep_iterates)
         out = str(tmp_path / "t")
         text = BASE_INI.format(out=out)
         assert cli.main(["run", write(tmp_path, text)] + flags) == 0
@@ -683,11 +695,16 @@ class TestCompareMode:
 
     @staticmethod
     def recorded(name, config):
-        """The (rounds+1, n*p) trajectory of one algorithm, as one block."""
+        """The (rounds+1, n*p) trajectory of one algorithm, from the engine
+        the CLI's table builds: its `init` state, then one `step` for all
+        the rounds as one block."""
         graph, comps = cli.build_scenario(config)
+        engine = cli._ENGINES[name][1](graph, comps, cli._resolve_params(config, graph),
+                                       config)
         xs = np.empty((config.rounds + 1, graph.n * graph.p))
-        cli._run_algorithm(name, config, graph, comps, cli._resolve_params(config, graph),
-                           [xs])
+        state = engine.init()
+        xs[0] = state.x
+        engine.step(state, xs[1:])
         return xs
 
     @pytest.mark.parametrize("rounds", [0, 127, 128, 129])
@@ -744,7 +761,7 @@ class TestCompareMode:
         assert objective._ROW_BLOCK == 128
         assert calls == {"step": 3, "run_rounds": 3}
 
-    # a comparison algorithm that fails its set-up after the primary run
+    # a comparison algorithm that fails its set-up, before the primary steps
     SETUP_ERRORS = {
         "mm-approx": ("rounds = 40", "rounds = 40\nepsilon = -1"),
         "pextra": ("rounds = 40", "rounds = 40\nxi = -0.5"),
@@ -759,6 +776,18 @@ class TestCompareMode:
         assert cli.main(["run", write(tmp_path, text), "--compare", f"dadmm,{compare}"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("deconopt:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_comparison_setup_error_comes_before_any_round(self, tmp_path, monkeypatch):
+        # both engines are built before either steps, so the primary engine
+        # never runs a round of a run its comparison cannot start
+        calls = {}
+        monkeypatch.setattr(solvers.DadmmEngine, "step",
+                            self.counting(calls, "step", solvers.DadmmEngine.step))
+        out = tmp_path / "c"
+        text = BASE_INI.format(out=out).replace(*self.SETUP_ERRORS["mm-approx"])
+        assert cli.main(["run", write(tmp_path, text), "--compare", "dadmm,mm-approx"]) == 1
+        assert calls == {}
         assert not out.exists()
 
     def test_holds_one_trajectory(self, tmp_path):
@@ -778,10 +807,10 @@ class TestCompareMode:
 
 
 class TestInPlaceRows:
-    """Each run writes its iterate rows in place, a block of
-    objective._ROW_BLOCK rows per engine `step`; the rows equal a trajectory
-    run one round at a time, with the block edges at 127, 128 and 129
-    rounds."""
+    """Each run fills its iterate rows a block of objective._ROW_BLOCK rows
+    per engine `step`, which copies each round's iterate into its row; the
+    rows equal a trajectory run one round at a time, with the block edges at
+    127, 128 and 129 rounds."""
 
     TEXT = BASE_INI.replace("n = 5", "n = 6").replace("pi = 0", "pi = 0.1\nxi = 0.04")
 
@@ -816,8 +845,9 @@ class TestInPlaceRows:
     def test_rows_equal_one_round_at_a_time(self, name, rounds, tmp_path, monkeypatch):
         assert objective._ROW_BLOCK == 128
         kept = []
-        row_blocks = cli._row_blocks
-        monkeypatch.setattr(cli, "_row_blocks", lambda xs: kept.append(xs) or row_blocks(xs))
+        run_engines = cli._run_engines
+        monkeypatch.setattr(cli, "_run_engines",
+                            lambda *args: kept.append(args[-1]) or run_engines(*args))
         text = self.TEXT.format(out=tmp_path / "r").replace("name = dadmm", f"name = {name}")
         config = parse_config(text.replace("rounds = 40", f"rounds = {rounds}"))
         assert cli.run(config) == 0
@@ -826,8 +856,9 @@ class TestInPlaceRows:
 
     @pytest.mark.parametrize("rounds", [0, 1, 127, 128, 129])
     def test_network_comparison_gaps(self, rounds, tmp_path):
-        # the comparison run fills one reused block buffer; its gaps are the
-        # dense difference of the two one-round-at-a-time trajectories
+        # the comparison steps in lockstep into one reused block buffer; its
+        # gaps are the dense difference of the two one-round-at-a-time
+        # trajectories
         out = tmp_path / "c"
         text = self.TEXT.format(out=out).replace("rounds = 40", f"rounds = {rounds}")
         config = replace(parse_config(text), compare="pextra")
@@ -1064,15 +1095,15 @@ class TestVerifiedRuns:
     def nudge_final_dual(monkeypatch, rel):
         """Make the CLI's run return a final phi moved by rel |phi| off E_o^T
         of the arc dual its trace implies."""
-        run_algorithm = cli._run_algorithm
+        run_engines = cli._run_engines
 
         def nudged(*args, **kwargs):
-            phi_last, messages = run_algorithm(*args, **kwargs)
+            phi_last, gaps, messages = run_engines(*args, **kwargs)
             phi_last = phi_last.copy()
             phi_last[0] += rel * np.linalg.norm(phi_last)
-            return phi_last, messages
+            return phi_last, gaps, messages
 
-        monkeypatch.setattr(cli, "_run_algorithm", nudged)
+        monkeypatch.setattr(cli, "_run_engines", nudged)
 
     def test_final_dual_off_the_trace_exits_1(self, tmp_path, monkeypatch, capsys):
         self.nudge_final_dual(monkeypatch, 1e-6)

@@ -198,24 +198,6 @@ class TestLocalSubproblem:
                           (np.zeros((2, 2)), np.zeros((2, 2)))):
             with pytest.raises(DimensionMismatch):
                 local_subproblem_ex(rows, c, x_prev)
-        with pytest.raises(DimensionMismatch):
-            local_subproblem_ex(rows, np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(6))
-
-    @pytest.mark.parametrize("p", [1, 3])
-    def test_out_rows_keep_the_bits(self, p):
-        # the solve writes into an (n, p) view of a wider buffer's row with
-        # the bits of a new array, callback rows included
-        rng = np.random.default_rng(40 + p)
-        comps = [objective.RankOneLeastSquares(rng.standard_normal(p), 0.5),
-                 objective.AffineQuadratic(np.eye(p), rng.standard_normal(p)),
-                 UserQuadratic(2.0 * np.eye(p), rng.standard_normal(p))]
-        rows = ProximalRows(comps, np.ones(3), np.full(3, 0.3))
-        c, x_prev = rng.standard_normal((3, p)), rng.standard_normal((3, p))
-        want, iters = local_subproblem_ex(rows, c, x_prev)
-        buf = np.zeros((2, 3 * p))
-        got, got_iters = local_subproblem_ex(rows, c, x_prev, buf[1].reshape(3, p))
-        assert np.shares_memory(got, buf) and got_iters == iters
-        assert np.array_equal(buf[1].reshape(3, p), want) and not buf[0].any()
         with pytest.raises(ValueError, match="one component per agent"):
             ProximalRows([zero_component(2)] * 3, np.ones(2), np.zeros(2))
 
