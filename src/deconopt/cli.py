@@ -151,7 +151,7 @@ class ExperimentConfig:
                     "which the certificate describes"
                 )
             if (self.algorithm == "mm-approx" and self.epsilon is not None
-                    and abs(self.epsilon - 1.0 / self.rho) > 1e-12):
+                    and not abs(self.epsilon * self.rho - 1.0) <= 1e-12):
                 raise ConfigError(
                     "verifying an mm-approx run requires the matched "
                     "majorization weight epsilon = 1/rho"

@@ -1,6 +1,6 @@
 """Small dense symmetric linear algebra on top of numpy.linalg (LAPACK).
 
-Everything the other modules need: symmetric eigendecompositions, Cholesky
+Everything the other modules need: symmetric eigenvalues, Cholesky
 factorizations, positive definite inverses (every SPD system in the package is
 solved by `spd_inverse` and a matmul; a stack of blocks is inverted in one
 call), and minimum-norm solutions of transpose systems B^T a = c with
@@ -58,14 +58,13 @@ def symmetric(a) -> np.ndarray:
     return a
 
 
-def sym_eigen(a):
-    """Eigendecomposition of a symmetric matrix (LAPACK via numpy.linalg.eigh).
-
-    Returns (eigenvalues ascending, orthonormal eigenvectors as columns, in
-    matching order). The matrix is checked by `symmetric` first.
+def sym_eigen(a) -> np.ndarray:
+    """The eigenvalues of a symmetric matrix, ascending (LAPACK via
+    numpy.linalg.eigvalsh): no eigenvector is formed. The matrix is checked
+    by `symmetric` first.
     """
     try:
-        return np.linalg.eigh(symmetric(a))
+        return np.linalg.eigvalsh(symmetric(a))
     except np.linalg.LinAlgError as exc:
         raise DeconoptError(f"symmetric eigensolver failed: {exc}") from exc
 

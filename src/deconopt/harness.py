@@ -269,7 +269,7 @@ def random_rank_one_components(n: int, p: int, rng: np.random.Generator):
     for _ in range(1000):
         rows = rng.standard_normal((n, p))
         gram = rows.T @ rows
-        eigvals, _ = denselin.sym_eigen(gram)
+        eigvals = denselin.sym_eigen(gram)
         if eigvals[0] >= 0.1:
             break
     else:

@@ -25,8 +25,8 @@ Two representations are derived from the arc indices, and nothing else:
 The derived values of a graph (`arc_indices`, `support_mask`, `arc_stack`,
 `degrees`, `laplacian`, `laplacian_eigvals`) are cached read-only in the graph
 instance, so they live as long as the graph and an equal graph built
-separately computes its own. No eigenvector is cached: the minimum-norm solve
-of E_o^T a = c (`e_o_min_norm_solver`) needs only L.
+separately computes its own. No eigenvector is formed, and the minimum-norm
+solve of E_o^T a = c (`e_o_min_norm_solver`) needs only L.
 
 Convention note: with two arcs per edge the extended degree matrix
 D = (E_o^T E_o + E_u^T E_u)/2 carries twice the neighbor count on its
@@ -239,7 +239,7 @@ def laplacian(g: NetworkGraph) -> np.ndarray:
 def laplacian_eigvals(g: NetworkGraph) -> np.ndarray:
     """The eigenvalues of L, ascending (read-only), computed once per graph
     for every spectral constant that needs them."""
-    eigvals = denselin.sym_eigen(laplacian(g))[0]
+    eigvals = denselin.sym_eigen(laplacian(g))
     eigvals.setflags(write=False)
     return eigvals
 

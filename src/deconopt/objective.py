@@ -101,8 +101,7 @@ class AffineQuadratic(ObjectiveComponent):
         self.q = q
         self.b = b
         self.p = q.shape[0]
-        eigvals, _ = denselin.sym_eigen(q)
-        self.lipschitz = float(max(eigvals[-1], 0.0))
+        self.lipschitz = float(max(denselin.sym_eigen(q)[-1], 0.0))
 
     def value(self, x):
         x = self._check(x)
@@ -533,7 +532,8 @@ def sum_profile(components, graph: NetworkGraph,
     if mu_sum is None:
         if stack.callbacks:
             raise ValueError("mu_sum must be supplied for callback components")
-        eigvals, _ = denselin.sym_eigen(_in_order(stack.terms()[0]))
+        q, _ = stack.terms()
+        eigvals = denselin.sym_eigen(_in_order(q))
         mu_sum = float(eigvals[0])
     if mu_sum <= 1e-12:
         raise NotStronglyConvex(

@@ -322,7 +322,7 @@ def test_criterion_8_certificate_internals():
     rho, eta = 1.0, 0.5
     mu_opt, _ = analysis.mu_g(profile, graph, rho, eta, "optimize")
     lap = netgraph.laplacian(graph)
-    lam_min = denselin.smallest_nonzero(denselin.sym_eigen(lap)[0])
+    lam_min = denselin.smallest_nonzero(denselin.sym_eigen(lap))
     hi = (profile.mu_sum / profile.n) / (2.0 * profile.lipschitz)
 
     def branch_min(gammas):

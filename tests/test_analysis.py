@@ -120,7 +120,7 @@ class TestMuG:
         # two branches meet, so the bound comes within 2Lg of mu_sum / n
         profile, g = self.two_agent_profile()
         lap = netgraph.laplacian(g)
-        lam_min = denselin.smallest_nonzero(denselin.sym_eigen(lap)[0])
+        lam_min = denselin.smallest_nonzero(denselin.sym_eigen(lap))
         gamma = 1e-6
         target = profile.mu_sum / profile.n - 2 * profile.lipschitz * gamma
         eta = 0.5
@@ -159,7 +159,7 @@ class TestRateCertificate:
         assert cert.lipschitz_g >= profile.lipschitz
         # M is PSD by construction
         m_lifted = np.kron(dense_ref.x_block(cert), np.eye(graph.p))
-        eigvals, _ = denselin.sym_eigen(m_lifted)
+        eigvals = denselin.sym_eigen(m_lifted)
         assert eigvals[0] >= -1e-9
 
     def test_certificates_hold_no_matrix(self):
@@ -229,8 +229,8 @@ class TestRateCertificate:
         profile = objective.sum_profile(comps, graph)
         params = AdmmParams(1.0, 0.5, 0.1)
         lap = netgraph.laplacian(graph)
-        lam_min = denselin.smallest_nonzero(denselin.sym_eigen(lap)[0])
-        lam_max = float(denselin.sym_eigen(lap)[0][-1])
+        lam_min = denselin.smallest_nonzero(denselin.sym_eigen(lap))
+        lam_max = float(denselin.sym_eigen(lap)[-1])
         orders = []
         real = denselin.sym_eigen
 
@@ -244,7 +244,7 @@ class TestRateCertificate:
         orders.clear()
         cert_admm = analysis.rate_certificate(graph, profile, AdmmParams(1.0, 0.5, 0.0))
         assert orders == [graph.n]
-        lam_max_eu = float(real(netgraph.unoriented_gram(graph))[0][-1])
+        lam_max_eu = float(real(netgraph.unoriented_gram(graph))[-1])
         assert cert_admm.candidates[1].lam_max == pytest.approx(lam_max_eu, rel=1e-12)
         for c in (cert, cert_admm):
             assert c.lam_min_nonzero == lam_min
@@ -261,8 +261,8 @@ class TestRateCertificate:
                 cert = analysis.rate_certificate(graph, profile, params)
                 e_o = dense_ref.lifted_incidence(graph)[0]
                 lifted_gram = e_o.T @ e_o
-                lam_min_lif = denselin.smallest_nonzero(denselin.sym_eigen(lifted_gram)[0])
-                eig_m, _ = denselin.sym_eigen(
+                lam_min_lif = denselin.smallest_nonzero(denselin.sym_eigen(lifted_gram))
+                eig_m = denselin.sym_eigen(
                     np.kron(dense_ref.x_block(cert), np.eye(p)))
                 for cand, corollary in zip(cert.candidates, (False, True)):
                     delta_lifted, _ = analysis.delta_bound(
@@ -280,7 +280,7 @@ class TestRateCertificateAdmm:
         g = netgraph.build_graph(3, [(1, 2), (2, 3)], 1)
         e_u = dense_ref.incidence_bases(g)[1]
         assert np.array_equal(netgraph.unoriented_gram(g), e_u.T @ e_u)
-        eigvals, _ = denselin.sym_eigen(netgraph.unoriented_gram(g))
+        eigvals = denselin.sym_eigen(netgraph.unoriented_gram(g))
         assert_allclose(eigvals, [0.0, 2.0, 6.0], atol=1e-10)
         # the candidate reads the same lam_max off M = (rho/2) E_u'E_u
         comps = [RankOneLeastSquares([1.0], float(y)) for y in range(3)]
@@ -757,6 +757,73 @@ class TestCheckUV:
             mats[k] = np.eye(5)
             with pytest.raises(DimensionMismatch):
                 analysis.check_uv_conditions(*mats, ring4)
+
+
+def eigenvector_nullspace_oracle(mat):
+    """null(S) = span(1) for S = (mat + mat')/2, read off a dense
+    eigendecomposition: one eigenvalue within MIXING_TOL of the spectral
+    scale, and its unit eigenvector is +-1/sqrt(n)."""
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    scale = max(float(np.max(np.abs(eigvals))), 1.0)
+    null = np.flatnonzero(np.abs(eigvals) <= analysis.MIXING_TOL * scale)
+    n = mat.shape[0]
+    return bool(len(null) == 1
+                and abs(abs(np.sum(eigvecs[:, null[0]])) / np.sqrt(n) - 1.0) <= 1e-8)
+
+
+class TestNullspaceIsConsensus:
+    """The null-space check reads eigenvalues and S 1 only: one zero
+    eigenvalue, and S annihilates the ones vector."""
+
+    def setup_method(self):
+        self.graph = netgraph.build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], 1)
+        n = self.graph.n
+        lap = netgraph.laplacian(self.graph)
+        # null space span(e_1): one zero eigenvalue, but S 1 != 0
+        e1_null = np.diag([0.0, 2.0, 2.0, 2.0])
+        # null space span(1, u) with u orthogonal to 1: S 1 = 0, but two zero
+        # eigenvalues
+        u = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
+        two_null = 2.0 * (np.eye(n) - np.ones((n, n)) / n - np.outer(u, u))
+        self.cases = [(lap, True), (e1_null, False), (two_null, False)]
+
+    def test_uv_conditions(self):
+        dbar = np.diag(netgraph.degrees(self.graph))
+        for v, want in self.cases:
+            report = analysis.check_uv_conditions(2.0 * dbar - v, v, dbar, self.graph)
+            assert report.nullspace is want
+
+    def test_mixing(self):
+        # W~ = I, so (I - W~) 1 = 0 and the verdict is that of W - W~
+        wt = np.eye(self.graph.n)
+        for diff, want in self.cases:
+            assert analysis.check_mixing(wt + 0.1 * diff, wt, self.graph).nullspace is want
+
+    def test_agrees_with_eigenvector_oracle(self):
+        # symmetric parts with known null spaces: span(1), span(e_k), a
+        # random line, span(1, u) and none; nonzero eigenvalues of either
+        # sign, any scale, and a skew part that the check symmetrizes away
+        rng = np.random.default_rng(34)
+        verdicts = []
+        for trial in range(200):
+            n = int(rng.integers(2, 9))
+            kind = trial % 5
+            null = [np.ones((n, 1)), np.eye(n)[:, [int(rng.integers(n))]],
+                    rng.standard_normal((n, 1)),
+                    np.column_stack((np.ones(n), rng.standard_normal(n))),
+                    np.empty((n, 0))][kind]
+            dim = null.shape[1]
+            q, _ = np.linalg.qr(np.column_stack((null, rng.standard_normal((n, n - dim)))))
+            lam = rng.uniform(0.5, 3.0, n) * rng.choice([-1.0, 1.0], n)
+            lam[:dim] = 0.0
+            sym = 10.0 ** rng.uniform(-2, 3) * (q * lam) @ q.T
+            skew = rng.standard_normal((n, n))
+            mat = sym + (skew - skew.T)
+            want = kind == 0
+            assert eigenvector_nullspace_oracle(mat) is want
+            assert analysis._nullspace_is_consensus(mat) is want
+            verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_certificate_serialization_roundtrip_values():

@@ -272,6 +272,12 @@ contraction_slack = 1e-6
         for omega in (0.3, 1.0):
             with pytest.raises(ConfigError, match=r"omega must lie in \[0.5, 1\)"):
                 ExperimentConfig(algorithm="pextra", xi=0.04, omega=omega).validate()
+        # the matched majorization weight is checked relative to 1/rho: at a
+        # large rho, epsilon = 0 lies within 1e-12 of 1/rho but is no match
+        mm = dict(algorithm="mm-approx", rho=1e13, pi=1.0, verify=True)
+        with pytest.raises(ConfigError, match="matched majorization"):
+            ExperimentConfig(epsilon=0.0, **mm).validate()
+        ExperimentConfig(epsilon=1e-13, **mm).validate()
 
 
 class TestRun:
@@ -1280,6 +1286,19 @@ def test_verified_run_passes_or_is_refused(name, settings, tmp_path):
             continue
         assert cli.main(["run", path]) == 0, (n, p, seed, pi)
         assert "violations = 0" in (out / "certificate.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("name,settings", VERIFIED, ids=table_ids(VERIFIED))
+def test_verified_run_forms_no_eigenvector(name, settings, tmp_path, monkeypatch):
+    # every spectral constant of a verified run is an eigenvalue, and the
+    # null-space checks read the ones vector: no eigenvector is formed
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    path = write(tmp_path, verify_text(name, settings, VERIFY_CELLS[0], tmp_path / "out"))
+    assert cli.main(["run", path]) == 0
+    assert calls == []
 
 
 def record_phi_rows(monkeypatch):

@@ -90,7 +90,7 @@ def _cubic_roots_by_bisection(coeffs, lo=-100.0, hi=100.0):
 
 class TestSymEigen:
     def test_diagonal(self):
-        w, _ = denselin.sym_eigen(np.diag([3.0, 1.0, 2.0]))
+        w = denselin.sym_eigen(np.diag([3.0, 1.0, 2.0]))
         assert_allclose(w, [1.0, 2.0, 3.0])
 
     def test_path3_laplacian_spectrum(self):
@@ -98,35 +98,33 @@ class TestSymEigen:
         # det(L - t I) expanded by hand gives -t^3 + 8t^2 - 12t
         roots = _cubic_roots_by_bisection([-1.0, 8.0, -12.0, 0.0])
         assert_allclose(roots, [0.0, 2.0, 6.0], atol=1e-8)
-        w, v = denselin.sym_eigen(PATH3_L)
+        w = denselin.sym_eigen(PATH3_L)
         assert_allclose(w, [0.0, 2.0, 6.0], atol=1e-10)
-        for k in range(3):
-            assert_allclose(PATH3_L @ v[:, k], w[k] * v[:, k], atol=1e-9)
 
     def test_identity(self):
-        w, _ = denselin.sym_eigen(np.eye(4))
+        w = denselin.sym_eigen(np.eye(4))
         assert_allclose(w, np.ones(4))
 
     def test_reconstruction_random(self):
+        # known-spectrum oracle: A = Q diag(lam) Q' with Q orthogonal from the
+        # QR of a Gaussian matrix has the eigenvalues lam
         rng = np.random.default_rng(42)
         for _ in range(200):
             order = int(rng.integers(1, 31))
-            a = rng.standard_normal((order, order))
-            a = 0.5 * (a + a.T)
-            w, v = denselin.sym_eigen(a)
-            recon = (v * w) @ v.T
+            q, _ = np.linalg.qr(rng.standard_normal((order, order)))
+            lam = rng.standard_normal(order)
+            a = (q * lam) @ q.T
+            w = denselin.sym_eigen(a)
             scale = max(np.linalg.norm(a), 1e-12)
-            assert np.linalg.norm(recon - a) <= 1e-9 * scale
-            assert_allclose(v.T @ v, np.eye(order), atol=1e-9)
+            assert np.max(np.abs(w - np.sort(lam))) <= 1e-9 * scale
             assert np.all(np.diff(w) >= -1e-12)
 
     @pytest.mark.parametrize("n,seed", [(5, 1), (12, 2), (30, 3)])
     def test_graph_matrices_match_jacobi_reference(self, n, seed):
         for base in ring_chord_bases(n, seed):
-            w, v = denselin.sym_eigen(base)
+            w = denselin.sym_eigen(base)
             tol = 1e-12 * np.linalg.norm(base)
             assert np.max(np.abs(w - jacobi_eigenvalues(base))) <= tol
-            assert np.linalg.norm((v * w) @ v.T - base) <= tol
 
     def test_random_matrices_match_jacobi_reference(self):
         rng = np.random.default_rng(7)
@@ -134,7 +132,7 @@ class TestSymEigen:
             order = int(rng.integers(1, 13))
             a = rng.standard_normal((order, order))
             a = 0.5 * (a + a.T)
-            w, _ = denselin.sym_eigen(a)
+            w = denselin.sym_eigen(a)
             ref = jacobi_eigenvalues(a)
             assert np.max(np.abs(w - ref)) <= 1e-12 * np.linalg.norm(a)
 
@@ -142,7 +140,7 @@ class TestSymEigen:
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(DeconoptError) as info:
             denselin.sym_eigen(np.eye(2))
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
@@ -159,7 +157,7 @@ class TestSymEigen:
 
 
 def smallest_nonzero_of(a):
-    return denselin.smallest_nonzero(denselin.sym_eigen(a)[0])
+    return denselin.smallest_nonzero(denselin.sym_eigen(a))
 
 
 class TestSmallestNonzero:

@@ -462,7 +462,7 @@ class TestScenario:
     def test_components_not_strongly_convex_for_p_gt_1(self):
         _, comps = harness.scenario_least_squares(6, 3, seed=21)
         for comp in comps:
-            eigvals, _ = denselin.sym_eigen(comp.hess(np.zeros(3)))
+            eigvals = denselin.sym_eigen(comp.hess(np.zeros(3)))
             assert eigvals[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_same_seed_identical_instance(self):

@@ -151,10 +151,30 @@ class TestIncidenceOperators:
             assert abs(eigvals[0]) <= 1e-10
             assert eigvals[1] > 1e-10  # rank n-1
             # the cached eigenvalues are the ones sym_eigen gives for L
-            want, eigvecs = denselin.sym_eigen(netgraph.laplacian(g))
+            want = denselin.sym_eigen(netgraph.laplacian(g))
             assert np.array_equal(eigvals, want)
-            v = eigvecs[:, 0]
-            assert_allclose(np.abs(v), np.full(n, 1.0 / np.sqrt(n)), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [5, 50, 200])
+    @pytest.mark.parametrize("kind", ["path", "ring", "complete"])
+    def test_spectrum_matches_closed_form(self, kind, n):
+        # the package's L counts both arcs, so it is twice the usual
+        # Laplacian: 4 - 4 cos(pi k / n) on the path, 4 - 4 cos(2 pi k / n)
+        # on the ring, and 0 then 2n (n - 1 times) on the complete graph
+        k = np.arange(n)
+        if kind == "path":
+            edges, exact = [(i, i + 1) for i in range(1, n)], 4.0 - 4.0 * np.cos(np.pi * k / n)
+        elif kind == "ring":
+            edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
+            exact = 4.0 - 4.0 * np.cos(2.0 * np.pi * k / n)
+        else:
+            edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            exact = np.where(k == 0, 0.0, 2.0 * n)
+        exact = np.sort(exact)
+        eigvals = netgraph.laplacian_eigvals(netgraph.build_graph(n, edges, 1))
+        tol = 8 * n * np.finfo(float).eps * exact[-1]
+        assert np.max(np.abs(eigvals - exact)) <= tol
+        assert abs(denselin.smallest_nonzero(eigvals) - exact[1]) <= tol
+        assert abs(eigvals[-1] - exact[-1]) <= tol
 
     def test_incidence_norm_is_neighbor_differences(self):
         # ||E_o x||^2 = sum_i sum_{j in N_i} ||x_j - x_i||^2
